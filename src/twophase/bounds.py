@@ -187,7 +187,7 @@ def estimate_R_bar(trajectory, y, kind: LossKind, mode: str = "exact",
     target = y.reshape(-1, 1)  # vec(Y^T): sample-major, matching Jacobian rows
     worst = 0.0
     for params, jac in trajectory:
-        anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
+        anchor = (nu_mask(params) * params.flat).reshape(-1, 1)
         if kind.name == "squared":
             omega = min_norm_solve(jac, target, anchor)
         elif mode == "exact":

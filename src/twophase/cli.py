@@ -14,7 +14,6 @@ failure, 3 runtime numeric failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import json
 import math
@@ -58,6 +57,12 @@ EXIT_NUMERIC = 3
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the violated precondition."""
+
+
+# error families main() reports as exit codes; a sweep records them per cell
+NUMERIC_ERRORS = (FeatureRankError, RankPreservationError, DecompositionError,
+                  RankDeficientError, MemoryError, FloatingPointError)
+CONFIG_ERRORS = (ConfigError, ValueError, FileNotFoundError)
 
 
 DEFAULT_CONFIG = {
@@ -441,9 +446,9 @@ def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds) -> dict:
             spec = _build_spec(cell_cfg, dataset)
             _, log = _train_once(cell_cfg, dataset, spec)
             losses.append(log.final_loss)
-        except Exception as exc:
+        except NUMERIC_ERRORS + CONFIG_ERRORS as exc:
             failures.append({"seed": int(seed), "error": f"{type(exc).__name__}: {exc}"})
-    cell = {
+    return {
         "tau_fraction": tau0,
         "noise_scale": delta0,
         "losses": losses,
@@ -451,19 +456,12 @@ def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds) -> dict:
         "std": float(np.std(losses)) if losses else None,
         "failures": failures,
     }
-    return cell
 
 
 def cmd_sweep(cfg: dict, out_dir: str) -> int:
     grid = cfg["sweep"]
     cells_spec = [(t, d) for t in grid["tau_fractions"] for d in grid["noise_scales"]]
-    workers = max(1, int(os.environ.get("TWOPHASE_THREADS", "1")))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(
-                lambda td: _sweep_cell(cfg, td[0], td[1], grid["seeds"]), cells_spec))
-    else:
-        cells = [_sweep_cell(cfg, t, d, grid["seeds"]) for t, d in cells_spec]
+    cells = [_sweep_cell(cfg, t, d, grid["seeds"]) for t, d in cells_spec]
 
     os.makedirs(out_dir, exist_ok=True)
     table = {"seeds": list(grid["seeds"]), "cells": cells}
@@ -524,11 +522,10 @@ def main(argv=None) -> int:
             "gen-data": cmd_gen_data,
         }[args.command]
         return handler(cfg, args.out)
-    except (FeatureRankError, RankPreservationError, DecompositionError,
-            RankDeficientError, MemoryError, FloatingPointError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,17 +8,20 @@ Hidden layer l computes
     z = BN(z)                       (optional, per unit, batch statistics)
     h = softplus(z; sharpness)
 
-Parameters flatten to a single vector.  Within each layer the weight matrix
-and bias row are stacked as [W; b] and vectorized column-major, so the head
-block of the flat vector is exactly the vector the output is linear in:
+All parameters live in one float64 vector.  Within each layer the weight
+matrix and bias row are stacked as [W; b] and vectorized column-major, so the
+head block of the vector is exactly the vector the output is linear in:
 f(x)^T = (I_{m_y} kron [h(x), 1]) 'head block'.  Batch-norm scale/shift
 vectors follow the [W; b] block of their layer and count as hidden-layer
-parameters.
+parameters.  `Params` owns that vector; its per-layer arrays are views into
+it, so writing a view writes the vector, rebinding a view is an error, and
+`Params.to_flat()` returns a copy.  `backprop` returns gradients in the same
+layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,121 +112,90 @@ class NetworkSpec:
         return sum(self.layer_param_sizes())
 
 
-@dataclass
 class Params:
-    """Per-layer parameter arrays.
+    """All parameters of one network, held in a single float64 buffer.
 
-    weights[l] is W_{l+1} (m_l x m_{l+1}); the last entry is the head weight.
-    bn_scale/bn_shift have one entry per hidden layer, None where batch
-    normalization is off.
+    `flat` is that buffer, in the layout of the module docstring.  weights[l]
+    is W_{l+1} (m_l x m_{l+1}) and biases[l] its 1 x m_{l+1} bias row; the
+    last entries are the head.  bn_scale/bn_shift have one entry per hidden
+    layer, None where batch normalization is off.
+
+    Every per-layer array is a view into `flat`: an in-place write such as
+    `p.weights[0][:] = w` or `p.flat -= step` changes the parameters, and the
+    view tuples reject rebinding (`p.weights[0] = w` raises TypeError).
+    `to_flat()` and `copy()` return independent copies.
     """
 
-    weights: list
-    biases: list
-    bn_scale: list = field(default_factory=list)
-    bn_shift: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.bn_scale:
-            self.bn_scale = [None] * (len(self.weights) - 1)
-        if not self.bn_shift:
-            self.bn_shift = [None] * (len(self.weights) - 1)
+    def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
+        d = spec.param_count()
+        if flat is None:
+            flat = np.zeros(d)
+        if flat.dtype != np.float64 or flat.shape != (d,):
+            raise ValueError(f"flat vector has {flat.size} {flat.dtype} entries, expected {d} float64")
+        self.spec = spec
+        self.flat = flat
+        dims = (*spec.widths, spec.output_dim)
+        weights, biases, scales, shifts = [], [], [], []
+        off = 0
+        for l, size in enumerate(spec.layer_param_sizes()):
+            rows, cols = dims[l] + 1, dims[l + 1]
+            block = flat[off : off + rows * cols].reshape(rows, cols, order="F")
+            weights.append(block[:-1])
+            biases.append(block[-1:])
+            if l < spec.depth:
+                bn = spec.bn_flags[l]
+                end = off + size
+                scales.append(flat[end - 2 * cols : end - cols] if bn else None)
+                shifts.append(flat[end - cols : end] if bn else None)
+            off += size
+        self.weights, self.biases = tuple(weights), tuple(biases)
+        self.bn_scale, self.bn_shift = tuple(scales), tuple(shifts)
+        self._head = block
 
     @property
     def depth(self) -> int:
-        return len(self.weights) - 1
+        return self.spec.depth
 
     def copy(self) -> "Params":
-        return Params(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [None if g is None else g.copy() for g in self.bn_scale],
-            [None if s is None else s.copy() for s in self.bn_shift],
-        )
-
-    def layer_param_sizes(self) -> list:
-        sizes = []
-        for l in range(self.depth):
-            d = (self.weights[l].shape[0] + 1) * self.weights[l].shape[1]
-            if self.bn_scale[l] is not None:
-                d += 2 * self.bn_scale[l].size
-            sizes.append(d)
-        w = self.weights[-1]
-        sizes.append((w.shape[0] + 1) * w.shape[1])
-        return sizes
-
-    def hidden_param_count(self) -> int:
-        return sum(self.layer_param_sizes()[:-1])
-
-    def head_param_count(self) -> int:
-        return self.layer_param_sizes()[-1]
+        return Params(self.spec, self.flat.copy())
 
     def head_block(self) -> np.ndarray:
-        """Stacked [W; b] of the output head, shape (m_H + 1) x m_y."""
-        return np.vstack([self.weights[-1], self.biases[-1]])
+        """Stacked [W; b] of the output head, shape (m_H + 1) x m_y; a view."""
+        return self._head
 
     def set_head_block(self, block: np.ndarray) -> None:
-        self.weights[-1] = np.array(block[:-1], dtype=np.float64)
-        self.biases[-1] = np.array(block[-1:], dtype=np.float64)
+        self._head[...] = block
 
     def to_flat(self) -> np.ndarray:
-        chunks = []
-        for l in range(self.depth + 1):
-            stacked = np.vstack([self.weights[l], self.biases[l]])
-            chunks.append(stacked.ravel(order="F"))
-            if l < self.depth and self.bn_scale[l] is not None:
-                chunks.append(np.asarray(self.bn_scale[l], dtype=np.float64))
-                chunks.append(np.asarray(self.bn_shift[l], dtype=np.float64))
-        return np.concatenate(chunks)
+        return self.flat.copy()
 
 
 def params_zero(spec: NetworkSpec) -> Params:
-    weights, biases, gammas, betas = [], [], [], []
-    dims = list(spec.widths) + [spec.output_dim]
-    for l in range(1, len(dims)):
-        weights.append(np.zeros((dims[l - 1], dims[l])))
-        biases.append(np.zeros((1, dims[l])))
-        if l <= spec.depth:
-            if spec.bn_flags[l - 1]:
-                gammas.append(np.ones(dims[l]))
-                betas.append(np.zeros(dims[l]))
-            else:
-                gammas.append(None)
-                betas.append(None)
-    return Params(weights, biases, gammas, betas)
+    """Zero weights and biases, identity batch normalization."""
+    p = Params(spec)
+    for gamma in p.bn_scale:
+        if gamma is not None:
+            gamma[:] = 1.0
+    return p
 
 
 def params_from_flat(spec: NetworkSpec, flat: np.ndarray) -> Params:
-    """Inverse of Params.to_flat for the given architecture."""
-    flat = np.asarray(flat, dtype=np.float64).ravel()
-    if flat.size != spec.param_count():
-        raise ValueError(f"flat vector has {flat.size} entries, expected {spec.param_count()}")
-    p = params_zero(spec)
-    dims = list(spec.widths) + [spec.output_dim]
-    off = 0
-    for l in range(1, len(dims)):
-        rows, cols = dims[l - 1] + 1, dims[l]
-        stacked = flat[off : off + rows * cols].reshape(rows, cols, order="F")
-        p.weights[l - 1] = stacked[:-1].copy()
-        p.biases[l - 1] = stacked[-1:].copy()
-        off += rows * cols
-        if l <= spec.depth and spec.bn_flags[l - 1]:
-            p.bn_scale[l - 1] = flat[off : off + cols].copy()
-            off += cols
-            p.bn_shift[l - 1] = flat[off : off + cols].copy()
-            off += cols
-    return p
+    """Params over `flat`, the layout Params.to_flat returns.
+
+    A float64 vector is wrapped, not copied, so the result aliases it.
+    """
+    return Params(spec, np.asarray(flat, dtype=np.float64).ravel())
 
 
 def random_params(spec: NetworkSpec, rng, scale: float = 1.0) -> Params:
     """Gaussian draw of every parameter; BN scales centered at 1."""
     p = params_zero(spec)
     for l in range(spec.depth + 1):
-        p.weights[l] = rng.standard_normal(p.weights[l].shape) * scale
-        p.biases[l] = rng.standard_normal(p.biases[l].shape) * scale
+        p.weights[l][:] = rng.standard_normal(p.weights[l].shape) * scale
+        p.biases[l][:] = rng.standard_normal(p.biases[l].shape) * scale
         if l < spec.depth and p.bn_scale[l] is not None:
-            p.bn_scale[l] = 1.0 + rng.standard_normal(p.bn_scale[l].shape) * scale
-            p.bn_shift[l] = rng.standard_normal(p.bn_shift[l].shape) * scale
+            p.bn_scale[l][:] = 1.0 + rng.standard_normal(p.bn_scale[l].shape) * scale
+            p.bn_shift[l][:] = rng.standard_normal(p.bn_shift[l].shape) * scale
     return p
 
 
@@ -233,7 +205,7 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> Params:
     p = params_zero(spec)
     for l in range(spec.depth + 1):
         fan_in = p.weights[l].shape[0]
-        p.weights[l] = rng.standard_normal(p.weights[l].shape) * np.sqrt(2.0 / fan_in)
+        p.weights[l][:] = rng.standard_normal(p.weights[l].shape) * np.sqrt(2.0 / fan_in)
     return p
 
 
@@ -390,7 +362,7 @@ def backprop(
 
     `upstream` is d(objective)/d(f), shape n x m_y.  `subset` selects which
     blocks are populated ("all", "last_layer_only", "hidden_only"); the
-    result is always zero-padded to the full parameter length.  BN layers
+    result always has the full parameter length, zero outside the subset.  BN layers
     differentiate through their batch statistics unless the trace was built
     with frozen ones.
     """
@@ -406,50 +378,27 @@ def backprop(
         )
     frozen = trace.frozen_stats is not None
 
-    grads_w = [None] * (spec.depth + 1)
-    grads_b = [None] * (spec.depth + 1)
-    grads_gamma = [None] * spec.depth
-    grads_beta = [None] * spec.depth
+    grad = Params(spec)
+    if subset != "hidden_only":
+        grad.weights[-1][:] = trace.hidden.T @ upstream
+        grad.biases[-1][:] = upstream.sum(axis=0, keepdims=True)
+    if subset == "last_layer_only":
+        return grad.flat
 
-    h_last = trace.hidden
-    grads_w[-1] = h_last.T @ upstream
-    grads_b[-1] = upstream.sum(axis=0, keepdims=True)
-
-    if subset != "last_layer_only":
-        dh = upstream @ params.weights[-1].T
-        for l in range(spec.depth - 1, -1, -1):
-            cache = trace.bn_cache[l]
-            sig_in = trace.affine[l] if cache is None else cache[3]
-            dz = dh * softplus_deriv(sig_in, spec.sharpness)
-            if cache is not None:
-                dz, dgamma, dbeta = _bn_backward(
-                    dz, cache, params.bn_scale[l], spec.bn_epsilon, frozen
-                )
-                grads_gamma[l] = dgamma
-                grads_beta[l] = dbeta
-            h_prev = trace.inputs if l == 0 else trace.post[l - 1]
-            grads_w[l] = h_prev.T @ dz
-            grads_b[l] = dz.sum(axis=0, keepdims=True)
-            if l > 0:
-                dh = dz @ params.weights[l].T
-
-    chunks = []
-    for l in range(spec.depth + 1):
-        size_wb = (params.weights[l].shape[0] + 1) * params.weights[l].shape[1]
-        include = (
-            subset == "all"
-            or (subset == "last_layer_only" and l == spec.depth)
-            or (subset == "hidden_only" and l < spec.depth)
-        )
-        if include and grads_w[l] is not None:
-            chunks.append(np.vstack([grads_w[l], grads_b[l]]).ravel(order="F"))
-        else:
-            chunks.append(np.zeros(size_wb))
-        if l < spec.depth and params.bn_scale[l] is not None:
-            if include and grads_gamma[l] is not None:
-                chunks.append(grads_gamma[l])
-                chunks.append(grads_beta[l])
-            else:
-                chunks.append(np.zeros(params.bn_scale[l].size))
-                chunks.append(np.zeros(params.bn_shift[l].size))
-    return np.concatenate(chunks)
+    dh = upstream @ params.weights[-1].T
+    for l in range(spec.depth - 1, -1, -1):
+        cache = trace.bn_cache[l]
+        sig_in = trace.affine[l] if cache is None else cache[3]
+        dz = dh * softplus_deriv(sig_in, spec.sharpness)
+        if cache is not None:
+            dz, dgamma, dbeta = _bn_backward(
+                dz, cache, params.bn_scale[l], spec.bn_epsilon, frozen
+            )
+            grad.bn_scale[l][:] = dgamma
+            grad.bn_shift[l][:] = dbeta
+        h_prev = trace.inputs if l == 0 else trace.post[l - 1]
+        grad.weights[l][:] = h_prev.T @ dz
+        grad.biases[l][:] = dz.sum(axis=0, keepdims=True)
+        if l > 0:
+            dh = dz @ params.weights[l].T
+    return grad.flat

@@ -23,6 +23,7 @@ is genuinely fixed under head-only updates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,7 +37,6 @@ from .network import (
     backprop,
     batch_statistics,
     forward_hidden,
-    params_from_flat,
 )
 from .ntk import NtkSnapshot, assert_rank_preserved, compute_jacobian, compute_ntk
 
@@ -181,12 +181,12 @@ class TrainLog:
 def nu_mask(obj) -> np.ndarray:
     """0/1 vector over the flat layout: zeros on hidden (and BN) parameters,
     ones on the output head.  Accepts a NetworkSpec or a Params."""
-    if isinstance(obj, (NetworkSpec, Params)):
-        hidden = obj.hidden_param_count()
-        head = obj.head_param_count()
-    else:
+    spec = obj.spec if isinstance(obj, Params) else obj
+    if not isinstance(spec, NetworkSpec):
         raise TypeError(f"expected NetworkSpec or Params, got {type(obj).__name__}")
-    return np.concatenate([np.zeros(hidden), np.ones(head)])
+    mask = np.zeros(spec.param_count())
+    mask[spec.hidden_param_count():] = 1.0
+    return mask
 
 
 def _noise_scales(cfg_scale, depth: int) -> np.ndarray:
@@ -208,11 +208,11 @@ def perturb(params: Params, sigma, seed) -> Params:
     out = params.copy()
     for l in range(params.depth):
         s = scales[l]
-        out.weights[l] = out.weights[l] + s * rng.standard_normal(out.weights[l].shape)
-        out.biases[l] = out.biases[l] + s * rng.standard_normal(out.biases[l].shape)
+        out.weights[l][:] += s * rng.standard_normal(out.weights[l].shape)
+        out.biases[l][:] += s * rng.standard_normal(out.biases[l].shape)
         if out.bn_scale[l] is not None:
-            out.bn_scale[l] = out.bn_scale[l] + s * rng.standard_normal(out.bn_scale[l].shape)
-            out.bn_shift[l] = out.bn_shift[l] + s * rng.standard_normal(out.bn_shift[l].shape)
+            out.bn_scale[l][:] += s * rng.standard_normal(out.bn_scale[l].shape)
+            out.bn_shift[l][:] += s * rng.standard_normal(out.bn_shift[l].shape)
     return out
 
 
@@ -224,16 +224,41 @@ def compute_L_H(kind: LossKind, h) -> float:
     return float(kind.lipschitz * ((h * h).sum() / n + 1.0))
 
 
-def _full_loss(spec, params, x, y, kind, frozen_stats=None) -> float:
-    trace = forward_hidden(spec, params, x, frozen_stats)
-    f = trace.hidden @ params.weights[-1] + params.biases[-1]
-    return loss_value(kind, f, y)
+def _finite(value, what: str, t, phase):
+    """`value` (a float or an array), or FloatingPointError naming step t and
+    the phase if it holds a NaN or an infinity."""
+    if math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all():
+        return value
+    raise FloatingPointError(
+        f"{what} not finite at step {t} (phase {phase}); training diverged, "
+        "try a smaller step size"
+    )
 
 
-def _full_gradient(spec, params, x, y, kind, frozen_stats=None, subset="all") -> np.ndarray:
+def _loss_and_gradient(spec, params, x, y, kind, frozen_stats=None,
+                       t=None, phase=None, gradient=True):
+    """Full-batch loss at `params` and (unless gradient=False) its gradient
+    over the flat layout, from one forward pass.  Predictions and loss are
+    checked finite; t and phase only label the error."""
     trace = forward_hidden(spec, params, x, frozen_stats)
-    f = trace.hidden @ params.weights[-1] + params.biases[-1]
-    return backprop(spec, params, x, loss_grad(kind, f, y), subset=subset, trace=trace)
+    f = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
+                "predictions", t, phase)
+    loss = _finite(loss_value(kind, f, y), "loss", t, phase)
+    if not gradient:
+        return loss, None
+    return loss, backprop(spec, params, x, loss_grad(kind, f, y), trace=trace)
+
+
+def _next_batch(state: dict, size: int, rng) -> np.ndarray:
+    """Next `size` indices of a shuffled pass over the data; a pass that runs
+    short is replaced by a fresh permutation from `rng`."""
+    idx = state["order"][state["pos"] : state["pos"] + size]
+    if idx.size < size:
+        state["order"] = rng.permutation(state["order"].size)
+        state["pos"] = 0
+        idx = state["order"][:size]
+    state["pos"] += size
+    return idx
 
 
 def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None,
@@ -241,43 +266,15 @@ def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None,
     """Empirical lower bound on the gradient Lipschitz constant near `params`:
     max over random probe directions of ||grad(w + d) - grad(w)|| / ||d||."""
     rng = np.random.default_rng(seed)
-    w0 = params.to_flat()
-    g0 = _full_gradient(spec, params, x, y, kind, frozen_stats)
+    _, g0 = _loss_and_gradient(spec, params, x, y, kind, frozen_stats)
     best = 0.0
     for _ in range(probes):
-        delta = rng.standard_normal(w0.size)
+        delta = rng.standard_normal(params.flat.size)
         delta *= radius / np.linalg.norm(delta)
-        probe = params_from_flat(spec, w0 + delta)
-        g1 = _full_gradient(spec, probe, x, y, kind, frozen_stats)
+        probe = Params(spec, params.flat + delta)
+        _, g1 = _loss_and_gradient(spec, probe, x, y, kind, frozen_stats)
         best = max(best, float(np.linalg.norm(g1 - g0) / radius))
     return best
-
-
-def _phase1_step(spec, params, x, y, kind, base, velocity, rng, order_state):
-    """One base-algorithm update; returns (new flat vector, ||g||)."""
-    w = params.to_flat()
-    if base.variant == "gd":
-        g = _full_gradient(spec, params, x, y, kind)
-        if base.weight_decay:
-            g = g + base.weight_decay * w
-        return w - base.learning_rate * g, float(np.linalg.norm(g))
-    n = x.shape[0]
-    b = min(base.minibatch, n)
-    idx = order_state["order"][order_state["pos"] : order_state["pos"] + b]
-    if idx.size < b:
-        order_state["order"] = rng.permutation(n)
-        order_state["pos"] = 0
-        idx = order_state["order"][:b]
-    order_state["pos"] += b
-    xb, yb = x[idx], y[idx]
-    trace = forward_hidden(spec, params, xb)
-    fb = trace.hidden @ params.weights[-1] + params.biases[-1]
-    g = backprop(spec, params, xb, loss_grad(kind, fb, yb), trace=trace)
-    if base.weight_decay:
-        g = g + base.weight_decay * w
-    velocity *= base.momentum
-    velocity += g
-    return w - base.learning_rate * velocity, float(np.linalg.norm(g))
 
 
 def run_two_phase(
@@ -296,8 +293,9 @@ def run_two_phase(
 
     Emits exactly cfg.total_steps records (one per update).  Raises
     FeatureRankError if the post-perturbation feature matrix is not full
-    row rank, and RankPreservationError if lazy-phase rate halving cannot
-    restore the kernel rank within the retry cap.
+    row rank, RankPreservationError if lazy-phase rate halving cannot
+    restore the kernel rank within the retry cap, and FloatingPointError
+    naming the step and phase if predictions or the loss stop being finite.
     """
     if spec.depth < 2:
         raise ValueError("two-phase training requires at least two hidden layers")
@@ -306,9 +304,7 @@ def run_two_phase(
     if base.variant == "sgd_momentum" and base.minibatch > n:
         raise ValueError(f"minibatch {base.minibatch} exceeds dataset size {n}")
     tau, total = cfg.tau, cfg.total_steps
-
     log = TrainLog(tau=tau, total_steps=total, phase2_mode=cfg.phase2_mode)
-    log.loss_initial = _full_loss(spec, params0, x, y, kind)
 
     def emit(record):
         log.records.append(record)
@@ -318,31 +314,53 @@ def run_two_phase(
     def monitored(t_done):
         return monitor_every > 0 and t_done % monitor_every == 0
 
+    # Phase 1 updates params.flat in place.  Under GD the gradient for step
+    # t + 1 comes from the same forward pass as the loss recorded at step t.
     params = params0.copy()
+    w = params.flat
+    full_batch = base.variant == "gd"
+    log.loss_initial, g = _loss_and_gradient(spec, params, x, y, kind, t=0, phase=1,
+                                             gradient=full_batch and tau > 0)
     rng_base = np.random.default_rng(base.seed)
-    velocity = np.zeros(spec.param_count())
+    velocity = np.zeros_like(w)
     order_state = {"order": np.arange(n), "pos": n}  # forces initial shuffle
 
     t0 = time.perf_counter()
-    for t in range(tau):
-        w_new, gnorm = _phase1_step(spec, params, x, y, kind, base,
-                                    velocity, rng_base, order_state)
-        params = params_from_flat(spec, w_new)
-        rec = StepRecord(t=t + 1, phase=1, loss=_full_loss(spec, params, x, y, kind),
-                         grad_norm=gnorm, wall_time=time.perf_counter() - t0)
-        if monitored(t + 1):
+    for t in range(1, tau + 1):
+        if not full_batch:
+            idx = _next_batch(order_state, base.minibatch, rng_base)
+            xb, yb = x[idx], y[idx]
+            trace = forward_hidden(spec, params, xb)
+            fb = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
+                         "minibatch predictions", t, 1)
+            g = backprop(spec, params, xb, loss_grad(kind, fb, yb), trace=trace)
+        if base.weight_decay:
+            g += base.weight_decay * w
+        gnorm = float(np.linalg.norm(g))
+        if full_batch:
+            w -= base.learning_rate * g
+        else:
+            velocity *= base.momentum
+            velocity += g
+            w -= base.learning_rate * velocity
+        loss, g = _loss_and_gradient(spec, params, x, y, kind, t=t, phase=1,
+                                     gradient=full_batch and t < tau)
+        rec = StepRecord(t=t, phase=1, loss=loss, grad_norm=gnorm,
+                         wall_time=time.perf_counter() - t0)
+        if monitored(t):
             trace = forward_hidden(spec, params, x)
             aug = np.hstack([trace.hidden, np.ones((n, 1))])
             rec.feature_rank = numerical_rank(aug)
             if monitor_ntk:
-                rec.ntk_rank = compute_ntk(compute_jacobian(spec, params, x), step=t + 1).rank
+                rec.ntk_rank = compute_ntk(compute_jacobian(spec, params, x), step=t).rank
         emit(rec)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     params = perturb(params, cfg.noise_scale, seeds[0])
 
     if tau == total:
-        log.loss_at_tau = _full_loss(spec, params, x, y, kind)
+        log.loss_at_tau, _ = _loss_and_gradient(spec, params, x, y, kind, t=tau, phase=2,
+                                                gradient=False)
         log.final_loss = log.records[-1].loss if log.records else log.loss_initial
         log.t_star = tau
         log.loss_at_t_star = log.loss_at_tau
@@ -360,55 +378,51 @@ def run_two_phase(
         )
     log.l_h = compute_L_H(kind, h)
     log.features_at_tau = h.copy()
-    head = params.head_block()
-    log.head_at_tau = head.ravel(order="F").copy()
+    z = params.head_block().copy()
+    log.head_at_tau = params.flat[spec.hidden_param_count():].copy()
     log.params_at_tau_flat = params.to_flat()
-    log.loss_at_tau = loss_value(kind, aug @ head, y)
+    pred = _finite(aug @ z, "predictions", tau, 2)
+    log.loss_at_tau = _finite(loss_value(kind, pred, y), "loss", tau, 2)
 
     rng_p2 = np.random.default_rng(seeds[1])
     best_loss, best_t = log.loss_at_tau, tau
 
     if cfg.phase2_mode in ("last_layer_gd", "last_layer_sgd"):
-        if cfg.phase2_mode == "last_layer_gd":
+        head_gd = cfg.phase2_mode == "last_layer_gd"
+        if head_gd:
             log.eta_schedule = {"mode": "constant_over_l_h", "value": 1.0 / log.l_h}
         else:
             log.eta_schedule = {"mode": "inv_sqrt", "scale": cfg.sgd_rate_scale}
-        z = head.copy()
+        b = min(cfg.sgd_minibatch, n)
         sgd_order = {"order": np.arange(n), "pos": n}
-        for t in range(tau, total):
-            if cfg.phase2_mode == "last_layer_gd":
-                g = aug.T @ loss_grad(kind, aug @ z, y)
+        for t in range(tau + 1, total + 1):
+            if head_gd:
+                g = aug.T @ loss_grad(kind, pred, y)
                 z = z - (1.0 / log.l_h) * g
             else:
-                b = min(cfg.sgd_minibatch, n)
                 if cfg.sgd_sampling == "with_replacement":
                     idx = rng_p2.integers(0, n, size=b)
                 else:
-                    idx = sgd_order["order"][sgd_order["pos"] : sgd_order["pos"] + b]
-                    if idx.size < b:
-                        sgd_order["order"] = rng_p2.permutation(n)
-                        sgd_order["pos"] = 0
-                        idx = sgd_order["order"][:b]
-                    sgd_order["pos"] += b
+                    idx = _next_batch(sgd_order, b, rng_p2)
                 g = aug[idx].T @ loss_grad(kind, aug[idx] @ z, y[idx])
-                eta = cfg.sgd_rate_scale / np.sqrt(t - tau + 1.0)
-                z = z - eta * g
+                z = z - (cfg.sgd_rate_scale / np.sqrt(t - tau)) * g
             gsq = float((g * g).sum())
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
-            cur = loss_value(kind, aug @ z, y)
+            pred = _finite(aug @ z, "predictions", t, 2)
+            cur = _finite(loss_value(kind, pred, y), "loss", t, 2)
             if cur < best_loss:
-                best_loss, best_t = cur, t + 1
-            rec = StepRecord(t=t + 1, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
+                best_loss, best_t = cur, t
+            rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
                              wall_time=time.perf_counter() - t0)
-            if monitored(t + 1 - tau):
+            if monitored(t - tau):
                 rec.feature_rank = feat_rank
                 if monitor_ntk:
                     params.set_head_block(z)
                     jac = compute_jacobian(spec, params, x, frozen)
-                    snap = compute_ntk(jac, step=t + 1)
+                    snap = compute_ntk(jac, step=t)
                     rec.ntk_rank = snap.rank
                     if keep_trajectory:
-                        log.trajectory.append((t + 1, params.copy(), jac))
+                        log.trajectory.append((t, params.copy(), jac))
             emit(rec)
         params.set_head_block(z)
     else:
@@ -424,42 +438,43 @@ def run_two_phase(
         reference = compute_ntk(ref_jac, step=tau)
         if keep_trajectory:
             log.trajectory.append((tau, params.copy(), ref_jac))
-        w = params.to_flat()
-        for t in range(tau, total):
-            g = _full_gradient(spec, params, x, y, kind, frozen)
+        # candidates are written into a second buffer, swapped in on acceptance
+        _, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=tau, phase=2)
+        cand = params.copy()
+        for t in range(tau + 1, total + 1):
             accepted = False
             event = None
             for attempt in range(cfg.lazy_max_retries + 1):
-                w_cand = w - (2.0 * eta_bar / lipschitz) * g
-                cand = params_from_flat(spec, w_cand)
+                np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
                 jac = compute_jacobian(spec, cand, x, frozen)
-                snap = compute_ntk(jac, step=t + 1)
+                snap = compute_ntk(jac, step=t)
                 if assert_rank_preserved(reference, snap):
                     accepted = True
                     break
                 eta_bar /= 2.0
                 event = f"rank_drop_halved_eta_bar_to_{eta_bar:.3e}"
-                log.rank_events.append((t + 1, event))
+                log.rank_events.append((t, event))
             if not accepted:
                 raise RankPreservationError(
-                    f"step {t + 1}: kernel rank stayed below {reference.rank} "
+                    f"step {t}: kernel rank stayed below {reference.rank} "
                     f"after {cfg.lazy_max_retries} rate halvings"
                 )
-            w, params = w_cand, cand
+            params, cand = cand, params
             gsq = float((g * g).sum())
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
-            cur = _full_loss(spec, params, x, y, kind, frozen)
+            cur, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=t, phase=2,
+                                        gradient=t < total)
             if cur < best_loss:
-                best_loss, best_t = cur, t + 1
-            rec = StepRecord(t=t + 1, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
+                best_loss, best_t = cur, t
+            rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
                              ntk_rank=snap.rank, rank_event=event,
                              wall_time=time.perf_counter() - t0)
-            if monitored(t + 1 - tau):
+            if monitored(t - tau):
                 rec.feature_rank = numerical_rank(
                     np.hstack([forward_hidden(spec, params, x, frozen).hidden,
                                np.ones((n, 1))]))
                 if keep_trajectory:
-                    log.trajectory.append((t + 1, params.copy(), jac))
+                    log.trajectory.append((t, params.copy(), jac))
             emit(rec)
 
     log.final_loss = log.records[-1].loss

@@ -170,7 +170,7 @@ class TestEstimateRBar:
 
     def test_singleton_matches_direct_solve(self, rng):
         ds, spec, params = _interpolating_setup(seed=1)
-        params.weights[-1] = params.weights[-1] + rng.standard_normal(params.weights[-1].shape)
+        params.weights[-1][:] = params.weights[-1] + rng.standard_normal(params.weights[-1].shape)
         jac = compute_jacobian(spec, params, ds.x)
         got = estimate_R_bar([(params, jac)], ds.y, SQUARED)
         anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
@@ -182,7 +182,7 @@ class TestEstimateRBar:
         traj = []
         for _ in range(3):
             p = params.copy()
-            p.weights[-1] = p.weights[-1] + 0.3 * rng.standard_normal(p.weights[-1].shape)
+            p.weights[-1][:] = p.weights[-1] + 0.3 * rng.standard_normal(p.weights[-1].shape)
             traj.append((p, compute_jacobian(spec, p, ds.x)))
         got = estimate_R_bar(traj, ds.y, SQUARED)
         worst = 0.0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,16 @@ class TestTrain:
         path = write_config(tmp_path, **small_train_sections())
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "x")]) == 3
 
+    def test_divergence_exits_three_naming_step_and_phase(self, tmp_path, capsys):
+        path = write_config(tmp_path, base={"learning_rate": 1e6, "minibatch": 16},
+                            two_phase={"total_steps": 50}, data={"n": 32},
+                            network={"sharpness": 10.0})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["train", "--config", path, "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and re.search(r"step \d+ \(phase 1\)", err)
+
 
 class TestSweep:
     def test_grid_cells_with_stats(self, tmp_path):
@@ -240,13 +251,12 @@ class TestSweep:
         assert not cells[0]["failures"] and cells[1]["failures"]
         assert cells[1]["mean"] is None
 
-    def test_thread_env_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TWOPHASE_THREADS", "2")
+    def test_programming_errors_are_not_cell_failures(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken call")
+        monkeypatch.setattr(cli, "_train_once", broken)
         sections = small_train_sections()
-        sections["sweep"] = {"tau_fractions": [0.4, 0.6], "noise_scales": [0.001],
-                             "seeds": [0]}
-        sections["two_phase"]["total_steps"] = 10
+        sections["sweep"] = {"tau_fractions": [0.5], "noise_scales": [0.001], "seeds": [0]}
         path = write_config(tmp_path, **sections)
-        out = tmp_path / "s"
-        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
-        assert len(json.loads((out / "sweep.json").read_text())["cells"]) == 2
+        with pytest.raises(TypeError, match="broken call"):
+            cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")])

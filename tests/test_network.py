@@ -183,12 +183,12 @@ class TestForwardOutput:
         p = random_params(spec, rng, 0.7)
         x = rng.standard_normal((5, 3))
         q = p.copy()
-        q.weights[-1] = rng.standard_normal(q.weights[-1].shape)
-        q.biases[-1] = rng.standard_normal(q.biases[-1].shape)
+        q.weights[-1][:] = rng.standard_normal(q.weights[-1].shape)
+        q.biases[-1][:] = rng.standard_normal(q.biases[-1].shape)
         lam = 0.3
         mix = p.copy()
-        mix.weights[-1] = lam * p.weights[-1] + (1 - lam) * q.weights[-1]
-        mix.biases[-1] = lam * p.biases[-1] + (1 - lam) * q.biases[-1]
+        mix.weights[-1][:] = lam * p.weights[-1] + (1 - lam) * q.weights[-1]
+        mix.biases[-1][:] = lam * p.biases[-1] + (1 - lam) * q.biases[-1]
         f_mix = forward_output(spec, mix, x)
         f_lin = lam * forward_output(spec, p, x) + (1 - lam) * forward_output(spec, q, x)
         assert max_rel_err(f_mix, f_lin) < 1e-12
@@ -211,6 +211,48 @@ class TestFlatLayout:
         sizes = spec.layer_param_sizes()
         assert sizes == [(3 + 1) * 4 + 2 * 4, (4 + 1) * 5, (5 + 1) * 2]
         assert sum(sizes) == spec.param_count()
+
+
+class TestParamsBuffer:
+    SPEC = NetworkSpec((3, 4, 5), 2, bn_flags=(True, False))
+
+    def test_view_writes_land_at_layer_offsets(self, rng):
+        spec = self.SPEC
+        buf = np.zeros(spec.param_count())
+        p = params_from_flat(spec, buf)
+        offsets = np.concatenate([[0], np.cumsum(spec.layer_param_sizes())])
+        want = np.zeros_like(buf)
+        for l in range(spec.depth + 1):
+            w = rng.standard_normal(p.weights[l].shape)
+            b = rng.standard_normal(p.biases[l].shape)
+            p.weights[l][:] = w
+            p.biases[l][:] = b
+            stacked = np.vstack([w, b]).ravel(order="F")
+            want[offsets[l] : offsets[l] + stacked.size] = stacked
+        gamma = rng.standard_normal(4)
+        beta = rng.standard_normal(4)
+        p.bn_scale[0][:] = gamma
+        p.bn_shift[0][:] = beta
+        want[offsets[1] - 8 : offsets[1]] = np.concatenate([gamma, beta])
+        np.testing.assert_array_equal(p.to_flat(), want)
+        np.testing.assert_array_equal(buf, want)  # the wrapped vector is the buffer
+
+    def test_to_flat_is_a_copy(self, rng):
+        p = random_params(self.SPEC, rng, 1.0)
+        before = p.flat.copy()
+        flat = p.to_flat()
+        flat[:] = 7.0
+        np.testing.assert_array_equal(p.flat, before)
+        assert not np.shares_memory(p.weights[0], flat)
+
+    def test_rebinding_a_view_is_an_error(self, rng):
+        p = random_params(self.SPEC, rng, 1.0)
+        with pytest.raises(TypeError):
+            p.weights[0] = np.zeros((3, 4))
+        with pytest.raises(TypeError):
+            p.biases[-1] = np.zeros((1, 2))
+        with pytest.raises(TypeError):
+            p.bn_scale[0] = np.ones(4)
 
 
 class TestBackprop:

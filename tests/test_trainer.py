@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import twophase.trainer as trainer
 from twophase.data import synth_gen
 from twophase.losses import SQUARED, loss_grad
 from twophase.network import (
@@ -294,6 +295,40 @@ class TestRunTwoPhase:
         best_t = min(phase2, key=lambda t: (phase2[t], t))
         assert log.t_star == best_t
         assert log.loss_at_t_star == phase2[best_t]
+
+    @pytest.mark.parametrize("mode", ["gd_phase1", "lazy_full"])
+    def test_one_full_batch_forward_per_step(self, monkeypatch, mode):
+        # the Jacobian's own forward pass runs through ntk, not counted here
+        calls = []
+        forward = trainer.forward_hidden
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "forward_hidden", counting)
+        ds, spec, p0 = _toy_problem(seed=15)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        counts = []
+        for steps in (10, 20):
+            if mode == "gd_phase1":
+                cfg = TwoPhaseConfig(tau=steps, total_steps=steps, seed=15)
+            else:
+                cfg = TwoPhaseConfig(tau=3, total_steps=3 + steps, phase2_mode="lazy_full",
+                                     lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=15)
+            calls.clear()
+            run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 10
+
+    def test_divergent_head_phase_names_step_and_phase(self):
+        ds, spec, p0 = _toy_problem(seed=16)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=2, total_steps=400, phase2_mode="last_layer_sgd",
+                             sgd_rate_scale=1e6, seed=16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"step \d+ \(phase 2\)"):
+                run_two_phase(spec, p0, ds, base, cfg, SQUARED)
 
 
 class TestLipschitzEstimate:
