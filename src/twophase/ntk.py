@@ -2,10 +2,17 @@
 
 The Jacobian J stacks output gradients sample-major: row (i * m_y + k) is
 the derivative of output coordinate k at sample i with respect to the flat
-parameter vector.  The kernel K = J J^T is symmetric positive semidefinite
-and shares its rank with J; training phases that must not lose kernel rank
-compare each step against the snapshot taken right after perturbation,
-reusing the reference snapshot's threshold so the comparison cannot flap.
+parameter vector.  When rows are independent (no batch normalization, or BN
+with frozen statistics, as in all of phase 2) J comes from one forward and
+one batched backward pass: the per-sample deltas D_l[i, k] = d f_ik / d z_l
+give each hidden layer's block of row (i, k) as D_l[i, k] (x) [h_{l-1,i}, 1]
+in the column-major [W; b] layout, and the head block is
+I_{m_y} (x) [h_i, 1].  Training-mode BN couples the rows through the batch
+statistics, so there J takes one backward pass per row.  The kernel
+K = J J^T is symmetric positive semidefinite and shares its rank with J;
+training phases that must not lose kernel rank compare each step against the
+snapshot taken right after perturbation, reusing the reference snapshot's
+threshold so the comparison cannot flap.
 """
 
 from __future__ import annotations
@@ -15,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DecompositionError
-from .network import NetworkSpec, Params, backprop, forward_hidden
+from .network import NetworkSpec, Params, backprop, forward_hidden, softplus_deriv
 
 __all__ = [
     "NtkSnapshot",
     "compute_jacobian",
     "compute_ntk",
-    "compute_ntk_streamed",
     "assert_rank_preserved",
 ]
 
@@ -54,48 +60,68 @@ def compute_jacobian(
 ) -> np.ndarray:
     """Full output Jacobian, shape (n * m_y) x d.
 
-    Assembled as one backward pass per output coordinate over a shared
-    forward trace, so batch-statistics coupling through BN layers is
-    differentiated exactly.
+    Without BN, or with `frozen_stats`, this is the structured product of the
+    module docstring, from one forward and one batched backward pass: the
+    deltas D_l (n x m_y x m_l) start from W_head^T broadcast over samples and
+    are scaled by the softplus derivative at each layer's pre-activation, and
+    under frozen BN by gamma / sqrt(var + eps), whose scale and shift columns
+    are dz * z_hat and dz.  Each block is written straight into J as
+    D_l (x) [h_{l-1}, 1].  Training-mode BN runs one backward pass per row
+    over a shared forward trace, which differentiates the batch statistics
+    exactly.  Raises MemoryError when J would exceed `max_entries`.
     """
     trace = forward_hidden(spec, params, x, frozen_stats)
-    n = trace.inputs.shape[0]
+    n, m_y = trace.inputs.shape[0], spec.output_dim
     d = spec.param_count()
-    rows = n * spec.output_dim
+    rows = n * m_y
     if rows * d > max_entries:
         raise MemoryError(
             f"Jacobian would hold {rows} x {d} entries (> {max_entries}); "
-            "use compute_ntk_streamed for the rank without materializing J"
+            "use fewer samples or raise max_entries"
         )
-    jac = np.empty((rows, d))
-    upstream = np.zeros((n, spec.output_dim))
-    for i in range(n):
-        for k in range(spec.output_dim):
-            upstream[i, k] = 1.0
-            jac[i * spec.output_dim + k] = backprop(
-                spec, params, x, upstream, subset="all", trace=trace
-            )
-            upstream[i, k] = 0.0
+    jac = np.zeros((rows, d))
+    if any(spec.bn_flags) and trace.frozen_stats is None:
+        upstream = np.zeros((n, m_y))
+        for i in range(n):
+            for k in range(m_y):
+                upstream[i, k] = 1.0
+                jac[i * m_y + k] = backprop(spec, params, x, upstream, trace=trace)
+                upstream[i, k] = 0.0
+        return jac
+
+    per_sample = jac.reshape(n, m_y, d)
+    offsets = np.cumsum([0, *spec.layer_param_sizes()])
+    head = per_sample[:, :, offsets[-2]:].reshape(n, m_y, m_y, spec.feature_dim + 1)
+    diag = np.arange(m_y)
+    head[:, diag, diag, :-1] = trace.hidden[:, None, :]
+    head[:, diag, diag, -1] = 1.0
+
+    delta = np.broadcast_to(params.weights[-1].T, (n, m_y, spec.feature_dim))
+    for l in range(spec.depth - 1, -1, -1):
+        h_prev = trace.inputs if l == 0 else trace.post[l - 1]
+        m_prev, m_l = h_prev.shape[1], spec.widths[l + 1]
+        block = per_sample[:, :, offsets[l]:offsets[l + 1]]
+        cache = trace.bn_cache[l]
+        dz = delta * softplus_deriv(trace.affine[l] if cache is None else cache[3],
+                                    spec.sharpness)[:, None, :]
+        if cache is not None:
+            _, var, z_hat, _ = cache
+            np.multiply(dz, z_hat[:, None, :], out=block[:, :, -2 * m_l:-m_l])
+            block[:, :, -m_l:] = dz
+            dz = dz * params.bn_scale[l] * (1.0 / np.sqrt(var + spec.bn_epsilon))
+        wb = block[:, :, : m_l * (m_prev + 1)].reshape(n, m_y, m_l, m_prev + 1)
+        np.multiply(dz[..., None], h_prev[:, None, None, :], out=wb[..., :-1])
+        wb[..., -1] = dz
+        if l > 0:
+            delta = (dz.reshape(rows, m_l) @ params.weights[l].T).reshape(n, m_y, m_prev)
     return jac
 
 
-def _spectrum_rank(spectrum: np.ndarray, rows: int, cols: int, tol: float | None):
-    spectrum = np.sort(np.maximum(spectrum, 0.0))[::-1]
-    if tol is None:
-        top = float(spectrum[0]) if spectrum.size else 0.0
-        tol = max(rows, cols) * np.finfo(np.float64).eps * top
-    rank = int(np.count_nonzero(spectrum > tol))
-    return spectrum, rank, float(tol)
-
-
-def compute_ntk(jacobian, step: int = -1, tol: float | None = None,
-                rank_via: str = "kernel") -> NtkSnapshot:
+def compute_ntk(jacobian, step: int = -1, tol: float | None = None) -> NtkSnapshot:
     """Snapshot of K = J J^T with its numerical rank.
 
-    rank_via "kernel" measures the eigenvalues of the materialized K;
-    "jacobian" squares J's singular values instead, which is the same
-    spectrum without forming K.  The default threshold follows the stock
-    rank convention, max(K.shape) * eps * largest eigenvalue.
+    The rank counts eigenvalues of K above the threshold, by default the
+    stock rank convention max(K.shape) * eps * largest eigenvalue.
     """
     jac = np.asarray(jacobian, dtype=np.float64)
     if jac.ndim != 2 or not np.all(np.isfinite(jac)):
@@ -103,72 +129,20 @@ def compute_ntk(jacobian, step: int = -1, tol: float | None = None,
     kernel = jac @ jac.T
     rows = kernel.shape[0]
     try:
-        if rank_via == "kernel":
-            spectrum = np.linalg.eigvalsh(kernel)
-        elif rank_via == "jacobian":
-            spectrum = np.linalg.svd(jac, compute_uv=False) ** 2
-        else:
-            raise ValueError(f"unknown rank_via {rank_via!r}")
+        spectrum = np.linalg.eigvalsh(kernel)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"spectrum of {rows} x {rows} kernel failed: {exc}") from exc
-    spectrum, rank, used_tol = _spectrum_rank(spectrum, rows, rows, tol)
+    spectrum = np.maximum(spectrum, 0.0)[::-1]
+    if tol is None:
+        tol = rows * np.finfo(np.float64).eps * (float(spectrum[0]) if rows else 0.0)
     return NtkSnapshot(
         rows=rows,
         cols=jac.shape[1],
         kernel_spectrum=spectrum,
-        rank=rank,
-        tolerance=used_tol,
+        rank=int(np.count_nonzero(spectrum > tol)),
+        tolerance=float(tol),
         step=step,
         jacobian=jac,
-        kernel=kernel,
-    )
-
-
-def compute_ntk_streamed(
-    spec: NetworkSpec,
-    params: Params,
-    x,
-    frozen_stats=None,
-    step: int = -1,
-    tol: float | None = None,
-    block: int = 4096,
-) -> NtkSnapshot:
-    """Kernel snapshot accumulated over parameter blocks, J never stored whole.
-
-    Runs the same per-output backward passes as compute_jacobian but adds
-    J_block J_block^T into K one column block at a time.
-    """
-    trace = forward_hidden(spec, params, x, frozen_stats)
-    n = trace.inputs.shape[0]
-    rows = n * spec.output_dim
-    d = spec.param_count()
-    grads = np.empty((rows, min(block, d)))
-    kernel = np.zeros((rows, rows))
-    upstream = np.zeros((n, spec.output_dim))
-    # all rows restricted to one column block at a time; memory stays
-    # rows x block at the cost of one backward sweep per block
-    for start in range(0, d, block):
-        stop = min(start + block, d)
-        for i in range(n):
-            for k in range(spec.output_dim):
-                upstream[i, k] = 1.0
-                g = backprop(spec, params, x, upstream, subset="all", trace=trace)
-                grads[i * spec.output_dim + k, : stop - start] = g[start:stop]
-                upstream[i, k] = 0.0
-        chunk = grads[:, : stop - start]
-        kernel += chunk @ chunk.T
-    try:
-        spectrum = np.linalg.eigvalsh(kernel)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"spectrum of {rows} x {rows} kernel failed: {exc}") from exc
-    spectrum, rank, used_tol = _spectrum_rank(spectrum, rows, rows, tol)
-    return NtkSnapshot(
-        rows=rows,
-        cols=d,
-        kernel_spectrum=spectrum,
-        rank=rank,
-        tolerance=used_tol,
-        step=step,
         kernel=kernel,
     )
 

@@ -38,7 +38,7 @@ from .network import (
     batch_statistics,
     forward_hidden,
 )
-from .ntk import NtkSnapshot, assert_rank_preserved, compute_jacobian, compute_ntk
+from .ntk import assert_rank_preserved, compute_jacobian, compute_ntk
 
 __all__ = [
     "BaseAlgoConfig",
@@ -277,6 +277,7 @@ def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None,
     return best
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_two_phase(
     spec: NetworkSpec,
     params0: Params,
@@ -295,7 +296,10 @@ def run_two_phase(
     FeatureRankError if the post-perturbation feature matrix is not full
     row rank, RankPreservationError if lazy-phase rate halving cannot
     restore the kernel rank within the retry cap, and FloatingPointError
-    naming the step and phase if predictions or the loss stop being finite.
+    naming the step and phase if predictions, the loss, the gradient norm
+    or a lazy-phase Jacobian stop being finite.  Overflow warnings are
+    silenced for the whole run: every non-finite value that matters ends up
+    in one of those checks.
     """
     if spec.depth < 2:
         raise ValueError("two-phase training requires at least two hidden layers")
@@ -336,7 +340,7 @@ def run_two_phase(
             g = backprop(spec, params, xb, loss_grad(kind, fb, yb), trace=trace)
         if base.weight_decay:
             g += base.weight_decay * w
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _finite(float(np.linalg.norm(g)), "gradient norm", t, 1)
         if full_batch:
             w -= base.learning_rate * g
         else:
@@ -406,7 +410,7 @@ def run_two_phase(
                     idx = _next_batch(sgd_order, b, rng_p2)
                 g = aug[idx].T @ loss_grad(kind, aug[idx] @ z, y[idx])
                 z = z - (cfg.sgd_rate_scale / np.sqrt(t - tau)) * g
-            gsq = float((g * g).sum())
+            gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             pred = _finite(aug @ z, "predictions", t, 2)
             cur = _finite(loss_value(kind, pred, y), "loss", t, 2)
@@ -442,11 +446,12 @@ def run_two_phase(
         _, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=tau, phase=2)
         cand = params.copy()
         for t in range(tau + 1, total + 1):
+            gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
             accepted = False
             event = None
             for attempt in range(cfg.lazy_max_retries + 1):
                 np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
-                jac = compute_jacobian(spec, cand, x, frozen)
+                jac = _finite(compute_jacobian(spec, cand, x, frozen), "Jacobian", t, 2)
                 snap = compute_ntk(jac, step=t)
                 if assert_rank_preserved(reference, snap):
                     accepted = True
@@ -460,7 +465,6 @@ def run_two_phase(
                     f"after {cfg.lazy_max_retries} rate halvings"
                 )
             params, cand = cand, params
-            gsq = float((g * g).sum())
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             cur, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=t, phase=2,
                                         gradient=t < total)

@@ -2,7 +2,10 @@
 
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import pytest
 import twophase.cli as cli
 from twophase.data import load_csv
 from twophase.trainer import FeatureRankError
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, name="cfg.json", **sections):
@@ -188,6 +193,21 @@ class TestTrain:
         assert code == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and re.search(r"step \d+ \(phase 1\)", err)
+
+    def test_divergence_exit_prints_no_runtime_warning(self, tmp_path):
+        # a fresh interpreter with default warning filters, nothing silenced here
+        path = write_config(tmp_path, base={"learning_rate": 1e6, "minibatch": 16},
+                            two_phase={"total_steps": 50}, data={"n": 32},
+                            network={"sharpness": 10.0})
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twophase.cli", "train", "--config", path,
+             "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "numeric failure" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestSweep:

@@ -5,8 +5,11 @@ import pytest
 
 from conftest import fd_jacobian, max_rel_err, random_small_config
 
+import twophase.ntk as ntk
 from twophase.network import (
     NetworkSpec,
+    backprop,
+    batch_statistics,
     forward_hidden,
     params_zero,
     random_params,
@@ -15,7 +18,6 @@ from twophase.ntk import (
     assert_rank_preserved,
     compute_jacobian,
     compute_ntk,
-    compute_ntk_streamed,
 )
 
 
@@ -51,9 +53,9 @@ class TestComputeNtk:
             j = rng.standard_normal((rows, cols))
             if rng.random() < 0.3 and rows >= 2:
                 j[-1] = j[0]
-            a = compute_ntk(j, rank_via="kernel")
-            b = compute_ntk(j, rank_via="jacobian")
-            assert a.rank == b.rank
+            snap = compute_ntk(j)
+            sq = np.linalg.svd(j, compute_uv=False) ** 2
+            assert snap.rank == np.count_nonzero(sq > snap.tolerance)
 
     def test_block_diagonal_head_jacobian_rank(self, rng):
         # J restricted to the head block: rank([h, 1]) = n lifts to n * m_y
@@ -112,18 +114,53 @@ class TestComputeJacobian:
     def test_size_cap(self, rng):
         spec = NetworkSpec((3, 4), 2)
         p = random_params(spec, rng, 1.0)
-        with pytest.raises(MemoryError, match="compute_ntk_streamed"):
+        with pytest.raises(MemoryError, match=r"Jacobian would hold 8 x \d+ entries"):
             compute_jacobian(spec, p, rng.standard_normal((4, 3)), max_entries=10)
 
-    def test_streamed_kernel_matches_materialized(self, rng):
-        spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, True))
+    def test_frozen_statistics_vs_fd(self):
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            spec, p, x = random_small_config(rng, allow_bn=True)
+            frozen = batch_statistics(forward_hidden(spec, p, x))
+            jac = compute_jacobian(spec, p, x, frozen)
+            fd = fd_jacobian(spec, p, x, frozen)
+            assert max_rel_err(jac, fd) < 1e-5
+
+    def test_structured_matches_per_row_backprop(self):
+        # reference: one backward pass per (sample, output) row over one trace
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            spec, p, x = random_small_config(rng, allow_bn=True)
+            frozen = batch_statistics(forward_hidden(spec, p, x))
+            trace = forward_hidden(spec, p, x, frozen)
+            n, m_y = x.shape[0], spec.output_dim
+            ref = np.empty((n * m_y, spec.param_count()))
+            for r in range(n * m_y):
+                upstream = np.zeros(n * m_y)
+                upstream[r] = 1.0
+                ref[r] = backprop(spec, p, x, upstream.reshape(n, m_y), trace=trace)
+            assert max_rel_err(compute_jacobian(spec, p, x, frozen), ref) < 1e-12
+
+    @pytest.mark.parametrize("bn, frozen, passes", [
+        (False, False, 0), (False, True, 0), (True, True, 0), (True, False, 8),
+    ])
+    def test_backward_passes_per_jacobian(self, rng, monkeypatch, bn, frozen, passes):
+        # rows are independent unless BN uses the batch's own statistics
+        calls = []
+        real = ntk.backprop
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ntk, "backprop", counting)
+        spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, bn))
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))
-        jac = compute_jacobian(spec, p, x)
-        direct = compute_ntk(jac)
-        streamed = compute_ntk_streamed(spec, p, x, block=7)
-        np.testing.assert_allclose(streamed.kernel, direct.kernel, atol=1e-10)
-        assert streamed.rank == direct.rank
+        stats = batch_statistics(forward_hidden(spec, p, x)) if frozen else None
+        jac = compute_jacobian(spec, p, x, stats)
+        assert len(calls) == passes
+        assert max_rel_err(jac, fd_jacobian(spec, p, x, stats)) < 1e-5
 
 
 class TestRankPreserved:

@@ -331,6 +331,16 @@ class TestRunTwoPhase:
                 run_two_phase(spec, p0, ds, base, cfg, SQUARED)
 
 
+    def test_divergent_lazy_step_names_step_and_phase(self):
+        # the step 2 * eta_bar / L overflows the candidate parameters
+        ds, spec, p0 = _toy_problem(seed=16)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=2, total_steps=6, phase2_mode="lazy_full",
+                             lazy_lipschitz=1e-300, seed=16)
+        with pytest.raises(FloatingPointError, match=r"step 3 \(phase 2\)"):
+            run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+
+
 class TestLipschitzEstimate:
     def test_positive_and_deterministic(self):
         ds, spec, p0 = _toy_problem(seed=14)
