@@ -31,6 +31,7 @@ from .bounds import (
 )
 from .data import Dataset, load_csv, save_csv, synth_gen
 from .expressivity import (
+    WitnessConstructionError,
     check_distinguishability,
     check_expressivity,
     construct_witness,
@@ -286,28 +287,21 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
             "note": None,
         }
 
-    hidden = spec.widths[1:]
-    qualifies = (
-        not any(spec.bn_flags)
-        and spec.feature_dim >= dataset.n
-        and (min(hidden) >= dataset.n
-             or (spec.depth >= 2 and min(hidden[:-1]) >= spec.input_dim))
-        and dist.passed
-    )
+    skipped = {"attempted": False, "passed": None, "rank": None}
     if vcfg["witness"] == "off":
-        qualifies = False
-    if qualifies:
+        report["witness"] = {**skipped, "note": "witness construction is off"}
+    else:
         try:
             witness = construct_witness(spec, dataset.x)
+        except ValueError as exc:  # a precondition of the construction fails
+            report["witness"] = {**skipped, "note": str(exc)}
+        except WitnessConstructionError as exc:
+            report["witness"] = {"attempted": True, "passed": False,
+                                 "rank": None, "note": str(exc)}
+        else:
             wrep = check_expressivity(spec, witness, dataset.x, source="witness")
             report["witness"] = {"attempted": True, "passed": wrep.passed,
                                  "rank": wrep.rank, "note": None}
-        except Exception as exc:  # construction is best-effort diagnostics
-            report["witness"] = {"attempted": True, "passed": False,
-                                 "rank": None, "note": str(exc)}
-    else:
-        report["witness"] = {"attempted": False, "passed": None, "rank": None,
-                             "note": "architecture or dataset does not qualify"}
 
     checks = [report["distinguishability"]["passed"], report["expressivity"]["passed"]]
     if report["witness"]["attempted"]:
@@ -395,12 +389,8 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
         if bc is not None:
             breport = check_bounds(log, bc)
     if breport is not None:
-        by_t = {e.t: e for e in breport.entries}
-        for rec in log.records:
-            e = by_t.get(rec.t)
-            if e is not None:
-                rec.bound = e.bound
-                rec.suboptimality = e.measured
+        for rec, e in zip(log.phase2_records(), breport.entries):
+            rec.bound, rec.suboptimality = e.bound, e.measured
         with open(log_path, "w") as fh:
             for rec in log.records:
                 fh.write(_json_line(_record_dict(rec)) + "\n")

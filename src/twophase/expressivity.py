@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, default_rank_tol, gram_det, numerical_rank
+from .linalg import append_ones, as_matrix, default_rank_tol, gram_det, numerical_rank
 from .network import NetworkSpec, Params, forward_hidden, params_zero, random_params
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "WitnessConstructionError",
     "check_distinguishability",
     "check_expressivity",
-    "augmented_features",
     "construct_witness",
     "probabilistic_expressivity",
 ]
@@ -74,12 +73,6 @@ def check_distinguishability(x, tol: float = 1e-9) -> DistinguishabilityReport:
     )
 
 
-def augmented_features(spec: NetworkSpec, params: Params, x, frozen_stats=None) -> np.ndarray:
-    """[h, 1]: last-hidden-layer features with an appended all-ones column."""
-    h = forward_hidden(spec, params, x, frozen_stats).hidden
-    return np.hstack([h, np.ones((h.shape[0], 1))])
-
-
 def check_expressivity(
     spec: NetworkSpec,
     params: Params,
@@ -88,7 +81,7 @@ def check_expressivity(
     source: str = "supplied",
 ) -> ExpressivityReport:
     """Rank of [h, 1] against n; full row rank makes interpolation possible."""
-    a = augmented_features(spec, params, x)
+    a = append_ones(forward_hidden(spec, params, x).hidden)
     n = a.shape[0]
     used_tol = default_rank_tol(a) if tol is None else tol
     rank = numerical_rank(a, used_tol)
@@ -188,10 +181,8 @@ def construct_witness(spec: NetworkSpec, x, max_doublings: int = 60) -> Params:
         margins = dominance_margins(h, n)
         # dominance alone can hold at a scale where the whole block is
         # denormal-small; insist the rank certificate survives float64 too
-        if np.all(margins > 0.0):
-            aug = np.hstack([h, np.ones((n, 1))])
-            if numerical_rank(aug) == n:
-                return params
+        if np.all(margins > 0.0) and numerical_rank(append_ones(h)) == n:
+            return params
         best_margin = max(best_margin, float(margins.min()))
         alpha *= 2.0
     raise WitnessConstructionError(

@@ -1,4 +1,5 @@
-"""Dense matrix primitives: numerical rank, Gram determinants, min-norm solves.
+"""Dense matrix primitives: numerical rank, Gram determinants, min-norm solves,
+and the augmented feature matrix [h, 1] they are applied to.
 
 Everything here operates on plain float64 ndarrays.  Inputs are validated
 once at the boundary (`as_matrix`) so downstream code can assume finite,
@@ -13,6 +14,7 @@ __all__ = [
     "DecompositionError",
     "RankDeficientError",
     "as_matrix",
+    "append_ones",
     "default_rank_tol",
     "numerical_rank",
     "gram_det",
@@ -40,6 +42,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def append_ones(h: np.ndarray) -> np.ndarray:
+    """[h, 1]: `h` with an all-ones column appended (the augmented features)."""
+    return np.hstack([h, np.ones((h.shape[0], 1))])
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:

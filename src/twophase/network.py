@@ -354,20 +354,15 @@ def backprop(
     params: Params,
     x,
     upstream,
-    subset: str = "all",
     frozen_stats=None,
     trace: ForwardTrace | None = None,
 ) -> np.ndarray:
     """Gradient of <upstream, f(X)> with respect to the flat parameter vector.
 
-    `upstream` is d(objective)/d(f), shape n x m_y.  `subset` selects which
-    blocks are populated ("all", "last_layer_only", "hidden_only"); the
-    result always has the full parameter length, zero outside the subset.  BN layers
+    `upstream` is d(objective)/d(f), shape n x m_y.  BN layers
     differentiate through their batch statistics unless the trace was built
     with frozen ones.
     """
-    if subset not in ("all", "last_layer_only", "hidden_only"):
-        raise ValueError(f"unknown subset {subset!r}")
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats)
     upstream = as_matrix(upstream, "upstream")
@@ -379,12 +374,8 @@ def backprop(
     frozen = trace.frozen_stats is not None
 
     grad = Params(spec)
-    if subset != "hidden_only":
-        grad.weights[-1][:] = trace.hidden.T @ upstream
-        grad.biases[-1][:] = upstream.sum(axis=0, keepdims=True)
-    if subset == "last_layer_only":
-        return grad.flat
-
+    grad.weights[-1][:] = trace.hidden.T @ upstream
+    grad.biases[-1][:] = upstream.sum(axis=0, keepdims=True)
     dh = upstream @ params.weights[-1].T
     for l in range(spec.depth - 1, -1, -1):
         cache = trace.bn_cache[l]

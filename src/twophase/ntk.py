@@ -44,7 +44,6 @@ class NtkSnapshot:
     rank: int
     tolerance: float
     step: int = -1
-    jacobian: np.ndarray | None = None
     kernel: np.ndarray | None = None
 
     def rank_at(self, tol: float) -> int:
@@ -142,7 +141,6 @@ def compute_ntk(jacobian, step: int = -1, tol: float | None = None) -> NtkSnapsh
         rank=int(np.count_nonzero(spectrum > tol)),
         tolerance=float(tol),
         step=step,
-        jacobian=jac,
         kernel=kernel,
     )
 

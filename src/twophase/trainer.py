@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import numerical_rank
+from .linalg import append_ones, numerical_rank
 from .losses import LossKind, loss_grad, loss_value
 from .network import (
     NetworkSpec,
@@ -352,9 +352,8 @@ def run_two_phase(
         rec = StepRecord(t=t, phase=1, loss=loss, grad_norm=gnorm,
                          wall_time=time.perf_counter() - t0)
         if monitored(t):
-            trace = forward_hidden(spec, params, x)
-            aug = np.hstack([trace.hidden, np.ones((n, 1))])
-            rec.feature_rank = numerical_rank(aug)
+            rec.feature_rank = numerical_rank(
+                append_ones(forward_hidden(spec, params, x).hidden))
             if monitor_ntk:
                 rec.ntk_rank = compute_ntk(compute_jacobian(spec, params, x), step=t).rank
         emit(rec)
@@ -373,7 +372,7 @@ def run_two_phase(
     frozen = batch_statistics(forward_hidden(spec, params, x)) if any(spec.bn_flags) else None
     log.frozen_stats = frozen
     h = forward_hidden(spec, params, x, frozen).hidden
-    aug = np.hstack([h, np.ones((n, 1))])
+    aug = append_ones(h)
     feat_rank = numerical_rank(aug)
     if feat_rank < n:
         raise FeatureRankError(
@@ -475,8 +474,7 @@ def run_two_phase(
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):
                 rec.feature_rank = numerical_rank(
-                    np.hstack([forward_hidden(spec, params, x, frozen).hidden,
-                               np.ones((n, 1))]))
+                    append_ones(forward_hidden(spec, params, x, frozen).hidden))
                 if keep_trajectory:
                     log.trajectory.append((t, params.copy(), jac))
             emit(rec)

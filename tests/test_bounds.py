@@ -141,6 +141,20 @@ class TestBoundFormulas:
         with pytest.raises(ValueError, match="eta_bar"):
             lazy_bound(1.0, 1.0, 1.0, 0.0, 1.2, 5, 0)
 
+    def test_step_arrays_match_scalar_calls(self):
+        steps = np.arange(4, 41)
+        sched = inv_sqrt_schedule(0.01, 3, 40)
+        np.testing.assert_array_equal(
+            gd_bound(1.7, 5.3, steps, 3), [gd_bound(1.7, 5.3, t, 3) for t in steps])
+        np.testing.assert_array_equal(
+            sgd_bound(1.7, 2.2, sched, steps, 3),
+            [sgd_bound(1.7, 2.2, sched[:t - 2], t, 3) for t in steps])
+        np.testing.assert_array_equal(
+            lazy_bound(4.0, 1.5, 2.0, 0.1, 0.3, steps, 3),
+            [lazy_bound(4.0, 1.5, 2.0, 0.1, 0.3, t, 3) for t in steps])
+        with pytest.raises(ValueError, match="t > tau"):
+            gd_bound(1.0, 1.0, steps, 4)
+
     def test_re_evaluation_bit_identical(self):
         # the formulas are pure arithmetic, no iteration or state
         sched = inv_sqrt_schedule(0.01, 3, 40)
@@ -193,24 +207,32 @@ class TestEstimateRBar:
             worst = max(worst, float(np.linalg.norm(anchor - omega)))
         assert got == pytest.approx(worst, rel=1e-9)
 
-    def test_cross_entropy_exact_rejected_with_direction(self):
+    def test_cross_entropy_takes_linearized_descent(self):
+        # soft targets, J full row rank: the linearized minimizers are the w
+        # with J w = vec(log Y) + a per-sample constant, and descent from the
+        # anchor converges to the one nearest it
         ds, spec, params = _interpolating_setup(seed=3)
         jac = compute_jacobian(spec, params, ds.x)
         y = np.abs(ds.y) + 0.5
         y /= y.sum(axis=1, keepdims=True)
-        with pytest.raises(ValueError, match="iterative"):
-            estimate_R_bar([(params, jac)], y, CROSS_ENTROPY)
-        val = estimate_R_bar([(params, jac)], y, CROSS_ENTROPY, mode="iterative",
-                             max_steps=20_000)
-        assert np.isfinite(val) and val >= 0.0
+        got = estimate_R_bar([(params, jac)], y, CROSS_ENTROPY, max_steps=20_000)
+        n, m_y = y.shape
+        anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
+        pinv = np.linalg.pinv(jac)
+        gap = np.log(y).reshape(-1, 1) - jac @ anchor
+        shifts = np.kron(np.eye(n), np.ones((m_y, 1)))
+        c, *_ = np.linalg.lstsq(pinv @ shifts, -pinv @ gap, rcond=None)
+        want = float(np.linalg.norm(pinv @ (gap + shifts @ c)))
+        assert got == pytest.approx(want, rel=1e-7)
 
 
 class TestCheckBounds:
-    def _gd_log(self, seed=0):
+    def _gd_log(self, seed=0, mode="last_layer_gd"):
         ds = synth_gen(10, 4, 2, 0.03, "regression", seed=seed)
         spec = NetworkSpec((4, 8, 12), 2, sharpness=10.0)
         base = BaseAlgoConfig(variant="gd", minibatch=10, seed=seed)
-        cfg = TwoPhaseConfig(tau=10, total_steps=110, phase2_mode="last_layer_gd", seed=seed)
+        cfg = TwoPhaseConfig(tau=10, total_steps=110, phase2_mode=mode, sgd_minibatch=4,
+                             seed=seed)
         _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED)
         return ds, log
 
@@ -252,7 +274,27 @@ class TestCheckBounds:
         with pytest.raises(ValueError, match="needs"):
             check_bounds(log, BoundConstants(mode="last_layer_gd"))
 
-    def test_lazy_report_is_diagnostic(self):
+    @staticmethod
+    def _running_min_gaps(log, loss_star):
+        running = np.minimum.accumulate(
+            [log.loss_at_tau] + [rec.loss for rec in log.phase2_records()])
+        return running[1:] - loss_star
+
+    def test_sgd_report_is_the_closed_form_at_every_step(self):
+        ds, log = self._gd_log(seed=9, mode="last_layer_sgd")
+        opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y, log.head_at_tau)
+        g2, tau = log.max_sq_grad_phase2, log.tau
+        rep = check_bounds(log, BoundConstants(
+            mode="last_layer_sgd", r_squared=opt.r_squared, loss_star=opt.loss_star,
+            g_squared=g2, sgd_rate_scale=0.01))
+        assert [e.t for e in rep.entries] == list(range(tau + 1, tau + 101))
+        for e, gap in zip(rep.entries, self._running_min_gaps(log, opt.loss_star)):
+            assert e.bound == sgd_bound(opt.r_squared, g2,
+                                        inv_sqrt_schedule(0.01, tau, e.t), e.t, tau)
+            assert e.measured == gap
+        assert rep.violations == sum(e.violated for e in rep.entries) == 0
+
+    def _lazy_report(self):
         ds = synth_gen(6, 4, 1, 0.03, "regression", seed=7)
         spec = NetworkSpec((4, 8, 8), 1, sharpness=10.0)
         base = BaseAlgoConfig(variant="gd", minibatch=6, seed=7)
@@ -261,11 +303,23 @@ class TestCheckBounds:
         _, log = run_two_phase(spec, init_params(spec, 7), ds, base, cfg, SQUARED,
                                monitor_every=2, keep_trajectory=True)
         r_bar = estimate_R_bar([(p, j) for _, p, j in log.trajectory], ds.y, SQUARED)
-        rep = check_bounds(log, BoundConstants(
+        constants = BoundConstants(
             mode="lazy_full", loss_star=0.0,
             l_estimate=log.eta_schedule["lipschitz"], r_bar=r_bar,
-            eta_bar=log.eta_schedule["eta_bar"]))
+            eta_bar=log.eta_schedule["eta_bar"])
+        return log, constants, check_bounds(log, constants)
+
+    def test_lazy_report_is_diagnostic(self):
+        _, _, rep = self._lazy_report()
         assert rep.diagnostic
+
+    def test_lazy_report_is_the_closed_form_at_every_step(self):
+        log, c, rep = self._lazy_report()
+        assert [e.t for e in rep.entries] == list(range(5, 15))
+        for e, gap in zip(rep.entries, self._running_min_gaps(log, 0.0)):
+            assert e.bound == lazy_bound(c.l_estimate, c.r_bar, log.loss_at_tau, 0.0,
+                                         c.eta_bar, e.t, log.tau)
+            assert e.measured == gap
 
     def test_r_squared_expectation_deterministic(self):
         ds = synth_gen(5, 3, 1, 0.05, "regression", seed=8)

@@ -115,6 +115,32 @@ class TestVerify:
         assert report["distinguishability"]["violating_pair"] == [0, 1]
         assert "distinguishability" in report["distinguishability"]["note"]
 
+    def test_witness_precondition_note_is_the_construction_error(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            data={"n": 8, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.05},
+            network={"hidden_widths": [4, 9], "sharpness": 1.0, "bn": True},
+            verify={"trials": 4},
+        )
+        out = tmp_path / "v"
+        cli.main(["verify", "--config", path, "--out", str(out)])
+        witness = json.loads((out / "verify.json").read_text())["witness"]
+        assert not witness["attempted"] and witness["passed"] is None
+        assert "batch normalization" in witness["note"]
+
+    def test_witness_programming_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken call")
+        monkeypatch.setattr(cli, "construct_witness", broken)
+        path = write_config(
+            tmp_path,
+            data={"n": 8, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.05},
+            network={"hidden_widths": [4, 9], "sharpness": 1.0},
+            verify={"trials": 4},
+        )
+        with pytest.raises(TypeError, match="broken call"):
+            cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")])
+
 
 class TestTrain:
     def test_emits_parseable_records_and_summary(self, tmp_path):
@@ -129,8 +155,10 @@ class TestTrain:
         assert summary["best_loss"] == min(r["loss"] for r in records)
         assert (out / "summary.txt").exists()
 
-    def test_byte_identical_rerun(self, tmp_path):
-        path = write_config(tmp_path, **small_train_sections())
+    @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd", "lazy_full"])
+    def test_byte_identical_rerun(self, tmp_path, mode):
+        path = write_config(tmp_path, **small_train_sections(
+            bounds=True, two_phase={"phase2_mode": mode}))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["train", "--config", path, "--out", str(out1)]) == 0
         assert cli.main(["train", "--config", path, "--out", str(out2)]) == 0

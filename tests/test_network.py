@@ -268,21 +268,10 @@ class TestBackprop:
         x = rng.standard_normal((6, 3))
         up = rng.standard_normal((6, 2))
         h = forward_hidden(spec, p, x).hidden
-        g = backprop(spec, p, x, up, subset="last_layer_only")
+        g = backprop(spec, p, x, up)
         head = spec.head_param_count()
         want = np.vstack([h.T @ up, up.sum(axis=0, keepdims=True)]).ravel(order="F")
         np.testing.assert_allclose(g[-head:], want, atol=1e-12)
-        np.testing.assert_array_equal(g[:-head], np.zeros(spec.param_count() - head))
-
-    def test_subsets_partition_full_gradient(self, rng):
-        spec = NetworkSpec((3, 4, 3), 2, bn_flags=(True, False))
-        p = random_params(spec, rng, 0.8)
-        x = rng.standard_normal((5, 3))
-        up = rng.standard_normal((5, 2))
-        g_all = backprop(spec, p, x, up, subset="all")
-        g_hid = backprop(spec, p, x, up, subset="hidden_only")
-        g_head = backprop(spec, p, x, up, subset="last_layer_only")
-        np.testing.assert_allclose(g_hid + g_head, g_all, atol=1e-12)
 
     def test_full_gradient_vs_finite_differences_with_bn(self, rng):
         spec = NetworkSpec((4, 5, 3), 2, sharpness=10.0, bn_flags=(True, True))
