@@ -15,9 +15,16 @@ compares the ceilings with the measured suboptimality.
 
 R^2 is the squared distance from the post-perturbation head to the nearest
 head minimizer of the frozen-feature problem; Rbar does the same per step
-against the Jacobian-linearized problem.  The lazy bound uses an empirical
-Lipschitz estimate, which is a lower bound on the true constant, so reports
-built from it are diagnostics rather than certificates.
+against the Jacobian-linearized problem.  Both come from one min-norm solve
+whenever the features (or the Jacobian) have full row rank: squared loss
+interpolates Y, and cross-entropy matches log Y up to one constant per
+sample, which is exact for soft targets.  A cross-entropy target with a zero
+entry (one-hot) has an infimum, the mean entropy, that no finite head
+attains, so the distance is inf and a bound built on it is vacuous.  Only
+rank-deficient cross-entropy problems fall back to gradient descent, whose
+result is an estimate.  The lazy bound uses an empirical Lipschitz estimate,
+which is a lower bound on the true constant, so reports built from it are
+diagnostics rather than certificates.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import append_ones, min_norm_solve
-from .losses import LossKind, loss_grad, loss_value
+from .linalg import append_ones, min_norm_solve, numerical_rank
+from .losses import LossKind, check_targets, loss_grad, loss_value
 from .network import forward_hidden
 from .trainer import TrainLog, compute_L_H, nu_mask, perturb
 
@@ -49,7 +56,7 @@ __all__ = [
 
 @dataclass
 class LastLayerOptimum:
-    head: np.ndarray          # (m_H + 1) x m_y stacked [W; b]
+    head: np.ndarray | None   # (m_H + 1) x m_y stacked [W; b]; None if not attained
     loss_star: float
     r_squared: float
     approximate: bool
@@ -67,18 +74,54 @@ def _anchor_matrix(anchor, rows: int, cols: int) -> np.ndarray:
     return a
 
 
+def _mean_entropy(y: np.ndarray) -> float:
+    """Mean row entropy of the targets, with 0 log 0 = 0: the cross-entropy
+    infimum over all predictions."""
+    total = (y * np.log(np.where(y > 0.0, y, 1.0))).sum()
+    return float(-total / y.shape[0]) + 0.0  # + 0.0: one-hot gives 0.0, not -0.0
+
+
+def _nearest_softmax_minimizer(jac, y, anchor):
+    """Point nearest `anchor` among the w for which softmax((jac @ w) as an
+    n x m_y matrix) = Y row by row, or None if Y has a zero entry.
+
+    `jac` has one row per (sample, output) pair, sample-major, and full row
+    rank.  The minimizers are the w with jac w = vec(log Y) plus one constant
+    per sample.  Projecting each sample's m_y rows onto an orthonormal basis
+    of the directions orthogonal to the ones vector removes those constants
+    and leaves n (m_y - 1) independent rows, so one min-norm solve gives the
+    point.  Gradient descent from the anchor converges to the same point,
+    because its steps never move the per-sample means of the predictions.
+    A zero target makes the infimum unattained: the iterates diverge.
+    """
+    n, m_y = y.shape
+    if np.any(y <= 0.0):
+        return None
+    if m_y == 1:  # every w predicts softmax = 1 = y
+        return anchor.copy()
+    basis = np.linalg.svd(np.ones((1, m_y)))[2][1:]  # (m_y - 1) x m_y
+    rows = np.einsum("cj,ijd->icd", basis, jac.reshape(n, m_y, -1))
+    target = np.log(y) @ basis.T
+    return min_norm_solve(rows.reshape(n * (m_y - 1), -1), target.reshape(-1, 1), anchor)
+
+
 def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last,
                              grad_tol: float = 1e-10,
                              max_steps: int = 1_000_000) -> LastLayerOptimum:
     """Nearest head minimizer of the frozen-feature problem and its distance.
 
     Squared loss: exact, via the minimum-distance interpolating solve (needs
-    full row rank of [h, 1], which the solve enforces).  Cross-entropy: exact
-    gradient descent at step 1/L_H until the gradient norm drops below
-    grad_tol or max_steps, returned with approximate=True.
+    full row rank of [h, 1], which the solve enforces).  Cross-entropy with
+    [h, 1] of full row rank: exact and without iteration (steps = 0); soft
+    targets give the nearest head whose softmax reproduces Y, at loss* = the
+    mean entropy of Y, and a target with a zero entry gives r_squared = inf
+    and head = None, because the infimum (the mean entropy, 0 for one-hot)
+    is not attained.  Cross-entropy with rank-deficient features: gradient
+    descent at step 1/L_H from the anchor until the gradient norm drops
+    below grad_tol or max_steps, returned with approximate=True.
     """
     h = np.asarray(h, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y = check_targets(kind, y)
     a = append_ones(h)
     anchor = _anchor_matrix(anchor_last, a.shape[1], y.shape[1])
     if kind.name == "squared":
@@ -90,6 +133,22 @@ def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last,
             r_squared=float(((z - anchor) ** 2).sum()),
             approximate=False,
             residual=residual,
+        )
+    if numerical_rank(a) == a.shape[0]:
+        # row-major vec(Z) = kron(a, I) maps onto the sample-major predictions
+        z = _nearest_softmax_minimizer(np.kron(a, np.eye(y.shape[1])), y,
+                                       anchor.reshape(-1, 1))
+        if z is None:
+            return LastLayerOptimum(head=None, loss_star=_mean_entropy(y),
+                                    r_squared=np.inf, approximate=False,
+                                    residual=np.inf)
+        z = z.reshape(anchor.shape)
+        return LastLayerOptimum(
+            head=z,
+            loss_star=_mean_entropy(y),
+            r_squared=float(((z - anchor) ** 2).sum()),
+            approximate=False,
+            residual=float(np.linalg.norm(a @ z - y)),
         )
     l_h = compute_L_H(kind, h)
     z = anchor.copy()
@@ -190,17 +249,23 @@ def estimate_R_bar(trajectory, y, kind: LossKind,
 
     `trajectory` is a sequence of (Params, J) pairs.  Squared loss solves
     J w = vec(Y^T) nearest the masked anchor exactly and needs J full row
-    rank; every other loss runs convex gradient descent on the linearized
-    problem from the anchor until the gradient norm drops below grad_tol or
-    max_steps.
+    rank.  Cross-entropy with J of full row rank takes the same closed form
+    as the head optimum: exact for soft targets, and inf when a target is
+    zero (the infimum is not attained).  Only a rank-deficient J runs convex
+    gradient descent on the linearized problem from the anchor until the
+    gradient norm drops below grad_tol or max_steps.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = check_targets(kind, y)
     target = y.reshape(-1, 1)  # vec(Y^T): sample-major, matching Jacobian rows
     worst = 0.0
     for params, jac in trajectory:
         anchor = (nu_mask(params) * params.flat).reshape(-1, 1)
         if kind.name == "squared":
             omega = min_norm_solve(jac, target, anchor)
+        elif numerical_rank(jac) == jac.shape[0]:
+            omega = _nearest_softmax_minimizer(jac, y, anchor)
+            if omega is None:
+                return np.inf
         else:
             omega = _linearized_descent(jac, y, anchor, kind, grad_tol, max_steps)
         worst = max(worst, float(np.linalg.norm(anchor - omega)))

@@ -66,6 +66,13 @@ NUMERIC_ERRORS = (FeatureRankError, RankPreservationError, DecompositionError,
 CONFIG_ERRORS = (ConfigError, ValueError, FileNotFoundError)
 
 
+# why a lazy run with a loss other than squared carries no bound
+LAZY_LOSS_NOTE = (
+    "lazy bounds are evaluated for squared loss only, where loss* = 0; the "
+    "cross-entropy loss* of the full-parameter problem is not computed"
+)
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "monitor_every": 0,
@@ -325,7 +332,8 @@ def _train_once(cfg: dict, dataset: Dataset, spec: NetworkSpec, record_sink=None
     base, two_phase = _build_train_cfgs(cfg, dataset, spec)
     kind = loss_by_name(cfg["loss"])
     params0 = init_params(spec, seed=cfg["seed"])
-    keep = cfg["bounds"] and two_phase.phase2_mode == "lazy_full"
+    keep = cfg["bounds"] and two_phase.phase2_mode == "lazy_full" \
+        and kind.name == "squared"
     return run_two_phase(
         spec, params0, dataset, base, two_phase, kind,
         monitor_every=cfg["monitor_every"],
@@ -351,26 +359,29 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
     kind = loss_by_name(cfg["loss"])
     constants = {}
     violations = None
-    breport = None
+    bc = None
     if cfg["bounds"] and log.features_at_tau is not None:
         if log.phase2_mode in ("last_layer_gd", "last_layer_sgd"):
             opt = solve_last_layer_optimum(kind, log.features_at_tau, dataset.y,
                                            log.head_at_tau)
-            bc = BoundConstants(
-                mode=log.phase2_mode,
-                r_squared=opt.r_squared,
-                loss_star=opt.loss_star,
-                l_h=log.l_h,
-                g_squared=log.max_sq_grad_phase2,
-                sgd_rate_scale=log.eta_schedule.get("scale"),
-            )
+            attained = math.isfinite(opt.r_squared)
             constants = {
-                "r_squared": opt.r_squared,
+                "r_squared": opt.r_squared if attained else None,
                 "loss_star": opt.loss_star,
-                "optimum_approximate": opt.approximate,
+                "certificate": ("estimated" if opt.approximate else "exact")
+                if attained else "vacuous",
                 "g_squared": log.max_sq_grad_phase2,
             }
-        elif log.trajectory and kind.name == "squared":
+            if attained:
+                bc = BoundConstants(
+                    mode=log.phase2_mode,
+                    r_squared=opt.r_squared,
+                    loss_star=opt.loss_star,
+                    l_h=log.l_h,
+                    g_squared=log.max_sq_grad_phase2,
+                    sgd_rate_scale=log.eta_schedule.get("scale"),
+                )
+        elif kind.name == "squared":
             # lazy mode: diagnostic ceiling from the recorded trajectory
             r_bar = estimate_R_bar([(p, j) for _, p, j in log.trajectory],
                                    dataset.y, kind)
@@ -383,12 +394,12 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
             )
             constants = {"r_bar": r_bar,
                          "l_estimate": log.eta_schedule["lipschitz"],
+                         "certificate": "estimated",
                          "diagnostic": True}
         else:
-            bc = None
-        if bc is not None:
-            breport = check_bounds(log, bc)
-    if breport is not None:
+            constants = {"certificate": "not evaluated", "note": LAZY_LOSS_NOTE}
+    if bc is not None:
+        breport = check_bounds(log, bc)
         for rec, e in zip(log.phase2_records(), breport.entries):
             rec.bound, rec.suboptimality = e.bound, e.measured
         with open(log_path, "w") as fh:
@@ -416,9 +427,14 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
         fh.write(_json_line(summary) + "\n")
     _write_text_summary(os.path.join(out_dir, "summary.txt"),
                         {k: v for k, v in summary.items() if k != "constants"})
+    if constants.get("certificate") == "vacuous":
+        verdict = "  bound vacuous (optimum not attained)"
+    elif violations is not None:
+        verdict = f"  bound violations = {violations}"
+    else:
+        verdict = ""
     print(f"final loss {log.final_loss:.6e}  best {summary['best_loss']:.6e}  "
-          f"t* = {log.t_star}" + (f"  bound violations = {violations}"
-                                  if violations is not None else ""))
+          f"t* = {log.t_star}{verdict}")
     return EXIT_OK
 
 

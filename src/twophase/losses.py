@@ -14,7 +14,8 @@ import numpy as np
 
 from .linalg import as_matrix
 
-__all__ = ["LossKind", "SQUARED", "CROSS_ENTROPY", "loss_by_name", "loss_value", "loss_grad"]
+__all__ = ["LossKind", "SQUARED", "CROSS_ENTROPY", "loss_by_name", "check_targets",
+           "loss_value", "loss_grad"]
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,10 @@ def loss_by_name(name: str) -> LossKind:
         raise ValueError(f"unknown loss {name!r}; choose from {sorted(_BY_NAME)}") from None
 
 
-def _check_pair(kind: LossKind, f, y):
-    f = as_matrix(f, "predictions")
+def check_targets(kind: LossKind, y) -> np.ndarray:
+    """`y` as a finite float64 matrix; cross-entropy targets must also be
+    nonnegative rows that sum to 1."""
     y = as_matrix(y, "targets")
-    if f.shape != y.shape:
-        raise ValueError(f"predictions {f.shape} and targets {y.shape} differ in shape")
     if kind.name == "cross_entropy":
         if np.any(y < -1e-12):
             raise ValueError("cross-entropy targets must be nonnegative")
@@ -48,6 +48,14 @@ def _check_pair(kind: LossKind, f, y):
         bad = np.where(np.abs(sums - 1.0) > 1e-9)[0]
         if bad.size:
             raise ValueError(f"cross-entropy target row {bad[0]} sums to {sums[bad[0]]}, not 1")
+    return y
+
+
+def _check_pair(kind: LossKind, f, y):
+    f = as_matrix(f, "predictions")
+    y = check_targets(kind, y)
+    if f.shape != y.shape:
+        raise ValueError(f"predictions {f.shape} and targets {y.shape} differ in shape")
     return f, y
 
 

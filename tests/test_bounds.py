@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import twophase.bounds as bounds
 from twophase.bounds import (
     BoundConstants,
     check_bounds,
@@ -16,7 +17,7 @@ from twophase.bounds import (
 )
 from twophase.data import synth_gen
 from twophase.linalg import min_norm_solve
-from twophase.losses import CROSS_ENTROPY, SQUARED
+from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad, loss_value
 from twophase.network import NetworkSpec, init_params
 from twophase.ntk import compute_jacobian
 from twophase.trainer import BaseAlgoConfig, TwoPhaseConfig, nu_mask, run_two_phase
@@ -78,10 +79,101 @@ class TestLastLayerOptimum:
         y /= y.sum(axis=1, keepdims=True)
         opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)),
                                        grad_tol=1e-10, max_steps=200_000)
-        assert opt.approximate
+        assert not opt.approximate and opt.steps == 0
         entropy = float(-(y * np.log(y)).sum() / n)
         assert opt.loss_star == pytest.approx(entropy, abs=1e-6)
         assert opt.grad_norm <= 1e-9
+
+
+def _count_loss_grad(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loss_grad(*args, **kwargs)
+    monkeypatch.setattr(bounds, "loss_grad", counting)
+    return calls
+
+
+def _soft_targets(rng, n, m_y):
+    y = np.abs(rng.standard_normal((n, m_y))) + 0.3
+    return y / y.sum(axis=1, keepdims=True)
+
+
+def _descent_reference(h, y, anchor, tol=1e-13, max_steps=400_000):
+    # plain head gradient descent at step 1/L_H, run to convergence
+    n = h.shape[0]
+    aug = np.hstack([h, np.ones((n, 1))])
+    step = 1.0 / ((h * h).sum() / n + 1.0)
+    z = anchor.copy()
+    for _ in range(max_steps):
+        logits = aug @ z
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        g = aug.T @ (p - y) / n
+        if np.linalg.norm(g) < tol:
+            return z
+        z = z - step * g
+    raise AssertionError("reference descent did not converge")
+
+
+class TestCrossEntropyOptimum:
+    def test_one_hot_full_rank_is_vacuous_without_iterating(self, rng, monkeypatch):
+        # the certify_ce shape: [h, 1] is 32 x 37 with rank 32
+        n, m_h, m_y = 32, 36, 4
+        h = rng.standard_normal((n, m_h))
+        y = np.eye(m_y)[rng.integers(0, m_y, n)]
+        calls = _count_loss_grad(monkeypatch)
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y,
+                                       rng.standard_normal((m_h + 1, m_y)),
+                                       max_steps=1000)
+        assert opt.r_squared == np.inf
+        assert opt.loss_star == 0.0 and not np.signbit(opt.loss_star)
+        assert opt.steps == 0 and not opt.approximate and opt.head is None
+        assert not calls
+
+    @pytest.mark.parametrize("n,m_h,m_y", [(3, 6, 2), (4, 9, 3), (5, 11, 4),
+                                           (6, 14, 3), (2, 7, 5), (8, 17, 2)])
+    def test_soft_targets_match_descent_limit(self, rng, monkeypatch, n, m_h, m_y):
+        h = rng.standard_normal((n, m_h))
+        y = _soft_targets(rng, n, m_y)
+        anchor = rng.standard_normal((m_h + 1, m_y))
+        want = _descent_reference(h, y, anchor)
+        calls = _count_loss_grad(monkeypatch)
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, anchor)
+        assert not calls and opt.steps == 0 and not opt.approximate
+        assert np.linalg.norm(opt.head - want) <= 1e-7 * np.linalg.norm(want)
+        assert opt.r_squared == pytest.approx(float(((want - anchor) ** 2).sum()),
+                                              rel=1e-7)
+        assert opt.loss_star == pytest.approx(float(-(y * np.log(y)).sum() / n),
+                                              rel=1e-12)
+        aug = np.hstack([h, np.ones((n, 1))])
+        assert loss_value(CROSS_ENTROPY, aug @ opt.head, y) == \
+            pytest.approx(opt.loss_star, rel=1e-10)
+
+    def test_single_output_is_already_optimal(self, rng):
+        # one output: softmax is 1 = y for every head, so the anchor is a minimizer
+        anchor = rng.standard_normal((6, 1))
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, rng.standard_normal((4, 5)),
+                                       np.ones((4, 1)), anchor)
+        assert opt.r_squared == 0.0 and opt.loss_star == 0.0 and opt.steps == 0
+        np.testing.assert_array_equal(opt.head, anchor)
+
+    def test_targets_are_validated(self, rng):
+        with pytest.raises(ValueError, match="sums to"):
+            solve_last_layer_optimum(CROSS_ENTROPY, rng.standard_normal((3, 5)),
+                                     np.full((3, 2), 0.7), np.zeros((6, 2)))
+
+    def test_rank_deficient_features_take_descent(self, rng):
+        # n > m_H + 1: [h, 1] cannot have full row rank
+        n, m_h, m_y = 9, 4, 3
+        h = rng.standard_normal((n, m_h))
+        y = _soft_targets(rng, n, m_y)
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)),
+                                       grad_tol=1e-10, max_steps=200_000)
+        assert opt.approximate
+        assert 0 < opt.steps < 200_000
+        assert opt.grad_norm <= 1e-10
 
 
 class TestBoundFormulas:
@@ -224,6 +316,15 @@ class TestEstimateRBar:
         c, *_ = np.linalg.lstsq(pinv @ shifts, -pinv @ gap, rcond=None)
         want = float(np.linalg.norm(pinv @ (gap + shifts @ c)))
         assert got == pytest.approx(want, rel=1e-7)
+
+
+    def test_cross_entropy_zero_target_is_infinite(self, monkeypatch):
+        ds, spec, params = _interpolating_setup(seed=3)
+        jac = compute_jacobian(spec, params, ds.x)
+        y = np.eye(2)[[0, 1, 1, 0]]
+        calls = _count_loss_grad(monkeypatch)
+        assert estimate_R_bar([(params, jac)], y, CROSS_ENTROPY, max_steps=1000) == np.inf
+        assert not calls
 
 
 class TestCheckBounds:

@@ -175,6 +175,61 @@ class TestTrain:
         assert phase2 and all(r["bound"] is not None for r in phase2)
         assert all(r["suboptimality"] <= r["bound"] + 1e-9 * (1 + r["bound"]) for r in phase2)
 
+    @pytest.mark.parametrize("mode,certificate", [("last_layer_gd", "exact"),
+                                                  ("last_layer_sgd", "exact"),
+                                                  ("lazy_full", "estimated")])
+    def test_squared_loss_certificate(self, tmp_path, mode, certificate):
+        path = write_config(tmp_path, **small_train_sections(
+            bounds=True, two_phase={"phase2_mode": mode}))
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["constants"]["certificate"] == certificate
+        assert summary["violations"] == (0 if certificate == "exact" else None)
+
+    @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd"])
+    def test_one_hot_cross_entropy_bound_is_vacuous(self, tmp_path, capsys, mode):
+        # [h, 1] has full row rank, so the cross-entropy infimum is never attained
+        path = write_config(tmp_path, **small_train_sections(
+            loss="cross_entropy", bounds=True, data={"kind": "one_hot"},
+            two_phase={"phase2_mode": mode}))
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["constants"]["certificate"] == "vacuous"
+        assert summary["constants"]["r_squared"] is None
+        assert summary["violations"] is None
+        records = [json.loads(line) for line in (out / "run.log.jsonl").read_text().splitlines()]
+        phase2 = [r for r in records if r["phase"] == 2]
+        assert phase2 and all(r["bound"] is None and r["suboptimality"] is None
+                              for r in phase2)
+        for name in ("run.log.jsonl", "summary.json"):
+            text = (out / name).read_text()
+            assert "Infinity" not in text and "NaN" not in text
+        stdout = capsys.readouterr().out
+        assert "bound violations" not in stdout
+        assert "bound vacuous (optimum not attained)" in stdout
+
+    def test_lazy_cross_entropy_bounds_say_why_not_evaluated(self, tmp_path, monkeypatch):
+        logs = []
+        real = cli.run_two_phase
+
+        def spy(*args, **kwargs):
+            params, log = real(*args, **kwargs)
+            logs.append(log)
+            return params, log
+        monkeypatch.setattr(cli, "run_two_phase", spy)
+        path = write_config(tmp_path, **small_train_sections(
+            loss="cross_entropy", bounds=True, monitor_every=5, data={"kind": "one_hot"},
+            two_phase={"phase2_mode": "lazy_full"}))
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["constants"] == {"certificate": "not evaluated",
+                                        "note": cli.LAZY_LOSS_NOTE}
+        assert summary["violations"] is None
+        assert logs[0].trajectory == []  # nothing kept for a bound never evaluated
+
     def test_base_versus_two_phase_protocol(self, tmp_path):
         # same seed and data, pure-base split versus the default split
         base_cfg = small_train_sections()
