@@ -42,7 +42,7 @@ print("top of spectrum:", np.round(snap.kernel_spectrum[:4], 3))
 base = BaseAlgoConfig(variant="gd", minibatch=8, seed=0)
 cfg = TwoPhaseConfig(tau=30, total_steps=180, phase2_mode="last_layer_gd", seed=0)
 _, log = run_two_phase(spec, params, ds, base, cfg, SQUARED,
-                       monitor_every=25, monitor_ntk=True, keep_trajectory=True)
+                       monitor_every=25, keep_trajectory=True)
 
 p_tau = params_from_flat(spec, log.params_at_tau_flat)
 reference = compute_ntk(compute_jacobian(spec, p_tau, ds.x), step=cfg.tau)

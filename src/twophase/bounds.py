@@ -15,16 +15,16 @@ compares the ceilings with the measured suboptimality.
 
 R^2 is the squared distance from the post-perturbation head to the nearest
 head minimizer of the frozen-feature problem; Rbar does the same per step
-against the Jacobian-linearized problem.  Both come from one min-norm solve
-whenever the features (or the Jacobian) have full row rank: squared loss
-interpolates Y, and cross-entropy matches log Y up to one constant per
-sample, which is exact for soft targets.  A cross-entropy target with a zero
-entry (one-hot) has an infimum, the mean entropy, that no finite head
-attains, so the distance is inf and a bound built on it is vacuous.  Only
-rank-deficient cross-entropy problems fall back to gradient descent, whose
-result is an estimate.  The lazy bound uses an empirical Lipschitz estimate,
-which is a lower bound on the true constant, so reports built from it are
-diagnostics rather than certificates.
+against the Jacobian-linearized problem.  Both are one closed-form solve on
+a linear map ([h, 1] for the head, the Jacobian J for Rbar, because
+J (nu o w) = f(w)), and both need that map to have full row rank, else
+RankDeficientError: squared loss interpolates Y, and cross-entropy matches
+log Y up to one constant per sample, which is exact for soft targets.  A
+cross-entropy target with a zero entry (one-hot) has an infimum, the mean
+entropy, that no finite point attains, so the distance is inf and a bound
+built on it is vacuous.  Nothing here iterates.  The lazy bound uses an
+empirical Lipschitz estimate, which is a lower bound on the true constant,
+so reports built from it are diagnostics rather than certificates.
 """
 
 from __future__ import annotations
@@ -33,16 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import append_ones, min_norm_solve, numerical_rank
-from .losses import LossKind, check_targets, loss_grad, loss_value
+from .linalg import RankDeficientError, append_ones, min_norm_solve, numerical_rank
+from .losses import LossKind, check_targets, loss_value
 from .network import forward_hidden
-from .trainer import TrainLog, compute_L_H, nu_mask, perturb
+from .trainer import TrainLog, nu_mask, perturb
 
 __all__ = [
     "LastLayerOptimum",
     "BoundConstants",
     "BoundEntry",
     "BoundReport",
+    "loss_infimum",
     "solve_last_layer_optimum",
     "r_squared_expectation",
     "gd_bound",
@@ -59,10 +60,8 @@ class LastLayerOptimum:
     head: np.ndarray | None   # (m_H + 1) x m_y stacked [W; b]; None if not attained
     loss_star: float
     r_squared: float
-    approximate: bool
-    residual: float
-    grad_norm: float = 0.0
-    steps: int = 0
+    residual: float           # of the constraints solved; inf if not attained
+    steps: int = 0            # always 0: the optimum is never iterated for
 
 
 def _anchor_matrix(anchor, rows: int, cols: int) -> np.ndarray:
@@ -74,100 +73,88 @@ def _anchor_matrix(anchor, rows: int, cols: int) -> np.ndarray:
     return a
 
 
-def _mean_entropy(y: np.ndarray) -> float:
-    """Mean row entropy of the targets, with 0 log 0 = 0: the cross-entropy
-    infimum over all predictions."""
+def loss_infimum(kind: LossKind, y) -> float:
+    """Infimum of the loss over all predictions: 0 for squared loss, and for
+    cross-entropy the mean row entropy of the targets, with 0 log 0 = 0."""
+    y = check_targets(kind, y)
+    if kind.name == "squared":
+        return 0.0
     total = (y * np.log(np.where(y > 0.0, y, 1.0))).sum()
     return float(-total / y.shape[0]) + 0.0  # + 0.0: one-hot gives 0.0, not -0.0
 
 
-def _nearest_softmax_minimizer(jac, y, anchor):
-    """Point nearest `anchor` among the w for which softmax((jac @ w) as an
-    n x m_y matrix) = Y row by row, or None if Y has a zero entry.
+def _nearest_minimizer(kind: LossKind, m, y, anchor):
+    """Point nearest `anchor` among the w that minimize the loss of the linear
+    predictions M w, or None if no point attains the infimum.
 
-    `jac` has one row per (sample, output) pair, sample-major, and full row
-    rank.  The minimizers are the w with jac w = vec(log Y) plus one constant
-    per sample.  Projecting each sample's m_y rows onto an orthonormal basis
-    of the directions orthogonal to the ones vector removes those constants
-    and leaves n (m_y - 1) independent rows, so one min-norm solve gives the
-    point.  Gradient descent from the anchor converges to the same point,
-    because its steps never move the per-sample means of the predictions.
-    A zero target makes the infimum unattained: the iterates diverge.
+    M has one row per sample ([h, 1] acting on an (m_H + 1) x m_y head) or
+    one row per (sample, output) pair, sample-major (a Jacobian acting on a
+    column w), and must have full row rank, else RankDeficientError; for
+    squared loss min_norm_solve tests that itself.  Squared loss solves
+    M w = Y.  Cross-entropy tests the rank before anything else, because only
+    with full row rank does a zero target (one-hot) imply that the infimum is
+    unattained.  Soft targets are met by the w with M w = log Y plus one
+    constant per sample; projecting each sample's m_y rows onto an orthonormal
+    basis of the directions orthogonal to the ones vector removes those
+    constants and leaves n (m_y - 1) independent rows for one min-norm solve.
+    Gradient descent from the anchor converges to the same point, because its
+    steps never move the per-sample means of the predictions.
     """
     n, m_y = y.shape
+    if kind.name == "squared":
+        return min_norm_solve(m, y.reshape(m.shape[0], -1), anchor)
+    rank = numerical_rank(m)
+    if rank < m.shape[0]:
+        raise RankDeficientError(
+            f"M has numerical rank {rank} < {m.shape[0]} rows; the nearest "
+            "cross-entropy minimizer is not determined"
+        )
     if np.any(y <= 0.0):
         return None
     if m_y == 1:  # every w predicts softmax = 1 = y
         return anchor.copy()
+    jac = np.kron(m, np.eye(m_y)) if m.shape[0] == n else m
     basis = np.linalg.svd(np.ones((1, m_y)))[2][1:]  # (m_y - 1) x m_y
     rows = np.einsum("cj,ijd->icd", basis, jac.reshape(n, m_y, -1))
     target = np.log(y) @ basis.T
-    return min_norm_solve(rows.reshape(n * (m_y - 1), -1), target.reshape(-1, 1), anchor)
+    w = min_norm_solve(rows.reshape(n * (m_y - 1), -1), target.reshape(-1, 1),
+                       anchor.reshape(-1, 1))
+    return w.reshape(anchor.shape)
 
 
-def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last,
-                             grad_tol: float = 1e-10,
-                             max_steps: int = 1_000_000) -> LastLayerOptimum:
-    """Nearest head minimizer of the frozen-feature problem and its distance.
+def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOptimum:
+    """Nearest head minimizer of the frozen-feature problem and its distance,
+    in closed form (see _nearest_minimizer).
 
-    Squared loss: exact, via the minimum-distance interpolating solve (needs
-    full row rank of [h, 1], which the solve enforces).  Cross-entropy with
-    [h, 1] of full row rank: exact and without iteration (steps = 0); soft
-    targets give the nearest head whose softmax reproduces Y, at loss* = the
-    mean entropy of Y, and a target with a zero entry gives r_squared = inf
-    and head = None, because the infimum (the mean entropy, 0 for one-hot)
-    is not attained.  Cross-entropy with rank-deficient features: gradient
-    descent at step 1/L_H from the anchor until the gradient norm drops
-    below grad_tol or max_steps, returned with approximate=True.
+    [h, 1] must have full row rank, else RankDeficientError.  Squared loss
+    interpolates Y; cross-entropy with soft targets reproduces Y through the
+    softmax, at loss* = the mean entropy of Y.  A cross-entropy target with
+    a zero entry gives r_squared = inf and head = None, because the infimum
+    (the mean entropy, 0 for one-hot) is not attained.  `residual` is that of
+    the constraints solved: ||[h, 1] Z - Y|| for squared loss, and for
+    cross-entropy ||([h, 1] Z - log Y) P|| with P = I - 11^T / m_y.
     """
     h = np.asarray(h, dtype=np.float64)
     y = check_targets(kind, y)
     a = append_ones(h)
     anchor = _anchor_matrix(anchor_last, a.shape[1], y.shape[1])
+    z = _nearest_minimizer(kind, a, y, anchor)
+    if z is None:
+        return LastLayerOptimum(head=None, loss_star=loss_infimum(kind, y),
+                                r_squared=np.inf, residual=np.inf)
+    pred = a @ z
     if kind.name == "squared":
-        z = min_norm_solve(a, y, anchor)
-        residual = float(np.linalg.norm(a @ z - y))
-        return LastLayerOptimum(
-            head=z,
-            loss_star=loss_value(kind, a @ z, y),
-            r_squared=float(((z - anchor) ** 2).sum()),
-            approximate=False,
-            residual=residual,
-        )
-    if numerical_rank(a) == a.shape[0]:
-        # row-major vec(Z) = kron(a, I) maps onto the sample-major predictions
-        z = _nearest_softmax_minimizer(np.kron(a, np.eye(y.shape[1])), y,
-                                       anchor.reshape(-1, 1))
-        if z is None:
-            return LastLayerOptimum(head=None, loss_star=_mean_entropy(y),
-                                    r_squared=np.inf, approximate=False,
-                                    residual=np.inf)
-        z = z.reshape(anchor.shape)
-        return LastLayerOptimum(
-            head=z,
-            loss_star=_mean_entropy(y),
-            r_squared=float(((z - anchor) ** 2).sum()),
-            approximate=False,
-            residual=float(np.linalg.norm(a @ z - y)),
-        )
-    l_h = compute_L_H(kind, h)
-    z = anchor.copy()
-    gnorm = np.inf
-    steps = 0
-    for steps in range(1, max_steps + 1):
-        g = a.T @ loss_grad(kind, a @ z, y)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < grad_tol:
-            break
-        z = z - g / l_h
+        loss_star = loss_value(kind, pred, y)
+        gap = pred - y
+    else:
+        loss_star = loss_infimum(kind, y)
+        gap = pred - np.log(y)
+        gap -= gap.mean(axis=1, keepdims=True)
     return LastLayerOptimum(
         head=z,
-        loss_star=loss_value(kind, a @ z, y),
+        loss_star=loss_star,
         r_squared=float(((z - anchor) ** 2).sum()),
-        approximate=True,
-        residual=float(np.linalg.norm(a @ z - y)),
-        grad_norm=gnorm,
-        steps=steps,
+        residual=float(np.linalg.norm(gap)),
     )
 
 
@@ -242,48 +229,31 @@ def lazy_bound(l_estimate: float, r_bar: float, loss_tau: float, loss_star: floa
     return np.sqrt(inner) / np.sqrt(steps - tau + 1.0)
 
 
-def estimate_R_bar(trajectory, y, kind: LossKind,
-                   grad_tol: float = 1e-10, max_steps: int = 100_000) -> float:
+def estimate_R_bar(trajectory, y, kind: LossKind) -> float:
     """Max over trajectory steps of the distance from the masked parameter
     vector to the nearest minimizer of the Jacobian-linearized problem.
 
-    `trajectory` is a sequence of (Params, J) pairs.  Squared loss solves
-    J w = vec(Y^T) nearest the masked anchor exactly and needs J full row
-    rank.  Cross-entropy with J of full row rank takes the same closed form
-    as the head optimum: exact for soft targets, and inf when a target is
-    zero (the infimum is not attained).  Only a rank-deficient J runs convex
-    gradient descent on the linearized problem from the anchor until the
-    gradient norm drops below grad_tol or max_steps.
+    `trajectory` is a sequence of (Params, J) pairs.  Since J (nu o w) = f(w),
+    the linearized predictions at w are J w, and the nearest minimizer comes
+    from the same closed form as the head optimum (see _nearest_minimizer):
+    J must have full row rank, else RankDeficientError; squared loss solves
+    J w = vec(Y^T), soft cross-entropy targets match log Y up to one constant
+    per sample, and a zero cross-entropy target gives inf (not attained).
     """
     y = check_targets(kind, y)
-    target = y.reshape(-1, 1)  # vec(Y^T): sample-major, matching Jacobian rows
     worst = 0.0
     for params, jac in trajectory:
         anchor = (nu_mask(params) * params.flat).reshape(-1, 1)
-        if kind.name == "squared":
-            omega = min_norm_solve(jac, target, anchor)
-        elif numerical_rank(jac) == jac.shape[0]:
-            omega = _nearest_softmax_minimizer(jac, y, anchor)
-            if omega is None:
-                return np.inf
-        else:
-            omega = _linearized_descent(jac, y, anchor, kind, grad_tol, max_steps)
+        omega = _nearest_minimizer(kind, jac, y, anchor)
+        if omega is None:
+            return np.inf
         worst = max(worst, float(np.linalg.norm(anchor - omega)))
     return worst
 
 
-def _linearized_descent(jac, y, anchor, kind, grad_tol, max_steps):
-    n, m_y = y.shape
-    smax = np.linalg.svd(jac, compute_uv=False)[0]
-    step = 1.0 / (kind.lipschitz / n * smax * smax)
-    omega = anchor.copy()
-    for _ in range(max_steps):
-        preds = (jac @ omega).reshape(n, m_y)
-        g = jac.T @ loss_grad(kind, preds, y).reshape(-1, 1)
-        if np.linalg.norm(g) < grad_tol:
-            break
-        omega = omega - step * g
-    return omega
+# relative slack of the violation test: a step violates its ceiling b when
+# the measured suboptimality exceeds b + SLACK_REL (1 + b)
+SLACK_REL = 1e-9
 
 
 @dataclass
@@ -299,7 +269,6 @@ class BoundConstants:
     l_estimate: float | None = None
     r_bar: float | None = None
     eta_bar: float | None = None
-    slack_rel: float = 1e-9
 
 
 @dataclass
@@ -371,7 +340,7 @@ def check_bounds(log: TrainLog, constants: BoundConstants) -> BoundReport:
     else:
         raise ValueError(f"unknown mode {constants.mode!r}")
     measured = reached - constants.loss_star
-    violated = measured > bounds + constants.slack_rel * (1.0 + bounds)
+    violated = measured > bounds + SLACK_REL * (1.0 + bounds)
     report.entries = [
         BoundEntry(t=t, bound=b, measured=m, slack=b - m, violated=v)
         for t, b, m, v in zip(steps.tolist(), bounds.tolist(), measured.tolist(),

@@ -27,6 +27,7 @@ from .bounds import (
     BoundConstants,
     check_bounds,
     estimate_R_bar,
+    loss_infimum,
     solve_last_layer_optimum,
 )
 from .data import Dataset, load_csv, save_csv, synth_gen
@@ -64,13 +65,6 @@ class ConfigError(ValueError):
 NUMERIC_ERRORS = (FeatureRankError, RankPreservationError, DecompositionError,
                   RankDeficientError, MemoryError, FloatingPointError)
 CONFIG_ERRORS = (ConfigError, ValueError, FileNotFoundError)
-
-
-# why a lazy run with a loss other than squared carries no bound
-LAZY_LOSS_NOTE = (
-    "lazy bounds are evaluated for squared loss only, where loss* = 0; the "
-    "cross-entropy loss* of the full-parameter problem is not computed"
-)
 
 
 DEFAULT_CONFIG = {
@@ -332,14 +326,11 @@ def _train_once(cfg: dict, dataset: Dataset, spec: NetworkSpec, record_sink=None
     base, two_phase = _build_train_cfgs(cfg, dataset, spec)
     kind = loss_by_name(cfg["loss"])
     params0 = init_params(spec, seed=cfg["seed"])
-    keep = cfg["bounds"] and two_phase.phase2_mode == "lazy_full" \
-        and kind.name == "squared"
     return run_two_phase(
         spec, params0, dataset, base, two_phase, kind,
         monitor_every=cfg["monitor_every"],
-        monitor_ntk=cfg["monitor_every"] > 0,
         record_sink=record_sink,
-        keep_trajectory=keep,
+        keep_trajectory=cfg["bounds"] and two_phase.phase2_mode == "lazy_full",
     )
 
 
@@ -361,43 +352,37 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
     violations = None
     bc = None
     if cfg["bounds"] and log.features_at_tau is not None:
-        if log.phase2_mode in ("last_layer_gd", "last_layer_sgd"):
-            opt = solve_last_layer_optimum(kind, log.features_at_tau, dataset.y,
-                                           log.head_at_tau)
-            attained = math.isfinite(opt.r_squared)
-            constants = {
-                "r_squared": opt.r_squared if attained else None,
-                "loss_star": opt.loss_star,
-                "certificate": ("estimated" if opt.approximate else "exact")
-                if attained else "vacuous",
-                "g_squared": log.max_sq_grad_phase2,
-            }
-            if attained:
-                bc = BoundConstants(
-                    mode=log.phase2_mode,
-                    r_squared=opt.r_squared,
-                    loss_star=opt.loss_star,
-                    l_h=log.l_h,
-                    g_squared=log.max_sq_grad_phase2,
-                    sgd_rate_scale=log.eta_schedule.get("scale"),
-                )
-        elif kind.name == "squared":
-            # lazy mode: diagnostic ceiling from the recorded trajectory
-            r_bar = estimate_R_bar([(p, j) for _, p, j in log.trajectory],
-                                   dataset.y, kind)
+        if log.phase2_mode == "lazy_full":
+            # diagnostic ceiling from the recorded trajectory: L is an estimate
             bc = BoundConstants(
                 mode="lazy_full",
-                loss_star=0.0,
+                loss_star=loss_infimum(kind, dataset.y),
                 l_estimate=log.eta_schedule["lipschitz"],
-                r_bar=r_bar,
+                r_bar=estimate_R_bar([(p, j) for _, p, j in log.trajectory],
+                                     dataset.y, kind),
                 eta_bar=log.eta_schedule["eta_bar"],
             )
-            constants = {"r_bar": r_bar,
-                         "l_estimate": log.eta_schedule["lipschitz"],
-                         "certificate": "estimated",
-                         "diagnostic": True}
+            name, value, certificate = "r_bar", bc.r_bar, "estimated"
+            constants = {"l_estimate": bc.l_estimate, "diagnostic": True}
         else:
-            constants = {"certificate": "not evaluated", "note": LAZY_LOSS_NOTE}
+            opt = solve_last_layer_optimum(kind, log.features_at_tau, dataset.y,
+                                           log.head_at_tau)
+            bc = BoundConstants(
+                mode=log.phase2_mode,
+                r_squared=opt.r_squared,
+                loss_star=opt.loss_star,
+                l_h=log.l_h,
+                g_squared=log.max_sq_grad_phase2,
+                sgd_rate_scale=log.eta_schedule.get("scale"),
+            )
+            name, value, certificate = "r_squared", bc.r_squared, "exact"
+            constants = {"g_squared": log.max_sq_grad_phase2}
+        attained = math.isfinite(value)
+        constants.update({name: value if attained else None,
+                          "loss_star": bc.loss_star,
+                          "certificate": certificate if attained else "vacuous"})
+        if not attained:
+            bc = None
     if bc is not None:
         breport = check_bounds(log, bc)
         for rec, e in zip(log.phase2_records(), breport.entries):

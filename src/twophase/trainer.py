@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 PHASE2_MODES = ("last_layer_gd", "last_layer_sgd", "lazy_full")
+LAZY_MAX_RETRIES = 10  # rate halvings a lazy step may take before it fails
 
 
 class FeatureRankError(RuntimeError):
@@ -108,7 +109,6 @@ class TwoPhaseConfig:
     sgd_sampling: str = "with_replacement"
     lazy_eta_bar: float = 0.5
     lazy_lipschitz: float | None = None
-    lazy_max_retries: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -286,13 +286,16 @@ def run_two_phase(
     cfg: TwoPhaseConfig,
     kind: LossKind,
     monitor_every: int = 0,
-    monitor_ntk: bool = False,
     record_sink=None,
     keep_trajectory: bool = False,
 ):
     """Run both phases end to end; returns (final Params, TrainLog).
 
-    Emits exactly cfg.total_steps records (one per update).  Raises
+    Emits exactly cfg.total_steps records (one per update); every
+    `monitor_every` steps of a phase (0: never) a record also carries the
+    feature rank and the kernel rank, and with keep_trajectory the log keeps
+    that step's Params and Jacobian (lazy mode also keeps the one at tau).
+    Raises
     FeatureRankError if the post-perturbation feature matrix is not full
     row rank, RankPreservationError if lazy-phase rate halving cannot
     restore the kernel rank within the retry cap, and FloatingPointError
@@ -354,8 +357,7 @@ def run_two_phase(
         if monitored(t):
             rec.feature_rank = numerical_rank(
                 append_ones(forward_hidden(spec, params, x).hidden))
-            if monitor_ntk:
-                rec.ntk_rank = compute_ntk(compute_jacobian(spec, params, x), step=t).rank
+            rec.ntk_rank = compute_ntk(compute_jacobian(spec, params, x), step=t).rank
         emit(rec)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -419,13 +421,11 @@ def run_two_phase(
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):
                 rec.feature_rank = feat_rank
-                if monitor_ntk:
-                    params.set_head_block(z)
-                    jac = compute_jacobian(spec, params, x, frozen)
-                    snap = compute_ntk(jac, step=t)
-                    rec.ntk_rank = snap.rank
-                    if keep_trajectory:
-                        log.trajectory.append((t, params.copy(), jac))
+                params.set_head_block(z)
+                jac = compute_jacobian(spec, params, x, frozen)
+                rec.ntk_rank = compute_ntk(jac, step=t).rank
+                if keep_trajectory:
+                    log.trajectory.append((t, params.copy(), jac))
             emit(rec)
         params.set_head_block(z)
     else:
@@ -448,7 +448,7 @@ def run_two_phase(
             gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
             accepted = False
             event = None
-            for attempt in range(cfg.lazy_max_retries + 1):
+            for attempt in range(LAZY_MAX_RETRIES + 1):
                 np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
                 jac = _finite(compute_jacobian(spec, cand, x, frozen), "Jacobian", t, 2)
                 snap = compute_ntk(jac, step=t)
@@ -461,7 +461,7 @@ def run_two_phase(
             if not accepted:
                 raise RankPreservationError(
                     f"step {t}: kernel rank stayed below {reference.rank} "
-                    f"after {cfg.lazy_max_retries} rate halvings"
+                    f"after {LAZY_MAX_RETRIES} rate halvings"
                 )
             params, cand = cand, params
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)

@@ -73,7 +73,7 @@ def test_criterion_1_head_gd_rate_exactness():
                                                log.head_at_tau)
                 rep_b = check_bounds(log, BoundConstants(
                     mode="last_layer_gd", r_squared=opt.r_squared,
-                    loss_star=opt.loss_star, l_h=log.l_h, slack_rel=1e-9))
+                    loss_star=opt.loss_star, l_h=log.l_h))
                 violations += rep_b.violations
                 losses = [log.loss_at_tau] + [r.loss for r in log.phase2_records()]
                 monotone &= all(b <= a + 1e-12 * (1 + abs(a))
@@ -200,7 +200,7 @@ def test_criterion_6_ntk_structure():
         cfg = TwoPhaseConfig(tau=20, total_steps=170, phase2_mode="last_layer_gd",
                              seed=seed)
         _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED,
-                               monitor_every=25, monitor_ntk=True, keep_trajectory=True)
+                               monitor_every=25, keep_trajectory=True)
         p_tau = params_from_flat(spec, log.params_at_tau_flat)
         ref = compute_ntk(compute_jacobian(spec, p_tau, ds.x, log.frozen_stats), step=20)
         full_rank_ok &= ref.rank == n * m_y

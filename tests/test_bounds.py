@@ -1,9 +1,10 @@
 """Optimum solves, the three rate-bound formulas, and report assembly."""
 
+import sys
+
 import numpy as np
 import pytest
 
-import twophase.bounds as bounds
 from twophase.bounds import (
     BoundConstants,
     check_bounds,
@@ -16,7 +17,7 @@ from twophase.bounds import (
     solve_last_layer_optimum,
 )
 from twophase.data import synth_gen
-from twophase.linalg import min_norm_solve
+from twophase.linalg import RankDeficientError, min_norm_solve
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad, loss_value
 from twophase.network import NetworkSpec, init_params
 from twophase.ntk import compute_jacobian
@@ -29,7 +30,7 @@ class TestLastLayerOptimum:
         y = rng.standard_normal((5, 2))
         opt = solve_last_layer_optimum(SQUARED, h, y, np.zeros((5, 2)))
         assert opt.loss_star <= 1e-20
-        assert not opt.approximate
+        assert opt.residual <= 1e-10 * (1 + np.linalg.norm(y))
 
     def test_optimal_anchor_gives_zero_distance(self, rng):
         h = rng.standard_normal((4, 6))
@@ -77,21 +78,25 @@ class TestLastLayerOptimum:
         h = rng.standard_normal((n, m_h))
         y = np.abs(rng.standard_normal((n, m_y))) + 0.2
         y /= y.sum(axis=1, keepdims=True)
-        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)),
-                                       grad_tol=1e-10, max_steps=200_000)
-        assert not opt.approximate and opt.steps == 0
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)))
+        assert opt.steps == 0
         entropy = float(-(y * np.log(y)).sum() / n)
         assert opt.loss_star == pytest.approx(entropy, abs=1e-6)
-        assert opt.grad_norm <= 1e-9
+        aug = np.hstack([h, np.ones((n, 1))])
+        grad = aug.T @ loss_grad(CROSS_ENTROPY, aug @ opt.head, y)
+        assert np.linalg.norm(grad) <= 1e-9
 
 
 def _count_loss_grad(monkeypatch):
+    # count calls through every twophase module that binds loss_grad
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return loss_grad(*args, **kwargs)
-    monkeypatch.setattr(bounds, "loss_grad", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twophase") and getattr(module, "loss_grad", None) is loss_grad:
+            monkeypatch.setattr(module, "loss_grad", counting)
     return calls
 
 
@@ -125,11 +130,10 @@ class TestCrossEntropyOptimum:
         y = np.eye(m_y)[rng.integers(0, m_y, n)]
         calls = _count_loss_grad(monkeypatch)
         opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y,
-                                       rng.standard_normal((m_h + 1, m_y)),
-                                       max_steps=1000)
-        assert opt.r_squared == np.inf
+                                       rng.standard_normal((m_h + 1, m_y)))
+        assert opt.r_squared == np.inf and opt.residual == np.inf
         assert opt.loss_star == 0.0 and not np.signbit(opt.loss_star)
-        assert opt.steps == 0 and not opt.approximate and opt.head is None
+        assert opt.steps == 0 and opt.head is None
         assert not calls
 
     @pytest.mark.parametrize("n,m_h,m_y", [(3, 6, 2), (4, 9, 3), (5, 11, 4),
@@ -141,7 +145,7 @@ class TestCrossEntropyOptimum:
         want = _descent_reference(h, y, anchor)
         calls = _count_loss_grad(monkeypatch)
         opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, anchor)
-        assert not calls and opt.steps == 0 and not opt.approximate
+        assert not calls and opt.steps == 0
         assert np.linalg.norm(opt.head - want) <= 1e-7 * np.linalg.norm(want)
         assert opt.r_squared == pytest.approx(float(((want - anchor) ** 2).sum()),
                                               rel=1e-7)
@@ -164,16 +168,30 @@ class TestCrossEntropyOptimum:
             solve_last_layer_optimum(CROSS_ENTROPY, rng.standard_normal((3, 5)),
                                      np.full((3, 2), 0.7), np.zeros((6, 2)))
 
-    def test_rank_deficient_features_take_descent(self, rng):
-        # n > m_H + 1: [h, 1] cannot have full row rank
+    @pytest.mark.parametrize("targets", ["soft", "one_hot"])
+    def test_rank_deficient_features_raise(self, rng, monkeypatch, targets):
+        # n > m_H + 1: [h, 1] cannot have full row rank, and without it a zero
+        # target does not imply that the infimum is unattained
         n, m_h, m_y = 9, 4, 3
         h = rng.standard_normal((n, m_h))
+        y = _soft_targets(rng, n, m_y) if targets == "soft" else \
+            np.eye(m_y)[rng.integers(0, m_y, n)]
+        calls = _count_loss_grad(monkeypatch)
+        with pytest.raises(RankDeficientError, match="rank 5 < 9"):
+            solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)))
+        assert not calls
+
+    def test_residual_is_of_the_solved_constraints(self, rng):
+        # logits match log Y up to one free constant per sample: the residual
+        # projected onto the directions orthogonal to the ones vector vanishes
+        n, m_h, m_y = 5, 9, 3
+        h = rng.standard_normal((n, m_h))
         y = _soft_targets(rng, n, m_y)
-        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)),
-                                       grad_tol=1e-10, max_steps=200_000)
-        assert opt.approximate
-        assert 0 < opt.steps < 200_000
-        assert opt.grad_norm <= 1e-10
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y,
+                                       rng.standard_normal((m_h + 1, m_y)))
+        gap = np.hstack([h, np.ones((n, 1))]) @ opt.head - np.log(y)
+        assert np.abs(gap).max() > 1e-3  # the per-sample constants are free
+        assert opt.residual <= 1e-10
 
 
 class TestBoundFormulas:
@@ -307,7 +325,7 @@ class TestEstimateRBar:
         jac = compute_jacobian(spec, params, ds.x)
         y = np.abs(ds.y) + 0.5
         y /= y.sum(axis=1, keepdims=True)
-        got = estimate_R_bar([(params, jac)], y, CROSS_ENTROPY, max_steps=20_000)
+        got = estimate_R_bar([(params, jac)], y, CROSS_ENTROPY)
         n, m_y = y.shape
         anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
         pinv = np.linalg.pinv(jac)
@@ -323,7 +341,21 @@ class TestEstimateRBar:
         jac = compute_jacobian(spec, params, ds.x)
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
-        assert estimate_R_bar([(params, jac)], y, CROSS_ENTROPY, max_steps=1000) == np.inf
+        assert estimate_R_bar([(params, jac)], y, CROSS_ENTROPY) == np.inf
+        assert not calls
+
+    @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY], ids=lambda k: k.name)
+    def test_rank_deficient_jacobian_raises(self, monkeypatch, kind):
+        # a repeated sample repeats its Jacobian rows; with a zero target the
+        # infimum may still be attained, so the rank test comes first
+        ds, spec, params = _interpolating_setup(seed=3)
+        x = ds.x.copy()
+        x[3] = x[0]
+        jac = compute_jacobian(spec, params, x)
+        y = np.eye(2)[[0, 1, 1, 0]]
+        calls = _count_loss_grad(monkeypatch)
+        with pytest.raises(RankDeficientError, match="rank 6 < 8"):
+            estimate_R_bar([(params, jac)], y, kind)
         assert not calls
 
 

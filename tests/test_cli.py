@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import twophase.cli as cli
-from twophase.data import load_csv
+from twophase.data import load_csv, save_csv, synth_gen
 from twophase.trainer import FeatureRankError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -210,25 +210,56 @@ class TestTrain:
         assert "bound violations" not in stdout
         assert "bound vacuous (optimum not attained)" in stdout
 
-    def test_lazy_cross_entropy_bounds_say_why_not_evaluated(self, tmp_path, monkeypatch):
-        logs = []
-        real = cli.run_two_phase
+    @pytest.mark.parametrize("mode,certificate", [("last_layer_gd", "exact"),
+                                                  ("last_layer_sgd", "exact"),
+                                                  ("lazy_full", "estimated")])
+    def test_soft_target_cross_entropy_certificate(self, tmp_path, mode, certificate):
+        # label-smoothed targets: the cross-entropy infimum is attained, in
+        # the head problem and in the linearized full-parameter problem
+        ds = synth_gen(12, 4, 3, 0.03, "one_hot", seed=0)
+        ds.y = 0.8 * ds.y + 0.2 / 3
+        save_csv(ds, tmp_path / "soft.csv")
+        path = write_config(tmp_path, **small_train_sections(
+            loss="cross_entropy", bounds=True, monitor_every=5,
+            data={"source": "csv", "path": str(tmp_path / "soft.csv"), "m_y": 3,
+                  "kind": "one_hot"},
+            two_phase={"phase2_mode": mode}))
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        constants = summary["constants"]
+        assert constants["certificate"] == certificate
+        entropy = float(-(ds.y * np.log(ds.y)).sum() / ds.n)
+        assert constants["loss_star"] == pytest.approx(entropy, rel=1e-12)
+        if certificate == "exact":
+            assert summary["violations"] == 0
+            assert 0.0 < constants["r_squared"] < np.inf
+        else:
+            assert summary["violations"] is None
+            assert 0.0 < constants["r_bar"] < np.inf
+        records = [json.loads(line) for line in (out / "run.log.jsonl").read_text().splitlines()]
+        phase2 = [r for r in records if r["phase"] == 2]
+        assert len(phase2) == 20 and all(r["bound"] is not None for r in phase2)
 
-        def spy(*args, **kwargs):
-            params, log = real(*args, **kwargs)
-            logs.append(log)
-            return params, log
-        monkeypatch.setattr(cli, "run_two_phase", spy)
+    def test_lazy_one_hot_cross_entropy_bound_is_vacuous(self, tmp_path, capsys):
         path = write_config(tmp_path, **small_train_sections(
             loss="cross_entropy", bounds=True, monitor_every=5, data={"kind": "one_hot"},
             two_phase={"phase2_mode": "lazy_full"}))
         out = tmp_path / "t"
         assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["constants"] == {"certificate": "not evaluated",
-                                        "note": cli.LAZY_LOSS_NOTE}
+        assert summary["constants"]["certificate"] == "vacuous"
+        assert summary["constants"]["r_bar"] is None
+        assert summary["constants"]["loss_star"] == 0.0
         assert summary["violations"] is None
-        assert logs[0].trajectory == []  # nothing kept for a bound never evaluated
+        records = [json.loads(line) for line in (out / "run.log.jsonl").read_text().splitlines()]
+        phase2 = [r for r in records if r["phase"] == 2]
+        assert phase2 and all(r["bound"] is None and r["suboptimality"] is None
+                              for r in phase2)
+        for name in ("run.log.jsonl", "summary.json"):
+            text = (out / name).read_text()
+            assert "Infinity" not in text and "NaN" not in text
+        assert "bound vacuous (optimum not attained)" in capsys.readouterr().out
 
     def test_base_versus_two_phase_protocol(self, tmp_path):
         # same seed and data, pure-base split versus the default split

@@ -11,6 +11,7 @@ from twophase.network import (
     backprop,
     batch_statistics,
     forward_hidden,
+    forward_output,
     params_zero,
     random_params,
 )
@@ -19,6 +20,7 @@ from twophase.ntk import (
     compute_jacobian,
     compute_ntk,
 )
+from twophase.trainer import nu_mask
 
 
 class TestComputeNtk:
@@ -140,6 +142,18 @@ class TestComputeJacobian:
                 upstream[r] = 1.0
                 ref[r] = backprop(spec, p, x, upstream.reshape(n, m_y), trace=trace)
             assert max_rel_err(compute_jacobian(spec, p, x, frozen), ref) < 1e-12
+
+    @pytest.mark.parametrize("bn", [False, True], ids=["no_bn", "frozen_bn"])
+    def test_masked_parameters_reproduce_predictions(self, bn):
+        # J (nu o w) = f(w): the head columns of J are [h, 1] (x) I, so the
+        # linearized problem that R-bar measures predicts f at nu o w
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            spec, p, x = random_small_config(rng, allow_bn=bn)
+            frozen = batch_statistics(forward_hidden(spec, p, x)) if bn else None
+            jac = compute_jacobian(spec, p, x, frozen)
+            f = forward_output(spec, p, x, frozen)
+            assert max_rel_err(jac @ (nu_mask(p) * p.flat), f.reshape(-1)) < 1e-14
 
     @pytest.mark.parametrize("bn, frozen, passes", [
         (False, False, 0), (False, True, 0), (True, True, 0), (True, False, 8),
