@@ -9,7 +9,7 @@ The package splits into small numpy modules:
 * expressivity  -- distinguishability, feature-rank checks, witness weights
 * ntk           -- tangent-kernel assembly and rank preservation
 * trainer       -- the two-phase algorithm itself
-* bounds        -- rate-bound evaluation along recorded runs
+* bounds        -- rate bounds and the distance constants they need
 * cli           -- verify / train / sweep / gen-data commands
 """
 

@@ -14,17 +14,19 @@ check_bounds calls its mode's function once over all phase-2 steps and only
 compares the ceilings with the measured suboptimality.
 
 R^2 is the squared distance from the post-perturbation head to the nearest
-head minimizer of the frozen-feature problem; Rbar does the same per step
-against the Jacobian-linearized problem.  Both are one closed-form solve on
-a linear map ([h, 1] for the head, the Jacobian J for Rbar, because
-J (nu o w) = f(w)), and both need that map to have full row rank, else
-RankDeficientError: squared loss interpolates Y, and cross-entropy matches
-log Y up to one constant per sample, which is exact for soft targets.  A
-cross-entropy target with a zero entry (one-hot) has an infimum, the mean
-entropy, that no finite point attains, so the distance is inf and a bound
-built on it is vacuous.  Nothing here iterates.  The lazy bound uses an
-empirical Lipschitz estimate, which is a lower bound on the true constant,
-so reports built from it are diagnostics rather than certificates.
+head minimizer of the frozen-feature problem, one closed-form solve on [h, 1],
+which must have full row rank, else RankDeficientError.  Rbar is the max over
+tau and every phase-2 step of the distance from nu o w_t to the nearest
+minimizer of the Jacobian-linearized problem; because J (nu o w) = f(w), that
+distance comes from the step's kernel K = J J^T and predictions alone, so the
+trainer keeps Rbar as a running max and no Jacobian is stored.  Squared loss
+interpolates Y, and cross-entropy matches log Y up to one constant per
+sample, which is exact for soft targets.  A cross-entropy target with a zero
+entry (one-hot) has an infimum, the mean entropy, that no finite point
+attains, so the distance is inf and a bound built on it is vacuous.  Nothing
+here iterates.  The lazy bound uses an empirical Lipschitz estimate, which is
+a lower bound on the true constant, so reports built from it are diagnostics
+rather than certificates.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ import numpy as np
 
 from .linalg import RankDeficientError, append_ones, min_norm_solve, numerical_rank
 from .losses import LossKind, check_targets, loss_value
-from .network import forward_hidden
-from .trainer import TrainLog, nu_mask, perturb
 
 __all__ = [
     "LastLayerOptimum",
@@ -45,7 +45,6 @@ __all__ = [
     "BoundReport",
     "loss_infimum",
     "solve_last_layer_optimum",
-    "r_squared_expectation",
     "gd_bound",
     "sgd_bound",
     "inv_sqrt_schedule",
@@ -64,15 +63,6 @@ class LastLayerOptimum:
     steps: int = 0            # always 0: the optimum is never iterated for
 
 
-def _anchor_matrix(anchor, rows: int, cols: int) -> np.ndarray:
-    a = np.asarray(anchor, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(rows, cols, order="F")
-    if a.shape != (rows, cols):
-        raise ValueError(f"anchor has shape {a.shape}, expected {(rows, cols)}")
-    return a
-
-
 def loss_infimum(kind: LossKind, y) -> float:
     """Infimum of the loss over all predictions: 0 for squared loss, and for
     cross-entropy the mean row entropy of the targets, with 0 log 0 = 0."""
@@ -83,72 +73,58 @@ def loss_infimum(kind: LossKind, y) -> float:
     return float(-total / y.shape[0]) + 0.0  # + 0.0: one-hot gives 0.0, not -0.0
 
 
-def _nearest_minimizer(kind: LossKind, m, y, anchor):
-    """Point nearest `anchor` among the w that minimize the loss of the linear
-    predictions M w, or None if no point attains the infimum.
-
-    M has one row per sample ([h, 1] acting on an (m_H + 1) x m_y head) or
-    one row per (sample, output) pair, sample-major (a Jacobian acting on a
-    column w), and must have full row rank, else RankDeficientError; for
-    squared loss min_norm_solve tests that itself.  Squared loss solves
-    M w = Y.  Cross-entropy tests the rank before anything else, because only
-    with full row rank does a zero target (one-hot) imply that the infimum is
-    unattained.  Soft targets are met by the w with M w = log Y plus one
-    constant per sample; projecting each sample's m_y rows onto an orthonormal
-    basis of the directions orthogonal to the ones vector removes those
-    constants and leaves n (m_y - 1) independent rows for one min-norm solve.
-    Gradient descent from the anchor converges to the same point, because its
-    steps never move the per-sample means of the predictions.
-    """
-    n, m_y = y.shape
-    if kind.name == "squared":
-        return min_norm_solve(m, y.reshape(m.shape[0], -1), anchor)
-    rank = numerical_rank(m)
-    if rank < m.shape[0]:
-        raise RankDeficientError(
-            f"M has numerical rank {rank} < {m.shape[0]} rows; the nearest "
-            "cross-entropy minimizer is not determined"
-        )
-    if np.any(y <= 0.0):
-        return None
-    if m_y == 1:  # every w predicts softmax = 1 = y
-        return anchor.copy()
-    jac = np.kron(m, np.eye(m_y)) if m.shape[0] == n else m
-    basis = np.linalg.svd(np.ones((1, m_y)))[2][1:]  # (m_y - 1) x m_y
-    rows = np.einsum("cj,ijd->icd", basis, jac.reshape(n, m_y, -1))
-    target = np.log(y) @ basis.T
-    w = min_norm_solve(rows.reshape(n * (m_y - 1), -1), target.reshape(-1, 1),
-                       anchor.reshape(-1, 1))
-    return w.reshape(anchor.shape)
-
-
 def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOptimum:
     """Nearest head minimizer of the frozen-feature problem and its distance,
-    in closed form (see _nearest_minimizer).
+    in closed form.
 
-    [h, 1] must have full row rank, else RankDeficientError.  Squared loss
-    interpolates Y; cross-entropy with soft targets reproduces Y through the
-    softmax, at loss* = the mean entropy of Y.  A cross-entropy target with
-    a zero entry gives r_squared = inf and head = None, because the infimum
-    (the mean entropy, 0 for one-hot) is not attained.  `residual` is that of
-    the constraints solved: ||[h, 1] Z - Y|| for squared loss, and for
-    cross-entropy ||([h, 1] Z - log Y) P|| with P = I - 11^T / m_y.
+    [h, 1] must have full row rank, else RankDeficientError; for squared loss
+    min_norm_solve tests that itself, and cross-entropy tests it first,
+    because only with full row rank does a zero target imply that the
+    infimum is unattained.  Squared loss interpolates Y: [h, 1] Z = Y.
+    Cross-entropy with soft targets reproduces Y through the softmax, at
+    loss* = the mean entropy of Y, for the Z with [h, 1] Z = log Y plus one
+    constant per sample; projecting each sample's outputs onto an orthonormal
+    basis B of the directions orthogonal to the ones vector removes those
+    constants and leaves n (m_y - 1) independent rows for one min-norm solve.
+    Gradient descent from the anchor converges to the same head, because its
+    steps never move the per-sample means of the predictions.  A
+    cross-entropy target with a zero entry gives r_squared = inf and
+    head = None, because the infimum (the mean entropy, 0 for one-hot) is not
+    attained.  `residual` is that of the constraints solved: ||[h, 1] Z - Y||
+    for squared loss, and for cross-entropy ||([h, 1] Z - log Y) P|| with
+    P = I - 11^T / m_y.
     """
     h = np.asarray(h, dtype=np.float64)
     y = check_targets(kind, y)
     a = append_ones(h)
-    anchor = _anchor_matrix(anchor_last, a.shape[1], y.shape[1])
-    z = _nearest_minimizer(kind, a, y, anchor)
-    if z is None:
-        return LastLayerOptimum(head=None, loss_star=loss_infimum(kind, y),
-                                r_squared=np.inf, residual=np.inf)
-    pred = a @ z
+    n, m_y = y.shape
+    anchor = np.asarray(anchor_last, dtype=np.float64)
+    if anchor.ndim == 1:  # the flat head, column-major [W; b]
+        anchor = anchor.reshape(a.shape[1], m_y, order="F")
+    if anchor.shape != (a.shape[1], m_y):
+        raise ValueError(f"anchor has shape {anchor.shape}, expected {(a.shape[1], m_y)}")
     if kind.name == "squared":
-        loss_star = loss_value(kind, pred, y)
-        gap = pred - y
+        z = min_norm_solve(a, y, anchor)
+        pred = a @ z
+        loss_star, gap = loss_value(kind, pred, y), pred - y
     else:
+        rank = numerical_rank(a)
+        if rank < n:
+            raise RankDeficientError(
+                f"M has numerical rank {rank} < {n} rows; the nearest "
+                "cross-entropy minimizer is not determined"
+            )
         loss_star = loss_infimum(kind, y)
-        gap = pred - np.log(y)
+        if np.any(y <= 0.0):
+            return LastLayerOptimum(head=None, loss_star=loss_star,
+                                    r_squared=np.inf, residual=np.inf)
+        if m_y == 1:  # every head predicts softmax = 1 = y
+            z = anchor.copy()
+        else:
+            basis = np.linalg.svd(np.ones((1, m_y)))[2][1:]  # B, (m_y - 1) x m_y
+            z = min_norm_solve(np.kron(a, basis), (np.log(y) @ basis.T).reshape(-1, 1),
+                               anchor.reshape(-1, 1)).reshape(anchor.shape)
+        gap = a @ z - np.log(y)
         gap -= gap.mean(axis=1, keepdims=True)
     return LastLayerOptimum(
         head=z,
@@ -156,25 +132,6 @@ def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOpti
         r_squared=float(((z - anchor) ** 2).sum()),
         residual=float(np.linalg.norm(gap)),
     )
-
-
-def r_squared_expectation(spec, params_at_tau, sigma, x, y, kind: LossKind,
-                          draws: int = 16, seed: int = 0):
-    """Monte-Carlo average of R^2 over fresh hidden-layer perturbations.
-
-    The head anchor does not depend on the noise, but the feature matrix
-    (and with it the minimizer set) does; this averages the per-draw
-    distances.  Returns (mean, per-draw array).
-    """
-    anchor = params_at_tau.head_block()
-    children = np.random.SeedSequence(seed).spawn(draws)
-    values = np.empty(draws)
-    for i, child in enumerate(children):
-        p = perturb(params_at_tau, sigma, child)
-        h = forward_hidden(spec, p, x).hidden
-        opt = solve_last_layer_optimum(kind, h, y, anchor)
-        values[i] = opt.r_squared
-    return float(values.mean()), values
 
 
 def gd_bound(r_squared: float, l_h: float, t, tau: int):
@@ -229,26 +186,45 @@ def lazy_bound(l_estimate: float, r_bar: float, loss_tau: float, loss_star: floa
     return np.sqrt(inner) / np.sqrt(steps - tau + 1.0)
 
 
-def estimate_R_bar(trajectory, y, kind: LossKind) -> float:
-    """Max over trajectory steps of the distance from the masked parameter
-    vector to the nearest minimizer of the Jacobian-linearized problem.
+def estimate_R_bar(kernel, predictions, y, kind: LossKind) -> float:
+    """Distance at one step from nu o w to the nearest minimizer of the
+    Jacobian-linearized problem, from that step's kernel K = J J^T (rows
+    sample-major) and its predictions f(w); Rbar is the max of this over tau
+    and every phase-2 step, which run_two_phase keeps as it goes.
 
-    `trajectory` is a sequence of (Params, J) pairs.  Since J (nu o w) = f(w),
-    the linearized predictions at w are J w, and the nearest minimizer comes
-    from the same closed form as the head optimum (see _nearest_minimizer):
-    J must have full row rank, else RankDeficientError; squared loss solves
-    J w = vec(Y^T), soft cross-entropy targets match log Y up to one constant
-    per sample, and a zero cross-entropy target gives inf (not attained).
+    Since J (nu o w) = f(w), the nearest minimizer lies J^+ r away, r the
+    residual of the constraints at nu o w, and ||J^+ r||^2 = r^T K^{-1} r is
+    one solve of K.  K must have full rank n m_y at the threshold of
+    ntk.compute_ntk (eigenvalues above rows * eps * the largest), else
+    RankDeficientError.  Squared loss has r = vec(Y - f).  Soft cross-entropy
+    targets are met up to one constant per sample, so each sample's outputs
+    are projected by B as in solve_last_layer_optimum: r = B vec(log Y - f),
+    solved against B K B^T.  A zero cross-entropy target gives inf (not
+    attained), and a single output gives 0.
     """
     y = check_targets(kind, y)
-    worst = 0.0
-    for params, jac in trajectory:
-        anchor = (nu_mask(params) * params.flat).reshape(-1, 1)
-        omega = _nearest_minimizer(kind, jac, y, anchor)
-        if omega is None:
-            return np.inf
-        worst = max(worst, float(np.linalg.norm(anchor - omega)))
-    return worst
+    n, m_y = y.shape
+    rows = n * m_y
+    k = np.asarray(kernel, dtype=np.float64)
+    spectrum = np.linalg.eigvalsh(k)
+    rank = int(np.count_nonzero(spectrum > rows * np.finfo(np.float64).eps * spectrum[-1]))
+    if rank < rows:
+        raise RankDeficientError(
+            f"kernel has numerical rank {rank} < {rows} rows; the nearest "
+            "linearized minimizer is not determined"
+        )
+    if kind.name == "squared":
+        resid = (y - predictions).reshape(-1)
+    elif np.any(y <= 0.0):
+        return np.inf
+    elif m_y == 1:  # every w predicts softmax = 1 = y
+        return 0.0
+    else:
+        basis = np.linalg.svd(np.ones((1, m_y)))[2][1:]
+        resid = ((np.log(y) - predictions) @ basis.T).reshape(-1)
+        k = np.einsum("ck,ikjl,dl->icjd", basis, k.reshape(n, m_y, n, m_y), basis)
+        k = k.reshape(resid.size, resid.size)
+    return float(np.sqrt(max(resid @ np.linalg.solve(k, resid), 0.0)))
 
 
 # relative slack of the violation test: a step violates its ceiling b when
@@ -294,8 +270,9 @@ class BoundReport:
         raise KeyError(f"no bound entry at t={t}")
 
 
-def check_bounds(log: TrainLog, constants: BoundConstants) -> BoundReport:
-    """Evaluate the mode's bound against measured suboptimality per step.
+def check_bounds(log, constants: BoundConstants) -> BoundReport:
+    """Evaluate the mode's bound against the measured suboptimality of each
+    phase-2 step of `log`, a trainer.TrainLog.
 
     One call of the mode's closed form (gd_bound, sgd_bound or lazy_bound)
     gives the ceilings at every phase-2 step; nothing here re-derives them.

@@ -26,7 +26,6 @@ import numpy as np
 from .bounds import (
     BoundConstants,
     check_bounds,
-    estimate_R_bar,
     loss_infimum,
     solve_last_layer_optimum,
 )
@@ -330,7 +329,6 @@ def _train_once(cfg: dict, dataset: Dataset, spec: NetworkSpec, record_sink=None
         spec, params0, dataset, base, two_phase, kind,
         monitor_every=cfg["monitor_every"],
         record_sink=record_sink,
-        keep_trajectory=cfg["bounds"] and two_phase.phase2_mode == "lazy_full",
     )
 
 
@@ -353,13 +351,17 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
     bc = None
     if cfg["bounds"] and log.features_at_tau is not None:
         if log.phase2_mode == "lazy_full":
-            # diagnostic ceiling from the recorded trajectory: L is an estimate
+            # diagnostic ceiling from the trainer's Rbar: L is an estimate
+            if log.r_bar is None:
+                rank = min([log.ntk_rank_at_tau] + [r.ntk_rank for r in log.phase2_records()])
+                rows = dataset.n * dataset.output_dim
+                raise RankDeficientError(f"lazy-phase kernel has numerical rank {rank} < "
+                                         f"{rows} rows; Rbar is undefined")
             bc = BoundConstants(
                 mode="lazy_full",
                 loss_star=loss_infimum(kind, dataset.y),
                 l_estimate=log.eta_schedule["lipschitz"],
-                r_bar=estimate_R_bar([(p, j) for _, p, j in log.trajectory],
-                                     dataset.y, kind),
+                r_bar=log.r_bar,
                 eta_bar=log.eta_schedule["eta_bar"],
             )
             name, value, certificate = "r_bar", bc.r_bar, "estimated"

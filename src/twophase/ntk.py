@@ -12,7 +12,8 @@ statistics, so there J takes one backward pass per row.  The kernel
 K = J J^T is symmetric positive semidefinite and shares its rank with J;
 training phases that must not lose kernel rank compare each step against the
 snapshot taken right after perturbation, reusing the reference snapshot's
-threshold so the comparison cannot flap.
+threshold so the comparison cannot flap.  As J (nu o w) = f(w), the same K
+gives Rbar (bounds.estimate_R_bar), so no Jacobian is kept.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def compute_jacobian(
     x,
     frozen_stats=None,
     max_entries: int = DEFAULT_MAX_JACOBIAN_ENTRIES,
+    trace=None,
 ) -> np.ndarray:
     """Full output Jacobian, shape (n * m_y) x d.
 
@@ -67,9 +69,11 @@ def compute_jacobian(
     are dz * z_hat and dz.  Each block is written straight into J as
     D_l (x) [h_{l-1}, 1].  Training-mode BN runs one backward pass per row
     over a shared forward trace, which differentiates the batch statistics
-    exactly.  Raises MemoryError when J would exceed `max_entries`.
+    exactly.  A given `trace` of `params` on `x` replaces the forward pass.
+    Raises MemoryError when J would exceed `max_entries`.
     """
-    trace = forward_hidden(spec, params, x, frozen_stats)
+    if trace is None:
+        trace = forward_hidden(spec, params, x, frozen_stats)
     n, m_y = trace.inputs.shape[0], spec.output_dim
     d = spec.param_count()
     rows = n * m_y

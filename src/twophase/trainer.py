@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import estimate_R_bar
 from .linalg import append_ones, numerical_rank
 from .losses import LossKind, loss_grad, loss_value
 from .network import (
@@ -169,7 +170,8 @@ class TrainLog:
     loss_at_t_star: float | None = None
     final_loss: float = 0.0
     rank_events: list = field(default_factory=list)
-    trajectory: list = field(default_factory=list)
+    ntk_rank_at_tau: int | None = None
+    r_bar: float | None = None
 
     def phase2_records(self) -> list:
         return [r for r in self.records if r.phase == 2]
@@ -236,13 +238,16 @@ def _finite(value, what: str, t, phase):
 
 
 def _loss_and_gradient(spec, params, x, y, kind, frozen_stats=None,
-                       t=None, phase=None, gradient=True):
+                       t=None, phase=None, gradient=True, trace=None):
     """Full-batch loss at `params` and (unless gradient=False) its gradient
-    over the flat layout, from one forward pass.  Predictions and loss are
-    checked finite; t and phase only label the error."""
-    trace = forward_hidden(spec, params, x, frozen_stats)
+    over the flat layout, from one forward pass (`trace`, if given), whose
+    trace.output it sets.  Predictions and loss are checked finite; t and
+    phase only label the error."""
+    if trace is None:
+        trace = forward_hidden(spec, params, x, frozen_stats)
     f = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
                 "predictions", t, phase)
+    trace.output = f
     loss = _finite(loss_value(kind, f, y), "loss", t, phase)
     if not gradient:
         return loss, None
@@ -287,22 +292,21 @@ def run_two_phase(
     kind: LossKind,
     monitor_every: int = 0,
     record_sink=None,
-    keep_trajectory: bool = False,
 ):
     """Run both phases end to end; returns (final Params, TrainLog).
 
     Emits exactly cfg.total_steps records (one per update); every
     `monitor_every` steps of a phase (0: never) a record also carries the
-    feature rank and the kernel rank, and with keep_trajectory the log keeps
-    that step's Params and Jacobian (lazy mode also keeps the one at tau).
-    Raises
-    FeatureRankError if the post-perturbation feature matrix is not full
-    row rank, RankPreservationError if lazy-phase rate halving cannot
-    restore the kernel rank within the retry cap, and FloatingPointError
-    naming the step and phase if predictions, the loss, the gradient norm
-    or a lazy-phase Jacobian stop being finite.  Overflow warnings are
-    silenced for the whole run: every non-finite value that matters ends up
-    in one of those checks.
+    feature rank and the kernel rank.  Lazy mode sets log.r_bar to the max of
+    bounds.estimate_R_bar over the kernels of tau and every step, or None
+    once one lacks full rank n * m_y (see log.ntk_rank_at_tau and the
+    records' ntk_rank).  Raises FeatureRankError if the post-perturbation
+    feature matrix is not full row rank, RankPreservationError if lazy-phase
+    rate halving cannot restore the kernel rank within the retry cap, and
+    FloatingPointError naming the step and phase if predictions, the loss,
+    the gradient norm or a lazy-phase Jacobian stop being finite.  Overflow
+    warnings are silenced for the whole run: every non-finite value that
+    matters ends up in one of those checks.
     """
     if spec.depth < 2:
         raise ValueError("two-phase training requires at least two hidden layers")
@@ -373,7 +377,8 @@ def run_two_phase(
 
     frozen = batch_statistics(forward_hidden(spec, params, x)) if any(spec.bn_flags) else None
     log.frozen_stats = frozen
-    h = forward_hidden(spec, params, x, frozen).hidden
+    trace = forward_hidden(spec, params, x, frozen)
+    h = trace.hidden
     aug = append_ones(h)
     feat_rank = numerical_rank(aug)
     if feat_rank < n:
@@ -424,8 +429,6 @@ def run_two_phase(
                 params.set_head_block(z)
                 jac = compute_jacobian(spec, params, x, frozen)
                 rec.ntk_rank = compute_ntk(jac, step=t).rank
-                if keep_trajectory:
-                    log.trajectory.append((t, params.copy(), jac))
             emit(rec)
         params.set_head_block(z)
     else:
@@ -437,12 +440,22 @@ def run_two_phase(
         eta_bar = cfg.lazy_eta_bar
         log.eta_schedule = {"mode": "lazy_uniform", "eta_bar": eta_bar,
                             "lipschitz": lipschitz}
-        ref_jac = compute_jacobian(spec, params, x, frozen)
-        reference = compute_ntk(ref_jac, step=tau)
-        if keep_trajectory:
-            log.trajectory.append((tau, params.copy(), ref_jac))
+        # one forward trace per parameter point gives its Jacobian, loss,
+        # gradient and distance to the linearized minimizers
+        reference = compute_ntk(compute_jacobian(spec, params, x, frozen, trace=trace),
+                                step=tau)
+        _, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=tau, phase=2,
+                                  trace=trace)
+        log.ntk_rank_at_tau = reference.rank
+
+        def r_bar_with(r_bar, snap, trace):
+            """Running max of Rbar, None from the first kernel without full rank."""
+            if r_bar is None or snap.rank < snap.rows:
+                return None
+            return max(r_bar, estimate_R_bar(snap.kernel, trace.output, y, kind))
+
+        r_bar = r_bar_with(0.0, reference, trace)
         # candidates are written into a second buffer, swapped in on acceptance
-        _, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=tau, phase=2)
         cand = params.copy()
         for t in range(tau + 1, total + 1):
             gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
@@ -450,7 +463,9 @@ def run_two_phase(
             event = None
             for attempt in range(LAZY_MAX_RETRIES + 1):
                 np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
-                jac = _finite(compute_jacobian(spec, cand, x, frozen), "Jacobian", t, 2)
+                trace = forward_hidden(spec, cand, x, frozen)
+                jac = _finite(compute_jacobian(spec, cand, x, frozen, trace=trace),
+                              "Jacobian", t, 2)
                 snap = compute_ntk(jac, step=t)
                 if assert_rank_preserved(reference, snap):
                     accepted = True
@@ -466,18 +481,17 @@ def run_two_phase(
             params, cand = cand, params
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             cur, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=t, phase=2,
-                                        gradient=t < total)
+                                        gradient=t < total, trace=trace)
+            r_bar = r_bar_with(r_bar, snap, trace)
             if cur < best_loss:
                 best_loss, best_t = cur, t
             rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
                              ntk_rank=snap.rank, rank_event=event,
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):
-                rec.feature_rank = numerical_rank(
-                    append_ones(forward_hidden(spec, params, x, frozen).hidden))
-                if keep_trajectory:
-                    log.trajectory.append((t, params.copy(), jac))
+                rec.feature_rank = numerical_rank(append_ones(trace.hidden))
             emit(rec)
+        log.r_bar = r_bar
 
     log.final_loss = log.records[-1].loss
     log.t_star = best_t

@@ -12,14 +12,13 @@ from twophase.bounds import (
     gd_bound,
     inv_sqrt_schedule,
     lazy_bound,
-    r_squared_expectation,
     sgd_bound,
     solve_last_layer_optimum,
 )
 from twophase.data import synth_gen
 from twophase.linalg import RankDeficientError, min_norm_solve
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad, loss_value
-from twophase.network import NetworkSpec, init_params
+from twophase.network import NetworkSpec, forward_output, init_params
 from twophase.ntk import compute_jacobian
 from twophase.trainer import BaseAlgoConfig, TwoPhaseConfig, nu_mask, run_two_phase
 
@@ -290,13 +289,14 @@ class TestEstimateRBar:
     def test_feasible_anchor_gives_zero(self):
         ds, spec, params = _interpolating_setup()
         jac = compute_jacobian(spec, params, ds.x)
-        assert estimate_R_bar([(params, jac)], ds.y, SQUARED) <= 1e-8
+        f = forward_output(spec, params, ds.x)
+        assert estimate_R_bar(jac @ jac.T, f, ds.y, SQUARED) <= 1e-8
 
     def test_singleton_matches_direct_solve(self, rng):
         ds, spec, params = _interpolating_setup(seed=1)
         params.weights[-1][:] = params.weights[-1] + rng.standard_normal(params.weights[-1].shape)
         jac = compute_jacobian(spec, params, ds.x)
-        got = estimate_R_bar([(params, jac)], ds.y, SQUARED)
+        got = estimate_R_bar(jac @ jac.T, forward_output(spec, params, ds.x), ds.y, SQUARED)
         anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
         omega = min_norm_solve(jac, ds.y.reshape(-1, 1), anchor)
         assert got == pytest.approx(float(np.linalg.norm(anchor - omega)), rel=1e-12)
@@ -308,7 +308,8 @@ class TestEstimateRBar:
             p = params.copy()
             p.weights[-1][:] = p.weights[-1] + 0.3 * rng.standard_normal(p.weights[-1].shape)
             traj.append((p, compute_jacobian(spec, p, ds.x)))
-        got = estimate_R_bar(traj, ds.y, SQUARED)
+        got = max(estimate_R_bar(jac @ jac.T, forward_output(spec, p, ds.x), ds.y, SQUARED)
+                  for p, jac in traj)
         worst = 0.0
         for p, jac in traj:
             anchor = (nu_mask(p) * p.to_flat()).reshape(-1, 1)
@@ -325,7 +326,8 @@ class TestEstimateRBar:
         jac = compute_jacobian(spec, params, ds.x)
         y = np.abs(ds.y) + 0.5
         y /= y.sum(axis=1, keepdims=True)
-        got = estimate_R_bar([(params, jac)], y, CROSS_ENTROPY)
+        got = estimate_R_bar(jac @ jac.T, forward_output(spec, params, ds.x), y,
+                             CROSS_ENTROPY)
         n, m_y = y.shape
         anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
         pinv = np.linalg.pinv(jac)
@@ -341,7 +343,8 @@ class TestEstimateRBar:
         jac = compute_jacobian(spec, params, ds.x)
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
-        assert estimate_R_bar([(params, jac)], y, CROSS_ENTROPY) == np.inf
+        f = forward_output(spec, params, ds.x)
+        assert estimate_R_bar(jac @ jac.T, f, y, CROSS_ENTROPY) == np.inf
         assert not calls
 
     @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY], ids=lambda k: k.name)
@@ -355,7 +358,7 @@ class TestEstimateRBar:
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
         with pytest.raises(RankDeficientError, match="rank 6 < 8"):
-            estimate_R_bar([(params, jac)], y, kind)
+            estimate_R_bar(jac @ jac.T, forward_output(spec, params, x), y, kind)
         assert not calls
 
 
@@ -434,11 +437,10 @@ class TestCheckBounds:
         cfg = TwoPhaseConfig(tau=4, total_steps=14, phase2_mode="lazy_full",
                              lazy_eta_bar=0.3, seed=7)
         _, log = run_two_phase(spec, init_params(spec, 7), ds, base, cfg, SQUARED,
-                               monitor_every=2, keep_trajectory=True)
-        r_bar = estimate_R_bar([(p, j) for _, p, j in log.trajectory], ds.y, SQUARED)
+                               monitor_every=2)
         constants = BoundConstants(
             mode="lazy_full", loss_star=0.0,
-            l_estimate=log.eta_schedule["lipschitz"], r_bar=r_bar,
+            l_estimate=log.eta_schedule["lipschitz"], r_bar=log.r_bar,
             eta_bar=log.eta_schedule["eta_bar"])
         return log, constants, check_bounds(log, constants)
 
@@ -453,13 +455,3 @@ class TestCheckBounds:
             assert e.bound == lazy_bound(c.l_estimate, c.r_bar, log.loss_at_tau, 0.0,
                                          c.eta_bar, e.t, log.tau)
             assert e.measured == gap
-
-    def test_r_squared_expectation_deterministic(self):
-        ds = synth_gen(5, 3, 1, 0.05, "regression", seed=8)
-        spec = NetworkSpec((3, 6, 6), 1, sharpness=10.0)
-        p = init_params(spec, seed=8)
-        m1, vals1 = r_squared_expectation(spec, p, 1e-3, ds.x, ds.y, SQUARED, draws=6, seed=2)
-        m2, _ = r_squared_expectation(spec, p, 1e-3, ds.x, ds.y, SQUARED, draws=6, seed=2)
-        assert m1 == m2
-        assert vals1.shape == (6,)
-        assert np.all(vals1 >= 0.0)

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import twophase.cli as cli
+import twophase.trainer as trainer
 from twophase.data import load_csv, save_csv, synth_gen
-from twophase.trainer import FeatureRankError
+from twophase.ntk import compute_jacobian
+from twophase.trainer import FeatureRankError, nu_mask
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -260,6 +262,81 @@ class TestTrain:
             text = (out / name).read_text()
             assert "Infinity" not in text and "NaN" not in text
         assert "bound vacuous (optimum not attained)" in capsys.readouterr().out
+
+    @staticmethod
+    def _linearized_distance(jac, params, y, kind):
+        """||pinv(J) r|| for the residual r of the linearized constraints at
+        nu o w; cross-entropy frees one constant per sample."""
+        anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
+        pinv = np.linalg.pinv(jac)
+        if kind == "squared":
+            return float(np.linalg.norm(pinv @ (y.reshape(-1, 1) - jac @ anchor)))
+        n, m_y = y.shape
+        gap = np.log(y).reshape(-1, 1) - jac @ anchor
+        shifts = np.kron(np.eye(n), np.ones((m_y, 1)))
+        c, *_ = np.linalg.lstsq(pinv @ shifts, -pinv @ gap, rcond=None)
+        return float(np.linalg.norm(pinv @ (gap + shifts @ c)))
+
+    @pytest.mark.parametrize("loss", ["squared", "cross_entropy"])
+    def test_lazy_r_bar_is_the_max_over_every_step(self, tmp_path, loss):
+        # the per-step distance peaks at an odd step after tau (squared:
+        # tau + 9, soft cross-entropy: tau + 1), which monitoring every 2
+        # steps does not sample
+        if loss == "squared":
+            overrides = {"seed": 5}
+        else:
+            ds = synth_gen(12, 4, 3, 0.03, "one_hot", seed=0)
+            ds.y = 0.8 * ds.y + 0.2 / 3
+            save_csv(ds, tmp_path / "soft.csv")
+            overrides = {"loss": "cross_entropy",
+                         "data": {"source": "csv", "path": str(tmp_path / "soft.csv"),
+                                  "m_y": 3, "kind": "one_hot"}}
+        r_bars = []
+        for every in (0, 2):
+            path = write_config(tmp_path, f"cfg{every}.json", **small_train_sections(
+                bounds=True, monitor_every=every, **overrides,
+                two_phase={"tau": 20, "phase2_mode": "lazy_full", "lazy_eta_bar": 0.3}))
+            out = tmp_path / f"every{every}"
+            assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+            r_bars.append(json.loads((out / "summary.json").read_text())["constants"]["r_bar"])
+        assert r_bars[0] == r_bars[1]
+
+        # oracle: each step's params from a run cut at that step, J recomputed
+        cfg = cli.load_config(path)
+        ds = cli._build_dataset(cfg)
+        spec = cli._build_spec(cfg, ds)
+        distances = []
+        for t in range(20, 41):
+            cut = json.loads(json.dumps(cfg))
+            cut["two_phase"]["total_steps"] = t
+            params, _ = cli._train_once(cut, ds, spec)
+            jac = compute_jacobian(spec, params, ds.x)
+            distances.append(self._linearized_distance(jac, params, ds.y, loss))
+        assert int(np.argmax(distances)) % 2 == 1
+        assert r_bars[0] == pytest.approx(max(distances), rel=1e-9)
+
+    @pytest.mark.parametrize("bounds", [True, False])
+    def test_lazy_kernel_below_full_rank_leaves_r_bar_undefined(
+            self, tmp_path, monkeypatch, capsys, bounds):
+        # the kernel at tau reports rank 23 of 24: Rbar is undefined, which
+        # fails a bounds-on run and leaves a bounds-off run alone
+        real = trainer.compute_ntk
+
+        def short_at_tau(jacobian, step=-1, tol=None):
+            snap = real(jacobian, step, tol)
+            if step == 20:
+                snap.rank -= 1
+            return snap
+
+        monkeypatch.setattr(trainer, "compute_ntk", short_at_tau)
+        path = write_config(tmp_path, **small_train_sections(
+            bounds=bounds, two_phase={"phase2_mode": "lazy_full", "lazy_eta_bar": 0.3}))
+        code = cli.main(["train", "--config", path, "--out", str(tmp_path / "x")])
+        if bounds:
+            assert code == 3
+            assert "numerical rank 23 < 24 rows" in capsys.readouterr().err
+        else:
+            assert code == 0
 
     def test_base_versus_two_phase_protocol(self, tmp_path):
         # same seed and data, pure-base split versus the default split

@@ -1,8 +1,10 @@
-"""What bench/tracer.py reads from the program's return values still exists.
+"""What bench/tracer.py reads from the program still exists and still counts
+the work it names.
 
 The tracer wraps `solve_last_layer_optimum` and reads `LastLayerOptimum.steps`
-from its result; the benchmark's own smoke test runs with bounds off, so this
-runs a bounds-on cross-entropy train under the tracer.
+from its result, and times `estimate_R_bar` per call; the benchmark's own
+smoke test runs with bounds off, so these run bounds-on trains under the
+tracer.
 """
 
 import json
@@ -12,6 +14,24 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _traced_train(tmp_path, config):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(trace), "train",
+         "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(trace.read_text())
+    assert result["exit_code"] == 0
+    return result
+
+
+def _calls(result, name):
+    return sum(row[2] for row in result["agg"] if row[0] == name)
 
 
 def test_tracer_reads_optimum_steps(tmp_path):
@@ -25,16 +45,22 @@ def test_tracer_reads_optimum_steps(tmp_path):
         "two_phase": {"tau_fraction": 0.5, "total_steps": 40,
                       "phase2_mode": "last_layer_sgd", "sgd_minibatch": 4},
     }
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
-    trace = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(trace), "train",
-         "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(trace.read_text())
-    assert result["exit_code"] == 0
+    result = _traced_train(tmp_path, config)
     assert result["observed"]["optimum_steps"] == 0
-    calls = [row for row in result["agg"] if row[0] == "bounds.solve_last_layer_optimum"]
-    assert sum(row[2] for row in calls) == 1
+    assert _calls(result, "bounds.solve_last_layer_optimum") == 1
+
+
+def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
+    # Rbar is the running max over tau and every phase-2 step
+    config = {
+        "seed": 0,
+        "loss": "squared",
+        "bounds": True,
+        "data": {"n": 12, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.03},
+        "network": {"sharpness": 10.0},
+        "base": {"variant": "gd", "minibatch": 12},
+        "two_phase": {"tau": 20, "total_steps": 40, "phase2_mode": "lazy_full",
+                      "lazy_eta_bar": 0.3},
+    }
+    result = _traced_train(tmp_path, config)
+    assert _calls(result, "bounds.estimate_R_bar") == 40 - 20 + 1
