@@ -186,16 +186,17 @@ def lazy_bound(l_estimate: float, r_bar: float, loss_tau: float, loss_star: floa
     return np.sqrt(inner) / np.sqrt(steps - tau + 1.0)
 
 
-def estimate_R_bar(kernel, predictions, y, kind: LossKind) -> float:
+def estimate_R_bar(snap, predictions, y, kind: LossKind) -> float:
     """Distance at one step from nu o w to the nearest minimizer of the
-    Jacobian-linearized problem, from that step's kernel K = J J^T (rows
-    sample-major) and its predictions f(w); Rbar is the max of this over tau
-    and every phase-2 step, which run_two_phase keeps as it goes.
+    Jacobian-linearized problem, from that step's ntk.NtkSnapshot (kernel
+    K = J J^T, rows sample-major) and its predictions f(w); Rbar is the max
+    of this over tau and every phase-2 step, which run_two_phase keeps as it
+    goes.
 
     Since J (nu o w) = f(w), the nearest minimizer lies J^+ r away, r the
     residual of the constraints at nu o w, and ||J^+ r||^2 = r^T K^{-1} r is
-    one solve of K.  K must have full rank n m_y at the threshold of
-    ntk.compute_ntk (eigenvalues above rows * eps * the largest), else
+    one solve of K.  K must have full rank n m_y, as the snapshot measured
+    it (by default eigenvalues above rows * eps * the largest), else
     RankDeficientError.  Squared loss has r = vec(Y - f).  Soft cross-entropy
     targets are met up to one constant per sample, so each sample's outputs
     are projected by B as in solve_last_layer_optimum: r = B vec(log Y - f),
@@ -205,14 +206,14 @@ def estimate_R_bar(kernel, predictions, y, kind: LossKind) -> float:
     y = check_targets(kind, y)
     n, m_y = y.shape
     rows = n * m_y
-    k = np.asarray(kernel, dtype=np.float64)
-    spectrum = np.linalg.eigvalsh(k)
-    rank = int(np.count_nonzero(spectrum > rows * np.finfo(np.float64).eps * spectrum[-1]))
-    if rank < rows:
+    if snap.rows != rows:
+        raise ValueError(f"kernel has {snap.rows} rows, targets need {rows}")
+    if snap.rank < rows:
         raise RankDeficientError(
-            f"kernel has numerical rank {rank} < {rows} rows; the nearest "
+            f"kernel has numerical rank {snap.rank} < {rows} rows; the nearest "
             "linearized minimizer is not determined"
         )
+    k = snap.kernel
     if kind.name == "squared":
         resid = (y - predictions).reshape(-1)
     elif np.any(y <= 0.0):

@@ -4,6 +4,12 @@ Both criteria are convex in the prediction row and have a gradient map that
 is Lipschitz with the constant stored on the kind: exactly 2 for the squared
 loss, and 1 as a safe upper bound for cross-entropy (the softmax Jacobian
 has spectral norm at most 1/2; a larger constant only loosens rate bounds).
+
+The public functions check their inputs: finite matrices, same shapes, and
+cross-entropy target rows on the simplex.  The private kernel `_loss` does
+not; it serves a caller that checked its data once and calls it every step
+(the trainer), and gives the loss and its gradient from one log-softmax of
+the predictions.
 """
 
 from __future__ import annotations
@@ -64,20 +70,21 @@ def _log_softmax(f: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss_value(kind: LossKind, f, y) -> float:
-    """Mean per-sample loss over the batch."""
-    f, y = _check_pair(kind, f, y)
+def _loss(kind: LossKind, f: np.ndarray, y: np.ndarray, gradient: bool = True):
+    """(mean loss, its gradient in f or None unless `gradient`), unchecked."""
     n = f.shape[0]
     if kind.name == "squared":
         d = f - y
-        return float((d * d).sum() / n)
-    return float(-(y * _log_softmax(f)).sum() / n)
+        return float((d * d).sum() / n), ((2.0 / n) * d if gradient else None)
+    log_p = _log_softmax(f)
+    return float(-(y * log_p).sum() / n), ((np.exp(log_p) - y) / n if gradient else None)
+
+
+def loss_value(kind: LossKind, f, y) -> float:
+    """Mean per-sample loss over the batch."""
+    return _loss(kind, *_check_pair(kind, f, y), gradient=False)[0]
 
 
 def loss_grad(kind: LossKind, f, y) -> np.ndarray:
     """Gradient of loss_value with respect to the prediction matrix."""
-    f, y = _check_pair(kind, f, y)
-    n = f.shape[0]
-    if kind.name == "squared":
-        return (2.0 / n) * (f - y)
-    return (np.exp(_log_softmax(f)) - y) / n
+    return _loss(kind, *_check_pair(kind, f, y))[1]

@@ -19,6 +19,13 @@ modes:
 Batch-normalization statistics are frozen at tau for the whole second
 phase, so the head problem is convex in every mode and the feature matrix
 is genuinely fixed under head-only updates.
+
+The data are checked once, when run_two_phase starts, and the step loop then
+calls the unchecked loss kernel of `losses`.  Each phase-1 step makes one
+full-batch forward pass.  That pass gives the step's loss, under GD the next
+step's gradient, without batch normalization the rows of the next
+momentum-SGD minibatch, and on a monitored step the feature rank and the
+Jacobian.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import estimate_R_bar
-from .linalg import append_ones, numerical_rank
-from .losses import LossKind, loss_grad, loss_value
+from .linalg import append_ones, as_matrix, numerical_rank
+from .losses import LossKind, _loss, check_targets
 from .network import (
+    ForwardTrace,
     NetworkSpec,
     Params,
     backprop,
@@ -237,21 +245,41 @@ def _finite(value, what: str, t, phase):
     )
 
 
+def _checked_data(spec, kind, x, y):
+    """X and Y as finite float64 matrices, Y with valid targets of kind and
+    one row of spec.output_dim per row of X; ValueError otherwise."""
+    x = as_matrix(x, "X")
+    y = check_targets(kind, y)
+    if y.shape != (x.shape[0], spec.output_dim):
+        raise ValueError(f"targets have shape {y.shape}, expected "
+                         f"{(x.shape[0], spec.output_dim)}")
+    return x, y
+
+
 def _loss_and_gradient(spec, params, x, y, kind, frozen_stats=None,
                        t=None, phase=None, gradient=True, trace=None):
     """Full-batch loss at `params` and (unless gradient=False) its gradient
     over the flat layout, from one forward pass (`trace`, if given), whose
-    trace.output it sets.  Predictions and loss are checked finite; t and
-    phase only label the error."""
+    trace.output it sets.  x and y must be checked (_checked_data).
+    Predictions and loss are checked finite; t and phase only label the
+    error."""
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats)
     f = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
                 "predictions", t, phase)
     trace.output = f
-    loss = _finite(loss_value(kind, f, y), "loss", t, phase)
+    loss, upstream = _loss(kind, f, y, gradient)
+    loss = _finite(loss, "loss", t, phase)
     if not gradient:
         return loss, None
-    return loss, backprop(spec, params, x, loss_grad(kind, f, y), trace=trace)
+    return loss, backprop(spec, params, x, upstream, trace=trace)
+
+
+def _rows(trace, idx) -> ForwardTrace:
+    """Rows `idx` of a forward trace without batch normalization, output
+    included; each row of such a pass depends on its own sample alone."""
+    return ForwardTrace(trace.inputs[idx], [z[idx] for z in trace.affine], trace.bn_cache,
+                        [h[idx] for h in trace.post], output=trace.output[idx])
 
 
 def _next_batch(state: dict, size: int, rng) -> np.ndarray:
@@ -270,6 +298,7 @@ def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None,
                        probes: int = 8, radius: float = 1e-2, seed: int = 0) -> float:
     """Empirical lower bound on the gradient Lipschitz constant near `params`:
     max over random probe directions of ||grad(w + d) - grad(w)|| / ||d||."""
+    x, y = _checked_data(spec, kind, x, y)
     rng = np.random.default_rng(seed)
     _, g0 = _loss_and_gradient(spec, params, x, y, kind, frozen_stats)
     best = 0.0
@@ -295,6 +324,12 @@ def run_two_phase(
 ):
     """Run both phases end to end; returns (final Params, TrainLog).
 
+    Raises ValueError before the first record unless X is finite and Y holds
+    valid targets of `kind`, one row of m_y per sample; the step loop does
+    not check them again.  Each phase-1 step makes one full-batch forward
+    pass, which the next momentum-SGD minibatch slices unless training-mode
+    BN couples its rows, and which a monitored step reuses.
+
     Emits exactly cfg.total_steps records (one per update); every
     `monitor_every` steps of a phase (0: never) a record also carries the
     feature rank and the kernel rank.  Lazy mode sets log.r_bar to the max of
@@ -310,7 +345,7 @@ def run_two_phase(
     """
     if spec.depth < 2:
         raise ValueError("two-phase training requires at least two hidden layers")
-    x, y = dataset.x, dataset.y
+    x, y = _checked_data(spec, kind, dataset.x, dataset.y)
     n = x.shape[0]
     if base.variant == "sgd_momentum" and base.minibatch > n:
         raise ValueError(f"minibatch {base.minibatch} exceeds dataset size {n}")
@@ -325,13 +360,18 @@ def run_two_phase(
     def monitored(t_done):
         return monitor_every > 0 and t_done % monitor_every == 0
 
-    # Phase 1 updates params.flat in place.  Under GD the gradient for step
-    # t + 1 comes from the same forward pass as the loss recorded at step t.
+    # Phase 1 updates params.flat in place.  The full-batch pass that gives
+    # the loss recorded at step t is at the parameters step t + 1 starts
+    # from, so under GD it also gives that step's gradient, and without batch
+    # norm a momentum-SGD minibatch is rows of it; training-mode BN couples
+    # the rows through the batch statistics, so there the minibatch gets a
+    # pass of its own.
     params = params0.copy()
     w = params.flat
     full_batch = base.variant == "gd"
+    trace = forward_hidden(spec, params, x)
     log.loss_initial, g = _loss_and_gradient(spec, params, x, y, kind, t=0, phase=1,
-                                             gradient=full_batch and tau > 0)
+                                             gradient=full_batch and tau > 0, trace=trace)
     rng_base = np.random.default_rng(base.seed)
     velocity = np.zeros_like(w)
     order_state = {"order": np.arange(n), "pos": n}  # forces initial shuffle
@@ -340,11 +380,14 @@ def run_two_phase(
     for t in range(1, tau + 1):
         if not full_batch:
             idx = _next_batch(order_state, base.minibatch, rng_base)
-            xb, yb = x[idx], y[idx]
-            trace = forward_hidden(spec, params, xb)
-            fb = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
-                         "minibatch predictions", t, 1)
-            g = backprop(spec, params, xb, loss_grad(kind, fb, yb), trace=trace)
+            if any(spec.bn_flags):
+                batch = forward_hidden(spec, params, x[idx])
+                batch.output = _finite(batch.hidden @ params.weights[-1] + params.biases[-1],
+                                       "minibatch predictions", t, 1)
+            else:
+                batch = _rows(trace, idx)
+            g = backprop(spec, params, batch.inputs, _loss(kind, batch.output, y[idx])[1],
+                         trace=batch)
         if base.weight_decay:
             g += base.weight_decay * w
         gnorm = _finite(float(np.linalg.norm(g)), "gradient norm", t, 1)
@@ -354,14 +397,15 @@ def run_two_phase(
             velocity *= base.momentum
             velocity += g
             w -= base.learning_rate * velocity
+        trace = forward_hidden(spec, params, x)
         loss, g = _loss_and_gradient(spec, params, x, y, kind, t=t, phase=1,
-                                     gradient=full_batch and t < tau)
+                                     gradient=full_batch and t < tau, trace=trace)
         rec = StepRecord(t=t, phase=1, loss=loss, grad_norm=gnorm,
                          wall_time=time.perf_counter() - t0)
         if monitored(t):
-            rec.feature_rank = numerical_rank(
-                append_ones(forward_hidden(spec, params, x).hidden))
-            rec.ntk_rank = compute_ntk(compute_jacobian(spec, params, x), step=t).rank
+            rec.feature_rank = numerical_rank(append_ones(trace.hidden))
+            rec.ntk_rank = compute_ntk(compute_jacobian(spec, params, x, trace=trace),
+                                       step=t).rank
         emit(rec)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -391,14 +435,16 @@ def run_two_phase(
     z = params.head_block().copy()
     log.head_at_tau = params.flat[spec.hidden_param_count():].copy()
     log.params_at_tau_flat = params.to_flat()
+    # under head GD each loss evaluation also gives the next step's gradient
+    head_gd = cfg.phase2_mode == "last_layer_gd"
     pred = _finite(aug @ z, "predictions", tau, 2)
-    log.loss_at_tau = _finite(loss_value(kind, pred, y), "loss", tau, 2)
+    loss, dpred = _loss(kind, pred, y, gradient=head_gd)
+    log.loss_at_tau = _finite(loss, "loss", tau, 2)
 
     rng_p2 = np.random.default_rng(seeds[1])
     best_loss, best_t = log.loss_at_tau, tau
 
     if cfg.phase2_mode in ("last_layer_gd", "last_layer_sgd"):
-        head_gd = cfg.phase2_mode == "last_layer_gd"
         if head_gd:
             log.eta_schedule = {"mode": "constant_over_l_h", "value": 1.0 / log.l_h}
         else:
@@ -407,27 +453,29 @@ def run_two_phase(
         sgd_order = {"order": np.arange(n), "pos": n}
         for t in range(tau + 1, total + 1):
             if head_gd:
-                g = aug.T @ loss_grad(kind, pred, y)
+                g = aug.T @ dpred
                 z = z - (1.0 / log.l_h) * g
             else:
                 if cfg.sgd_sampling == "with_replacement":
                     idx = rng_p2.integers(0, n, size=b)
                 else:
                     idx = _next_batch(sgd_order, b, rng_p2)
-                g = aug[idx].T @ loss_grad(kind, aug[idx] @ z, y[idx])
+                g = aug[idx].T @ _loss(kind, aug[idx] @ z, y[idx])[1]
                 z = z - (cfg.sgd_rate_scale / np.sqrt(t - tau)) * g
             gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             pred = _finite(aug @ z, "predictions", t, 2)
-            cur = _finite(loss_value(kind, pred, y), "loss", t, 2)
+            cur, dpred = _loss(kind, pred, y, gradient=head_gd and t < total)
+            cur = _finite(cur, "loss", t, 2)
             if cur < best_loss:
                 best_loss, best_t = cur, t
             rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):
+                # only the head moved, so the tau pass is the features' pass
                 rec.feature_rank = feat_rank
                 params.set_head_block(z)
-                jac = compute_jacobian(spec, params, x, frozen)
+                jac = compute_jacobian(spec, params, x, frozen, trace=trace)
                 rec.ntk_rank = compute_ntk(jac, step=t).rank
             emit(rec)
         params.set_head_block(z)
@@ -452,7 +500,7 @@ def run_two_phase(
             """Running max of Rbar, None from the first kernel without full rank."""
             if r_bar is None or snap.rank < snap.rows:
                 return None
-            return max(r_bar, estimate_R_bar(snap.kernel, trace.output, y, kind))
+            return max(r_bar, estimate_R_bar(snap, trace.output, y, kind))
 
         r_bar = r_bar_with(0.0, reference, trace)
         # candidates are written into a second buffer, swapped in on acceptance

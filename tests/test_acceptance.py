@@ -318,7 +318,7 @@ def test_criterion_9_oracle_equivalence():
     for k in range(3):
         p = init_params(spec, seed=k)
         traj.append((p, compute_jacobian(spec, p, ds.x)))
-    got = max(estimate_R_bar(jac @ jac.T, forward_output(spec, p, ds.x), ds.y, SQUARED)
+    got = max(estimate_R_bar(compute_ntk(jac), forward_output(spec, p, ds.x), ds.y, SQUARED)
               for p, jac in traj)
     worst = 0.0
     for p, jac in traj:

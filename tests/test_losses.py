@@ -30,6 +30,17 @@ class TestValues:
         with pytest.raises(ValueError, match="nonnegative"):
             loss_value(CROSS_ENTROPY, [[0.0, 0.0]], [[1.5, -0.5]])
 
+    @pytest.mark.parametrize("fn", [loss_value, loss_grad], ids=["value", "grad"])
+    def test_public_functions_check_their_inputs(self, fn):
+        # the trainer checks its data once and calls the unchecked kernels;
+        # the public functions keep every check
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(SQUARED, [[np.nan, 0.0]], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="sums to 0.9"):
+            fn(CROSS_ENTROPY, [[0.0, 0.0]], [[0.9, 0.0]])
+        with pytest.raises(ValueError, match="differ in shape"):
+            fn(SQUARED, [[0.0, 0.0]], [[0.0, 0.0, 0.0]])
+
     def test_by_name(self):
         assert loss_by_name("squared") is SQUARED
         assert loss_by_name("cross_entropy") is CROSS_ENTROPY

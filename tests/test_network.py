@@ -142,6 +142,12 @@ class TestForward:
         with pytest.raises(ValueError, match="layer 1"):
             forward_hidden(spec, p, np.zeros((2, 5)))
 
+    def test_non_finite_input_rejected(self, rng):
+        spec = NetworkSpec((3, 4), 1)
+        p = random_params(spec, rng, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            forward_hidden(spec, p, np.array([[0.0, np.nan, 1.0]]))
+
 
 class TestForwardOutput:
     def test_constant_head(self, rng):

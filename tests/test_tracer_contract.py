@@ -4,7 +4,8 @@ the work it names.
 The tracer wraps `solve_last_layer_optimum` and reads `LastLayerOptimum.steps`
 from its result, and times `estimate_R_bar` per call; the benchmark's own
 smoke test runs with bounds off, so these run bounds-on trains under the
-tracer.
+tracer.  It also counts `network.forward_hidden` calls, one per full-batch
+pass of a momentum-SGD step.
 """
 
 import json
@@ -64,3 +65,20 @@ def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
     }
     result = _traced_train(tmp_path, config)
     assert _calls(result, "bounds.estimate_R_bar") == 40 - 20 + 1
+
+
+def test_tracer_counts_one_forward_pass_per_sgd_step(tmp_path):
+    # the initial pass, one per phase-1 step (its minibatch is rows of the
+    # previous pass), and the tau pass that the head steps reuse
+    tau = 12
+    config = {
+        "seed": 0,
+        "loss": "cross_entropy",
+        "bounds": False,
+        "data": {"n": 12, "m_x": 4, "m_y": 3, "kind": "one_hot", "c_min": 0.03},
+        "network": {"sharpness": 10.0},
+        "base": {"variant": "sgd_momentum", "minibatch": 4},
+        "two_phase": {"tau": tau, "total_steps": 20, "phase2_mode": "last_layer_gd"},
+    }
+    result = _traced_train(tmp_path, config)
+    assert _calls(result, "network.forward_hidden") == tau + 2

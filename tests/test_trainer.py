@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import twophase.ntk as ntk
 import twophase.trainer as trainer
 from twophase.data import synth_gen
-from twophase.losses import SQUARED, loss_grad
+from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
     backprop,
+    forward_hidden,
     forward_output,
     init_params,
     params_from_flat,
@@ -134,6 +136,19 @@ def _toy_problem(seed=0, n=10, m_x=4, m_y=2, m_h=12, sharpness=10.0, bn=False):
     flags = (False, bn)
     spec = NetworkSpec((m_x, m_x * 2, m_h), m_y, sharpness=sharpness, bn_flags=flags)
     return ds, spec, init_params(spec, seed=seed)
+
+
+def _count_forward_passes(monkeypatch):
+    # the trainer's own passes and those the Jacobian makes when given no trace
+    calls = []
+    forward = trainer.forward_hidden
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+    monkeypatch.setattr(trainer, "forward_hidden", counting)
+    monkeypatch.setattr(ntk, "forward_hidden", counting)
+    return calls
 
 
 class TestRunTwoPhase:
@@ -295,31 +310,107 @@ class TestRunTwoPhase:
         assert log.t_star == best_t
         assert log.loss_at_t_star == phase2[best_t]
 
-    @pytest.mark.parametrize("mode", ["gd_phase1", "lazy_full"])
+    @pytest.mark.parametrize("mode", ["gd_phase1", "sgd_phase1", "sgd_phase1_bn", "lazy_full"])
     def test_one_full_batch_forward_per_step(self, monkeypatch, mode):
-        # phase 1's monitoring is off; a lazy step's Jacobian reuses the
-        # trainer's forward pass on the candidate
-        calls = []
-        forward = trainer.forward_hidden
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, "forward_hidden", counting)
-        ds, spec, p0 = _toy_problem(seed=15)
-        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        # phase 1's monitoring is off; a momentum-SGD minibatch is rows of the
+        # previous step's full-batch pass, except under training-mode BN,
+        # whose batch statistics couple the rows; a lazy step's Jacobian
+        # reuses the trainer's forward pass on the candidate
+        per_step = 2 if mode == "sgd_phase1_bn" else 1
+        calls = _count_forward_passes(monkeypatch)
+        ds, spec, p0 = _toy_problem(seed=15, bn=mode == "sgd_phase1_bn")
+        if mode.startswith("sgd"):
+            base = BaseAlgoConfig(variant="sgd_momentum", minibatch=4, seed=15)
+        else:
+            base = BaseAlgoConfig(variant="gd", minibatch=10)
         counts = []
         for steps in (10, 20):
-            if mode == "gd_phase1":
-                cfg = TwoPhaseConfig(tau=steps, total_steps=steps, seed=15)
-            else:
+            if mode == "lazy_full":
                 cfg = TwoPhaseConfig(tau=3, total_steps=3 + steps, phase2_mode="lazy_full",
                                      lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=15)
+            else:
+                cfg = TwoPhaseConfig(tau=steps, total_steps=steps, seed=15)
             calls.clear()
             run_two_phase(spec, p0, ds, base, cfg, SQUARED)
             counts.append(len(calls))
-        assert counts[1] - counts[0] == 10
+        assert counts[1] - counts[0] == 10 * per_step
+
+    @pytest.mark.parametrize("variant", ["gd", "sgd_momentum"])
+    def test_monitored_steps_reuse_the_step_pass(self, monkeypatch, variant):
+        # a monitored phase-1 step takes its feature rank and Jacobian from
+        # its loss pass, and a monitored head step from the tau pass: the
+        # forward passes are one per phase-1 step plus the initial and the
+        # tau pass, however often the run is monitored
+        calls = _count_forward_passes(monkeypatch)
+        ds, spec, p0 = _toy_problem(seed=17)
+        base = BaseAlgoConfig(variant=variant, minibatch=4, seed=17)
+        cfg = TwoPhaseConfig(tau=6, total_steps=12, seed=17)
+        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, monitor_every=1)
+        assert all(r.ntk_rank is not None for r in log.records)
+        assert len(calls) == 6 + 2
+
+    def test_sliced_minibatch_gradient_matches_a_fresh_pass(self, rng):
+        # the head_gd_ce architecture: rows of the full-batch pass give the
+        # same minibatch gradient, bit for bit, as a pass on the rows alone
+        ds = synth_gen(128, 8, 4, 0.01, "one_hot", seed=21)
+        spec = NetworkSpec((8, 8, 141), 4, sharpness=10.0)
+        params = init_params(spec, seed=21)
+        full = forward_hidden(spec, params, ds.x)
+        forward_output(spec, params, ds.x, trace=full)
+        for idx in (rng.permutation(128)[:64], rng.permutation(128)[:64], np.arange(64, 128)):
+            sliced = trainer._rows(full, idx)
+            fresh = forward_hidden(spec, params, ds.x[idx])
+            got = backprop(spec, params, ds.x[idx],
+                           loss_grad(CROSS_ENTROPY, sliced.output, ds.y[idx]), trace=sliced)
+            want = backprop(spec, params, ds.x[idx],
+                            loss_grad(CROSS_ENTROPY, forward_output(spec, params, ds.x[idx],
+                                                                    trace=fresh), ds.y[idx]),
+                            trace=fresh)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", ["nan_input", "target_row_sum", "target_columns"])
+    def test_bad_data_rejected_before_the_first_record(self, bad):
+        ds = synth_gen(10, 4, 3 if bad == "target_columns" else 2, 0.03, "one_hot", seed=18)
+        spec = NetworkSpec((4, 8, 12), 2, sharpness=10.0)
+        if bad == "nan_input":
+            ds.x[3, 1] = np.nan
+            match = "non-finite"
+        elif bad == "target_row_sum":
+            ds.y[4] *= 0.9
+            match = "sums to 0.9"
+        else:
+            match = r"targets have shape \(10, 3\), expected \(10, 2\)"
+        seen = []
+        base = BaseAlgoConfig(variant="sgd_momentum", minibatch=4)
+        cfg = TwoPhaseConfig(tau=3, total_steps=6, seed=18)
+        with pytest.raises(ValueError, match=match):
+            run_two_phase(spec, init_params(spec, seed=18), ds, base, cfg, CROSS_ENTROPY,
+                          record_sink=seen.append)
+        assert not seen
+
+    def test_lazy_run_decomposes_each_kernel_once(self, monkeypatch):
+        # Rbar reads the rank of the snapshot compute_ntk made, so a bounds
+        # evaluation adds no second eigendecomposition of the same kernel
+        eig, snaps = [], []
+        eigvalsh, compute_ntk = np.linalg.eigvalsh, trainer.compute_ntk
+
+        def counting_eig(*args, **kwargs):
+            eig.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        def counting_ntk(*args, **kwargs):
+            snaps.append(1)
+            return compute_ntk(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
+        monkeypatch.setattr(trainer, "compute_ntk", counting_ntk)
+        ds, spec, p0 = _toy_problem(seed=19)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        assert log.r_bar is not None and np.isfinite(log.r_bar)
+        assert len(snaps) == 11 and len(eig) == len(snaps)
 
     def test_divergent_head_phase_names_step_and_phase(self):
         ds, spec, p0 = _toy_problem(seed=16)
