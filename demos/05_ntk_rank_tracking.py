@@ -6,6 +6,9 @@
 # model can reach every output table.  The head block of J is
 # `I kron [h, 1]` per sample, so full feature row rank after the
 # perturbation lifts to full kernel rank, and head-only training keeps it.
+# `compute_kernel` sums K layer by layer without forming J, and
+# `compute_ntk` certifies full rank by one Cholesky factorization, taking
+# the spectrum only when it is asked for or the factorization fails.
 
 # %%
 import numpy as np
@@ -15,7 +18,7 @@ from twophase import (
     NetworkSpec,
     TwoPhaseConfig,
     assert_rank_preserved,
-    compute_jacobian,
+    compute_kernel,
     compute_ntk,
     init_params,
     params_from_flat,
@@ -28,7 +31,7 @@ ds = synth_gen(n=8, m_x=4, m_y=2, c_min=0.03, kind="regression", seed=1)
 spec = NetworkSpec(widths=(4, 8, 10), output_dim=2, sharpness=10.0)
 
 params = init_params(spec, seed=0)
-snap = compute_ntk(compute_jacobian(spec, params, ds.x), step=0)
+snap = compute_ntk(compute_kernel(spec, params, ds.x), step=0)
 print(f"at init: kernel {snap.rows} x {snap.rows}, rank {snap.rank} "
       f"(full would be {ds.n * ds.output_dim})")
 print("top of spectrum:", np.round(snap.kernel_spectrum[:4], 3))
@@ -45,13 +48,13 @@ cfg = TwoPhaseConfig(tau=30, total_steps=180, phase2_mode="last_layer_gd", seed=
 _, log = run_two_phase(spec, params, ds, base, cfg, SQUARED)
 
 p_tau = params_from_flat(spec, log.params_at_tau_flat)
-reference = compute_ntk(compute_jacobian(spec, p_tau, ds.x), step=cfg.tau)
+reference = compute_ntk(compute_kernel(spec, p_tau, ds.x), step=cfg.tau)
 print(f"reference at tau: rank {reference.rank}")
 
 for t in range(cfg.tau + 25, cfg.total_steps + 1, 25):
     p_t, _ = run_two_phase(spec, params, ds, base,
                            TwoPhaseConfig(tau=cfg.tau, total_steps=t, seed=0), SQUARED)
-    current = compute_ntk(compute_jacobian(spec, p_t, ds.x), step=t)
+    current = compute_ntk(compute_kernel(spec, p_t, ds.x), step=t)
     print(f"step {t:>4}: rank {current.rank}, "
           f"preserved={assert_rank_preserved(reference, current)}")
 

@@ -44,7 +44,13 @@ from .network import (
     random_params,
     softplus,
 )
-from .ntk import NtkSnapshot, assert_rank_preserved, compute_jacobian, compute_ntk
+from .ntk import (
+    NtkSnapshot,
+    assert_rank_preserved,
+    compute_jacobian,
+    compute_kernel,
+    compute_ntk,
+)
 from .trainer import (
     BaseAlgoConfig,
     TrainLog,

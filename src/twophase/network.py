@@ -112,6 +112,11 @@ class NetworkSpec:
         return sum(self.layer_param_sizes())
 
 
+def _stacked(flat: np.ndarray, off: int, rows: int, cols: int) -> np.ndarray:
+    """The [W; b] block (rows x cols) that starts at `off` in `flat`; a view."""
+    return flat[off : off + rows * cols].reshape(rows, cols, order="F")
+
+
 class Params:
     """All parameters of one network, held in a single float64 buffer.
 
@@ -139,7 +144,7 @@ class Params:
         off = 0
         for l, size in enumerate(spec.layer_param_sizes()):
             rows, cols = dims[l] + 1, dims[l + 1]
-            block = flat[off : off + rows * cols].reshape(rows, cols, order="F")
+            block = _stacked(flat, off, rows, cols)
             weights.append(block[:-1])
             biases.append(block[-1:])
             if l < spec.depth:
@@ -373,23 +378,31 @@ def backprop(
         )
     frozen = trace.frozen_stats is not None
 
-    grad = Params(spec)
-    grad.weights[-1][:] = trace.hidden.T @ upstream
-    grad.biases[-1][:] = upstream.sum(axis=0, keepdims=True)
+    # the flat layout of Params, written into one zero vector: per layer the
+    # [W; b] block, then under BN its scale and shift; the head block last
+    sizes = spec.layer_param_sizes()
+    grad = np.zeros(sum(sizes))
+    end = grad.size - sizes[-1]
+    head = _stacked(grad, end, spec.feature_dim + 1, spec.output_dim)
+    head[:-1] = trace.hidden.T @ upstream
+    head[-1] = upstream.sum(axis=0)
     dh = upstream @ params.weights[-1].T
     for l in range(spec.depth - 1, -1, -1):
         cache = trace.bn_cache[l]
         sig_in = trace.affine[l] if cache is None else cache[3]
         dz = dh * softplus_deriv(sig_in, spec.sharpness)
+        m_l = dz.shape[1]
         if cache is not None:
             dz, dgamma, dbeta = _bn_backward(
                 dz, cache, params.bn_scale[l], spec.bn_epsilon, frozen
             )
-            grad.bn_scale[l][:] = dgamma
-            grad.bn_shift[l][:] = dbeta
+            grad[end - 2 * m_l : end - m_l] = dgamma
+            grad[end - m_l : end] = dbeta
         h_prev = trace.inputs if l == 0 else trace.post[l - 1]
-        grad.weights[l][:] = h_prev.T @ dz
-        grad.biases[l][:] = dz.sum(axis=0, keepdims=True)
+        end -= sizes[l]
+        block = _stacked(grad, end, h_prev.shape[1] + 1, m_l)
+        block[:-1] = h_prev.T @ dz
+        block[-1] = dz.sum(axis=0)
         if l > 0:
             dh = dz @ params.weights[l].T
-    return grad.flat
+    return grad

@@ -3,22 +3,33 @@
 The Jacobian J stacks output gradients sample-major: row (i * m_y + k) is
 the derivative of output coordinate k at sample i with respect to the flat
 parameter vector.  When rows are independent (no batch normalization, or BN
-with frozen statistics, as in all of phase 2) J comes from one forward and
-one batched backward pass: the per-sample deltas D_l[i, k] = d f_ik / d z_l
-give each hidden layer's block of row (i, k) as D_l[i, k] (x) [h_{l-1,i}, 1]
-in the column-major [W; b] layout, and the head block is
-I_{m_y} (x) [h_i, 1].  Training-mode BN couples the rows through the batch
-statistics, so there J takes one backward pass per row.  The kernel
-K = J J^T is symmetric positive semidefinite and shares its rank with J;
-training phases that must not lose kernel rank compare each step against the
-snapshot taken right after perturbation, reusing the reference snapshot's
-threshold so the comparison cannot flap.  As J (nu o w) = f(w), the same K
-gives Rbar (bounds.estimate_R_bar), so no Jacobian is kept.
+with frozen statistics, as in all of phase 2) one forward and one batched
+backward pass give the per-sample deltas D_l[i, k] = d f_ik / d z_l of every
+hidden layer.  Layer l's block of row (i, k) is then D_l[i, k] (x) A_{l-1,i},
+A_{l-1} = [h_{l-1}, 1], in the column-major [W; b] layout, and the head
+block is I_{m_y} (x) [h_i, 1].  So the kernel K = J J^T is summed layer by
+layer without forming J (the structured product of Novak et al. 2022, "Fast
+Finite Width Neural Tangent Kernel"):
+
+    K = sum_l (D_l D_l^T) o (A_{l-1} A_{l-1}^T (x) 1 1^T) + [h, 1][h, 1]^T (x) I,
+
+plus (D o z_hat)(D o z_hat)^T + D D^T for the scale and shift of a BN layer,
+D there being the delta at the BN output.  That is rows^2 * sum_l m_l flops
+where J J^T takes rows^2 * d.  Training-mode BN couples the rows through the
+batch statistics, so there J takes one backward pass per row and K = J J^T.
+
+K is symmetric positive semidefinite and shares its rank with J.  Training
+phases that must not lose kernel rank compare each step against the snapshot
+taken right after perturbation, reusing the reference snapshot's threshold so
+the comparison cannot flap.  compute_ntk certifies full rank by one Cholesky
+factorization of K shifted down by CHOLESKY_SHIFT times the threshold, and
+falls back to the spectrum (eigvalsh) only when that fails; a snapshot
+computes its spectrum, and the stock threshold it defines, on first use.  As
+J (nu o w) = f(w), the same K gives Rbar (bounds.estimate_R_bar), so no
+Jacobian is kept.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,27 +39,86 @@ from .network import NetworkSpec, Params, backprop, forward_hidden, softplus_der
 __all__ = [
     "NtkSnapshot",
     "compute_jacobian",
+    "compute_kernel",
     "compute_ntk",
     "assert_rank_preserved",
 ]
 
 DEFAULT_MAX_JACOBIAN_ENTRIES = 50_000_000
+EPS = np.finfo(np.float64).eps
+# compute_ntk factors K - CHOLESKY_SHIFT * m * I to prove every eigenvalue > m
+CHOLESKY_SHIFT = 4.0
 
 
-@dataclass
 class NtkSnapshot:
-    """Kernel spectrum, rank, and the threshold the rank was measured at."""
+    """A tangent kernel K with its numerical rank.
 
-    rows: int
-    cols: int
-    kernel_spectrum: np.ndarray
-    rank: int
-    tolerance: float
-    step: int = -1
-    kernel: np.ndarray | None = None
+    `rank` counts the eigenvalues of K above `tolerance`.  Every eigenvalue
+    is proven to exceed `certified` (None when nothing was proven), so
+    rank_at answers any threshold up to it without a spectrum.  The
+    spectrum (descending, clipped at 0) and, unless one was given, the stock
+    tolerance rows * eps * largest eigenvalue are computed on first use.
+    """
+
+    def __init__(self, kernel: np.ndarray, rank: int, tolerance: float | None = None,
+                 certified: float | None = None, step: int = -1):
+        self.kernel = kernel
+        self.rows = kernel.shape[0]
+        self.rank = rank
+        self.certified = certified
+        self.step = step
+        self._tolerance = tolerance
+        self._spectrum = None
+
+    @property
+    def kernel_spectrum(self) -> np.ndarray:
+        if self._spectrum is None:
+            try:
+                spectrum = np.linalg.eigvalsh(self.kernel)
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionError(
+                    f"spectrum of {self.rows} x {self.rows} kernel failed: {exc}") from exc
+            self._spectrum = np.maximum(spectrum, 0.0)[::-1]
+        return self._spectrum
+
+    @property
+    def tolerance(self) -> float:
+        if self._tolerance is None:
+            top = float(self.kernel_spectrum[0]) if self.rows else 0.0
+            self._tolerance = self.rows * EPS * top
+        return self._tolerance
 
     def rank_at(self, tol: float) -> int:
+        if self.certified is not None and tol <= self.certified:
+            return self.rows
         return int(np.count_nonzero(self.kernel_spectrum > tol))
+
+
+def _coupled(spec: NetworkSpec, trace) -> bool:
+    """Training-mode BN: the rows of J depend on each other's samples."""
+    return any(spec.bn_flags) and trace.frozen_stats is None
+
+
+def _layer_deltas(spec: NetworkSpec, params: Params, trace):
+    """Hidden layers, last first, as (l, h_prev, dout, dz): the layer's input
+    and the derivatives of every output f_ik (n x m_y x m_l, sample i, output
+    k) with respect to the layer's softplus input (dout) and its affine
+    pre-activation (dz; dout itself without BN).  The recursion starts from
+    W_head^T broadcast over samples, scales by the softplus derivative and,
+    under frozen BN, by gamma / sqrt(var + eps).  Rows must be independent
+    (not _coupled)."""
+    n, m_y = trace.inputs.shape[0], spec.output_dim
+    delta = np.broadcast_to(params.weights[-1].T, (n, m_y, spec.feature_dim))
+    for l in range(spec.depth - 1, -1, -1):
+        cache = trace.bn_cache[l]
+        dout = delta * softplus_deriv(trace.affine[l] if cache is None else cache[3],
+                                      spec.sharpness)[:, None, :]
+        dz = dout
+        if cache is not None:
+            dz = dout * params.bn_scale[l] * (1.0 / np.sqrt(cache[1] + spec.bn_epsilon))
+        yield l, trace.inputs if l == 0 else trace.post[l - 1], dout, dz
+        if l > 0:
+            delta = (dz.reshape(n * m_y, -1) @ params.weights[l].T).reshape(n, m_y, -1)
 
 
 def compute_jacobian(
@@ -62,12 +132,10 @@ def compute_jacobian(
     """Full output Jacobian, shape (n * m_y) x d.
 
     Without BN, or with `frozen_stats`, this is the structured product of the
-    module docstring, from one forward and one batched backward pass: the
-    deltas D_l (n x m_y x m_l) start from W_head^T broadcast over samples and
-    are scaled by the softplus derivative at each layer's pre-activation, and
-    under frozen BN by gamma / sqrt(var + eps), whose scale and shift columns
-    are dz * z_hat and dz.  Each block is written straight into J as
-    D_l (x) [h_{l-1}, 1].  Training-mode BN runs one backward pass per row
+    module docstring, from one forward and one batched backward pass
+    (_layer_deltas): each block is written straight into J as
+    dz (x) [h_{l-1}, 1], and a BN layer's scale and shift columns are
+    dout * z_hat and dout.  Training-mode BN runs one backward pass per row
     over a shared forward trace, which differentiates the batch statistics
     exactly.  A given `trace` of `params` on `x` replaces the forward pass.
     Raises MemoryError when J would exceed `max_entries`.
@@ -83,7 +151,7 @@ def compute_jacobian(
             "use fewer samples or raise max_entries"
         )
     jac = np.zeros((rows, d))
-    if any(spec.bn_flags) and trace.frozen_stats is None:
+    if _coupled(spec, trace):
         upstream = np.zeros((n, m_y))
         for i in range(n):
             for k in range(m_y):
@@ -99,62 +167,97 @@ def compute_jacobian(
     head[:, diag, diag, :-1] = trace.hidden[:, None, :]
     head[:, diag, diag, -1] = 1.0
 
-    delta = np.broadcast_to(params.weights[-1].T, (n, m_y, spec.feature_dim))
-    for l in range(spec.depth - 1, -1, -1):
-        h_prev = trace.inputs if l == 0 else trace.post[l - 1]
+    for l, h_prev, dout, dz in _layer_deltas(spec, params, trace):
         m_prev, m_l = h_prev.shape[1], spec.widths[l + 1]
         block = per_sample[:, :, offsets[l]:offsets[l + 1]]
         cache = trace.bn_cache[l]
-        dz = delta * softplus_deriv(trace.affine[l] if cache is None else cache[3],
-                                    spec.sharpness)[:, None, :]
         if cache is not None:
-            _, var, z_hat, _ = cache
-            np.multiply(dz, z_hat[:, None, :], out=block[:, :, -2 * m_l:-m_l])
-            block[:, :, -m_l:] = dz
-            dz = dz * params.bn_scale[l] * (1.0 / np.sqrt(var + spec.bn_epsilon))
+            np.multiply(dout, cache[2][:, None, :], out=block[:, :, -2 * m_l:-m_l])
+            block[:, :, -m_l:] = dout
         wb = block[:, :, : m_l * (m_prev + 1)].reshape(n, m_y, m_l, m_prev + 1)
         np.multiply(dz[..., None], h_prev[:, None, None, :], out=wb[..., :-1])
         wb[..., -1] = dz
-        if l > 0:
-            delta = (dz.reshape(rows, m_l) @ params.weights[l].T).reshape(n, m_y, m_prev)
     return jac
 
 
-def compute_ntk(jacobian, step: int = -1, tol: float | None = None) -> NtkSnapshot:
-    """Snapshot of K = J J^T with its numerical rank.
+def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
+                   trace=None) -> np.ndarray:
+    """Tangent kernel K = J J^T, (n * m_y) x (n * m_y), rows as in
+    compute_jacobian.
 
-    The rank counts eigenvalues of K above the threshold, by default the
-    stock rank convention max(K.shape) * eps * largest eigenvalue.
+    Without BN, or with `frozen_stats`, K is the layer-wise sum of the
+    module docstring over the deltas of one batched backward pass
+    (_layer_deltas), and J is never formed.  Training-mode BN takes J J^T
+    of the per-row Jacobian.  A given `trace` of `params` on `x` replaces
+    the forward pass.
     """
-    jac = np.asarray(jacobian, dtype=np.float64)
-    if jac.ndim != 2 or not np.all(np.isfinite(jac)):
-        raise ValueError("jacobian must be a finite 2-D array")
-    kernel = jac @ jac.T
-    rows = kernel.shape[0]
+    if trace is None:
+        trace = forward_hidden(spec, params, x, frozen_stats)
+    if _coupled(spec, trace):
+        jac = compute_jacobian(spec, params, x, trace=trace)
+        return jac @ jac.T
+    n, m_y = trace.inputs.shape[0], spec.output_dim
+    rows = n * m_y
+    h = trace.hidden
+    kernel = np.zeros((rows, rows))
+    blocks = kernel.reshape(n, m_y, n, m_y)
+    diag = np.arange(m_y)
+    blocks[:, diag, :, diag] = h @ h.T + 1.0
+    for l, h_prev, dout, dz in _layer_deltas(spec, params, trace):
+        d = dz.reshape(rows, -1)
+        blocks += (d @ d.T).reshape(n, m_y, n, m_y) * (h_prev @ h_prev.T + 1.0)[:, None, :, None]
+        cache = trace.bn_cache[l]
+        if cache is not None:
+            scale = (dout * cache[2][:, None, :]).reshape(rows, -1)
+            shift = dout.reshape(rows, -1)
+            kernel += scale @ scale.T + shift @ shift.T
+    return kernel
+
+
+def compute_ntk(kernel, step: int = -1, tol: float | None = None,
+                floor: float = 0.0) -> NtkSnapshot:
+    """Snapshot of the tangent kernel K (compute_kernel) with its rank.
+
+    The rank counts eigenvalues of K above `tol`, by default the stock
+    convention rows * eps * largest eigenvalue.  `floor` is a further
+    threshold the caller will ask rank_at about, such as the reference
+    tolerance of assert_rank_preserved.
+
+    With m = max(floor, tol, rows * eps * trace K), which covers both
+    thresholds since trace K >= the largest eigenvalue, one Cholesky
+    factorization of K - c m I, c = CHOLESKY_SHIFT = 4, proves every
+    eigenvalue of K above m, and the rank is rows with no spectrum.  Why c = 4
+    suffices: the computed factor R has R^T R = K - c m I + E with
+    |E_ij| <= gamma ||R e_i|| ||R e_j||, gamma = gamma_{rows+1} ~
+    (rows + 1) eps / 2 (Higham, "Accuracy and Stability of Numerical
+    Algorithms", Thm 10.3), so ||E||_2 <= gamma trace(K) (1 + O(rows eps))
+    <= m; rounding the shifted diagonal adds at most eps/2 (trace K + c m),
+    about m/2 or less.  A success therefore leaves lambda_min(K) >=
+    4m - 1.5m > m, with margin
+    for eigvalsh's own rounding, so the certified rank is the count eigvalsh
+    gives.  When the factorization fails, eigvalsh counts the rank.
+    """
+    k = np.asarray(kernel, dtype=np.float64)
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or not np.all(np.isfinite(k)):
+        raise ValueError("kernel must be a finite square 2-D array")
+    rows = k.shape[0]
+    tolerance = None if tol is None else float(tol)
+    level = max(floor, tolerance or 0.0, rows * EPS * float(np.trace(k)))
     try:
-        spectrum = np.linalg.eigvalsh(kernel)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"spectrum of {rows} x {rows} kernel failed: {exc}") from exc
-    spectrum = np.maximum(spectrum, 0.0)[::-1]
-    if tol is None:
-        tol = rows * np.finfo(np.float64).eps * (float(spectrum[0]) if rows else 0.0)
-    return NtkSnapshot(
-        rows=rows,
-        cols=jac.shape[1],
-        kernel_spectrum=spectrum,
-        rank=int(np.count_nonzero(spectrum > tol)),
-        tolerance=float(tol),
-        step=step,
-        kernel=kernel,
-    )
+        np.linalg.cholesky(k - CHOLESKY_SHIFT * level * np.eye(rows))
+    except np.linalg.LinAlgError:
+        snap = NtkSnapshot(k, 0, tolerance, step=step)
+        snap.rank = snap.rank_at(snap.tolerance)
+        return snap
+    return NtkSnapshot(k, rows, tolerance, certified=level, step=step)
 
 
 def assert_rank_preserved(reference: NtkSnapshot, current: NtkSnapshot) -> bool:
     """True iff the current kernel rank, measured at the reference snapshot's
     threshold, has not dropped below the reference rank."""
-    if (reference.rows, reference.cols) != (current.rows, current.cols):
+    if reference.rows != current.rows:
         raise ValueError(
-            f"snapshot dimensions differ: {(reference.rows, reference.cols)} vs "
-            f"{(current.rows, current.cols)}; same dataset and architecture required"
+            f"snapshot dimensions differ: {reference.rows} vs {current.rows} rows; "
+            "same dataset and architecture required"
         )
     return current.rank_at(reference.tolerance) >= reference.rank

@@ -25,7 +25,9 @@ calls the unchecked loss kernel of `losses`.  Each phase-1 step makes one
 full-batch forward pass.  That pass gives the step's loss, under GD the next
 step's gradient, without batch normalization the rows of the next
 momentum-SGD minibatch, and on a monitored step the feature rank and the
-Jacobian.
+tangent kernel.  Every kernel comes from ntk.compute_kernel, summed layer by
+layer from that pass, and its rank from one Cholesky factorization
+(ntk.compute_ntk).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .network import (
     batch_statistics,
     forward_hidden,
 )
-from .ntk import assert_rank_preserved, compute_jacobian, compute_ntk
+from .ntk import assert_rank_preserved, compute_kernel, compute_ntk
 
 __all__ = [
     "BaseAlgoConfig",
@@ -245,6 +247,14 @@ def _finite(value, what: str, t, phase):
     )
 
 
+def _snapshot(spec, params, x, frozen, trace, t, phase, floor=0.0):
+    """compute_ntk of the tangent kernel at `trace`, the forward pass of
+    `params` on x; FloatingPointError naming step t and the phase if the
+    kernel is not finite."""
+    kernel = _finite(compute_kernel(spec, params, x, frozen, trace=trace), "kernel", t, phase)
+    return compute_ntk(kernel, step=t, floor=floor)
+
+
 def _checked_data(spec, kind, x, y):
     """X and Y as finite float64 matrices, Y with valid targets of kind and
     one row of spec.output_dim per row of X; ValueError otherwise."""
@@ -339,7 +349,7 @@ def run_two_phase(
     feature matrix is not full row rank, RankPreservationError if lazy-phase
     rate halving cannot restore the kernel rank within the retry cap, and
     FloatingPointError naming the step and phase if predictions, the loss,
-    the gradient norm or a lazy-phase Jacobian stop being finite.  Overflow
+    the gradient norm or a tangent kernel stop being finite.  Overflow
     warnings are silenced for the whole run: every non-finite value that
     matters ends up in one of those checks.
     """
@@ -404,8 +414,7 @@ def run_two_phase(
                          wall_time=time.perf_counter() - t0)
         if monitored(t):
             rec.feature_rank = numerical_rank(append_ones(trace.hidden))
-            rec.ntk_rank = compute_ntk(compute_jacobian(spec, params, x, trace=trace),
-                                       step=t).rank
+            rec.ntk_rank = _snapshot(spec, params, x, None, trace, t, 1).rank
         emit(rec)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -475,8 +484,7 @@ def run_two_phase(
                 # only the head moved, so the tau pass is the features' pass
                 rec.feature_rank = feat_rank
                 params.set_head_block(z)
-                jac = compute_jacobian(spec, params, x, frozen, trace=trace)
-                rec.ntk_rank = compute_ntk(jac, step=t).rank
+                rec.ntk_rank = _snapshot(spec, params, x, frozen, trace, t, 2).rank
             emit(rec)
         params.set_head_block(z)
     else:
@@ -488,10 +496,11 @@ def run_two_phase(
         eta_bar = cfg.lazy_eta_bar
         log.eta_schedule = {"mode": "lazy_uniform", "eta_bar": eta_bar,
                             "lipschitz": lipschitz}
-        # one forward trace per parameter point gives its Jacobian, loss,
-        # gradient and distance to the linearized minimizers
-        reference = compute_ntk(compute_jacobian(spec, params, x, frozen, trace=trace),
-                                step=tau)
+        # one forward trace per parameter point gives its kernel, loss,
+        # gradient and distance to the linearized minimizers; a step's rank
+        # test is certified at the reference threshold too, so accepting it
+        # needs no spectrum
+        reference = _snapshot(spec, params, x, frozen, trace, tau, 2)
         _, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=tau, phase=2,
                                   trace=trace)
         log.ntk_rank_at_tau = reference.rank
@@ -512,9 +521,7 @@ def run_two_phase(
             for attempt in range(LAZY_MAX_RETRIES + 1):
                 np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
                 trace = forward_hidden(spec, cand, x, frozen)
-                jac = _finite(compute_jacobian(spec, cand, x, frozen, trace=trace),
-                              "Jacobian", t, 2)
-                snap = compute_ntk(jac, step=t)
+                snap = _snapshot(spec, cand, x, frozen, trace, t, 2, reference.tolerance)
                 if assert_rank_preserved(reference, snap):
                     accepted = True
                     break

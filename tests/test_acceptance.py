@@ -201,7 +201,8 @@ def test_criterion_6_ntk_structure():
                              seed=seed)
         _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED)
         p_tau = params_from_flat(spec, log.params_at_tau_flat)
-        ref = compute_ntk(compute_jacobian(spec, p_tau, ds.x, log.frozen_stats), step=20)
+        jac = compute_jacobian(spec, p_tau, ds.x, log.frozen_stats)
+        ref = compute_ntk(jac @ jac.T, step=20)
         full_rank_ok &= ref.rank == n * m_y
         # head GD is deterministic: a run cut at step t ends at step t's params
         for t in range(20 + 25, 171, 25):
@@ -209,7 +210,7 @@ def test_criterion_6_ntk_structure():
                                    TwoPhaseConfig(tau=20, total_steps=t, seed=seed),
                                    SQUARED)
             jac = compute_jacobian(spec, p_t, ds.x, log.frozen_stats)
-            preserved_ok &= assert_rank_preserved(ref, compute_ntk(jac, step=t))
+            preserved_ok &= assert_rank_preserved(ref, compute_ntk(jac @ jac.T, step=t))
     ok = full_rank_ok and preserved_ok
     report(6, f"kernel rank full at tau: {full_rank_ok}; preserved along "
               f"head-only phase: {preserved_ok}", ok)
@@ -318,7 +319,8 @@ def test_criterion_9_oracle_equivalence():
     for k in range(3):
         p = init_params(spec, seed=k)
         traj.append((p, compute_jacobian(spec, p, ds.x)))
-    got = max(estimate_R_bar(compute_ntk(jac), forward_output(spec, p, ds.x), ds.y, SQUARED)
+    got = max(estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, p, ds.x), ds.y,
+                             SQUARED)
               for p, jac in traj)
     worst = 0.0
     for p, jac in traj:

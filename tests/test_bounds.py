@@ -290,13 +290,14 @@ class TestEstimateRBar:
         ds, spec, params = _interpolating_setup()
         jac = compute_jacobian(spec, params, ds.x)
         f = forward_output(spec, params, ds.x)
-        assert estimate_R_bar(compute_ntk(jac), f, ds.y, SQUARED) <= 1e-8
+        assert estimate_R_bar(compute_ntk(jac @ jac.T), f, ds.y, SQUARED) <= 1e-8
 
     def test_singleton_matches_direct_solve(self, rng):
         ds, spec, params = _interpolating_setup(seed=1)
         params.weights[-1][:] = params.weights[-1] + rng.standard_normal(params.weights[-1].shape)
         jac = compute_jacobian(spec, params, ds.x)
-        got = estimate_R_bar(compute_ntk(jac), forward_output(spec, params, ds.x), ds.y, SQUARED)
+        got = estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, params, ds.x), ds.y,
+                             SQUARED)
         anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
         omega = min_norm_solve(jac, ds.y.reshape(-1, 1), anchor)
         assert got == pytest.approx(float(np.linalg.norm(anchor - omega)), rel=1e-12)
@@ -308,7 +309,8 @@ class TestEstimateRBar:
             p = params.copy()
             p.weights[-1][:] = p.weights[-1] + 0.3 * rng.standard_normal(p.weights[-1].shape)
             traj.append((p, compute_jacobian(spec, p, ds.x)))
-        got = max(estimate_R_bar(compute_ntk(jac), forward_output(spec, p, ds.x), ds.y, SQUARED)
+        got = max(estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, p, ds.x), ds.y,
+                                 SQUARED)
                   for p, jac in traj)
         worst = 0.0
         for p, jac in traj:
@@ -326,7 +328,7 @@ class TestEstimateRBar:
         jac = compute_jacobian(spec, params, ds.x)
         y = np.abs(ds.y) + 0.5
         y /= y.sum(axis=1, keepdims=True)
-        got = estimate_R_bar(compute_ntk(jac), forward_output(spec, params, ds.x), y,
+        got = estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, params, ds.x), y,
                              CROSS_ENTROPY)
         n, m_y = y.shape
         anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
@@ -344,7 +346,7 @@ class TestEstimateRBar:
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
         f = forward_output(spec, params, ds.x)
-        assert estimate_R_bar(compute_ntk(jac), f, y, CROSS_ENTROPY) == np.inf
+        assert estimate_R_bar(compute_ntk(jac @ jac.T), f, y, CROSS_ENTROPY) == np.inf
         assert not calls
 
     @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY], ids=lambda k: k.name)
@@ -358,12 +360,13 @@ class TestEstimateRBar:
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
         with pytest.raises(RankDeficientError, match="rank 6 < 8"):
-            estimate_R_bar(compute_ntk(jac), forward_output(spec, params, x), y, kind)
+            estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, params, x), y, kind)
         assert not calls
 
     def test_kernel_must_match_the_targets(self):
         ds, spec, params = _interpolating_setup()
-        snap = compute_ntk(compute_jacobian(spec, params, ds.x[:3]))
+        jac = compute_jacobian(spec, params, ds.x[:3])
+        snap = compute_ntk(jac @ jac.T)
         with pytest.raises(ValueError, match="kernel has 6 rows, targets need 8"):
             estimate_R_bar(snap, forward_output(spec, params, ds.x), ds.y, SQUARED)
 

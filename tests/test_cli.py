@@ -322,8 +322,8 @@ class TestTrain:
         # fails a bounds-on run and leaves a bounds-off run alone
         real = trainer.compute_ntk
 
-        def short_at_tau(jacobian, step=-1, tol=None):
-            snap = real(jacobian, step, tol)
+        def short_at_tau(kernel, step=-1, tol=None, floor=0.0):
+            snap = real(kernel, step, tol, floor)
             if step == 20:
                 snap.rank -= 1
             return snap

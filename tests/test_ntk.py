@@ -18,6 +18,7 @@ from twophase.network import (
 from twophase.ntk import (
     assert_rank_preserved,
     compute_jacobian,
+    compute_kernel,
     compute_ntk,
 )
 from twophase.trainer import nu_mask
@@ -25,26 +26,27 @@ from twophase.trainer import nu_mask
 
 class TestComputeNtk:
     def test_identity_jacobian(self):
-        snap = compute_ntk(np.eye(5))
+        j = np.eye(5)
+        snap = compute_ntk(j @ j.T)
         np.testing.assert_allclose(snap.kernel, np.eye(5), atol=1e-14)
         assert snap.rank == 5
 
     def test_repeated_row_drops_rank(self, rng):
         j = rng.standard_normal((4, 7))
         j[2] = j[0]
-        snap = compute_ntk(j)
+        snap = compute_ntk(j @ j.T)
         assert snap.rank < 4
 
     def test_sign_flip_invariance(self, rng):
         j = rng.standard_normal((5, 9))
-        a = compute_ntk(j)
-        b = compute_ntk(-j)
+        a = compute_ntk(j @ j.T)
+        b = compute_ntk(-j @ -j.T)
         np.testing.assert_allclose(a.kernel, b.kernel, atol=1e-12)
         assert a.rank == b.rank
 
     def test_kernel_symmetric_psd(self, rng):
         j = rng.standard_normal((6, 11))
-        snap = compute_ntk(j)
+        snap = compute_ntk(j @ j.T)
         k = snap.kernel
         assert np.max(np.abs(k - k.T)) <= 1e-10 * max(1.0, np.abs(k).max())
         assert snap.kernel_spectrum.min() >= -1e-8 * np.abs(k).max()
@@ -55,7 +57,7 @@ class TestComputeNtk:
             j = rng.standard_normal((rows, cols))
             if rng.random() < 0.3 and rows >= 2:
                 j[-1] = j[0]
-            snap = compute_ntk(j)
+            snap = compute_ntk(j @ j.T)
             sq = np.linalg.svd(j, compute_uv=False) ** 2
             assert snap.rank == np.count_nonzero(sq > snap.tolerance)
 
@@ -68,8 +70,121 @@ class TestComputeNtk:
         j = np.zeros((n * m_y, m_y * (m_h + 1)))
         for i in range(n):
             j[i * m_y : (i + 1) * m_y] = np.kron(np.eye(m_y), aug[i])
-        snap = compute_ntk(j)
+        snap = compute_ntk(j @ j.T)
         assert snap.rank == n * m_y
+
+
+def _eigvalsh_rank(k, tol):
+    return int(np.count_nonzero(np.linalg.eigvalsh(k) > tol))
+
+
+def _count_factorizations(monkeypatch):
+    # calls of each, and how many Cholesky factorizations raised
+    counts = {"cholesky": 0, "eigvalsh": 0, "failed": 0}
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+    def counting_cholesky(*args, **kwargs):
+        counts["cholesky"] += 1
+        try:
+            return cholesky(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            counts["failed"] += 1
+            raise
+
+    def counting_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return counts
+
+
+class TestCholeskyRank:
+    def test_full_rank_kernel(self, rng):
+        j = rng.standard_normal((6, 11))
+        k = j @ j.T
+        stock = 6 * np.finfo(float).eps * np.linalg.eigvalsh(k)[-1]
+        assert compute_ntk(k).rank == _eigvalsh_rank(k, stock) == 6
+
+    def test_repeated_row_kernel(self, rng):
+        j = rng.standard_normal((6, 11))
+        j[4] = j[1]
+        snap = compute_ntk(j @ j.T)
+        assert snap.rank == _eigvalsh_rank(j @ j.T, snap.tolerance) == 5
+
+    def test_kernel_scaled_below_the_reference_tolerance(self, rng):
+        # test_reference_tolerance_shared's case, certified at the floor
+        j = rng.standard_normal((4, 9))
+        ref = compute_ntk(j @ j.T, tol=1e-6)
+        k = (1e-4 * j) @ (1e-4 * j).T
+        cur = compute_ntk(k, floor=ref.tolerance)
+        assert cur.rank == _eigvalsh_rank(k, cur.tolerance) == 4
+        assert cur.rank_at(ref.tolerance) == _eigvalsh_rank(k, 1e-6) < 4
+        assert not assert_rank_preserved(ref, cur)
+
+    def test_spectrum_only_when_the_factorization_fails(self, rng, monkeypatch):
+        counts = _count_factorizations(monkeypatch)
+        j = rng.standard_normal((6, 11))
+        repeated = j.copy()
+        repeated[5] = repeated[0]
+        cases = [(j @ j.T, 0.0), (repeated @ repeated.T, 0.0),
+                 (1e-4 * j @ (1e-4 * j).T, 1e-6), (j @ j.T, 1e-6)]
+        for k, floor in cases:
+            before = dict(counts)
+            snap = compute_ntk(k, floor=floor)
+            snap.rank_at(floor)
+            failed = counts["failed"] - before["failed"]
+            assert counts["cholesky"] - before["cholesky"] == 1
+            assert counts["eigvalsh"] - before["eigvalsh"] == failed
+        assert counts["failed"] == 2
+
+    def test_rank_at_the_certified_level_needs_no_spectrum(self, rng, monkeypatch):
+        counts = _count_factorizations(monkeypatch)
+        j = rng.standard_normal((5, 8))
+        snap = compute_ntk(j @ j.T, floor=1e-9)
+        assert snap.rank_at(1e-9) == snap.rank == 5
+        assert counts["eigvalsh"] == 0
+        assert snap.rank_at(1e6) == 0 and counts["eigvalsh"] == 1
+
+    def test_zero_kernel_has_rank_zero(self):
+        assert compute_ntk(np.zeros((3, 3))).rank == 0
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.full((2, 2), np.nan)],
+                             ids=["not_square", "nan"])
+    def test_kernel_must_be_finite_and_square(self, bad):
+        with pytest.raises(ValueError, match="finite square"):
+            compute_ntk(bad)
+
+
+class TestComputeKernel:
+    @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
+    def test_equals_j_j_transpose(self, bn):
+        rng = np.random.default_rng({"none": 31, "frozen": 32, "training": 33}[bn])
+        for _ in range(20):
+            spec, p, x = random_small_config(rng, allow_bn=bn != "none")
+            stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
+            jac = compute_jacobian(spec, p, x, stats)
+            kernel = compute_kernel(spec, p, x, stats)
+            assert max_rel_err(kernel, jac @ jac.T) <= 1e-12
+            np.testing.assert_array_equal(kernel, kernel.T)
+
+    def test_forms_no_jacobian_unless_bn_couples_the_rows(self, rng, monkeypatch):
+        calls = []
+        real = ntk.compute_jacobian
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ntk, "compute_jacobian", counting)
+        spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, True))
+        p = random_params(spec, rng, 0.8)
+        x = rng.standard_normal((4, 3))
+        compute_kernel(spec, p, x, batch_statistics(forward_hidden(spec, p, x)))
+        assert not calls
+        compute_kernel(spec, p, x)
+        assert len(calls) == 1
 
 
 class TestComputeJacobian:
@@ -179,26 +294,28 @@ class TestComputeJacobian:
 
 class TestRankPreserved:
     def test_reflexive(self, rng):
-        snap = compute_ntk(rng.standard_normal((4, 9)))
+        j = rng.standard_normal((4, 9))
+        snap = compute_ntk(j @ j.T)
         assert assert_rank_preserved(snap, snap)
 
     def test_rank_drop_detected(self, rng):
         j = rng.standard_normal((4, 9))
-        ref = compute_ntk(j)
+        ref = compute_ntk(j @ j.T)
         j2 = j.copy()
         j2[3] = j2[0]
-        assert not assert_rank_preserved(ref, compute_ntk(j2))
+        assert not assert_rank_preserved(ref, compute_ntk(j2 @ j2.T))
 
     def test_dimension_mismatch_errors(self, rng):
-        a = compute_ntk(rng.standard_normal((4, 9)))
-        b = compute_ntk(rng.standard_normal((5, 9)))
+        ja, jb = rng.standard_normal((4, 9)), rng.standard_normal((5, 9))
+        a = compute_ntk(ja @ ja.T)
+        b = compute_ntk(jb @ jb.T)
         with pytest.raises(ValueError, match="dimensions differ"):
             assert_rank_preserved(a, b)
 
     def test_reference_tolerance_shared(self, rng):
         j = rng.standard_normal((4, 9))
-        ref = compute_ntk(j, tol=1e-6)
-        cur = compute_ntk(1e-4 * j)  # scaled down, same mathematical rank
+        ref = compute_ntk(j @ j.T, tol=1e-6)
+        cur = compute_ntk((1e-4 * j) @ (1e-4 * j).T)  # scaled down, same mathematical rank
         # at the reference's absolute threshold the scaled kernel loses rank
         assert cur.rank == 4
         assert not assert_rank_preserved(ref, cur)

@@ -5,7 +5,8 @@ The tracer wraps `solve_last_layer_optimum` and reads `LastLayerOptimum.steps`
 from its result, and times `estimate_R_bar` per call; the benchmark's own
 smoke test runs with bounds off, so these run bounds-on trains under the
 tracer.  It also counts `network.forward_hidden` calls, one per full-batch
-pass of a momentum-SGD step.
+pass of a momentum-SGD step, and the `ntk` calls of a lazy run: one
+`compute_kernel` per kernel and no `compute_jacobian`.
 """
 
 import json
@@ -52,7 +53,9 @@ def test_tracer_reads_optimum_steps(tmp_path):
 
 
 def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
-    # Rbar is the running max over tau and every phase-2 step
+    # Rbar is the running max over tau and every phase-2 step, and each of
+    # those kernels (plus one per rejected candidate) is summed layer by
+    # layer without a Jacobian
     config = {
         "seed": 0,
         "loss": "squared",
@@ -65,6 +68,9 @@ def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
     }
     result = _traced_train(tmp_path, config)
     assert _calls(result, "bounds.estimate_R_bar") == 40 - 20 + 1
+    kernels = 40 - 20 + 1 + result["observed"]["rejected_steps"]
+    assert _calls(result, "ntk.compute_kernel") == _calls(result, "ntk.compute_ntk") == kernels
+    assert _calls(result, "ntk.compute_jacobian") == 0
 
 
 def test_tracer_counts_one_forward_pass_per_sgd_step(tmp_path):

@@ -139,7 +139,7 @@ def _toy_problem(seed=0, n=10, m_x=4, m_y=2, m_h=12, sharpness=10.0, bn=False):
 
 
 def _count_forward_passes(monkeypatch):
-    # the trainer's own passes and those the Jacobian makes when given no trace
+    # the trainer's own passes and those the kernel makes when given no trace
     calls = []
     forward = trainer.forward_hidden
 
@@ -314,7 +314,7 @@ class TestRunTwoPhase:
     def test_one_full_batch_forward_per_step(self, monkeypatch, mode):
         # phase 1's monitoring is off; a momentum-SGD minibatch is rows of the
         # previous step's full-batch pass, except under training-mode BN,
-        # whose batch statistics couple the rows; a lazy step's Jacobian
+        # whose batch statistics couple the rows; a lazy step's kernel
         # reuses the trainer's forward pass on the candidate
         per_step = 2 if mode == "sgd_phase1_bn" else 1
         calls = _count_forward_passes(monkeypatch)
@@ -337,7 +337,7 @@ class TestRunTwoPhase:
 
     @pytest.mark.parametrize("variant", ["gd", "sgd_momentum"])
     def test_monitored_steps_reuse_the_step_pass(self, monkeypatch, variant):
-        # a monitored phase-1 step takes its feature rank and Jacobian from
+        # a monitored phase-1 step takes its feature rank and kernel from
         # its loss pass, and a monitored head step from the tau pass: the
         # forward passes are one per phase-1 step plus the initial and the
         # tau pass, however often the run is monitored
@@ -389,20 +389,21 @@ class TestRunTwoPhase:
         assert not seen
 
     def test_lazy_run_decomposes_each_kernel_once(self, monkeypatch):
-        # Rbar reads the rank of the snapshot compute_ntk made, so a bounds
-        # evaluation adds no second eigendecomposition of the same kernel
-        eig, snaps = [], []
-        eigvalsh, compute_ntk = np.linalg.eigvalsh, trainer.compute_ntk
-
-        def counting_eig(*args, **kwargs):
-            eig.append(1)
-            return eigvalsh(*args, **kwargs)
+        # one Cholesky factorization per kernel certifies its rank at the
+        # reference threshold as well; only that threshold, at tau, takes a
+        # spectrum, and Rbar reads the rank of the snapshot compute_ntk made
+        counts, snaps = {"eigvalsh": 0, "cholesky": 0}, []
+        compute_ntk = trainer.compute_ntk
+        for name in counts:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
 
         def counting_ntk(*args, **kwargs):
             snaps.append(1)
             return compute_ntk(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
         monkeypatch.setattr(trainer, "compute_ntk", counting_ntk)
         ds, spec, p0 = _toy_problem(seed=19)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
@@ -410,7 +411,28 @@ class TestRunTwoPhase:
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
         _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
         assert log.r_bar is not None and np.isfinite(log.r_bar)
-        assert len(snaps) == 11 and len(eig) == len(snaps)
+        assert len(snaps) == 11
+        assert counts["eigvalsh"] <= 1 and counts["cholesky"] == len(snaps)
+
+    def test_phase_one_builds_no_params_per_step(self, monkeypatch):
+        # a head_gd_ce-shaped run (cross-entropy, momentum SGD, then head
+        # GD): backprop writes each gradient into a plain vector, so the
+        # only Params are the run's own copy and the perturbed one
+        built = []
+        init = trainer.Params.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        ds = synth_gen(16, 4, 3, 0.03, "one_hot", seed=23)
+        spec = NetworkSpec((4, 8, 18), 3, sharpness=10.0)
+        p0 = init_params(spec, seed=23)
+        monkeypatch.setattr(trainer.Params, "__init__", counting)
+        base = BaseAlgoConfig(variant="sgd_momentum", minibatch=8, seed=23)
+        cfg = TwoPhaseConfig(tau=30, total_steps=50, phase2_mode="last_layer_gd", seed=23)
+        run_two_phase(spec, p0, ds, base, cfg, CROSS_ENTROPY)
+        assert len(built) <= 3
 
     def test_divergent_head_phase_names_step_and_phase(self):
         ds, spec, p0 = _toy_problem(seed=16)
