@@ -12,17 +12,18 @@
 # where `R^2` is the squared distance from the post-noise head to the
 # nearest head minimizer and `L_H` the smoothness constant of the frozen-
 # feature problem.  Everything on the right is computable, so the bound
-# can be checked step by step rather than trusted.
+# can be checked step by step rather than trusted: with `bounds=True` each
+# phase-2 record carries its ceiling and measured suboptimality as it is
+# emitted.
 
 # %%
 import numpy as np
 
 from twophase import (
     BaseAlgoConfig,
-    BoundConstants,
     NetworkSpec,
     TwoPhaseConfig,
-    check_bounds,
+    gd_bound,
     init_params,
     run_two_phase,
     solve_last_layer_optimum,
@@ -38,29 +39,31 @@ base = BaseAlgoConfig(variant="gd", learning_rate=0.05, minibatch=16,
 cfg = TwoPhaseConfig(tau=300, total_steps=1300, noise_scale=1e-3,
                      phase2_mode="last_layer_gd", seed=0)
 
-params, log = run_two_phase(spec, init_params(spec, 0), ds, base, cfg, SQUARED)
+params, log = run_two_phase(spec, init_params(spec, 0), ds, base, cfg, SQUARED,
+                            bounds=True)
 print(f"loss: initial {log.loss_initial:.4f} -> at tau {log.loss_at_tau:.6f} "
       f"-> final {log.final_loss:.3e}")
 
 # %% [markdown]
-# The constants come from the recorded state at tau.  For squared loss the
-# head optimum is an exact minimum-distance interpolating solve, so
-# `loss*` is zero and `R^2` is exact:
+# The constants are fixed at tau.  For squared loss the head optimum is an
+# exact minimum-distance interpolating solve, so `loss*` is zero and `R^2`
+# is exact; recomputing it from the recorded state at tau gives the same
+# ceiling the run streamed:
 
 # %%
+c = log.constants
+print(f"certificate {c['certificate']}: loss* = {c['loss_star']:.2e}, "
+      f"R^2 = {c['r_squared']:.4f}, L_H = {log.l_h:.2f}")
 opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y, log.head_at_tau)
-print(f"loss* = {opt.loss_star:.2e}, R^2 = {opt.r_squared:.4f}, L_H = {log.l_h:.2f}")
-
-report = check_bounds(log, BoundConstants(
-    mode="last_layer_gd", r_squared=opt.r_squared,
-    loss_star=opt.loss_star, l_h=log.l_h))
-print(f"violations over {len(report.entries)} steps: {report.violations}")
+phase2 = log.phase2_records()
+assert all(rec.bound == gd_bound(opt.r_squared, log.l_h, rec.t, log.tau) for rec in phase2)
+print(f"violations over {len(phase2)} steps: {log.violations}")
 
 # %%
 print(f"{'step':>6} {'loss - loss*':>14} {'ceiling':>12} {'slack':>12}")
-for entry in report.entries[:: len(report.entries) // 8]:
-    print(f"{entry.t:>6} {entry.measured:>14.3e} {entry.bound:>12.3e} "
-          f"{entry.slack:>12.3e}")
+for rec in phase2[:: len(phase2) // 8]:
+    print(f"{rec.t:>6} {rec.suboptimality:>14.3e} {rec.bound:>12.3e} "
+          f"{rec.bound - rec.suboptimality:>12.3e}")
 
 # %% [markdown]
 # The measured suboptimality sits far below the `1/(t - tau)` ceiling; the

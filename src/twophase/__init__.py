@@ -14,9 +14,6 @@ The package splits into small numpy modules:
 """
 
 from .bounds import (
-    BoundConstants,
-    BoundReport,
-    check_bounds,
     estimate_R_bar,
     gd_bound,
     lazy_bound,

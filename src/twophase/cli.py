@@ -5,7 +5,9 @@ falls back to the protocol defaults (momentum SGD at rate 0.01, momentum
 0.9, minibatch 64, weight decay 1e-5, tau fraction 0.6, noise scale 0.001,
 sharpness 100, last hidden width ceil(1.1 n)), so an empty config file runs
 the reference protocol at desk scale.  Per-step training records stream to
-`run.log.jsonl` as line-delimited JSON so interrupted runs stay analyzable.
+`run.log.jsonl` as line-delimited JSON, each written once and complete (with
+`bounds` on, its ceiling and suboptimality included), so interrupted runs
+stay analyzable.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 verification
 failure, 3 runtime numeric failure.
@@ -23,12 +25,6 @@ import time
 
 import numpy as np
 
-from .bounds import (
-    BoundConstants,
-    check_bounds,
-    loss_infimum,
-    solve_last_layer_optimum,
-)
 from .data import Dataset, load_csv, save_csv, synth_gen
 from .expressivity import (
     WitnessConstructionError,
@@ -94,7 +90,6 @@ DEFAULT_CONFIG = {
         "phase2_mode": "last_layer_gd",
         "sgd_rate_scale": 0.01,
         "sgd_minibatch": 64,
-        "sgd_sampling": "with_replacement",
         "lazy_eta_bar": 0.5,
         "lazy_lipschitz": None,
     },
@@ -196,7 +191,6 @@ def _build_train_cfgs(cfg: dict, dataset: Dataset, spec: NetworkSpec):
         phase2_mode=tp["phase2_mode"],
         sgd_rate_scale=tp["sgd_rate_scale"],
         sgd_minibatch=tp["sgd_minibatch"],
-        sgd_sampling=tp["sgd_sampling"],
         lazy_eta_bar=tp["lazy_eta_bar"],
         lazy_lipschitz=tp["lazy_lipschitz"],
         seed=cfg["seed"],
@@ -329,6 +323,7 @@ def _train_once(cfg: dict, dataset: Dataset, spec: NetworkSpec, record_sink=None
         spec, params0, dataset, base, two_phase, kind,
         monitor_every=cfg["monitor_every"],
         record_sink=record_sink,
+        bounds=cfg["bounds"],
     )
 
 
@@ -345,55 +340,6 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
             fh.flush()
         params, log = _train_once(cfg, dataset, spec, record_sink=sink)
 
-    kind = loss_by_name(cfg["loss"])
-    constants = {}
-    violations = None
-    bc = None
-    if cfg["bounds"] and log.features_at_tau is not None:
-        if log.phase2_mode == "lazy_full":
-            # diagnostic ceiling from the trainer's Rbar: L is an estimate
-            if log.r_bar is None:
-                rank = min([log.ntk_rank_at_tau] + [r.ntk_rank for r in log.phase2_records()])
-                rows = dataset.n * dataset.output_dim
-                raise RankDeficientError(f"lazy-phase kernel has numerical rank {rank} < "
-                                         f"{rows} rows; Rbar is undefined")
-            bc = BoundConstants(
-                mode="lazy_full",
-                loss_star=loss_infimum(kind, dataset.y),
-                l_estimate=log.eta_schedule["lipschitz"],
-                r_bar=log.r_bar,
-                eta_bar=log.eta_schedule["eta_bar"],
-            )
-            name, value, certificate = "r_bar", bc.r_bar, "estimated"
-            constants = {"l_estimate": bc.l_estimate, "diagnostic": True}
-        else:
-            opt = solve_last_layer_optimum(kind, log.features_at_tau, dataset.y,
-                                           log.head_at_tau)
-            bc = BoundConstants(
-                mode=log.phase2_mode,
-                r_squared=opt.r_squared,
-                loss_star=opt.loss_star,
-                l_h=log.l_h,
-                g_squared=log.max_sq_grad_phase2,
-                sgd_rate_scale=log.eta_schedule.get("scale"),
-            )
-            name, value, certificate = "r_squared", bc.r_squared, "exact"
-            constants = {"g_squared": log.max_sq_grad_phase2}
-        attained = math.isfinite(value)
-        constants.update({name: value if attained else None,
-                          "loss_star": bc.loss_star,
-                          "certificate": certificate if attained else "vacuous"})
-        if not attained:
-            bc = None
-    if bc is not None:
-        breport = check_bounds(log, bc)
-        for rec, e in zip(log.phase2_records(), breport.entries):
-            rec.bound, rec.suboptimality = e.bound, e.measured
-        with open(log_path, "w") as fh:
-            for rec in log.records:
-                fh.write(_json_line(_record_dict(rec)) + "\n")
-        violations = None if breport.diagnostic else breport.violations
-
     summary = {
         "final_loss": log.final_loss,
         "best_loss": log.best_recorded_loss(),
@@ -405,8 +351,8 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
         "loss_initial": log.loss_initial,
         "loss_at_tau": log.loss_at_tau,
         "l_h": log.l_h,
-        "violations": violations,
-        "constants": constants,
+        "violations": log.violations,
+        "constants": log.constants,
         "rank_events": log.rank_events,
         "elapsed_seconds": round(time.perf_counter() - started, 3),
     }
@@ -414,10 +360,10 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
         fh.write(_json_line(summary) + "\n")
     _write_text_summary(os.path.join(out_dir, "summary.txt"),
                         {k: v for k, v in summary.items() if k != "constants"})
-    if constants.get("certificate") == "vacuous":
+    if log.constants.get("certificate") == "vacuous":
         verdict = "  bound vacuous (optimum not attained)"
-    elif violations is not None:
-        verdict = f"  bound violations = {violations}"
+    elif log.violations is not None:
+        verdict = f"  bound violations = {log.violations}"
     else:
         verdict = ""
     print(f"final loss {log.final_loss:.6e}  best {summary['best_loss']:.6e}  "
@@ -434,6 +380,7 @@ def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds) -> dict:
         cell_cfg["two_phase"]["tau"] = None
         cell_cfg["two_phase"]["noise_scale"] = delta0
         cell_cfg["monitor_every"] = 0
+        cell_cfg["bounds"] = False  # a cell reports its final loss alone
         try:
             dataset = _build_dataset(cell_cfg)
             spec = _build_spec(cell_cfg, dataset)

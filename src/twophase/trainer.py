@@ -28,6 +28,11 @@ momentum-SGD minibatch, and on a monitored step the feature rank and the
 tangent kernel.  Every kernel comes from ntk.compute_kernel, summed layer by
 layer from that pass, and its rank from one Cholesky factorization
 (ntk.compute_ntk).
+
+With bounds on, the constants of the mode's rate ceiling are fixed at tau,
+and each phase-2 record gets its ceiling and measured suboptimality from
+the closed form in `bounds` and the running sums and maxima up to its step,
+before it is emitted; nothing is filled in after training.
 """
 
 from __future__ import annotations
@@ -38,8 +43,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import estimate_R_bar
-from .linalg import append_ones, as_matrix, numerical_rank
+from .bounds import (
+    SLACK_REL,
+    _centering_basis,
+    _linearized_distance,
+    gd_bound,
+    lazy_bound,
+    loss_infimum,
+    sgd_bound,
+    solve_last_layer_optimum,
+)
+from .linalg import RankDeficientError, append_ones, as_matrix, numerical_rank
 from .losses import LossKind, _loss, check_targets
 from .network import (
     ForwardTrace,
@@ -117,7 +131,6 @@ class TwoPhaseConfig:
     phase2_mode: str = "last_layer_gd"
     sgd_rate_scale: float = 0.01
     sgd_minibatch: int = 64
-    sgd_sampling: str = "with_replacement"
     lazy_eta_bar: float = 0.5
     lazy_lipschitz: float | None = None
     seed: int = 0
@@ -132,8 +145,6 @@ class TwoPhaseConfig:
             raise ValueError("noise scales must be positive (non-degenerate Gaussian)")
         if self.sgd_rate_scale <= 0:
             raise ValueError("sgd_rate_scale must be positive")
-        if self.sgd_sampling not in ("with_replacement", "epoch_shuffle"):
-            raise ValueError(f"unknown sgd_sampling {self.sgd_sampling!r}")
         if self.phase2_mode == "lazy_full" and not 0.0 < self.lazy_eta_bar < 1.0:
             raise ValueError("lazy_eta_bar must lie in (0, 1)")
 
@@ -161,7 +172,9 @@ class StepRecord:
 
 @dataclass
 class TrainLog:
-    """One record per update, plus the constants phase 2 was run with."""
+    """One record per update, plus the constants phase 2 was run with and,
+    with bounds on, those its ceilings rest on (`constants`, as summary.json
+    reports them) and the count of steps above an exact ceiling."""
 
     records: list = field(default_factory=list)
     tau: int = 0
@@ -180,8 +193,9 @@ class TrainLog:
     loss_at_t_star: float | None = None
     final_loss: float = 0.0
     rank_events: list = field(default_factory=list)
-    ntk_rank_at_tau: int | None = None
     r_bar: float | None = None
+    constants: dict = field(default_factory=dict)
+    violations: int | None = None
 
     def phase2_records(self) -> list:
         return [r for r in self.records if r.phase == 2]
@@ -331,6 +345,7 @@ def run_two_phase(
     kind: LossKind,
     monitor_every: int = 0,
     record_sink=None,
+    bounds: bool = False,
 ):
     """Run both phases end to end; returns (final Params, TrainLog).
 
@@ -342,10 +357,22 @@ def run_two_phase(
 
     Emits exactly cfg.total_steps records (one per update); every
     `monitor_every` steps of a phase (0: never) a record also carries the
-    feature rank and the kernel rank.  Lazy mode sets log.r_bar to the max of
-    bounds.estimate_R_bar over the kernels of tau and every step, or None
-    once one lacks full rank n * m_y (see log.ntk_rank_at_tau and the
-    records' ntk_rank).  Raises FeatureRankError if the post-perturbation
+    feature rank and the kernel rank.
+
+    With `bounds`, every phase-2 record carries its ceiling and measured
+    suboptimality before it is emitted, so a run cut short leaves complete
+    records.  The constants are fixed at tau: R^2 and loss* of the head
+    optimum, or for lazy mode loss* = the loss infimum with the Lipschitz
+    estimate and the configured eta_bar.  GD compares each step's loss; SGD
+    and lazy compare the running minimum from tau on, with G^2 the largest
+    squared head gradient so far, the step-size sums running from tau, and
+    log.r_bar the running max of the linearized distance
+    (bounds.estimate_R_bar) over the kernels of tau and every step so far.
+    A lazy kernel below full rank n * m_y leaves Rbar undefined and raises
+    RankDeficientError at its step.  An optimum that is not attained (R^2 or
+    Rbar inf) leaves the bound fields None; log.constants names the
+    certificate, and log.violations counts the steps above an exact (head)
+    ceiling.  Raises FeatureRankError if the post-perturbation
     feature matrix is not full row rank, RankPreservationError if lazy-phase
     rate halving cannot restore the kernel rank within the retry cap, and
     FloatingPointError naming the step and phase if predictions, the loss,
@@ -452,23 +479,33 @@ def run_two_phase(
 
     rng_p2 = np.random.default_rng(seeds[1])
     best_loss, best_t = log.loss_at_tau, tau
+    head_mode = cfg.phase2_mode != "lazy_full"
+    attained = False  # the optimum is attained: a finite ceiling at every step
 
-    if cfg.phase2_mode in ("last_layer_gd", "last_layer_sgd"):
+    def certify(rec, ceiling, reached):
+        rec.bound, rec.suboptimality = ceiling, reached - loss_star
+        if head_mode and rec.suboptimality > ceiling + SLACK_REL * (1.0 + ceiling):
+            log.violations += 1
+
+    if head_mode:
         if head_gd:
             log.eta_schedule = {"mode": "constant_over_l_h", "value": 1.0 / log.l_h}
         else:
             log.eta_schedule = {"mode": "inv_sqrt", "scale": cfg.sgd_rate_scale}
+        if bounds:
+            opt = solve_last_layer_optimum(kind, h, y, log.head_at_tau)
+            r_squared, loss_star = opt.r_squared, opt.loss_star
+            attained = math.isfinite(r_squared)
+            log.violations = 0 if attained else None
+            # sums of the ceiling's schedule eta_k = scale / sqrt(k - tau + 1)
+            eta_sum, eta_sq_sum = cfg.sgd_rate_scale, cfg.sgd_rate_scale * cfg.sgd_rate_scale
         b = min(cfg.sgd_minibatch, n)
-        sgd_order = {"order": np.arange(n), "pos": n}
         for t in range(tau + 1, total + 1):
             if head_gd:
                 g = aug.T @ dpred
                 z = z - (1.0 / log.l_h) * g
             else:
-                if cfg.sgd_sampling == "with_replacement":
-                    idx = rng_p2.integers(0, n, size=b)
-                else:
-                    idx = _next_batch(sgd_order, b, rng_p2)
+                idx = rng_p2.integers(0, n, size=b)
                 g = aug[idx].T @ _loss(kind, aug[idx] @ z, y[idx])[1]
                 z = z - (cfg.sgd_rate_scale / np.sqrt(t - tau)) * g
             gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
@@ -485,6 +522,14 @@ def run_two_phase(
                 rec.feature_rank = feat_rank
                 params.set_head_block(z)
                 rec.ntk_rank = _snapshot(spec, params, x, frozen, trace, t, 2).rank
+            if attained and head_gd:
+                certify(rec, gd_bound(r_squared, log.l_h, t, tau), cur)
+            elif attained:
+                eta = cfg.sgd_rate_scale / math.sqrt(t - tau + 1)
+                eta_sum += eta
+                eta_sq_sum += eta * eta
+                certify(rec, sgd_bound(r_squared, log.max_sq_grad_phase2, eta_sum,
+                                       eta_sq_sum), best_loss)
             emit(rec)
         params.set_head_block(z)
     else:
@@ -503,15 +548,19 @@ def run_two_phase(
         reference = _snapshot(spec, params, x, frozen, trace, tau, 2)
         _, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=tau, phase=2,
                                   trace=trace)
-        log.ntk_rank_at_tau = reference.rank
+        if bounds:
+            loss_star = loss_infimum(kind, y)
+            basis = _centering_basis(y.shape[1])
 
-        def r_bar_with(r_bar, snap, trace):
-            """Running max of Rbar, None from the first kernel without full rank."""
-            if r_bar is None or snap.rank < snap.rows:
-                return None
-            return max(r_bar, estimate_R_bar(snap, trace.output, y, kind))
+            def distance(snap, trace):
+                if snap.rank < snap.rows:
+                    raise RankDeficientError(
+                        f"lazy-phase kernel has numerical rank {snap.rank} < "
+                        f"{snap.rows} rows; Rbar is undefined")
+                return _linearized_distance(snap.kernel, trace.output, y, kind, basis)
 
-        r_bar = r_bar_with(0.0, reference, trace)
+            log.r_bar = max(0.0, distance(reference, trace))
+            attained = math.isfinite(log.r_bar)
         # candidates are written into a second buffer, swapped in on acceptance
         cand = params.copy()
         for t in range(tau + 1, total + 1):
@@ -537,7 +586,8 @@ def run_two_phase(
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             cur, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=t, phase=2,
                                         gradient=t < total, trace=trace)
-            r_bar = r_bar_with(r_bar, snap, trace)
+            if bounds:
+                log.r_bar = max(log.r_bar, distance(snap, trace))
             if cur < best_loss:
                 best_loss, best_t = cur, t
             rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
@@ -545,9 +595,23 @@ def run_two_phase(
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):
                 rec.feature_rank = numerical_rank(append_ones(trace.hidden))
+            if attained:
+                certify(rec, lazy_bound(lipschitz, log.r_bar, log.loss_at_tau, loss_star,
+                                        cfg.lazy_eta_bar, t, tau), best_loss)
             emit(rec)
-        log.r_bar = r_bar
 
+    if bounds:
+        if head_mode:
+            log.constants = {"g_squared": log.max_sq_grad_phase2,
+                             "r_squared": r_squared if attained else None}
+        else:
+            log.constants = {"l_estimate": lipschitz, "diagnostic": True,
+                             "r_bar": log.r_bar if attained else None}
+        log.constants["loss_star"] = loss_star
+        # the lazy ceiling rests on an estimated Lipschitz constant, so it
+        # is a diagnostic and counts no violations
+        log.constants["certificate"] = (("exact" if head_mode else "estimated")
+                                        if attained else "vacuous")
     log.final_loss = log.records[-1].loss
     log.t_star = best_t
     log.loss_at_t_star = best_loss

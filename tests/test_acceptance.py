@@ -13,10 +13,9 @@ import pytest
 from conftest import fd_loss_grad, fd_jacobian, max_rel_err, random_small_config
 
 from twophase.bounds import (
-    BoundConstants,
-    check_bounds,
+    SLACK_REL,
     estimate_R_bar,
-    inv_sqrt_schedule,
+    gd_bound,
     sgd_bound,
     solve_last_layer_optimum,
 )
@@ -49,7 +48,8 @@ def report(number, description, ok):
 
 def test_criterion_1_head_gd_rate_exactness():
     """Head-GD suboptimality stays under R^2 L_H / (2 (t - tau)) at every
-    step, with a non-increasing loss, across 24 random configurations."""
+    step, with a non-increasing loss, across 24 random configurations; each
+    record streams the closed form from the optimum at tau."""
     started = time.perf_counter()
     rng = np.random.default_rng(101)
     violations = 0
@@ -68,13 +68,17 @@ def test_criterion_1_head_gd_rate_exactness():
                 base = BaseAlgoConfig(variant="gd", minibatch=n, seed=rep)
                 cfg = TwoPhaseConfig(tau=tau, total_steps=tau + 300,
                                      phase2_mode="last_layer_gd", seed=rep)
-                _, log = run_two_phase(spec, init_params(spec, rep), ds, base, cfg, SQUARED)
+                _, log = run_two_phase(spec, init_params(spec, rep), ds, base, cfg, SQUARED,
+                                       bounds=True)
                 opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y,
                                                log.head_at_tau)
-                rep_b = check_bounds(log, BoundConstants(
-                    mode="last_layer_gd", r_squared=opt.r_squared,
-                    loss_star=opt.loss_star, l_h=log.l_h))
-                violations += rep_b.violations
+                for r in log.phase2_records():
+                    assert r.bound == gd_bound(opt.r_squared, log.l_h, r.t, tau)
+                    assert r.suboptimality == r.loss - opt.loss_star
+                    violations += r.suboptimality > r.bound + SLACK_REL * (1.0 + r.bound)
+                assert log.violations == sum(
+                    r.suboptimality > r.bound + SLACK_REL * (1.0 + r.bound)
+                    for r in log.phase2_records())
                 losses = [log.loss_at_tau] + [r.loss for r in log.phase2_records()]
                 monotone &= all(b <= a + 1e-12 * (1 + abs(a))
                                 for a, b in zip(losses, losses[1:]))
@@ -111,13 +115,15 @@ def test_criterion_2_sgd_monte_carlo():
         running.append(rm[1:])
     mean_rm = np.mean(running, axis=0)
     r2 = float(np.mean(r2s))  # Monte-Carlo stand-in for the expectation form
+    # sums over k = tau..t of the schedule eta_k = 0.01 / sqrt(k - tau + 1)
+    eta = 0.01 / np.sqrt(np.arange(1, horizon + 2))
+    sums, sq_sums = np.cumsum(eta), np.cumsum(eta * eta)
     checks_ok = True
     for t in range(tau + 250, tau + horizon + 1, 250):
-        b = sgd_bound(r2, g2, inv_sqrt_schedule(0.01, tau, t), t, tau)
+        b = sgd_bound(r2, g2, sums[t - tau], sq_sums[t - tau])
         checks_ok &= mean_rm[t - tau - 1] <= b + 1e-9 * (1 + b)
-    b_first = sgd_bound(r2, g2, inv_sqrt_schedule(0.01, tau, tau + 1), tau + 1, tau)
-    b_last = sgd_bound(r2, g2, inv_sqrt_schedule(0.01, tau, tau + horizon),
-                       tau + horizon, tau)
+    b_first = sgd_bound(r2, g2, sums[1], sq_sums[1])
+    b_last = sgd_bound(r2, g2, sums[horizon], sq_sums[horizon])
     decay_ok = b_last < 0.1 * b_first
     elapsed = time.perf_counter() - started
     ok = checks_ok and decay_ok and elapsed < 300.0

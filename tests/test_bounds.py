@@ -1,16 +1,16 @@
-"""Optimum solves, the three rate-bound formulas, and report assembly."""
+"""Optimum solves, the three rate-bound formulas, and the ceilings a run
+streams with its records."""
 
 import sys
 
 import numpy as np
 import pytest
 
+import twophase.trainer as trainer
 from twophase.bounds import (
-    BoundConstants,
-    check_bounds,
+    SLACK_REL,
     estimate_R_bar,
     gd_bound,
-    inv_sqrt_schedule,
     lazy_bound,
     sgd_bound,
     solve_last_layer_optimum,
@@ -209,34 +209,34 @@ class TestBoundFormulas:
 
     def test_sgd_noiseless_constant_schedule(self):
         t, tau, eta = 12, 2, 0.05
-        sched = np.full(t - tau + 1, eta)
-        want = 1.5 / (2 * eta * (t - tau + 1))
-        assert sgd_bound(1.5, 0.0, sched, t, tau) == pytest.approx(want)
+        k = t - tau + 1
+        want = 1.5 / (2 * eta * k)
+        assert sgd_bound(1.5, 0.0, eta * k, eta * eta * k) == pytest.approx(want)
 
     def test_sgd_inv_sqrt_schedule_decays(self):
         r2, g2 = 4.0, 2.0
-        vals = [sgd_bound(r2, g2, inv_sqrt_schedule(0.01, 0, t), t, 0)
-                for t in (10, 1000, 100_000)]
+        vals = []
+        for t in (10, 1000, 100_000):
+            eta = 0.01 / np.sqrt(np.arange(1, t + 2))
+            vals.append(sgd_bound(r2, g2, eta.sum(), (eta * eta).sum()))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.05 * vals[0]
 
     def test_sgd_partial_sums_match_accumulation_oracle(self):
+        # the running sums a run keeps are sequential, as np.cumsum is
         tau, t = 5, 1005
-        sched = inv_sqrt_schedule(0.01, tau, t)
+        eta = 0.01 / np.sqrt(np.arange(1, t - tau + 2))
         s = sq = 0.0
         for k in range(tau, t + 1):
             e = 0.01 / np.sqrt(k - tau + 1)
             s += e
             sq += e * e
-        want = (3.0 + 2.0 * sq) / (2.0 * s)
-        got = sgd_bound(3.0, 2.0, sched, t, tau)
-        assert abs(got - want) <= 1e-12 * want
+        assert s == np.cumsum(eta)[-1] and sq == np.cumsum(eta * eta)[-1]
+        assert sgd_bound(3.0, 2.0, s, sq) == (3.0 + 2.0 * sq) / (2.0 * s)
 
     def test_sgd_validation(self):
-        with pytest.raises(ValueError, match="zero"):
-            sgd_bound(1.0, 1.0, [0.0, 0.0], 1, 0)
-        with pytest.raises(ValueError, match="entries"):
-            sgd_bound(1.0, 1.0, [0.1], 5, 0)
+        with pytest.raises(ValueError, match="positive"):
+            sgd_bound(1.0, 1.0, 0.0, 0.0)
 
     def test_lazy_zero_gap(self):
         assert lazy_bound(10.0, 3.0, 0.5, 0.5, 0.5, 9, 4) == 0.0
@@ -250,25 +250,10 @@ class TestBoundFormulas:
         with pytest.raises(ValueError, match="eta_bar"):
             lazy_bound(1.0, 1.0, 1.0, 0.0, 1.2, 5, 0)
 
-    def test_step_arrays_match_scalar_calls(self):
-        steps = np.arange(4, 41)
-        sched = inv_sqrt_schedule(0.01, 3, 40)
-        np.testing.assert_array_equal(
-            gd_bound(1.7, 5.3, steps, 3), [gd_bound(1.7, 5.3, t, 3) for t in steps])
-        np.testing.assert_array_equal(
-            sgd_bound(1.7, 2.2, sched, steps, 3),
-            [sgd_bound(1.7, 2.2, sched[:t - 2], t, 3) for t in steps])
-        np.testing.assert_array_equal(
-            lazy_bound(4.0, 1.5, 2.0, 0.1, 0.3, steps, 3),
-            [lazy_bound(4.0, 1.5, 2.0, 0.1, 0.3, t, 3) for t in steps])
-        with pytest.raises(ValueError, match="t > tau"):
-            gd_bound(1.0, 1.0, steps, 4)
-
     def test_re_evaluation_bit_identical(self):
         # the formulas are pure arithmetic, no iteration or state
-        sched = inv_sqrt_schedule(0.01, 3, 40)
         assert gd_bound(1.7, 5.3, 19, 3) == gd_bound(1.7, 5.3, 19, 3)
-        assert sgd_bound(1.7, 2.2, sched, 40, 3) == sgd_bound(1.7, 2.2, sched, 40, 3)
+        assert sgd_bound(1.7, 2.2, 0.3, 0.02) == sgd_bound(1.7, 2.2, 0.3, 0.02)
         assert lazy_bound(4.0, 1.5, 2.0, 0.1, 0.3, 9, 2) == \
             lazy_bound(4.0, 1.5, 2.0, 0.1, 0.3, 9, 2)
 
@@ -372,25 +357,45 @@ class TestEstimateRBar:
 
 
 class TestCheckBounds:
-    def _gd_log(self, seed=0, mode="last_layer_gd"):
+    """The bound fields each phase-2 record carries when it is emitted, against
+    the closed form recomputed from the run's constants and running sums."""
+
+    def _run(self, seed=0, mode="last_layer_gd", monkeypatch=None):
+        """A bounds-on run; with monkeypatch, also the phase-2 squared gradient
+        norms the trainer checked, by step."""
+        gsq = {}
+        if monkeypatch is not None:
+            real = trainer._finite
+
+            def spy(value, what, t, phase):
+                if what == "gradient norm" and phase == 2:
+                    gsq[t] = value
+                return real(value, what, t, phase)
+
+            monkeypatch.setattr(trainer, "_finite", spy)
         ds = synth_gen(10, 4, 2, 0.03, "regression", seed=seed)
         spec = NetworkSpec((4, 8, 12), 2, sharpness=10.0)
         base = BaseAlgoConfig(variant="gd", minibatch=10, seed=seed)
         cfg = TwoPhaseConfig(tau=10, total_steps=110, phase2_mode=mode, sgd_minibatch=4,
                              seed=seed)
-        _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED)
-        return ds, log
+        _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED,
+                               bounds=True)
+        opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y, log.head_at_tau)
+        return opt, log, gsq
 
     def test_noiseless_gd_zero_violations(self):
-        ds, log = self._gd_log()
-        opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y, log.head_at_tau)
-        rep = check_bounds(log, BoundConstants(
-            mode="last_layer_gd", r_squared=opt.r_squared,
-            loss_star=opt.loss_star, l_h=log.l_h))
-        assert rep.violations == 0
-        assert len(rep.entries) == 100
-        assert not rep.diagnostic
-        assert rep.bound_at(11) == pytest.approx(opt.r_squared * log.l_h / 2.0)
+        opt, log, _ = self._run()
+        phase2 = log.phase2_records()
+        assert len(phase2) == 100
+        for rec in phase2:
+            assert rec.bound == gd_bound(opt.r_squared, log.l_h, rec.t, log.tau)
+            assert rec.suboptimality == rec.loss - opt.loss_star
+            assert rec.suboptimality <= rec.bound + SLACK_REL * (1.0 + rec.bound)
+        assert log.violations == 0
+        assert log.constants == {"g_squared": log.max_sq_grad_phase2,
+                                 "r_squared": opt.r_squared, "loss_star": opt.loss_star,
+                                 "certificate": "exact"}
+        assert phase2[0].bound == pytest.approx(opt.r_squared * log.l_h / 2.0)
 
     def test_zero_distance_run_stays_at_optimum(self):
         # zero head and zero targets: the anchor is already the minimizer
@@ -408,59 +413,66 @@ class TestCheckBounds:
         for rec in log.phase2_records():
             assert rec.loss - opt.loss_star <= 1e-9
 
-    def test_mode_mismatch_rejected(self):
-        _, log = self._gd_log(seed=5)
-        with pytest.raises(ValueError, match="mode"):
-            check_bounds(log, BoundConstants(mode="last_layer_sgd", r_squared=1.0,
-                                             g_squared=1.0, sgd_rate_scale=0.01))
-
-    def test_missing_constants_rejected(self):
-        _, log = self._gd_log(seed=6)
-        with pytest.raises(ValueError, match="needs"):
-            check_bounds(log, BoundConstants(mode="last_layer_gd"))
-
     @staticmethod
     def _running_min_gaps(log, loss_star):
         running = np.minimum.accumulate(
             [log.loss_at_tau] + [rec.loss for rec in log.phase2_records()])
         return running[1:] - loss_star
 
-    def test_sgd_report_is_the_closed_form_at_every_step(self):
-        ds, log = self._gd_log(seed=9, mode="last_layer_sgd")
-        opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y, log.head_at_tau)
-        g2, tau = log.max_sq_grad_phase2, log.tau
-        rep = check_bounds(log, BoundConstants(
-            mode="last_layer_sgd", r_squared=opt.r_squared, loss_star=opt.loss_star,
-            g_squared=g2, sgd_rate_scale=0.01))
-        assert [e.t for e in rep.entries] == list(range(tau + 1, tau + 101))
-        for e, gap in zip(rep.entries, self._running_min_gaps(log, opt.loss_star)):
-            assert e.bound == sgd_bound(opt.r_squared, g2,
-                                        inv_sqrt_schedule(0.01, tau, e.t), e.t, tau)
-            assert e.measured == gap
-        assert rep.violations == sum(e.violated for e in rep.entries) == 0
+    def test_sgd_report_is_the_closed_form_at_every_step(self, monkeypatch):
+        # G^2 is the largest squared gradient so far, and the step-size sums
+        # are np.cumsum of the schedule eta_k = 0.01 / sqrt(k - tau + 1)
+        opt, log, gsq = self._run(seed=9, mode="last_layer_sgd", monkeypatch=monkeypatch)
+        tau = log.tau
+        phase2 = log.phase2_records()
+        assert [rec.t for rec in phase2] == list(range(tau + 1, tau + 101))
+        eta = 0.01 / np.sqrt(np.arange(1, 102))
+        sums, sq_sums = np.cumsum(eta), np.cumsum(eta * eta)
+        g2 = np.maximum.accumulate([gsq[rec.t] for rec in phase2])
+        assert g2[-1] == log.max_sq_grad_phase2 == log.constants["g_squared"]
+        for rec, gap, g2_t in zip(phase2, self._running_min_gaps(log, opt.loss_star), g2):
+            assert rec.bound == sgd_bound(opt.r_squared, g2_t, sums[rec.t - tau],
+                                          sq_sums[rec.t - tau])
+            assert rec.suboptimality == gap
+        assert log.violations == sum(
+            rec.suboptimality > rec.bound + SLACK_REL * (1.0 + rec.bound)
+            for rec in phase2) == 0
 
-    def _lazy_report(self):
+    def _lazy_run(self, monkeypatch):
+        """A bounds-on lazy run and the per-step linearized distances its
+        Rbar is the running max of (tau first)."""
+        distances = []
+        real = trainer._linearized_distance
+
+        def spy(*args):
+            distances.append(real(*args))
+            return distances[-1]
+
+        monkeypatch.setattr(trainer, "_linearized_distance", spy)
         ds = synth_gen(6, 4, 1, 0.03, "regression", seed=7)
         spec = NetworkSpec((4, 8, 8), 1, sharpness=10.0)
         base = BaseAlgoConfig(variant="gd", minibatch=6, seed=7)
         cfg = TwoPhaseConfig(tau=4, total_steps=14, phase2_mode="lazy_full",
                              lazy_eta_bar=0.3, seed=7)
         _, log = run_two_phase(spec, init_params(spec, 7), ds, base, cfg, SQUARED,
-                               monitor_every=2)
-        constants = BoundConstants(
-            mode="lazy_full", loss_star=0.0,
-            l_estimate=log.eta_schedule["lipschitz"], r_bar=log.r_bar,
-            eta_bar=log.eta_schedule["eta_bar"])
-        return log, constants, check_bounds(log, constants)
+                               monitor_every=2, bounds=True)
+        return log, distances
 
-    def test_lazy_report_is_diagnostic(self):
-        _, _, rep = self._lazy_report()
-        assert rep.diagnostic
+    def test_lazy_report_is_diagnostic(self, monkeypatch):
+        log, _ = self._lazy_run(monkeypatch)
+        assert log.violations is None
+        assert log.constants["diagnostic"] is True
+        assert log.constants["certificate"] == "estimated"
+        assert log.constants["r_bar"] == log.r_bar
 
-    def test_lazy_report_is_the_closed_form_at_every_step(self):
-        log, c, rep = self._lazy_report()
-        assert [e.t for e in rep.entries] == list(range(5, 15))
-        for e, gap in zip(rep.entries, self._running_min_gaps(log, 0.0)):
-            assert e.bound == lazy_bound(c.l_estimate, c.r_bar, log.loss_at_tau, 0.0,
-                                         c.eta_bar, e.t, log.tau)
-            assert e.measured == gap
+    def test_lazy_report_is_the_closed_form_at_every_step(self, monkeypatch):
+        log, distances = self._lazy_run(monkeypatch)
+        phase2 = log.phase2_records()
+        assert [rec.t for rec in phase2] == list(range(5, 15))
+        r_bars = np.maximum.accumulate(distances)[1:]
+        assert len(r_bars) == len(phase2) and r_bars[-1] == log.r_bar
+        lipschitz, eta_bar = log.eta_schedule["lipschitz"], log.eta_schedule["eta_bar"]
+        for rec, gap, r_bar in zip(phase2, self._running_min_gaps(log, 0.0), r_bars):
+            assert rec.bound == lazy_bound(lipschitz, r_bar, log.loss_at_tau, 0.0,
+                                           eta_bar, rec.t, log.tau)
+            assert rec.suboptimality == gap

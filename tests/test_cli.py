@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+import twophase.bounds as bounds
 import twophase.cli as cli
+import twophase.losses as losses
 import twophase.trainer as trainer
 from twophase.data import load_csv, save_csv, synth_gen
 from twophase.ntk import compute_jacobian
@@ -337,6 +339,50 @@ class TestTrain:
             assert "numerical rank 23 < 24 rows" in capsys.readouterr().err
         else:
             assert code == 0
+
+    @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd", "lazy_full"])
+    def test_killed_run_leaves_bounds_on_every_record(self, tmp_path, monkeypatch, mode):
+        # a numeric failure at tau + 5: each record written before it already
+        # carries its ceiling, because nothing fills them in after training
+        real = trainer._finite
+
+        def fail_at_25(value, what, t, phase):
+            if t == 25:
+                raise FloatingPointError(f"{what} forced at step {t} (phase {phase})")
+            return real(value, what, t, phase)
+
+        monkeypatch.setattr(trainer, "_finite", fail_at_25)
+        path = write_config(tmp_path, **small_train_sections(
+            bounds=True, two_phase={"tau": 20, "phase2_mode": mode}))
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 3
+        records = [json.loads(line) for line in (out / "run.log.jsonl").read_text().splitlines()]
+        assert [r["t"] for r in records] == list(range(1, 25))
+        assert all(r["bound"] is not None and r["suboptimality"] is not None
+                   for r in records[20:])
+        assert not (out / "summary.json").exists()
+
+    def test_lazy_bounds_check_the_targets_once_per_run(self, tmp_path, monkeypatch):
+        # Y is checked on entry, by estimate_lipschitz and for loss*, but not
+        # at each lazy step
+        calls = []
+        real = losses.check_targets
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        for module in (losses, trainer, bounds):
+            monkeypatch.setattr(module, "check_targets", counting)
+        counts = []
+        for total in (40, 60):
+            path = write_config(tmp_path, f"cfg{total}.json", **small_train_sections(
+                bounds=True, two_phase={"tau": 20, "total_steps": total,
+                                        "phase2_mode": "lazy_full"}))
+            calls.clear()
+            assert cli.main(["train", "--config", path, "--out", str(tmp_path / "x")]) == 0
+            counts.append(len(calls))
+        assert counts == [3, 3]
 
     def test_base_versus_two_phase_protocol(self, tmp_path):
         # same seed and data, pure-base split versus the default split

@@ -2,11 +2,14 @@
 the work it names.
 
 The tracer wraps `solve_last_layer_optimum` and reads `LastLayerOptimum.steps`
-from its result, and times `estimate_R_bar` per call; the benchmark's own
+from its result, and times each `estimate_R_bar` call; the benchmark's own
 smoke test runs with bounds off, so these run bounds-on trains under the
-tracer.  It also counts `network.forward_hidden` calls, one per full-batch
-pass of a momentum-SGD step, and the `ntk` calls of a lazy run: one
-`compute_kernel` per kernel and no `compute_jacobian`.
+tracer.  A lazy run computes its per-step distances with the unchecked
+`bounds._linearized_distance`, which the tracer does not wrap, so the
+tracer's `estimate_R_bar` count is 0 whether bounds are on or off.  It also
+counts `network.forward_hidden` calls, one per full-batch pass of a
+momentum-SGD step, and the `ntk` calls of a lazy run: one `compute_kernel`
+per kernel and no `compute_jacobian`.
 """
 
 import json
@@ -52,25 +55,37 @@ def test_tracer_reads_optimum_steps(tmp_path):
     assert _calls(result, "bounds.solve_last_layer_optimum") == 1
 
 
-def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
-    # Rbar is the running max over tau and every phase-2 step, and each of
-    # those kernels (plus one per rejected candidate) is summed layer by
-    # layer without a Jacobian
-    config = {
+def _lazy_config(bounds):
+    return {
         "seed": 0,
         "loss": "squared",
-        "bounds": True,
+        "bounds": bounds,
         "data": {"n": 12, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.03},
         "network": {"sharpness": 10.0},
         "base": {"variant": "gd", "minibatch": 12},
         "two_phase": {"tau": 20, "total_steps": 40, "phase2_mode": "lazy_full",
                       "lazy_eta_bar": 0.3},
     }
-    result = _traced_train(tmp_path, config)
-    assert _calls(result, "bounds.estimate_R_bar") == 40 - 20 + 1
+
+
+def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
+    # Rbar is the running max over tau and every phase-2 step, each distance
+    # one unchecked solve that the tracer does not see; each of those kernels
+    # (plus one per rejected candidate) is summed layer by layer without a
+    # Jacobian
+    result = _traced_train(tmp_path, _lazy_config(bounds=True))
+    assert _calls(result, "bounds.estimate_R_bar") == 0
     kernels = 40 - 20 + 1 + result["observed"]["rejected_steps"]
     assert _calls(result, "ntk.compute_kernel") == _calls(result, "ntk.compute_ntk") == kernels
     assert _calls(result, "ntk.compute_jacobian") == 0
+
+
+def test_tracer_sees_no_r_bar_solve_with_bounds_off(tmp_path):
+    # without ceilings a lazy run computes no Rbar; the kernels stay
+    result = _traced_train(tmp_path, _lazy_config(bounds=False))
+    assert _calls(result, "bounds.estimate_R_bar") == 0
+    kernels = 40 - 20 + 1 + result["observed"]["rejected_steps"]
+    assert _calls(result, "ntk.compute_kernel") == kernels
 
 
 def test_tracer_counts_one_forward_pass_per_sgd_step(tmp_path):

@@ -246,16 +246,16 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", learning_rate=0.05, minibatch=n,
                               weight_decay=0.0, seed=0)
         cfg = TwoPhaseConfig(tau=500, total_steps=5500, phase2_mode="last_layer_gd", seed=0)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
         assert log.eta_schedule == {"mode": "constant_over_l_h", "value": 1.0 / log.l_h}
         assert log.final_loss <= 1e-6
         # suboptimality stays under the descent ceiling at every step
-        from twophase.bounds import BoundConstants, check_bounds, solve_last_layer_optimum
+        from twophase.bounds import SLACK_REL, gd_bound, solve_last_layer_optimum
         opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y, log.head_at_tau)
-        rep = check_bounds(log, BoundConstants(
-            mode="last_layer_gd", r_squared=opt.r_squared,
-            loss_star=opt.loss_star, l_h=log.l_h))
-        assert rep.violations == 0
+        for rec in log.phase2_records():
+            assert rec.bound == gd_bound(opt.r_squared, log.l_h, rec.t, log.tau)
+            assert rec.suboptimality <= rec.bound + SLACK_REL * (1.0 + rec.bound)
+        assert log.violations == 0
 
     def test_sgd_minibatch_gradient_unbiased(self):
         # averaging many with-replacement minibatch gradients approaches the
@@ -409,10 +409,31 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
         assert log.r_bar is not None and np.isfinite(log.r_bar)
         assert len(snaps) == 11
         assert counts["eigvalsh"] <= 1 and counts["cholesky"] == len(snaps)
+
+    @pytest.mark.parametrize("bounds", [True, False])
+    def test_lazy_r_bar_only_with_bounds(self, monkeypatch, bounds):
+        # one linearized distance per kernel of tau and every step when the
+        # ceilings are on, and none when they are off
+        calls = []
+        distance = trainer._linearized_distance
+
+        def counting(*args):
+            calls.append(1)
+            return distance(*args)
+
+        monkeypatch.setattr(trainer, "_linearized_distance", counting)
+        ds, spec, p0 = _toy_problem(seed=19)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=bounds)
+        assert len(calls) == (13 - 3 + 1 if bounds else 0)
+        assert (log.r_bar is not None) == bounds
+        assert all((rec.bound is not None) == bounds for rec in log.phase2_records())
 
     def test_phase_one_builds_no_params_per_step(self, monkeypatch):
         # a head_gd_ce-shaped run (cross-entropy, momentum SGD, then head
