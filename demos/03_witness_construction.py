@@ -26,7 +26,7 @@ witness = construct_witness(spec, ds.x)
 h = forward_hidden(spec, witness, ds.x).hidden
 margins = dominance_margins(h, ds.n)
 print("per-row dominance margins:", np.round(margins, 3))
-print("rank check:", check_expressivity(spec, witness, ds.x, source="witness"))
+print("rank check:", check_expressivity(spec, witness, ds.x))
 
 # %% [markdown]
 # The first layers of the narrow witness are an identity chain with a large

@@ -31,7 +31,7 @@ ds = synth_gen(n=8, m_x=4, m_y=2, c_min=0.03, kind="regression", seed=1)
 spec = NetworkSpec(widths=(4, 8, 10), output_dim=2, sharpness=10.0)
 
 params = init_params(spec, seed=0)
-snap = compute_ntk(compute_kernel(spec, params, ds.x), step=0)
+snap = compute_ntk(compute_kernel(spec, params, ds.x))
 print(f"at init: kernel {snap.rows} x {snap.rows}, rank {snap.rank} "
       f"(full would be {ds.n * ds.output_dim})")
 print("top of spectrum:", np.round(snap.kernel_spectrum[:4], 3))
@@ -48,13 +48,13 @@ cfg = TwoPhaseConfig(tau=30, total_steps=180, phase2_mode="last_layer_gd", seed=
 _, log = run_two_phase(spec, params, ds, base, cfg, SQUARED)
 
 p_tau = params_from_flat(spec, log.params_at_tau_flat)
-reference = compute_ntk(compute_kernel(spec, p_tau, ds.x), step=cfg.tau)
+reference = compute_ntk(compute_kernel(spec, p_tau, ds.x))
 print(f"reference at tau: rank {reference.rank}")
 
 for t in range(cfg.tau + 25, cfg.total_steps + 1, 25):
     p_t, _ = run_two_phase(spec, params, ds, base,
                            TwoPhaseConfig(tau=cfg.tau, total_steps=t, seed=0), SQUARED)
-    current = compute_ntk(compute_kernel(spec, p_t, ds.x), step=t)
+    current = compute_ntk(compute_kernel(spec, p_t, ds.x))
     print(f"step {t:>4}: rank {current.rank}, "
           f"preserved={assert_rank_preserved(reference, current)}")
 

@@ -165,7 +165,7 @@ def estimate_R_bar(snap, predictions, y, kind: LossKind) -> float:
     Since J (nu o w) = f(w), the nearest minimizer lies J^+ r away, r the
     residual of the constraints at nu o w, and ||J^+ r||^2 = r^T K^{-1} r is
     one solve of K.  K must have full rank n m_y, as the snapshot measured
-    it (by default eigenvalues above rows * eps * the largest), else
+    it (eigenvalues above rows * eps * the largest), else
     RankDeficientError.  Squared loss has r = vec(Y - f).  Soft cross-entropy
     targets are met up to one constant per sample, so each sample's outputs
     are projected by B as in solve_last_layer_optimum: r = B vec(log Y - f),

@@ -201,20 +201,12 @@ def _build_train_cfgs(cfg: dict, dataset: Dataset, spec: NetworkSpec):
     else:
         two_phase = TwoPhaseConfig.from_fraction(tp["tau_fraction"],
                                                  int(tp["total_steps"]), **kwargs)
-    # trainer-level preconditions, named here so bad configs fail fast
-    if spec.depth < 2:
-        raise ConfigError(
-            "network has fewer than two hidden layers; the two-phase "
-            "guarantee assumes depth >= 2"
-        )
+    # run_two_phase checks depth and minibatch on entry, but finds a last
+    # hidden layer too narrow for rank([h, 1]) = n only at tau
     if spec.feature_dim + 1 < dataset.n:
         raise ConfigError(
             f"last hidden width {spec.feature_dim} gives m_H + 1 < n = {dataset.n}; "
             "the expressivity condition rank([h, 1]) = n cannot hold"
-        )
-    if base.variant == "sgd_momentum" and base.minibatch > dataset.n:
-        raise ConfigError(
-            f"base.minibatch = {base.minibatch} exceeds the dataset size n = {dataset.n}"
         )
     return base, two_phase
 
@@ -293,7 +285,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
             report["witness"] = {"attempted": True, "passed": False,
                                  "rank": None, "note": str(exc)}
         else:
-            wrep = check_expressivity(spec, witness, dataset.x, source="witness")
+            wrep = check_expressivity(spec, witness, dataset.x)
             report["witness"] = {"attempted": True, "passed": wrep.passed,
                                  "rank": wrep.rank, "note": None}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import append_ones, as_matrix, default_rank_tol, gram_det, numerical_rank
+from .linalg import append_ones, as_matrix, gram_det, numerical_rank
 from .network import NetworkSpec, Params, forward_hidden, params_zero, random_params
 
 __all__ = [
@@ -49,8 +49,6 @@ class ExpressivityReport:
     n: int
     passed: bool
     gram_determinant: float
-    tolerance: float
-    parameter_source: str = "supplied"
 
 
 def check_distinguishability(x, tol: float = 1e-9) -> DistinguishabilityReport:
@@ -78,23 +76,15 @@ def check_expressivity(
     params: Params,
     x,
     tol: float | None = None,
-    source: str = "supplied",
 ) -> ExpressivityReport:
-    """Rank of [h, 1] against n; full row rank makes interpolation possible."""
+    """Rank of [h, 1] against n (at `tol`, by default numerical_rank's);
+    full row rank makes interpolation possible."""
     a = append_ones(forward_hidden(spec, params, x).hidden)
     n = a.shape[0]
-    used_tol = default_rank_tol(a) if tol is None else tol
-    rank = numerical_rank(a, used_tol)
+    rank = numerical_rank(a, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         gdet = gram_det(a)
-    return ExpressivityReport(
-        rank=rank,
-        n=n,
-        passed=rank == n,
-        gram_determinant=gdet,
-        tolerance=used_tol,
-        parameter_source=source,
-    )
+    return ExpressivityReport(rank=rank, n=n, passed=rank == n, gram_determinant=gdet)
 
 
 def dominance_margins(h: np.ndarray, n: int) -> np.ndarray:
@@ -211,6 +201,6 @@ def probabilistic_expressivity(
     passed = 0
     for child in children:
         params = random_params(spec, np.random.default_rng(child), scale=init_scale)
-        if check_expressivity(spec, params, x, source="random").passed:
+        if check_expressivity(spec, params, x).passed:
             passed += 1
     return passed / trials

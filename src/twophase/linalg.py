@@ -15,7 +15,6 @@ __all__ = [
     "RankDeficientError",
     "as_matrix",
     "append_ones",
-    "default_rank_tol",
     "numerical_rank",
     "gram_det",
     "min_norm_solve",
@@ -56,25 +55,17 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
         raise DecompositionError(f"SVD failed on {m.shape} matrix: {exc}") from exc
 
 
-def default_rank_tol(m: np.ndarray, svals: np.ndarray | None = None) -> float:
-    """Threshold max(rows, cols) * eps * sigma_max, the stock library default."""
-    if svals is None:
-        svals = _singular_values(m)
-    smax = float(svals[0]) if svals.size else 0.0
-    return max(m.shape) * np.finfo(np.float64).eps * smax
-
-
 def numerical_rank(m, tol: float | None = None) -> int:
     """Number of singular values strictly above `tol`.
 
-    With `tol=None` the threshold is max(rows, cols) * eps * sigma_max.
-    Raises DecompositionError if the SVD fails; a failure is never
-    silently reported as rank 0.
+    With `tol=None` the threshold is max(rows, cols) * eps * sigma_max, the
+    stock library default.  Raises DecompositionError if the SVD fails; a
+    failure is never silently reported as rank 0.
     """
     m = as_matrix(m)
     svals = _singular_values(m)
     if tol is None:
-        tol = default_rank_tol(m, svals)
+        tol = max(m.shape) * np.finfo(np.float64).eps * float(svals[0])
     elif tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     return int(np.count_nonzero(svals > tol))

@@ -16,7 +16,9 @@ Finite Width Neural Tangent Kernel"):
 plus (D o z_hat)(D o z_hat)^T + D D^T for the scale and shift of a BN layer,
 D there being the delta at the BN output.  That is rows^2 * sum_l m_l flops
 where J J^T takes rows^2 * d.  Training-mode BN couples the rows through the
-batch statistics, so there J takes one backward pass per row and K = J J^T.
+batch statistics, so there K = J J^T of compute_jacobian, which runs one
+backward pass per row over a shared forward trace; in every mode that J is
+the per-row reference the layer-wise sum is checked against.
 
 K is symmetric positive semidefinite and shares its rank with J.  Training
 phases that must not lose kernel rank compare each step against the snapshot
@@ -53,21 +55,19 @@ CHOLESKY_SHIFT = 4.0
 class NtkSnapshot:
     """A tangent kernel K with its numerical rank.
 
-    `rank` counts the eigenvalues of K above `tolerance`.  Every eigenvalue
-    is proven to exceed `certified` (None when nothing was proven), so
-    rank_at answers any threshold up to it without a spectrum.  The
-    spectrum (descending, clipped at 0) and, unless one was given, the stock
-    tolerance rows * eps * largest eigenvalue are computed on first use.
+    `rank` counts the eigenvalues of K above `tolerance`, the stock
+    rows * eps * largest eigenvalue.  Every eigenvalue is proven to exceed
+    `certified` (None when nothing was proven), so rank_at answers any
+    threshold up to it without a spectrum.  The spectrum (descending,
+    clipped at 0) and the tolerance are computed on first use.
     """
 
-    def __init__(self, kernel: np.ndarray, rank: int, tolerance: float | None = None,
-                 certified: float | None = None, step: int = -1):
+    def __init__(self, kernel: np.ndarray, rank: int, certified: float | None = None):
         self.kernel = kernel
         self.rows = kernel.shape[0]
         self.rank = rank
         self.certified = certified
-        self.step = step
-        self._tolerance = tolerance
+        self._tolerance = None
         self._spectrum = None
 
     @property
@@ -94,33 +94,6 @@ class NtkSnapshot:
         return int(np.count_nonzero(self.kernel_spectrum > tol))
 
 
-def _coupled(spec: NetworkSpec, trace) -> bool:
-    """Training-mode BN: the rows of J depend on each other's samples."""
-    return any(spec.bn_flags) and trace.frozen_stats is None
-
-
-def _layer_deltas(spec: NetworkSpec, params: Params, trace):
-    """Hidden layers, last first, as (l, h_prev, dout, dz): the layer's input
-    and the derivatives of every output f_ik (n x m_y x m_l, sample i, output
-    k) with respect to the layer's softplus input (dout) and its affine
-    pre-activation (dz; dout itself without BN).  The recursion starts from
-    W_head^T broadcast over samples, scales by the softplus derivative and,
-    under frozen BN, by gamma / sqrt(var + eps).  Rows must be independent
-    (not _coupled)."""
-    n, m_y = trace.inputs.shape[0], spec.output_dim
-    delta = np.broadcast_to(params.weights[-1].T, (n, m_y, spec.feature_dim))
-    for l in range(spec.depth - 1, -1, -1):
-        cache = trace.bn_cache[l]
-        dout = delta * softplus_deriv(trace.affine[l] if cache is None else cache[3],
-                                      spec.sharpness)[:, None, :]
-        dz = dout
-        if cache is not None:
-            dz = dout * params.bn_scale[l] * (1.0 / np.sqrt(cache[1] + spec.bn_epsilon))
-        yield l, trace.inputs if l == 0 else trace.post[l - 1], dout, dz
-        if l > 0:
-            delta = (dz.reshape(n * m_y, -1) @ params.weights[l].T).reshape(n, m_y, -1)
-
-
 def compute_jacobian(
     spec: NetworkSpec,
     params: Params,
@@ -131,14 +104,12 @@ def compute_jacobian(
 ) -> np.ndarray:
     """Full output Jacobian, shape (n * m_y) x d.
 
-    Without BN, or with `frozen_stats`, this is the structured product of the
-    module docstring, from one forward and one batched backward pass
-    (_layer_deltas): each block is written straight into J as
-    dz (x) [h_{l-1}, 1], and a BN layer's scale and shift columns are
-    dout * z_hat and dout.  Training-mode BN runs one backward pass per row
-    over a shared forward trace, which differentiates the batch statistics
-    exactly.  A given `trace` of `params` on `x` replaces the forward pass.
-    Raises MemoryError when J would exceed `max_entries`.
+    One backward pass per (sample, output) row over one shared forward
+    trace, so training-mode BN has its batch statistics differentiated
+    exactly; with `frozen_stats` they are constants.  compute_kernel needs
+    J only under training-mode BN, and this is the per-row reference for its
+    layer-wise sum otherwise.  A given `trace` of `params` on `x` replaces
+    the forward pass.  Raises MemoryError when J would exceed `max_entries`.
     """
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats)
@@ -151,32 +122,12 @@ def compute_jacobian(
             "use fewer samples or raise max_entries"
         )
     jac = np.zeros((rows, d))
-    if _coupled(spec, trace):
-        upstream = np.zeros((n, m_y))
-        for i in range(n):
-            for k in range(m_y):
-                upstream[i, k] = 1.0
-                jac[i * m_y + k] = backprop(spec, params, x, upstream, trace=trace)
-                upstream[i, k] = 0.0
-        return jac
-
-    per_sample = jac.reshape(n, m_y, d)
-    offsets = np.cumsum([0, *spec.layer_param_sizes()])
-    head = per_sample[:, :, offsets[-2]:].reshape(n, m_y, m_y, spec.feature_dim + 1)
-    diag = np.arange(m_y)
-    head[:, diag, diag, :-1] = trace.hidden[:, None, :]
-    head[:, diag, diag, -1] = 1.0
-
-    for l, h_prev, dout, dz in _layer_deltas(spec, params, trace):
-        m_prev, m_l = h_prev.shape[1], spec.widths[l + 1]
-        block = per_sample[:, :, offsets[l]:offsets[l + 1]]
-        cache = trace.bn_cache[l]
-        if cache is not None:
-            np.multiply(dout, cache[2][:, None, :], out=block[:, :, -2 * m_l:-m_l])
-            block[:, :, -m_l:] = dout
-        wb = block[:, :, : m_l * (m_prev + 1)].reshape(n, m_y, m_l, m_prev + 1)
-        np.multiply(dz[..., None], h_prev[:, None, None, :], out=wb[..., :-1])
-        wb[..., -1] = dz
+    upstream = np.zeros((n, m_y))
+    for i in range(n):
+        for k in range(m_y):
+            upstream[i, k] = 1.0
+            jac[i * m_y + k] = backprop(spec, params, x, upstream, trace=trace)
+            upstream[i, k] = 0.0
     return jac
 
 
@@ -186,14 +137,18 @@ def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     compute_jacobian.
 
     Without BN, or with `frozen_stats`, K is the layer-wise sum of the
-    module docstring over the deltas of one batched backward pass
-    (_layer_deltas), and J is never formed.  Training-mode BN takes J J^T
-    of the per-row Jacobian.  A given `trace` of `params` on `x` replaces
-    the forward pass.
+    module docstring, and J is never formed.  The deltas dout and dz
+    (n x m_y x m_l: sample i, output k) of each hidden layer, last first,
+    are the derivatives of f_ik with respect to the layer's softplus input
+    and its affine pre-activation (dout itself without BN): the recursion
+    starts from W_head^T broadcast over samples, scales by the softplus
+    derivative and, under frozen BN, by gamma / sqrt(var + eps).
+    Training-mode BN takes J J^T of compute_jacobian.  A given `trace` of
+    `params` on `x` replaces the forward pass.
     """
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats)
-    if _coupled(spec, trace):
+    if any(spec.bn_flags) and trace.frozen_stats is None:
         jac = compute_jacobian(spec, params, x, trace=trace)
         return jac @ jac.T
     n, m_y = trace.inputs.shape[0], spec.output_dim
@@ -203,27 +158,35 @@ def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     blocks = kernel.reshape(n, m_y, n, m_y)
     diag = np.arange(m_y)
     blocks[:, diag, :, diag] = h @ h.T + 1.0
-    for l, h_prev, dout, dz in _layer_deltas(spec, params, trace):
+    delta = np.broadcast_to(params.weights[-1].T, (n, m_y, spec.feature_dim))
+    for l in range(spec.depth - 1, -1, -1):
+        cache = trace.bn_cache[l]
+        dout = delta * softplus_deriv(trace.affine[l] if cache is None else cache[3],
+                                      spec.sharpness)[:, None, :]
+        dz = dout
+        if cache is not None:
+            dz = dout * params.bn_scale[l] * (1.0 / np.sqrt(cache[1] + spec.bn_epsilon))
+        h_prev = trace.inputs if l == 0 else trace.post[l - 1]
         d = dz.reshape(rows, -1)
         blocks += (d @ d.T).reshape(n, m_y, n, m_y) * (h_prev @ h_prev.T + 1.0)[:, None, :, None]
-        cache = trace.bn_cache[l]
         if cache is not None:
             scale = (dout * cache[2][:, None, :]).reshape(rows, -1)
             shift = dout.reshape(rows, -1)
             kernel += scale @ scale.T + shift @ shift.T
+        if l > 0:
+            delta = (d @ params.weights[l].T).reshape(n, m_y, -1)
     return kernel
 
 
-def compute_ntk(kernel, step: int = -1, tol: float | None = None,
-                floor: float = 0.0) -> NtkSnapshot:
+def compute_ntk(kernel, floor: float = 0.0) -> NtkSnapshot:
     """Snapshot of the tangent kernel K (compute_kernel) with its rank.
 
-    The rank counts eigenvalues of K above `tol`, by default the stock
-    convention rows * eps * largest eigenvalue.  `floor` is a further
-    threshold the caller will ask rank_at about, such as the reference
-    tolerance of assert_rank_preserved.
+    The rank counts eigenvalues of K above the stock threshold
+    rows * eps * largest eigenvalue.  `floor` is a further threshold the
+    caller will ask rank_at about, such as the reference tolerance of
+    assert_rank_preserved.
 
-    With m = max(floor, tol, rows * eps * trace K), which covers both
+    With m = max(floor, rows * eps * trace K), which covers both
     thresholds since trace K >= the largest eigenvalue, one Cholesky
     factorization of K - c m I, c = CHOLESKY_SHIFT = 4, proves every
     eigenvalue of K above m, and the rank is rows with no spectrum.  Why c = 4
@@ -241,15 +204,14 @@ def compute_ntk(kernel, step: int = -1, tol: float | None = None,
     if k.ndim != 2 or k.shape[0] != k.shape[1] or not np.all(np.isfinite(k)):
         raise ValueError("kernel must be a finite square 2-D array")
     rows = k.shape[0]
-    tolerance = None if tol is None else float(tol)
-    level = max(floor, tolerance or 0.0, rows * EPS * float(np.trace(k)))
+    level = max(floor, rows * EPS * float(np.trace(k)))
     try:
         np.linalg.cholesky(k - CHOLESKY_SHIFT * level * np.eye(rows))
     except np.linalg.LinAlgError:
-        snap = NtkSnapshot(k, 0, tolerance, step=step)
+        snap = NtkSnapshot(k, 0)
         snap.rank = snap.rank_at(snap.tolerance)
         return snap
-    return NtkSnapshot(k, rows, tolerance, certified=level, step=step)
+    return NtkSnapshot(k, rows, certified=level)
 
 
 def assert_rank_preserved(reference: NtkSnapshot, current: NtkSnapshot) -> bool:

@@ -266,7 +266,7 @@ def _snapshot(spec, params, x, frozen, trace, t, phase, floor=0.0):
     `params` on x; FloatingPointError naming step t and the phase if the
     kernel is not finite."""
     kernel = _finite(compute_kernel(spec, params, x, frozen, trace=trace), "kernel", t, phase)
-    return compute_ntk(kernel, step=t, floor=floor)
+    return compute_ntk(kernel, floor=floor)
 
 
 def _checked_data(spec, kind, x, y):

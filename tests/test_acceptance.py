@@ -172,7 +172,7 @@ def test_criterion_4_witness_construction():
         params = construct_witness(spec, ds.x, max_doublings=60)
         h = forward_hidden(spec, params, ds.x).hidden
         dominant = bool(np.all(dominance_margins(h, n) > 0.0))
-        ranked = check_expressivity(spec, params, ds.x, source="witness").passed
+        ranked = check_expressivity(spec, params, ds.x).passed
         successes += int(dominant and ranked)
     report(4, f"witness certified on {successes}/50 datasets", successes == 50)
 
@@ -208,7 +208,7 @@ def test_criterion_6_ntk_structure():
         _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED)
         p_tau = params_from_flat(spec, log.params_at_tau_flat)
         jac = compute_jacobian(spec, p_tau, ds.x, log.frozen_stats)
-        ref = compute_ntk(jac @ jac.T, step=20)
+        ref = compute_ntk(jac @ jac.T)
         full_rank_ok &= ref.rank == n * m_y
         # head GD is deterministic: a run cut at step t ends at step t's params
         for t in range(20 + 25, 171, 25):
@@ -216,7 +216,7 @@ def test_criterion_6_ntk_structure():
                                    TwoPhaseConfig(tau=20, total_steps=t, seed=seed),
                                    SQUARED)
             jac = compute_jacobian(spec, p_t, ds.x, log.frozen_stats)
-            preserved_ok &= assert_rank_preserved(ref, compute_ntk(jac @ jac.T, step=t))
+            preserved_ok &= assert_rank_preserved(ref, compute_ntk(jac @ jac.T))
     ok = full_rank_ok and preserved_ok
     report(6, f"kernel rank full at tau: {full_rank_ok}; preserved along "
               f"head-only phase: {preserved_ok}", ok)

@@ -321,19 +321,25 @@ class TestTrain:
     def test_lazy_kernel_below_full_rank_leaves_r_bar_undefined(
             self, tmp_path, monkeypatch, capsys, bounds):
         # the kernel at tau reports rank 23 of 24: Rbar is undefined, which
-        # fails a bounds-on run and leaves a bounds-off run alone
+        # fails a bounds-on run and leaves a bounds-off run alone.  With no
+        # phase-1 monitoring the tau snapshot is the first, and the only one
+        # without the reference floor
         real = trainer.compute_ntk
+        floors = []
 
-        def short_at_tau(kernel, step=-1, tol=None, floor=0.0):
-            snap = real(kernel, step, tol, floor)
-            if step == 20:
+        def short_at_tau(kernel, floor=0.0):
+            snap = real(kernel, floor)
+            if not floors:
                 snap.rank -= 1
+            floors.append(floor)
             return snap
 
         monkeypatch.setattr(trainer, "compute_ntk", short_at_tau)
         path = write_config(tmp_path, **small_train_sections(
-            bounds=bounds, two_phase={"phase2_mode": "lazy_full", "lazy_eta_bar": 0.3}))
+            bounds=bounds, monitor_every=0,
+            two_phase={"phase2_mode": "lazy_full", "lazy_eta_bar": 0.3}))
         code = cli.main(["train", "--config", path, "--out", str(tmp_path / "x")])
+        assert floors[0] == 0.0 and all(floor > 0.0 for floor in floors[1:])
         if bounds:
             assert code == 3
             assert "numerical rank 23 < 24 rows" in capsys.readouterr().err
@@ -401,11 +407,16 @@ class TestTrain:
         # shared phase-1 prefix is identical
         assert r1[:20] == r2[:20]
 
-    def test_minibatch_precondition_named(self, tmp_path):
-        sections = small_train_sections()
-        sections["base"] = {"variant": "sgd_momentum", "minibatch": 64}
-        path = write_config(tmp_path, **sections)
+    @pytest.mark.parametrize("overrides, named", [
+        ({"base": {"variant": "sgd_momentum", "minibatch": 64}},
+         "minibatch 64 exceeds dataset size 12"),
+        ({"network": {"hidden_widths": [16]}}, "at least two hidden layers"),
+    ], ids=["minibatch", "depth"])
+    def test_minibatch_precondition_named(self, tmp_path, capsys, overrides, named):
+        # run_two_phase checks both on entry; the CLI reports them as config errors
+        path = write_config(tmp_path, **small_train_sections(**overrides))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "x")]) == 1
+        assert named in capsys.readouterr().err
 
     def test_expressivity_precondition_named(self, tmp_path, capsys):
         sections = small_train_sections(network={"hidden_widths": [4, 5]})

@@ -82,6 +82,24 @@ class TestCheckExpressivity:
         if rep.passed:
             assert rep.gram_determinant > 0.0
 
+    def test_one_decomposition_per_check(self, rng, monkeypatch):
+        # the default threshold comes from the same SVD that counts the rank
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        spec = NetworkSpec((3, 8), 1, sharpness=5.0)
+        p = random_params(spec, rng, 1.0)
+        x = rng.standard_normal((6, 3))
+        assert check_expressivity(spec, p, x).passed
+        assert len(calls) == 1
+        check_expressivity(spec, p, x, tol=1e-9)
+        assert len(calls) == 2
+
 
 class TestWitness:
     def test_two_orthonormal_inputs_dominant(self):
@@ -90,13 +108,13 @@ class TestWitness:
         w = construct_witness(spec, x)
         h = forward_hidden(spec, w, x).hidden
         assert np.all(dominance_margins(h, 2) > 0.0)
-        assert check_expressivity(spec, w, x, source="witness").passed
+        assert check_expressivity(spec, w, x).passed
 
     def test_single_sample(self):
         spec = NetworkSpec((3, 3, 3), 1, sharpness=100.0)
         x = np.array([[0.6, 0.8, 0.0]])
         w = construct_witness(spec, x)
-        assert check_expressivity(spec, w, x, source="witness").passed
+        assert check_expressivity(spec, w, x).passed
 
     def test_narrow_case_passes_rank_check(self):
         # first widths match the input dim, only the last hidden layer is wide
@@ -105,7 +123,7 @@ class TestWitness:
         w = construct_witness(spec, ds.x)
         h = forward_hidden(spec, w, ds.x).hidden
         assert np.all(dominance_margins(h, 6) > 0.0)
-        assert check_expressivity(spec, w, ds.x, source="witness").passed
+        assert check_expressivity(spec, w, ds.x).passed
 
     def test_wide_case_uses_input_copies_in_first_layer(self):
         ds = synth_gen(4, 6, 1, 0.05, "regression", seed=22)
@@ -116,7 +134,7 @@ class TestWitness:
         scale = col0 @ ds.x[0]
         assert scale > 0
         np.testing.assert_allclose(col0, scale * ds.x[0], atol=1e-9)
-        assert check_expressivity(spec, w, ds.x, source="witness").passed
+        assert check_expressivity(spec, w, ds.x).passed
 
     def test_bn_architecture_rejected(self):
         spec = NetworkSpec((3, 3, 6), 1, bn_flags=(True, False))
