@@ -211,8 +211,12 @@ def _build_train_cfgs(cfg: dict, dataset: Dataset, spec: NetworkSpec):
     return base, two_phase
 
 
+# one encoder for every line, which json.dumps would build anew per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _record_dict(rec) -> dict:
@@ -227,6 +231,14 @@ def _record_dict(rec) -> dict:
         "suboptimality": rec.suboptimality,
         "rank_event": rec.rank_event,
     }
+
+
+def _phase_seconds(log) -> dict:
+    """Seconds per phase from the records' wall times: phase 1 up to its
+    last record, phase 2 from there to the last record."""
+    split = log.records[log.tau - 1].wall_time if log.tau else 0.0
+    end = log.records[-1].wall_time if log.records else 0.0
+    return {"1": round(split, 3), "2": round(end - split, 3)}
 
 
 def _write_text_summary(path, summary: dict) -> None:
@@ -347,6 +359,7 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
         "constants": log.constants,
         "rank_events": log.rank_events,
         "elapsed_seconds": round(time.perf_counter() - started, 3),
+        "phase_seconds": _phase_seconds(log),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         fh.write(_json_line(summary) + "\n")

@@ -9,7 +9,10 @@ The public functions check their inputs: finite matrices, same shapes, and
 cross-entropy target rows on the simplex.  The private kernel `_loss` does
 not; it serves a caller that checked its data once and calls it every step
 (the trainer), and gives the loss and its gradient from one log-softmax of
-the predictions.
+the predictions.  Its pieces are row-wise: `_terms` gives the per-entry
+loss terms and the residual rows, `_mean_loss` sums the terms and
+`_mean_gradient` scales residual rows, so a caller may take the loss of all
+rows and the gradient of a subset from one evaluation.
 """
 
 from __future__ import annotations
@@ -70,14 +73,34 @@ def _log_softmax(f: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _loss(kind: LossKind, f: np.ndarray, y: np.ndarray, gradient: bool = True):
-    """(mean loss, its gradient in f or None unless `gradient`), unchecked."""
-    n = f.shape[0]
+def _terms(kind: LossKind, f: np.ndarray, y: np.ndarray, residual: bool = True):
+    """(per-entry loss terms, the residual whose rows scale to the loss
+    gradient or None unless `residual`), unchecked; row i of each depends on
+    row i of f and y alone."""
     if kind.name == "squared":
         d = f - y
-        return float((d * d).sum() / n), ((2.0 / n) * d if gradient else None)
+        return d * d, d
     log_p = _log_softmax(f)
-    return float(-(y * log_p).sum() / n), ((np.exp(log_p) - y) / n if gradient else None)
+    return y * log_p, (np.exp(log_p) - y if residual else None)
+
+
+def _mean_loss(kind: LossKind, terms: np.ndarray) -> float:
+    """The mean loss from the per-entry terms of all rows, summed in the
+    order given."""
+    total = terms.sum()
+    return float((total if kind.name == "squared" else -total) / terms.shape[0])
+
+
+def _mean_gradient(kind: LossKind, residual: np.ndarray) -> np.ndarray:
+    """Gradient in f of the mean loss over the rows of `residual`."""
+    n = residual.shape[0]
+    return (2.0 / n) * residual if kind.name == "squared" else residual / n
+
+
+def _loss(kind: LossKind, f: np.ndarray, y: np.ndarray, gradient: bool = True):
+    """(mean loss, its gradient in f or None unless `gradient`), unchecked."""
+    terms, residual = _terms(kind, f, y, gradient)
+    return _mean_loss(kind, terms), (_mean_gradient(kind, residual) if gradient else None)
 
 
 def loss_value(kind: LossKind, f, y) -> float:

@@ -17,6 +17,12 @@ parameters.  `Params` owns that vector; its per-layer arrays are views into
 it, so writing a view writes the vector, rebinding a view is an error, and
 `Params.to_flat()` returns a copy.  `backprop` returns gradients in the same
 layout.
+
+`forward_hidden` and `backprop` allocate their arrays unless given a
+`Workspace`, whose per-layer arrays they then write in place with the same
+sequence of operations, so the results are bit-identical; a training loop
+that passes one workspace to every step allocates no array of the pass's
+size per step.  `softplus` and `softplus_deriv` take `out` the same way.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "NetworkSpec",
     "Params",
     "ForwardTrace",
+    "Workspace",
     "softplus",
     "softplus_deriv",
     "batchnorm_forward",
@@ -218,20 +225,54 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> Params:
 # elementwise pieces
 # ---------------------------------------------------------------------------
 
-def softplus(z, sharpness: float):
-    """ln(1 + exp(s z)) / s via the overflow-free split max(z,0) + ln(1+e^{-s|z|})/s."""
+def softplus(z, sharpness: float, out=None, scratch=None):
+    """ln(1 + exp(s z)) / s via the overflow-free split max(z,0) + ln(1+e^{-s|z|})/s.
+
+    Written into `out` (an array of z's shape, which may be z itself) and
+    `out` returned when given; a new array, or a float for a 0-d input,
+    otherwise.  `scratch`, an array of z's shape that overlaps neither z nor
+    `out`, holds max(z, 0) (allocated if None).
+    """
     if sharpness <= 0:
         raise ValueError("sharpness must be positive")
     z = np.asarray(z, dtype=np.float64)
-    out = np.maximum(z, 0.0) + np.log1p(np.exp(-sharpness * np.abs(z))) / sharpness
-    return out if out.ndim else float(out)
+    res, scratch = _output(z, out), _output(z, scratch)
+    if np.may_share_memory(scratch, z) or np.may_share_memory(scratch, res):
+        raise ValueError("softplus scratch must not overlap z or out")
+    np.maximum(z, 0.0, out=scratch)
+    np.abs(z, out=res)
+    res *= -sharpness
+    np.exp(res, out=res)
+    np.log1p(res, out=res)
+    res /= sharpness
+    np.add(scratch, res, out=res)
+    return res if out is not None or res.ndim else float(res)
 
 
-def softplus_deriv(z, sharpness: float):
-    """Logistic(s z), the exact derivative of the stabilized softplus."""
+def softplus_deriv(z, sharpness: float, out=None):
+    """Logistic(s z), the exact derivative of the stabilized softplus.
+
+    Written into `out` (an array of z's shape, which may be z itself) and
+    `out` returned when given; a new array, or a float for a 0-d input,
+    otherwise.
+    """
     z = np.asarray(z, dtype=np.float64)
+    res = _output(z, out)
     # logistic(t) = (1 + tanh(t/2)) / 2 is overflow-free for all t
-    return 0.5 * (1.0 + np.tanh(0.5 * sharpness * z))
+    np.multiply(z, 0.5 * sharpness, out=res)
+    np.tanh(res, out=res)
+    res += 1.0
+    res *= 0.5
+    return res if out is not None or res.ndim else float(res)
+
+
+def _output(z: np.ndarray, out):
+    """`out`, checked to have z's shape, or a new array like z if None."""
+    if out is None:
+        return np.empty_like(z)
+    if out.shape != z.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {z.shape}")
+    return out
 
 
 def batchnorm_forward(z_batch, gamma, beta, eps, mean=None, var=None):
@@ -275,6 +316,27 @@ class ForwardTrace:
         return self.post[-1]
 
 
+class Workspace:
+    """Caller-owned arrays that forward_hidden and backprop write into
+    instead of allocating, for passes of at most `rows` rows: per hidden
+    layer the affine and post arrays, softplus's max(z, 0) scratch and the
+    deltas d/dh and d/dz; and one gradient vector.  A pass over fewer rows
+    writes the leading rows.  The next pass or backprop given the workspace
+    overwrites the trace or gradient the last one returned.
+    """
+
+    def __init__(self, spec: NetworkSpec, rows: int):
+        self.affine, self.post, self.scratch, self.dh, self.dz = (
+            [np.empty((rows, m)) for m in spec.widths[1:]] for _ in range(5))
+        self.grad = np.empty(spec.param_count())
+
+
+def _out(work: Workspace | None, name: str, l: int, rows: int):
+    """Leading `rows` rows of the workspace's layer-l array `name`, or None
+    (the caller allocates) without a workspace."""
+    return None if work is None else getattr(work, name)[l][:rows]
+
+
 def _validate_forward_shapes(spec: NetworkSpec, params: Params, x: np.ndarray) -> None:
     if x.shape[1] != spec.input_dim:
         raise ValueError(
@@ -289,34 +351,40 @@ def _validate_forward_shapes(spec: NetworkSpec, params: Params, x: np.ndarray) -
             )
 
 
-def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None) -> ForwardTrace:
+def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None,
+                   work: Workspace | None = None) -> ForwardTrace:
     """Run the hidden stack on a batch; returns the full trace.
 
     `frozen_stats` is a per-hidden-layer list of (mean, var) pairs (None for
     layers without BN); when given, BN layers use those statistics instead
     of the batch's own, which makes every row a function of its own input.
+    With a Workspace `work`, the affine and post arrays of the trace are
+    views into it.
     """
     x = as_matrix(x, "X")
     _validate_forward_shapes(spec, params, x)
     if frozen_stats is not None and len(frozen_stats) != spec.depth:
         raise ValueError("frozen_stats must have one entry per hidden layer")
+    rows = x.shape[0]
     affine, bn_cache, post = [], [], []
     h = x
     for l in range(spec.depth):
-        z = h @ params.weights[l] + params.biases[l]
+        z = np.matmul(h, params.weights[l], out=_out(work, "affine", l, rows))
+        z += params.biases[l]
         affine.append(z)
+        sig_in = z
         if spec.bn_flags[l]:
             if frozen_stats is not None:
                 mu, var = frozen_stats[l]
             else:
                 mu, var = z.mean(axis=0), z.var(axis=0)
             z_hat = (z - mu) / np.sqrt(var + spec.bn_epsilon)
-            z_bn = params.bn_scale[l] * z_hat + params.bn_shift[l]
-            bn_cache.append((mu, var, z_hat, z_bn))
-            h = softplus(z_bn, spec.sharpness)
+            sig_in = params.bn_scale[l] * z_hat + params.bn_shift[l]
+            bn_cache.append((mu, var, z_hat, sig_in))
         else:
             bn_cache.append(None)
-            h = softplus(z, spec.sharpness)
+        h = softplus(sig_in, spec.sharpness, out=_out(work, "post", l, rows),
+                     scratch=_out(work, "scratch", l, rows))
         post.append(h)
     return ForwardTrace(x, affine, bn_cache, post, frozen_stats=frozen_stats)
 
@@ -361,15 +429,17 @@ def backprop(
     upstream,
     frozen_stats=None,
     trace: ForwardTrace | None = None,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Gradient of <upstream, f(X)> with respect to the flat parameter vector.
 
     `upstream` is d(objective)/d(f), shape n x m_y.  BN layers
     differentiate through their batch statistics unless the trace was built
-    with frozen ones.
+    with frozen ones.  With a Workspace `work`, the deltas are written into
+    it and the gradient returned is its vector.
     """
     if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats)
+        trace = forward_hidden(spec, params, x, frozen_stats, work=work)
     upstream = as_matrix(upstream, "upstream")
     n = trace.inputs.shape[0]
     if upstream.shape != (n, spec.output_dim):
@@ -378,19 +448,21 @@ def backprop(
         )
     frozen = trace.frozen_stats is not None
 
-    # the flat layout of Params, written into one zero vector: per layer the
-    # [W; b] block, then under BN its scale and shift; the head block last
+    # the flat layout of Params, written block by block, every entry once:
+    # per layer the [W; b] block, then under BN its scale and shift; the
+    # head block last
     sizes = spec.layer_param_sizes()
-    grad = np.zeros(sum(sizes))
+    grad = np.zeros(sum(sizes)) if work is None else work.grad
     end = grad.size - sizes[-1]
     head = _stacked(grad, end, spec.feature_dim + 1, spec.output_dim)
     head[:-1] = trace.hidden.T @ upstream
     head[-1] = upstream.sum(axis=0)
-    dh = upstream @ params.weights[-1].T
+    dh = np.matmul(upstream, params.weights[-1].T, out=_out(work, "dh", spec.depth - 1, n))
     for l in range(spec.depth - 1, -1, -1):
         cache = trace.bn_cache[l]
         sig_in = trace.affine[l] if cache is None else cache[3]
-        dz = dh * softplus_deriv(sig_in, spec.sharpness)
+        dz = softplus_deriv(sig_in, spec.sharpness, out=_out(work, "dz", l, n))
+        np.multiply(dh, dz, out=dz)
         m_l = dz.shape[1]
         if cache is not None:
             dz, dgamma, dbeta = _bn_backward(
@@ -404,5 +476,5 @@ def backprop(
         block[:-1] = h_prev.T @ dz
         block[-1] = dz.sum(axis=0)
         if l > 0:
-            dh = dz @ params.weights[l].T
+            dh = np.matmul(dz, params.weights[l].T, out=_out(work, "dh", l - 1, n))
     return grad

@@ -23,11 +23,17 @@ is genuinely fixed under head-only updates.
 The data are checked once, when run_two_phase starts, and the step loop then
 calls the unchecked loss kernel of `losses`.  Each phase-1 step makes one
 full-batch forward pass.  That pass gives the step's loss, under GD the next
-step's gradient, without batch normalization the rows of the next
-momentum-SGD minibatch, and on a monitored step the feature rank and the
-tangent kernel.  Every kernel comes from ntk.compute_kernel, summed layer by
-layer from that pass, and its rank from one Cholesky factorization
-(ntk.compute_ntk).
+step's gradient, and on a monitored step the feature rank and the tangent
+kernel.  Without batch normalization a momentum-SGD run makes the pass on
+the rows of X in the order of the current epoch's permutation, so the next
+minibatch is a contiguous row slice of it (views, not copies) and its
+gradient in f a slice of the pass's residual; the loss is summed back in
+data order, and a monitored step puts the pass back in data order, so every
+record equals that of a pass in data order bit for bit.  Every phase-1 pass
+and backprop writes into one network.Workspace allocated per run, so no
+array of the pass's size is allocated per step.  Every kernel comes from
+ntk.compute_kernel, summed layer by layer from that pass, and its rank from
+one Cholesky factorization (ntk.compute_ntk).
 
 With bounds on, the constants of the mode's rate ceiling are fixed at tau,
 and each phase-2 record gets its ceiling and measured suboptimality from
@@ -54,11 +60,12 @@ from .bounds import (
     solve_last_layer_optimum,
 )
 from .linalg import RankDeficientError, append_ones, as_matrix, numerical_rank
-from .losses import LossKind, _loss, check_targets
+from .losses import LossKind, _loss, _mean_gradient, _mean_loss, _terms, check_targets
 from .network import (
     ForwardTrace,
     NetworkSpec,
     Params,
+    Workspace,
     backprop,
     batch_statistics,
     forward_hidden,
@@ -158,6 +165,8 @@ class TwoPhaseConfig:
 
 @dataclass
 class StepRecord:
+    """One update; wall_time is the seconds from the start of phase 1."""
+
     t: int
     phase: int
     loss: float
@@ -281,14 +290,14 @@ def _checked_data(spec, kind, x, y):
 
 
 def _loss_and_gradient(spec, params, x, y, kind, frozen_stats=None,
-                       t=None, phase=None, gradient=True, trace=None):
+                       t=None, phase=None, gradient=True, trace=None, work=None):
     """Full-batch loss at `params` and (unless gradient=False) its gradient
     over the flat layout, from one forward pass (`trace`, if given), whose
-    trace.output it sets.  x and y must be checked (_checked_data).
-    Predictions and loss are checked finite; t and phase only label the
-    error."""
+    trace.output it sets; with a Workspace `work`, the pass and backprop
+    write into it.  x and y must be checked (_checked_data).  Predictions
+    and loss are checked finite; t and phase only label the error."""
     if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats)
+        trace = forward_hidden(spec, params, x, frozen_stats, work=work)
     f = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
                 "predictions", t, phase)
     trace.output = f
@@ -296,26 +305,15 @@ def _loss_and_gradient(spec, params, x, y, kind, frozen_stats=None,
     loss = _finite(loss, "loss", t, phase)
     if not gradient:
         return loss, None
-    return loss, backprop(spec, params, x, upstream, trace=trace)
+    return loss, backprop(spec, params, x, upstream, trace=trace, work=work)
 
 
-def _rows(trace, idx) -> ForwardTrace:
-    """Rows `idx` of a forward trace without batch normalization, output
-    included; each row of such a pass depends on its own sample alone."""
-    return ForwardTrace(trace.inputs[idx], [z[idx] for z in trace.affine], trace.bn_cache,
-                        [h[idx] for h in trace.post], output=trace.output[idx])
-
-
-def _next_batch(state: dict, size: int, rng) -> np.ndarray:
-    """Next `size` indices of a shuffled pass over the data; a pass that runs
-    short is replaced by a fresh permutation from `rng`."""
-    idx = state["order"][state["pos"] : state["pos"] + size]
-    if idx.size < size:
-        state["order"] = rng.permutation(state["order"].size)
-        state["pos"] = 0
-        idx = state["order"][:size]
-    state["pos"] += size
-    return idx
+def _rows(trace, rows) -> ForwardTrace:
+    """Rows `rows` of a forward trace without batch normalization, output
+    included: views for a slice, copies for an index array.  Each row of
+    such a pass depends on its own sample alone."""
+    return ForwardTrace(trace.inputs[rows], [z[rows] for z in trace.affine], trace.bn_cache,
+                        [h[rows] for h in trace.post], output=trace.output[rows])
 
 
 def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None,
@@ -352,8 +350,9 @@ def run_two_phase(
     Raises ValueError before the first record unless X is finite and Y holds
     valid targets of `kind`, one row of m_y per sample; the step loop does
     not check them again.  Each phase-1 step makes one full-batch forward
-    pass, which the next momentum-SGD minibatch slices unless training-mode
-    BN couples its rows, and which a monitored step reuses.
+    pass, in epoch order when the next momentum-SGD minibatch is a slice of
+    it (unless training-mode BN couples its rows), which a monitored step
+    reuses; record.wall_time counts from the start of phase 1.
 
     Emits exactly cfg.total_steps records (one per update); every
     `monitor_every` steps of a phase (0: never) a record also carries the
@@ -397,51 +396,79 @@ def run_two_phase(
     def monitored(t_done):
         return monitor_every > 0 and t_done % monitor_every == 0
 
-    # Phase 1 updates params.flat in place.  The full-batch pass that gives
+    # Phase 1 updates params.flat in place, and every pass and backprop of
+    # its steps writes into one workspace.  The full-batch pass that gives
     # the loss recorded at step t is at the parameters step t + 1 starts
-    # from, so under GD it also gives that step's gradient, and without batch
-    # norm a momentum-SGD minibatch is rows of it; training-mode BN couples
-    # the rows through the batch statistics, so there the minibatch gets a
-    # pass of its own.
+    # from, so under GD it also gives that step's gradient.  Without batch
+    # norm a momentum-SGD minibatch is a row slice of it: the pass runs on
+    # the rows of X in the order of the epoch step t + 1 draws from, its
+    # loss is summed back in data order, and the minibatch's gradient in f
+    # is a slice of the pass's residual.  Training-mode BN couples the rows
+    # through the batch statistics, so there the pass stays in data order
+    # and the minibatch gets a pass of its own.
     params = params0.copy()
     w = params.flat
     full_batch = base.variant == "gd"
-    trace = forward_hidden(spec, params, x)
-    log.loss_initial, g = _loss_and_gradient(spec, params, x, y, kind, t=0, phase=1,
-                                             gradient=full_batch and tau > 0, trace=trace)
+    sliced = not full_batch and not any(spec.bn_flags)
+    work = Workspace(spec, n)
     rng_base = np.random.default_rng(base.seed)
     velocity = np.zeros_like(w)
-    order_state = {"order": np.arange(n), "pos": n}  # forces initial shuffle
+    size = base.minibatch
+    order = inverse = np.arange(n)
+    xs, ys = x, y  # the pass's rows: x[order], y[order] when sliced
+    pos = n  # forces the initial shuffle
 
     t0 = time.perf_counter()
-    for t in range(1, tau + 1):
-        if not full_batch:
-            idx = _next_batch(order_state, base.minibatch, rng_base)
-            if any(spec.bn_flags):
-                batch = forward_hidden(spec, params, x[idx])
-                batch.output = _finite(batch.hidden @ params.weights[-1] + params.biases[-1],
-                                       "minibatch predictions", t, 1)
+    for t in range(tau + 1):
+        if t:
+            if not full_batch:
+                if sliced:
+                    batch = _rows(trace, slice(pos, pos + size))
+                    upstream = _mean_gradient(kind, residual[pos : pos + size])
+                else:
+                    idx = order[pos : pos + size]
+                    batch = forward_hidden(spec, params, x[idx], work=work)
+                    f = _finite(batch.hidden @ params.weights[-1] + params.biases[-1],
+                                "minibatch predictions", t, 1)
+                    upstream = _loss(kind, f, y[idx])[1]
+                pos += size
+                g = backprop(spec, params, batch.inputs, upstream, trace=batch, work=work)
+            if base.weight_decay:
+                g += base.weight_decay * w
+            gnorm = _finite(math.sqrt(g @ g), "gradient norm", t, 1)
+            if full_batch:
+                w -= base.learning_rate * g
             else:
-                batch = _rows(trace, idx)
-            g = backprop(spec, params, batch.inputs, _loss(kind, batch.output, y[idx])[1],
-                         trace=batch)
-        if base.weight_decay:
-            g += base.weight_decay * w
-        gnorm = _finite(float(np.linalg.norm(g)), "gradient norm", t, 1)
-        if full_batch:
-            w -= base.learning_rate * g
+                velocity *= base.momentum
+                velocity += g
+                w -= base.learning_rate * velocity
+        if not full_batch and t < tau and pos + size > n:
+            # an epoch that runs short is replaced by a fresh permutation,
+            # drawn before the pass that step t + 1 slices
+            order, pos = rng_base.permutation(n), 0
+            if sliced:
+                inverse = np.argsort(order)
+                xs, ys = x[order], y[order]
+        trace = forward_hidden(spec, params, xs, work=work)
+        if sliced:
+            trace.output = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
+                                   "predictions", t, 1)
+            terms, residual = _terms(kind, trace.output, ys, residual=t < tau)
+            loss = _finite(_mean_loss(kind, terms[inverse]), "loss", t, 1)
         else:
-            velocity *= base.momentum
-            velocity += g
-            w -= base.learning_rate * velocity
-        trace = forward_hidden(spec, params, x)
-        loss, g = _loss_and_gradient(spec, params, x, y, kind, t=t, phase=1,
-                                     gradient=full_batch and t < tau, trace=trace)
+            loss, g = _loss_and_gradient(spec, params, x, y, kind, t=t, phase=1,
+                                         gradient=full_batch and t < tau, trace=trace,
+                                         work=work)
+        if not t:
+            log.loss_initial = loss
+            continue
         rec = StepRecord(t=t, phase=1, loss=loss, grad_norm=gnorm,
                          wall_time=time.perf_counter() - t0)
         if monitored(t):
-            rec.feature_rank = numerical_rank(append_ones(trace.hidden))
-            rec.ntk_rank = _snapshot(spec, params, x, None, trace, t, 1).rank
+            # rank and kernel of the pass in data order
+            full = _rows(trace, inverse) if sliced else trace
+            rec.feature_rank = numerical_rank(append_ones(full.hidden))
+            rec.ntk_rank = _snapshot(spec, params, x, None, full, t, 1).rank
         emit(rec)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)

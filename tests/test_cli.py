@@ -159,6 +159,29 @@ class TestTrain:
         assert summary["best_loss"] == min(r["loss"] for r in records)
         assert (out / "summary.txt").exists()
 
+    def test_summary_reports_seconds_per_phase(self, tmp_path):
+        path = write_config(tmp_path, **small_train_sections())
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        seconds = summary["phase_seconds"]
+        assert sorted(seconds) == ["1", "2"] and min(seconds.values()) >= 0.0
+        assert seconds["1"] + seconds["2"] <= summary["elapsed_seconds"] + 0.002
+        assert "phase_seconds" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("tau,want", [(2, {"1": 1.0, "2": 1.0}), (0, {"1": 0.0, "2": 2.0}),
+                                          (4, {"1": 2.0, "2": 0.0})])
+    def test_phase_seconds_split_at_the_last_phase_one_record(self, tau, want):
+        records = [trainer.StepRecord(t=t, phase=1 if t <= tau else 2, loss=0.0,
+                                      grad_norm=0.0, wall_time=0.5 * t) for t in range(1, 5)]
+        assert cli._phase_seconds(trainer.TrainLog(records=records, tau=tau)) == want
+        assert cli._phase_seconds(trainer.TrainLog()) == {"1": 0.0, "2": 0.0}
+
+    def test_json_line_matches_json_dumps(self):
+        obj = {"t": 3, "loss": 0.1 + 0.2, "rank_event": None, "b": [1, -0.0, "x\u00e9"],
+               "a": {"z": 1e-300, "c": True}}
+        assert cli._json_line(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
     @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd", "lazy_full"])
     def test_byte_identical_rerun(self, tmp_path, mode):
         path = write_config(tmp_path, **small_train_sections(

@@ -8,6 +8,7 @@ from conftest import fd_loss_grad, max_rel_err, random_small_config
 from twophase.losses import SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
+    Workspace,
     backprop,
     batch_statistics,
     batchnorm_forward,
@@ -48,6 +49,71 @@ class TestSoftplus:
         h = 1e-6
         fd = (softplus(z + h, 10.0) - softplus(z - h, 10.0)) / (2 * h)
         np.testing.assert_allclose(softplus_deriv(z, 10.0), fd, atol=1e-8)
+
+
+def _edge_values(rng):
+    # signed zeros, the arguments where exp(-s|z|) underflows, and huge ones
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1e6, -1e6, 74.5, -74.5])
+    return np.concatenate([edges, rng.standard_normal(40) * 3.0,
+                           rng.standard_normal(40) * 100.0]).reshape(8, 11)
+
+
+class TestSoftplusOut:
+    # the allocating form is pinned to the closed-form expressions it
+    # replaced, and writing into `out` must give the same bits
+
+    @pytest.mark.parametrize("sharpness", [1.0, 10.0, 100.0])
+    def test_softplus_out_bit_identical(self, rng, sharpness):
+        z = _edge_values(rng)
+        want = np.maximum(z, 0.0) + np.log1p(np.exp(-sharpness * np.abs(z))) / sharpness
+        out, scratch = np.full_like(z, np.nan), np.full_like(z, np.nan)
+        got = softplus(z, sharpness, out=out, scratch=scratch)
+        assert got is out
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(softplus(z, sharpness), want)
+        assert np.array_equal(softplus(z, sharpness, out=np.empty_like(z)), want)
+
+    @pytest.mark.parametrize("sharpness", [1.0, 10.0, 100.0])
+    def test_softplus_deriv_out_bit_identical(self, rng, sharpness):
+        z = _edge_values(rng)
+        want = 0.5 * (1.0 + np.tanh(0.5 * sharpness * z))
+        out = np.full_like(z, np.nan)
+        assert softplus_deriv(z, sharpness, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(softplus_deriv(z, sharpness), want)
+
+    @pytest.mark.parametrize("value", [0.0, -745.0, 1e6, 3.5])
+    def test_zero_d_input_returns_a_float(self, value):
+        want = float(np.maximum(value, 0.0)
+                     + np.log1p(np.exp(-100.0 * np.abs(value))) / 100.0)
+        for z in (value, np.float64(value), np.array(value)):
+            got = softplus(z, 100.0)
+            assert type(got) is float and got == want
+            assert type(softplus_deriv(z, 100.0)) is float
+        out = np.empty(())
+        assert softplus(np.array(value), 100.0, out=out) is out and out == want
+
+    def test_out_may_alias_the_input(self, rng):
+        z = _edge_values(rng)
+        want_sp, want_d = softplus(z, 10.0), softplus_deriv(z, 10.0)
+        a, b = z.copy(), z.copy()
+        assert softplus(a, 10.0, out=a) is a
+        assert softplus_deriv(b, 10.0, out=b) is b
+        assert np.array_equal(a, want_sp) and np.array_equal(b, want_d)
+
+    def test_scratch_overlapping_input_or_out_rejected(self, rng):
+        z = _edge_values(rng)
+        out = np.empty_like(z)
+        with pytest.raises(ValueError, match="scratch"):
+            softplus(z, 10.0, out=out, scratch=z)
+        with pytest.raises(ValueError, match="scratch"):
+            softplus(z, 10.0, out=out, scratch=out)
+
+    def test_out_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            softplus(np.zeros(3), 10.0, out=np.empty((2, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            softplus_deriv(np.zeros(3), 10.0, out=np.empty(4))
 
 
 class TestBatchNorm:
@@ -315,3 +381,32 @@ class TestBackprop:
         p = random_params(spec, rng, 1.0)
         with pytest.raises(ValueError, match="upstream"):
             backprop(spec, p, rng.standard_normal((4, 3)), np.zeros((4, 3)))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_pass_and_gradient_bit_identical_with_a_workspace(self, frozen):
+        # random depths, widths and BN flags; a workspace sized for more rows
+        # than the batch is written in its leading rows and reused
+        rng = np.random.default_rng(2718)
+        for _ in range(12):
+            spec, p, x = random_small_config(rng)
+            stats = batch_statistics(forward_hidden(spec, p, x)) if frozen else None
+            up = rng.standard_normal((x.shape[0], spec.output_dim))
+            work = Workspace(spec, x.shape[0] + 3)
+            for _ in range(2):
+                want = forward_hidden(spec, p, x, stats)
+                got = forward_hidden(spec, p, x, stats, work=work)
+                for a, b in zip(got.affine + got.post, want.affine + want.post):
+                    assert np.array_equal(a, b)
+                g = backprop(spec, p, x, up, trace=got, work=work)
+                assert g is work.grad
+                assert np.array_equal(g, backprop(spec, p, x, up, trace=want))
+
+    def test_trace_and_gradient_live_in_the_workspace(self, rng):
+        spec = NetworkSpec((3, 4, 5), 2, sharpness=10.0)
+        p = random_params(spec, rng, 0.8)
+        work = Workspace(spec, 6)
+        trace = forward_hidden(spec, p, rng.standard_normal((6, 3)), work=work)
+        assert all(np.shares_memory(a, b) for a, b in zip(trace.post, work.post))
+        assert all(np.shares_memory(a, b) for a, b in zip(trace.affine, work.affine))

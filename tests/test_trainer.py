@@ -1,14 +1,18 @@
 """The two-phase loop: masking, perturbation, schedules, and guarantees."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import twophase.ntk as ntk
 import twophase.trainer as trainer
 from twophase.data import synth_gen
+from twophase.linalg import append_ones, numerical_rank
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
+    Workspace,
     backprop,
     forward_hidden,
     forward_output,
@@ -351,22 +355,37 @@ class TestRunTwoPhase:
 
     def test_sliced_minibatch_gradient_matches_a_fresh_pass(self, rng):
         # the head_gd_ce architecture: rows of the full-batch pass give the
-        # same minibatch gradient, bit for bit, as a pass on the rows alone
+        # same minibatch gradient, bit for bit, as a pass on the rows alone,
+        # whether they are picked from a pass in data order or are a slice
+        # of a pass in epoch order, whose residual slice gives the upstream
         ds = synth_gen(128, 8, 4, 0.01, "one_hot", seed=21)
         spec = NetworkSpec((8, 8, 141), 4, sharpness=10.0)
         params = init_params(spec, seed=21)
+
+        def fresh_gradient(idx):
+            fresh = forward_hidden(spec, params, ds.x[idx])
+            up = loss_grad(CROSS_ENTROPY, forward_output(spec, params, ds.x[idx], trace=fresh),
+                           ds.y[idx])
+            return backprop(spec, params, ds.x[idx], up, trace=fresh)
+
         full = forward_hidden(spec, params, ds.x)
         forward_output(spec, params, ds.x, trace=full)
         for idx in (rng.permutation(128)[:64], rng.permutation(128)[:64], np.arange(64, 128)):
             sliced = trainer._rows(full, idx)
-            fresh = forward_hidden(spec, params, ds.x[idx])
             got = backprop(spec, params, ds.x[idx],
                            loss_grad(CROSS_ENTROPY, sliced.output, ds.y[idx]), trace=sliced)
-            want = backprop(spec, params, ds.x[idx],
-                            loss_grad(CROSS_ENTROPY, forward_output(spec, params, ds.x[idx],
-                                                                    trace=fresh), ds.y[idx]),
-                            trace=fresh)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, fresh_gradient(idx))
+        order = rng.permutation(128)
+        work = Workspace(spec, 128)
+        epoch = forward_hidden(spec, params, ds.x[order], work=work)
+        forward_output(spec, params, ds.x[order], trace=epoch)
+        _, residual = trainer._terms(CROSS_ENTROPY, epoch.output, ds.y[order])
+        for rows in (slice(0, 64), slice(64, 128), slice(40, 88)):
+            sliced = trainer._rows(epoch, rows)
+            assert np.shares_memory(sliced.post[-1], work.post[-1])
+            got = backprop(spec, params, sliced.inputs,
+                           trainer._mean_gradient(CROSS_ENTROPY, residual[rows]), trace=sliced)
+            assert np.array_equal(got, fresh_gradient(order[rows]))
 
     @pytest.mark.parametrize("bad", ["nan_input", "target_row_sum", "target_columns"])
     def test_bad_data_rejected_before_the_first_record(self, bad):
@@ -473,6 +492,134 @@ class TestRunTwoPhase:
                              lazy_lipschitz=1e-300, seed=16)
         with pytest.raises(FloatingPointError, match=r"step 3 \(phase 2\)"):
             run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+
+
+def _reference_loss(kind, f, y, gradient=True):
+    # the mean loss and its gradient in f over the rows given, written out
+    # independently of losses._loss
+    n = f.shape[0]
+    if kind.name == "squared":
+        d = f - y
+        return float((d * d).sum() / n), ((2.0 / n) * d if gradient else None)
+    shifted = f - f.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-(y * log_p).sum() / n), ((np.exp(log_p) - y) / n if gradient else None)
+
+
+def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
+    """Phase 1 with every full-batch pass in data order, allocating: a
+    momentum-SGD minibatch gathers its rows of the last pass by index and
+    evaluates its own loss.  Returns the initial loss, (loss, grad_norm,
+    feature_rank, ntk_rank) per step, the kernels of the monitored steps and
+    the params at tau."""
+    x, y, n = ds.x, ds.y, ds.n
+    params = params0.copy()
+    w = params.flat
+    full_batch = base.variant == "gd"
+
+    def full_pass(gradient):
+        trace = forward_hidden(spec, params, x)
+        trace.output = trace.hidden @ params.weights[-1] + params.biases[-1]
+        loss, up = _reference_loss(kind, trace.output, y, gradient)
+        return trace, loss, (backprop(spec, params, x, up, trace=trace) if gradient else None)
+
+    trace, initial, g = full_pass(full_batch and tau > 0)
+    rng = np.random.default_rng(base.seed)
+    velocity = np.zeros_like(w)
+    order, pos = np.arange(n), n
+    records, kernels = [], []
+    for t in range(1, tau + 1):
+        if not full_batch:
+            idx = order[pos : pos + base.minibatch]
+            if idx.size < base.minibatch:
+                order, pos = rng.permutation(n), 0
+                idx = order[: base.minibatch]
+            pos += base.minibatch
+            batch = trainer._rows(trace, idx)
+            g = backprop(spec, params, batch.inputs,
+                         _reference_loss(kind, batch.output, y[idx])[1], trace=batch)
+        if base.weight_decay:
+            g += base.weight_decay * w
+        gnorm = float(np.linalg.norm(g))
+        if full_batch:
+            w -= base.learning_rate * g
+        else:
+            velocity *= base.momentum
+            velocity += g
+            w -= base.learning_rate * velocity
+        trace, loss, g = full_pass(full_batch and t < tau)
+        ranks = (None, None)
+        if monitor_every and t % monitor_every == 0:
+            kernels.append(ntk.compute_kernel(spec, params, x, trace=trace))
+            ranks = (numerical_rank(append_ones(trace.hidden)),
+                     ntk.compute_ntk(kernels[-1]).rank)
+        records.append((loss, gnorm, *ranks))
+    return initial, records, kernels, params
+
+
+class TestPhaseOneWorkspace:
+    @pytest.mark.parametrize("variant", ["sgd_momentum", "gd"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY], ids=["squared", "cross_entropy"])
+    @pytest.mark.parametrize("monitor_every", [0, 3])
+    def test_records_match_the_data_order_loop(self, monkeypatch, variant, depth, kind,
+                                               monitor_every):
+        # n = 20 with minibatch 8: every third step starts a fresh epoch; a
+        # monitored step ranks the kernel of the pass in data order
+        kernels = []
+        compute_ntk = trainer.compute_ntk
+
+        def keeping(kernel, floor=0.0):
+            kernels.append(kernel.copy())
+            return compute_ntk(kernel, floor)
+
+        monkeypatch.setattr(trainer, "compute_ntk", keeping)
+        n, tau = 20, 11
+        ds = synth_gen(n, 4, 3, 0.03, "one_hot" if kind is CROSS_ENTROPY else "regression",
+                       seed=depth)
+        spec = NetworkSpec((4,) + (8,) * (depth - 1) + (24,), 3, sharpness=10.0)
+        p0 = init_params(spec, seed=depth)
+        base = BaseAlgoConfig(variant=variant, learning_rate=0.05, minibatch=8,
+                              weight_decay=1e-3, seed=5)
+        cfg = TwoPhaseConfig(tau=tau, total_steps=tau, seed=5)
+        params, log = run_two_phase(spec, p0, ds, base, cfg, kind, monitor_every=monitor_every)
+        initial, want, want_kernels, reference = _data_order_phase_one(
+            spec, p0, ds, base, tau, kind, monitor_every)
+        assert log.loss_initial == initial
+        assert [(r.loss, r.grad_norm, r.feature_rank, r.ntk_rank) for r in log.records] == want
+        assert len(kernels) == len(want_kernels) == (tau // monitor_every if monitor_every else 0)
+        assert all(np.array_equal(a, b) for a, b in zip(kernels, want_kernels))
+        if monitor_every:
+            assert all(r.ntk_rank == n * 3 for r in log.records[monitor_every - 1 :: monitor_every])
+        perturbed = perturb(reference, cfg.noise_scale, np.random.SeedSequence(cfg.seed).spawn(2)[0])
+        assert np.array_equal(params.flat, perturbed.flat)
+
+    @pytest.mark.parametrize("variant", ["sgd_momentum", "gd"])
+    def test_steps_allocate_less_than_one_pass_sized_array(self, variant):
+        # a head_gd_ce-shaped run: between the records of steps 20 and 50
+        # traced memory never rises by one n x m_H float64 array
+        ds = synth_gen(128, 8, 4, 0.01, "one_hot", seed=0)
+        spec = NetworkSpec((8, 8, 141), 4, sharpness=10.0)
+        seen = {}
+
+        def sink(rec):
+            if rec.t == 20:
+                tracemalloc.reset_peak()
+                seen["start"] = tracemalloc.get_traced_memory()[0]
+            elif rec.t == 50:
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+
+        base = BaseAlgoConfig(variant=variant, minibatch=64)
+        cfg = TwoPhaseConfig(tau=60, total_steps=100)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            run_two_phase(spec, init_params(spec, seed=0), ds, base, cfg, CROSS_ENTROPY,
+                          record_sink=sink)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert seen["peak"] - seen["start"] < 128 * 141 * 8
 
 
 class TestLipschitzEstimate:
