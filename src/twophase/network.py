@@ -18,11 +18,14 @@ it, so writing a view writes the vector, rebinding a view is an error, and
 `Params.to_flat()` returns a copy.  `backprop` returns gradients in the same
 layout.
 
-`forward_hidden` and `backprop` allocate their arrays unless given a
-`Workspace`, whose per-layer arrays they then write in place with the same
-sequence of operations, so the results are bit-identical; a training loop
-that passes one workspace to every step allocates no array of the pass's
-size per step.  `softplus` and `softplus_deriv` take `out` the same way.
+`forward_hidden` and `backprop` write their per-layer arrays into a
+`Workspace` when given one, and into new arrays otherwise; both forms run one
+loop and give bit-identical results.  A workspace binds its views once, so a
+training loop that passes one to every step allocates no array of the pass's
+size per step, and a call given one trusts that its caller checked x and
+upstream (run_two_phase checks X and Y once on entry); calls without one
+check them.  `softplus` and `softplus_deriv` check their arguments and wrap
+the unchecked in-place kernels the passes call.
 """
 
 from __future__ import annotations
@@ -119,9 +122,25 @@ class NetworkSpec:
         return sum(self.layer_param_sizes())
 
 
-def _stacked(flat: np.ndarray, off: int, rows: int, cols: int) -> np.ndarray:
-    """The [W; b] block (rows x cols) that starts at `off` in `flat`; a view."""
-    return flat[off : off + rows * cols].reshape(rows, cols, order="F")
+def _layer_views(spec: NetworkSpec, flat: np.ndarray) -> tuple:
+    """(weights, biases, bn_scale, bn_shift) of the flat layout, tuples of
+    views into `flat`: per layer the [W; b] block split into W and the bias
+    row, and per hidden layer the BN scale and shift (None without BN)."""
+    dims = (*spec.widths, spec.output_dim)
+    weights, biases, scales, shifts = [], [], [], []
+    off = 0
+    for l, size in enumerate(spec.layer_param_sizes()):
+        rows, cols = dims[l] + 1, dims[l + 1]
+        block = flat[off : off + rows * cols].reshape(rows, cols, order="F")
+        weights.append(block[:-1])
+        biases.append(block[-1:])
+        if l < spec.depth:
+            bn = spec.bn_flags[l]
+            end = off + size
+            scales.append(flat[end - 2 * cols : end - cols] if bn else None)
+            shifts.append(flat[end - cols : end] if bn else None)
+        off += size
+    return tuple(weights), tuple(biases), tuple(scales), tuple(shifts)
 
 
 class Params:
@@ -146,23 +165,9 @@ class Params:
             raise ValueError(f"flat vector has {flat.size} {flat.dtype} entries, expected {d} float64")
         self.spec = spec
         self.flat = flat
-        dims = (*spec.widths, spec.output_dim)
-        weights, biases, scales, shifts = [], [], [], []
-        off = 0
-        for l, size in enumerate(spec.layer_param_sizes()):
-            rows, cols = dims[l] + 1, dims[l + 1]
-            block = _stacked(flat, off, rows, cols)
-            weights.append(block[:-1])
-            biases.append(block[-1:])
-            if l < spec.depth:
-                bn = spec.bn_flags[l]
-                end = off + size
-                scales.append(flat[end - 2 * cols : end - cols] if bn else None)
-                shifts.append(flat[end - cols : end] if bn else None)
-            off += size
-        self.weights, self.biases = tuple(weights), tuple(biases)
-        self.bn_scale, self.bn_shift = tuple(scales), tuple(shifts)
-        self._head = block
+        self.weights, self.biases, self.bn_scale, self.bn_shift = _layer_views(spec, flat)
+        self._head = flat[spec.hidden_param_count():].reshape(
+            spec.feature_dim + 1, spec.output_dim, order="F")
 
     @property
     def depth(self) -> int:
@@ -239,14 +244,25 @@ def softplus(z, sharpness: float, out=None, scratch=None):
     res, scratch = _output(z, out), _output(z, scratch)
     if np.may_share_memory(scratch, z) or np.may_share_memory(scratch, res):
         raise ValueError("softplus scratch must not overlap z or out")
-    np.maximum(z, 0.0, out=scratch)
-    np.abs(z, out=res)
-    res *= -sharpness
-    np.exp(res, out=res)
-    np.log1p(res, out=res)
-    res /= sharpness
-    np.add(scratch, res, out=res)
+    _softplus(z, sharpness, res, scratch)
     return res if out is not None or res.ndim else float(res)
+
+
+def _softplus(z, sharpness, out=None, scratch=None):
+    """softplus's kernel, unchecked: writes into `out` using `scratch`, each
+    a new array if None."""
+    if out is None:
+        out = np.empty_like(z)
+    if scratch is None:
+        scratch = np.empty_like(z)
+    np.maximum(z, 0.0, out=scratch)
+    np.abs(z, out=out)
+    out *= -sharpness
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out /= sharpness
+    np.add(scratch, out, out=out)
+    return out
 
 
 def softplus_deriv(z, sharpness: float, out=None):
@@ -257,13 +273,21 @@ def softplus_deriv(z, sharpness: float, out=None):
     otherwise.
     """
     z = np.asarray(z, dtype=np.float64)
-    res = _output(z, out)
-    # logistic(t) = (1 + tanh(t/2)) / 2 is overflow-free for all t
-    np.multiply(z, 0.5 * sharpness, out=res)
-    np.tanh(res, out=res)
-    res += 1.0
-    res *= 0.5
+    res = _softplus_deriv(z, sharpness, _output(z, out))
     return res if out is not None or res.ndim else float(res)
+
+
+def _softplus_deriv(z, sharpness, out=None):
+    """softplus_deriv's kernel, unchecked: writes into `out`, a new array if
+    None."""
+    if out is None:
+        out = np.empty_like(z)
+    # logistic(t) = (1 + tanh(t/2)) / 2 is overflow-free for all t
+    np.multiply(z, 0.5 * sharpness, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _output(z: np.ndarray, out):
@@ -317,24 +341,32 @@ class ForwardTrace:
 
 
 class Workspace:
-    """Caller-owned arrays that forward_hidden and backprop write into
-    instead of allocating, for passes of at most `rows` rows: per hidden
-    layer the affine and post arrays, softplus's max(z, 0) scratch and the
-    deltas d/dh and d/dz; and one gradient vector.  A pass over fewer rows
-    writes the leading rows.  The next pass or backprop given the workspace
-    overwrites the trace or gradient the last one returned.
+    """The arrays forward_hidden and backprop write into, for passes of at
+    most `rows` rows: per hidden layer the affine and post arrays,
+    softplus's max(z, 0) scratch and the deltas d/dh and d/dz; and one
+    gradient vector `grad`, with `grad_views` its (weights, biases,
+    bn_scale, bn_shift) views as in Params.  A pass over fewer rows writes
+    the leading rows, which `views` slices once per row count.
+    The next pass or backprop given the workspace overwrites the trace or
+    gradient the last one returned.
     """
 
     def __init__(self, spec: NetworkSpec, rows: int):
         self.affine, self.post, self.scratch, self.dh, self.dz = (
             [np.empty((rows, m)) for m in spec.widths[1:]] for _ in range(5))
         self.grad = np.empty(spec.param_count())
+        self.grad_views = _layer_views(spec, self.grad)
+        self._views = {}
 
-
-def _out(work: Workspace | None, name: str, l: int, rows: int):
-    """Leading `rows` rows of the workspace's layer-l array `name`, or None
-    (the caller allocates) without a workspace."""
-    return None if work is None else getattr(work, name)[l][:rows]
+    def views(self, rows: int) -> tuple:
+        """Per hidden layer the leading `rows` rows of the (affine, post,
+        scratch) arrays, and per hidden layer those of the (dh, dz) arrays."""
+        views = self._views.get(rows)
+        if views is None:
+            views = self._views[rows] = tuple(
+                [tuple(a[:rows] for a in layer) for layer in zip(*group)]
+                for group in ((self.affine, self.post, self.scratch), (self.dh, self.dz)))
+        return views
 
 
 def _validate_forward_shapes(spec: NetworkSpec, params: Params, x: np.ndarray) -> None:
@@ -359,17 +391,22 @@ def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     layers without BN); when given, BN layers use those statistics instead
     of the batch's own, which makes every row a function of its own input.
     With a Workspace `work`, the affine and post arrays of the trace are
-    views into it.
+    views into it, and x must be a finite float64 matrix with m_0 columns
+    and frozen_stats, if given, hold one entry per hidden layer; without
+    one, both are checked.
     """
-    x = as_matrix(x, "X")
-    _validate_forward_shapes(spec, params, x)
-    if frozen_stats is not None and len(frozen_stats) != spec.depth:
-        raise ValueError("frozen_stats must have one entry per hidden layer")
-    rows = x.shape[0]
+    if work is None:
+        x = as_matrix(x, "X")
+        _validate_forward_shapes(spec, params, x)
+        if frozen_stats is not None and len(frozen_stats) != spec.depth:
+            raise ValueError("frozen_stats must have one entry per hidden layer")
+        layers = [(None, None, None)] * spec.depth  # each layer allocates its own
+    else:
+        layers = work.views(x.shape[0])[0]
     affine, bn_cache, post = [], [], []
     h = x
-    for l in range(spec.depth):
-        z = np.matmul(h, params.weights[l], out=_out(work, "affine", l, rows))
+    for l, (z, out, scratch) in enumerate(layers):
+        z = np.matmul(h, params.weights[l], out=z)
         z += params.biases[l]
         affine.append(z)
         sig_in = z
@@ -383,8 +420,7 @@ def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None,
             bn_cache.append((mu, var, z_hat, sig_in))
         else:
             bn_cache.append(None)
-        h = softplus(sig_in, spec.sharpness, out=_out(work, "post", l, rows),
-                     scratch=_out(work, "scratch", l, rows))
+        h = _softplus(sig_in, spec.sharpness, out, scratch)
         post.append(h)
     return ForwardTrace(x, affine, bn_cache, post, frozen_stats=frozen_stats)
 
@@ -436,45 +472,44 @@ def backprop(
     `upstream` is d(objective)/d(f), shape n x m_y.  BN layers
     differentiate through their batch statistics unless the trace was built
     with frozen ones.  With a Workspace `work`, the deltas are written into
-    it and the gradient returned is its vector.
+    it, the gradient returned is its vector, and upstream must be a finite
+    float64 n x m_y matrix; without one, upstream is checked.
     """
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats, work=work)
-    upstream = as_matrix(upstream, "upstream")
     n = trace.inputs.shape[0]
-    if upstream.shape != (n, spec.output_dim):
-        raise ValueError(
-            f"upstream has shape {upstream.shape}, expected {(n, spec.output_dim)}"
-        )
+    if work is None:
+        upstream = as_matrix(upstream, "upstream")
+        if upstream.shape != (n, spec.output_dim):
+            raise ValueError(
+                f"upstream has shape {upstream.shape}, expected {(n, spec.output_dim)}"
+            )
+        # zeros although every entry is written below: np.empty here moved
+        # glibc's heap trimming and added ~600 page faults to a lazy_sq run
+        grad = np.zeros(spec.param_count())
+        grad_views, deltas = _layer_views(spec, grad), [(None, None)] * spec.depth
+    else:
+        grad, grad_views, deltas = work.grad, work.grad_views, work.views(n)[1]
     frozen = trace.frozen_stats is not None
 
-    # the flat layout of Params, written block by block, every entry once:
-    # per layer the [W; b] block, then under BN its scale and shift; the
-    # head block last
-    sizes = spec.layer_param_sizes()
-    grad = np.zeros(sum(sizes)) if work is None else work.grad
-    end = grad.size - sizes[-1]
-    head = _stacked(grad, end, spec.feature_dim + 1, spec.output_dim)
-    head[:-1] = trace.hidden.T @ upstream
-    head[-1] = upstream.sum(axis=0)
-    dh = np.matmul(upstream, params.weights[-1].T, out=_out(work, "dh", spec.depth - 1, n))
-    for l in range(spec.depth - 1, -1, -1):
+    # every entry of the gradient vector is written once, through its
+    # per-layer views: the [W; b] block and under BN the scale and shift
+    g_weights, g_biases, g_scale, g_shift = grad_views
+    g_weights[-1][:] = trace.post[-1].T @ upstream
+    g_biases[-1][:] = upstream.sum(axis=0)
+    dh = np.matmul(upstream, params.weights[-1].T, out=deltas[-1][0])
+    for l in reversed(range(len(deltas))):
         cache = trace.bn_cache[l]
         sig_in = trace.affine[l] if cache is None else cache[3]
-        dz = softplus_deriv(sig_in, spec.sharpness, out=_out(work, "dz", l, n))
+        dz = _softplus_deriv(sig_in, spec.sharpness, deltas[l][1])
         np.multiply(dh, dz, out=dz)
-        m_l = dz.shape[1]
         if cache is not None:
-            dz, dgamma, dbeta = _bn_backward(
+            dz, g_scale[l][:], g_shift[l][:] = _bn_backward(
                 dz, cache, params.bn_scale[l], spec.bn_epsilon, frozen
             )
-            grad[end - 2 * m_l : end - m_l] = dgamma
-            grad[end - m_l : end] = dbeta
         h_prev = trace.inputs if l == 0 else trace.post[l - 1]
-        end -= sizes[l]
-        block = _stacked(grad, end, h_prev.shape[1] + 1, m_l)
-        block[:-1] = h_prev.T @ dz
-        block[-1] = dz.sum(axis=0)
+        g_weights[l][:] = h_prev.T @ dz
+        g_biases[l][:] = dz.sum(axis=0)
         if l > 0:
-            dh = np.matmul(dz, params.weights[l].T, out=_out(work, "dh", l - 1, n))
+            dh = np.matmul(dz, params.weights[l].T, out=deltas[l - 1][0])
     return grad

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DecompositionError
-from .network import NetworkSpec, Params, backprop, forward_hidden, softplus_deriv
+from .network import NetworkSpec, Params, _softplus_deriv, backprop, forward_hidden
 
 __all__ = [
     "NtkSnapshot",
@@ -161,8 +161,8 @@ def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     delta = np.broadcast_to(params.weights[-1].T, (n, m_y, spec.feature_dim))
     for l in range(spec.depth - 1, -1, -1):
         cache = trace.bn_cache[l]
-        dout = delta * softplus_deriv(trace.affine[l] if cache is None else cache[3],
-                                      spec.sharpness)[:, None, :]
+        dout = delta * _softplus_deriv(trace.affine[l] if cache is None else cache[3],
+                                       spec.sharpness)[:, None, :]
         dz = dout
         if cache is not None:
             dz = dout * params.bn_scale[l] * (1.0 / np.sqrt(cache[1] + spec.bn_epsilon))

@@ -31,7 +31,9 @@ gradient in f a slice of the pass's residual; the loss is summed back in
 data order, and a monitored step puts the pass back in data order, so every
 record equals that of a pass in data order bit for bit.  Every phase-1 pass
 and backprop writes into one network.Workspace allocated per run, so no
-array of the pass's size is allocated per step.  Every kernel comes from
+array of the pass's size is allocated per step; the workspace binds its
+views once, and its passes trust X, Y and the upstream derived from them,
+which are checked once on entry.  Every kernel comes from
 ntk.compute_kernel, summed layer by layer from that pass, and its rank from
 one Cholesky factorization (ntk.compute_ntk).
 
@@ -157,9 +159,17 @@ class TwoPhaseConfig:
 
     @classmethod
     def from_fraction(cls, tau_fraction: float, total_steps: int, **kwargs) -> "TwoPhaseConfig":
+        """tau = floor(tau_fraction * total_steps), exact for the decimal
+        tau_fraction is written as (0.29 at 100 steps gives 29, where the
+        float product 28.999999999999996 would floor to 28)."""
         if not 0.0 <= tau_fraction <= 1.0:
             raise ValueError("tau_fraction must lie in [0, 1]")
-        return cls(tau=int(np.floor(tau_fraction * total_steps)),
+        # the shortest decimal of the float, as digits / 10**places in
+        # integers; repr writes a fraction below 1e-4 as 'd.ddde-XX'
+        mantissa, _, exponent = repr(float(tau_fraction)).partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        places = len(decimals) - int(exponent or 0)
+        return cls(tau=int(whole + decimals) * total_steps // 10**places,
                    total_steps=total_steps, **kwargs)
 
 
@@ -530,11 +540,11 @@ def run_two_phase(
         for t in range(tau + 1, total + 1):
             if head_gd:
                 g = aug.T @ dpred
-                z = z - (1.0 / log.l_h) * g
+                z -= (1.0 / log.l_h) * g
             else:
                 idx = rng_p2.integers(0, n, size=b)
                 g = aug[idx].T @ _loss(kind, aug[idx] @ z, y[idx])[1]
-                z = z - (cfg.sgd_rate_scale / np.sqrt(t - tau)) * g
+                z -= (cfg.sgd_rate_scale / math.sqrt(t - tau)) * g
             gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             pred = _finite(aug @ z, "predictions", t, 2)
@@ -542,7 +552,7 @@ def run_two_phase(
             cur = _finite(cur, "loss", t, 2)
             if cur < best_loss:
                 best_loss, best_t = cur, t
-            rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
+            rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):
                 # only the head moved, so the tau pass is the features' pass
@@ -617,7 +627,7 @@ def run_two_phase(
                 log.r_bar = max(log.r_bar, distance(snap, trace))
             if cur < best_loss:
                 best_loss, best_t = cur, t
-            rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=np.sqrt(gsq),
+            rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
                              ntk_rank=snap.rank, rank_event=event,
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):

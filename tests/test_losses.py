@@ -5,7 +5,14 @@ import pytest
 
 from conftest import max_rel_err
 
-from twophase.losses import CROSS_ENTROPY, SQUARED, loss_by_name, loss_grad, loss_value
+from twophase.losses import (
+    CROSS_ENTROPY,
+    SQUARED,
+    _log_softmax,
+    loss_by_name,
+    loss_grad,
+    loss_value,
+)
 
 
 class TestValues:
@@ -113,3 +120,21 @@ class TestConvexityAndSmoothness:
             dg = np.linalg.norm(n * (loss_grad(kind, q1, y) - loss_grad(kind, q2, y)))
             dq = np.linalg.norm(q1 - q2)
             assert dg <= kind.lipschitz * dq + 1e-12
+
+
+class TestLogSoftmax:
+    @pytest.mark.parametrize("m_y", [1, 2, 4, 10, 50])
+    def test_bit_identical_to_the_keepdims_row_max(self, m_y):
+        # the row max comes from the rows of a contiguous f.T; a max is exact
+        # in any order, so every bit matches a max over axis 1
+        rng = np.random.default_rng(m_y)
+        random = rng.standard_normal((64, m_y)) * 5.0
+        ties = np.floor(rng.standard_normal((64, m_y)) * 1.5)
+        ties[:8] = 3.0
+        extreme = 700.0 * rng.choice([-1.0, 1.0], size=(64, 1)) + rng.standard_normal((64, m_y))
+        for f in (random, ties, extreme):
+            shifted = f - f.max(axis=1, keepdims=True)
+            want = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            got = _log_softmax(f)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -8,8 +8,9 @@ tracer.  A lazy run computes its per-step distances with the unchecked
 `bounds._linearized_distance`, which the tracer does not wrap, so the
 tracer's `estimate_R_bar` count is 0 whether bounds are on or off.  It also
 counts `network.forward_hidden` calls, one per full-batch pass of a
-momentum-SGD step, and the `ntk` calls of a lazy run: one `compute_kernel`
-per kernel and no `compute_jacobian`.
+momentum-SGD step, `network.backprop` calls, one per phase-1 step, and the
+`ntk` calls of a lazy run: one `compute_kernel` per kernel and no
+`compute_jacobian`.
 """
 
 import json
@@ -103,3 +104,5 @@ def test_tracer_counts_one_forward_pass_per_sgd_step(tmp_path):
     }
     result = _traced_train(tmp_path, config)
     assert _calls(result, "network.forward_hidden") == tau + 2
+    # and one backprop per phase-1 step, through the public entry point
+    assert _calls(result, "network.backprop") == tau

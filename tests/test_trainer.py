@@ -1,12 +1,18 @@
 """The two-phase loop: masking, perturbation, schedules, and guarantees."""
 
+import math
+import os
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import twophase
 import twophase.ntk as ntk
 import twophase.trainer as trainer
+from twophase.cli import DEFAULT_CONFIG
 from twophase.data import synth_gen
 from twophase.linalg import append_ones, numerical_rank
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
@@ -121,6 +127,34 @@ class TestConfigs:
         assert cfg.tau == 60
         with pytest.raises(ValueError):
             TwoPhaseConfig.from_fraction(1.5, 100)
+
+    @pytest.mark.parametrize("fraction, steps, tau", [
+        (0.29, 100, 29), (0.29, 200, 58), (0.57, 100, 57),
+        (0.57, 200, 114), (0.58, 100, 58), (0.58, 200, 116)])
+    def test_tau_fraction_floors_the_written_decimal(self, fraction, steps, tau):
+        # the float product lands just below the integer it stands for
+        assert fraction * steps < tau
+        assert TwoPhaseConfig.from_fraction(fraction, steps).tau == tau
+
+    def test_tau_fraction_exact_over_a_grid(self):
+        for i in range(101):
+            for steps in (10, 100, 200, 500, 1000, 4000):
+                assert TwoPhaseConfig.from_fraction(i / 100, steps).tau == i * steps // 100
+        # repr writes these with an exponent; the float products of 3.5e-05
+        # and 7e-05 with 10**7 floor one too low
+        for fraction in (1e-05, 3.5e-05, 7e-05, 5.7e-07):
+            for steps in (10**5, 10**6, 10**7, 10**8):
+                want = math.floor(Fraction(repr(fraction)) * steps)
+                assert TwoPhaseConfig.from_fraction(fraction, steps).tau == want
+
+    def test_tau_fraction_of_the_shipped_configs_unchanged(self):
+        # the benchmark workloads (0.6 of 4000 and of 1000 steps) and the
+        # default sweep grid give the tau the float product gave
+        assert TwoPhaseConfig.from_fraction(0.6, 4000).tau == 2400
+        assert TwoPhaseConfig.from_fraction(0.6, 1000).tau == 600
+        steps = DEFAULT_CONFIG["two_phase"]["total_steps"]
+        for fraction in DEFAULT_CONFIG["sweep"]["tau_fractions"]:
+            assert TwoPhaseConfig.from_fraction(fraction, steps).tau == int(np.floor(fraction * steps))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="tau"):
@@ -474,6 +508,19 @@ class TestRunTwoPhase:
         run_two_phase(spec, p0, ds, base, cfg, CROSS_ENTROPY)
         assert len(built) <= 3
 
+    @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd", "lazy_full"])
+    def test_record_numbers_are_python_floats(self, mode):
+        # as phase 1 stores them, so every mode's records serialize alike
+        ds, spec, p0 = _toy_problem(seed=19)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode=mode, sgd_minibatch=4,
+                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
+        assert all(rec.bound is not None for rec in log.phase2_records())
+        for rec in log.records:
+            for value in (rec.loss, rec.grad_norm, rec.bound, rec.suboptimality):
+                assert value is None or type(value) is float, (rec.t, value)
+
     def test_divergent_head_phase_names_step_and_phase(self):
         ds, spec, p0 = _toy_problem(seed=16)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
@@ -620,6 +667,37 @@ class TestPhaseOneWorkspace:
             if not tracing:
                 tracemalloc.stop()
         assert seen["peak"] - seen["start"] < 128 * 141 * 8
+
+    def test_step_makes_a_bounded_number_of_python_calls(self):
+        # a head_gd_ce-shaped momentum-SGD run: the workspace's views are
+        # bound once and its passes skip the checks made on entry, so a
+        # step between the records of steps 20 and 100 makes at most 25
+        # Python calls into the package (a count, not a timing)
+        package = os.path.dirname(twophase.__file__)
+        ds = synth_gen(128, 8, 4, 0.01, "one_hot", seed=3)
+        spec = NetworkSpec((8, 8, 141), 4, sharpness=10.0)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls.append(frame.f_code.co_name)
+
+        def sink(rec):
+            if rec.t == 20:
+                sys.setprofile(profile)
+            elif rec.t == 100:
+                sys.setprofile(previous)
+
+        previous = sys.getprofile()
+        base = BaseAlgoConfig(variant="sgd_momentum", minibatch=64, seed=3)
+        cfg = TwoPhaseConfig(tau=200, total_steps=200, seed=3)
+        try:
+            run_two_phase(spec, init_params(spec, seed=3), ds, base, cfg, CROSS_ENTROPY,
+                          record_sink=sink)
+        finally:
+            sys.setprofile(previous)
+        assert calls.count("emit") == 80
+        assert len(calls) <= 25 * 80, sorted(set(calls))
 
 
 class TestLipschitzEstimate:
