@@ -2,7 +2,7 @@
 
 The package splits into small numpy modules:
 
-* linalg        -- numerical rank, Gram determinants, min-norm solves
+* linalg        -- numerical rank and min-norm solves, one SVD each
 * network       -- softplus/BN forward maps and exact backpropagation
 * losses        -- convex loss criteria with Lipschitz gradients
 * data          -- distinguishable synthetic datasets and CSV ingestion
@@ -27,7 +27,7 @@ from .expressivity import (
     construct_witness,
     probabilistic_expressivity,
 )
-from .linalg import gram_det, min_norm_solve, numerical_rank
+from .linalg import min_norm_solve, numerical_rank
 from .losses import CROSS_ENTROPY, SQUARED, LossKind, loss_grad, loss_value
 from .network import (
     NetworkSpec,

@@ -68,24 +68,22 @@ def loss_infimum(kind: LossKind, y) -> float:
 
 def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOptimum:
     """Nearest head minimizer of the frozen-feature problem and its distance,
-    in closed form.
+    in closed form from one SVD of [h, 1].
 
-    [h, 1] must have full row rank, else RankDeficientError; for squared loss
-    min_norm_solve tests that itself, and cross-entropy tests it first,
-    because only with full row rank does a zero target imply that the
-    infimum is unattained.  Squared loss interpolates Y: [h, 1] Z = Y.
-    Cross-entropy with soft targets reproduces Y through the softmax, at
-    loss* = the mean entropy of Y, for the Z with [h, 1] Z = log Y plus one
-    constant per sample; projecting each sample's outputs onto an orthonormal
-    basis B of the directions orthogonal to the ones vector removes those
-    constants and leaves n (m_y - 1) independent rows for one min-norm solve.
-    Gradient descent from the anchor converges to the same head, because its
-    steps never move the per-sample means of the predictions.  A
-    cross-entropy target with a zero entry gives r_squared = inf and
-    head = None, because the infimum (the mean entropy, 0 for one-hot) is not
-    attained.  `residual` is that of the constraints solved: ||[h, 1] Z - Y||
-    for squared loss, and for cross-entropy ||([h, 1] Z - log Y) P|| with
-    P = I - 11^T / m_y.
+    [h, 1] must have full row rank, else RankDeficientError: only then does
+    a zero cross-entropy target imply that the infimum is unattained.
+    Squared loss interpolates Y: [h, 1] Z = Y.  Cross-entropy with soft
+    targets reproduces Y through the softmax, at loss* = the mean entropy of
+    Y, for the Z with [h, 1] Z = log Y plus one constant per sample; since
+    pinv([h, 1])^T pinv([h, 1]) acts on the sample index only, the nearest
+    such Z centres each row of G = log Y - [h, 1] anchor:
+    Z = anchor + pinv([h, 1]) G (I - 11^T / m_y).  Gradient descent from the
+    anchor converges to the same head, because its steps never move the
+    per-sample means of the predictions.  A cross-entropy target with a zero
+    entry gives r_squared = inf and head = None: the infimum (the mean
+    entropy, 0 for one-hot) is not attained.  `residual` is that of the
+    constraints solved: ||[h, 1] Z - Y|| for squared loss, and for
+    cross-entropy ||([h, 1] Z - log Y) P|| with P = I - 11^T / m_y.
     """
     h = np.asarray(h, dtype=np.float64)
     y = check_targets(kind, y)
@@ -101,23 +99,24 @@ def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOpti
         pred = a @ z
         loss_star, gap = loss_value(kind, pred, y), pred - y
     else:
-        rank = numerical_rank(a)
-        if rank < n:
-            raise RankDeficientError(
-                f"M has numerical rank {rank} < {n} rows; the nearest "
-                "cross-entropy minimizer is not determined"
-            )
         loss_star = loss_infimum(kind, y)
-        if np.any(y <= 0.0):
-            return LastLayerOptimum(head=None, loss_star=loss_star,
-                                    r_squared=np.inf, residual=np.inf)
-        if m_y == 1:  # every head predicts softmax = 1 = y
-            z = anchor.copy()
+        if m_y > 1 and np.all(y > 0.0):
+            log_y = np.log(y)
+            g = log_y - a @ anchor
+            z = min_norm_solve(a, log_y - g.mean(axis=1, keepdims=True), anchor)
         else:
-            basis = _centering_basis(m_y)
-            z = min_norm_solve(np.kron(a, basis), (np.log(y) @ basis.T).reshape(-1, 1),
-                               anchor.reshape(-1, 1)).reshape(anchor.shape)
-        gap = a @ z - np.log(y)
+            rank = numerical_rank(a)
+            if rank < n:
+                raise RankDeficientError(
+                    f"M has numerical rank {rank} < {n} rows; the nearest "
+                    "cross-entropy minimizer is not determined"
+                )
+            if m_y > 1:
+                return LastLayerOptimum(head=None, loss_star=loss_star,
+                                        r_squared=np.inf, residual=np.inf)
+            # every head predicts softmax = 1 = y
+            z, log_y = anchor.copy(), np.zeros_like(y)
+        gap = a @ z - log_y
         gap -= gap.mean(axis=1, keepdims=True)
     return LastLayerOptimum(
         head=z,
@@ -168,28 +167,29 @@ def estimate_R_bar(snap, predictions, y, kind: LossKind) -> float:
     it (eigenvalues above rows * eps * the largest), else
     RankDeficientError.  Squared loss has r = vec(Y - f).  Soft cross-entropy
     targets are met up to one constant per sample, so each sample's outputs
-    are projected by B as in solve_last_layer_optimum: r = B vec(log Y - f),
+    are projected by an orthonormal basis B of the directions orthogonal to
+    the ones vector: r = B vec(log Y - f),
     solved against B K B^T.  A zero cross-entropy target gives inf (not
     attained), and a single output gives 0.  This checks Y and the kernel's
-    shape and rank, then calls the unchecked _linearized_distance, which the
-    trainer calls directly with its checked Y.
+    shape, then calls _linearized_distance, which tests the rank and which
+    the trainer calls directly with its checked Y.
     """
     y = check_targets(kind, y)
-    rows = y.size
-    if snap.rows != rows:
-        raise ValueError(f"kernel has {snap.rows} rows, targets need {rows}")
-    if snap.rank < rows:
+    if snap.rows != y.size:
+        raise ValueError(f"kernel has {snap.rows} rows, targets need {y.size}")
+    return _linearized_distance(snap, predictions, y, kind, _centering_basis(y.shape[1]))
+
+
+def _linearized_distance(snap, predictions, y, kind: LossKind, basis) -> float:
+    """estimate_R_bar on checked targets y and a snapshot of matching size,
+    with basis = _centering_basis(m_y); tests only the snapshot's rank."""
+    if snap.rank < snap.rows:
         raise RankDeficientError(
-            f"kernel has numerical rank {snap.rank} < {rows} rows; the nearest "
-            "linearized minimizer is not determined"
+            f"kernel has numerical rank {snap.rank} < {snap.rows} rows; the "
+            "nearest linearized minimizer is not determined"
         )
-    return _linearized_distance(snap.kernel, predictions, y, kind, _centering_basis(y.shape[1]))
-
-
-def _linearized_distance(k, predictions, y, kind: LossKind, basis) -> float:
-    """estimate_R_bar on a full-rank kernel k and checked targets y, with
-    basis = _centering_basis(m_y); unchecked."""
     n, m_y = y.shape
+    k = snap.kernel
     if kind.name == "squared":
         resid = (y - predictions).reshape(-1)
     elif np.any(y <= 0.0):

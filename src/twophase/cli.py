@@ -115,21 +115,51 @@ DEFAULT_CONFIG = {
 }
 
 
+# keys whose default does not give their type: the type of a non-null value
+# where null is allowed, and the item type where a list is allowed
+_NULLABLE = {"network.hidden_widths": list, "two_phase.tau": int,
+             "two_phase.lazy_lipschitz": float, "data.path": str}
+_LIST_ITEMS = {"network.hidden_widths": int, "network.bn": bool,
+               "two_phase.noise_scale": float, "sweep.tau_fractions": float,
+               "sweep.noise_scales": float, "sweep.seeds": int}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(where: str, kind: type, value):
+    """`value` as JSON type `kind`; an integral float passes as an int."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number:
+        return value
+    if kind is int and number and float(value).is_integer():
+        return int(value)
+    if kind not in (int, float) and isinstance(value, kind):
+        return value
+    raise ConfigError(f"config key {where!r} must be {_TYPE_NAMES[kind]}, "
+                      f"got {json.dumps(value)}")
+
+
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, where)
+        if isinstance(defaults[key], dict):
+            out[key] = _merge(defaults[key], _typed(where, dict, value), where)
+        elif value is None and where in _NULLABLE:
+            out[key] = None
+        elif isinstance(value, list) and where in _LIST_ITEMS:
+            out[key] = [_typed(f"{where}[{i}]", _LIST_ITEMS[where], v)
+                        for i, v in enumerate(value)]
         else:
-            out[key] = value
+            out[key] = _typed(where, _NULLABLE.get(where, type(defaults[key])), value)
     return out
 
 
 def load_config(path=None) -> dict:
-    """Defaults deep-merged with the JSON file at `path` (strict keys)."""
+    """Defaults deep-merged with the JSON file at `path`: strict keys, and
+    each value of its default's JSON type, else ConfigError naming the key."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path) as fh:

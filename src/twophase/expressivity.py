@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import append_ones, as_matrix, gram_det, numerical_rank
+from .linalg import append_ones, as_matrix, numerical_rank
 from .network import NetworkSpec, Params, forward_hidden, params_zero, random_params
 
 __all__ = [
@@ -48,7 +48,6 @@ class ExpressivityReport:
     rank: int
     n: int
     passed: bool
-    gram_determinant: float
 
 
 def check_distinguishability(x, tol: float = 1e-9) -> DistinguishabilityReport:
@@ -82,9 +81,7 @@ def check_expressivity(
     a = append_ones(forward_hidden(spec, params, x).hidden)
     n = a.shape[0]
     rank = numerical_rank(a, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gdet = gram_det(a)
-    return ExpressivityReport(rank=rank, n=n, passed=rank == n, gram_determinant=gdet)
+    return ExpressivityReport(rank=rank, n=n, passed=rank == n)
 
 
 def dominance_margins(h: np.ndarray, n: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Dense matrix primitives: numerical rank, Gram determinants, min-norm solves,
-and the augmented feature matrix [h, 1] they are applied to.
+"""Dense matrix primitives: numerical rank and min-norm solves, each from one
+SVD, and the augmented feature matrix [h, 1] they are applied to.
 
 Everything here operates on plain float64 ndarrays.  Inputs are validated
 once at the boundary (`as_matrix`) so downstream code can assume finite,
@@ -16,7 +16,6 @@ __all__ = [
     "as_matrix",
     "append_ones",
     "numerical_rank",
-    "gram_det",
     "min_norm_solve",
 ]
 
@@ -48,11 +47,17 @@ def append_ones(h: np.ndarray) -> np.ndarray:
     return np.hstack([h, np.ones((h.shape[0], 1))])
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
+def _svd(m: np.ndarray, **kwargs):
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed on {m.shape} matrix: {exc}") from exc
+
+
+def _count_above(svals: np.ndarray, shape, tol: float | None) -> int:
+    if tol is None:
+        tol = max(shape) * np.finfo(np.float64).eps * float(svals[0])
+    return int(np.count_nonzero(svals > tol))
 
 
 def numerical_rank(m, tol: float | None = None) -> int:
@@ -63,26 +68,17 @@ def numerical_rank(m, tol: float | None = None) -> int:
     failure is never silently reported as rank 0.
     """
     m = as_matrix(m)
-    svals = _singular_values(m)
-    if tol is None:
-        tol = max(m.shape) * np.finfo(np.float64).eps * float(svals[0])
-    elif tol < 0:
+    if tol is not None and tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    return int(np.count_nonzero(svals > tol))
-
-
-def gram_det(m) -> float:
-    """det(M M^T).  Nonnegative up to round-off; 0 when rows are dependent."""
-    m = as_matrix(m)
-    return float(np.linalg.det(m @ m.T))
+    return _count_above(_svd(m, compute_uv=False), m.shape, tol)
 
 
 def min_norm_solve(m, b, anchor) -> np.ndarray:
     """Solve M Z = B for the Z nearest `anchor` in Frobenius norm.
 
-    Requires M to have full row rank at the default tolerance; the feasible
-    set is then the affine subspace anchor-independent of conditioning, and
-    the minimizer is anchor + pinv(M) (B - M anchor).
+    Requires M to have full row rank at numerical_rank's default tolerance;
+    the minimizer is then anchor + pinv(M) (B - M anchor).  One thin SVD
+    M = U S V^T gives both the rank and pinv(M) = V S^-1 U^T.
     """
     m = as_matrix(m, "M")
     b = as_matrix(b, "B")
@@ -93,12 +89,11 @@ def min_norm_solve(m, b, anchor) -> np.ndarray:
         raise ValueError(
             f"anchor has shape {anchor.shape}, expected {(m.shape[1], b.shape[1])}"
         )
-    rank = numerical_rank(m)
+    u, s, vt = _svd(m, full_matrices=False)
+    rank = _count_above(s, m.shape, None)
     if rank < m.shape[0]:
         raise RankDeficientError(
             f"M has numerical rank {rank} < {m.shape[0]} rows; "
             "the constraint M Z = B may be infeasible"
         )
-    residual = b - m @ anchor
-    correction, *_ = np.linalg.lstsq(m, residual, rcond=None)
-    return anchor + correction
+    return anchor + vt.T @ ((u.T @ (b - m @ anchor)) / s[:, None])

@@ -61,7 +61,7 @@ from .bounds import (
     sgd_bound,
     solve_last_layer_optimum,
 )
-from .linalg import RankDeficientError, append_ones, as_matrix, numerical_rank
+from .linalg import append_ones, as_matrix, numerical_rank
 from .losses import LossKind, _loss, _mean_gradient, _mean_loss, _terms, check_targets
 from .network import (
     ForwardTrace,
@@ -588,15 +588,7 @@ def run_two_phase(
         if bounds:
             loss_star = loss_infimum(kind, y)
             basis = _centering_basis(y.shape[1])
-
-            def distance(snap, trace):
-                if snap.rank < snap.rows:
-                    raise RankDeficientError(
-                        f"lazy-phase kernel has numerical rank {snap.rank} < "
-                        f"{snap.rows} rows; Rbar is undefined")
-                return _linearized_distance(snap.kernel, trace.output, y, kind, basis)
-
-            log.r_bar = max(0.0, distance(reference, trace))
+            log.r_bar = max(0.0, _linearized_distance(reference, trace.output, y, kind, basis))
             attained = math.isfinite(log.r_bar)
         # candidates are written into a second buffer, swapped in on acceptance
         cand = params.copy()
@@ -624,7 +616,8 @@ def run_two_phase(
             cur, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=t, phase=2,
                                         gradient=t < total, trace=trace)
             if bounds:
-                log.r_bar = max(log.r_bar, distance(snap, trace))
+                log.r_bar = max(log.r_bar,
+                                _linearized_distance(snap, trace.output, y, kind, basis))
             if cur < best_loss:
                 best_loss, best_t = cur, t
             rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),

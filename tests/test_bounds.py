@@ -180,6 +180,26 @@ class TestCrossEntropyOptimum:
             solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)))
         assert not calls
 
+    @pytest.mark.parametrize("m_y", [2, 4, 10])
+    @pytest.mark.parametrize("n,m_h", [(5, 7), (32, 36), (64, 70)])
+    def test_soft_targets_match_kronecker_lift(self, rng, n, m_h, m_y):
+        # reference: project each sample's outputs onto an orthonormal basis B
+        # of the directions orthogonal to the ones vector and solve the lifted
+        # system kron([h, 1], B) vec(Z) = vec(log Y B^T) nearest the anchor
+        h = rng.standard_normal((n, m_h))
+        y = _soft_targets(rng, n, m_y)
+        anchor = rng.standard_normal((m_h + 1, m_y))
+        aug = np.hstack([h, np.ones((n, 1))])
+        basis = np.linalg.svd(np.ones((1, m_y)))[2][1:]
+        lifted = np.kron(aug, basis)
+        rhs = (np.log(y) @ basis.T).reshape(-1, 1)
+        step, *_ = np.linalg.lstsq(lifted, rhs - lifted @ anchor.reshape(-1, 1), rcond=None)
+        want = anchor + step.reshape(anchor.shape)
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, anchor)
+        assert np.linalg.norm(opt.head - want) <= 1e-10 * np.linalg.norm(want)
+        assert opt.r_squared == pytest.approx(float(((want - anchor) ** 2).sum()),
+                                              rel=1e-10)
+
     def test_residual_is_of_the_solved_constraints(self, rng):
         # logits match log Y up to one free constant per sample: the residual
         # projected onto the directions orthogonal to the ones vector vanishes
@@ -191,6 +211,50 @@ class TestCrossEntropyOptimum:
         gap = np.hstack([h, np.ones((n, 1))]) @ opt.head - np.log(y)
         assert np.abs(gap).max() > 1e-3  # the per-sample constants are free
         assert opt.residual <= 1e-10
+
+
+class TestOneDecomposition:
+    """Every head optimum is one SVD of [h, 1], with no lifted system."""
+
+    @staticmethod
+    def _problem(rng, targets):
+        n, m_h = 6, 8
+        m_y = 1 if targets == "single" else 3
+        if targets == "squared":
+            y = rng.standard_normal((n, m_y))
+        elif targets == "one_hot":
+            y = np.eye(m_y)[rng.integers(0, m_y, n)]
+        else:
+            y = _soft_targets(rng, n, m_y)
+        kind = SQUARED if targets == "squared" else CROSS_ENTROPY
+        return kind, rng.standard_normal((n, m_h)), y, rng.standard_normal((m_h + 1, m_y))
+
+    @pytest.mark.parametrize("targets", ["squared", "soft", "one_hot", "single"])
+    def test_one_svd_per_solve(self, rng, monkeypatch, targets):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        solve_last_layer_optimum(*self._problem(rng, targets))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("targets", ["squared", "soft", "one_hot", "single"])
+    def test_no_kronecker_product(self, rng, monkeypatch, targets):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bounds called np.kron")
+
+        kind, h, y, anchor = self._problem(rng, targets)
+        ds, spec, params = _interpolating_setup(seed=3)
+        jac = compute_jacobian(spec, params, ds.x)
+        snap, f = compute_ntk(jac @ jac.T), forward_output(spec, params, ds.x)
+        lazy_y = ds.y if kind is SQUARED else _soft_targets(rng, *ds.y.shape)
+        monkeypatch.setattr(np, "kron", refuse)
+        solve_last_layer_optimum(kind, h, y, anchor)
+        estimate_R_bar(snap, f, lazy_y, kind)
 
 
 class TestBoundFormulas:

@@ -67,6 +67,45 @@ class TestConfig:
         assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 1
 
 
+    @pytest.mark.parametrize("command,sections,key", [
+        ("train", {"network": 5}, "'network'"),
+        ("train", {"seed": "abc"}, "'seed'"),
+        ("train", {"data": {"n": "x"}}, "'data.n'"),
+        ("train", {"base": {"learning_rate": "0.1"}}, "'base.learning_rate'"),
+        ("train", {"monitor_every": "x"}, "'monitor_every'"),
+        ("verify", {"verify": {"trials": "5"}}, "'verify.trials'"),
+        ("sweep", {"sweep": {"seeds": 3}}, "'sweep.seeds'"),
+        ("train", {"two_phase": {"phase2_mode": "lazy_full", "lazy_lipschitz": "x"}},
+         "'two_phase.lazy_lipschitz'"),
+        ("train", {"bounds": "false"}, "'bounds'"),
+        ("train", {"two_phase": {"total_steps": 10.5}}, "'two_phase.total_steps'"),
+        ("sweep", {"sweep": {"seeds": [0, "1"]}}, "'sweep.seeds[1]'"),
+        ("train", {"network": {"bn": [True, 1]}}, "'network.bn[1]'"),
+    ])
+    def test_value_of_the_wrong_type_is_a_config_error(self, tmp_path, capsys, command,
+                                                       sections, key):
+        path = write_config(tmp_path, **small_train_sections(**sections))
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err and key in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_integral_number_loads_as_an_integer(self, tmp_path):
+        path = write_config(tmp_path, two_phase={"total_steps": 40.0, "tau": None},
+                            network={"hidden_widths": [4, 13.0], "bn": [False, True]})
+        cfg = cli.load_config(path)
+        assert cfg["two_phase"]["total_steps"] == 40
+        assert isinstance(cfg["two_phase"]["total_steps"], int)
+        assert cfg["network"]["hidden_widths"] == [4, 13]
+
+    def test_every_bench_workload_config_loads(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        specs = json.loads((root / "bench" / "workloads.json").read_text())["workloads"]
+        for name, spec in specs.items():
+            for sections in (spec["config"], spec["tiny"]):
+                cli.load_config(write_config(tmp_path, f"{name}.json", **sections))
+
+
 class TestGenData:
     def test_writes_loadable_csv(self, tmp_path):
         path = write_config(tmp_path, data={"n": 10, "m_x": 3, "m_y": 2,

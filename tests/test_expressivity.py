@@ -11,7 +11,6 @@ from twophase.expressivity import (
     dominance_margins,
     probabilistic_expressivity,
 )
-from twophase.linalg import gram_det
 from twophase.network import NetworkSpec, forward_hidden, params_zero, random_params
 
 
@@ -80,7 +79,8 @@ class TestCheckExpressivity:
         x = normalize_inputs(rng.standard_normal((5, 4)))
         rep = check_expressivity(spec, p, x)
         if rep.passed:
-            assert rep.gram_determinant > 0.0
+            aug = np.hstack([forward_hidden(spec, p, x).hidden, np.ones((5, 1))])
+            assert np.linalg.det(aug @ aug.T) > 0.0
 
     def test_one_decomposition_per_check(self, rng, monkeypatch):
         # the default threshold comes from the same SVD that counts the rank
@@ -99,6 +99,18 @@ class TestCheckExpressivity:
         assert len(calls) == 1
         check_expressivity(spec, p, x, tol=1e-9)
         assert len(calls) == 2
+
+    def test_no_determinant(self, rng, monkeypatch):
+        # the rank alone decides `passed`; no det([h, 1] [h, 1]^T) is taken
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_expressivity called det")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        spec = NetworkSpec((3, 8), 1, sharpness=5.0)
+        rep = check_expressivity(spec, random_params(spec, rng, 1.0),
+                                 rng.standard_normal((6, 3)))
+        assert rep.passed and rep.rank == 6
 
 
 class TestWitness:
@@ -181,7 +193,7 @@ class TestProbabilistic:
             p = random_params(spec, np.random.default_rng(child), scale=1.0)
             h = forward_hidden(spec, p, x).hidden
             aug = np.hstack([h, np.ones((4, 1))])
-            assert gram_det(aug) > 0.0
+            assert np.linalg.det(aug @ aug.T) > 0.0
 
     def test_deterministic_in_seed(self):
         ds = synth_gen(6, 3, 1, 0.05, "regression", seed=33)

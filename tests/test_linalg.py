@@ -1,4 +1,4 @@
-"""Rank, Gram determinant, and min-norm solve against brute-force oracles."""
+"""Rank and min-norm solve against brute-force oracles."""
 
 import itertools
 
@@ -8,7 +8,6 @@ import pytest
 from twophase.linalg import (
     RankDeficientError,
     as_matrix,
-    gram_det,
     min_norm_solve,
     numerical_rank,
 )
@@ -86,36 +85,12 @@ class TestNumericalRank:
         from twophase.linalg import DecompositionError
         with pytest.raises(DecompositionError, match="SVD"):
             numerical_rank(np.eye(3))
+        with pytest.raises(DecompositionError, match="SVD"):
+            min_norm_solve(np.eye(3), np.ones((3, 1)), np.zeros((3, 1)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             numerical_rank(np.zeros((0, 3)))
-
-
-class TestGramDet:
-    def test_identity(self):
-        assert gram_det(np.eye(2)) == pytest.approx(1.0)
-
-    def test_equal_rows_singular(self):
-        m = np.array([[1.0, 2.0], [1.0, 2.0]])
-        assert abs(gram_det(m)) <= 1e-10
-
-    def test_hand_expanded_two_by_two(self):
-        # rows (1,2) and (3,4): Gram [[5,11],[11,25]], det 125 - 121 = 4
-        assert gram_det([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(4.0)
-
-    def test_nonnegative_and_rank_link(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            rows, cols = rng.integers(2, 5), rng.integers(2, 6)
-            m = rng.standard_normal((rows, cols))
-            if rng.random() < 0.4 and rows >= 2:
-                m[rows - 1] = m[0]  # force dependency
-            g = gram_det(m)
-            assert g >= -1e-10
-            deficient = numerical_rank(m) < rows
-            near_zero = abs(g) <= 1e-8 * max(1.0, np.linalg.norm(m) ** (2 * rows))
-            assert deficient == near_zero
 
 
 class TestMinNormSolve:
@@ -171,3 +146,25 @@ class TestMinNormSolve:
             min_norm_solve(m, rng.standard_normal((2, 1)), np.zeros((4, 1)))
         with pytest.raises(ValueError, match="rows"):
             min_norm_solve(m, rng.standard_normal((3, 1)), np.zeros((3, 1)))
+
+    def test_one_svd_and_no_lstsq(self, rng, monkeypatch):
+        # the rank test and the pseudo-inverse come from the same thin SVD
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("min_norm_solve called lstsq")
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        m = rng.standard_normal((4, 7))
+        b = rng.standard_normal((4, 3))
+        anchor = rng.standard_normal((7, 3))
+        z = min_norm_solve(m, b, anchor)
+        assert len(calls) == 1
+        np.testing.assert_allclose(z, anchor + np.linalg.pinv(m) @ (b - m @ anchor),
+                                   rtol=1e-12, atol=1e-12)
