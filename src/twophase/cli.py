@@ -406,7 +406,9 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds) -> dict:
+def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds, config_errors: list) -> dict:
+    """One grid cell over `seeds`; a run that fails is recorded in the cell,
+    and a config error also appended to `config_errors`."""
     losses, failures = [], []
     for seed in seeds:
         cell_cfg = copy.deepcopy(cfg)
@@ -422,6 +424,8 @@ def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds) -> dict:
             _, log = _train_once(cell_cfg, dataset, spec)
             losses.append(log.final_loss)
         except NUMERIC_ERRORS + CONFIG_ERRORS as exc:
+            if not isinstance(exc, NUMERIC_ERRORS):
+                config_errors.append(exc)
             failures.append({"seed": int(seed), "error": f"{type(exc).__name__}: {exc}"})
     return {
         "tau_fraction": tau0,
@@ -434,9 +438,18 @@ def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds) -> dict:
 
 
 def cmd_sweep(cfg: dict, out_dir: str) -> int:
+    """Train every (tau fraction, noise scale) cell on every seed.  A failure
+    confined to some runs is recorded in its cell; an empty grid list, or a
+    config error in every run, is the config's error (ConfigError)."""
     grid = cfg["sweep"]
+    for key in ("tau_fractions", "noise_scales", "seeds"):
+        if not grid[key]:
+            raise ConfigError(f"config key 'sweep.{key}' must list at least one value")
     cells_spec = [(t, d) for t in grid["tau_fractions"] for d in grid["noise_scales"]]
-    cells = [_sweep_cell(cfg, t, d, grid["seeds"]) for t, d in cells_spec]
+    config_errors = []
+    cells = [_sweep_cell(cfg, t, d, grid["seeds"], config_errors) for t, d in cells_spec]
+    if len(config_errors) == len(cells_spec) * len(grid["seeds"]):
+        raise ConfigError(f"every sweep run failed: {config_errors[0]}")
 
     os.makedirs(out_dir, exist_ok=True)
     table = {"seeds": list(grid["seeds"]), "cells": cells}

@@ -24,8 +24,9 @@ loop and give bit-identical results.  A workspace binds its views once, so a
 training loop that passes one to every step allocates no array of the pass's
 size per step, and a call given one trusts that its caller checked x and
 upstream (run_two_phase checks X and Y once on entry); calls without one
-check them.  `softplus` and `softplus_deriv` check their arguments and wrap
-the unchecked in-place kernels the passes call.
+check them.  `softplus` and `softplus_deriv` check their arguments and
+return new values; the passes and `ntk` call their unchecked kernels, which
+write into arrays the caller owns.
 """
 
 from __future__ import annotations
@@ -230,22 +231,13 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> Params:
 # elementwise pieces
 # ---------------------------------------------------------------------------
 
-def softplus(z, sharpness: float, out=None, scratch=None):
-    """ln(1 + exp(s z)) / s via the overflow-free split max(z,0) + ln(1+e^{-s|z|})/s.
-
-    Written into `out` (an array of z's shape, which may be z itself) and
-    `out` returned when given; a new array, or a float for a 0-d input,
-    otherwise.  `scratch`, an array of z's shape that overlaps neither z nor
-    `out`, holds max(z, 0) (allocated if None).
-    """
+def softplus(z, sharpness: float):
+    """ln(1 + exp(s z)) / s via the overflow-free split max(z,0) + ln(1+e^{-s|z|})/s;
+    a float for a 0-d input."""
     if sharpness <= 0:
         raise ValueError("sharpness must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    res, scratch = _output(z, out), _output(z, scratch)
-    if np.may_share_memory(scratch, z) or np.may_share_memory(scratch, res):
-        raise ValueError("softplus scratch must not overlap z or out")
-    _softplus(z, sharpness, res, scratch)
-    return res if out is not None or res.ndim else float(res)
+    out = _softplus(np.asarray(z, dtype=np.float64), sharpness)
+    return out if out.ndim else float(out)
 
 
 def _softplus(z, sharpness, out=None, scratch=None):
@@ -265,16 +257,11 @@ def _softplus(z, sharpness, out=None, scratch=None):
     return out
 
 
-def softplus_deriv(z, sharpness: float, out=None):
-    """Logistic(s z), the exact derivative of the stabilized softplus.
-
-    Written into `out` (an array of z's shape, which may be z itself) and
-    `out` returned when given; a new array, or a float for a 0-d input,
-    otherwise.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    res = _softplus_deriv(z, sharpness, _output(z, out))
-    return res if out is not None or res.ndim else float(res)
+def softplus_deriv(z, sharpness: float):
+    """Logistic(s z), the exact derivative of the stabilized softplus; a
+    float for a 0-d input."""
+    out = _softplus_deriv(np.asarray(z, dtype=np.float64), sharpness)
+    return out if out.ndim else float(out)
 
 
 def _softplus_deriv(z, sharpness, out=None):
@@ -287,15 +274,6 @@ def _softplus_deriv(z, sharpness, out=None):
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
-    return out
-
-
-def _output(z: np.ndarray, out):
-    """`out`, checked to have z's shape, or a new array like z if None."""
-    if out is None:
-        return np.empty_like(z)
-    if out.shape != z.shape:
-        raise ValueError(f"out has shape {out.shape}, expected {z.shape}")
     return out
 
 

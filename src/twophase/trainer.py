@@ -22,20 +22,23 @@ is genuinely fixed under head-only updates.
 
 The data are checked once, when run_two_phase starts, and the step loop then
 calls the unchecked loss kernel of `losses`.  Each phase-1 step makes one
-full-batch forward pass.  That pass gives the step's loss, under GD the next
-step's gradient, and on a monitored step the feature rank and the tangent
-kernel.  Without batch normalization a momentum-SGD run makes the pass on
-the rows of X in the order of the current epoch's permutation, so the next
-minibatch is a contiguous row slice of it (views, not copies) and its
-gradient in f a slice of the pass's residual; the loss is summed back in
-data order, and a monitored step puts the pass back in data order, so every
-record equals that of a pass in data order bit for bit.  Every phase-1 pass
-and backprop writes into one network.Workspace allocated per run, so no
-array of the pass's size is allocated per step; the workspace binds its
-views once, and its passes trust X, Y and the upstream derived from them,
-which are checked once on entry.  Every kernel comes from
-ntk.compute_kernel, summed layer by layer from that pass, and its rank from
-one Cholesky factorization (ntk.compute_ntk).
+full-batch forward pass.  That pass gives the step's loss, the next step's
+batch and, on a monitored step, the feature rank and the tangent kernel.
+The pass runs on the rows of X in the order of the current epoch, so the
+next batch is a contiguous row slice of it (views, not copies) and its
+gradient in f a slice of the pass's residual: a GD epoch is one batch of
+all n rows in data order, a momentum-SGD epoch a permutation cut into
+minibatches.  The loss is summed back in data order, and a monitored step
+puts the pass back in data order, so every record equals that of a pass in
+data order bit for bit.  The one exception is momentum SGD under
+training-mode batch normalization, whose batch statistics couple the rows:
+there the pass stays in data order and each minibatch gets a pass of its
+own.  Every phase-1 pass and backprop writes into one network.Workspace
+allocated per run, so no array of the pass's size is allocated per step;
+the workspace binds its views once, and its passes trust X, Y and the
+upstream derived from them, which are checked once on entry.  Every kernel
+comes from ntk.compute_kernel, summed layer by layer from that pass, and
+its rank from one Cholesky factorization (ntk.compute_ntk).
 
 With bounds on, the constants of the mode's rate ceiling are fixed at tau,
 and each phase-2 record gets its ceiling and measured suboptimality from
@@ -154,6 +157,10 @@ class TwoPhaseConfig:
             raise ValueError("noise scales must be positive (non-degenerate Gaussian)")
         if self.sgd_rate_scale <= 0:
             raise ValueError("sgd_rate_scale must be positive")
+        if self.sgd_minibatch < 1:
+            raise ValueError("sgd_minibatch must be >= 1")
+        if self.lazy_lipschitz is not None and not 0.0 < self.lazy_lipschitz < math.inf:
+            raise ValueError("lazy_lipschitz must be a positive finite number or None")
         if self.phase2_mode == "lazy_full" and not 0.0 < self.lazy_eta_bar < 1.0:
             raise ValueError("lazy_eta_bar must lie in (0, 1)")
 
@@ -300,14 +307,14 @@ def _checked_data(spec, kind, x, y):
 
 
 def _loss_and_gradient(spec, params, x, y, kind, frozen_stats=None,
-                       t=None, phase=None, gradient=True, trace=None, work=None):
+                       t=None, phase=None, gradient=True, trace=None):
     """Full-batch loss at `params` and (unless gradient=False) its gradient
     over the flat layout, from one forward pass (`trace`, if given), whose
-    trace.output it sets; with a Workspace `work`, the pass and backprop
-    write into it.  x and y must be checked (_checked_data).  Predictions
-    and loss are checked finite; t and phase only label the error."""
+    trace.output it sets.  x and y must be checked (_checked_data).
+    Predictions and loss are checked finite; t and phase only label the
+    error."""
     if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats, work=work)
+        trace = forward_hidden(spec, params, x, frozen_stats)
     f = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
                 "predictions", t, phase)
     trace.output = f
@@ -315,13 +322,14 @@ def _loss_and_gradient(spec, params, x, y, kind, frozen_stats=None,
     loss = _finite(loss, "loss", t, phase)
     if not gradient:
         return loss, None
-    return loss, backprop(spec, params, x, upstream, trace=trace, work=work)
+    return loss, backprop(spec, params, x, upstream, trace=trace)
 
 
 def _rows(trace, rows) -> ForwardTrace:
-    """Rows `rows` of a forward trace without batch normalization, output
-    included: views for a slice, copies for an index array.  Each row of
-    such a pass depends on its own sample alone."""
+    """Rows `rows` of a forward trace, output included: views for a slice,
+    copies for an index array.  The rows must be the whole pass if it ran
+    under training-mode batch normalization, whose batch statistics couple
+    them; in any other pass each row depends on its own sample alone."""
     return ForwardTrace(trace.inputs[rows], [z[rows] for z in trace.affine], trace.bn_cache,
                         [h[rows] for h in trace.post], output=trace.output[rows])
 
@@ -360,9 +368,10 @@ def run_two_phase(
     Raises ValueError before the first record unless X is finite and Y holds
     valid targets of `kind`, one row of m_y per sample; the step loop does
     not check them again.  Each phase-1 step makes one full-batch forward
-    pass, in epoch order when the next momentum-SGD minibatch is a slice of
-    it (unless training-mode BN couples its rows), which a monitored step
-    reuses; record.wall_time counts from the start of phase 1.
+    pass in epoch order, of which the next step's batch is a slice (unless
+    training-mode BN couples the rows of a momentum-SGD minibatch), and
+    which a monitored step reuses; record.wall_time counts from the start
+    of phase 1.
 
     Emits exactly cfg.total_steps records (one per update); every
     `monitor_every` steps of a phase (0: never) a record also carries the
@@ -409,40 +418,36 @@ def run_two_phase(
     # Phase 1 updates params.flat in place, and every pass and backprop of
     # its steps writes into one workspace.  The full-batch pass that gives
     # the loss recorded at step t is at the parameters step t + 1 starts
-    # from, so under GD it also gives that step's gradient.  Without batch
-    # norm a momentum-SGD minibatch is a row slice of it: the pass runs on
-    # the rows of X in the order of the epoch step t + 1 draws from, its
-    # loss is summed back in data order, and the minibatch's gradient in f
-    # is a slice of the pass's residual.  Training-mode BN couples the rows
-    # through the batch statistics, so there the pass stays in data order
-    # and the minibatch gets a pass of its own.
+    # from, so step t + 1's batch is a row slice of it, taken in the order
+    # of the epoch step t + 1 draws from.  Training-mode BN couples the rows
+    # through the batch statistics, so under momentum SGD the pass stays in
+    # data order and the minibatch gets a pass of its own.
     params = params0.copy()
     w = params.flat
     full_batch = base.variant == "gd"
-    sliced = not full_batch and not any(spec.bn_flags)
+    own_pass = not full_batch and any(spec.bn_flags)
     work = Workspace(spec, n)
     rng_base = np.random.default_rng(base.seed)
     velocity = np.zeros_like(w)
-    size = base.minibatch
-    order = inverse = np.arange(n)
-    xs, ys = x, y  # the pass's rows: x[order], y[order] when sliced
-    pos = n  # forces the initial shuffle
+    size = n if full_batch else base.minibatch
+    inverse = slice(None)  # the pass's rows back in data order
+    xs, ys = x, y  # the pass's rows: x[order], y[order] when permuted
+    pos = n  # forces the initial epoch
 
     t0 = time.perf_counter()
     for t in range(tau + 1):
         if t:
-            if not full_batch:
-                if sliced:
-                    batch = _rows(trace, slice(pos, pos + size))
-                    upstream = _mean_gradient(kind, residual[pos : pos + size])
-                else:
-                    idx = order[pos : pos + size]
-                    batch = forward_hidden(spec, params, x[idx], work=work)
-                    f = _finite(batch.hidden @ params.weights[-1] + params.biases[-1],
-                                "minibatch predictions", t, 1)
-                    upstream = _loss(kind, f, y[idx])[1]
-                pos += size
-                g = backprop(spec, params, batch.inputs, upstream, trace=batch, work=work)
+            if own_pass:
+                idx = order[pos : pos + size]
+                batch = forward_hidden(spec, params, x[idx], work=work)
+                f = _finite(batch.hidden @ params.weights[-1] + params.biases[-1],
+                            "minibatch predictions", t, 1)
+                upstream = _loss(kind, f, y[idx])[1]
+            else:
+                batch = _rows(trace, slice(pos, pos + size))
+                upstream = _mean_gradient(kind, residual[pos : pos + size])
+            pos += size
+            g = backprop(spec, params, batch.inputs, upstream, trace=batch, work=work)
             if base.weight_decay:
                 g += base.weight_decay * w
             gnorm = _finite(math.sqrt(g @ g), "gradient norm", t, 1)
@@ -452,23 +457,20 @@ def run_two_phase(
                 velocity *= base.momentum
                 velocity += g
                 w -= base.learning_rate * velocity
-        if not full_batch and t < tau and pos + size > n:
-            # an epoch that runs short is replaced by a fresh permutation,
-            # drawn before the pass that step t + 1 slices
-            order, pos = rng_base.permutation(n), 0
-            if sliced:
-                inverse = np.argsort(order)
-                xs, ys = x[order], y[order]
+        if t < tau and pos + size > n:
+            # an epoch that runs short is replaced by a fresh one, whose
+            # permutation is drawn before the pass that step t + 1 slices
+            pos = 0
+            if not full_batch:
+                order = rng_base.permutation(n)
+                if not own_pass:
+                    inverse = np.argsort(order)
+                    xs, ys = x[order], y[order]
         trace = forward_hidden(spec, params, xs, work=work)
-        if sliced:
-            trace.output = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
-                                   "predictions", t, 1)
-            terms, residual = _terms(kind, trace.output, ys, residual=t < tau)
-            loss = _finite(_mean_loss(kind, terms[inverse]), "loss", t, 1)
-        else:
-            loss, g = _loss_and_gradient(spec, params, x, y, kind, t=t, phase=1,
-                                         gradient=full_batch and t < tau, trace=trace,
-                                         work=work)
+        trace.output = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
+                               "predictions", t, 1)
+        terms, residual = _terms(kind, trace.output, ys, residual=t < tau and not own_pass)
+        loss = _finite(_mean_loss(kind, terms[inverse]), "loss", t, 1)
         if not t:
             log.loss_initial = loss
             continue
@@ -476,7 +478,7 @@ def run_two_phase(
                          wall_time=time.perf_counter() - t0)
         if monitored(t):
             # rank and kernel of the pass in data order
-            full = _rows(trace, inverse) if sliced else trace
+            full = _rows(trace, inverse)
             rec.feature_rank = numerical_rank(append_ones(full.hidden))
             rec.ntk_rank = _snapshot(spec, params, x, None, full, t, 1).rank
         emit(rec)

@@ -480,6 +480,23 @@ class TestTrain:
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "x")]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("two_phase, named", [
+        ({"phase2_mode": "last_layer_sgd", "sgd_minibatch": 0}, "sgd_minibatch"),
+        ({"phase2_mode": "lazy_full", "lazy_lipschitz": 0.0}, "lazy_lipschitz"),
+        ({"phase2_mode": "lazy_full", "lazy_lipschitz": -1.0}, "lazy_lipschitz"),
+        ({"phase2_mode": "lazy_full", "lazy_lipschitz": float("inf")}, "lazy_lipschitz"),
+    ], ids=["sgd_minibatch_zero", "lipschitz_zero", "lipschitz_negative", "lipschitz_inf"])
+    def test_phase_two_value_out_of_range_is_a_config_error(self, tmp_path, capsys,
+                                                            two_phase, named):
+        # rejected before the first record, not after phase 1 by a division
+        # by zero, an ascent or a step of zero
+        path = write_config(tmp_path, **small_train_sections(two_phase=two_phase))
+        out = tmp_path / "x"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert (out / "run.log.jsonl").read_text() == ""
+
     def test_expressivity_precondition_named(self, tmp_path, capsys):
         sections = small_train_sections(network={"hidden_widths": [4, 5]})
         path = write_config(tmp_path, **sections)
@@ -581,6 +598,20 @@ class TestSweep:
         assert not cells[0]["failures"] and cells[1]["failures"]
         assert cells[1]["mean"] is None
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"two_phase": {"total_steps": -1}},
+         "every sweep run failed: need 0 <= tau <= total_steps, got -1, -1"),
+        ({"sweep": {"seeds": []}}, "'sweep.seeds'"),
+        ({"sweep": {"tau_fractions": []}}, "'sweep.tau_fractions'"),
+        ({"sweep": {"noise_scales": []}}, "'sweep.noise_scales'"),
+    ], ids=["every_run", "no_seeds", "no_tau_fractions", "no_noise_scales"])
+    def test_config_error_of_the_whole_grid_exits_one(self, tmp_path, capsys, overrides,
+                                                      named):
+        path = write_config(tmp_path, **small_train_sections(**overrides))
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
     def test_programming_errors_are_not_cell_failures(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("broken call")
@@ -590,3 +621,17 @@ class TestSweep:
         path = write_config(tmp_path, **sections)
         with pytest.raises(TypeError, match="broken call"):
             cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")])
+
+
+class TestConsoleMain:
+    def test_exits_with_the_code_main_returns(self, tmp_path, monkeypatch):
+        # console_main is the installed `twophase` script's entry point
+        good = write_config(tmp_path, "good.json", data={"n": 8})
+        bad = write_config(tmp_path, "bad.json", nonsense=1)
+        for path, code in ((good, 0), (bad, 1)):
+            monkeypatch.setattr(sys, "argv", ["twophase", "gen-data", "--config", path,
+                                              "--out", str(tmp_path / "g")])
+            with pytest.raises(SystemExit) as exited:
+                cli.console_main()
+            assert exited.value.code == code
+        assert (tmp_path / "g" / "dataset.csv").exists()

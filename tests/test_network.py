@@ -9,6 +9,8 @@ from twophase.losses import SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
     Workspace,
+    _softplus,
+    _softplus_deriv,
     backprop,
     batch_statistics,
     batchnorm_forward,
@@ -59,26 +61,26 @@ def _edge_values(rng):
 
 
 class TestSoftplusOut:
-    # the allocating form is pinned to the closed-form expressions it
-    # replaced, and writing into `out` must give the same bits
+    # softplus and softplus_deriv are pinned to the closed-form expressions
+    # they replaced, and the kernels the workspace passes call, writing
+    # into arrays the caller owns, must give the same bits
 
     @pytest.mark.parametrize("sharpness", [1.0, 10.0, 100.0])
     def test_softplus_out_bit_identical(self, rng, sharpness):
         z = _edge_values(rng)
         want = np.maximum(z, 0.0) + np.log1p(np.exp(-sharpness * np.abs(z))) / sharpness
         out, scratch = np.full_like(z, np.nan), np.full_like(z, np.nan)
-        got = softplus(z, sharpness, out=out, scratch=scratch)
+        got = _softplus(z, sharpness, out, scratch)
         assert got is out
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         assert np.array_equal(softplus(z, sharpness), want)
-        assert np.array_equal(softplus(z, sharpness, out=np.empty_like(z)), want)
 
     @pytest.mark.parametrize("sharpness", [1.0, 10.0, 100.0])
     def test_softplus_deriv_out_bit_identical(self, rng, sharpness):
         z = _edge_values(rng)
         want = 0.5 * (1.0 + np.tanh(0.5 * sharpness * z))
         out = np.full_like(z, np.nan)
-        assert softplus_deriv(z, sharpness, out=out) is out
+        assert _softplus_deriv(z, sharpness, out) is out
         assert np.array_equal(out, want)
         assert np.array_equal(softplus_deriv(z, sharpness), want)
 
@@ -90,30 +92,6 @@ class TestSoftplusOut:
             got = softplus(z, 100.0)
             assert type(got) is float and got == want
             assert type(softplus_deriv(z, 100.0)) is float
-        out = np.empty(())
-        assert softplus(np.array(value), 100.0, out=out) is out and out == want
-
-    def test_out_may_alias_the_input(self, rng):
-        z = _edge_values(rng)
-        want_sp, want_d = softplus(z, 10.0), softplus_deriv(z, 10.0)
-        a, b = z.copy(), z.copy()
-        assert softplus(a, 10.0, out=a) is a
-        assert softplus_deriv(b, 10.0, out=b) is b
-        assert np.array_equal(a, want_sp) and np.array_equal(b, want_d)
-
-    def test_scratch_overlapping_input_or_out_rejected(self, rng):
-        z = _edge_values(rng)
-        out = np.empty_like(z)
-        with pytest.raises(ValueError, match="scratch"):
-            softplus(z, 10.0, out=out, scratch=z)
-        with pytest.raises(ValueError, match="scratch"):
-            softplus(z, 10.0, out=out, scratch=out)
-
-    def test_out_of_another_shape_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            softplus(np.zeros(3), 10.0, out=np.empty((2, 3)))
-        with pytest.raises(ValueError, match="shape"):
-            softplus_deriv(np.zeros(3), 10.0, out=np.empty(4))
 
 
 class TestBatchNorm:

@@ -167,6 +167,12 @@ class TestConfigs:
             BaseAlgoConfig(momentum=1.0)
         with pytest.raises(ValueError, match="eta_bar"):
             TwoPhaseConfig(tau=0, total_steps=4, phase2_mode="lazy_full", lazy_eta_bar=1.5)
+        with pytest.raises(ValueError, match="sgd_minibatch"):
+            TwoPhaseConfig(tau=0, total_steps=4, phase2_mode="last_layer_sgd", sgd_minibatch=0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lazy_lipschitz"):
+                TwoPhaseConfig(tau=0, total_steps=4, phase2_mode="lazy_full", lazy_lipschitz=bad)
+        assert TwoPhaseConfig(tau=0, total_steps=4, lazy_lipschitz=None).lazy_lipschitz is None
 
 
 def _toy_problem(seed=0, n=10, m_x=4, m_y=2, m_h=12, sharpness=10.0, bn=False):
@@ -555,18 +561,23 @@ def _reference_loss(kind, f, y, gradient=True):
 
 def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
     """Phase 1 with every full-batch pass in data order, allocating: a
-    momentum-SGD minibatch gathers its rows of the last pass by index and
-    evaluates its own loss.  Returns the initial loss, (loss, grad_norm,
-    feature_rank, ntk_rank) per step, the kernels of the monitored steps and
-    the params at tau."""
+    momentum-SGD minibatch gathers its rows of the last pass by index, or
+    under training-mode BN makes a fresh pass over them, and evaluates its
+    own loss; GD backprops its full pass.  Returns the initial loss, (loss,
+    grad_norm, feature_rank, ntk_rank) per step, the kernels of the
+    monitored steps and the params at tau."""
     x, y, n = ds.x, ds.y, ds.n
     params = params0.copy()
     w = params.flat
     full_batch = base.variant == "gd"
 
-    def full_pass(gradient):
-        trace = forward_hidden(spec, params, x)
+    def forward(rows):
+        trace = forward_hidden(spec, params, rows)
         trace.output = trace.hidden @ params.weights[-1] + params.biases[-1]
+        return trace
+
+    def full_pass(gradient):
+        trace = forward(x)
         loss, up = _reference_loss(kind, trace.output, y, gradient)
         return trace, loss, (backprop(spec, params, x, up, trace=trace) if gradient else None)
 
@@ -582,7 +593,7 @@ def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
                 order, pos = rng.permutation(n), 0
                 idx = order[: base.minibatch]
             pos += base.minibatch
-            batch = trainer._rows(trace, idx)
+            batch = forward(x[idx]) if any(spec.bn_flags) else trainer._rows(trace, idx)
             g = backprop(spec, params, batch.inputs,
                          _reference_loss(kind, batch.output, y[idx])[1], trace=batch)
         if base.weight_decay:
@@ -605,14 +616,16 @@ def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
 
 
 class TestPhaseOneWorkspace:
-    @pytest.mark.parametrize("variant", ["sgd_momentum", "gd"])
+    @pytest.mark.parametrize("variant", ["sgd_momentum", "gd", "sgd_momentum+bn", "gd+bn"])
     @pytest.mark.parametrize("depth", [2, 3])
     @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY], ids=["squared", "cross_entropy"])
     @pytest.mark.parametrize("monitor_every", [0, 3])
     def test_records_match_the_data_order_loop(self, monkeypatch, variant, depth, kind,
                                                monitor_every):
         # n = 20 with minibatch 8: every third step starts a fresh epoch; a
-        # monitored step ranks the kernel of the pass in data order
+        # monitored step ranks the kernel of the pass in data order; "+bn"
+        # puts training-mode batch normalization on every hidden layer
+        variant, _, bn = variant.partition("+")
         kernels = []
         compute_ntk = trainer.compute_ntk
 
@@ -624,7 +637,8 @@ class TestPhaseOneWorkspace:
         n, tau = 20, 11
         ds = synth_gen(n, 4, 3, 0.03, "one_hot" if kind is CROSS_ENTROPY else "regression",
                        seed=depth)
-        spec = NetworkSpec((4,) + (8,) * (depth - 1) + (24,), 3, sharpness=10.0)
+        spec = NetworkSpec((4,) + (8,) * (depth - 1) + (24,), 3, sharpness=10.0,
+                           bn_flags=(bool(bn),) * depth)
         p0 = init_params(spec, seed=depth)
         base = BaseAlgoConfig(variant=variant, learning_rate=0.05, minibatch=8,
                               weight_decay=1e-3, seed=5)
