@@ -116,22 +116,23 @@ DEFAULT_CONFIG = {
 
 
 # keys whose default does not give their type: the type of a non-null value
-# where null is allowed, and the item type where a list is allowed
+# where null is allowed, and the item type where a (non-empty) list is allowed
 _NULLABLE = {"network.hidden_widths": list, "two_phase.tau": int,
              "two_phase.lazy_lipschitz": float, "data.path": str}
 _LIST_ITEMS = {"network.hidden_widths": int, "network.bn": bool,
                "two_phase.noise_scale": float, "sweep.tau_fractions": float,
                "sweep.noise_scales": float, "sweep.seeds": int}
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
                str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(where: str, kind: type, value):
-    """`value` as JSON type `kind`; an integral float passes as an int."""
+    """`value` as JSON type `kind`; an integral float passes as an int, and
+    a number (JSON also reads NaN and Infinity) must be finite."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float and number:
+    if kind is float and number and abs(value) <= sys.float_info.max:
         return value
-    if kind is int and number and float(value).is_integer():
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
     if kind not in (int, float) and isinstance(value, kind):
         return value
@@ -150,6 +151,8 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
         elif value is None and where in _NULLABLE:
             out[key] = None
         elif isinstance(value, list) and where in _LIST_ITEMS:
+            if not value:
+                raise ConfigError(f"config key {where!r} must list at least one value")
             out[key] = [_typed(f"{where}[{i}]", _LIST_ITEMS[where], v)
                         for i, v in enumerate(value)]
         else:
@@ -282,6 +285,9 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     dataset = _build_dataset(cfg)
     spec = _build_spec(cfg, dataset)
     vcfg = cfg["verify"]
+    if vcfg["witness"] not in ("auto", "off"):
+        raise ConfigError(f"config key 'verify.witness' must be \"auto\" or \"off\", "
+                          f"got {json.dumps(vcfg['witness'])}")
     report = {"n": dataset.n, "widths": list(spec.widths), "output_dim": spec.output_dim}
 
     dist = check_distinguishability(dataset.x)
@@ -439,12 +445,10 @@ def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds, config_errors: lis
 
 def cmd_sweep(cfg: dict, out_dir: str) -> int:
     """Train every (tau fraction, noise scale) cell on every seed.  A failure
-    confined to some runs is recorded in its cell; an empty grid list, or a
-    config error in every run, is the config's error (ConfigError)."""
+    confined to some runs is recorded in its cell; a config error in every
+    run is the config's error (ConfigError), as is an empty grid list, which
+    load_config rejects."""
     grid = cfg["sweep"]
-    for key in ("tau_fractions", "noise_scales", "seeds"):
-        if not grid[key]:
-            raise ConfigError(f"config key 'sweep.{key}' must list at least one value")
     cells_spec = [(t, d) for t in grid["tau_fractions"] for d in grid["noise_scales"]]
     config_errors = []
     cells = [_sweep_cell(cfg, t, d, grid["seeds"], config_errors) for t, d in cells_spec]

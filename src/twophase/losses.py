@@ -8,11 +8,11 @@ has spectral norm at most 1/2; a larger constant only loosens rate bounds).
 The public functions check their inputs: finite matrices, same shapes, and
 cross-entropy target rows on the simplex.  The private kernel `_loss` does
 not; it serves a caller that checked its data once and calls it every step
-(the trainer), and gives the loss and its gradient from one log-softmax of
-the predictions.  Its pieces are row-wise: `_terms` gives the per-entry
-loss terms and the residual rows, `_mean_loss` sums the terms and
-`_mean_gradient` scales residual rows, so a caller may take the loss of all
-rows and the gradient of a subset from one evaluation.
+(the trainer), and always gives the loss and its gradient, from one
+log-softmax of the predictions.  Its pieces are row-wise: `_terms` gives
+the per-entry loss terms and the residual rows, `_mean_loss` sums the terms
+and `_mean_gradient` scales residual rows, so a caller may take the loss of
+all rows and the gradient of a subset from one evaluation.
 """
 
 from __future__ import annotations
@@ -75,15 +75,14 @@ def _log_softmax(f: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _terms(kind: LossKind, f: np.ndarray, y: np.ndarray, residual: bool = True):
+def _terms(kind: LossKind, f: np.ndarray, y: np.ndarray):
     """(per-entry loss terms, the residual whose rows scale to the loss
-    gradient or None unless `residual`), unchecked; row i of each depends on
-    row i of f and y alone."""
+    gradient), unchecked; row i of each depends on row i of f and y alone."""
     if kind.name == "squared":
         d = f - y
         return d * d, d
     log_p = _log_softmax(f)
-    return y * log_p, (np.exp(log_p) - y if residual else None)
+    return y * log_p, np.exp(log_p) - y
 
 
 def _mean_loss(kind: LossKind, terms: np.ndarray) -> float:
@@ -99,15 +98,15 @@ def _mean_gradient(kind: LossKind, residual: np.ndarray) -> np.ndarray:
     return (2.0 / n) * residual if kind.name == "squared" else residual / n
 
 
-def _loss(kind: LossKind, f: np.ndarray, y: np.ndarray, gradient: bool = True):
-    """(mean loss, its gradient in f or None unless `gradient`), unchecked."""
-    terms, residual = _terms(kind, f, y, gradient)
-    return _mean_loss(kind, terms), (_mean_gradient(kind, residual) if gradient else None)
+def _loss(kind: LossKind, f: np.ndarray, y: np.ndarray):
+    """(mean loss, its gradient in f), unchecked."""
+    terms, residual = _terms(kind, f, y)
+    return _mean_loss(kind, terms), _mean_gradient(kind, residual)
 
 
 def loss_value(kind: LossKind, f, y) -> float:
     """Mean per-sample loss over the batch."""
-    return _loss(kind, *_check_pair(kind, f, y), gradient=False)[0]
+    return _loss(kind, *_check_pair(kind, f, y))[0]
 
 
 def loss_grad(kind: LossKind, f, y) -> np.ndarray:

@@ -77,10 +77,10 @@ class NetworkSpec:
             raise ValueError("widths must list the input dim and at least one hidden layer")
         if any(w < 1 for w in self.widths) or self.output_dim < 1:
             raise ValueError("all widths must be >= 1")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be positive")
-        if self.bn_epsilon <= 0:
-            raise ValueError("bn_epsilon must be positive")
+        if not 0.0 < self.sharpness < np.inf:
+            raise ValueError("sharpness must be a positive finite number")
+        if not 0.0 < self.bn_epsilon < np.inf:
+            raise ValueError("bn_epsilon must be a positive finite number")
         if not self.bn_flags:
             self.bn_flags = (False,) * self.depth
         else:
@@ -407,9 +407,8 @@ def forward_output(spec: NetworkSpec, params: Params, x, frozen_stats=None, trac
     """Head outputs f = [h, 1] [W; b], shape n x m_y.  Fills trace.output."""
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats)
-    f = trace.hidden @ params.weights[-1] + params.biases[-1]
-    trace.output = f
-    return f
+    trace.output = trace.hidden @ params.weights[-1] + params.biases[-1]
+    return trace.output
 
 
 def batch_statistics(trace: ForwardTrace) -> list:

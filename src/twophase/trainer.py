@@ -21,9 +21,13 @@ phase, so the head problem is convex in every mode and the feature matrix
 is genuinely fixed under head-only updates.
 
 The data are checked once, when run_two_phase starts, and the step loop then
-calls the unchecked loss kernel of `losses`.  Each phase-1 step makes one
-full-batch forward pass.  That pass gives the step's loss, the next step's
-batch and, on a monitored step, the feature rank and the tangent kernel.
+calls the unchecked loss kernel of `losses`.  Every forward pass the run
+scores goes through one helper, _evaluate: the pass, its predictions, loss
+and residual, of which backprop gives the gradient.  It serves each
+phase-1 pass, the pass at tau, each lazy candidate (scored before its
+kernel is built) and estimate_lipschitz; a head step, whose features are
+fixed, scores [h, 1] z alone.  Each phase-1 step makes one full-batch pass.  That pass gives the step's loss, the next
+step's batch and, on a monitored step, the feature rank and the kernel.
 The pass runs on the rows of X in the order of the current epoch, so the
 next batch is a contiguous row slice of it (views, not copies) and its
 gradient in f a slice of the pass's residual: a GD epoch is one batch of
@@ -74,6 +78,7 @@ from .network import (
     backprop,
     batch_statistics,
     forward_hidden,
+    forward_output,
 )
 from .ntk import assert_rank_preserved, compute_kernel, compute_ntk
 
@@ -123,14 +128,14 @@ class BaseAlgoConfig:
     def __post_init__(self):
         if self.variant not in ("gd", "sgd_momentum"):
             raise ValueError(f"unknown base variant {self.variant!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be a positive finite number")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.minibatch < 1:
             raise ValueError("minibatch must be >= 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be a nonnegative finite number")
 
 
 @dataclass
@@ -152,11 +157,9 @@ class TwoPhaseConfig:
             raise ValueError(f"need 0 <= tau <= total_steps, got {self.tau}, {self.total_steps}")
         if self.phase2_mode not in PHASE2_MODES:
             raise ValueError(f"unknown phase2_mode {self.phase2_mode!r}")
-        scales = np.atleast_1d(np.asarray(self.noise_scale, dtype=np.float64))
-        if np.any(scales <= 0):
-            raise ValueError("noise scales must be positive (non-degenerate Gaussian)")
-        if self.sgd_rate_scale <= 0:
-            raise ValueError("sgd_rate_scale must be positive")
+        _noise_scales(self.noise_scale, np.size(self.noise_scale))  # positive and finite
+        if not 0.0 < self.sgd_rate_scale < math.inf:
+            raise ValueError("sgd_rate_scale must be a positive finite number")
         if self.sgd_minibatch < 1:
             raise ValueError("sgd_minibatch must be >= 1")
         if self.lazy_lipschitz is not None and not 0.0 < self.lazy_lipschitz < math.inf:
@@ -247,8 +250,8 @@ def _noise_scales(cfg_scale, depth: int) -> np.ndarray:
         scales = np.full(depth, scales[0])
     if scales.size != depth:
         raise ValueError(f"expected {depth} noise scales, got {scales.size}")
-    if np.any(scales <= 0):
-        raise ValueError("noise scales must be positive")
+    if not np.all((scales > 0) & (scales < np.inf)):
+        raise ValueError("noise_scale must be positive and finite (non-degenerate Gaussian)")
     return scales
 
 
@@ -306,23 +309,18 @@ def _checked_data(spec, kind, x, y):
     return x, y
 
 
-def _loss_and_gradient(spec, params, x, y, kind, frozen_stats=None,
-                       t=None, phase=None, gradient=True, trace=None):
-    """Full-batch loss at `params` and (unless gradient=False) its gradient
-    over the flat layout, from one forward pass (`trace`, if given), whose
-    trace.output it sets.  x and y must be checked (_checked_data).
-    Predictions and loss are checked finite; t and phase only label the
-    error."""
-    if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats)
-    f = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
-                "predictions", t, phase)
-    trace.output = f
-    loss, upstream = _loss(kind, f, y, gradient)
-    loss = _finite(loss, "loss", t, phase)
-    if not gradient:
-        return loss, None
-    return loss, backprop(spec, params, x, upstream, trace=trace)
+def _evaluate(spec, params, x, y, kind, t, phase, frozen_stats=None, work=None,
+              order=slice(None)):
+    """(trace, loss, residual) at `params`: one forward pass on x, into
+    `work` if given, with trace.output set; the mean loss over the rows in
+    `order` of the pass; and the residual rows, of which backprop of
+    _mean_gradient over the trace gives a gradient.  x and y must be checked
+    (_checked_data).  Predictions and loss are checked finite; t and phase
+    only label the error."""
+    trace = forward_hidden(spec, params, x, frozen_stats, work=work)
+    f = _finite(forward_output(spec, params, x, trace=trace), "predictions", t, phase)
+    terms, residual = _terms(kind, f, y)
+    return trace, _finite(_mean_loss(kind, terms[order]), "loss", t, phase), residual
 
 
 def _rows(trace, rows) -> ForwardTrace:
@@ -340,13 +338,17 @@ def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None,
     max over random probe directions of ||grad(w + d) - grad(w)|| / ||d||."""
     x, y = _checked_data(spec, kind, x, y)
     rng = np.random.default_rng(seed)
-    _, g0 = _loss_and_gradient(spec, params, x, y, kind, frozen_stats)
+
+    def gradient(point):
+        trace, _, residual = _evaluate(spec, point, x, y, kind, None, None, frozen_stats)
+        return backprop(spec, point, x, _mean_gradient(kind, residual), trace=trace)
+
+    g0 = gradient(params)
     best = 0.0
     for _ in range(probes):
         delta = rng.standard_normal(params.flat.size)
         delta *= radius / np.linalg.norm(delta)
-        probe = Params(spec, params.flat + delta)
-        _, g1 = _loss_and_gradient(spec, probe, x, y, kind, frozen_stats)
+        g1 = gradient(Params(spec, params.flat + delta))
         best = max(best, float(np.linalg.norm(g1 - g0) / radius))
     return best
 
@@ -374,8 +376,8 @@ def run_two_phase(
     of phase 1.
 
     Emits exactly cfg.total_steps records (one per update); every
-    `monitor_every` steps of a phase (0: never) a record also carries the
-    feature rank and the kernel rank.
+    `monitor_every` steps of a phase (0: never; below 0, ValueError) a record
+    also carries the feature rank and the kernel rank.
 
     With `bounds`, every phase-2 record carries its ceiling and measured
     suboptimality before it is emitted, so a run cut short leaves complete
@@ -400,6 +402,8 @@ def run_two_phase(
     """
     if spec.depth < 2:
         raise ValueError("two-phase training requires at least two hidden layers")
+    if monitor_every < 0:
+        raise ValueError(f"monitor_every must be >= 0 (0: never), got {monitor_every}")
     x, y = _checked_data(spec, kind, dataset.x, dataset.y)
     n = x.shape[0]
     if base.variant == "sgd_momentum" and base.minibatch > n:
@@ -439,15 +443,12 @@ def run_two_phase(
         if t:
             if own_pass:
                 idx = order[pos : pos + size]
-                batch = forward_hidden(spec, params, x[idx], work=work)
-                f = _finite(batch.hidden @ params.weights[-1] + params.biases[-1],
-                            "minibatch predictions", t, 1)
-                upstream = _loss(kind, f, y[idx])[1]
+                batch, _, rows = _evaluate(spec, params, x[idx], y[idx], kind, t, 1, work=work)
             else:
-                batch = _rows(trace, slice(pos, pos + size))
-                upstream = _mean_gradient(kind, residual[pos : pos + size])
+                batch, rows = _rows(trace, slice(pos, pos + size)), residual[pos : pos + size]
             pos += size
-            g = backprop(spec, params, batch.inputs, upstream, trace=batch, work=work)
+            g = backprop(spec, params, batch.inputs, _mean_gradient(kind, rows), trace=batch,
+                         work=work)
             if base.weight_decay:
                 g += base.weight_decay * w
             gnorm = _finite(math.sqrt(g @ g), "gradient norm", t, 1)
@@ -466,11 +467,8 @@ def run_two_phase(
                 if not own_pass:
                     inverse = np.argsort(order)
                     xs, ys = x[order], y[order]
-        trace = forward_hidden(spec, params, xs, work=work)
-        trace.output = _finite(trace.hidden @ params.weights[-1] + params.biases[-1],
-                               "predictions", t, 1)
-        terms, residual = _terms(kind, trace.output, ys, residual=t < tau and not own_pass)
-        loss = _finite(_mean_loss(kind, terms[inverse]), "loss", t, 1)
+        trace, loss, residual = _evaluate(spec, params, xs, ys, kind, t, 1, work=work,
+                                          order=inverse)
         if not t:
             log.loss_initial = loss
             continue
@@ -487,8 +485,7 @@ def run_two_phase(
     params = perturb(params, cfg.noise_scale, seeds[0])
 
     if tau == total:
-        log.loss_at_tau, _ = _loss_and_gradient(spec, params, x, y, kind, t=tau, phase=2,
-                                                gradient=False)
+        log.loss_at_tau = _evaluate(spec, params, x, y, kind, tau, 2)[1]
         log.final_loss = log.records[-1].loss if log.records else log.loss_initial
         log.t_star = tau
         log.loss_at_t_star = log.loss_at_tau
@@ -496,7 +493,7 @@ def run_two_phase(
 
     frozen = batch_statistics(forward_hidden(spec, params, x)) if any(spec.bn_flags) else None
     log.frozen_stats = frozen
-    trace = forward_hidden(spec, params, x, frozen)
+    trace, _, residual = _evaluate(spec, params, x, y, kind, tau, 2, frozen)
     h = trace.hidden
     aug = append_ones(h)
     feat_rank = numerical_rank(aug)
@@ -510,10 +507,11 @@ def run_two_phase(
     z = params.head_block().copy()
     log.head_at_tau = params.flat[spec.hidden_param_count():].copy()
     log.params_at_tau_flat = params.to_flat()
-    # under head GD each loss evaluation also gives the next step's gradient
+    # the loss at tau is that of [h, 1] z, as at every head step (the pass's
+    # h W + b can differ in the last bit), whose gradient head GD takes next
     head_gd = cfg.phase2_mode == "last_layer_gd"
     pred = _finite(aug @ z, "predictions", tau, 2)
-    loss, dpred = _loss(kind, pred, y, gradient=head_gd)
+    loss, dpred = _loss(kind, pred, y)
     log.loss_at_tau = _finite(loss, "loss", tau, 2)
 
     rng_p2 = np.random.default_rng(seeds[1])
@@ -550,7 +548,7 @@ def run_two_phase(
             gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             pred = _finite(aug @ z, "predictions", t, 2)
-            cur, dpred = _loss(kind, pred, y, gradient=head_gd and t < total)
+            cur, dpred = _loss(kind, pred, y)
             cur = _finite(cur, "loss", t, 2)
             if cur < best_loss:
                 best_loss, best_t = cur, t
@@ -585,8 +583,7 @@ def run_two_phase(
         # test is certified at the reference threshold too, so accepting it
         # needs no spectrum
         reference = _snapshot(spec, params, x, frozen, trace, tau, 2)
-        _, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=tau, phase=2,
-                                  trace=trace)
+        g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace)
         if bounds:
             loss_star = loss_infimum(kind, y)
             basis = _centering_basis(y.shape[1])
@@ -596,27 +593,25 @@ def run_two_phase(
         cand = params.copy()
         for t in range(tau + 1, total + 1):
             gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
-            accepted = False
             event = None
-            for attempt in range(LAZY_MAX_RETRIES + 1):
+            for _ in range(LAZY_MAX_RETRIES + 1):
                 np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
-                trace = forward_hidden(spec, cand, x, frozen)
+                trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen)
                 snap = _snapshot(spec, cand, x, frozen, trace, t, 2, reference.tolerance)
                 if assert_rank_preserved(reference, snap):
-                    accepted = True
                     break
                 eta_bar /= 2.0
                 event = f"rank_drop_halved_eta_bar_to_{eta_bar:.3e}"
                 log.rank_events.append((t, event))
-            if not accepted:
+            else:
                 raise RankPreservationError(
                     f"step {t}: kernel rank stayed below {reference.rank} "
                     f"after {LAZY_MAX_RETRIES} rate halvings"
                 )
             params, cand = cand, params
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
-            cur, g = _loss_and_gradient(spec, params, x, y, kind, frozen, t=t, phase=2,
-                                        gradient=t < total, trace=trace)
+            if t < total:
+                g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace)
             if bounds:
                 log.r_bar = max(log.r_bar,
                                 _linearized_distance(snap, trace.output, y, kind, basis))

@@ -19,12 +19,20 @@ from twophase.ntk import compute_jacobian
 from twophase.trainer import FeatureRankError, nu_mask
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+NAN, INF = float("nan"), float("inf")
 
 
 def write_config(tmp_path, name="cfg.json", **sections):
     path = tmp_path / name
     path.write_text(json.dumps(sections))
     return str(path)
+
+
+def no_records(out):
+    """No training record under `out`: run.log.jsonl is empty, or was never
+    opened because the config was rejected when it loaded."""
+    log = out / "run.log.jsonl"
+    return not log.exists() or log.read_text() == ""
 
 
 def small_train_sections(**overrides):
@@ -81,6 +89,19 @@ class TestConfig:
         ("train", {"two_phase": {"total_steps": 10.5}}, "'two_phase.total_steps'"),
         ("sweep", {"sweep": {"seeds": [0, "1"]}}, "'sweep.seeds[1]'"),
         ("train", {"network": {"bn": [True, 1]}}, "'network.bn[1]'"),
+        # JSON's NaN and Infinity load as floats, which a number key rejects
+        ("train", {"base": {"learning_rate": NAN}}, "'base.learning_rate'"),
+        ("train", {"base": {"learning_rate": INF}}, "'base.learning_rate'"),
+        ("train", {"base": {"weight_decay": NAN}}, "'base.weight_decay'"),
+        ("train", {"network": {"sharpness": NAN}}, "'network.sharpness'"),
+        ("train", {"network": {"bn": True, "bn_epsilon": NAN}}, "'network.bn_epsilon'"),
+        ("train", {"network": {"feature_width_factor": INF}}, "'network.feature_width_factor'"),
+        ("train", {"two_phase": {"noise_scale": NAN}}, "'two_phase.noise_scale'"),
+        ("train", {"two_phase": {"noise_scale": [1e-3, -INF]}}, "'two_phase.noise_scale[1]'"),
+        ("train", {"two_phase": {"phase2_mode": "last_layer_sgd", "sgd_rate_scale": NAN}},
+         "'two_phase.sgd_rate_scale'"),
+        ("train", {"base": {"learning_rate": 10**400}}, "'base.learning_rate'"),
+        ("sweep", {"sweep": {"noise_scales": [NAN]}}, "'sweep.noise_scales[0]'"),
     ])
     def test_value_of_the_wrong_type_is_a_config_error(self, tmp_path, capsys, command,
                                                        sections, key):
@@ -89,6 +110,24 @@ class TestConfig:
         captured = capsys.readouterr()
         assert "config error:" in captured.err and key in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("command,sections,flags,key", [
+        ("verify", {"verify": {"witness": "none"}}, [], "'verify.witness'"),
+        ("train", {"monitor_every": -1}, [], "monitor_every"),
+        ("train", {}, ["--monitor-every", "-3"], "monitor_every"),
+        ("train", {"network": {"hidden_widths": []}}, [], "'network.hidden_widths'"),
+    ], ids=["witness", "monitor_every", "monitor_every_flag", "hidden_widths"])
+    def test_value_out_of_range_is_a_config_error(self, tmp_path, capsys, command, sections,
+                                                  flags, key):
+        # each used to run: the witness on, monitoring off, or widths from
+        # the depth and feature_width_factor
+        path = write_config(tmp_path, **small_train_sections(**sections))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", path, "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (out / "verify.json").exists()
+        assert no_records(out)
 
     def test_integral_number_loads_as_an_integer(self, tmp_path):
         path = write_config(tmp_path, two_phase={"total_steps": 40.0, "tau": None},
@@ -170,6 +209,23 @@ class TestVerify:
         witness = json.loads((out / "verify.json").read_text())["witness"]
         assert not witness["attempted"] and witness["passed"] is None
         assert "batch normalization" in witness["note"]
+
+    def test_witness_off_skips_the_construction(self, tmp_path, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the witness was constructed")
+        monkeypatch.setattr(cli, "construct_witness", unexpected)
+        path = write_config(
+            tmp_path,
+            data={"n": 8, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.05},
+            network={"hidden_widths": [4, 9], "sharpness": 1.0},
+            verify={"trials": 4, "witness": "off"},
+        )
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "verify.json").read_text())
+        assert report["passed"]
+        assert report["witness"] == {"attempted": False, "passed": None, "rank": None,
+                                     "note": "witness construction is off"}
 
     def test_witness_programming_errors_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -495,7 +551,7 @@ class TestTrain:
         assert cli.main(["train", "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
-        assert (out / "run.log.jsonl").read_text() == ""
+        assert no_records(out)
 
     def test_expressivity_precondition_named(self, tmp_path, capsys):
         sections = small_train_sections(network={"hidden_widths": [4, 5]})

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and README's library tour and example config, runs to
+completion against the package in src/."""
 
 import os
 import pathlib
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+
+from twophase import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -21,3 +24,21 @@ def test_demo_exits_zero(demo, tmp_path):
 
 def test_all_demos_found():
     assert len(DEMOS) >= 6
+
+
+def _readme_block(heading, language):
+    """The first ```language block after `heading` in README.md."""
+    section = (ROOT / "README.md").read_text().split(heading, 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_tour_runs():
+    exec(compile(_readme_block("## Library tour", "python"), "README.md", "exec"), {})
+
+
+def test_readme_example_config_trains(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(_readme_block("## Command line", "json"))
+    out = tmp_path / "train"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+    assert len((out / "run.log.jsonl").read_text().splitlines()) == 200

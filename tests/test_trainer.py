@@ -104,6 +104,9 @@ class TestPerturb:
             perturb(p, 0.0, seed=1)
         with pytest.raises(ValueError, match="noise scales"):
             perturb(p, [0.1, 0.1, 0.1], seed=1)
+        for bad in (math.nan, math.inf, [0.1, math.nan]):
+            with pytest.raises(ValueError, match="noise_scale must be positive and finite"):
+                perturb(p, bad, seed=1)
 
 
 class TestComputeLH:
@@ -173,6 +176,36 @@ class TestConfigs:
             with pytest.raises(ValueError, match="lazy_lipschitz"):
                 TwoPhaseConfig(tau=0, total_steps=4, phase2_mode="lazy_full", lazy_lipschitz=bad)
         assert TwoPhaseConfig(tau=0, total_steps=4, lazy_lipschitz=None).lazy_lipschitz is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        # each check is written so that NaN, which fails every comparison,
+        # fails it too
+        for field, make in [
+            ("learning_rate", lambda: BaseAlgoConfig(learning_rate=bad)),
+            ("weight_decay", lambda: BaseAlgoConfig(weight_decay=bad)),
+            ("momentum", lambda: BaseAlgoConfig(momentum=bad)),
+            ("noise_scale", lambda: TwoPhaseConfig(tau=0, total_steps=4, noise_scale=bad)),
+            ("noise_scale", lambda: TwoPhaseConfig(tau=0, total_steps=4,
+                                                   noise_scale=(1e-3, bad))),
+            ("sgd_rate_scale", lambda: TwoPhaseConfig(tau=0, total_steps=4,
+                                                      sgd_rate_scale=bad)),
+            ("eta_bar", lambda: TwoPhaseConfig(tau=0, total_steps=4, phase2_mode="lazy_full",
+                                               lazy_eta_bar=bad)),
+            ("sharpness", lambda: NetworkSpec((3, 4, 5), 2, sharpness=bad)),
+            ("bn_epsilon", lambda: NetworkSpec((3, 4, 5), 2, bn_epsilon=bad)),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                make()
+
+    def test_negative_monitor_every_rejected(self):
+        ds, spec, p0 = _toy_problem(seed=3)
+        seen = []
+        with pytest.raises(ValueError, match="monitor_every must be >= 0"):
+            run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd"),
+                          TwoPhaseConfig(tau=2, total_steps=4), SQUARED, monitor_every=-3,
+                          record_sink=seen.append)
+        assert not seen
 
 
 def _toy_problem(seed=0, n=10, m_x=4, m_y=2, m_h=12, sharpness=10.0, bn=False):
@@ -720,3 +753,77 @@ class TestLipschitzEstimate:
         a = estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, seed=3)
         b = estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, seed=3)
         assert a == b > 0.0
+
+
+def _reference_lazy_phase(spec, ds, kind, log, cfg):
+    """The lazy phase from the perturbed parameters log.params_at_tau_flat,
+    written out independently of the trainer: allocating passes and
+    backprops, each candidate's kernel ranked at the tolerance of the
+    reference kernel at tau, and eta_bar halved on every rejection.
+    Returns (loss, grad_norm, ntk_rank, rank_event) per step and the rank
+    events."""
+    x, y, frozen = ds.x, ds.y, log.frozen_stats
+    lipschitz = log.eta_schedule["lipschitz"]
+
+    def evaluate(params):
+        trace = forward_hidden(spec, params, x, frozen)
+        trace.output = trace.hidden @ params.weights[-1] + params.biases[-1]
+        loss, up = _reference_loss(kind, trace.output, y)
+        return trace, loss, backprop(spec, params, x, up, trace=trace)
+
+    params = params_from_flat(spec, log.params_at_tau_flat)
+    trace, _, g = evaluate(params)
+    reference = ntk.compute_ntk(ntk.compute_kernel(spec, params, x, frozen, trace=trace))
+    eta_bar, records, events = cfg.lazy_eta_bar, [], []
+    for t in range(cfg.tau + 1, cfg.total_steps + 1):
+        event = None
+        while True:
+            cand = params_from_flat(spec, params.flat - (2.0 * eta_bar / lipschitz) * g)
+            trace, loss, cand_g = evaluate(cand)
+            snap = ntk.compute_ntk(ntk.compute_kernel(spec, cand, x, frozen, trace=trace),
+                                   floor=reference.tolerance)
+            if ntk.assert_rank_preserved(reference, snap):
+                break
+            eta_bar /= 2.0
+            event = f"rank_drop_halved_eta_bar_to_{eta_bar:.3e}"
+            events.append((t, event))
+        records.append((loss, math.sqrt(float((g * g).sum())), snap.rank, event))
+        params, g = cand, cand_g
+    return records, events
+
+
+class TestLazyPhase:
+    @pytest.mark.parametrize("seed, bn, rejects", [(2, False, True), (7, True, False)],
+                             ids=["rejected_steps", "frozen_bn"])
+    def test_records_match_an_independent_lazy_loop(self, seed, bn, rejects):
+        # "rejected_steps" halves eta_bar twice; "frozen_bn" runs its last
+        # hidden layer under the batch statistics frozen at tau
+        ds, spec, p0 = _toy_problem(seed=seed, bn=bn)
+        cfg = TwoPhaseConfig(tau=3, total_steps=23, phase2_mode="lazy_full", lazy_eta_bar=0.5,
+                             seed=seed)
+        _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+                               SQUARED)
+        want, events = _reference_lazy_phase(spec, ds, SQUARED, log, cfg)
+        assert log.rank_events == events and bool(events) == rejects
+        assert (log.frozen_stats is not None) == bn
+        assert [(r.loss, r.grad_norm, r.ntk_rank, r.rank_event)
+                for r in log.phase2_records()] == want
+
+    def test_candidate_loss_comes_before_its_kernel(self, monkeypatch):
+        # every lazy candidate, rejected or accepted, has its predictions
+        # (and so its loss) from its pass before its kernel is built
+        snapshot, seen = trainer._snapshot, []
+
+        def checking(spec, params, x, frozen, trace, t, phase, floor=0.0):
+            seen.append((t, trace.output is not None))
+            return snapshot(spec, params, x, frozen, trace, t, phase, floor)
+
+        monkeypatch.setattr(trainer, "_snapshot", checking)
+        ds, spec, p0 = _toy_problem(seed=2)
+        cfg = TwoPhaseConfig(tau=3, total_steps=23, phase2_mode="lazy_full", lazy_eta_bar=0.5,
+                             seed=2)
+        _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+                               SQUARED)
+        candidates = [ok for t, ok in seen if t > cfg.tau]
+        assert len(candidates) == 20 + len(log.rank_events)
+        assert all(candidates)
