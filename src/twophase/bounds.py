@@ -16,7 +16,10 @@ which must have full row rank, else RankDeficientError.  Rbar is the max over
 tau and every phase-2 step up to t of the distance from nu o w to the nearest
 minimizer of the Jacobian-linearized problem; because J (nu o w) = f(w), that
 distance comes from the step's kernel K = J J^T and predictions alone, so the
-trainer keeps Rbar as a running max and no Jacobian is stored.  Squared loss
+trainer keeps Rbar as a running max and no Jacobian is stored.  Under squared
+loss each distance comes from the Cholesky factorization that certified the
+kernel's rank, bordered by the residual, and is an upper bound (K shifted
+down by a multiple of its rank threshold), so Rbar is one too.  Squared loss
 interpolates Y, and cross-entropy matches log Y up to one constant per
 sample, which is exact for soft targets.  A cross-entropy target with a zero
 entry (one-hot) has an infimum, the mean entropy, that no finite point
@@ -162,10 +165,15 @@ def estimate_R_bar(snap, predictions, y, kind: LossKind) -> float:
     goes.
 
     Since J (nu o w) = f(w), the nearest minimizer lies J^+ r away, r the
-    residual of the constraints at nu o w, and ||J^+ r||^2 = r^T K^{-1} r is
-    one solve of K.  K must have full rank n m_y, as the snapshot measured
-    it (eigenvalues above rows * eps * the largest), else
-    RankDeficientError.  Squared loss has r = vec(Y - f).  Soft cross-entropy
+    residual of the constraints at nu o w, and ||J^+ r||^2 = r^T K^{-1} r.
+    K must have full rank n m_y, as the snapshot measured it (eigenvalues
+    above rows * eps * the largest), else RankDeficientError.  Squared loss
+    has r = vec(f - Y) (the sign does not matter).  A snapshot that
+    compute_ntk factored bordered by that r (its `rhs`) gives the distance
+    from the factorization that certified its rank: its `rhs_norm`,
+    sqrt(r^T (K - c m I)^{-1} r), an upper bound, and so is Rbar, which the
+    lazy ceiling grows with; any other snapshot takes one exact solve of K,
+    as does cross-entropy.  Soft cross-entropy
     targets are met up to one constant per sample, so each sample's outputs
     are projected by an orthonormal basis B of the directions orthogonal to
     the ones vector: r = B vec(log Y - f),
@@ -191,7 +199,9 @@ def _linearized_distance(snap, predictions, y, kind: LossKind, basis) -> float:
     n, m_y = y.shape
     k = snap.kernel
     if kind.name == "squared":
-        resid = (y - predictions).reshape(-1)
+        resid = (predictions - y).reshape(-1)
+        if snap.rhs is not None and np.array_equal(snap.rhs, resid):
+            return snap.rhs_norm
     elif np.any(y <= 0.0):
         return np.inf
     elif m_y == 1:  # every w predicts softmax = 1 = y

@@ -325,8 +325,10 @@ class Workspace:
     gradient vector `grad`, with `grad_views` its (weights, biases,
     bn_scale, bn_shift) views as in Params.  A pass over fewer rows writes
     the leading rows, which `views` slices once per row count.
-    The next pass or backprop given the workspace overwrites the trace or
-    gradient the last one returned.
+    `kernel_arrays` holds the arrays of ntk.compute_kernel, for a pass over
+    all rows, which it allocates on first use.  The next pass, backprop or
+    kernel given the workspace overwrites the trace, gradient or kernel the
+    last one returned.
     """
 
     def __init__(self, spec: NetworkSpec, rows: int):
@@ -335,6 +337,7 @@ class Workspace:
         self.grad = np.empty(spec.param_count())
         self.grad_views = _layer_views(spec, self.grad)
         self._views = {}
+        self.kernel_arrays = None  # ntk.compute_kernel's, made on first use
 
     def views(self, rows: int) -> tuple:
         """Per hidden layer the leading `rows` rows of the (affine, post,

@@ -28,7 +28,9 @@ factorization of K shifted down by CHOLESKY_SHIFT times the threshold, and
 falls back to the spectrum (eigvalsh) only when that fails; a snapshot
 computes its spectrum, and the stock threshold it defines, on first use.  As
 J (nu o w) = f(w), the same K gives Rbar (bounds.estimate_R_bar), so no
-Jacobian is kept.
+Jacobian is kept: bordered by the residual r, that one factorization gives
+the rank and sqrt(r^T (K - shift)^-1 r), an upper bound on the distance
+||J^+ r|| that Rbar is the max of, with no second solve of K.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class NtkSnapshot:
     rows * eps * largest eigenvalue.  Every eigenvalue is proven to exceed
     `certified` (None when nothing was proven), so rank_at answers any
     threshold up to it without a spectrum.  The spectrum (descending,
-    clipped at 0) and the tolerance are computed on first use.
+    clipped at 0) and the tolerance are computed on first use.  `rhs` and
+    `rhs_norm` are those of compute_ntk's bordered factorization, None
+    without one.
     """
 
     def __init__(self, kernel: np.ndarray, rank: int, certified: float | None = None):
@@ -67,6 +71,7 @@ class NtkSnapshot:
         self.rows = kernel.shape[0]
         self.rank = rank
         self.certified = certified
+        self.rhs = self.rhs_norm = None
         self._tolerance = None
         self._spectrum = None
 
@@ -132,19 +137,24 @@ def compute_jacobian(
 
 
 def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
-                   trace=None) -> np.ndarray:
+                   trace=None, work=None) -> np.ndarray:
     """Tangent kernel K = J J^T, (n * m_y) x (n * m_y), rows as in
     compute_jacobian.
 
     Without BN, or with `frozen_stats`, K is the layer-wise sum of the
     module docstring, and J is never formed.  The deltas dout and dz
-    (n x m_y x m_l: sample i, output k) of each hidden layer, last first,
+    (m_y x n x m_l: output k, sample i) of each hidden layer, last first,
     are the derivatives of f_ik with respect to the layer's softplus input
     and its affine pre-activation (dout itself without BN): the recursion
     starts from W_head^T broadcast over samples, scales by the softplus
-    derivative and, under frozen BN, by gamma / sqrt(var + eps).
-    Training-mode BN takes J J^T of compute_jacobian.  A given `trace` of
-    `params` on `x` replaces the forward pass.
+    derivative and, under frozen BN, by gamma / sqrt(var + eps).  The sum
+    runs in output-major (k, i) order, so each Hadamard product with the
+    n x n gram matrix runs over contiguous rows of n, and is put in
+    sample-major order once at the end.  With a network.Workspace `work`
+    for all n rows, K and the sum's arrays are written into it (the next
+    kernel given it overwrites this one); without one they are allocated.
+    Training-mode BN takes J J^T of compute_jacobian, allocated.  A given
+    `trace` of `params` on `x` replaces the forward pass.
     """
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats)
@@ -153,32 +163,68 @@ def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
         return jac @ jac.T
     n, m_y = trace.inputs.shape[0], spec.output_dim
     rows = n * m_y
+    if work is None:
+        arrays = _kernel_arrays(spec, n)
+    else:
+        if work.kernel_arrays is None:
+            work.kernel_arrays = _kernel_arrays(spec, n)
+        arrays = work.kernel_arrays
+    gram, block, spare, layers = arrays
+    total = spare[: rows * rows].reshape(rows, rows)
+    blocks = total.reshape(m_y, n, m_y, n)
+    blocks.fill(0.0)
     h = trace.hidden
-    kernel = np.zeros((rows, rows))
-    blocks = kernel.reshape(n, m_y, n, m_y)
-    diag = np.arange(m_y)
-    blocks[:, diag, :, diag] = h @ h.T + 1.0
-    delta = np.broadcast_to(params.weights[-1].T, (n, m_y, spec.feature_dim))
+    gram = np.matmul(h, h.T, out=gram)
+    gram += 1.0
+    for k in range(m_y):
+        blocks[k, :, k, :] = gram
+    delta = params.weights[-1].T[:, None, :]  # broadcast over the samples
     for l in range(spec.depth - 1, -1, -1):
         cache = trace.bn_cache[l]
-        dout = delta * _softplus_deriv(trace.affine[l] if cache is None else cache[3],
-                                       spec.sharpness)[:, None, :]
+        deriv, dout = layers[l]
+        deriv = _softplus_deriv(trace.affine[l] if cache is None else cache[3],
+                                spec.sharpness, deriv)
+        dout = np.multiply(delta, deriv, out=dout)
         dz = dout
         if cache is not None:
             dz = dout * params.bn_scale[l] * (1.0 / np.sqrt(cache[1] + spec.bn_epsilon))
         h_prev = trace.inputs if l == 0 else trace.post[l - 1]
+        gram = np.matmul(h_prev, h_prev.T, out=gram)
+        gram += 1.0
         d = dz.reshape(rows, -1)
-        blocks += (d @ d.T).reshape(n, m_y, n, m_y) * (h_prev @ h_prev.T + 1.0)[:, None, :, None]
+        block = np.matmul(d, d.T, out=block)
+        product = block.reshape(m_y, n, m_y, n)
+        product *= gram[:, None, :]
+        total += block
         if cache is not None:
-            scale = (dout * cache[2][:, None, :]).reshape(rows, -1)
+            scale = (dout * cache[2]).reshape(rows, -1)
             shift = dout.reshape(rows, -1)
-            kernel += scale @ scale.T + shift @ shift.T
-        if l > 0:
-            delta = (d @ params.weights[l].T).reshape(n, m_y, -1)
-    return kernel
+            total += scale @ scale.T + shift @ shift.T
+        if l > 0:  # d/dh of layer l - 1, into its dout, which scales it in place
+            delta = layers[l - 1][1]
+            np.matmul(d, params.weights[l].T, out=delta.reshape(rows, -1))
+    # the last block is spent: K goes there in sample-major order, block by
+    # block, each a copy of contiguous rows
+    kernel = block.reshape(n, m_y, n, m_y)
+    for k in range(m_y):
+        for j in range(m_y):
+            kernel[:, k, :, j] = blocks[k, :, j, :]
+    return block
 
 
-def compute_ntk(kernel, floor: float = 0.0) -> NtkSnapshot:
+def _kernel_arrays(spec: NetworkSpec, n: int) -> tuple:
+    """The arrays compute_kernel writes into for a pass over n rows, m_y
+    outputs: the n x n gram matrix, a (n m_y) x (n m_y) array for a layer's
+    block, which ends as the kernel returned, a flat spare array of
+    (n m_y + 1)^2 entries, which holds the output-major sum and then
+    compute_ntk's bordered matrix, and per hidden layer the softplus
+    derivative (n x m_l) and the delta dout (m_y x n x m_l)."""
+    rows = n * spec.output_dim
+    return (np.empty((n, n)), np.empty((rows, rows)), np.empty((rows + 1) ** 2),
+            [(np.empty((n, m)), np.empty((spec.output_dim, n, m))) for m in spec.widths[1:]])
+
+
+def compute_ntk(kernel, floor: float = 0.0, rhs=None, work=None) -> NtkSnapshot:
     """Snapshot of the tangent kernel K (compute_kernel) with its rank.
 
     The rank counts eigenvalues of K above the stock threshold
@@ -199,19 +245,48 @@ def compute_ntk(kernel, floor: float = 0.0) -> NtkSnapshot:
     4m - 1.5m > m, with margin
     for eigvalsh's own rounding, so the certified rank is the count eigvalsh
     gives.  When the factorization fails, eigvalsh counts the rank.
+
+    A right-hand side `rhs` r (one entry per row) borders the factored
+    matrix: [[K - c m I, r], [r^T, rho]], rho the largest float, so the last
+    pivot cannot fail and the leading block certifies the rank as above
+    (Golub and Van Loan, "Matrix Computations", 4.2).  The factor's last
+    row is then z = L^-1 r, L the leading block's factor, and on success
+    the snapshot keeps r as `rhs` and ||z|| = sqrt(r^T (K - c m I)^-1 r) as
+    `rhs_norm`, an upper bound on sqrt(r^T K^-1 r) since K - c m I < K.
+    The factored matrix is written into the spare array of a
+    network.Workspace `work` that compute_kernel has used, if given, and is
+    allocated otherwise.
     """
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or not np.all(np.isfinite(k)):
         raise ValueError("kernel must be a finite square 2-D array")
     rows = k.shape[0]
+    size = rows
+    if rhs is not None:
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.shape != (rows,) or not np.all(np.isfinite(rhs)):
+            raise ValueError(f"rhs must be a finite vector of {rows} entries")
+        size += 1
     level = max(floor, rows * EPS * float(np.trace(k)))
+    if work is None or work.kernel_arrays is None:
+        shifted = np.empty((size, size))
+    else:
+        shifted = work.kernel_arrays[2][: size * size].reshape(size, size)
+    shifted[:rows, :rows] = k
+    shifted.reshape(-1)[: rows * (size + 1) : size + 1] -= CHOLESKY_SHIFT * level
+    if rhs is not None:
+        shifted[rows, :rows] = shifted[:rows, rows] = rhs
+        shifted[rows, rows] = np.finfo(np.float64).max
     try:
-        np.linalg.cholesky(k - CHOLESKY_SHIFT * level * np.eye(rows))
+        factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         snap = NtkSnapshot(k, 0)
         snap.rank = snap.rank_at(snap.tolerance)
         return snap
-    return NtkSnapshot(k, rows, certified=level)
+    snap = NtkSnapshot(k, rows, certified=level)
+    if rhs is not None:
+        snap.rhs, snap.rhs_norm = rhs, float(np.linalg.norm(factor[rows, :rows]))
+    return snap
 
 
 def assert_rank_preserved(reference: NtkSnapshot, current: NtkSnapshot) -> bool:

@@ -37,12 +37,16 @@ puts the pass back in data order, so every record equals that of a pass in
 data order bit for bit.  The one exception is momentum SGD under
 training-mode batch normalization, whose batch statistics couple the rows:
 there the pass stays in data order and each minibatch gets a pass of its
-own.  Every phase-1 pass and backprop writes into one network.Workspace
-allocated per run, so no array of the pass's size is allocated per step;
+own.  Every phase-1 pass and backprop, and each lazy candidate's pass,
+backprop and kernel, writes into one network.Workspace allocated per run,
+so no array of the pass's or the kernel's size is allocated per step;
 the workspace binds its views once, and its passes trust X, Y and the
 upstream derived from them, which are checked once on entry.  Every kernel
 comes from ntk.compute_kernel, summed layer by layer from that pass, and
-its rank from one Cholesky factorization (ntk.compute_ntk).
+its rank from one Cholesky factorization (ntk.compute_ntk); under squared
+loss with bounds on, that factorization is bordered by the residual and
+also gives the step's linearized distance, an upper bound, so a lazy step
+solves nothing else.
 
 With bounds on, the constants of the mode's rate ceiling are fixed at tau,
 and each phase-2 record gets its ceiling and measured suboptimality from
@@ -68,7 +72,7 @@ from .bounds import (
     sgd_bound,
     solve_last_layer_optimum,
 )
-from .linalg import append_ones, as_matrix, numerical_rank
+from .linalg import RankDeficientError, append_ones, as_matrix, numerical_rank
 from .losses import LossKind, _loss, _mean_gradient, _mean_loss, _terms, check_targets
 from .network import (
     ForwardTrace,
@@ -290,12 +294,23 @@ def _finite(value, what: str, t, phase):
     )
 
 
-def _snapshot(spec, params, x, frozen, trace, t, phase, floor=0.0):
-    """compute_ntk of the tangent kernel at `trace`, the forward pass of
-    `params` on x; FloatingPointError naming step t and the phase if the
-    kernel is not finite."""
-    kernel = _finite(compute_kernel(spec, params, x, frozen, trace=trace), "kernel", t, phase)
-    return compute_ntk(kernel, floor=floor)
+def _snapshot(spec, params, x, frozen, trace, t, phase, floor=0.0, rhs=None, work=None):
+    """compute_ntk, bordered by `rhs` if given, of the tangent kernel at
+    `trace`, the forward pass of `params` on x, written into `work` if
+    given; FloatingPointError naming step t and the phase if the kernel is
+    not finite."""
+    kernel = _finite(compute_kernel(spec, params, x, frozen, trace=trace, work=work),
+                     "kernel", t, phase)
+    return compute_ntk(kernel, floor=floor, rhs=rhs, work=work)
+
+
+def _distance(snap, trace, y, kind, basis, t):
+    """_linearized_distance at step t of phase 2, whose RankDeficientError
+    names the step and phase."""
+    try:
+        return _linearized_distance(snap, trace.output, y, kind, basis)
+    except RankDeficientError as exc:
+        raise RankDeficientError(f"step {t} (phase 2): {exc}") from None
 
 
 def _checked_data(spec, kind, x, y):
@@ -367,9 +382,10 @@ def run_two_phase(
 ):
     """Run both phases end to end; returns (final Params, TrainLog).
 
-    Raises ValueError before the first record unless X is finite and Y holds
-    valid targets of `kind`, one row of m_y per sample; the step loop does
-    not check them again.  Each phase-1 step makes one full-batch forward
+    Raises ValueError before the first record unless X is finite, Y holds
+    valid targets of `kind`, one row of m_y per sample, and cfg.noise_scale
+    is one scale or one per hidden layer; the step loop does not check X
+    and Y again.  Each phase-1 step makes one full-batch forward
     pass in epoch order, of which the next step's batch is a slice (unless
     training-mode BN couples the rows of a momentum-SGD minibatch), and
     which a monitored step reuses; record.wall_time counts from the start
@@ -387,12 +403,14 @@ def run_two_phase(
     and lazy compare the running minimum from tau on, with G^2 the largest
     squared head gradient so far, the step-size sums running from tau, and
     log.r_bar the running max of the linearized distance
-    (bounds.estimate_R_bar) over the kernels of tau and every step so far.
-    A lazy kernel below full rank n * m_y leaves Rbar undefined and raises
-    RankDeficientError at its step.  An optimum that is not attained (R^2 or
-    Rbar inf) leaves the bound fields None; log.constants names the
-    certificate, and log.violations counts the steps above an exact (head)
-    ceiling.  Raises FeatureRankError if the post-perturbation
+    (bounds.estimate_R_bar) over the kernels of tau and every step so far,
+    from the bordered factorization of each rank test under squared loss,
+    and so an upper bound (log.constants["r_bar_kind"]).  A lazy kernel
+    below full rank n * m_y leaves Rbar undefined and raises
+    RankDeficientError naming its step and phase.  An optimum that is not
+    attained (R^2 or Rbar inf) leaves the bound fields None; log.constants
+    names the certificate, and log.violations counts the steps above an
+    exact (head) ceiling.  Raises FeatureRankError if the post-perturbation
     feature matrix is not full row rank, RankPreservationError if lazy-phase
     rate halving cannot restore the kernel rank within the retry cap, and
     FloatingPointError naming the step and phase if predictions, the loss,
@@ -404,6 +422,7 @@ def run_two_phase(
         raise ValueError("two-phase training requires at least two hidden layers")
     if monitor_every < 0:
         raise ValueError(f"monitor_every must be >= 0 (0: never), got {monitor_every}")
+    _noise_scales(cfg.noise_scale, spec.depth)
     x, y = _checked_data(spec, kind, dataset.x, dataset.y)
     n = x.shape[0]
     if base.variant == "sgd_momentum" and base.minibatch > n:
@@ -478,7 +497,7 @@ def run_two_phase(
             # rank and kernel of the pass in data order
             full = _rows(trace, inverse)
             rec.feature_rank = numerical_rank(append_ones(full.hidden))
-            rec.ntk_rank = _snapshot(spec, params, x, None, full, t, 1).rank
+            rec.ntk_rank = _snapshot(spec, params, x, None, full, t, 1, work=work).rank
         emit(rec)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -558,7 +577,7 @@ def run_two_phase(
                 # only the head moved, so the tau pass is the features' pass
                 rec.feature_rank = feat_rank
                 params.set_head_block(z)
-                rec.ntk_rank = _snapshot(spec, params, x, frozen, trace, t, 2).rank
+                rec.ntk_rank = _snapshot(spec, params, x, frozen, trace, t, 2, work=work).rank
             if attained and head_gd:
                 certify(rec, gd_bound(r_squared, log.l_h, t, tau), cur)
             elif attained:
@@ -581,13 +600,19 @@ def run_two_phase(
         # one forward trace per parameter point gives its kernel, loss,
         # gradient and distance to the linearized minimizers; a step's rank
         # test is certified at the reference threshold too, so accepting it
-        # needs no spectrum
-        reference = _snapshot(spec, params, x, frozen, trace, tau, 2)
+        # needs no spectrum.  Under squared loss with bounds on, the
+        # residual borders that factorization, which then gives the
+        # distance too.  Candidates' passes, backprops and kernels write
+        # into the phase-1 workspace; the reference, which every step
+        # reads, has arrays of its own
+        bordered = bounds and kind.name == "squared"
+        reference = _snapshot(spec, params, x, frozen, trace, tau, 2,
+                              rhs=residual.reshape(-1) if bordered else None)
         g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace)
         if bounds:
             loss_star = loss_infimum(kind, y)
             basis = _centering_basis(y.shape[1])
-            log.r_bar = max(0.0, _linearized_distance(reference, trace.output, y, kind, basis))
+            log.r_bar = max(0.0, _distance(reference, trace, y, kind, basis, tau))
             attained = math.isfinite(log.r_bar)
         # candidates are written into a second buffer, swapped in on acceptance
         cand = params.copy()
@@ -596,8 +621,10 @@ def run_two_phase(
             event = None
             for _ in range(LAZY_MAX_RETRIES + 1):
                 np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
-                trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen)
-                snap = _snapshot(spec, cand, x, frozen, trace, t, 2, reference.tolerance)
+                trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen,
+                                                 work=work)
+                snap = _snapshot(spec, cand, x, frozen, trace, t, 2, reference.tolerance,
+                                 rhs=residual.reshape(-1) if bordered else None, work=work)
                 if assert_rank_preserved(reference, snap):
                     break
                 eta_bar /= 2.0
@@ -611,10 +638,10 @@ def run_two_phase(
             params, cand = cand, params
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             if t < total:
-                g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace)
+                g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace,
+                             work=work)
             if bounds:
-                log.r_bar = max(log.r_bar,
-                                _linearized_distance(snap, trace.output, y, kind, basis))
+                log.r_bar = max(log.r_bar, _distance(snap, trace, y, kind, basis, t))
             if cur < best_loss:
                 best_loss, best_t = cur, t
             rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
@@ -633,7 +660,8 @@ def run_two_phase(
                              "r_squared": r_squared if attained else None}
         else:
             log.constants = {"l_estimate": lipschitz, "diagnostic": True,
-                             "r_bar": log.r_bar if attained else None}
+                             "r_bar": log.r_bar if attained else None,
+                             "r_bar_kind": "upper_bound" if bordered else "exact"}
         log.constants["loss_star"] = loss_star
         # the lazy ceiling rests on an estimated Lipschitz constant, so it
         # is a diagnostic and counts no violations

@@ -529,6 +529,43 @@ class TestCheckBounds:
         assert log.constants["certificate"] == "estimated"
         assert log.constants["r_bar"] == log.r_bar
 
+    def test_lazy_r_bar_is_the_bordered_upper_bound(self, monkeypatch):
+        # squared loss: each step's distance is sqrt(r^T (K - 4 m I)^-1 r),
+        # r = vec(f - Y) bordering the factorization that certified K's rank
+        # at level m = max(floor, rows eps trace K), floor the reference
+        # tolerance after tau; so Rbar is their max, and at least the exact
+        # distances sqrt(r^T K^+ r)
+        bordered = []
+        real = trainer.compute_ntk
+
+        def keeping(kernel, floor=0.0, rhs=None, work=None):
+            if rhs is not None:
+                bordered.append((kernel.copy(), floor, rhs.copy()))
+            return real(kernel, floor, rhs, work)
+
+        monkeypatch.setattr(trainer, "compute_ntk", keeping)
+        ds = synth_gen(10, 4, 2, 0.03, "regression", seed=11)
+        spec = NetworkSpec((4, 8, 12), 2, sharpness=10.0)
+        base = BaseAlgoConfig(variant="gd", minibatch=10, seed=11)
+        cfg = TwoPhaseConfig(tau=4, total_steps=14, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.3, seed=11)
+        _, log = run_two_phase(spec, init_params(spec, 11), ds, base, cfg, SQUARED,
+                               monitor_every=3, bounds=True)
+        assert len(bordered) == 11 + len(log.rank_events)
+        rows, eps = ds.y.size, np.finfo(np.float64).eps
+        tolerance = rows * eps * np.linalg.eigvalsh(bordered[0][0])[-1]
+        shifted, exact = [], []
+        for i, (k, floor, r) in enumerate(bordered):
+            assert floor == (tolerance if i else 0.0)
+            level = max(floor, rows * eps * np.trace(k))
+            shifted.append(np.sqrt(r @ np.linalg.solve(k - 4.0 * level * np.eye(rows), r)))
+            exact.append(np.sqrt(r @ np.linalg.pinv(k) @ r))
+        # a rejected candidate's distance does not count
+        assert not log.rank_events
+        assert log.r_bar == pytest.approx(max(shifted), rel=1e-9)
+        assert log.r_bar >= max(exact)
+        assert log.constants["r_bar_kind"] == "upper_bound"
+
     def test_lazy_report_is_the_closed_form_at_every_step(self, monkeypatch):
         log, distances = self._lazy_run(monkeypatch)
         phase2 = log.phase2_records()

@@ -15,6 +15,7 @@ import twophase.cli as cli
 import twophase.losses as losses
 import twophase.trainer as trainer
 from twophase.data import load_csv, save_csv, synth_gen
+from twophase.network import forward_output
 from twophase.ntk import compute_jacobian
 from twophase.trainer import FeatureRankError, nu_mask
 
@@ -359,6 +360,7 @@ class TestTrain:
         else:
             assert summary["violations"] is None
             assert 0.0 < constants["r_bar"] < np.inf
+            assert constants["r_bar_kind"] == "exact"  # cross-entropy solves
         records = [json.loads(line) for line in (out / "run.log.jsonl").read_text().splitlines()]
         phase2 = [r for r in records if r["phase"] == 2]
         assert len(phase2) == 20 and all(r["bound"] is not None for r in phase2)
@@ -425,15 +427,29 @@ class TestTrain:
         cfg = cli.load_config(path)
         ds = cli._build_dataset(cfg)
         spec = cli._build_spec(cfg, ds)
-        distances = []
+        distances, shifted = [], []
+        rows, eps = ds.y.size, np.finfo(np.float64).eps
         for t in range(20, 41):
             cut = json.loads(json.dumps(cfg))
             cut["two_phase"]["total_steps"] = t
             params, _ = cli._train_once(cut, ds, spec)
             jac = compute_jacobian(spec, params, ds.x)
             distances.append(self._linearized_distance(jac, params, ds.y, loss))
+            # squared loss: the distance the bordered rank certificate gives,
+            # sqrt(r^T (K - 4 m I)^-1 r), m the certificate's level (at tau
+            # without the reference tolerance, which its spectrum sets)
+            k = jac @ jac.T
+            if t == 20:
+                tolerance = rows * eps * np.linalg.eigvalsh(k)[-1]
+            level = max(tolerance if t > 20 else 0.0, rows * eps * np.trace(k))
+            r = (forward_output(spec, params, ds.x) - ds.y).reshape(-1)
+            shifted.append(float(np.sqrt(r @ np.linalg.solve(k - 4.0 * level * np.eye(rows), r))))
         assert int(np.argmax(distances)) % 2 == 1
-        assert r_bars[0] == pytest.approx(max(distances), rel=1e-9)
+        if loss == "squared":
+            assert r_bars[0] == pytest.approx(max(shifted), rel=1e-9)
+            assert r_bars[0] >= max(distances)
+        else:
+            assert r_bars[0] == pytest.approx(max(distances), rel=1e-9)
 
     @pytest.mark.parametrize("bounds", [True, False])
     def test_lazy_kernel_below_full_rank_leaves_r_bar_undefined(
@@ -445,8 +461,8 @@ class TestTrain:
         real = trainer.compute_ntk
         floors = []
 
-        def short_at_tau(kernel, floor=0.0):
-            snap = real(kernel, floor)
+        def short_at_tau(kernel, floor=0.0, rhs=None, work=None):
+            snap = real(kernel, floor, rhs, work)
             if not floors:
                 snap.rank -= 1
             floors.append(floor)
@@ -460,7 +476,8 @@ class TestTrain:
         assert floors[0] == 0.0 and all(floor > 0.0 for floor in floors[1:])
         if bounds:
             assert code == 3
-            assert "numerical rank 23 < 24 rows" in capsys.readouterr().err
+            assert "step 20 (phase 2): kernel has numerical rank 23 < 24 rows" in (
+                capsys.readouterr().err)
         else:
             assert code == 0
 
@@ -541,7 +558,9 @@ class TestTrain:
         ({"phase2_mode": "lazy_full", "lazy_lipschitz": 0.0}, "lazy_lipschitz"),
         ({"phase2_mode": "lazy_full", "lazy_lipschitz": -1.0}, "lazy_lipschitz"),
         ({"phase2_mode": "lazy_full", "lazy_lipschitz": float("inf")}, "lazy_lipschitz"),
-    ], ids=["sgd_minibatch_zero", "lipschitz_zero", "lipschitz_negative", "lipschitz_inf"])
+        ({"noise_scale": [0.001, 0.001, 0.001]}, "expected 2 noise scales, got 3"),
+    ], ids=["sgd_minibatch_zero", "lipschitz_zero", "lipschitz_negative", "lipschitz_inf",
+            "noise_scale_length"])
     def test_phase_two_value_out_of_range_is_a_config_error(self, tmp_path, capsys,
                                                             two_phase, named):
         # rejected before the first record, not after phase 1 by a division

@@ -8,6 +8,7 @@ from conftest import fd_jacobian, max_rel_err, random_small_config
 import twophase.ntk as ntk
 from twophase.network import (
     NetworkSpec,
+    Workspace,
     batch_statistics,
     forward_hidden,
     forward_output,
@@ -166,6 +167,47 @@ class TestCholeskyRank:
             compute_ntk(bad)
 
 
+class TestBorderedFactor:
+    """compute_ntk with a right-hand side r: one factorization of
+    [[K - 4 m I, r], [r^T, rho]] certifies the rank and gives
+    ||L^-1 r|| = sqrt(r^T (K - 4 m I)^-1 r)."""
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-3, 0.2])
+    def test_rhs_norm_is_the_shifted_solve(self, rng, monkeypatch, floor):
+        j = rng.standard_normal((6, 11))
+        k, r = j @ j.T, rng.standard_normal(6)
+        counts = _count_factorizations(monkeypatch)
+        snap = compute_ntk(k, floor=floor, rhs=r)
+        assert counts == {"cholesky": 1, "eigvalsh": 0, "failed": 0}
+        assert snap.rank == 6 and snap.certified >= floor
+        shifted = k - 4.0 * snap.certified * np.eye(6)
+        assert snap.rhs_norm == pytest.approx(np.sqrt(r @ np.linalg.solve(shifted, r)),
+                                              rel=1e-12)
+        assert snap.rhs_norm >= np.sqrt(r @ np.linalg.pinv(k) @ r)
+        np.testing.assert_array_equal(snap.rhs, r)
+
+    def test_border_leaves_the_rank_alone(self, rng):
+        # the spectrum-fallback cases of the unbordered test, with a border
+        j = rng.standard_normal((6, 11))
+        repeated = j.copy()
+        repeated[5] = repeated[0]
+        cases = [(j @ j.T, 0.0), (repeated @ repeated.T, 0.0),
+                 (1e-4 * j @ (1e-4 * j).T, 1e-6), (j @ j.T, 1e-6)]
+        for k, floor in cases:
+            plain = compute_ntk(k, floor=floor)
+            bordered = compute_ntk(k, floor=floor, rhs=rng.standard_normal(6))
+            assert (bordered.rank, bordered.certified) == (plain.rank, plain.certified)
+            assert (bordered.rhs_norm is None) == (plain.certified is None)
+            assert plain.rhs is None and plain.rhs_norm is None
+
+    @pytest.mark.parametrize("bad", [np.ones(5), np.array([1.0, np.nan, 0, 0, 0, 0])],
+                             ids=["length", "nan"])
+    def test_rhs_must_be_finite_with_one_entry_per_row(self, rng, bad):
+        j = rng.standard_normal((6, 11))
+        with pytest.raises(ValueError, match="finite vector of 6 entries"):
+            compute_ntk(j @ j.T, rhs=bad)
+
+
 class TestComputeKernel:
     @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
     def test_equals_j_j_transpose(self, bn):
@@ -177,6 +219,32 @@ class TestComputeKernel:
             kernel = compute_kernel(spec, p, x, stats)
             assert max_rel_err(kernel, jac @ jac.T) <= 1e-12
             np.testing.assert_array_equal(kernel, kernel.T)
+
+    @pytest.mark.parametrize("bn", ["none", "frozen"])
+    def test_workspace_kernel_bit_identical(self, bn):
+        # the layer-wise sum written into a workspace, as a training run's
+        # steps make it, against the allocating form; the next kernel
+        # overwrites the arrays the last one returned
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            spec, p, x = random_small_config(rng, allow_bn=bn != "none")
+            stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
+            trace = forward_hidden(spec, p, x, stats)
+            work = Workspace(spec, x.shape[0])
+            first = compute_kernel(spec, p, x, stats, trace=trace, work=work)
+            np.testing.assert_array_equal(first, compute_kernel(spec, p, x, stats, trace=trace))
+            q = random_params(spec, rng, 0.5)
+            second = compute_kernel(spec, q, x, stats, work=work)
+            assert second is first
+            want = compute_kernel(spec, q, x, stats)
+            np.testing.assert_array_equal(second, want)
+            # compute_ntk borders and factors in the workspace's spare array,
+            # leaving the kernel alone
+            r = rng.standard_normal(want.shape[0])
+            snap, fresh = compute_ntk(second, rhs=r, work=work), compute_ntk(want, rhs=r)
+            assert (snap.rank, snap.certified, snap.rhs_norm) == (
+                fresh.rank, fresh.certified, fresh.rhs_norm)
+            np.testing.assert_array_equal(snap.kernel, want)
 
     def test_forms_no_jacobian_unless_bn_couples_the_rows(self, rng, monkeypatch):
         calls = []

@@ -71,7 +71,8 @@ def _lazy_config(bounds):
 
 def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
     # Rbar is the running max over tau and every phase-2 step, each distance
-    # one unchecked solve that the tracer does not see; each of those kernels
+    # read from the step's bordered factorization, which the tracer does not
+    # see; each of those kernels
     # (plus one per rejected candidate) is summed layer by layer without a
     # Jacobian
     result = _traced_train(tmp_path, _lazy_config(bounds=True))

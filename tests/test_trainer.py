@@ -14,7 +14,7 @@ import twophase.ntk as ntk
 import twophase.trainer as trainer
 from twophase.cli import DEFAULT_CONFIG
 from twophase.data import synth_gen
-from twophase.linalg import append_ones, numerical_rank
+from twophase.linalg import RankDeficientError, append_ones, numerical_rank
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
@@ -506,6 +506,77 @@ class TestRunTwoPhase:
         assert len(snaps) == 11
         assert counts["eigvalsh"] <= 1 and counts["cholesky"] == len(snaps)
 
+    def test_lazy_step_factors_once_and_solves_nothing(self, monkeypatch):
+        # squared loss with bounds on: the residual borders the Cholesky
+        # factorization of the rank test, which then gives the step's
+        # distance too, so a lazy step makes one factorization and no solve
+        counts = {"cholesky": 0, "solve": 0}
+        for name in counts:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        per_step = []
+
+        def sink(rec):
+            if rec.phase == 2:
+                per_step.append(dict(counts))
+                counts.update(cholesky=0, solve=0)
+
+        ds, spec, p0 = _toy_problem(seed=19)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True, record_sink=sink)
+        # the first step's count includes the reference kernel's at tau
+        assert per_step == [{"cholesky": 2, "solve": 0}] + [{"cholesky": 1, "solve": 0}] * 9
+
+    def test_lazy_reference_kernel_is_not_overwritten(self, monkeypatch):
+        # candidates' kernels are written into the run's workspace; the
+        # reference at tau, which every rank test reads, keeps its own
+        snaps, kernels = [], []
+        compute_ntk = trainer.compute_ntk
+
+        def keeping(kernel, floor=0.0, rhs=None, work=None):
+            snaps.append(compute_ntk(kernel, floor, rhs, work))
+            kernels.append(kernel.copy())
+            return snaps[-1]
+
+        monkeypatch.setattr(trainer, "compute_ntk", keeping)
+        ds, spec, p0 = _toy_problem(seed=19)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        run_two_phase(spec, p0, ds, base, cfg, SQUARED, monitor_every=1)
+        reference = snaps[3]  # after the three monitored phase-1 steps
+        assert np.array_equal(reference.kernel, kernels[3])
+        assert not any(np.shares_memory(reference.kernel, snap.kernel) for snap in snaps[4:])
+        assert np.shares_memory(snaps[4].kernel, snaps[-1].kernel)
+
+    def test_lazy_kernel_below_full_rank_names_step_and_phase(self, monkeypatch):
+        # a kernel that certifies the rank test at the reference threshold
+        # but ranks below full at its own: Rbar is undefined at that step
+        compute_ntk, calls = trainer.compute_ntk, []
+
+        def short_at_third_step(kernel, floor=0.0, rhs=None, work=None):
+            snap = compute_ntk(kernel, floor, rhs, work)
+            calls.append(1)
+            if len(calls) == 4:  # tau, then steps 4, 5 and 6
+                snap.rank -= 1
+            return snap
+
+        monkeypatch.setattr(trainer, "compute_ntk", short_at_third_step)
+        ds, spec, p0 = _toy_problem(seed=19)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        seen = []
+        with pytest.raises(RankDeficientError,
+                           match=r"^step 6 \(phase 2\): kernel has numerical rank 19 < 20"):
+            run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True,
+                          record_sink=seen.append)
+        assert seen[-1].t == 5
+
     @pytest.mark.parametrize("bounds", [True, False])
     def test_lazy_r_bar_only_with_bounds(self, monkeypatch, bounds):
         # one linearized distance per kernel of tau and every step when the
@@ -578,6 +649,17 @@ class TestRunTwoPhase:
                              lazy_lipschitz=1e-300, seed=16)
         with pytest.raises(FloatingPointError, match=r"step 3 \(phase 2\)"):
             run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+
+    def test_noise_scales_of_the_wrong_length_rejected_before_the_first_record(self):
+        # one scale per hidden layer: the toy has two, and perturb would
+        # only find out at tau
+        ds, spec, p0 = _toy_problem(seed=3)
+        cfg = TwoPhaseConfig(tau=5, total_steps=8, noise_scale=(1e-3,) * 3, seed=3)
+        seen = []
+        with pytest.raises(ValueError, match="expected 2 noise scales, got 3"):
+            run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+                          SQUARED, record_sink=seen.append)
+        assert not seen
 
 
 def _reference_loss(kind, f, y, gradient=True):
@@ -662,9 +744,9 @@ class TestPhaseOneWorkspace:
         kernels = []
         compute_ntk = trainer.compute_ntk
 
-        def keeping(kernel, floor=0.0):
+        def keeping(kernel, floor=0.0, rhs=None, work=None):
             kernels.append(kernel.copy())
-            return compute_ntk(kernel, floor)
+            return compute_ntk(kernel, floor, rhs, work)
 
         monkeypatch.setattr(trainer, "compute_ntk", keeping)
         n, tau = 20, 11
@@ -814,9 +896,9 @@ class TestLazyPhase:
         # (and so its loss) from its pass before its kernel is built
         snapshot, seen = trainer._snapshot, []
 
-        def checking(spec, params, x, frozen, trace, t, phase, floor=0.0):
+        def checking(spec, params, x, frozen, trace, t, phase, floor=0.0, **kwargs):
             seen.append((t, trace.output is not None))
-            return snapshot(spec, params, x, frozen, trace, t, phase, floor)
+            return snapshot(spec, params, x, frozen, trace, t, phase, floor, **kwargs)
 
         monkeypatch.setattr(trainer, "_snapshot", checking)
         ds, spec, p0 = _toy_problem(seed=2)
