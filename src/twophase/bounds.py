@@ -55,7 +55,6 @@ class LastLayerOptimum:
     head: np.ndarray | None   # (m_H + 1) x m_y stacked [W; b]; None if not attained
     loss_star: float
     r_squared: float
-    residual: float           # of the constraints solved; inf if not attained
     steps: int = 0            # always 0: the optimum is never iterated for
 
 
@@ -84,9 +83,7 @@ def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOpti
     anchor converges to the same head, because its steps never move the
     per-sample means of the predictions.  A cross-entropy target with a zero
     entry gives r_squared = inf and head = None: the infimum (the mean
-    entropy, 0 for one-hot) is not attained.  `residual` is that of the
-    constraints solved: ||[h, 1] Z - Y|| for squared loss, and for
-    cross-entropy ||([h, 1] Z - log Y) P|| with P = I - 11^T / m_y.
+    entropy, 0 for one-hot) is not attained.
     """
     h = np.asarray(h, dtype=np.float64)
     y = check_targets(kind, y)
@@ -99,8 +96,7 @@ def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOpti
         raise ValueError(f"anchor has shape {anchor.shape}, expected {(a.shape[1], m_y)}")
     if kind.name == "squared":
         z = min_norm_solve(a, y, anchor)
-        pred = a @ z
-        loss_star, gap = loss_value(kind, pred, y), pred - y
+        loss_star = loss_value(kind, a @ z, y)
     else:
         loss_star = loss_infimum(kind, y)
         if m_y > 1 and np.all(y > 0.0):
@@ -115,18 +111,10 @@ def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOpti
                     "cross-entropy minimizer is not determined"
                 )
             if m_y > 1:
-                return LastLayerOptimum(head=None, loss_star=loss_star,
-                                        r_squared=np.inf, residual=np.inf)
-            # every head predicts softmax = 1 = y
-            z, log_y = anchor.copy(), np.zeros_like(y)
-        gap = a @ z - log_y
-        gap -= gap.mean(axis=1, keepdims=True)
-    return LastLayerOptimum(
-        head=z,
-        loss_star=loss_star,
-        r_squared=float(((z - anchor) ** 2).sum()),
-        residual=float(np.linalg.norm(gap)),
-    )
+                return LastLayerOptimum(head=None, loss_star=loss_star, r_squared=np.inf)
+            z = anchor.copy()  # every head predicts softmax = 1 = y
+    return LastLayerOptimum(head=z, loss_star=loss_star,
+                            r_squared=float(((z - anchor) ** 2).sum()))
 
 
 def gd_bound(r_squared: float, l_h: float, t: int, tau: int) -> float:

@@ -7,7 +7,8 @@ sharpness 100, last hidden width ceil(1.1 n)), so an empty config file runs
 the reference protocol at desk scale.  Per-step training records stream to
 `run.log.jsonl` as line-delimited JSON, each written once and complete (with
 `bounds` on, its ceiling and suboptimality included), so interrupted runs
-stay analyzable.
+stay analyzable; `train` keeps no record it has written, and summary.json
+takes its best and final loss and its seconds per phase from the run's log.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 verification
 failure, 3 runtime numeric failure.
@@ -266,14 +267,6 @@ def _record_dict(rec) -> dict:
     }
 
 
-def _phase_seconds(log) -> dict:
-    """Seconds per phase from the records' wall times: phase 1 up to its
-    last record, phase 2 from there to the last record."""
-    split = log.records[log.tau - 1].wall_time if log.tau else 0.0
-    end = log.records[-1].wall_time if log.records else 0.0
-    return {"1": round(split, 3), "2": round(end - split, 3)}
-
-
 def _write_text_summary(path, summary: dict) -> None:
     width = max(len(k) for k in summary)
     with open(path, "w") as fh:
@@ -382,7 +375,7 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
 
     summary = {
         "final_loss": log.final_loss,
-        "best_loss": log.best_recorded_loss(),
+        "best_loss": log.best_loss,
         "t_star": log.t_star,
         "loss_at_t_star": log.loss_at_t_star,
         "tau": log.tau,
@@ -395,7 +388,7 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
         "constants": log.constants,
         "rank_events": log.rank_events,
         "elapsed_seconds": round(time.perf_counter() - started, 3),
-        "phase_seconds": _phase_seconds(log),
+        "phase_seconds": {k: round(v, 3) for k, v in log.phase_seconds.items()},
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         fh.write(_json_line(summary) + "\n")

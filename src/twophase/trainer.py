@@ -37,9 +37,10 @@ puts the pass back in data order, so every record equals that of a pass in
 data order bit for bit.  The one exception is momentum SGD under
 training-mode batch normalization, whose batch statistics couple the rows:
 there the pass stays in data order and each minibatch gets a pass of its
-own.  Every phase-1 pass and backprop, and each lazy candidate's pass,
-backprop and kernel, writes into one network.Workspace allocated per run,
-so no array of the pass's or the kernel's size is allocated per step;
+own.  Every phase-1 pass and backprop, the passes at tau, each monitored
+kernel and each lazy candidate's pass, backprop and kernel write into one
+network.Workspace allocated per run, so no array of the pass's or the
+kernel's size is allocated per step;
 the workspace binds its views once, and its passes trust X, Y and the
 upstream derived from them, which are checked once on entry.  Every kernel
 comes from ntk.compute_kernel, summed layer by layer from that pass, and
@@ -205,9 +206,14 @@ class StepRecord:
 
 @dataclass
 class TrainLog:
-    """One record per update, plus the constants phase 2 was run with and,
-    with bounds on, those its ceilings rest on (`constants`, as summary.json
-    reports them) and the count of steps above an exact ceiling."""
+    """A run's outcome: one record per update unless a record sink took
+    them, the constants phase 2 was run with and, with bounds on, those its
+    ceilings rest on (`constants`, as summary.json reports them) and the
+    count of steps above an exact ceiling.  best_loss, final_loss and
+    phase_seconds are kept as records are emitted, so they need no records:
+    the least and the last recorded loss (loss_initial before the first),
+    and the seconds of phase 1 (the wall time of record tau, 0.0 at tau 0)
+    and of phase 2 (from there to the last record)."""
 
     records: list = field(default_factory=list)
     tau: int = 0
@@ -224,7 +230,9 @@ class TrainLog:
     max_sq_grad_phase2: float = 0.0
     t_star: int | None = None
     loss_at_t_star: float | None = None
+    best_loss: float = 0.0
     final_loss: float = 0.0
+    phase_seconds: dict = field(default_factory=lambda: {"1": 0.0, "2": 0.0})
     rank_events: list = field(default_factory=list)
     r_bar: float | None = None
     constants: dict = field(default_factory=dict)
@@ -232,9 +240,6 @@ class TrainLog:
 
     def phase2_records(self) -> list:
         return [r for r in self.records if r.phase == 2]
-
-    def best_recorded_loss(self) -> float:
-        return min(r.loss for r in self.records) if self.records else self.loss_initial
 
 
 def nu_mask(obj) -> np.ndarray:
@@ -391,9 +396,13 @@ def run_two_phase(
     which a monitored step reuses; record.wall_time counts from the start
     of phase 1.
 
-    Emits exactly cfg.total_steps records (one per update); every
-    `monitor_every` steps of a phase (0: never; below 0, ValueError) a record
-    also carries the feature rank and the kernel rank.
+    Emits exactly cfg.total_steps records (one per update), each to
+    `record_sink` if one is given and to log.records otherwise, so a run
+    with a sink keeps no per-step state; log.best_loss, log.final_loss and
+    log.phase_seconds are kept either way.  Every `monitor_every` steps of
+    a phase (0: never; below 0, ValueError) a record also carries the
+    feature rank and the kernel rank; a lazy step's kernel rank is counted
+    at the reference threshold its rank test used.
 
     With `bounds`, every phase-2 record carries its ceiling and measured
     suboptimality before it is emitted, so a run cut short leaves complete
@@ -431,8 +440,18 @@ def run_two_phase(
     log = TrainLog(tau=tau, total_steps=total, phase2_mode=cfg.phase2_mode)
 
     def emit(record):
-        log.records.append(record)
-        if record_sink is not None:
+        # the summary numbers go with each record, which then goes to the
+        # sink or, without one, to the log, so a streamed run keeps none
+        if record.t == 1 or record.loss < log.best_loss:
+            log.best_loss = record.loss
+        log.final_loss = record.loss
+        seconds = log.phase_seconds
+        if record.phase == 1:
+            seconds["1"] = record.wall_time
+        seconds["2"] = record.wall_time - seconds["1"]
+        if record_sink is None:
+            log.records.append(record)
+        else:
             record_sink(record)
 
     def monitored(t_done):
@@ -489,7 +508,7 @@ def run_two_phase(
         trace, loss, residual = _evaluate(spec, params, xs, ys, kind, t, 1, work=work,
                                           order=inverse)
         if not t:
-            log.loss_initial = loss
+            log.loss_initial = log.best_loss = log.final_loss = loss
             continue
         rec = StepRecord(t=t, phase=1, loss=loss, grad_norm=gnorm,
                          wall_time=time.perf_counter() - t0)
@@ -504,15 +523,19 @@ def run_two_phase(
     params = perturb(params, cfg.noise_scale, seeds[0])
 
     if tau == total:
-        log.loss_at_tau = _evaluate(spec, params, x, y, kind, tau, 2)[1]
-        log.final_loss = log.records[-1].loss if log.records else log.loss_initial
+        log.loss_at_tau = _evaluate(spec, params, x, y, kind, tau, 2, work=work)[1]
         log.t_star = tau
         log.loss_at_t_star = log.loss_at_tau
         return params, log
 
-    frozen = batch_statistics(forward_hidden(spec, params, x)) if any(spec.bn_flags) else None
+    # the passes at tau write into the workspace too: nothing reads the
+    # phase-1 trace again, the statistics are copies, head steps write only
+    # the workspace's kernel arrays, and lazy candidates overwrite the pass
+    # only after tau's reference kernel, backprop and distance are done
+    frozen = (batch_statistics(forward_hidden(spec, params, x, work=work))
+              if any(spec.bn_flags) else None)
     log.frozen_stats = frozen
-    trace, _, residual = _evaluate(spec, params, x, y, kind, tau, 2, frozen)
+    trace, _, residual = _evaluate(spec, params, x, y, kind, tau, 2, frozen, work=work)
     h = trace.hidden
     aug = append_ones(h)
     feat_rank = numerical_rank(aug)
@@ -522,7 +545,7 @@ def run_two_phase(
             "widen the last hidden layer (need m_H + 1 >= n) or change the seed"
         )
     log.l_h = compute_L_H(kind, h)
-    log.features_at_tau = h.copy()
+    log.features_at_tau = aug[:, :-1]
     z = params.head_block().copy()
     log.head_at_tau = params.flat[spec.hidden_param_count():].copy()
     log.params_at_tau_flat = params.to_flat()
@@ -645,7 +668,7 @@ def run_two_phase(
             if cur < best_loss:
                 best_loss, best_t = cur, t
             rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
-                             ntk_rank=snap.rank, rank_event=event,
+                             ntk_rank=snap.rank_at(reference.tolerance), rank_event=event,
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):
                 rec.feature_rank = numerical_rank(append_ones(trace.hidden))
@@ -667,7 +690,6 @@ def run_two_phase(
         # is a diagnostic and counts no violations
         log.constants["certificate"] = (("exact" if head_mode else "estimated")
                                         if attained else "vacuous")
-    log.final_loss = log.records[-1].loss
     log.t_star = best_t
     log.loss_at_t_star = best_loss
     return params, log

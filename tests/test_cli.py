@@ -265,13 +265,32 @@ class TestTrain:
         assert seconds["1"] + seconds["2"] <= summary["elapsed_seconds"] + 0.002
         assert "phase_seconds" in (out / "summary.txt").read_text()
 
-    @pytest.mark.parametrize("tau,want", [(2, {"1": 1.0, "2": 1.0}), (0, {"1": 0.0, "2": 2.0}),
-                                          (4, {"1": 2.0, "2": 0.0})])
-    def test_phase_seconds_split_at_the_last_phase_one_record(self, tau, want):
-        records = [trainer.StepRecord(t=t, phase=1 if t <= tau else 2, loss=0.0,
-                                      grad_norm=0.0, wall_time=0.5 * t) for t in range(1, 5)]
-        assert cli._phase_seconds(trainer.TrainLog(records=records, tau=tau)) == want
-        assert cli._phase_seconds(trainer.TrainLog()) == {"1": 0.0, "2": 0.0}
+    @pytest.mark.parametrize("tau", [0, 20, 40])
+    def test_summary_numbers_agree_with_the_records(self, tmp_path, monkeypatch, tau):
+        # train keeps no record it has written: best and final loss are those
+        # of run.log.jsonl, and the seconds per phase split at record tau's
+        # wall time (0.0 at tau 0) and end at the last record's
+        walls, run = [], cli.run_two_phase
+
+        def timed(*args, record_sink, **kwargs):
+            def sink(rec):
+                walls.append(rec.wall_time)
+                record_sink(rec)
+            return run(*args, record_sink=sink, **kwargs)
+
+        monkeypatch.setattr(cli, "run_two_phase", timed)
+        path = write_config(tmp_path, **small_train_sections(two_phase={"tau": tau}))
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        losses = [json.loads(line)["loss"]
+                  for line in (out / "run.log.jsonl").read_text().splitlines()]
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(walls) == len(losses) == 40 and summary["tau"] == tau
+        assert summary["best_loss"] == min(losses)
+        assert summary["final_loss"] == losses[-1]
+        split = walls[tau - 1] if tau else 0.0
+        assert summary["phase_seconds"] == {"1": round(split, 3),
+                                            "2": round(walls[-1] - split, 3)}
 
     def test_json_line_matches_json_dumps(self):
         obj = {"t": 3, "loss": 0.1 + 0.2, "rank_event": None, "b": [1, -0.0, "x\u00e9"],

@@ -375,6 +375,28 @@ class TestRunTwoPhase:
         run_two_phase(spec, p0, ds, base, cfg, SQUARED, record_sink=seen.append)
         assert [r.t for r in seen] == list(range(1, 12))
 
+    def test_run_with_a_sink_keeps_nothing_per_step(self):
+        # records handed to a sink are not kept: traced memory between the
+        # records of steps 200 and 2000, across both phases, stays flat
+        ds, spec, p0 = _toy_problem(seed=12)
+        seen = {200: None, 2000: None}
+
+        def sink(rec):
+            if rec.t in seen:
+                seen[rec.t] = tracemalloc.get_traced_memory()[0]
+
+        cfg = TwoPhaseConfig(tau=1000, total_steps=2000, seed=12)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
+                                   cfg, SQUARED, record_sink=sink)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert not log.records
+        assert seen[2000] - seen[200] < 64 * 1024
+
     def test_t_star_tracks_running_argmin(self):
         ds, spec, p0 = _toy_problem(seed=13)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
@@ -576,6 +598,19 @@ class TestRunTwoPhase:
             run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True,
                           record_sink=seen.append)
         assert seen[-1].t == 5
+
+    def test_lazy_record_reads_the_rank_its_verdict_used(self):
+        # step 5's first candidate fails the rank test and the halved one
+        # passes it; the record reads the rank at the reference threshold
+        # that verdict used, not at the kernel's own stock tolerance (19)
+        ds, spec, p0 = _toy_problem(seed=2, bn=True)
+        cfg = TwoPhaseConfig(tau=3, total_steps=5, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.5, seed=2)
+        _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
+                               cfg, SQUARED)
+        step = log.records[-1]
+        assert step.t == 5 and step.rank_event == "rank_drop_halved_eta_bar_to_2.500e-01"
+        assert step.ntk_rank == 20
 
     @pytest.mark.parametrize("bounds", [True, False])
     def test_lazy_r_bar_only_with_bounds(self, monkeypatch, bounds):
