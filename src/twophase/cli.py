@@ -10,7 +10,8 @@ the reference protocol at desk scale.  Per-step training records stream to
 stay analyzable; `train` keeps no record it has written, and summary.json
 takes its best and final loss and its seconds per phase from the run's log.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 verification
+Exit codes: 0 success, 1 configuration or usage error (an unreadable config
+file or an output directory that cannot be made included), 2 verification
 failure, 3 runtime numeric failure.
 """
 
@@ -163,17 +164,28 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
 
 def load_config(path=None) -> dict:
     """Defaults deep-merged with the JSON file at `path`: strict keys, and
-    each value of its default's JSON type, else ConfigError naming the key."""
+    each value of its default's JSON type, else ConfigError naming the key
+    (or the path, if the file cannot be read)."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             override = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(override, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return _merge(DEFAULT_CONFIG, override)
+
+
+def _make_out_dir(out_dir: str) -> None:
+    """Make the output directory, ConfigError naming it if that fails."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot make directory ({exc.strerror})") from None
 
 
 def _build_dataset(cfg: dict) -> Dataset:
@@ -281,6 +293,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     if vcfg["witness"] not in ("auto", "off"):
         raise ConfigError(f"config key 'verify.witness' must be \"auto\" or \"off\", "
                           f"got {json.dumps(vcfg['witness'])}")
+    _make_out_dir(out_dir)
     report = {"n": dataset.n, "widths": list(spec.widths), "output_dim": spec.output_dim}
 
     dist = check_distinguishability(dataset.x)
@@ -336,7 +349,6 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     all_passed = all(checks)
     report["passed"] = all_passed
 
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "verify.json"), "w") as fh:
         fh.write(_json_line(report) + "\n")
     for name in ("distinguishability", "expressivity", "witness"):
@@ -363,7 +375,7 @@ def _train_once(cfg: dict, dataset: Dataset, spec: NetworkSpec, record_sink=None
 def cmd_train(cfg: dict, out_dir: str) -> int:
     dataset = _build_dataset(cfg)
     spec = _build_spec(cfg, dataset)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     log_path = os.path.join(out_dir, "run.log.jsonl")
     started = time.perf_counter()
 
@@ -416,11 +428,11 @@ def _sweep_cell(cfg: dict, tau0: float, delta0: float, seeds, config_errors: lis
         cell_cfg["two_phase"]["tau"] = None
         cell_cfg["two_phase"]["noise_scale"] = delta0
         cell_cfg["monitor_every"] = 0
-        cell_cfg["bounds"] = False  # a cell reports its final loss alone
+        cell_cfg["bounds"] = False  # a cell reports its final loss alone: no records
         try:
             dataset = _build_dataset(cell_cfg)
             spec = _build_spec(cell_cfg, dataset)
-            _, log = _train_once(cell_cfg, dataset, spec)
+            _, log = _train_once(cell_cfg, dataset, spec, record_sink=lambda rec: None)
             losses.append(log.final_loss)
         except NUMERIC_ERRORS + CONFIG_ERRORS as exc:
             if not isinstance(exc, NUMERIC_ERRORS):
@@ -443,12 +455,12 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     load_config rejects."""
     grid = cfg["sweep"]
     cells_spec = [(t, d) for t in grid["tau_fractions"] for d in grid["noise_scales"]]
+    _make_out_dir(out_dir)
     config_errors = []
     cells = [_sweep_cell(cfg, t, d, grid["seeds"], config_errors) for t, d in cells_spec]
     if len(config_errors) == len(cells_spec) * len(grid["seeds"]):
         raise ConfigError(f"every sweep run failed: {config_errors[0]}")
 
-    os.makedirs(out_dir, exist_ok=True)
     table = {"seeds": list(grid["seeds"]), "cells": cells}
     with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
         fh.write(_json_line(table) + "\n")
@@ -465,8 +477,8 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_gen_data(cfg: dict, out_dir: str) -> int:
+    _make_out_dir(out_dir)
     dataset = _build_dataset(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "dataset.csv")
     save_csv(dataset, path)
     print(f"wrote {dataset.n} x {dataset.input_dim} dataset "

@@ -19,14 +19,13 @@ it, so writing a view writes the vector, rebinding a view is an error, and
 layout.
 
 `forward_hidden` and `backprop` write their per-layer arrays into a
-`Workspace` when given one, and into new arrays otherwise; both forms run one
-loop and give bit-identical results.  A workspace binds its views once, so a
-training loop that passes one to every step allocates no array of the pass's
-size per step, and a call given one trusts that its caller checked x and
-upstream (run_two_phase checks X and Y once on entry); calls without one
-check them.  `softplus` and `softplus_deriv` check their arguments and
-return new values; the passes and `ntk` call their unchecked kernels, which
-write into arrays the caller owns.
+`Workspace`: the caller's, or a new one for a call that brings none.  A
+workspace binds its views once, so a training loop that passes one to every
+step allocates no array of the pass's size per step, and a call given one
+trusts that its caller checked x and upstream (run_two_phase checks X and Y
+once on entry); calls without one check them.  `softplus` and
+`softplus_deriv` check their arguments and return new values; the passes and
+`ntk` call their unchecked kernels, which write into arrays the caller owns.
 """
 
 from __future__ import annotations
@@ -236,17 +235,13 @@ def softplus(z, sharpness: float):
     a float for a 0-d input."""
     if sharpness <= 0:
         raise ValueError("sharpness must be positive")
-    out = _softplus(np.asarray(z, dtype=np.float64), sharpness)
+    z = np.asarray(z, dtype=np.float64)
+    out = _softplus(z, sharpness, np.empty_like(z), np.empty_like(z))
     return out if out.ndim else float(out)
 
 
-def _softplus(z, sharpness, out=None, scratch=None):
-    """softplus's kernel, unchecked: writes into `out` using `scratch`, each
-    a new array if None."""
-    if out is None:
-        out = np.empty_like(z)
-    if scratch is None:
-        scratch = np.empty_like(z)
+def _softplus(z, sharpness, out, scratch):
+    """softplus's kernel, unchecked: writes into `out` using `scratch`."""
     np.maximum(z, 0.0, out=scratch)
     np.abs(z, out=out)
     out *= -sharpness
@@ -260,15 +255,13 @@ def _softplus(z, sharpness, out=None, scratch=None):
 def softplus_deriv(z, sharpness: float):
     """Logistic(s z), the exact derivative of the stabilized softplus; a
     float for a 0-d input."""
-    out = _softplus_deriv(np.asarray(z, dtype=np.float64), sharpness)
+    z = np.asarray(z, dtype=np.float64)
+    out = _softplus_deriv(z, sharpness, np.empty_like(z))
     return out if out.ndim else float(out)
 
 
-def _softplus_deriv(z, sharpness, out=None):
-    """softplus_deriv's kernel, unchecked: writes into `out`, a new array if
-    None."""
-    if out is None:
-        out = np.empty_like(z)
+def _softplus_deriv(z, sharpness, out):
+    """softplus_deriv's kernel, unchecked: writes into `out`."""
     # logistic(t) = (1 + tanh(t/2)) / 2 is overflow-free for all t
     np.multiply(z, 0.5 * sharpness, out=out)
     np.tanh(out, out=out)
@@ -326,9 +319,9 @@ class Workspace:
     bn_scale, bn_shift) views as in Params.  A pass over fewer rows writes
     the leading rows, which `views` slices once per row count.
     `kernel_arrays` holds the arrays of ntk.compute_kernel, for a pass over
-    all rows, which it allocates on first use.  The next pass, backprop or
-    kernel given the workspace overwrites the trace, gradient or kernel the
-    last one returned.
+    all rows, which it allocates on first use.  A call given no workspace
+    makes its own.  The next pass, backprop or kernel given the workspace
+    overwrites the trace, gradient or kernel the last one returned.
     """
 
     def __init__(self, spec: NetworkSpec, rows: int):
@@ -371,22 +364,20 @@ def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     `frozen_stats` is a per-hidden-layer list of (mean, var) pairs (None for
     layers without BN); when given, BN layers use those statistics instead
     of the batch's own, which makes every row a function of its own input.
-    With a Workspace `work`, the affine and post arrays of the trace are
-    views into it, and x must be a finite float64 matrix with m_0 columns
-    and frozen_stats, if given, hold one entry per hidden layer; without
-    one, both are checked.
+    The affine and post arrays of the trace are views into the Workspace
+    `work`, or a new one without it; given one, x must be a finite float64
+    matrix with m_0 columns and frozen_stats, if given, hold one entry per
+    hidden layer, and without one both are checked.
     """
     if work is None:
         x = as_matrix(x, "X")
         _validate_forward_shapes(spec, params, x)
         if frozen_stats is not None and len(frozen_stats) != spec.depth:
             raise ValueError("frozen_stats must have one entry per hidden layer")
-        layers = [(None, None, None)] * spec.depth  # each layer allocates its own
-    else:
-        layers = work.views(x.shape[0])[0]
+        work = Workspace(spec, x.shape[0])
     affine, bn_cache, post = [], [], []
     h = x
-    for l, (z, out, scratch) in enumerate(layers):
+    for l, (z, out, scratch) in enumerate(work.views(x.shape[0])[0]):
         z = np.matmul(h, params.weights[l], out=z)
         z += params.biases[l]
         affine.append(z)
@@ -451,9 +442,9 @@ def backprop(
 
     `upstream` is d(objective)/d(f), shape n x m_y.  BN layers
     differentiate through their batch statistics unless the trace was built
-    with frozen ones.  With a Workspace `work`, the deltas are written into
-    it, the gradient returned is its vector, and upstream must be a finite
-    float64 n x m_y matrix; without one, upstream is checked.
+    with frozen ones.  The deltas and the gradient returned are written into
+    the Workspace `work`, or a new one without it; given one, upstream must
+    be a finite float64 n x m_y matrix, and without one it is checked.
     """
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats, work=work)
@@ -464,17 +455,13 @@ def backprop(
             raise ValueError(
                 f"upstream has shape {upstream.shape}, expected {(n, spec.output_dim)}"
             )
-        # zeros although every entry is written below: np.empty here moved
-        # glibc's heap trimming and added ~600 page faults to a lazy_sq run
-        grad = np.zeros(spec.param_count())
-        grad_views, deltas = _layer_views(spec, grad), [(None, None)] * spec.depth
-    else:
-        grad, grad_views, deltas = work.grad, work.grad_views, work.views(n)[1]
+        work = Workspace(spec, n)
+    deltas = work.views(n)[1]
     frozen = trace.frozen_stats is not None
 
     # every entry of the gradient vector is written once, through its
     # per-layer views: the [W; b] block and under BN the scale and shift
-    g_weights, g_biases, g_scale, g_shift = grad_views
+    g_weights, g_biases, g_scale, g_shift = work.grad_views
     g_weights[-1][:] = trace.post[-1].T @ upstream
     g_biases[-1][:] = upstream.sum(axis=0)
     dh = np.matmul(upstream, params.weights[-1].T, out=deltas[-1][0])
@@ -492,4 +479,4 @@ def backprop(
         g_biases[l][:] = dz.sum(axis=0)
         if l > 0:
             dh = np.matmul(dz, params.weights[l].T, out=deltas[l - 1][0])
-    return grad
+    return work.grad

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DecompositionError
-from .network import NetworkSpec, Params, _softplus_deriv, backprop, forward_hidden
+from .network import NetworkSpec, Params, Workspace, _softplus_deriv, backprop, forward_hidden
 
 __all__ = [
     "NtkSnapshot",
@@ -111,10 +111,11 @@ def compute_jacobian(
 
     One backward pass per (sample, output) row over one shared forward
     trace, so training-mode BN has its batch statistics differentiated
-    exactly; with `frozen_stats` they are constants.  compute_kernel needs
-    J only under training-mode BN, and this is the per-row reference for its
-    layer-wise sum otherwise.  A given `trace` of `params` on `x` replaces
-    the forward pass.  Raises MemoryError when J would exceed `max_entries`.
+    exactly; with `frozen_stats` they are constants.  The passes share one
+    Workspace, each row copied out of its gradient.  compute_kernel needs
+    J only under training-mode BN; otherwise J is the per-row reference for
+    its layer-wise sum.  A given `trace` of `params` on `x` replaces the
+    forward pass.  Raises MemoryError when J would exceed `max_entries`.
     """
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats)
@@ -128,10 +129,11 @@ def compute_jacobian(
         )
     jac = np.zeros((rows, d))
     upstream = np.zeros((n, m_y))
+    work = Workspace(spec, n)
     for i in range(n):
         for k in range(m_y):
             upstream[i, k] = 1.0
-            jac[i * m_y + k] = backprop(spec, params, x, upstream, trace=trace)
+            jac[i * m_y + k] = backprop(spec, params, x, upstream, trace=trace, work=work)
             upstream[i, k] = 0.0
     return jac
 
@@ -150,26 +152,24 @@ def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     derivative and, under frozen BN, by gamma / sqrt(var + eps).  The sum
     runs in output-major (k, i) order, so each Hadamard product with the
     n x n gram matrix runs over contiguous rows of n, and is put in
-    sample-major order once at the end.  With a network.Workspace `work`
-    for all n rows, K and the sum's arrays are written into it (the next
-    kernel given it overwrites this one); without one they are allocated.
-    Training-mode BN takes J J^T of compute_jacobian, allocated.  A given
-    `trace` of `params` on `x` replaces the forward pass.
+    sample-major order once at the end.  Training-mode BN takes J J^T of
+    compute_jacobian.  K, the sum's arrays and the forward pass, unless a
+    `trace` of `params` on `x` replaces it, are written into the
+    network.Workspace `work` for all n rows, or a new one without it; the
+    next kernel given it overwrites this one.
     """
     if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats)
-    if any(spec.bn_flags) and trace.frozen_stats is None:
-        jac = compute_jacobian(spec, params, x, trace=trace)
-        return jac @ jac.T
+        trace = forward_hidden(spec, params, x, frozen_stats, work=work)
     n, m_y = trace.inputs.shape[0], spec.output_dim
     rows = n * m_y
     if work is None:
-        arrays = _kernel_arrays(spec, n)
-    else:
-        if work.kernel_arrays is None:
-            work.kernel_arrays = _kernel_arrays(spec, n)
-        arrays = work.kernel_arrays
-    gram, block, spare, layers = arrays
+        work = Workspace(spec, n)
+    if work.kernel_arrays is None:
+        work.kernel_arrays = _kernel_arrays(spec, n)
+    gram, block, spare, layers = work.kernel_arrays
+    if any(spec.bn_flags) and trace.frozen_stats is None:
+        jac = compute_jacobian(spec, params, x, trace=trace)
+        return np.matmul(jac, jac.T, out=block)
     total = spare[: rows * rows].reshape(rows, rows)
     blocks = total.reshape(m_y, n, m_y, n)
     blocks.fill(0.0)

@@ -706,6 +706,31 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
 
+    def test_runs_keep_no_records(self, tmp_path, monkeypatch):
+        # a cell reads each run's final loss alone; the table is the one a
+        # sweep whose runs keep their records writes
+        sections = small_train_sections()
+        sections["sweep"] = {"tau_fractions": [0.5], "noise_scales": [0.001],
+                             "seeds": [0, 1]}
+        sections["two_phase"]["total_steps"] = 20
+        path = write_config(tmp_path, **sections)
+        logs, real_run, real_once = [], cli.run_two_phase, cli._train_once
+
+        def keeping(*args, **kwargs):
+            params, log = real_run(*args, **kwargs)
+            logs.append(log)
+            return params, log
+
+        monkeypatch.setattr(cli, "run_two_phase", keeping)
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
+        assert len(logs) == 2 and all(log.records == [] for log in logs)
+        monkeypatch.setattr(cli, "_train_once", lambda cfg, dataset, spec, record_sink=None:
+                            real_once(cfg, dataset, spec))
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "k")]) == 0
+        assert len(logs) == 4 and all(len(log.records) == 20 for log in logs[2:])
+        assert ((tmp_path / "s" / "sweep.json").read_bytes()
+                == (tmp_path / "k" / "sweep.json").read_bytes())
+
     def test_programming_errors_are_not_cell_failures(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("broken call")
@@ -715,6 +740,39 @@ class TestSweep:
         path = write_config(tmp_path, **sections)
         with pytest.raises(TypeError, match="broken call"):
             cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")])
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("command", ["verify", "train", "sweep", "gen-data"])
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "out_is_a_file",
+                                      "out_under_a_file"])
+    def test_exit_one_before_any_work(self, tmp_path, capsys, monkeypatch, command, case):
+        # a config that cannot be read or an output directory that cannot be
+        # made is the config's error, found before training or verifying
+        ran = []
+        for name in ("run_two_phase", "check_distinguishability",
+                     "probabilistic_expressivity", "save_csv"):
+            def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                ran.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        sections = small_train_sections()
+        sections["two_phase"]["total_steps"] = 10
+        sections["sweep"] = {"tau_fractions": [0.5], "noise_scales": [0.001], "seeds": [0]}
+        sections["verify"] = {"trials": 2}
+        config = write_config(tmp_path, **sections)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        if case == "config_is_a_directory":
+            config, out, named = str(tmp_path), str(tmp_path / "out"), str(tmp_path)
+        else:
+            out = str(taken if case == "out_is_a_file" else taken / "sub")
+            named = out
+        assert cli.main([command, "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert ran == []
+        assert taken.read_text() == "not a directory\n"
 
 
 class TestConsoleMain:

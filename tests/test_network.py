@@ -22,6 +22,7 @@ from twophase.network import (
     softplus,
     softplus_deriv,
 )
+from twophase.ntk import compute_kernel
 
 
 class TestSoftplus:
@@ -388,3 +389,24 @@ class TestWorkspace:
         trace = forward_hidden(spec, p, rng.standard_normal((6, 3)), work=work)
         assert all(np.shares_memory(a, b) for a, b in zip(trace.post, work.post))
         assert all(np.shares_memory(a, b) for a, b in zip(trace.affine, work.affine))
+
+
+class TestWithoutAWorkspace:
+    def test_calls_share_no_memory(self):
+        # a call that brings no workspace writes into one of its own, so
+        # nothing it returns aliases what an earlier or later call returned
+        rng = np.random.default_rng(3141)
+        for _ in range(12):
+            spec, p, x = random_small_config(rng)
+            up = rng.standard_normal((x.shape[0], spec.output_dim))
+            first, second = forward_hidden(spec, p, x), forward_hidden(spec, p, x)
+            g1, g2 = backprop(spec, p, x, up), backprop(spec, p, x, up, trace=first)
+            k1, k2 = compute_kernel(spec, p, x), compute_kernel(spec, p, x, trace=first)
+            traced = first.affine + first.post
+            for a in traced:
+                for b in second.affine + second.post + [g1, g2, k1, k2]:
+                    assert not np.shares_memory(a, b)
+            assert not np.shares_memory(g1, g2) and not np.shares_memory(k1, k2)
+            for a, b in zip(traced, second.affine + second.post):
+                assert np.array_equal(a, b)
+            assert np.array_equal(g1, g2) and np.array_equal(k1, k2)

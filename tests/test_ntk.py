@@ -9,6 +9,7 @@ import twophase.ntk as ntk
 from twophase.network import (
     NetworkSpec,
     Workspace,
+    backprop,
     batch_statistics,
     forward_hidden,
     forward_output,
@@ -220,11 +221,11 @@ class TestComputeKernel:
             assert max_rel_err(kernel, jac @ jac.T) <= 1e-12
             np.testing.assert_array_equal(kernel, kernel.T)
 
-    @pytest.mark.parametrize("bn", ["none", "frozen"])
+    @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
     def test_workspace_kernel_bit_identical(self, bn):
-        # the layer-wise sum written into a workspace, as a training run's
-        # steps make it, against the allocating form; the next kernel
-        # overwrites the arrays the last one returned
+        # the kernel written into the caller's workspace, as a training
+        # run's steps make it, against one written into a workspace of its
+        # own; the next kernel overwrites the arrays the last one returned
         rng = np.random.default_rng(41)
         for _ in range(10):
             spec, p, x = random_small_config(rng, allow_bn=bn != "none")
@@ -331,6 +332,21 @@ class TestComputeJacobian:
             jac = compute_jacobian(spec, p, x, frozen)
             f = forward_output(spec, p, x, frozen)
             assert max_rel_err(jac @ (nu_mask(p) * p.flat), f.reshape(-1)) < 1e-14
+
+    @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
+    def test_rows_are_backprops_of_unit_upstreams(self, bn):
+        # the rows' backward passes share one workspace; each row copied
+        # out of it is the gradient a call of its own returns, bit for bit
+        rng = np.random.default_rng(577)
+        for _ in range(12):
+            spec, p, x = random_small_config(rng, allow_bn=bn != "none")
+            stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
+            jac = compute_jacobian(spec, p, x, stats)
+            n, m_y = x.shape[0], spec.output_dim
+            for r in range(n * m_y):
+                up = np.zeros((n, m_y))
+                up[divmod(r, m_y)] = 1.0
+                assert np.array_equal(jac[r], backprop(spec, p, x, up, stats))
 
     @pytest.mark.parametrize("bn, frozen", [
         (False, False), (False, True), (True, True), (True, False),
