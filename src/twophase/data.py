@@ -18,6 +18,7 @@ from .network import NetworkSpec, forward_output, random_params
 __all__ = ["Dataset", "synth_gen", "normalize_inputs", "load_csv", "save_csv", "one_hot"]
 
 TARGET_KINDS = ("regression", "class_index", "one_hot")
+MAX_REJECTIONS = 1_000_000  # synth_gen's cap on candidate points too close to a kept one
 
 
 @dataclass
@@ -78,7 +79,7 @@ def normalize_inputs(x) -> np.ndarray:
     return x / norms[:, None]
 
 
-def _sphere_points(n: int, m_x: int, c_min: float, rng, max_rejections: int) -> np.ndarray:
+def _sphere_points(n: int, m_x: int, c_min: float, rng) -> np.ndarray:
     pts = np.empty((n, m_x))
     count = 0
     rejections = 0
@@ -91,9 +92,9 @@ def _sphere_points(n: int, m_x: int, c_min: float, rng, max_rejections: int) -> 
         v /= norm
         if count and np.min(((pts[:count] - v) ** 2).sum(axis=1)) < min_sq_dist:
             rejections += 1
-            if rejections >= max_rejections:
+            if rejections >= MAX_REJECTIONS:
                 raise ValueError(
-                    f"rejection sampling failed {max_rejections} times at margin "
+                    f"rejection sampling failed {MAX_REJECTIONS} times at margin "
                     f"{c_min}; reduce c_min or n (the sphere in dimension {m_x} "
                     f"cannot pack {n} points this far apart)"
                 )
@@ -104,11 +105,12 @@ def _sphere_points(n: int, m_x: int, c_min: float, rng, max_rejections: int) -> 
 
 
 def synth_gen(n: int, m_x: int, m_y: int, c_min: float, kind: str = "regression",
-              seed: int = 0, max_rejections: int = 1_000_000) -> Dataset:
+              seed: int = 0) -> Dataset:
     """Distinguishable synthetic dataset: unit-sphere inputs, margin >= c_min.
 
     Regression targets come from a fixed random teacher network;
-    classification targets are uniform labels.
+    classification targets are uniform labels.  Raises ValueError when
+    MAX_REJECTIONS candidate points fall too close to a kept one.
     """
     if not 0.0 < c_min < 1.0:
         raise ValueError("c_min must lie in (0, 1)")
@@ -117,7 +119,7 @@ def synth_gen(n: int, m_x: int, m_y: int, c_min: float, kind: str = "regression"
     if kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {kind!r}")
     rng = np.random.default_rng(seed)
-    x = _sphere_points(n, m_x, c_min, rng, max_rejections)
+    x = _sphere_points(n, m_x, c_min, rng)
     provenance = {"source": "synthetic", "n": n, "m_x": m_x, "m_y": m_y,
                   "c_min": c_min, "kind": kind, "seed": seed}
     if kind == "regression":

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+DISTINGUISHABILITY_TOL = 1e-9  # the least margin of distinguishable inputs, exclusive
+WITNESS_MAX_DOUBLINGS = 60  # of construct_witness's scale, from 1
+
+
 class WitnessConstructionError(RuntimeError):
     """Doubling search for the witness scale hit its cap before dominance."""
 
@@ -40,7 +44,6 @@ class DistinguishabilityReport:
     passed: bool
     margin: float
     violating_pair: tuple | None
-    tolerance: float
 
 
 @dataclass
@@ -50,8 +53,9 @@ class ExpressivityReport:
     passed: bool
 
 
-def check_distinguishability(x, tol: float = 1e-9) -> DistinguishabilityReport:
-    """Exact pairwise margin c = min_{i != j} ||x_i||^2 - x_i . x_j."""
+def check_distinguishability(x) -> DistinguishabilityReport:
+    """Exact pairwise margin c = min_{i != j} ||x_i||^2 - x_i . x_j; the
+    inputs pass when c exceeds DISTINGUISHABILITY_TOL."""
     x = as_matrix(x, "X")
     n = x.shape[0]
     if n < 2:
@@ -61,26 +65,20 @@ def check_distinguishability(x, tol: float = 1e-9) -> DistinguishabilityReport:
     np.fill_diagonal(vals, np.inf)
     idx = np.unravel_index(np.argmin(vals), vals.shape)
     margin = float(vals[idx])
-    passed = margin > tol
+    passed = margin > DISTINGUISHABILITY_TOL
     return DistinguishabilityReport(
         passed=passed,
         margin=margin,
         violating_pair=None if passed else (int(idx[0]), int(idx[1])),
-        tolerance=tol,
     )
 
 
-def check_expressivity(
-    spec: NetworkSpec,
-    params: Params,
-    x,
-    tol: float | None = None,
-) -> ExpressivityReport:
-    """Rank of [h, 1] against n (at `tol`, by default numerical_rank's);
-    full row rank makes interpolation possible."""
+def check_expressivity(spec: NetworkSpec, params: Params, x) -> ExpressivityReport:
+    """Rank of [h, 1] against n, at numerical_rank's threshold; full row rank
+    makes interpolation possible."""
     a = append_ones(forward_hidden(spec, params, x).hidden)
     n = a.shape[0]
-    rank = numerical_rank(a, tol)
+    rank = numerical_rank(a)
     return ExpressivityReport(rank=rank, n=n, passed=rank == n)
 
 
@@ -117,7 +115,7 @@ def _narrow_witness(spec: NetworkSpec, x: np.ndarray, alpha: float, c: float) ->
     return p
 
 
-def construct_witness(spec: NetworkSpec, x, max_doublings: int = 60) -> Params:
+def construct_witness(spec: NetworkSpec, x) -> Params:
     """Hidden parameters certifying full row rank of [h, 1] by construction.
 
     Requires a distinguishable dataset and a pure fully-connected stack (no
@@ -130,7 +128,8 @@ def construct_witness(spec: NetworkSpec, x, max_doublings: int = 60) -> Params:
       scaled input copies.
 
     The shared scale doubles from 1 until the leading n x n feature block is
-    strictly diagonally dominant.
+    strictly diagonally dominant, at most WITNESS_MAX_DOUBLINGS times, and
+    WitnessConstructionError is raised if it never is.
     """
     x = as_matrix(x, "X")
     n = x.shape[0]
@@ -162,7 +161,7 @@ def construct_witness(spec: NetworkSpec, x, max_doublings: int = 60) -> Params:
         )
     alpha = 1.0
     best_margin = -np.inf
-    for _ in range(max_doublings + 1):
+    for _ in range(WITNESS_MAX_DOUBLINGS + 1):
         params = build(spec, x, alpha, margin)
         h = forward_hidden(spec, params, x).hidden
         margins = dominance_margins(h, n)
@@ -173,7 +172,7 @@ def construct_witness(spec: NetworkSpec, x, max_doublings: int = 60) -> Params:
         best_margin = max(best_margin, float(margins.min()))
         alpha *= 2.0
     raise WitnessConstructionError(
-        f"no numerically certified diagonal dominance within {max_doublings} "
+        f"no numerically certified diagonal dominance within {WITNESS_MAX_DOUBLINGS} "
         f"doublings (best row margin {best_margin:.3e}); the dataset margin "
         "may be too small for float64"
     )

@@ -54,29 +54,26 @@ def _svd(m: np.ndarray, **kwargs):
         raise DecompositionError(f"SVD failed on {m.shape} matrix: {exc}") from exc
 
 
-def _count_above(svals: np.ndarray, shape, tol: float | None) -> int:
-    if tol is None:
-        tol = max(shape) * np.finfo(np.float64).eps * float(svals[0])
+def _count_above(svals: np.ndarray, shape) -> int:
+    tol = max(shape) * np.finfo(np.float64).eps * float(svals[0])
     return int(np.count_nonzero(svals > tol))
 
 
-def numerical_rank(m, tol: float | None = None) -> int:
-    """Number of singular values strictly above `tol`.
+def numerical_rank(m) -> int:
+    """Number of singular values strictly above max(rows, cols) * eps *
+    sigma_max, the stock library threshold.
 
-    With `tol=None` the threshold is max(rows, cols) * eps * sigma_max, the
-    stock library default.  Raises DecompositionError if the SVD fails; a
-    failure is never silently reported as rank 0.
+    Raises DecompositionError if the SVD fails; a failure is never silently
+    reported as rank 0.
     """
     m = as_matrix(m)
-    if tol is not None and tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    return _count_above(_svd(m, compute_uv=False), m.shape, tol)
+    return _count_above(_svd(m, compute_uv=False), m.shape)
 
 
 def min_norm_solve(m, b, anchor) -> np.ndarray:
     """Solve M Z = B for the Z nearest `anchor` in Frobenius norm.
 
-    Requires M to have full row rank at numerical_rank's default tolerance;
+    Requires M to have full row rank at numerical_rank's threshold;
     the minimizer is then anchor + pinv(M) (B - M anchor).  One thin SVD
     M = U S V^T gives both the rank and pinv(M) = V S^-1 U^T.
     """
@@ -90,7 +87,7 @@ def min_norm_solve(m, b, anchor) -> np.ndarray:
             f"anchor has shape {anchor.shape}, expected {(m.shape[1], b.shape[1])}"
         )
     u, s, vt = _svd(m, full_matrices=False)
-    rank = _count_above(s, m.shape, None)
+    rank = _count_above(s, m.shape)
     if rank < m.shape[0]:
         raise RankDeficientError(
             f"M has numerical rank {rank} < {m.shape[0]} rows; "

@@ -270,24 +270,16 @@ def _softplus_deriv(z, sharpness, out):
     return out
 
 
-def batchnorm_forward(z_batch, gamma, beta, eps, mean=None, var=None):
-    """Normalize a batch per unit: gamma * (z - mu) / sqrt(var + eps) + beta.
-
-    mu and var default to the batch mean and population variance of
-    `z_batch` (axis 0 for 2-D input).  Passing `mean`/`var` evaluates the
-    same map with frozen statistics.
-    """
+def batchnorm_forward(z_batch, gamma, beta, eps):
+    """Normalize a batch per unit: gamma * (z - mu) / sqrt(var + eps) + beta,
+    mu and var the batch mean and population variance of `z_batch` (over
+    axis 0).  forward_hidden normalizes with frozen statistics itself."""
     z = np.asarray(z_batch, dtype=np.float64)
     if z.size == 0:
         raise ValueError("batch normalization needs a nonempty batch")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    axis = 0
-    if mean is None:
-        mean = z.mean(axis=axis)
-    if var is None:
-        var = z.var(axis=axis)
-    return gamma * (z - mean) / np.sqrt(var + eps) + beta
+    return gamma * (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + eps) + beta
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ __all__ = [
     "assert_rank_preserved",
 ]
 
-DEFAULT_MAX_JACOBIAN_ENTRIES = 50_000_000
+DEFAULT_MAX_JACOBIAN_ENTRIES = 50_000_000  # compute_jacobian's cap on n m_y d
 EPS = np.finfo(np.float64).eps
 # compute_ntk factors K - CHOLESKY_SHIFT * m * I to prove every eigenvalue > m
 CHOLESKY_SHIFT = 4.0
@@ -104,7 +104,6 @@ def compute_jacobian(
     params: Params,
     x,
     frozen_stats=None,
-    max_entries: int = DEFAULT_MAX_JACOBIAN_ENTRIES,
     trace=None,
 ) -> np.ndarray:
     """Full output Jacobian, shape (n * m_y) x d.
@@ -115,17 +114,18 @@ def compute_jacobian(
     Workspace, each row copied out of its gradient.  compute_kernel needs
     J only under training-mode BN; otherwise J is the per-row reference for
     its layer-wise sum.  A given `trace` of `params` on `x` replaces the
-    forward pass.  Raises MemoryError when J would exceed `max_entries`.
+    forward pass.  Raises MemoryError when J would hold more than
+    DEFAULT_MAX_JACOBIAN_ENTRIES entries.
     """
     if trace is None:
         trace = forward_hidden(spec, params, x, frozen_stats)
     n, m_y = trace.inputs.shape[0], spec.output_dim
     d = spec.param_count()
     rows = n * m_y
-    if rows * d > max_entries:
+    if rows * d > DEFAULT_MAX_JACOBIAN_ENTRIES:
         raise MemoryError(
-            f"Jacobian would hold {rows} x {d} entries (> {max_entries}); "
-            "use fewer samples or raise max_entries"
+            f"Jacobian would hold {rows} x {d} entries "
+            f"(> {DEFAULT_MAX_JACOBIAN_ENTRIES}); use fewer samples or a smaller network"
         )
     jac = np.zeros((rows, d))
     upstream = np.zeros((n, m_y))

@@ -38,9 +38,10 @@ data order bit for bit.  The one exception is momentum SGD under
 training-mode batch normalization, whose batch statistics couple the rows:
 there the pass stays in data order and each minibatch gets a pass of its
 own.  Every phase-1 pass and backprop, the passes at tau, each monitored
-kernel and each lazy candidate's pass, backprop and kernel write into one
-network.Workspace allocated per run, so no array of the pass's or the
-kernel's size is allocated per step;
+kernel, the lazy reference's kernel and backprop at tau and each lazy
+candidate's pass, backprop and kernel write into one network.Workspace
+allocated per run, so no array of the pass's or the kernel's size is
+allocated per step;
 the workspace binds its views once, and its passes trust X, Y and the
 upstream derived from them, which are checked once on entry.  Every kernel
 comes from ntk.compute_kernel, summed layer by layer from that pass, and
@@ -103,6 +104,8 @@ __all__ = [
 
 PHASE2_MODES = ("last_layer_gd", "last_layer_sgd", "lazy_full")
 LAZY_MAX_RETRIES = 10  # rate halvings a lazy step may take before it fails
+LIPSCHITZ_PROBES = 8  # random directions estimate_lipschitz probes,
+LIPSCHITZ_RADIUS = 1e-2  # each of this length
 
 
 class FeatureRankError(RuntimeError):
@@ -352,10 +355,10 @@ def _rows(trace, rows) -> ForwardTrace:
                         [h[rows] for h in trace.post], output=trace.output[rows])
 
 
-def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None,
-                       probes: int = 8, radius: float = 1e-2, seed: int = 0) -> float:
+def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None, seed: int = 0) -> float:
     """Empirical lower bound on the gradient Lipschitz constant near `params`:
-    max over random probe directions of ||grad(w + d) - grad(w)|| / ||d||."""
+    max over LIPSCHITZ_PROBES random directions d, each of length
+    LIPSCHITZ_RADIUS, of ||grad(w + d) - grad(w)|| / ||d||."""
     x, y = _checked_data(spec, kind, x, y)
     rng = np.random.default_rng(seed)
 
@@ -365,11 +368,11 @@ def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None,
 
     g0 = gradient(params)
     best = 0.0
-    for _ in range(probes):
+    for _ in range(LIPSCHITZ_PROBES):
         delta = rng.standard_normal(params.flat.size)
-        delta *= radius / np.linalg.norm(delta)
+        delta *= LIPSCHITZ_RADIUS / np.linalg.norm(delta)
         g1 = gradient(Params(spec, params.flat + delta))
-        best = max(best, float(np.linalg.norm(g1 - g0) / radius))
+        best = max(best, float(np.linalg.norm(g1 - g0) / LIPSCHITZ_RADIUS))
     return best
 
 
@@ -625,13 +628,14 @@ def run_two_phase(
         # test is certified at the reference threshold too, so accepting it
         # needs no spectrum.  Under squared loss with bounds on, the
         # residual borders that factorization, which then gives the
-        # distance too.  Candidates' passes, backprops and kernels write
-        # into the phase-1 workspace; the reference, which every step
-        # reads, has arrays of its own
+        # distance too.  Every pass, backprop and kernel writes into the
+        # phase-1 workspace, so the reference's threshold is taken now,
+        # before the first candidate's kernel overwrites the reference's
         bordered = bounds and kind.name == "squared"
         reference = _snapshot(spec, params, x, frozen, trace, tau, 2,
-                              rhs=residual.reshape(-1) if bordered else None)
-        g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace)
+                              rhs=residual.reshape(-1) if bordered else None, work=work)
+        threshold = reference.tolerance
+        g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace, work=work)
         if bounds:
             loss_star = loss_infimum(kind, y)
             basis = _centering_basis(y.shape[1])
@@ -646,7 +650,7 @@ def run_two_phase(
                 np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
                 trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen,
                                                  work=work)
-                snap = _snapshot(spec, cand, x, frozen, trace, t, 2, reference.tolerance,
+                snap = _snapshot(spec, cand, x, frozen, trace, t, 2, threshold,
                                  rhs=residual.reshape(-1) if bordered else None, work=work)
                 if assert_rank_preserved(reference, snap):
                     break
@@ -655,7 +659,7 @@ def run_two_phase(
                 log.rank_events.append((t, event))
             else:
                 raise RankPreservationError(
-                    f"step {t}: kernel rank stayed below {reference.rank} "
+                    f"step {t} (phase 2): kernel rank stayed below {reference.rank} "
                     f"after {LAZY_MAX_RETRIES} rate halvings"
                 )
             params, cand = cand, params
@@ -668,7 +672,7 @@ def run_two_phase(
             if cur < best_loss:
                 best_loss, best_t = cur, t
             rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
-                             ntk_rank=snap.rank_at(reference.tolerance), rank_event=event,
+                             ntk_rank=snap.rank_at(threshold), rank_event=event,
                              wall_time=time.perf_counter() - t0)
             if monitored(t - tau):
                 rec.feature_rank = numerical_rank(append_ones(trace.hidden))

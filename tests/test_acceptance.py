@@ -169,7 +169,7 @@ def test_criterion_4_witness_construction():
         else:
             widths = (m_x,) + (max(n, m_x),) * (depth - 1) + (n,)
         spec = NetworkSpec(widths, 1, sharpness=100.0)
-        params = construct_witness(spec, ds.x, max_doublings=60)
+        params = construct_witness(spec, ds.x)
         h = forward_hidden(spec, params, ds.x).hidden
         dominant = bool(np.all(dominance_margins(h, n) > 0.0))
         ranked = check_expressivity(spec, params, ds.x).passed

@@ -169,6 +169,12 @@ class TestCrossEntropyOptimum:
             solve_last_layer_optimum(CROSS_ENTROPY, rng.standard_normal((3, 5)),
                                      np.full((3, 2), 0.7), np.zeros((6, 2)))
 
+    def test_anchor_shape_is_validated(self, rng):
+        # [h, 1] has 6 columns and Y 2, so the anchor must be 6 x 2 (or flat)
+        with pytest.raises(ValueError, match=r"anchor has shape \(5, 2\), expected \(6, 2\)"):
+            solve_last_layer_optimum(SQUARED, rng.standard_normal((3, 5)),
+                                     rng.standard_normal((3, 2)), np.zeros((5, 2)))
+
     @pytest.mark.parametrize("targets", ["soft", "one_hot"])
     def test_rank_deficient_features_raise(self, rng, monkeypatch, targets):
         # n > m_H + 1: [h, 1] cannot have full row rank, and without it a zero
@@ -316,6 +322,10 @@ class TestBoundFormulas:
         with pytest.raises(ValueError, match="eta_bar"):
             lazy_bound(1.0, 1.0, 1.0, 0.0, 1.2, 5, 0)
 
+    def test_lazy_requires_t_at_least_tau(self):
+        with pytest.raises(ValueError, match="t >= tau, got t=4, tau=5"):
+            lazy_bound(1.0, 1.0, 1.0, 0.0, 0.5, 4, 5)
+
     def test_re_evaluation_bit_identical(self):
         # the formulas are pure arithmetic, no iteration or state
         assert gd_bound(1.7, 5.3, 19, 3) == gd_bound(1.7, 5.3, 19, 3)
@@ -399,6 +409,12 @@ class TestEstimateRBar:
         f = forward_output(spec, params, ds.x)
         assert estimate_R_bar(compute_ntk(jac @ jac.T), f, y, CROSS_ENTROPY) == np.inf
         assert not calls
+
+    def test_cross_entropy_single_output_is_zero(self):
+        # one output: softmax is 1 = y at every w, so w itself is a minimizer
+        got = estimate_R_bar(compute_ntk(np.eye(4)), np.arange(4.0).reshape(4, 1),
+                             np.ones((4, 1)), CROSS_ENTROPY)
+        assert got == 0.0
 
     @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY], ids=lambda k: k.name)
     def test_rank_deficient_jacobian_raises(self, monkeypatch, kind):

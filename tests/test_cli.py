@@ -317,6 +317,28 @@ class TestTrain:
         assert phase2 and all(r["bound"] is not None for r in phase2)
         assert all(r["suboptimality"] <= r["bound"] + 1e-9 * (1 + r["bound"]) for r in phase2)
 
+    def test_head_ceiling_violations_are_counted_and_reported(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a ceiling of 0 is exceeded by every step still above the optimum
+        monkeypatch.setattr(trainer, "gd_bound", lambda r_squared, l_h, t, tau: 0.0)
+        logs = []
+        train_once = cli._train_once
+
+        def keeping(*args, **kwargs):
+            result = train_once(*args, **kwargs)
+            logs.append(result[1])
+            return result
+
+        monkeypatch.setattr(cli, "_train_once", keeping)
+        path = write_config(tmp_path, **small_train_sections(bounds=True))
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "run.log.jsonl").read_text().splitlines()]
+        k = sum(r["suboptimality"] > bounds.SLACK_REL for r in records if r["phase"] == 2)
+        assert k > 0 and logs[0].violations == k
+        assert json.loads((out / "summary.json").read_text())["violations"] == k
+        assert f"bound violations = {k}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("mode,certificate", [("last_layer_gd", "exact"),
                                                   ("last_layer_sgd", "exact"),
                                                   ("lazy_full", "estimated")])

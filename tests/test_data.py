@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import twophase.data as data
 from twophase.data import Dataset, load_csv, normalize_inputs, one_hot, save_csv, synth_gen
 from twophase.expressivity import check_distinguishability
 
@@ -37,9 +38,10 @@ class TestSynthGen:
         assert ds.labels is not None
         np.testing.assert_array_equal(ds.y, one_hot(ds.labels, 3))
 
-    def test_infeasible_margin_errors(self):
-        with pytest.raises(ValueError, match="rejection sampling failed"):
-            synth_gen(50, 2, 1, 0.8, "regression", seed=0, max_rejections=2000)
+    def test_infeasible_margin_errors(self, monkeypatch):
+        monkeypatch.setattr(data, "MAX_REJECTIONS", 2000)
+        with pytest.raises(ValueError, match="rejection sampling failed 2000 times"):
+            synth_gen(50, 2, 1, 0.8, "regression", seed=0)
 
     def test_property_grid(self):
         # combinations kept inside what the sphere can pack at the margin

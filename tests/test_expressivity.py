@@ -65,14 +65,6 @@ class TestCheckExpressivity:
         rep = check_expressivity(spec, p, x)
         assert not rep.passed
 
-    def test_monotone_in_tolerance(self, rng):
-        spec = NetworkSpec((3, 8), 1, sharpness=5.0)
-        p = random_params(spec, rng, 1.0)
-        x = rng.standard_normal((6, 3))
-        tols = sorted(rng.uniform(1e-14, 1.0, size=8))
-        ranks = [check_expressivity(spec, p, x, tol=t).rank for t in tols]
-        assert all(a >= b for a, b in zip(ranks, ranks[1:]))
-
     def test_pass_implies_gram_above_zero(self, rng):
         spec = NetworkSpec((4, 8), 1, sharpness=2.0)
         p = random_params(spec, rng, 1.0)
@@ -83,7 +75,7 @@ class TestCheckExpressivity:
             assert np.linalg.det(aug @ aug.T) > 0.0
 
     def test_one_decomposition_per_check(self, rng, monkeypatch):
-        # the default threshold comes from the same SVD that counts the rank
+        # the threshold comes from the same SVD that counts the rank
         calls = []
         svd = np.linalg.svd
 
@@ -97,8 +89,6 @@ class TestCheckExpressivity:
         x = rng.standard_normal((6, 3))
         assert check_expressivity(spec, p, x).passed
         assert len(calls) == 1
-        check_expressivity(spec, p, x, tol=1e-9)
-        assert len(calls) == 2
 
     def test_no_determinant(self, rng, monkeypatch):
         # the rank alone decides `passed`; no det([h, 1] [h, 1]^T) is taken

@@ -60,17 +60,6 @@ class TestNumericalRank:
             scale = float(rng.uniform(0.1, 50.0)) * float(rng.choice([-1.0, 1.0]))
             assert numerical_rank(scale * m) == r
 
-    def test_explicit_tolerance_monotone(self):
-        rng = np.random.default_rng(10)
-        m = rng.standard_normal((5, 5))
-        svals = np.linalg.svd(m, compute_uv=False)
-        assert numerical_rank(m, tol=0.0) == 5
-        assert numerical_rank(m, tol=float(svals[0])) == 0
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), tol=-1.0)
-
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(ValueError, match="non-finite"):
             numerical_rank([[1.0, np.nan], [0.0, 1.0]])

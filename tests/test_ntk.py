@@ -306,11 +306,12 @@ class TestComputeJacobian:
             fd = fd_jacobian(spec, p, x)
             assert max_rel_err(jac, fd) < 1e-5
 
-    def test_size_cap(self, rng):
+    def test_size_cap(self, rng, monkeypatch):
         spec = NetworkSpec((3, 4), 2)
         p = random_params(spec, rng, 1.0)
-        with pytest.raises(MemoryError, match=r"Jacobian would hold 8 x \d+ entries"):
-            compute_jacobian(spec, p, rng.standard_normal((4, 3)), max_entries=10)
+        monkeypatch.setattr(ntk, "DEFAULT_MAX_JACOBIAN_ENTRIES", 10)
+        with pytest.raises(MemoryError, match=r"Jacobian would hold 8 x \d+ entries \(> 10\)"):
+            compute_jacobian(spec, p, rng.standard_normal((4, 3)))
 
     def test_frozen_statistics_vs_fd(self):
         rng = np.random.default_rng(7)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import twophase
+import twophase.network as network
 import twophase.ntk as ntk
 import twophase.trainer as trainer
 from twophase.cli import DEFAULT_CONFIG
@@ -29,6 +30,7 @@ from twophase.network import (
 from twophase.trainer import (
     BaseAlgoConfig,
     FeatureRankError,
+    RankPreservationError,
     TwoPhaseConfig,
     compute_L_H,
     estimate_lipschitz,
@@ -553,27 +555,37 @@ class TestRunTwoPhase:
         # the first step's count includes the reference kernel's at tau
         assert per_step == [{"cholesky": 2, "solve": 0}] + [{"cholesky": 1, "solve": 0}] * 9
 
-    def test_lazy_reference_kernel_is_not_overwritten(self, monkeypatch):
-        # candidates' kernels are written into the run's workspace; the
-        # reference at tau, which every rank test reads, keeps its own
-        snaps, kernels = [], []
-        compute_ntk = trainer.compute_ntk
+    def test_one_workspace_per_lazy_run(self, monkeypatch):
+        # the reference at tau, its backprop and every candidate write into
+        # the run's workspace; no pass or kernel makes one of its own
+        made = []
+        init = network.Workspace.__init__
 
-        def keeping(kernel, floor=0.0, rhs=None, work=None):
-            snaps.append(compute_ntk(kernel, floor, rhs, work))
-            kernels.append(kernel.copy())
-            return snaps[-1]
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(trainer, "compute_ntk", keeping)
+        ds, spec, p0 = _toy_problem(seed=19)
+        monkeypatch.setattr(network.Workspace, "__init__", counting)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
+        assert len(made) == 1
+
+    def test_lazy_retry_cap_names_step_and_phase(self, monkeypatch):
+        # every candidate fails the rank test, so the first phase-2 step
+        # halves its rate LAZY_MAX_RETRIES times and gives up
+        monkeypatch.setattr(trainer, "assert_rank_preserved", lambda reference, current: False)
         ds, spec, p0 = _toy_problem(seed=19)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
-        run_two_phase(spec, p0, ds, base, cfg, SQUARED, monitor_every=1)
-        reference = snaps[3]  # after the three monitored phase-1 steps
-        assert np.array_equal(reference.kernel, kernels[3])
-        assert not any(np.shares_memory(reference.kernel, snap.kernel) for snap in snaps[4:])
-        assert np.shares_memory(snaps[4].kernel, snaps[-1].kernel)
+        seen = []
+        with pytest.raises(RankPreservationError,
+                           match=r"^step 4 \(phase 2\): .*after 10 rate halvings"):
+            run_two_phase(spec, p0, ds, base, cfg, SQUARED, record_sink=seen.append)
+        assert [r.t for r in seen] == [1, 2, 3]
 
     def test_lazy_kernel_below_full_rank_names_step_and_phase(self, monkeypatch):
         # a kernel that certifies the rank test at the reference threshold
