@@ -21,7 +21,6 @@ from twophase import (
     compute_kernel,
     compute_ntk,
     init_params,
-    params_from_flat,
     run_two_phase,
     synth_gen,
 )
@@ -47,7 +46,7 @@ base = BaseAlgoConfig(variant="gd", minibatch=8, seed=0)
 cfg = TwoPhaseConfig(tau=30, total_steps=180, phase2_mode="last_layer_gd", seed=0)
 _, log = run_two_phase(spec, params, ds, base, cfg, SQUARED)
 
-p_tau = params_from_flat(spec, log.params_at_tau_flat)
+p_tau = log.params_at_tau
 reference = compute_ntk(compute_kernel(spec, p_tau, ds.x))
 print(f"reference at tau: rank {reference.rank}")
 

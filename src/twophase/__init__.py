@@ -20,7 +20,7 @@ from .bounds import (
     sgd_bound,
     solve_last_layer_optimum,
 )
-from .data import Dataset, load_csv, normalize_inputs, save_csv, synth_gen
+from .data import Dataset, load_csv, save_csv, synth_gen
 from .expressivity import (
     check_distinguishability,
     check_expressivity,
@@ -53,7 +53,6 @@ from .trainer import (
     TrainLog,
     TwoPhaseConfig,
     compute_L_H,
-    nu_mask,
     perturb,
     run_two_phase,
 )

@@ -15,7 +15,7 @@ import numpy as np
 from .linalg import as_matrix
 from .network import NetworkSpec, forward_output, random_params
 
-__all__ = ["Dataset", "synth_gen", "normalize_inputs", "load_csv", "save_csv", "one_hot"]
+__all__ = ["Dataset", "synth_gen", "load_csv", "save_csv", "one_hot"]
 
 TARGET_KINDS = ("regression", "class_index", "one_hot")
 MAX_REJECTIONS = 1_000_000  # synth_gen's cap on candidate points too close to a kept one
@@ -67,16 +67,6 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
-
-
-def normalize_inputs(x) -> np.ndarray:
-    """Scale every row to unit Euclidean norm."""
-    x = as_matrix(x, "X")
-    norms = np.linalg.norm(x, axis=1)
-    zero = np.where(norms == 0.0)[0]
-    if zero.size:
-        raise ValueError(f"row {zero[0]} has zero norm and cannot be normalized")
-    return x / norms[:, None]
 
 
 def _sphere_points(n: int, m_x: int, c_min: float, rng) -> np.ndarray:

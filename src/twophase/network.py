@@ -335,7 +335,10 @@ class Workspace:
         return views
 
 
-def _validate_forward_shapes(spec: NetworkSpec, params: Params, x: np.ndarray) -> None:
+def _validate_forward_shapes(spec: NetworkSpec, params: Params, x: np.ndarray,
+                             frozen_stats=None) -> None:
+    if frozen_stats is not None and len(frozen_stats) != spec.depth:
+        raise ValueError("frozen_stats must have one entry per hidden layer")
     if x.shape[1] != spec.input_dim:
         raise ValueError(
             f"input has {x.shape[1]} columns, layer 1 expects {spec.input_dim}"
@@ -363,9 +366,7 @@ def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     """
     if work is None:
         x = as_matrix(x, "X")
-        _validate_forward_shapes(spec, params, x)
-        if frozen_stats is not None and len(frozen_stats) != spec.depth:
-            raise ValueError("frozen_stats must have one entry per hidden layer")
+        _validate_forward_shapes(spec, params, x, frozen_stats)
         work = Workspace(spec, x.shape[0])
     affine, bn_cache, post = [], [], []
     h = x

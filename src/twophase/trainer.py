@@ -1,59 +1,25 @@
 """Two-phase training: base first-order phase, Gaussian kick, rank-safe phase.
 
-Phase 1 runs the unmodified base algorithm (full-batch gradient descent or
-minibatch SGD with momentum and weight decay) on all parameters.  At step
-tau every hidden-layer parameter receives independent Gaussian noise; the
-output head is left untouched.  Phase 2 then continues in one of three
-modes:
+run_two_phase checks its inputs once (_Run), then runs four phases:
 
-* last_layer_gd   -- exact gradient descent on the head only, step 1/L_H,
-                     where L_H is the smoothness constant of the frozen-
-                     feature head problem.  Loss is non-increasing.
-* last_layer_sgd  -- unbiased minibatch gradients on the head with the
-                     square-summable schedule a / sqrt(t - tau + 1).
-* lazy_full       -- uniform rate 2*eta_bar/L on all parameters, with a
-                     kernel-rank check each step; a step that would drop
-                     the rank below the post-perturbation reference is
-                     rejected and the rate halved.
+* _phase_one   -- the unmodified base algorithm (full-batch GD, or minibatch
+                  SGD with momentum and weight decay) on every parameter.
+* _at_tau      -- independent Gaussian noise on every hidden-layer parameter,
+                  the head untouched; batch-norm statistics frozen for the
+                  rest of the run, so the head problem is convex; and the
+                  pass at tau, whose features [h, 1] must have full row rank.
+* _head_phase  -- last_layer_gd: head GD at step 1/L_H, L_H the smoothness
+                  constant of the frozen-feature head problem, so the loss
+                  is non-increasing; last_layer_sgd: unbiased minibatch head
+                  gradients at the square-summable rate a / sqrt(t - tau).
+* _lazy_phase  -- lazy_full: every parameter at the uniform rate
+                  2 eta_bar / L; a step that would drop the kernel rank below
+                  the reference at tau is rejected and the rate halved.
 
-Batch-normalization statistics are frozen at tau for the whole second
-phase, so the head problem is convex in every mode and the feature matrix
-is genuinely fixed under head-only updates.
-
-The data are checked once, when run_two_phase starts, and the step loop then
-calls the unchecked loss kernel of `losses`.  Every forward pass the run
-scores goes through one helper, _evaluate: the pass, its predictions, loss
-and residual, of which backprop gives the gradient.  It serves each
-phase-1 pass, the pass at tau, each lazy candidate (scored before its
-kernel is built) and estimate_lipschitz; a head step, whose features are
-fixed, scores [h, 1] z alone.  Each phase-1 step makes one full-batch pass.  That pass gives the step's loss, the next
-step's batch and, on a monitored step, the feature rank and the kernel.
-The pass runs on the rows of X in the order of the current epoch, so the
-next batch is a contiguous row slice of it (views, not copies) and its
-gradient in f a slice of the pass's residual: a GD epoch is one batch of
-all n rows in data order, a momentum-SGD epoch a permutation cut into
-minibatches.  The loss is summed back in data order, and a monitored step
-puts the pass back in data order, so every record equals that of a pass in
-data order bit for bit.  The one exception is momentum SGD under
-training-mode batch normalization, whose batch statistics couple the rows:
-there the pass stays in data order and each minibatch gets a pass of its
-own.  Every phase-1 pass and backprop, the passes at tau, each monitored
-kernel, the lazy reference's kernel and backprop at tau and each lazy
-candidate's pass, backprop and kernel write into one network.Workspace
-allocated per run, so no array of the pass's or the kernel's size is
-allocated per step;
-the workspace binds its views once, and its passes trust X, Y and the
-upstream derived from them, which are checked once on entry.  Every kernel
-comes from ntk.compute_kernel, summed layer by layer from that pass, and
-its rank from one Cholesky factorization (ntk.compute_ntk); under squared
-loss with bounds on, that factorization is bordered by the residual and
-also gives the step's linearized distance, an upper bound, so a lazy step
-solves nothing else.
-
-With bounds on, the constants of the mode's rate ceiling are fixed at tau,
-and each phase-2 record gets its ceiling and measured suboptimality from
-the closed form in `bounds` and the running sums and maxima up to its step,
-before it is emitted; nothing is filled in after training.
+Every pass, backprop and kernel writes into the run's one network.Workspace,
+so no array of a pass's or a kernel's size is allocated per step.  With
+bounds on, a _Certificate fixes the ceiling's constants at tau and sets each
+phase-2 record's ceiling and suboptimality before the record is emitted.
 """
 
 from __future__ import annotations
@@ -81,6 +47,7 @@ from .network import (
     NetworkSpec,
     Params,
     Workspace,
+    _validate_forward_shapes,
     backprop,
     batch_statistics,
     forward_hidden,
@@ -95,7 +62,6 @@ __all__ = [
     "TrainLog",
     "FeatureRankError",
     "RankPreservationError",
-    "nu_mask",
     "perturb",
     "compute_L_H",
     "estimate_lipschitz",
@@ -106,6 +72,8 @@ PHASE2_MODES = ("last_layer_gd", "last_layer_sgd", "lazy_full")
 LAZY_MAX_RETRIES = 10  # rate halvings a lazy step may take before it fails
 LIPSCHITZ_PROBES = 8  # random directions estimate_lipschitz probes,
 LIPSCHITZ_RADIUS = 1e-2  # each of this length
+# a certificate's status by phase-2 mode, where the optimum is attained
+_STATUS = {"last_layer_gd": "exact", "last_layer_sgd": "expectation", "lazy_full": "estimated"}
 
 
 class FeatureRankError(RuntimeError):
@@ -210,13 +178,13 @@ class StepRecord:
 @dataclass
 class TrainLog:
     """A run's outcome: one record per update unless a record sink took
-    them, the constants phase 2 was run with and, with bounds on, those its
-    ceilings rest on (`constants`, as summary.json reports them) and the
-    count of steps above an exact ceiling.  best_loss, final_loss and
-    phase_seconds are kept as records are emitted, so they need no records:
-    the least and the last recorded loss (loss_initial before the first),
-    and the seconds of phase 1 (the wall time of record tau, 0.0 at tau 0)
-    and of phase 2 (from there to the last record)."""
+    them; a copy of the perturbed parameters at tau and the batch
+    statistics frozen there (None when tau == total_steps); and, with
+    bounds on, the certificate's `constants` and `violations`
+    (_Certificate).  best_loss, final_loss and phase_seconds are kept as
+    records are emitted: the least and the last recorded loss (loss_initial
+    before the first), and the seconds of phase 1 (the wall time of record
+    tau, 0.0 at tau 0) and of phase 2 (from there to the last record)."""
 
     records: list = field(default_factory=list)
     tau: int = 0
@@ -225,11 +193,8 @@ class TrainLog:
     loss_initial: float = 0.0
     loss_at_tau: float | None = None
     l_h: float | None = None
-    features_at_tau: np.ndarray | None = None
-    head_at_tau: np.ndarray | None = None
-    params_at_tau_flat: np.ndarray | None = None
+    params_at_tau: Params | None = None
     frozen_stats: list | None = None
-    eta_schedule: dict = field(default_factory=dict)
     max_sq_grad_phase2: float = 0.0
     t_star: int | None = None
     loss_at_t_star: float | None = None
@@ -237,23 +202,11 @@ class TrainLog:
     final_loss: float = 0.0
     phase_seconds: dict = field(default_factory=lambda: {"1": 0.0, "2": 0.0})
     rank_events: list = field(default_factory=list)
-    r_bar: float | None = None
     constants: dict = field(default_factory=dict)
     violations: int | None = None
 
     def phase2_records(self) -> list:
         return [r for r in self.records if r.phase == 2]
-
-
-def nu_mask(obj) -> np.ndarray:
-    """0/1 vector over the flat layout: zeros on hidden (and BN) parameters,
-    ones on the output head.  Accepts a NetworkSpec or a Params."""
-    spec = obj.spec if isinstance(obj, Params) else obj
-    if not isinstance(spec, NetworkSpec):
-        raise TypeError(f"expected NetworkSpec or Params, got {type(obj).__name__}")
-    mask = np.zeros(spec.param_count())
-    mask[spec.hidden_param_count():] = 1.0
-    return mask
 
 
 def _noise_scales(cfg_scale, depth: int) -> np.ndarray:
@@ -312,15 +265,6 @@ def _snapshot(spec, params, x, frozen, trace, t, phase, floor=0.0, rhs=None, wor
     return compute_ntk(kernel, floor=floor, rhs=rhs, work=work)
 
 
-def _distance(snap, trace, y, kind, basis, t):
-    """_linearized_distance at step t of phase 2, whose RankDeficientError
-    names the step and phase."""
-    try:
-        return _linearized_distance(snap, trace.output, y, kind, basis)
-    except RankDeficientError as exc:
-        raise RankDeficientError(f"step {t} (phase 2): {exc}") from None
-
-
 def _checked_data(spec, kind, x, y):
     """X and Y as finite float64 matrices, Y with valid targets of kind and
     one row of spec.output_dim per row of X; ValueError otherwise."""
@@ -358,15 +302,18 @@ def _rows(trace, rows) -> ForwardTrace:
 def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None, seed: int = 0) -> float:
     """Empirical lower bound on the gradient Lipschitz constant near `params`:
     max over LIPSCHITZ_PROBES random directions d, each of length
-    LIPSCHITZ_RADIUS, of ||grad(w + d) - grad(w)|| / ||d||."""
+    LIPSCHITZ_RADIUS, of ||grad(w + d) - grad(w)|| / ||d||, every gradient
+    written into one Workspace."""
     x, y = _checked_data(spec, kind, x, y)
+    _validate_forward_shapes(spec, params, x, frozen_stats)  # the passes below trust them
     rng = np.random.default_rng(seed)
+    work = Workspace(spec, x.shape[0])
 
     def gradient(point):
-        trace, _, residual = _evaluate(spec, point, x, y, kind, None, None, frozen_stats)
-        return backprop(spec, point, x, _mean_gradient(kind, residual), trace=trace)
+        trace, _, res = _evaluate(spec, point, x, y, kind, None, None, frozen_stats, work=work)
+        return backprop(spec, point, x, _mean_gradient(kind, res), trace=trace, work=work)
 
-    g0 = gradient(params)
+    g0 = gradient(params).copy()
     best = 0.0
     for _ in range(LIPSCHITZ_PROBES):
         delta = rng.standard_normal(params.flat.size)
@@ -376,75 +323,32 @@ def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None, seed: int = 
     return best
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def run_two_phase(
-    spec: NetworkSpec,
-    params0: Params,
-    dataset,
-    base: BaseAlgoConfig,
-    cfg: TwoPhaseConfig,
-    kind: LossKind,
-    monitor_every: int = 0,
-    record_sink=None,
-    bounds: bool = False,
-):
-    """Run both phases end to end; returns (final Params, TrainLog).
+class _Run:
+    """What every phase reads: the checked data, spec, kind and configs, the
+    run's one Workspace, its TrainLog, the seeds of the kick and of head
+    SGD, t0 (the start of phase 1), `emit` and `monitored`."""
 
-    Raises ValueError before the first record unless X is finite, Y holds
-    valid targets of `kind`, one row of m_y per sample, and cfg.noise_scale
-    is one scale or one per hidden layer; the step loop does not check X
-    and Y again.  Each phase-1 step makes one full-batch forward
-    pass in epoch order, of which the next step's batch is a slice (unless
-    training-mode BN couples the rows of a momentum-SGD minibatch), and
-    which a monitored step reuses; record.wall_time counts from the start
-    of phase 1.
+    def __init__(self, spec, dataset, base, cfg, kind, monitor_every, record_sink):
+        if spec.depth < 2:
+            raise ValueError("two-phase training requires at least two hidden layers")
+        if monitor_every < 0:
+            raise ValueError(f"monitor_every must be >= 0 (0: never), got {monitor_every}")
+        _noise_scales(cfg.noise_scale, spec.depth)
+        self.x, self.y = _checked_data(spec, kind, dataset.x, dataset.y)
+        n = self.x.shape[0]
+        if base.variant == "sgd_momentum" and base.minibatch > n:
+            raise ValueError(f"minibatch {base.minibatch} exceeds dataset size {n}")
+        self.spec, self.kind, self.base, self.cfg = spec, kind, base, cfg
+        self.monitor_every, self.sink = monitor_every, record_sink
+        self.log = TrainLog(tau=cfg.tau, total_steps=cfg.total_steps, phase2_mode=cfg.phase2_mode)
+        self.seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+        self.work = Workspace(spec, n)
+        self.t0 = time.perf_counter()
 
-    Emits exactly cfg.total_steps records (one per update), each to
-    `record_sink` if one is given and to log.records otherwise, so a run
-    with a sink keeps no per-step state; log.best_loss, log.final_loss and
-    log.phase_seconds are kept either way.  Every `monitor_every` steps of
-    a phase (0: never; below 0, ValueError) a record also carries the
-    feature rank and the kernel rank; a lazy step's kernel rank is counted
-    at the reference threshold its rank test used.
-
-    With `bounds`, every phase-2 record carries its ceiling and measured
-    suboptimality before it is emitted, so a run cut short leaves complete
-    records.  The constants are fixed at tau: R^2 and loss* of the head
-    optimum, or for lazy mode loss* = the loss infimum with the Lipschitz
-    estimate and the configured eta_bar.  GD compares each step's loss; SGD
-    and lazy compare the running minimum from tau on, with G^2 the largest
-    squared head gradient so far, the step-size sums running from tau, and
-    log.r_bar the running max of the linearized distance
-    (bounds.estimate_R_bar) over the kernels of tau and every step so far,
-    from the bordered factorization of each rank test under squared loss,
-    and so an upper bound (log.constants["r_bar_kind"]).  A lazy kernel
-    below full rank n * m_y leaves Rbar undefined and raises
-    RankDeficientError naming its step and phase.  An optimum that is not
-    attained (R^2 or Rbar inf) leaves the bound fields None; log.constants
-    names the certificate, and log.violations counts the steps above an
-    exact (head) ceiling.  Raises FeatureRankError if the post-perturbation
-    feature matrix is not full row rank, RankPreservationError if lazy-phase
-    rate halving cannot restore the kernel rank within the retry cap, and
-    FloatingPointError naming the step and phase if predictions, the loss,
-    the gradient norm or a tangent kernel stop being finite.  Overflow
-    warnings are silenced for the whole run: every non-finite value that
-    matters ends up in one of those checks.
-    """
-    if spec.depth < 2:
-        raise ValueError("two-phase training requires at least two hidden layers")
-    if monitor_every < 0:
-        raise ValueError(f"monitor_every must be >= 0 (0: never), got {monitor_every}")
-    _noise_scales(cfg.noise_scale, spec.depth)
-    x, y = _checked_data(spec, kind, dataset.x, dataset.y)
-    n = x.shape[0]
-    if base.variant == "sgd_momentum" and base.minibatch > n:
-        raise ValueError(f"minibatch {base.minibatch} exceeds dataset size {n}")
-    tau, total = cfg.tau, cfg.total_steps
-    log = TrainLog(tau=tau, total_steps=total, phase2_mode=cfg.phase2_mode)
-
-    def emit(record):
+    def emit(self, record):
         # the summary numbers go with each record, which then goes to the
         # sink or, without one, to the log, so a streamed run keeps none
+        log = self.log
         if record.t == 1 or record.loss < log.best_loss:
             log.best_loss = record.loss
         log.final_loss = record.loss
@@ -452,26 +356,122 @@ def run_two_phase(
         if record.phase == 1:
             seconds["1"] = record.wall_time
         seconds["2"] = record.wall_time - seconds["1"]
-        if record_sink is None:
+        if self.sink is None:
             log.records.append(record)
         else:
-            record_sink(record)
+            self.sink(record)
 
-    def monitored(t_done):
-        return monitor_every > 0 and t_done % monitor_every == 0
+    def monitored(self, t_done):
+        return self.monitor_every > 0 and t_done % self.monitor_every == 0
 
-    # Phase 1 updates params.flat in place, and every pass and backprop of
-    # its steps writes into one workspace.  The full-batch pass that gives
-    # the loss recorded at step t is at the parameters step t + 1 starts
-    # from, so step t + 1's batch is a row slice of it, taken in the order
-    # of the epoch step t + 1 draws from.  Training-mode BN couples the rows
-    # through the batch statistics, so under momentum SGD the pass stays in
-    # data order and the minibatch gets a pass of its own.
+
+@dataclass
+class _AtTau:
+    """What phase 2 starts from: the perturbed params (updated in place), the pass at tau
+    and its residual, [h, 1] and its rank, the head z, dpred, the frozen stats and lazy L."""
+
+    params: Params
+    trace: ForwardTrace
+    residual: np.ndarray
+    aug: np.ndarray
+    feature_rank: int
+    z: np.ndarray
+    dpred: np.ndarray
+    frozen: list | None
+    lipschitz: float | None
+
+
+class _Certificate:
+    """A run's certificate, made at tau with bounds on: loss*, the head's R^2
+    or the lazy phase's running Rbar (the max linearized distance over the
+    kernels so far, an upper bound when `bordered`), head SGD's step-size
+    sums and the status: `exact` for head GD, `expectation` for head SGD,
+    whose ceiling bounds the expected suboptimality, `estimated` for the
+    lazy phase, whose L is an empirical lower bound, and `vacuous` where R^2
+    or Rbar is inf.  violations counts the steps above an exact ceiling."""
+
+    def __init__(self, run, at_tau):
+        cfg, kind, y = run.cfg, run.kind, run.y
+        self.cfg, self.log, self.kind, self.y = cfg, run.log, kind, y
+        self.lazy = cfg.phase2_mode == "lazy_full"
+        self.bordered = kind.name == "squared"
+        if self.lazy:
+            self.loss_star = loss_infimum(kind, y)
+            self.basis = _centering_basis(y.shape[1])
+            self.lipschitz, self.r_bar = at_tau.lipschitz, 0.0
+        else:
+            opt = solve_last_layer_optimum(kind, at_tau.aug[:, :-1], y,
+                                           run.log.params_at_tau.head_block())
+            self.r_squared, self.loss_star = opt.r_squared, opt.loss_star
+            # sums of the ceiling's schedule eta_k = scale / sqrt(k - tau + 1)
+            self.eta_sum = cfg.sgd_rate_scale
+            self.eta_sq_sum = cfg.sgd_rate_scale * cfg.sgd_rate_scale
+        self.violations = 0 if cfg.phase2_mode == "last_layer_gd" and self.attained else None
+
+    @property
+    def attained(self) -> bool:
+        return math.isfinite(self.r_bar if self.lazy else self.r_squared)
+
+    def observe(self, snap, trace, t):
+        """Fold the distance at the kernel `snap` of step t's pass into Rbar;
+        RankDeficientError naming the step unless its rank is n * m_y."""
+        try:
+            distance = _linearized_distance(snap, trace.output, self.y, self.kind, self.basis)
+        except RankDeficientError as exc:
+            raise RankDeficientError(f"step {t} (phase 2): {exc}") from None
+        self.r_bar = max(self.r_bar, distance)
+
+    def check(self, rec, best_loss):
+        """Set rec's ceiling and suboptimality if the optimum is attained:
+        head GD's at rec.loss, the others' at `best_loss`, the running
+        minimum from tau on; count a step above an exact ceiling."""
+        if not self.attained:
+            return
+        cfg, t, reached = self.cfg, rec.t, best_loss
+        if cfg.phase2_mode == "last_layer_gd":
+            ceiling, reached = gd_bound(self.r_squared, self.log.l_h, t, cfg.tau), rec.loss
+        elif cfg.phase2_mode == "last_layer_sgd":
+            eta = cfg.sgd_rate_scale / math.sqrt(t - cfg.tau + 1)
+            self.eta_sum += eta
+            self.eta_sq_sum += eta * eta
+            ceiling = sgd_bound(self.r_squared, self.log.max_sq_grad_phase2, self.eta_sum,
+                                self.eta_sq_sum)
+        else:
+            ceiling = lazy_bound(self.lipschitz, self.r_bar, self.log.loss_at_tau,
+                                 self.loss_star, cfg.lazy_eta_bar, t, cfg.tau)
+        rec.bound, rec.suboptimality = ceiling, reached - self.loss_star
+        exceeded = rec.suboptimality > ceiling + SLACK_REL * (1.0 + ceiling)
+        if exceeded and self.violations is not None:
+            self.violations += 1
+
+    @property
+    def constants(self) -> dict:
+        """The constants and the status, as summary.json reports them."""
+        if self.lazy:
+            out = {"l_estimate": self.lipschitz, "diagnostic": True,
+                   "r_bar": self.r_bar if self.attained else None,
+                   "r_bar_kind": "upper_bound" if self.bordered else "exact"}
+        else:
+            out = {"g_squared": self.log.max_sq_grad_phase2,
+                   "r_squared": self.r_squared if self.attained else None}
+        out["loss_star"] = self.loss_star
+        out["certificate"] = _STATUS[self.cfg.phase2_mode] if self.attained else "vacuous"
+        return out
+
+
+def _phase_one(run, params0):
+    """Phase 1 on a copy of params0, one record per step; returns the Params
+    at tau, before the kick.  Each step's one full-batch pass runs in epoch
+    order; the next step's batch is a row slice of it, and its loss and a
+    monitored step's ranks are taken in data order, bit for bit those of a
+    data-order pass.  Training-mode batch norm couples the rows, so there a
+    momentum-SGD minibatch gets a pass of its own."""
+    spec, x, y, kind, base, work = run.spec, run.x, run.y, run.kind, run.base, run.work
+    emit, monitored, t0, tau, n = run.emit, run.monitored, run.t0, run.cfg.tau, x.shape[0]
     params = params0.copy()
     w = params.flat
     full_batch = base.variant == "gd"
     own_pass = not full_batch and any(spec.bn_flags)
-    work = Workspace(spec, n)
     rng_base = np.random.default_rng(base.seed)
     velocity = np.zeros_like(w)
     size = n if full_batch else base.minibatch
@@ -479,7 +479,6 @@ def run_two_phase(
     xs, ys = x, y  # the pass's rows: x[order], y[order] when permuted
     pos = n  # forces the initial epoch
 
-    t0 = time.perf_counter()
     for t in range(tau + 1):
         if t:
             if own_pass:
@@ -511,7 +510,7 @@ def run_two_phase(
         trace, loss, residual = _evaluate(spec, params, xs, ys, kind, t, 1, work=work,
                                           order=inverse)
         if not t:
-            log.loss_initial = log.best_loss = log.final_loss = loss
+            run.log.loss_initial = run.log.best_loss = run.log.final_loss = loss
             continue
         rec = StepRecord(t=t, phase=1, loss=loss, grad_norm=gnorm,
                          wall_time=time.perf_counter() - t0)
@@ -521,179 +520,188 @@ def run_two_phase(
             rec.feature_rank = numerical_rank(append_ones(full.hidden))
             rec.ntk_rank = _snapshot(spec, params, x, None, full, t, 1, work=work).rank
         emit(rec)
+    return params
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    params = perturb(params, cfg.noise_scale, seeds[0])
 
-    if tau == total:
-        log.loss_at_tau = _evaluate(spec, params, x, y, kind, tau, 2, work=work)[1]
-        log.t_star = tau
-        log.loss_at_t_star = log.loss_at_tau
-        return params, log
-
-    # the passes at tau write into the workspace too: nothing reads the
-    # phase-1 trace again, the statistics are copies, head steps write only
-    # the workspace's kernel arrays, and lazy candidates overwrite the pass
-    # only after tau's reference kernel, backprop and distance are done
+def _at_tau(run, params):
+    """The hand-off at tau from the perturbed `params`: statistics frozen
+    from their pass, the pass under them, whose [h, 1] must have full row
+    rank (else FeatureRankError), the loss of [h, 1] z and its gradient,
+    and lazy L (lazy_lipschitz, else estimated); fills the log at tau."""
+    spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
+    tau, n = cfg.tau, x.shape[0]
+    # the passes at tau write into the workspace too: the statistics are
+    # copies, head steps write only its kernel arrays, and lazy candidates
+    # overwrite the pass only after the reference at tau is done with it
     frozen = (batch_statistics(forward_hidden(spec, params, x, work=work))
               if any(spec.bn_flags) else None)
-    log.frozen_stats = frozen
     trace, _, residual = _evaluate(spec, params, x, y, kind, tau, 2, frozen, work=work)
-    h = trace.hidden
-    aug = append_ones(h)
-    feat_rank = numerical_rank(aug)
-    if feat_rank < n:
+    aug = append_ones(trace.hidden)
+    feature_rank = numerical_rank(aug)
+    if feature_rank < n:
         raise FeatureRankError(
-            f"features after perturbation have rank {feat_rank} < n = {n}; "
+            f"features after perturbation have rank {feature_rank} < n = {n}; "
             "widen the last hidden layer (need m_H + 1 >= n) or change the seed"
         )
-    log.l_h = compute_L_H(kind, h)
-    log.features_at_tau = aug[:, :-1]
-    z = params.head_block().copy()
-    log.head_at_tau = params.flat[spec.hidden_param_count():].copy()
-    log.params_at_tau_flat = params.to_flat()
+    log.frozen_stats, log.params_at_tau = frozen, params.copy()
+    log.l_h = compute_L_H(kind, trace.hidden)
     # the loss at tau is that of [h, 1] z, as at every head step (the pass's
     # h W + b can differ in the last bit), whose gradient head GD takes next
-    head_gd = cfg.phase2_mode == "last_layer_gd"
-    pred = _finite(aug @ z, "predictions", tau, 2)
-    loss, dpred = _loss(kind, pred, y)
+    z = params.head_block().copy()
+    loss, dpred = _loss(kind, _finite(aug @ z, "predictions", tau, 2), y)
     log.loss_at_tau = _finite(loss, "loss", tau, 2)
+    lipschitz = cfg.lazy_lipschitz
+    if cfg.phase2_mode == "lazy_full" and lipschitz is None:
+        lipschitz = max(estimate_lipschitz(spec, params, x, y, kind, frozen, seed=cfg.seed), 1e-12)
+    return _AtTau(params, trace, residual, aug, feature_rank, z, dpred, frozen, lipschitz)
 
-    rng_p2 = np.random.default_rng(seeds[1])
+
+def _head_phase(run, at_tau, cert):
+    """Phase 2 on the head alone over the features fixed at tau: GD at step
+    1/L_H, or with-replacement minibatches at sgd_rate_scale / sqrt(t - tau),
+    each step scoring [h, 1] z; a monitored step ranks the kernel of the
+    tau pass at the current head.  Returns the final Params."""
+    spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
+    emit, monitored, t0, tau, n = run.emit, run.monitored, run.t0, cfg.tau, x.shape[0]
+    params, trace, aug, z, dpred = at_tau.params, at_tau.trace, at_tau.aug, at_tau.z, at_tau.dpred
+    head_gd = cfg.phase2_mode == "last_layer_gd"
+    l_h, scale, b = log.l_h, cfg.sgd_rate_scale, min(cfg.sgd_minibatch, n)
+    rng = np.random.default_rng(run.seeds[1])
     best_loss, best_t = log.loss_at_tau, tau
-    head_mode = cfg.phase2_mode != "lazy_full"
-    attained = False  # the optimum is attained: a finite ceiling at every step
-
-    def certify(rec, ceiling, reached):
-        rec.bound, rec.suboptimality = ceiling, reached - loss_star
-        if head_mode and rec.suboptimality > ceiling + SLACK_REL * (1.0 + ceiling):
-            log.violations += 1
-
-    if head_mode:
+    for t in range(tau + 1, cfg.total_steps + 1):
         if head_gd:
-            log.eta_schedule = {"mode": "constant_over_l_h", "value": 1.0 / log.l_h}
+            g = aug.T @ dpred
+            z -= (1.0 / l_h) * g
         else:
-            log.eta_schedule = {"mode": "inv_sqrt", "scale": cfg.sgd_rate_scale}
-        if bounds:
-            opt = solve_last_layer_optimum(kind, h, y, log.head_at_tau)
-            r_squared, loss_star = opt.r_squared, opt.loss_star
-            attained = math.isfinite(r_squared)
-            log.violations = 0 if attained else None
-            # sums of the ceiling's schedule eta_k = scale / sqrt(k - tau + 1)
-            eta_sum, eta_sq_sum = cfg.sgd_rate_scale, cfg.sgd_rate_scale * cfg.sgd_rate_scale
-        b = min(cfg.sgd_minibatch, n)
-        for t in range(tau + 1, total + 1):
-            if head_gd:
-                g = aug.T @ dpred
-                z -= (1.0 / log.l_h) * g
-            else:
-                idx = rng_p2.integers(0, n, size=b)
-                g = aug[idx].T @ _loss(kind, aug[idx] @ z, y[idx])[1]
-                z -= (cfg.sgd_rate_scale / math.sqrt(t - tau)) * g
-            gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
-            log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
-            pred = _finite(aug @ z, "predictions", t, 2)
-            cur, dpred = _loss(kind, pred, y)
-            cur = _finite(cur, "loss", t, 2)
-            if cur < best_loss:
-                best_loss, best_t = cur, t
-            rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
-                             wall_time=time.perf_counter() - t0)
-            if monitored(t - tau):
-                # only the head moved, so the tau pass is the features' pass
-                rec.feature_rank = feat_rank
-                params.set_head_block(z)
-                rec.ntk_rank = _snapshot(spec, params, x, frozen, trace, t, 2, work=work).rank
-            if attained and head_gd:
-                certify(rec, gd_bound(r_squared, log.l_h, t, tau), cur)
-            elif attained:
-                eta = cfg.sgd_rate_scale / math.sqrt(t - tau + 1)
-                eta_sum += eta
-                eta_sq_sum += eta * eta
-                certify(rec, sgd_bound(r_squared, log.max_sq_grad_phase2, eta_sum,
-                                       eta_sq_sum), best_loss)
-            emit(rec)
-        params.set_head_block(z)
-    else:
-        lipschitz = cfg.lazy_lipschitz
-        if lipschitz is None:
-            lipschitz = estimate_lipschitz(spec, params, x, y, kind, frozen,
-                                           seed=cfg.seed)
-            lipschitz = max(lipschitz, 1e-12)
-        eta_bar = cfg.lazy_eta_bar
-        log.eta_schedule = {"mode": "lazy_uniform", "eta_bar": eta_bar,
-                            "lipschitz": lipschitz}
-        # one forward trace per parameter point gives its kernel, loss,
-        # gradient and distance to the linearized minimizers; a step's rank
-        # test is certified at the reference threshold too, so accepting it
-        # needs no spectrum.  Under squared loss with bounds on, the
-        # residual borders that factorization, which then gives the
-        # distance too.  Every pass, backprop and kernel writes into the
-        # phase-1 workspace, so the reference's threshold is taken now,
-        # before the first candidate's kernel overwrites the reference's
-        bordered = bounds and kind.name == "squared"
-        reference = _snapshot(spec, params, x, frozen, trace, tau, 2,
-                              rhs=residual.reshape(-1) if bordered else None, work=work)
-        threshold = reference.tolerance
-        g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace, work=work)
-        if bounds:
-            loss_star = loss_infimum(kind, y)
-            basis = _centering_basis(y.shape[1])
-            log.r_bar = max(0.0, _distance(reference, trace, y, kind, basis, tau))
-            attained = math.isfinite(log.r_bar)
-        # candidates are written into a second buffer, swapped in on acceptance
-        cand = params.copy()
-        for t in range(tau + 1, total + 1):
-            gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
-            event = None
-            for _ in range(LAZY_MAX_RETRIES + 1):
-                np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
-                trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen,
-                                                 work=work)
-                snap = _snapshot(spec, cand, x, frozen, trace, t, 2, threshold,
-                                 rhs=residual.reshape(-1) if bordered else None, work=work)
-                if assert_rank_preserved(reference, snap):
-                    break
-                eta_bar /= 2.0
-                event = f"rank_drop_halved_eta_bar_to_{eta_bar:.3e}"
-                log.rank_events.append((t, event))
-            else:
-                raise RankPreservationError(
-                    f"step {t} (phase 2): kernel rank stayed below {reference.rank} "
-                    f"after {LAZY_MAX_RETRIES} rate halvings"
-                )
-            params, cand = cand, params
-            log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
-            if t < total:
-                g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace,
-                             work=work)
-            if bounds:
-                log.r_bar = max(log.r_bar, _distance(snap, trace, y, kind, basis, t))
-            if cur < best_loss:
-                best_loss, best_t = cur, t
-            rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
-                             ntk_rank=snap.rank_at(threshold), rank_event=event,
-                             wall_time=time.perf_counter() - t0)
-            if monitored(t - tau):
-                rec.feature_rank = numerical_rank(append_ones(trace.hidden))
-            if attained:
-                certify(rec, lazy_bound(lipschitz, log.r_bar, log.loss_at_tau, loss_star,
-                                        cfg.lazy_eta_bar, t, tau), best_loss)
-            emit(rec)
+            idx = rng.integers(0, n, size=b)
+            g = aug[idx].T @ _loss(kind, aug[idx] @ z, y[idx])[1]
+            z -= (scale / math.sqrt(t - tau)) * g
+        gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
+        log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
+        pred = _finite(aug @ z, "predictions", t, 2)
+        cur, dpred = _loss(kind, pred, y)
+        cur = _finite(cur, "loss", t, 2)
+        if cur < best_loss:
+            best_loss, best_t = cur, t
+        rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
+                         wall_time=time.perf_counter() - t0)
+        if monitored(t - tau):
+            # only the head moved, so the tau pass is the features' pass
+            rec.feature_rank = at_tau.feature_rank
+            params.set_head_block(z)
+            rec.ntk_rank = _snapshot(spec, params, x, at_tau.frozen, trace, t, 2, work=work).rank
+        if cert is not None:
+            cert.check(rec, best_loss)
+        emit(rec)
+    params.set_head_block(z)
+    log.t_star, log.loss_at_t_star = best_t, best_loss
+    return params
 
-    if bounds:
-        if head_mode:
-            log.constants = {"g_squared": log.max_sq_grad_phase2,
-                             "r_squared": r_squared if attained else None}
+
+def _lazy_phase(run, at_tau, cert):
+    """Phase 2 on every parameter at the uniform rate 2 eta_bar / L: each
+    candidate is scored, then its kernel's rank is tested at the threshold
+    of the reference kernel at tau, and a rejected one halves eta_bar, up
+    to LAZY_MAX_RETRIES times (then RankPreservationError).  Returns the
+    final Params."""
+    spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
+    emit, monitored, t0, tau = run.emit, run.monitored, run.t0, cfg.tau
+    params, trace, frozen, lipschitz = at_tau.params, at_tau.trace, at_tau.frozen, at_tau.lipschitz
+    eta_bar, total = cfg.lazy_eta_bar, cfg.total_steps
+    # one pass per parameter point gives its kernel, loss, gradient and
+    # distance; a rank test's factorization also certifies the rank at the
+    # reference threshold, which is taken now, before the first candidate's
+    # kernel overwrites the reference's in the workspace
+    bordered = cert is not None and cert.bordered
+    reference = _snapshot(spec, params, x, frozen, trace, tau, 2,
+                          rhs=at_tau.residual.reshape(-1) if bordered else None, work=work)
+    threshold = reference.tolerance
+    g = backprop(spec, params, x, _mean_gradient(kind, at_tau.residual), trace=trace, work=work)
+    if cert is not None:
+        cert.observe(reference, trace, tau)
+    # candidates are written into a second buffer, swapped in on acceptance
+    cand = params.copy()
+    best_loss, best_t = log.loss_at_tau, tau
+    for t in range(tau + 1, total + 1):
+        gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
+        event = None
+        for _ in range(LAZY_MAX_RETRIES + 1):
+            np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
+            trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen, work=work)
+            snap = _snapshot(spec, cand, x, frozen, trace, t, 2, threshold,
+                             rhs=residual.reshape(-1) if bordered else None, work=work)
+            if assert_rank_preserved(reference, snap):
+                break
+            eta_bar /= 2.0
+            event = f"rank_drop_halved_eta_bar_to_{eta_bar:.3e}"
+            log.rank_events.append((t, event))
         else:
-            log.constants = {"l_estimate": lipschitz, "diagnostic": True,
-                             "r_bar": log.r_bar if attained else None,
-                             "r_bar_kind": "upper_bound" if bordered else "exact"}
-        log.constants["loss_star"] = loss_star
-        # the lazy ceiling rests on an estimated Lipschitz constant, so it
-        # is a diagnostic and counts no violations
-        log.constants["certificate"] = (("exact" if head_mode else "estimated")
-                                        if attained else "vacuous")
-    log.t_star = best_t
-    log.loss_at_t_star = best_loss
+            raise RankPreservationError(
+                f"step {t} (phase 2): kernel rank stayed below {reference.rank} "
+                f"after {LAZY_MAX_RETRIES} rate halvings"
+            )
+        params, cand = cand, params
+        log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
+        if t < total:
+            g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace,
+                         work=work)
+        if cert is not None:
+            cert.observe(snap, trace, t)
+        if cur < best_loss:
+            best_loss, best_t = cur, t
+        rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
+                         ntk_rank=snap.rank_at(threshold), rank_event=event,
+                         wall_time=time.perf_counter() - t0)
+        if monitored(t - tau):
+            rec.feature_rank = numerical_rank(append_ones(trace.hidden))
+        if cert is not None:
+            cert.check(rec, best_loss)
+        emit(rec)
+    log.t_star, log.loss_at_t_star = best_t, best_loss
+    return params
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def run_two_phase(spec: NetworkSpec, params0: Params, dataset, base: BaseAlgoConfig,
+                  cfg: TwoPhaseConfig, kind: LossKind, monitor_every: int = 0,
+                  record_sink=None, bounds: bool = False):
+    """Run both phases end to end; returns (final Params, TrainLog).
+
+    Errors: ValueError before the first record unless the spec has two or
+    more hidden layers, monitor_every >= 0, X is finite, Y holds valid
+    targets of `kind`, one row of m_y per sample, a momentum-SGD minibatch
+    fits in n, and cfg.noise_scale is one scale or one per hidden layer.
+    FeatureRankError if [h, 1] after the kick is not full row rank;
+    naming the step and phase, RankPreservationError if lazy rate halving
+    cannot restore the kernel rank within the retry cap, RankDeficientError
+    if, with bounds on, a lazy kernel is below full rank n * m_y, and
+    FloatingPointError once predictions, the loss, the gradient norm or a
+    tangent kernel are not finite (overflow warnings are silenced).
+
+    Records: exactly cfg.total_steps, one per update, wall_time counted from
+    the start of phase 1.  Every `monitor_every` steps of a phase (0: never)
+    a record also carries the feature rank and the kernel rank, a lazy
+    step's counted at the reference threshold its rank test used.  With
+    `bounds`, each phase-2 record gets its ceiling and suboptimality (None
+    if the optimum is not attained) before it is emitted, and log.constants
+    and log.violations report the certificate (_Certificate).
+
+    Sink: each record goes to `record_sink` if one is given, else to
+    log.records, so a run with a sink keeps no per-step state;
+    log.best_loss, log.final_loss and log.phase_seconds are kept either way.
+    """
+    run = _Run(spec, dataset, base, cfg, kind, monitor_every, record_sink)
+    params = perturb(_phase_one(run, params0), cfg.noise_scale, run.seeds[0])
+    log = run.log
+    if cfg.tau == cfg.total_steps:
+        log.loss_at_tau = _evaluate(spec, params, run.x, run.y, kind, cfg.tau, 2,
+                                    work=run.work)[1]
+        log.t_star, log.loss_at_t_star = cfg.tau, log.loss_at_tau
+        return params, log
+    at_tau = _at_tau(run, params)
+    cert = _Certificate(run, at_tau) if bounds else None
+    phase_two = _lazy_phase if cfg.phase2_mode == "lazy_full" else _head_phase
+    params = phase_two(run, at_tau, cert)
+    if cert is not None:
+        log.constants, log.violations = cert.constants, cert.violations
     return params, log

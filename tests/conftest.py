@@ -1,10 +1,17 @@
-"""Shared oracles for the test suite: finite differences and error metrics."""
+"""Shared oracles for the test suite: finite differences, error metrics and
+the state at tau a run's TrainLog keeps."""
 
 import numpy as np
 import pytest
 
 from twophase.losses import loss_value
-from twophase.network import NetworkSpec, forward_output, params_from_flat, random_params
+from twophase.network import (
+    NetworkSpec,
+    forward_hidden,
+    forward_output,
+    params_from_flat,
+    random_params,
+)
 
 
 def max_rel_err(a, b):
@@ -45,6 +52,25 @@ def fd_jacobian(spec, params, x, frozen_stats=None, step=1e-5):
         fm = forward_output(spec, params_from_flat(spec, wm), x, frozen_stats)
         out[:, j] = ((fp - fm) / (2 * step)).reshape(-1)
     return out
+
+
+def masked_flat(params):
+    """nu o w: the flat parameters with every hidden (and BN) entry zero and
+    the head's kept."""
+    flat = params.to_flat()
+    flat[: params.spec.hidden_param_count()] = 0.0
+    return flat
+
+
+def unit_rows(x):
+    """x with every row scaled to unit Euclidean norm."""
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def features_at_tau(spec, x, log):
+    """h at tau, the features the head phase ran on: the pass of
+    log.params_at_tau under the batch statistics frozen there."""
+    return forward_hidden(spec, log.params_at_tau, x, log.frozen_stats).hidden
 
 
 def random_small_config(rng, allow_bn=True):

@@ -10,7 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fd_loss_grad, fd_jacobian, max_rel_err, random_small_config
+from conftest import (
+    fd_jacobian,
+    fd_loss_grad,
+    features_at_tau,
+    masked_flat,
+    max_rel_err,
+    random_small_config,
+)
 
 from twophase.bounds import (
     SLACK_REL,
@@ -34,11 +41,10 @@ from twophase.network import (
     forward_hidden,
     forward_output,
     init_params,
-    params_from_flat,
     softplus,
 )
 from twophase.ntk import assert_rank_preserved, compute_jacobian, compute_ntk
-from twophase.trainer import BaseAlgoConfig, TwoPhaseConfig, nu_mask, run_two_phase
+from twophase.trainer import BaseAlgoConfig, TwoPhaseConfig, run_two_phase
 
 
 def report(number, description, ok):
@@ -70,8 +76,8 @@ def test_criterion_1_head_gd_rate_exactness():
                                      phase2_mode="last_layer_gd", seed=rep)
                 _, log = run_two_phase(spec, init_params(spec, rep), ds, base, cfg, SQUARED,
                                        bounds=True)
-                opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y,
-                                               log.head_at_tau)
+                opt = solve_last_layer_optimum(SQUARED, features_at_tau(spec, ds.x, log),
+                                               ds.y, log.params_at_tau.head_block())
                 for r in log.phase2_records():
                     assert r.bound == gd_bound(opt.r_squared, log.l_h, r.t, tau)
                     assert r.suboptimality == r.loss - opt.loss_star
@@ -105,8 +111,8 @@ def test_criterion_2_sgd_monte_carlo():
                              phase2_mode="last_layer_sgd", sgd_rate_scale=0.01,
                              sgd_minibatch=8, seed=seed)
         _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
-        opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y,
-                                       log.head_at_tau)
+        opt = solve_last_layer_optimum(SQUARED, features_at_tau(spec, ds.x, log), ds.y,
+                                       log.params_at_tau.head_block())
         assert opt.loss_star <= 1e-12
         r2s.append(opt.r_squared)
         g2 = max(g2, log.max_sq_grad_phase2)
@@ -206,7 +212,7 @@ def test_criterion_6_ntk_structure():
         cfg = TwoPhaseConfig(tau=20, total_steps=170, phase2_mode="last_layer_gd",
                              seed=seed)
         _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED)
-        p_tau = params_from_flat(spec, log.params_at_tau_flat)
+        p_tau = log.params_at_tau
         jac = compute_jacobian(spec, p_tau, ds.x, log.frozen_stats)
         ref = compute_ntk(jac @ jac.T)
         full_rank_ok &= ref.rank == n * m_y
@@ -330,7 +336,7 @@ def test_criterion_9_oracle_equivalence():
               for p, jac in traj)
     worst = 0.0
     for p, jac in traj:
-        a = (nu_mask(p) * p.to_flat()).reshape(-1, 1)
+        a = masked_flat(p).reshape(-1, 1)
         omega = a + np.linalg.pinv(jac) @ (ds.y.reshape(-1, 1) - jac @ a)
         worst = max(worst, float(np.linalg.norm(a - omega)))
     ok_rbar = abs(got - worst) <= 1e-6 * (1.0 + worst)

@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import masked_flat
+
 import twophase.bounds as bounds
 import twophase.cli as cli
 import twophase.losses as losses
@@ -17,7 +19,7 @@ import twophase.trainer as trainer
 from twophase.data import load_csv, save_csv, synth_gen
 from twophase.network import forward_output
 from twophase.ntk import compute_jacobian
-from twophase.trainer import FeatureRankError, nu_mask
+from twophase.trainer import FeatureRankError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 NAN, INF = float("nan"), float("inf")
@@ -340,9 +342,9 @@ class TestTrain:
         assert f"bound violations = {k}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode,certificate", [("last_layer_gd", "exact"),
-                                                  ("last_layer_sgd", "exact"),
+                                                  ("last_layer_sgd", "expectation"),
                                                   ("lazy_full", "estimated")])
-    def test_squared_loss_certificate(self, tmp_path, mode, certificate):
+    def test_squared_loss_certificate(self, tmp_path, capsys, mode, certificate):
         path = write_config(tmp_path, **small_train_sections(
             bounds=True, two_phase={"phase2_mode": mode}))
         out = tmp_path / "t"
@@ -350,6 +352,8 @@ class TestTrain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["constants"]["certificate"] == certificate
         assert summary["violations"] == (0 if certificate == "exact" else None)
+        # only an exact ceiling reports a violation count
+        assert ("bound violations = 0" in capsys.readouterr().out) == (certificate == "exact")
 
     @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd"])
     def test_one_hot_cross_entropy_bound_is_vacuous(self, tmp_path, capsys, mode):
@@ -375,7 +379,7 @@ class TestTrain:
         assert "bound vacuous (optimum not attained)" in stdout
 
     @pytest.mark.parametrize("mode,certificate", [("last_layer_gd", "exact"),
-                                                  ("last_layer_sgd", "exact"),
+                                                  ("last_layer_sgd", "expectation"),
                                                   ("lazy_full", "estimated")])
     def test_soft_target_cross_entropy_certificate(self, tmp_path, mode, certificate):
         # label-smoothed targets: the cross-entropy infimum is attained, in
@@ -397,6 +401,9 @@ class TestTrain:
         assert constants["loss_star"] == pytest.approx(entropy, rel=1e-12)
         if certificate == "exact":
             assert summary["violations"] == 0
+            assert 0.0 < constants["r_squared"] < np.inf
+        elif certificate == "expectation":
+            assert summary["violations"] is None
             assert 0.0 < constants["r_squared"] < np.inf
         else:
             assert summary["violations"] is None
@@ -430,7 +437,7 @@ class TestTrain:
     def _linearized_distance(jac, params, y, kind):
         """||pinv(J) r|| for the residual r of the linearized constraints at
         nu o w; cross-entropy frees one constant per sample."""
-        anchor = (nu_mask(params) * params.to_flat()).reshape(-1, 1)
+        anchor = masked_flat(params).reshape(-1, 1)
         pinv = np.linalg.pinv(jac)
         if kind == "squared":
             return float(np.linalg.norm(pinv @ (y.reshape(-1, 1) - jac @ anchor)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import twophase.data as data
-from twophase.data import Dataset, load_csv, normalize_inputs, one_hot, save_csv, synth_gen
+from twophase.data import Dataset, load_csv, one_hot, save_csv, synth_gen
 from twophase.expressivity import check_distinguishability
 
 
@@ -52,38 +52,6 @@ class TestSynthGen:
             c_min = float(rng.choice([0.01, 0.05]))
             ds = synth_gen(n, m_x, 1, c_min, "regression", seed=int(rng.integers(1e6)))
             assert check_distinguishability(ds.x).margin >= c_min - 1e-12
-
-
-class TestNormalizeInputs:
-    def test_three_four_five(self):
-        np.testing.assert_allclose(normalize_inputs([[3.0, 4.0]]), [[0.6, 0.8]], atol=1e-15)
-
-    def test_idempotent(self, rng):
-        x = rng.standard_normal((6, 4))
-        once = normalize_inputs(x)
-        np.testing.assert_allclose(normalize_inputs(once), once, atol=1e-15)
-
-    def test_unit_norms(self, rng):
-        x = rng.standard_normal((8, 5)) * 10
-        norms = np.linalg.norm(normalize_inputs(x), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
-    def test_zero_row_reports_index(self):
-        with pytest.raises(ValueError, match="row 1"):
-            normalize_inputs([[1.0, 0.0], [0.0, 0.0]])
-
-    def test_preserves_angular_order(self, rng):
-        x = rng.standard_normal((6, 4)) * rng.uniform(0.5, 5.0, size=(6, 1))
-        u = normalize_inputs(x)
-        for i in range(6):
-            for j in range(6):
-                for k in range(6):
-                    if len({i, j, k}) == 3:
-                        raw = np.sign(u[i] @ u[j] - u[i] @ u[k])
-                        # same comparison on re-normalized copies
-                        again = normalize_inputs(u)
-                        new = np.sign(again[i] @ again[j] - again[i] @ again[k])
-                        assert raw == new
 
 
 class TestCsv:

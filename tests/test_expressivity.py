@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from twophase.data import normalize_inputs, synth_gen
+from conftest import unit_rows
+
+from twophase.data import synth_gen
 from twophase.expressivity import (
     check_distinguishability,
     check_expressivity,
@@ -27,7 +29,7 @@ class TestDistinguishability:
         assert set(rep.violating_pair) == {0, 1}
 
     def test_matches_double_loop_oracle(self, rng):
-        x = normalize_inputs(rng.standard_normal((20, 5)))
+        x = unit_rows(rng.standard_normal((20, 5)))
         worst = np.inf
         for i in range(20):
             for j in range(20):
@@ -38,14 +40,14 @@ class TestDistinguishability:
         assert rep.passed == (worst > 1e-9)
 
     def test_permutation_invariant_margin(self, rng):
-        x = normalize_inputs(rng.standard_normal((9, 4)))
+        x = unit_rows(rng.standard_normal((9, 4)))
         perm = rng.permutation(9)
         a = check_distinguishability(x).margin
         b = check_distinguishability(x[perm]).margin
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_unit_rows_margin_is_half_min_squared_distance(self, rng):
-        x = normalize_inputs(rng.standard_normal((12, 6)))
+        x = unit_rows(rng.standard_normal((12, 6)))
         dists = [np.sum((x[i] - x[j]) ** 2) for i in range(12) for j in range(12) if i != j]
         assert check_distinguishability(x).margin == pytest.approx(0.5 * min(dists), rel=1e-12)
 
@@ -68,7 +70,7 @@ class TestCheckExpressivity:
     def test_pass_implies_gram_above_zero(self, rng):
         spec = NetworkSpec((4, 8), 1, sharpness=2.0)
         p = random_params(spec, rng, 1.0)
-        x = normalize_inputs(rng.standard_normal((5, 4)))
+        x = unit_rows(rng.standard_normal((5, 4)))
         rep = check_expressivity(spec, p, x)
         if rep.passed:
             aug = np.hstack([forward_hidden(spec, p, x).hidden, np.ones((5, 1))])

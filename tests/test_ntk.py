@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import fd_jacobian, max_rel_err, random_small_config
+from conftest import fd_jacobian, masked_flat, max_rel_err, random_small_config
 
 import twophase.ntk as ntk
 from twophase.network import (
@@ -22,7 +22,6 @@ from twophase.ntk import (
     compute_kernel,
     compute_ntk,
 )
-from twophase.trainer import nu_mask
 
 
 class TestComputeNtk:
@@ -332,7 +331,7 @@ class TestComputeJacobian:
             frozen = batch_statistics(forward_hidden(spec, p, x)) if bn else None
             jac = compute_jacobian(spec, p, x, frozen)
             f = forward_output(spec, p, x, frozen)
-            assert max_rel_err(jac @ (nu_mask(p) * p.flat), f.reshape(-1)) < 1e-14
+            assert max_rel_err(jac @ masked_flat(p), f.reshape(-1)) < 1e-14
 
     @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
     def test_rows_are_backprops_of_unit_upstreams(self, bn):

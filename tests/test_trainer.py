@@ -9,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import features_at_tau
+
 import twophase
 import twophase.network as network
 import twophase.ntk as ntk
@@ -34,39 +36,9 @@ from twophase.trainer import (
     TwoPhaseConfig,
     compute_L_H,
     estimate_lipschitz,
-    nu_mask,
     perturb,
     run_two_phase,
 )
-
-
-class TestNuMask:
-    def test_counts(self):
-        spec = NetworkSpec((3, 4, 5), 2, bn_flags=(True, False))
-        mask = nu_mask(spec)
-        assert mask.size == spec.param_count()
-        assert mask.sum() == (5 + 1) * 2
-        assert np.all(mask[: spec.hidden_param_count()] == 0.0)
-
-    def test_masks_only_head_entries(self, rng):
-        spec = NetworkSpec((3, 4, 5), 2)
-        p = random_params(spec, rng, 1.0)
-        masked = nu_mask(p) * p.to_flat()
-        head = spec.head_param_count()
-        np.testing.assert_array_equal(masked[:-head], 0.0)
-        np.testing.assert_array_equal(masked[-head:], p.to_flat()[-head:])
-
-    def test_idempotent(self):
-        spec = NetworkSpec((3, 4, 5), 2)
-        mask = nu_mask(spec)
-        np.testing.assert_array_equal(mask * mask, mask)
-
-    def test_accepts_params_and_spec(self, rng):
-        spec = NetworkSpec((3, 4, 5), 2, bn_flags=(False, True))
-        p = random_params(spec, rng, 1.0)
-        np.testing.assert_array_equal(nu_mask(spec), nu_mask(p))
-        with pytest.raises(TypeError):
-            nu_mask(np.zeros(3))
 
 
 class TestPerturb:
@@ -280,7 +252,7 @@ class TestRunTwoPhase:
             params, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
             hidden = spec.hidden_param_count()
             np.testing.assert_array_equal(
-                params.to_flat()[:hidden], log.params_at_tau_flat[:hidden]
+                params.to_flat()[:hidden], log.params_at_tau.flat[:hidden]
             )
 
     def test_bit_identical_reruns(self):
@@ -326,11 +298,14 @@ class TestRunTwoPhase:
                               weight_decay=0.0, seed=0)
         cfg = TwoPhaseConfig(tau=500, total_steps=5500, phase2_mode="last_layer_gd", seed=0)
         _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
-        assert log.eta_schedule == {"mode": "constant_over_l_h", "value": 1.0 / log.l_h}
+        # descent at step 1/L_H: the loss never rises (beyond rounding)
+        losses = [log.loss_at_tau] + [rec.loss for rec in log.phase2_records()]
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert log.final_loss <= 1e-6
         # suboptimality stays under the descent ceiling at every step
         from twophase.bounds import SLACK_REL, gd_bound, solve_last_layer_optimum
-        opt = solve_last_layer_optimum(SQUARED, log.features_at_tau, ds.y, log.head_at_tau)
+        opt = solve_last_layer_optimum(SQUARED, features_at_tau(spec, ds.x, log), ds.y,
+                                       log.params_at_tau.head_block())
         for rec in log.phase2_records():
             assert rec.bound == gd_bound(opt.r_squared, log.l_h, rec.t, log.tau)
             assert rec.suboptimality <= rec.bound + SLACK_REL * (1.0 + rec.bound)
@@ -343,8 +318,8 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=0, total_steps=1, seed=9)
         _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
-        aug = np.hstack([log.features_at_tau, np.ones((ds.n, 1))])
-        z = log.head_at_tau.reshape(aug.shape[1], ds.y.shape[1], order="F")
+        aug = np.hstack([features_at_tau(spec, ds.x, log), np.ones((ds.n, 1))])
+        z = log.params_at_tau.head_block()
         full = aug.T @ loss_grad(SQUARED, aug @ z, ds.y)
         rng = np.random.default_rng(0)
         acc = np.zeros_like(full)
@@ -367,7 +342,6 @@ class TestRunTwoPhase:
         for rec in log.phase2_records():
             assert rec.ntk_rank is not None
             assert rec.ntk_rank >= 6 or rec.rank_event is not None
-        assert log.eta_schedule["mode"] == "lazy_uniform"
 
     def test_record_sink_called_per_step(self):
         ds, spec, p0 = _toy_problem(seed=12)
@@ -526,7 +500,7 @@ class TestRunTwoPhase:
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
         _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
-        assert log.r_bar is not None and np.isfinite(log.r_bar)
+        assert np.isfinite(log.constants["r_bar"])
         assert len(snaps) == 11
         assert counts["eigvalsh"] <= 1 and counts["cholesky"] == len(snaps)
 
@@ -555,9 +529,11 @@ class TestRunTwoPhase:
         # the first step's count includes the reference kernel's at tau
         assert per_step == [{"cholesky": 2, "solve": 0}] + [{"cholesky": 1, "solve": 0}] * 9
 
-    def test_one_workspace_per_lazy_run(self, monkeypatch):
+    @pytest.mark.parametrize("lipschitz, workspaces", [(50.0, 1), (None, 2)])
+    def test_one_workspace_per_lazy_run(self, monkeypatch, lipschitz, workspaces):
         # the reference at tau, its backprop and every candidate write into
-        # the run's workspace; no pass or kernel makes one of its own
+        # the run's workspace; no pass or kernel makes one of its own, and
+        # without lazy_lipschitz the estimate's nine gradients share one more
         made = []
         init = network.Workspace.__init__
 
@@ -569,9 +545,9 @@ class TestRunTwoPhase:
         monkeypatch.setattr(network.Workspace, "__init__", counting)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
-                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+                             lazy_eta_bar=0.05, lazy_lipschitz=lipschitz, seed=19)
         run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
-        assert len(made) == 1
+        assert len(made) == workspaces
 
     def test_lazy_retry_cap_names_step_and_phase(self, monkeypatch):
         # every candidate fails the rank test, so the first phase-2 step
@@ -642,7 +618,7 @@ class TestRunTwoPhase:
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
         _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=bounds)
         assert len(calls) == (13 - 3 + 1 if bounds else 0)
-        assert (log.r_bar is not None) == bounds
+        assert (log.constants.get("r_bar") is not None) == bounds
         assert all((rec.bound is not None) == bounds for rec in log.phase2_records())
 
     def test_phase_one_builds_no_params_per_step(self, monkeypatch):
@@ -883,16 +859,25 @@ class TestLipschitzEstimate:
         b = estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, seed=3)
         assert a == b > 0.0
 
+    def test_frozen_stats_of_the_wrong_length_rejected(self):
+        # its passes share one workspace, which trusts them, so the
+        # statistics are checked on entry
+        ds, spec, p0 = _toy_problem(seed=14)
+        with pytest.raises(ValueError, match="one entry per hidden layer"):
+            estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, frozen_stats=[None] * 3)
+
 
 def _reference_lazy_phase(spec, ds, kind, log, cfg):
-    """The lazy phase from the perturbed parameters log.params_at_tau_flat,
+    """The lazy phase from the perturbed parameters log.params_at_tau, at
+    the rate of cfg.lazy_lipschitz or else of estimate_lipschitz there,
     written out independently of the trainer: allocating passes and
     backprops, each candidate's kernel ranked at the tolerance of the
     reference kernel at tau, and eta_bar halved on every rejection.
     Returns (loss, grad_norm, ntk_rank, rank_event) per step and the rank
     events."""
     x, y, frozen = ds.x, ds.y, log.frozen_stats
-    lipschitz = log.eta_schedule["lipschitz"]
+    lipschitz = cfg.lazy_lipschitz or max(
+        estimate_lipschitz(spec, log.params_at_tau, x, y, kind, frozen, seed=cfg.seed), 1e-12)
 
     def evaluate(params):
         trace = forward_hidden(spec, params, x, frozen)
@@ -900,7 +885,7 @@ def _reference_lazy_phase(spec, ds, kind, log, cfg):
         loss, up = _reference_loss(kind, trace.output, y)
         return trace, loss, backprop(spec, params, x, up, trace=trace)
 
-    params = params_from_flat(spec, log.params_at_tau_flat)
+    params = log.params_at_tau
     trace, _, g = evaluate(params)
     reference = ntk.compute_ntk(ntk.compute_kernel(spec, params, x, frozen, trace=trace))
     eta_bar, records, events = cfg.lazy_eta_bar, [], []
