@@ -15,6 +15,7 @@ import twophase
 import twophase.network as network
 import twophase.ntk as ntk
 import twophase.trainer as trainer
+from twophase.bounds import SLACK_REL
 from twophase.cli import DEFAULT_CONFIG
 from twophase.data import synth_gen
 from twophase.linalg import RankDeficientError, append_ones, numerical_rank
@@ -865,6 +866,87 @@ class TestLipschitzEstimate:
         ds, spec, p0 = _toy_problem(seed=14)
         with pytest.raises(ValueError, match="one entry per hidden layer"):
             estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, frozen_stats=[None] * 3)
+
+
+_MODES = ["last_layer_gd", "last_layer_sgd", "lazy_full"]
+
+
+def _certified_run(mode, seed=19, kind=SQUARED, target="regression", bounds=True):
+    """A short run in `mode` on the toy problem, with a fixed lazy L."""
+    ds, spec, p0 = _toy_problem(seed=seed)
+    if target != "regression":
+        ds = synth_gen(10, 4, 2, 0.03, target, seed=seed)
+    base = BaseAlgoConfig(variant="gd", minibatch=10)
+    cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode=mode, lazy_eta_bar=0.05,
+                         lazy_lipschitz=50.0, sgd_rate_scale=0.05, sgd_minibatch=4, seed=seed)
+    return run_two_phase(spec, p0, ds, base, cfg, kind, bounds=bounds)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_bounds_off_leaves_no_certificate(self, mode):
+        _, log = _certified_run(mode, bounds=False)
+        assert log.constants == {} and log.violations is None
+        assert all(r.bound is None and r.suboptimality is None for r in log.records)
+
+    def test_phase_one_records_carry_no_ceiling(self):
+        _, log = _certified_run("last_layer_gd")
+        assert all(r.bound is None and r.suboptimality is None
+                   for r in log.records if r.phase == 1)
+        assert all(isinstance(r.bound, float) and isinstance(r.suboptimality, float)
+                   for r in log.phase2_records())
+
+    @pytest.mark.parametrize("mode, status, keys, violations", [
+        ("last_layer_gd", "exact", {"g_squared", "r_squared"}, 0),
+        ("last_layer_sgd", "expectation", {"g_squared", "r_squared"}, None),
+        ("lazy_full", "estimated", {"l_estimate", "diagnostic", "r_bar", "r_bar_kind"}, None),
+    ], ids=_MODES)
+    def test_constants_by_mode(self, mode, status, keys, violations):
+        _, log = _certified_run(mode)
+        assert set(log.constants) == keys | {"loss_star", "certificate"}
+        assert log.constants["certificate"] == status
+        assert log.violations == violations
+        assert log.constants["loss_star"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_exact_ceiling_counts_each_exceedance(self, monkeypatch):
+        # a zero ceiling: every step whose suboptimality clears the slack
+        # is one violation
+        monkeypatch.setattr(trainer, "gd_bound", lambda *args: 0.0)
+        _, log = _certified_run("last_layer_gd")
+        phase2 = log.phase2_records()
+        exceeded = sum(r.suboptimality > SLACK_REL for r in phase2)
+        assert all(r.bound == 0.0 for r in phase2)
+        assert log.violations == exceeded > 0
+
+    def test_expectation_ceiling_counts_no_exceedance(self, monkeypatch):
+        # one run above a ceiling on the expected suboptimality is no violation
+        monkeypatch.setattr(trainer, "sgd_bound", lambda *args: 0.0)
+        _, log = _certified_run("last_layer_sgd")
+        assert any(r.suboptimality > SLACK_REL for r in log.phase2_records())
+        assert log.violations is None
+
+    def test_unattained_optimum_is_vacuous_and_counts_nothing(self, monkeypatch):
+        # one-hot cross-entropy on full-rank features: R^2 is inf, so no step
+        # gets a ceiling, even one that would be exceeded
+        monkeypatch.setattr(trainer, "gd_bound", lambda *args: 0.0)
+        _, log = _certified_run("last_layer_gd", kind=CROSS_ENTROPY, target="one_hot")
+        assert log.constants["certificate"] == "vacuous"
+        assert log.constants["r_squared"] is None
+        assert log.violations is None
+        assert all(r.bound is None and r.suboptimality is None for r in log.phase2_records())
+
+    def test_params_at_tau_is_the_kicked_phase_one_end(self):
+        # a run that stops at tau returns the kicked parameters; a longer one
+        # keeps a copy of them that its head phase leaves alone
+        ds, spec, p0 = _toy_problem(seed=8)
+        base = BaseAlgoConfig(variant="gd", minibatch=10)
+        short = TwoPhaseConfig(tau=6, total_steps=6, seed=8)
+        kicked, _ = run_two_phase(spec, p0, ds, base, short, SQUARED)
+        cfg = TwoPhaseConfig(tau=6, total_steps=30, phase2_mode="last_layer_gd", seed=8)
+        final, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        np.testing.assert_array_equal(log.params_at_tau.flat, kicked.flat)
+        assert not np.array_equal(final.head_block(), kicked.head_block())
+        assert not np.shares_memory(final.flat, log.params_at_tau.flat)
 
 
 def _reference_lazy_phase(spec, ds, kind, log, cfg):
