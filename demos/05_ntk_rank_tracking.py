@@ -6,9 +6,10 @@
 # model can reach every output table.  The head block of J is
 # `I kron [h, 1]` per sample, so full feature row rank after the
 # perturbation lifts to full kernel rank, and head-only training keeps it.
-# `compute_kernel` sums K layer by layer without forming J, and
-# `compute_ntk` certifies full rank by one Cholesky factorization, taking
-# the spectrum only when it is asked for or the factorization fails.
+# `compute_kernel` sums K layer by layer without forming J, over the trace
+# of one `forward_hidden` pass, and `compute_ntk` certifies full rank by one
+# Cholesky factorization, taking the spectrum only when it is asked for or
+# the factorization fails.
 
 # %%
 import numpy as np
@@ -20,6 +21,7 @@ from twophase import (
     assert_rank_preserved,
     compute_kernel,
     compute_ntk,
+    forward_hidden,
     init_params,
     run_two_phase,
     synth_gen,
@@ -29,8 +31,14 @@ from twophase.losses import SQUARED
 ds = synth_gen(n=8, m_x=4, m_y=2, c_min=0.03, kind="regression", seed=1)
 spec = NetworkSpec(widths=(4, 8, 10), output_dim=2, sharpness=10.0)
 
+
+def kernel_at(p):
+    """K at the pass of p on the dataset."""
+    return compute_kernel(spec, p, forward_hidden(spec, p, ds.x))
+
+
 params = init_params(spec, seed=0)
-snap = compute_ntk(compute_kernel(spec, params, ds.x))
+snap = compute_ntk(kernel_at(params))
 print(f"at init: kernel {snap.rows} x {snap.rows}, rank {snap.rank} "
       f"(full would be {ds.n * ds.output_dim})")
 print("top of spectrum:", np.round(snap.kernel_spectrum[:4], 3))
@@ -47,13 +55,13 @@ cfg = TwoPhaseConfig(tau=30, total_steps=180, phase2_mode="last_layer_gd", seed=
 _, log = run_two_phase(spec, params, ds, base, cfg, SQUARED)
 
 p_tau = log.params_at_tau
-reference = compute_ntk(compute_kernel(spec, p_tau, ds.x))
+reference = compute_ntk(kernel_at(p_tau))
 print(f"reference at tau: rank {reference.rank}")
 
 for t in range(cfg.tau + 25, cfg.total_steps + 1, 25):
     p_t, _ = run_two_phase(spec, params, ds, base,
                            TwoPhaseConfig(tau=cfg.tau, total_steps=t, seed=0), SQUARED)
-    current = compute_ntk(compute_kernel(spec, p_t, ds.x))
+    current = compute_ntk(kernel_at(p_t))
     print(f"step {t:>4}: rank {current.rank}, "
           f"preserved={assert_rank_preserved(reference, current)}")
 

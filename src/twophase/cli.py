@@ -503,7 +503,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=str, default="runs", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--monitor-every", type=int, default=None,
-                       help="rank/bound sampling cadence in steps")
+                       help="rank sampling cadence in steps (0: never); a phase-2 "
+                            "record's ceiling is there at any cadence")
     args = parser.parse_args(argv)
 
     try:

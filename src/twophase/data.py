@@ -8,17 +8,19 @@ condition the distinguishability check certifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import as_matrix
-from .network import NetworkSpec, forward_output, random_params
+from .network import NetworkSpec, forward_hidden, forward_output, random_params
 
 __all__ = ["Dataset", "synth_gen", "load_csv", "save_csv", "one_hot"]
 
 TARGET_KINDS = ("regression", "class_index", "one_hot")
 MAX_REJECTIONS = 1_000_000  # synth_gen's cap on candidate points too close to a kept one
+BLOCK_ENTRIES = 1 << 20  # cap on a block of candidates' entries times (m_x + points kept)
 
 
 @dataclass
@@ -69,29 +71,80 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
+def _packing_limit(m_x: int, c_min: float) -> float:
+    """An upper bound on how many points of the unit sphere in R^m_x lie
+    pairwise at squared distance >= 2 c_min, that is at angle >= theta =
+    arccos(1 - c_min).  Caps of angular radius a = theta / 2 around them are
+    disjoint, so at most W_k / I_k(a) fit, I_k(a) the integral of sin^k
+    over [0, a], k = m_x - 2, and W_k = I_k(pi); as sin is concave on
+    [0, pi], I_k(a) >= a sin(a)^k / (k + 1).  On the circle (k = 0) the
+    bound is 2 pi / theta, which the regular polygon attains (the 1e-9
+    keeps rounding from cutting it); the sphere of the line holds 2."""
+    if m_x == 1:
+        return 2
+    k = m_x - 2
+    a = 0.5 * math.acos(1.0 - c_min)
+    log_w = 0.5 * math.log(math.pi) + math.lgamma((k + 1) / 2) - math.lgamma(k / 2 + 1)
+    log_limit = log_w + math.log(k + 1) - math.log(a) - k * math.log(math.sin(a))
+    return math.floor(math.exp(log_limit) * (1.0 + 1e-9)) if log_limit < 700.0 else math.inf
+
+
 def _sphere_points(n: int, m_x: int, c_min: float, rng) -> np.ndarray:
+    """n points of the unit sphere pairwise at squared distance >= 2 c_min:
+    each candidate a normalized Gaussian draw, kept if it is that far from
+    every point kept before it.
+
+    Candidates are drawn in blocks.  A block's distances to the kept points
+    are first estimated at once from u.p (u a candidate's direction, p a
+    kept point), and a candidate short of the margin by more than the
+    estimate's rounding is rejected; the rest are tested in order exactly
+    as a single draw would be.  Once n points are kept the generator is set
+    back to where drawing candidates one at a time would have left it, so
+    the points and the draws that follow are those of that loop.
+    ValueError once MAX_REJECTIONS candidates fell short.
+    """
     pts = np.empty((n, m_x))
-    count = 0
-    rejections = 0
+    count = rejections = drawn = 0
     min_sq_dist = 2.0 * c_min
-    while count < n:
-        v = rng.standard_normal(m_x)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        v /= norm
-        if count and np.min(((pts[:count] - v) ** 2).sum(axis=1)) < min_sq_dist:
-            rejections += 1
-            if rejections >= MAX_REJECTIONS:
-                raise ValueError(
-                    f"rejection sampling failed {MAX_REJECTIONS} times at margin "
-                    f"{c_min}; reduce c_min or n (the sphere in dimension {m_x} "
-                    f"cannot pack {n} points this far apart)"
-                )
-            continue
-        pts[count] = v
-        count += 1
-    return pts
+    # u.p <= cos_max clears the margin by the estimate; the slack is far
+    # above its rounding, about m_x eps
+    cos_max = 1.0 - 0.5 * (min_sq_dist - 1e-10 * (m_x + 8))
+    while True:
+        state = rng.bit_generator.state
+        # about twice the draws the acceptance rate so far needs, within
+        # BLOCK_ENTRIES per column and kept point
+        size = max(16, min(2 * (n - count) * (drawn + 1) // (count + 1),
+                           BLOCK_ENTRIES // (count + m_x)))
+        drawn += size
+        block = rng.standard_normal((size, m_x))
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+        nonzero = norms > 0.0  # a zero draw is skipped, not rejected
+        maybe = nonzero
+        if count:
+            maybe = nonzero & ((block @ pts[:count].T).max(axis=1) <= cos_max * norms)
+        short = np.cumsum(nonzero & ~maybe).tolist()  # rejections up to each row
+        tested = 0  # candidates the exact test rejected
+        for i in np.flatnonzero(maybe).tolist():
+            if rejections + short[i] + tested >= MAX_REJECTIONS:
+                break
+            v = block[i].copy()
+            v /= np.linalg.norm(v)
+            if count and np.min(((pts[:count] - v) ** 2).sum(axis=1)) < min_sq_dist:
+                tested += 1
+                continue
+            pts[count] = v
+            count += 1
+            if count == n:
+                rng.bit_generator.state = state
+                rng.standard_normal((i + 1, m_x))
+                return pts
+        rejections += short[-1] + tested
+        if rejections >= MAX_REJECTIONS:
+            raise ValueError(
+                f"rejection sampling failed {MAX_REJECTIONS} times at margin "
+                f"{c_min}; reduce c_min or n (draws on the sphere in dimension "
+                f"{m_x} jammed short of {n} points this far apart)"
+            )
 
 
 def synth_gen(n: int, m_x: int, m_y: int, c_min: float, kind: str = "regression",
@@ -99,8 +152,9 @@ def synth_gen(n: int, m_x: int, m_y: int, c_min: float, kind: str = "regression"
     """Distinguishable synthetic dataset: unit-sphere inputs, margin >= c_min.
 
     Regression targets come from a fixed random teacher network;
-    classification targets are uniform labels.  Raises ValueError when
-    MAX_REJECTIONS candidate points fall too close to a kept one.
+    classification targets are uniform labels.  Raises ValueError, before
+    any draw, when n exceeds _packing_limit, and otherwise once
+    MAX_REJECTIONS candidate points fell too close to a kept one.
     """
     if not 0.0 < c_min < 1.0:
         raise ValueError("c_min must lie in (0, 1)")
@@ -108,6 +162,10 @@ def synth_gen(n: int, m_x: int, m_y: int, c_min: float, kind: str = "regression"
         raise ValueError("n, m_x, m_y must all be >= 1")
     if kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {kind!r}")
+    most = _packing_limit(m_x, c_min)
+    if n > most:
+        raise ValueError(f"the unit sphere in dimension {m_x} holds at most {most} points at "
+                         f"margin {c_min}, fewer than n = {n}; reduce n or c_min, or raise m_x")
     rng = np.random.default_rng(seed)
     x = _sphere_points(n, m_x, c_min, rng)
     provenance = {"source": "synthetic", "n": n, "m_x": m_x, "m_y": m_y,
@@ -115,7 +173,7 @@ def synth_gen(n: int, m_x: int, m_y: int, c_min: float, kind: str = "regression"
     if kind == "regression":
         teacher = NetworkSpec((m_x, max(8, 2 * m_x)), m_y, sharpness=1.0)
         t_params = random_params(teacher, np.random.default_rng(seed + 1), scale=1.0)
-        y = forward_output(teacher, t_params, x)
+        y = forward_output(t_params, forward_hidden(teacher, t_params, x))
         return Dataset(x, y, kind, provenance)
     labels = rng.integers(0, m_y, size=n)
     y = one_hot(labels, m_y)

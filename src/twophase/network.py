@@ -18,6 +18,9 @@ it, so writing a view writes the vector, rebinding a view is an error, and
 `Params.to_flat()` returns a copy.  `backprop` returns gradients in the same
 layout.
 
+`forward_hidden` is the one function that runs a pass: `forward_output`,
+`backprop` and ntk's kernel and Jacobian take the `ForwardTrace` it returns,
+which carries the inputs and any frozen statistics of the pass.
 `forward_hidden` and `backprop` write their per-layer arrays into a
 `Workspace`: the caller's, or a new one for a call that brings none.  A
 workspace binds its views once, so a training loop that passes one to every
@@ -390,10 +393,9 @@ def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     return ForwardTrace(x, affine, bn_cache, post, frozen_stats=frozen_stats)
 
 
-def forward_output(spec: NetworkSpec, params: Params, x, frozen_stats=None, trace=None):
-    """Head outputs f = [h, 1] [W; b], shape n x m_y.  Fills trace.output."""
-    if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats)
+def forward_output(params: Params, trace: ForwardTrace):
+    """Head outputs f = [h, 1] [W; b] of the pass `trace` of `params`,
+    shape n x m_y.  Fills trace.output."""
     trace.output = trace.hidden @ params.weights[-1] + params.biases[-1]
     return trace.output
 
@@ -422,16 +424,10 @@ def _bn_backward(dz_bn, cache, gamma, eps, frozen: bool):
     return dz, dgamma, dbeta
 
 
-def backprop(
-    spec: NetworkSpec,
-    params: Params,
-    x,
-    upstream,
-    frozen_stats=None,
-    trace: ForwardTrace | None = None,
-    work: Workspace | None = None,
-) -> np.ndarray:
-    """Gradient of <upstream, f(X)> with respect to the flat parameter vector.
+def backprop(spec: NetworkSpec, params: Params, trace: ForwardTrace, upstream,
+             work: Workspace | None = None) -> np.ndarray:
+    """Gradient of <upstream, f(X)> with respect to the flat parameter
+    vector, at the pass `trace` of `params` on X.
 
     `upstream` is d(objective)/d(f), shape n x m_y.  BN layers
     differentiate through their batch statistics unless the trace was built
@@ -439,8 +435,6 @@ def backprop(
     the Workspace `work`, or a new one without it; given one, upstream must
     be a finite float64 n x m_y matrix, and without one it is checked.
     """
-    if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats, work=work)
     n = trace.inputs.shape[0]
     if work is None:
         upstream = as_matrix(upstream, "upstream")

@@ -17,8 +17,9 @@ plus (D o z_hat)(D o z_hat)^T + D D^T for the scale and shift of a BN layer,
 D there being the delta at the BN output.  That is rows^2 * sum_l m_l flops
 where J J^T takes rows^2 * d.  Training-mode BN couples the rows through the
 batch statistics, so there K = J J^T of compute_jacobian, which runs one
-backward pass per row over a shared forward trace; in every mode that J is
-the per-row reference the layer-wise sum is checked against.
+backward pass per row over the same forward trace; in every mode that J is
+the per-row reference the layer-wise sum is checked against.  Both take the
+trace of network.forward_hidden, so they run no pass of their own.
 
 K is symmetric positive semidefinite and shares its rank with J.  Training
 phases that must not lose kernel rank compare each step against the snapshot
@@ -38,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DecompositionError
-from .network import NetworkSpec, Params, Workspace, _softplus_deriv, backprop, forward_hidden
+from .network import ForwardTrace, NetworkSpec, Params, Workspace, _softplus_deriv, backprop
 
 __all__ = [
     "NtkSnapshot",
@@ -99,26 +100,18 @@ class NtkSnapshot:
         return int(np.count_nonzero(self.kernel_spectrum > tol))
 
 
-def compute_jacobian(
-    spec: NetworkSpec,
-    params: Params,
-    x,
-    frozen_stats=None,
-    trace=None,
-) -> np.ndarray:
-    """Full output Jacobian, shape (n * m_y) x d.
+def compute_jacobian(spec: NetworkSpec, params: Params, trace: ForwardTrace) -> np.ndarray:
+    """Full output Jacobian at the pass `trace` of `params`, shape
+    (n * m_y) x d.
 
-    One backward pass per (sample, output) row over one shared forward
-    trace, so training-mode BN has its batch statistics differentiated
-    exactly; with `frozen_stats` they are constants.  The passes share one
-    Workspace, each row copied out of its gradient.  compute_kernel needs
-    J only under training-mode BN; otherwise J is the per-row reference for
-    its layer-wise sum.  A given `trace` of `params` on `x` replaces the
-    forward pass.  Raises MemoryError when J would hold more than
-    DEFAULT_MAX_JACOBIAN_ENTRIES entries.
+    One backward pass per (sample, output) row over the trace, so
+    training-mode BN has its batch statistics differentiated exactly; in a
+    trace built with frozen statistics they are constants.  The passes
+    share one Workspace, each row copied out of its gradient.
+    compute_kernel needs J only under training-mode BN; otherwise J is the
+    per-row reference for its layer-wise sum.  Raises MemoryError when J
+    would hold more than DEFAULT_MAX_JACOBIAN_ENTRIES entries.
     """
-    if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats)
     n, m_y = trace.inputs.shape[0], spec.output_dim
     d = spec.param_count()
     rows = n * m_y
@@ -133,33 +126,31 @@ def compute_jacobian(
     for i in range(n):
         for k in range(m_y):
             upstream[i, k] = 1.0
-            jac[i * m_y + k] = backprop(spec, params, x, upstream, trace=trace, work=work)
+            jac[i * m_y + k] = backprop(spec, params, trace, upstream, work=work)
             upstream[i, k] = 0.0
     return jac
 
 
-def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
-                   trace=None, work=None) -> np.ndarray:
-    """Tangent kernel K = J J^T, (n * m_y) x (n * m_y), rows as in
-    compute_jacobian.
+def compute_kernel(spec: NetworkSpec, params: Params, trace: ForwardTrace,
+                   work: Workspace | None = None) -> np.ndarray:
+    """Tangent kernel K = J J^T at the pass `trace` of `params`,
+    (n * m_y) x (n * m_y), rows as in compute_jacobian.
 
-    Without BN, or with `frozen_stats`, K is the layer-wise sum of the
-    module docstring, and J is never formed.  The deltas dout and dz
-    (m_y x n x m_l: output k, sample i) of each hidden layer, last first,
-    are the derivatives of f_ik with respect to the layer's softplus input
-    and its affine pre-activation (dout itself without BN): the recursion
-    starts from W_head^T broadcast over samples, scales by the softplus
-    derivative and, under frozen BN, by gamma / sqrt(var + eps).  The sum
-    runs in output-major (k, i) order, so each Hadamard product with the
-    n x n gram matrix runs over contiguous rows of n, and is put in
-    sample-major order once at the end.  Training-mode BN takes J J^T of
-    compute_jacobian.  K, the sum's arrays and the forward pass, unless a
-    `trace` of `params` on `x` replaces it, are written into the
-    network.Workspace `work` for all n rows, or a new one without it; the
-    next kernel given it overwrites this one.
+    Without BN, or in a trace built with frozen statistics, K is the
+    layer-wise sum of the module docstring, and J is never formed.  The
+    deltas dout and dz (m_y x n x m_l: output k, sample i) of each hidden
+    layer, last first, are the derivatives of f_ik with respect to the
+    layer's softplus input and its affine pre-activation (dout itself
+    without BN): the recursion starts from W_head^T broadcast over samples,
+    scales by the softplus derivative and, under frozen BN, by
+    gamma / sqrt(var + eps).  The sum runs in output-major (k, i) order, so
+    each Hadamard product with the n x n gram matrix runs over contiguous
+    rows of n, and is put in sample-major order once at the end.
+    Training-mode BN takes J J^T of
+    compute_jacobian over the same trace.  K and the sum's arrays are
+    written into the network.Workspace `work` for all n rows, or a new one
+    without it; the next kernel given it overwrites this one.
     """
-    if trace is None:
-        trace = forward_hidden(spec, params, x, frozen_stats, work=work)
     n, m_y = trace.inputs.shape[0], spec.output_dim
     rows = n * m_y
     if work is None:
@@ -168,7 +159,7 @@ def compute_kernel(spec: NetworkSpec, params: Params, x, frozen_stats=None,
         work.kernel_arrays = _kernel_arrays(spec, n)
     gram, block, spare, layers = work.kernel_arrays
     if any(spec.bn_flags) and trace.frozen_stats is None:
-        jac = compute_jacobian(spec, params, x, trace=trace)
+        jac = compute_jacobian(spec, params, trace)
         return np.matmul(jac, jac.T, out=block)
     total = spare[: rows * rows].reshape(rows, rows)
     blocks = total.reshape(m_y, n, m_y, n)

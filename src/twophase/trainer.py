@@ -255,13 +255,12 @@ def _finite(value, what: str, t, phase):
     )
 
 
-def _snapshot(spec, params, x, frozen, trace, t, phase, floor=0.0, rhs=None, work=None):
+def _snapshot(spec, params, trace, t, phase, floor=0.0, rhs=None, work=None):
     """compute_ntk, bordered by `rhs` if given, of the tangent kernel at
-    `trace`, the forward pass of `params` on x, written into `work` if
-    given; FloatingPointError naming step t and the phase if the kernel is
-    not finite."""
-    kernel = _finite(compute_kernel(spec, params, x, frozen, trace=trace, work=work),
-                     "kernel", t, phase)
+    `trace`, a forward pass of `params`, written into `work` if given;
+    FloatingPointError naming step t and the phase if the kernel is not
+    finite."""
+    kernel = _finite(compute_kernel(spec, params, trace, work=work), "kernel", t, phase)
     return compute_ntk(kernel, floor=floor, rhs=rhs, work=work)
 
 
@@ -285,7 +284,7 @@ def _evaluate(spec, params, x, y, kind, t, phase, frozen_stats=None, work=None,
     (_checked_data).  Predictions and loss are checked finite; t and phase
     only label the error."""
     trace = forward_hidden(spec, params, x, frozen_stats, work=work)
-    f = _finite(forward_output(spec, params, x, trace=trace), "predictions", t, phase)
+    f = _finite(forward_output(params, trace), "predictions", t, phase)
     terms, residual = _terms(kind, f, y)
     return trace, _finite(_mean_loss(kind, terms[order]), "loss", t, phase), residual
 
@@ -311,7 +310,7 @@ def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None, seed: int = 
 
     def gradient(point):
         trace, _, res = _evaluate(spec, point, x, y, kind, None, None, frozen_stats, work=work)
-        return backprop(spec, point, x, _mean_gradient(kind, res), trace=trace, work=work)
+        return backprop(spec, point, trace, _mean_gradient(kind, res), work=work)
 
     g0 = gradient(params).copy()
     best = 0.0
@@ -487,8 +486,7 @@ def _phase_one(run, params0):
             else:
                 batch, rows = _rows(trace, slice(pos, pos + size)), residual[pos : pos + size]
             pos += size
-            g = backprop(spec, params, batch.inputs, _mean_gradient(kind, rows), trace=batch,
-                         work=work)
+            g = backprop(spec, params, batch, _mean_gradient(kind, rows), work=work)
             if base.weight_decay:
                 g += base.weight_decay * w
             gnorm = _finite(math.sqrt(g @ g), "gradient norm", t, 1)
@@ -518,7 +516,7 @@ def _phase_one(run, params0):
             # rank and kernel of the pass in data order
             full = _rows(trace, inverse)
             rec.feature_rank = numerical_rank(append_ones(full.hidden))
-            rec.ntk_rank = _snapshot(spec, params, x, None, full, t, 1, work=work).rank
+            rec.ntk_rank = _snapshot(spec, params, full, t, 1, work=work).rank
         emit(rec)
     return params
 
@@ -589,7 +587,7 @@ def _head_phase(run, at_tau, cert):
             # only the head moved, so the tau pass is the features' pass
             rec.feature_rank = at_tau.feature_rank
             params.set_head_block(z)
-            rec.ntk_rank = _snapshot(spec, params, x, at_tau.frozen, trace, t, 2, work=work).rank
+            rec.ntk_rank = _snapshot(spec, params, trace, t, 2, work=work).rank
         if cert is not None:
             cert.check(rec, best_loss)
         emit(rec)
@@ -613,10 +611,10 @@ def _lazy_phase(run, at_tau, cert):
     # reference threshold, which is taken now, before the first candidate's
     # kernel overwrites the reference's in the workspace
     bordered = cert is not None and cert.bordered
-    reference = _snapshot(spec, params, x, frozen, trace, tau, 2,
+    reference = _snapshot(spec, params, trace, tau, 2,
                           rhs=at_tau.residual.reshape(-1) if bordered else None, work=work)
     threshold = reference.tolerance
-    g = backprop(spec, params, x, _mean_gradient(kind, at_tau.residual), trace=trace, work=work)
+    g = backprop(spec, params, trace, _mean_gradient(kind, at_tau.residual), work=work)
     if cert is not None:
         cert.observe(reference, trace, tau)
     # candidates are written into a second buffer, swapped in on acceptance
@@ -628,7 +626,7 @@ def _lazy_phase(run, at_tau, cert):
         for _ in range(LAZY_MAX_RETRIES + 1):
             np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
             trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen, work=work)
-            snap = _snapshot(spec, cand, x, frozen, trace, t, 2, threshold,
+            snap = _snapshot(spec, cand, trace, t, 2, threshold,
                              rhs=residual.reshape(-1) if bordered else None, work=work)
             if assert_rank_preserved(reference, snap):
                 break
@@ -643,8 +641,7 @@ def _lazy_phase(run, at_tau, cert):
         params, cand = cand, params
         log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
         if t < total:
-            g = backprop(spec, params, x, _mean_gradient(kind, residual), trace=trace,
-                         work=work)
+            g = backprop(spec, params, trace, _mean_gradient(kind, residual), work=work)
         if cert is not None:
             cert.observe(snap, trace, t)
         if cur < best_loss:

@@ -12,6 +12,7 @@ from twophase.network import (
     params_from_flat,
     random_params,
 )
+from twophase.ntk import compute_jacobian
 
 
 def max_rel_err(a, b):
@@ -20,6 +21,16 @@ def max_rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def outputs(spec, params, x, frozen_stats=None):
+    """f(X): the head outputs of the pass of params on x."""
+    return forward_output(params, forward_hidden(spec, params, x, frozen_stats))
+
+
+def jacobian(spec, params, x, frozen_stats=None):
+    """J: the output Jacobian at the pass of params on x."""
+    return compute_jacobian(spec, params, forward_hidden(spec, params, x, frozen_stats))
 
 
 def fd_loss_grad(spec, params, x, y, kind, frozen_stats=None, step=1e-5):
@@ -31,8 +42,8 @@ def fd_loss_grad(spec, params, x, y, kind, frozen_stats=None, step=1e-5):
         wp[j] += step
         wm = w.copy()
         wm[j] -= step
-        fp = forward_output(spec, params_from_flat(spec, wp), x, frozen_stats)
-        fm = forward_output(spec, params_from_flat(spec, wm), x, frozen_stats)
+        fp = outputs(spec, params_from_flat(spec, wp), x, frozen_stats)
+        fm = outputs(spec, params_from_flat(spec, wm), x, frozen_stats)
         out[j] = (loss_value(kind, fp, y) - loss_value(kind, fm, y)) / (2 * step)
     return out
 
@@ -48,8 +59,8 @@ def fd_jacobian(spec, params, x, frozen_stats=None, step=1e-5):
         wp[j] += step
         wm = w.copy()
         wm[j] -= step
-        fp = forward_output(spec, params_from_flat(spec, wp), x, frozen_stats)
-        fm = forward_output(spec, params_from_flat(spec, wm), x, frozen_stats)
+        fp = outputs(spec, params_from_flat(spec, wp), x, frozen_stats)
+        fm = outputs(spec, params_from_flat(spec, wm), x, frozen_stats)
         out[:, j] = ((fp - fm) / (2 * step)).reshape(-1)
     return out
 

@@ -14,8 +14,10 @@ from conftest import (
     fd_jacobian,
     fd_loss_grad,
     features_at_tau,
+    jacobian,
     masked_flat,
     max_rel_err,
+    outputs,
     random_small_config,
 )
 
@@ -191,10 +193,10 @@ def test_criterion_5_gradient_correctness():
     for _ in range(50):
         spec, params, x = random_small_config(rng, allow_bn=True)
         y = rng.standard_normal((x.shape[0], spec.output_dim))
-        f = forward_output(spec, params, x)
-        g = backprop(spec, params, x, loss_grad(SQUARED, f, y))
+        trace = forward_hidden(spec, params, x)
+        g = backprop(spec, params, trace, loss_grad(SQUARED, forward_output(params, trace), y))
         worst_grad = max(worst_grad, max_rel_err(g, fd_loss_grad(spec, params, x, y, SQUARED)))
-        jac = compute_jacobian(spec, params, x)
+        jac = compute_jacobian(spec, params, trace)
         worst_jac = max(worst_jac, max_rel_err(jac, fd_jacobian(spec, params, x)))
     ok = worst_grad < 1e-5 and worst_jac < 1e-5
     report(5, f"max rel err: gradient {worst_grad:.2e}, jacobian {worst_jac:.2e}", ok)
@@ -213,7 +215,7 @@ def test_criterion_6_ntk_structure():
                              seed=seed)
         _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED)
         p_tau = log.params_at_tau
-        jac = compute_jacobian(spec, p_tau, ds.x, log.frozen_stats)
+        jac = jacobian(spec, p_tau, ds.x, log.frozen_stats)
         ref = compute_ntk(jac @ jac.T)
         full_rank_ok &= ref.rank == n * m_y
         # head GD is deterministic: a run cut at step t ends at step t's params
@@ -221,7 +223,7 @@ def test_criterion_6_ntk_structure():
             p_t, _ = run_two_phase(spec, init_params(spec, seed), ds, base,
                                    TwoPhaseConfig(tau=20, total_steps=t, seed=seed),
                                    SQUARED)
-            jac = compute_jacobian(spec, p_t, ds.x, log.frozen_stats)
+            jac = jacobian(spec, p_t, ds.x, log.frozen_stats)
             preserved_ok &= assert_rank_preserved(ref, compute_ntk(jac @ jac.T))
     ok = full_rank_ok and preserved_ok
     report(6, f"kernel rank full at tau: {full_rank_ok}; preserved along "
@@ -330,9 +332,8 @@ def test_criterion_9_oracle_equivalence():
     traj = []
     for k in range(3):
         p = init_params(spec, seed=k)
-        traj.append((p, compute_jacobian(spec, p, ds.x)))
-    got = max(estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, p, ds.x), ds.y,
-                             SQUARED)
+        traj.append((p, jacobian(spec, p, ds.x)))
+    got = max(estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, p, ds.x), ds.y, SQUARED)
               for p, jac in traj)
     worst = 0.0
     for p, jac in traj:

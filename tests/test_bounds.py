@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import features_at_tau, masked_flat
+from conftest import features_at_tau, jacobian, masked_flat, outputs
 
 import twophase.trainer as trainer
 from twophase.bounds import (
@@ -20,8 +20,8 @@ from twophase.bounds import (
 from twophase.data import synth_gen
 from twophase.linalg import RankDeficientError, min_norm_solve
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad, loss_value
-from twophase.network import NetworkSpec, forward_output, init_params
-from twophase.ntk import compute_jacobian, compute_ntk
+from twophase.network import NetworkSpec, forward_hidden, init_params
+from twophase.ntk import compute_ntk
 from twophase.trainer import BaseAlgoConfig, TwoPhaseConfig, run_two_phase
 
 
@@ -259,8 +259,8 @@ class TestOneDecomposition:
 
         kind, h, y, anchor = self._problem(rng, targets)
         ds, spec, params = _interpolating_setup(seed=3)
-        jac = compute_jacobian(spec, params, ds.x)
-        snap, f = compute_ntk(jac @ jac.T), forward_output(spec, params, ds.x)
+        jac = jacobian(spec, params, ds.x)
+        snap, f = compute_ntk(jac @ jac.T), outputs(spec, params, ds.x)
         lazy_y = ds.y if kind is SQUARED else _soft_targets(rng, *ds.y.shape)
         monkeypatch.setattr(np, "kron", refuse)
         solve_last_layer_optimum(kind, h, y, anchor)
@@ -340,7 +340,6 @@ def _interpolating_setup(seed=0):
     ds = synth_gen(4, 3, 2, 0.05, "regression", seed=seed)
     spec = NetworkSpec((3, 6, 6), 2, sharpness=10.0)
     params = init_params(spec, seed=seed)
-    from twophase.network import forward_hidden
     h = forward_hidden(spec, params, ds.x).hidden
     aug = np.hstack([h, np.ones((4, 1))])
     z = min_norm_solve(aug, ds.y, np.zeros((7, 2)))
@@ -351,15 +350,15 @@ def _interpolating_setup(seed=0):
 class TestEstimateRBar:
     def test_feasible_anchor_gives_zero(self):
         ds, spec, params = _interpolating_setup()
-        jac = compute_jacobian(spec, params, ds.x)
-        f = forward_output(spec, params, ds.x)
+        jac = jacobian(spec, params, ds.x)
+        f = outputs(spec, params, ds.x)
         assert estimate_R_bar(compute_ntk(jac @ jac.T), f, ds.y, SQUARED) <= 1e-8
 
     def test_singleton_matches_direct_solve(self, rng):
         ds, spec, params = _interpolating_setup(seed=1)
         params.weights[-1][:] = params.weights[-1] + rng.standard_normal(params.weights[-1].shape)
-        jac = compute_jacobian(spec, params, ds.x)
-        got = estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, params, ds.x), ds.y,
+        jac = jacobian(spec, params, ds.x)
+        got = estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, params, ds.x), ds.y,
                              SQUARED)
         anchor = masked_flat(params).reshape(-1, 1)
         omega = min_norm_solve(jac, ds.y.reshape(-1, 1), anchor)
@@ -371,8 +370,8 @@ class TestEstimateRBar:
         for _ in range(3):
             p = params.copy()
             p.weights[-1][:] = p.weights[-1] + 0.3 * rng.standard_normal(p.weights[-1].shape)
-            traj.append((p, compute_jacobian(spec, p, ds.x)))
-        got = max(estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, p, ds.x), ds.y,
+            traj.append((p, jacobian(spec, p, ds.x)))
+        got = max(estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, p, ds.x), ds.y,
                                  SQUARED)
                   for p, jac in traj)
         worst = 0.0
@@ -388,10 +387,10 @@ class TestEstimateRBar:
         # with J w = vec(log Y) + a per-sample constant, and descent from the
         # anchor converges to the one nearest it
         ds, spec, params = _interpolating_setup(seed=3)
-        jac = compute_jacobian(spec, params, ds.x)
+        jac = jacobian(spec, params, ds.x)
         y = np.abs(ds.y) + 0.5
         y /= y.sum(axis=1, keepdims=True)
-        got = estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, params, ds.x), y,
+        got = estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, params, ds.x), y,
                              CROSS_ENTROPY)
         n, m_y = y.shape
         anchor = masked_flat(params).reshape(-1, 1)
@@ -405,10 +404,10 @@ class TestEstimateRBar:
 
     def test_cross_entropy_zero_target_is_infinite(self, monkeypatch):
         ds, spec, params = _interpolating_setup(seed=3)
-        jac = compute_jacobian(spec, params, ds.x)
+        jac = jacobian(spec, params, ds.x)
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
-        f = forward_output(spec, params, ds.x)
+        f = outputs(spec, params, ds.x)
         assert estimate_R_bar(compute_ntk(jac @ jac.T), f, y, CROSS_ENTROPY) == np.inf
         assert not calls
 
@@ -425,19 +424,19 @@ class TestEstimateRBar:
         ds, spec, params = _interpolating_setup(seed=3)
         x = ds.x.copy()
         x[3] = x[0]
-        jac = compute_jacobian(spec, params, x)
+        jac = jacobian(spec, params, x)
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
         with pytest.raises(RankDeficientError, match="rank 6 < 8"):
-            estimate_R_bar(compute_ntk(jac @ jac.T), forward_output(spec, params, x), y, kind)
+            estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, params, x), y, kind)
         assert not calls
 
     def test_kernel_must_match_the_targets(self):
         ds, spec, params = _interpolating_setup()
-        jac = compute_jacobian(spec, params, ds.x[:3])
+        jac = jacobian(spec, params, ds.x[:3])
         snap = compute_ntk(jac @ jac.T)
         with pytest.raises(ValueError, match="kernel has 6 rows, targets need 8"):
-            estimate_R_bar(snap, forward_output(spec, params, ds.x), ds.y, SQUARED)
+            estimate_R_bar(snap, outputs(spec, params, ds.x), ds.y, SQUARED)
 
 
 class TestCheckBounds:

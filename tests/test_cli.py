@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,16 +11,15 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import masked_flat
+from conftest import jacobian, masked_flat, outputs
 
 import twophase.bounds as bounds
 import twophase.cli as cli
 import twophase.losses as losses
 import twophase.trainer as trainer
 from twophase.data import load_csv, save_csv, synth_gen
-from twophase.network import forward_output
-from twophase.ntk import compute_jacobian
-from twophase.trainer import FeatureRankError
+from twophase.network import NetworkSpec
+from twophase.trainer import BaseAlgoConfig, FeatureRankError, TwoPhaseConfig
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 NAN, INF = float("nan"), float("inf")
@@ -62,6 +62,23 @@ class TestConfig:
         assert cfg["two_phase"]["noise_scale"] == 0.001
         assert cfg["network"]["sharpness"] == 100.0
         assert cfg["base"]["momentum"] == 0.9
+
+    @pytest.mark.parametrize("section, cls, keys", [
+        ("base", BaseAlgoConfig,
+         {"variant", "learning_rate", "momentum", "minibatch", "weight_decay"}),
+        ("two_phase", TwoPhaseConfig,
+         {"noise_scale", "phase2_mode", "sgd_rate_scale", "sgd_minibatch", "lazy_eta_bar",
+          "lazy_lipschitz"}),
+        ("network", NetworkSpec, {"sharpness", "bn_epsilon"}),
+    ], ids=["base", "two_phase", "network"])
+    def test_protocol_defaults_agree_with_the_library(self, section, cls, keys):
+        # the CLI's defaults and the library's are one decision held in two
+        # modules: a key both name has the same default in each
+        library = {f.name: f.default for f in dataclasses.fields(cls)
+                   if f.default is not dataclasses.MISSING}
+        defaults = cli.DEFAULT_CONFIG[section]
+        assert library.keys() & defaults.keys() == keys
+        assert {key: defaults[key] for key in keys} == {key: library[key] for key in keys}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, learning_rate=0.1)
@@ -481,7 +498,7 @@ class TestTrain:
             cut = json.loads(json.dumps(cfg))
             cut["two_phase"]["total_steps"] = t
             params, _ = cli._train_once(cut, ds, spec)
-            jac = compute_jacobian(spec, params, ds.x)
+            jac = jacobian(spec, params, ds.x)
             distances.append(self._linearized_distance(jac, params, ds.y, loss))
             # squared loss: the distance the bordered rank certificate gives,
             # sqrt(r^T (K - 4 m I)^-1 r), m the certificate's level (at tau
@@ -490,7 +507,7 @@ class TestTrain:
             if t == 20:
                 tolerance = rows * eps * np.linalg.eigvalsh(k)[-1]
             level = max(tolerance if t > 20 else 0.0, rows * eps * np.trace(k))
-            r = (forward_output(spec, params, ds.x) - ds.y).reshape(-1)
+            r = (outputs(spec, params, ds.x) - ds.y).reshape(-1)
             shifted.append(float(np.sqrt(r @ np.linalg.solve(k - 4.0 * level * np.eye(rows), r))))
         assert int(np.argmax(distances)) % 2 == 1
         if loss == "squared":

@@ -39,9 +39,60 @@ class TestSynthGen:
         np.testing.assert_array_equal(ds.y, one_hot(ds.labels, 3))
 
     def test_infeasible_margin_errors(self, monkeypatch):
+        # within the packing bound (9.2 points), beyond what the sphere holds
         monkeypatch.setattr(data, "MAX_REJECTIONS", 2000)
         with pytest.raises(ValueError, match="rejection sampling failed 2000 times"):
-            synth_gen(50, 2, 1, 0.8, "regression", seed=0)
+            synth_gen(9, 3, 1, 0.8, "regression", seed=0)
+
+    @pytest.mark.parametrize("n, m_x, c_min, most", [
+        (128, 2, 0.5, 6), (7, 2, 0.5, 6), (3, 1, 0.01, 2), (20000, 8, 0.3, 5119),
+    ])
+    def test_margin_the_sphere_cannot_hold_errors_before_any_draw(self, monkeypatch, n, m_x,
+                                                                  c_min, most):
+        def drawing(*args):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(data, "_sphere_points", drawing)
+        with pytest.raises(ValueError, match=f"holds at most {most} points at margin {c_min}"):
+            synth_gen(n, m_x, 1, c_min, "regression", seed=0)
+
+    def test_packing_limit_admits_known_packings(self):
+        # the cross-polytope: 2 m_x points at right angles
+        for m_x in range(1, 41):
+            assert data._packing_limit(m_x, 0.999) >= 2 * m_x
+        # the hexagon on the circle, and the 240 shortest vectors of E8
+        assert data._packing_limit(2, 0.5) == 6
+        assert data._packing_limit(8, 0.5) >= 240
+
+    @pytest.mark.parametrize("n, m_x, c_min", [
+        (12, 3, 0.3), (4, 2, 0.5), (100, 8, 0.2), (2, 1, 0.5), (16, 4, 0.35), (200, 6, 0.1),
+    ])
+    def test_points_and_the_draws_after_them_match_a_one_at_a_time_loop(self, monkeypatch,
+                                                                         n, m_x, c_min):
+        # a candidate at a time, as the sampler once drew them: the same
+        # points, the same next draws, and the cap at the same rejection
+        def one_at_a_time(seed):
+            rng = np.random.default_rng(seed)
+            pts, rejections = [], 0
+            while len(pts) < n:
+                v = rng.standard_normal(m_x)
+                v /= np.linalg.norm(v)
+                if pts and np.min(((np.array(pts) - v) ** 2).sum(axis=1)) < 2 * c_min:
+                    rejections += 1
+                    continue
+                pts.append(v)
+            return np.array(pts), rng.integers(0, 2**62, size=4), rejections
+
+        for seed in range(4):
+            want, after, rejections = one_at_a_time(seed)
+            monkeypatch.setattr(data, "MAX_REJECTIONS", rejections + 1)
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(data._sphere_points(n, m_x, c_min, rng), want)
+            assert np.array_equal(rng.integers(0, 2**62, size=4), after)
+            if rejections:
+                monkeypatch.setattr(data, "MAX_REJECTIONS", rejections)
+                with pytest.raises(ValueError, match="rejection sampling failed"):
+                    data._sphere_points(n, m_x, c_min, np.random.default_rng(seed))
 
     def test_property_grid(self):
         # combinations kept inside what the sphere can pack at the margin

@@ -1,5 +1,7 @@
 """Forward maps, batch normalization, and exact backpropagation."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from twophase.network import (
     softplus,
     softplus_deriv,
 )
-from twophase.ntk import compute_kernel
+from twophase.ntk import compute_jacobian, compute_kernel
 
 
 class TestSoftplus:
@@ -200,16 +202,15 @@ class TestForwardOutput:
         p = random_params(spec, rng, 0.8)
         p.weights[-1][:] = 0.0
         p.biases[-1][:] = np.array([[2.5, -1.0]])
-        f = forward_output(spec, p, rng.standard_normal((6, 3)))
+        f = forward_output(p, forward_hidden(spec, p, rng.standard_normal((6, 3))))
         np.testing.assert_allclose(f, np.tile([2.5, -1.0], (6, 1)), atol=1e-15)
 
     def test_head_vectorization_identity(self, rng):
         # f(x)^T equals (I kron [h, 1]) applied to the flat head block
         spec = NetworkSpec((3, 5), 3, sharpness=10.0)
         p = random_params(spec, rng, 0.9)
-        x = rng.standard_normal((4, 3))
-        h = forward_hidden(spec, p, x).hidden
-        f = forward_output(spec, p, x)
+        trace = forward_hidden(spec, p, rng.standard_normal((4, 3)))
+        h, f = trace.hidden, forward_output(p, trace)
         head_flat = np.vstack([p.weights[-1], p.biases[-1]]).ravel(order="F")
         for i in range(4):
             lhs = f[i]
@@ -219,9 +220,8 @@ class TestForwardOutput:
     def test_matches_triple_loop_matmul_oracle(self, rng):
         spec = NetworkSpec((2, 3), 2, sharpness=5.0)
         p = random_params(spec, rng, 1.0)
-        x = rng.standard_normal((3, 2))
-        h = forward_hidden(spec, p, x).hidden
-        f = forward_output(spec, p, x)
+        trace = forward_hidden(spec, p, rng.standard_normal((3, 2)))
+        h, f = trace.hidden, forward_output(p, trace)
         for i in range(3):
             for k in range(2):
                 acc = p.biases[-1][0, k]
@@ -240,8 +240,10 @@ class TestForwardOutput:
         mix = p.copy()
         mix.weights[-1][:] = lam * p.weights[-1] + (1 - lam) * q.weights[-1]
         mix.biases[-1][:] = lam * p.biases[-1] + (1 - lam) * q.biases[-1]
-        f_mix = forward_output(spec, mix, x)
-        f_lin = lam * forward_output(spec, p, x) + (1 - lam) * forward_output(spec, q, x)
+        # the head does not enter the pass, so one trace serves all three
+        trace = forward_hidden(spec, p, x)
+        f_mix = forward_output(mix, trace)
+        f_lin = lam * forward_output(p, trace) + (1 - lam) * forward_output(q, trace)
         assert max_rel_err(f_mix, f_lin) < 1e-12
 
 
@@ -310,7 +312,8 @@ class TestBackprop:
     def test_zero_upstream_gives_zero(self, rng):
         spec = NetworkSpec((3, 4), 2)
         p = random_params(spec, rng, 1.0)
-        g = backprop(spec, p, rng.standard_normal((4, 3)), np.zeros((4, 2)))
+        g = backprop(spec, p, forward_hidden(spec, p, rng.standard_normal((4, 3))),
+                     np.zeros((4, 2)))
         np.testing.assert_array_equal(g, np.zeros(spec.param_count()))
 
     def test_head_block_closed_form(self, rng):
@@ -318,8 +321,8 @@ class TestBackprop:
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((6, 3))
         up = rng.standard_normal((6, 2))
-        h = forward_hidden(spec, p, x).hidden
-        g = backprop(spec, p, x, up)
+        trace = forward_hidden(spec, p, x)
+        h, g = trace.hidden, backprop(spec, p, trace, up)
         head = spec.head_param_count()
         want = np.vstack([h.T @ up, up.sum(axis=0, keepdims=True)]).ravel(order="F")
         np.testing.assert_allclose(g[-head:], want, atol=1e-12)
@@ -329,8 +332,8 @@ class TestBackprop:
         p = random_params(spec, rng, 0.7)
         x = rng.standard_normal((5, 4))
         y = rng.standard_normal((5, 2))
-        f = forward_output(spec, p, x)
-        g = backprop(spec, p, x, loss_grad(SQUARED, f, y))
+        trace = forward_hidden(spec, p, x)
+        g = backprop(spec, p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
         fd = fd_loss_grad(spec, p, x, y, SQUARED)
         assert max_rel_err(g, fd) < 1e-5
 
@@ -340,8 +343,8 @@ class TestBackprop:
         x = rng.standard_normal((5, 3))
         y = rng.standard_normal((5, 1))
         stats = batch_statistics(forward_hidden(spec, p, x))
-        f = forward_output(spec, p, x, frozen_stats=stats)
-        g = backprop(spec, p, x, loss_grad(SQUARED, f, y), frozen_stats=stats)
+        trace = forward_hidden(spec, p, x, frozen_stats=stats)
+        g = backprop(spec, p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
         fd = fd_loss_grad(spec, p, x, y, SQUARED, frozen_stats=stats)
         assert max_rel_err(g, fd) < 1e-5
 
@@ -350,8 +353,8 @@ class TestBackprop:
         for _ in range(12):
             spec, p, x = random_small_config(rng)
             y = rng.standard_normal((x.shape[0], spec.output_dim))
-            f = forward_output(spec, p, x)
-            g = backprop(spec, p, x, loss_grad(SQUARED, f, y))
+            trace = forward_hidden(spec, p, x)
+            g = backprop(spec, p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
             fd = fd_loss_grad(spec, p, x, y, SQUARED)
             assert max_rel_err(g, fd) < 1e-5
 
@@ -359,7 +362,34 @@ class TestBackprop:
         spec = NetworkSpec((3, 4), 2)
         p = random_params(spec, rng, 1.0)
         with pytest.raises(ValueError, match="upstream"):
-            backprop(spec, p, rng.standard_normal((4, 3)), np.zeros((4, 3)))
+            backprop(spec, p, forward_hidden(spec, p, rng.standard_normal((4, 3))),
+                     np.zeros((4, 3)))
+
+
+class TestTraceFirst:
+    def test_pass_consumers_take_the_trace_of_forward_hidden(self):
+        # forward_hidden is the one function that runs a pass; the others
+        # read the inputs and any frozen statistics from its trace
+        for fn, names in ((forward_output, ["params", "trace"]),
+                          (backprop, ["spec", "params", "trace", "upstream", "work"]),
+                          (compute_kernel, ["spec", "params", "trace", "work"]),
+                          (compute_jacobian, ["spec", "params", "trace"])):
+            assert list(inspect.signature(fn).parameters) == names, fn.__name__
+
+    def test_frozen_statistics_come_from_the_trace(self, rng):
+        # a gradient at a frozen-statistics pass differentiates through no
+        # batch statistics, one at a training-mode pass does
+        spec = NetworkSpec((3, 4, 4), 2, sharpness=10.0, bn_flags=(True, False))
+        p = random_params(spec, rng, 0.7)
+        x = rng.standard_normal((5, 3))
+        up = rng.standard_normal((5, 2))
+        training = forward_hidden(spec, p, x)
+        frozen = forward_hidden(spec, p, x, batch_statistics(training))
+        assert frozen.frozen_stats is not None and training.frozen_stats is None
+        g_frozen, g_training = backprop(spec, p, frozen, up), backprop(spec, p, training, up)
+        head = spec.head_param_count()
+        np.testing.assert_array_equal(g_frozen[-head:], g_training[-head:])
+        assert not np.allclose(g_frozen[:-head], g_training[:-head])
 
 
 class TestWorkspace:
@@ -378,9 +408,9 @@ class TestWorkspace:
                 got = forward_hidden(spec, p, x, stats, work=work)
                 for a, b in zip(got.affine + got.post, want.affine + want.post):
                     assert np.array_equal(a, b)
-                g = backprop(spec, p, x, up, trace=got, work=work)
+                g = backprop(spec, p, got, up, work=work)
                 assert g is work.grad
-                assert np.array_equal(g, backprop(spec, p, x, up, trace=want))
+                assert np.array_equal(g, backprop(spec, p, want, up))
 
     def test_trace_and_gradient_live_in_the_workspace(self, rng):
         spec = NetworkSpec((3, 4, 5), 2, sharpness=10.0)
@@ -400,8 +430,8 @@ class TestWithoutAWorkspace:
             spec, p, x = random_small_config(rng)
             up = rng.standard_normal((x.shape[0], spec.output_dim))
             first, second = forward_hidden(spec, p, x), forward_hidden(spec, p, x)
-            g1, g2 = backprop(spec, p, x, up), backprop(spec, p, x, up, trace=first)
-            k1, k2 = compute_kernel(spec, p, x), compute_kernel(spec, p, x, trace=first)
+            g1, g2 = backprop(spec, p, first, up), backprop(spec, p, second, up)
+            k1, k2 = compute_kernel(spec, p, first), compute_kernel(spec, p, second)
             traced = first.affine + first.post
             for a in traced:
                 for b in second.affine + second.post + [g1, g2, k1, k2]:

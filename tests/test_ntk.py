@@ -215,8 +215,8 @@ class TestComputeKernel:
         for _ in range(20):
             spec, p, x = random_small_config(rng, allow_bn=bn != "none")
             stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
-            jac = compute_jacobian(spec, p, x, stats)
-            kernel = compute_kernel(spec, p, x, stats)
+            trace = forward_hidden(spec, p, x, stats)
+            jac, kernel = compute_jacobian(spec, p, trace), compute_kernel(spec, p, trace)
             assert max_rel_err(kernel, jac @ jac.T) <= 1e-12
             np.testing.assert_array_equal(kernel, kernel.T)
 
@@ -231,12 +231,13 @@ class TestComputeKernel:
             stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
             trace = forward_hidden(spec, p, x, stats)
             work = Workspace(spec, x.shape[0])
-            first = compute_kernel(spec, p, x, stats, trace=trace, work=work)
-            np.testing.assert_array_equal(first, compute_kernel(spec, p, x, stats, trace=trace))
+            first = compute_kernel(spec, p, trace, work=work)
+            np.testing.assert_array_equal(first, compute_kernel(spec, p, trace))
             q = random_params(spec, rng, 0.5)
-            second = compute_kernel(spec, q, x, stats, work=work)
+            second = compute_kernel(spec, q, forward_hidden(spec, q, x, stats, work=work),
+                                    work=work)
             assert second is first
-            want = compute_kernel(spec, q, x, stats)
+            want = compute_kernel(spec, q, forward_hidden(spec, q, x, stats))
             np.testing.assert_array_equal(second, want)
             # compute_ntk borders and factors in the workspace's spare array,
             # leaving the kernel alone
@@ -258,9 +259,10 @@ class TestComputeKernel:
         spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, True))
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))
-        compute_kernel(spec, p, x, batch_statistics(forward_hidden(spec, p, x)))
+        trace = forward_hidden(spec, p, x)
+        compute_kernel(spec, p, forward_hidden(spec, p, x, batch_statistics(trace)))
         assert not calls
-        compute_kernel(spec, p, x)
+        compute_kernel(spec, p, trace)
         assert len(calls) == 1
 
 
@@ -269,8 +271,8 @@ class TestComputeJacobian:
         spec = NetworkSpec((3, 4, 6), 2, sharpness=10.0)
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))
-        jac = compute_jacobian(spec, p, x)
-        h = forward_hidden(spec, p, x).hidden
+        trace = forward_hidden(spec, p, x)
+        jac, h = compute_jacobian(spec, p, trace), trace.hidden
         head = spec.head_param_count()
         for i in range(4):
             want = np.kron(np.eye(2), np.append(h[i], 1.0))
@@ -281,7 +283,7 @@ class TestComputeJacobian:
         spec = NetworkSpec((3, 4, 5), 2, sharpness=10.0)
         p = params_zero(spec)
         x = np.random.default_rng(3).standard_normal((3, 3))
-        jac = compute_jacobian(spec, p, x)
+        jac = compute_jacobian(spec, p, forward_hidden(spec, p, x))
         head = spec.head_param_count()
         np.testing.assert_array_equal(jac[:, :-head], 0.0)
         h_const = np.log(2.0) / 10.0
@@ -293,7 +295,7 @@ class TestComputeJacobian:
         spec = NetworkSpec((3, 4, 4), 2, sharpness=10.0, bn_flags=(True, False))
         p = random_params(spec, rng, 0.7)
         x = rng.standard_normal((4, 3))
-        jac = compute_jacobian(spec, p, x)
+        jac = compute_jacobian(spec, p, forward_hidden(spec, p, x))
         fd = fd_jacobian(spec, p, x)
         assert max_rel_err(jac, fd) < 1e-5
 
@@ -301,7 +303,7 @@ class TestComputeJacobian:
         rng = np.random.default_rng(99)
         for _ in range(8):
             spec, p, x = random_small_config(rng)
-            jac = compute_jacobian(spec, p, x)
+            jac = compute_jacobian(spec, p, forward_hidden(spec, p, x))
             fd = fd_jacobian(spec, p, x)
             assert max_rel_err(jac, fd) < 1e-5
 
@@ -310,14 +312,14 @@ class TestComputeJacobian:
         p = random_params(spec, rng, 1.0)
         monkeypatch.setattr(ntk, "DEFAULT_MAX_JACOBIAN_ENTRIES", 10)
         with pytest.raises(MemoryError, match=r"Jacobian would hold 8 x \d+ entries \(> 10\)"):
-            compute_jacobian(spec, p, rng.standard_normal((4, 3)))
+            compute_jacobian(spec, p, forward_hidden(spec, p, rng.standard_normal((4, 3))))
 
     def test_frozen_statistics_vs_fd(self):
         rng = np.random.default_rng(7)
         for _ in range(8):
             spec, p, x = random_small_config(rng, allow_bn=True)
             frozen = batch_statistics(forward_hidden(spec, p, x))
-            jac = compute_jacobian(spec, p, x, frozen)
+            jac = compute_jacobian(spec, p, forward_hidden(spec, p, x, frozen))
             fd = fd_jacobian(spec, p, x, frozen)
             assert max_rel_err(jac, fd) < 1e-5
 
@@ -329,8 +331,8 @@ class TestComputeJacobian:
         for _ in range(20):
             spec, p, x = random_small_config(rng, allow_bn=bn)
             frozen = batch_statistics(forward_hidden(spec, p, x)) if bn else None
-            jac = compute_jacobian(spec, p, x, frozen)
-            f = forward_output(spec, p, x, frozen)
+            trace = forward_hidden(spec, p, x, frozen)
+            jac, f = compute_jacobian(spec, p, trace), forward_output(p, trace)
             assert max_rel_err(jac @ masked_flat(p), f.reshape(-1)) < 1e-14
 
     @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
@@ -341,12 +343,13 @@ class TestComputeJacobian:
         for _ in range(12):
             spec, p, x = random_small_config(rng, allow_bn=bn != "none")
             stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
-            jac = compute_jacobian(spec, p, x, stats)
+            trace = forward_hidden(spec, p, x, stats)
+            jac = compute_jacobian(spec, p, trace)
             n, m_y = x.shape[0], spec.output_dim
             for r in range(n * m_y):
                 up = np.zeros((n, m_y))
                 up[divmod(r, m_y)] = 1.0
-                assert np.array_equal(jac[r], backprop(spec, p, x, up, stats))
+                assert np.array_equal(jac[r], backprop(spec, p, trace, up))
 
     @pytest.mark.parametrize("bn, frozen", [
         (False, False), (False, True), (True, True), (True, False),
@@ -365,7 +368,7 @@ class TestComputeJacobian:
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))
         stats = batch_statistics(forward_hidden(spec, p, x)) if frozen else None
-        jac = compute_jacobian(spec, p, x, stats)
+        jac = compute_jacobian(spec, p, forward_hidden(spec, p, x, stats))
         assert len(calls) == 8
         assert max_rel_err(jac, fd_jacobian(spec, p, x, stats)) < 1e-5
 

@@ -191,7 +191,8 @@ def _toy_problem(seed=0, n=10, m_x=4, m_y=2, m_h=12, sharpness=10.0, bn=False):
 
 
 def _count_forward_passes(monkeypatch):
-    # the trainer's own passes and those the kernel makes when given no trace
+    # the trainer's passes, the only ones a run makes: backprop and the
+    # kernel take a pass's trace
     calls = []
     forward = trainer.forward_hidden
 
@@ -199,7 +200,6 @@ def _count_forward_passes(monkeypatch):
         calls.append(1)
         return forward(*args, **kwargs)
     monkeypatch.setattr(trainer, "forward_hidden", counting)
-    monkeypatch.setattr(ntk, "forward_hidden", counting)
     return calls
 
 
@@ -235,7 +235,7 @@ class TestRunTwoPhase:
             cur = params_from_flat(spec, w)
             trace = forward_hidden(spec, cur, ds.x)
             f = trace.hidden @ cur.weights[-1] + cur.biases[-1]
-            g = backprop(spec, cur, ds.x, loss_grad(SQUARED, f, ds.y), trace=trace)
+            g = backprop(spec, cur, trace, loss_grad(SQUARED, f, ds.y))
             g = g + wd * w
             w = w - lr * g
         seeds = np.random.SeedSequence(11).spawn(2)
@@ -436,27 +436,25 @@ class TestRunTwoPhase:
 
         def fresh_gradient(idx):
             fresh = forward_hidden(spec, params, ds.x[idx])
-            up = loss_grad(CROSS_ENTROPY, forward_output(spec, params, ds.x[idx], trace=fresh),
-                           ds.y[idx])
-            return backprop(spec, params, ds.x[idx], up, trace=fresh)
+            up = loss_grad(CROSS_ENTROPY, forward_output(params, fresh), ds.y[idx])
+            return backprop(spec, params, fresh, up)
 
         full = forward_hidden(spec, params, ds.x)
-        forward_output(spec, params, ds.x, trace=full)
+        forward_output(params, full)
         for idx in (rng.permutation(128)[:64], rng.permutation(128)[:64], np.arange(64, 128)):
             sliced = trainer._rows(full, idx)
-            got = backprop(spec, params, ds.x[idx],
-                           loss_grad(CROSS_ENTROPY, sliced.output, ds.y[idx]), trace=sliced)
-            assert np.array_equal(got, fresh_gradient(idx))
+            up = loss_grad(CROSS_ENTROPY, sliced.output, ds.y[idx])
+            assert np.array_equal(backprop(spec, params, sliced, up), fresh_gradient(idx))
         order = rng.permutation(128)
         work = Workspace(spec, 128)
         epoch = forward_hidden(spec, params, ds.x[order], work=work)
-        forward_output(spec, params, ds.x[order], trace=epoch)
+        forward_output(params, epoch)
         _, residual = trainer._terms(CROSS_ENTROPY, epoch.output, ds.y[order])
         for rows in (slice(0, 64), slice(64, 128), slice(40, 88)):
             sliced = trainer._rows(epoch, rows)
             assert np.shares_memory(sliced.post[-1], work.post[-1])
-            got = backprop(spec, params, sliced.inputs,
-                           trainer._mean_gradient(CROSS_ENTROPY, residual[rows]), trace=sliced)
+            got = backprop(spec, params, sliced,
+                           trainer._mean_gradient(CROSS_ENTROPY, residual[rows]))
             assert np.array_equal(got, fresh_gradient(order[rows]))
 
     @pytest.mark.parametrize("bad", ["nan_input", "target_row_sum", "target_columns"])
@@ -718,7 +716,7 @@ def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
     def full_pass(gradient):
         trace = forward(x)
         loss, up = _reference_loss(kind, trace.output, y, gradient)
-        return trace, loss, (backprop(spec, params, x, up, trace=trace) if gradient else None)
+        return trace, loss, (backprop(spec, params, trace, up) if gradient else None)
 
     trace, initial, g = full_pass(full_batch and tau > 0)
     rng = np.random.default_rng(base.seed)
@@ -733,8 +731,7 @@ def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
                 idx = order[: base.minibatch]
             pos += base.minibatch
             batch = forward(x[idx]) if any(spec.bn_flags) else trainer._rows(trace, idx)
-            g = backprop(spec, params, batch.inputs,
-                         _reference_loss(kind, batch.output, y[idx])[1], trace=batch)
+            g = backprop(spec, params, batch, _reference_loss(kind, batch.output, y[idx])[1])
         if base.weight_decay:
             g += base.weight_decay * w
         gnorm = float(np.linalg.norm(g))
@@ -747,7 +744,7 @@ def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
         trace, loss, g = full_pass(full_batch and t < tau)
         ranks = (None, None)
         if monitor_every and t % monitor_every == 0:
-            kernels.append(ntk.compute_kernel(spec, params, x, trace=trace))
+            kernels.append(ntk.compute_kernel(spec, params, trace))
             ranks = (numerical_rank(append_ones(trace.hidden)),
                      ntk.compute_ntk(kernels[-1]).rank)
         records.append((loss, gnorm, *ranks))
@@ -965,18 +962,18 @@ def _reference_lazy_phase(spec, ds, kind, log, cfg):
         trace = forward_hidden(spec, params, x, frozen)
         trace.output = trace.hidden @ params.weights[-1] + params.biases[-1]
         loss, up = _reference_loss(kind, trace.output, y)
-        return trace, loss, backprop(spec, params, x, up, trace=trace)
+        return trace, loss, backprop(spec, params, trace, up)
 
     params = log.params_at_tau
     trace, _, g = evaluate(params)
-    reference = ntk.compute_ntk(ntk.compute_kernel(spec, params, x, frozen, trace=trace))
+    reference = ntk.compute_ntk(ntk.compute_kernel(spec, params, trace))
     eta_bar, records, events = cfg.lazy_eta_bar, [], []
     for t in range(cfg.tau + 1, cfg.total_steps + 1):
         event = None
         while True:
             cand = params_from_flat(spec, params.flat - (2.0 * eta_bar / lipschitz) * g)
             trace, loss, cand_g = evaluate(cand)
-            snap = ntk.compute_ntk(ntk.compute_kernel(spec, cand, x, frozen, trace=trace),
+            snap = ntk.compute_ntk(ntk.compute_kernel(spec, cand, trace),
                                    floor=reference.tolerance)
             if ntk.assert_rank_preserved(reference, snap):
                 break
@@ -1010,9 +1007,9 @@ class TestLazyPhase:
         # (and so its loss) from its pass before its kernel is built
         snapshot, seen = trainer._snapshot, []
 
-        def checking(spec, params, x, frozen, trace, t, phase, floor=0.0, **kwargs):
+        def checking(spec, params, trace, t, phase, floor=0.0, **kwargs):
             seen.append((t, trace.output is not None))
-            return snapshot(spec, params, x, frozen, trace, t, phase, floor, **kwargs)
+            return snapshot(spec, params, trace, t, phase, floor, **kwargs)
 
         monkeypatch.setattr(trainer, "_snapshot", checking)
         ds, spec, p0 = _toy_problem(seed=2)
