@@ -1,8 +1,8 @@
-"""Rate-bound ceilings for the second phase, and the constants they need.
+"""Phase-2 rate-bound ceilings, the constants they need, and Certificate.
 
 The three ceilings are pure arithmetic on constants fixed at tau and
 quantities that run from tau up to the step; each lives in one function of
-one step, which run_two_phase calls as it emits the step's record:
+one step, which Certificate.check calls on each phase-2 record:
 
 * head gradient descent:   R^2 L_H / (2 (t - tau))
 * head SGD:                (R^2 + G^2 sum eta_k^2) / (2 sum eta_k), sums over
@@ -15,18 +15,18 @@ head minimizer of the frozen-feature problem, one closed-form solve on [h, 1],
 which must have full row rank, else RankDeficientError.  Rbar is the max over
 tau and every phase-2 step up to t of the distance from nu o w to the nearest
 minimizer of the Jacobian-linearized problem; because J (nu o w) = f(w), that
-distance comes from the step's kernel K = J J^T and predictions alone, so the
-trainer keeps Rbar as a running max and no Jacobian is stored.  Under squared
-loss each distance comes from the Cholesky factorization that certified the
-kernel's rank, bordered by the residual, and is an upper bound (K shifted
-down by a multiple of its rank threshold), so Rbar is one too.  Squared loss
-interpolates Y, and cross-entropy matches log Y up to one constant per
-sample, which is exact for soft targets.  A cross-entropy target with a zero
-entry (one-hot) has an infimum, the mean entropy, that no finite point
-attains, so the distance is inf and a bound built on it is vacuous.  Nothing
-here iterates.  The lazy bound uses an empirical Lipschitz estimate, which is
-a lower bound on the true constant, so ceilings built from it are diagnostics
-rather than certificates.
+distance comes from the step's kernel K = J J^T and predictions alone, so a
+Certificate keeps Rbar as a running max and no Jacobian is stored.  Under
+squared loss each distance comes from the Cholesky factorization that
+certified the kernel's rank, bordered by the residual, and is an upper bound
+(K shifted down by a multiple of its rank threshold), so Rbar is one too.
+Squared loss interpolates Y, and cross-entropy matches log Y up to one
+constant per sample, which is exact for soft targets.  A cross-entropy target
+with a zero entry (one-hot) has an infimum, the mean entropy, that no finite
+point attains, so the distance is inf and a bound built on it is vacuous.
+Nothing here iterates.  The lazy bound uses an empirical Lipschitz estimate,
+which is a lower bound on the true constant, so ceilings built from it are
+diagnostics rather than certificates.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .linalg import RankDeficientError, append_ones, min_norm_solve, numerical_r
 from .losses import LossKind, check_targets, loss_value
 
 __all__ = [
+    "Certificate",
     "LastLayerOptimum",
     "loss_infimum",
     "solve_last_layer_optimum",
@@ -90,8 +91,6 @@ def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOpti
     a = append_ones(h)
     n, m_y = y.shape
     anchor = np.asarray(anchor_last, dtype=np.float64)
-    if anchor.ndim == 1:  # the flat head, column-major [W; b]
-        anchor = anchor.reshape(a.shape[1], m_y, order="F")
     if anchor.shape != (a.shape[1], m_y):
         raise ValueError(f"anchor has shape {anchor.shape}, expected {(a.shape[1], m_y)}")
     if kind.name == "squared":
@@ -149,8 +148,8 @@ def estimate_R_bar(snap, predictions, y, kind: LossKind) -> float:
     """Distance at one step from nu o w to the nearest minimizer of the
     Jacobian-linearized problem, from that step's ntk.NtkSnapshot (kernel
     K = J J^T, rows sample-major) and its predictions f(w); Rbar is the max
-    of this over tau and every phase-2 step, which run_two_phase keeps as it
-    goes.
+    of this over tau and every phase-2 step, which a Certificate keeps as
+    it goes.
 
     Since J (nu o w) = f(w), the nearest minimizer lies J^+ r away, r the
     residual of the constraints at nu o w, and ||J^+ r||^2 = r^T K^{-1} r.
@@ -168,7 +167,7 @@ def estimate_R_bar(snap, predictions, y, kind: LossKind) -> float:
     solved against B K B^T.  A zero cross-entropy target gives inf (not
     attained), and a single output gives 0.  This checks Y and the kernel's
     shape, then calls _linearized_distance, which tests the rank and which
-    the trainer calls directly with its checked Y.
+    Certificate calls directly with the run's checked Y.
     """
     y = check_targets(kind, y)
     if snap.rows != y.size:
@@ -210,3 +209,89 @@ def _centering_basis(m_y: int) -> np.ndarray:
 # relative slack of the violation test: a step violates its ceiling b when
 # the measured suboptimality exceeds b + SLACK_REL (1 + b)
 SLACK_REL = 1e-9
+
+# a certificate's status by phase-2 mode, where the optimum is attained
+_STATUS = {"last_layer_gd": "exact", "last_layer_sgd": "expectation", "lazy_full": "estimated"}
+
+
+class Certificate:
+    """A run's certificate, made at tau with bounds on: loss*, the head's R^2
+    or the lazy phase's running Rbar (the max linearized distance over the
+    kernels so far, an upper bound when `bordered`), head SGD's step-size
+    sums, the running G^2 and the status: `exact` for head GD, `expectation`
+    for head SGD, whose ceiling bounds the expected suboptimality,
+    `estimated` for the lazy phase, whose L is an empirical lower bound, and
+    `vacuous` where R^2 or Rbar is inf.  violations counts the steps above
+    an exact ceiling.  It takes the run's TwoPhaseConfig, its checked
+    targets y of `kind`, and at tau [h, 1], the head, L_H, the loss and the
+    lazy phase's L."""
+
+    def __init__(self, cfg, kind: LossKind, y, aug, head, l_h: float, loss_tau: float,
+                 lipschitz: float | None):
+        self.cfg, self.kind, self.y = cfg, kind, y
+        self.l_h, self.loss_tau, self.g_squared = l_h, loss_tau, 0.0
+        self.lazy = cfg.phase2_mode == "lazy_full"
+        self.bordered = kind.name == "squared"
+        if self.lazy:
+            self.loss_star = loss_infimum(kind, y)
+            self.basis = _centering_basis(y.shape[1])
+            self.lipschitz, self.r_bar = lipschitz, 0.0
+        else:
+            opt = solve_last_layer_optimum(kind, aug[:, :-1], y, head)
+            self.r_squared, self.loss_star = opt.r_squared, opt.loss_star
+            # sums of the ceiling's schedule eta_k = scale / sqrt(k - tau + 1)
+            self.eta_sum = cfg.sgd_rate_scale
+            self.eta_sq_sum = cfg.sgd_rate_scale * cfg.sgd_rate_scale
+        self.violations = 0 if cfg.phase2_mode == "last_layer_gd" and self.attained else None
+
+    @property
+    def attained(self) -> bool:
+        return math.isfinite(self.r_bar if self.lazy else self.r_squared)
+
+    def observe(self, snap, predictions, t):
+        """Fold the distance at the kernel `snap` of step t's pass, whose
+        outputs are `predictions`, into Rbar; RankDeficientError naming the
+        step unless its rank is n * m_y."""
+        try:
+            distance = _linearized_distance(snap, predictions, self.y, self.kind, self.basis)
+        except RankDeficientError as exc:
+            raise RankDeficientError(f"step {t} (phase 2): {exc}") from None
+        self.r_bar = max(self.r_bar, distance)
+
+    def check(self, rec, best_loss, g_squared):
+        """Take g_squared, the largest squared phase-2 gradient norm so far,
+        as G^2; then set rec's ceiling and suboptimality if the optimum is
+        attained: head GD's at rec.loss, the others' at `best_loss`, the
+        running minimum from tau on; count a step above an exact ceiling."""
+        self.g_squared = g_squared
+        if not self.attained:
+            return
+        cfg, t, reached = self.cfg, rec.t, best_loss
+        if cfg.phase2_mode == "last_layer_gd":
+            ceiling, reached = gd_bound(self.r_squared, self.l_h, t, cfg.tau), rec.loss
+        elif cfg.phase2_mode == "last_layer_sgd":
+            eta = cfg.sgd_rate_scale / math.sqrt(t - cfg.tau + 1)
+            self.eta_sum += eta
+            self.eta_sq_sum += eta * eta
+            ceiling = sgd_bound(self.r_squared, g_squared, self.eta_sum, self.eta_sq_sum)
+        else:
+            ceiling = lazy_bound(self.lipschitz, self.r_bar, self.loss_tau, self.loss_star,
+                                 cfg.lazy_eta_bar, t, cfg.tau)
+        rec.bound, rec.suboptimality = ceiling, reached - self.loss_star
+        exceeded = rec.suboptimality > ceiling + SLACK_REL * (1.0 + ceiling)
+        if exceeded and self.violations is not None:
+            self.violations += 1
+
+    @property
+    def constants(self) -> dict:
+        """The constants and the status, as summary.json reports them."""
+        if self.lazy:
+            out = {"l_estimate": self.lipschitz, "diagnostic": True,
+                   "r_bar": self.r_bar if self.attained else None,
+                   "r_bar_kind": "upper_bound" if self.bordered else "exact"}
+        else:
+            out = {"g_squared": self.g_squared,
+                   "r_squared": self.r_squared if self.attained else None}
+        out["loss_star"] = self.loss_star
+        out["certificate"] = _STATUS[self.cfg.phase2_mode] if self.attained else "vacuous"
+        return out

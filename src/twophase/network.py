@@ -180,11 +180,9 @@ class Params:
         return Params(self.spec, self.flat.copy())
 
     def head_block(self) -> np.ndarray:
-        """Stacked [W; b] of the output head, shape (m_H + 1) x m_y; a view."""
+        """Stacked [W; b] of the output head, shape (m_H + 1) x m_y: a
+        column-major view into `flat`, so writing into it sets the head."""
         return self._head
-
-    def set_head_block(self, block: np.ndarray) -> None:
-        self._head[...] = block
 
     def to_flat(self) -> np.ndarray:
         return self.flat.copy()

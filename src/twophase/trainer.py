@@ -12,13 +12,14 @@ run_two_phase checks its inputs once (_Run), then runs four phases:
                   constant of the frozen-feature head problem, so the loss
                   is non-increasing; last_layer_sgd: unbiased minibatch head
                   gradients at the square-summable rate a / sqrt(t - tau).
+                  Both step the head in place, in params.head_block().
 * _lazy_phase  -- lazy_full: every parameter at the uniform rate
                   2 eta_bar / L; a step that would drop the kernel rank below
                   the reference at tau is rejected and the rate halved.
 
 Every pass, backprop and kernel writes into the run's one network.Workspace,
 so no array of a pass's or a kernel's size is allocated per step.  With
-bounds on, a _Certificate fixes the ceiling's constants at tau and sets each
+bounds on, a bounds.Certificate, made from the constants at tau, sets each
 phase-2 record's ceiling and suboptimality before the record is emitted.
 """
 
@@ -30,17 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    SLACK_REL,
-    _centering_basis,
-    _linearized_distance,
-    gd_bound,
-    lazy_bound,
-    loss_infimum,
-    sgd_bound,
-    solve_last_layer_optimum,
-)
-from .linalg import RankDeficientError, append_ones, as_matrix, numerical_rank
+from .bounds import Certificate
+from .linalg import append_ones, as_matrix, numerical_rank
 from .losses import LossKind, _loss, _mean_gradient, _mean_loss, _terms, check_targets
 from .network import (
     ForwardTrace,
@@ -72,8 +64,6 @@ PHASE2_MODES = ("last_layer_gd", "last_layer_sgd", "lazy_full")
 LAZY_MAX_RETRIES = 10  # rate halvings a lazy step may take before it fails
 LIPSCHITZ_PROBES = 8  # random directions estimate_lipschitz probes,
 LIPSCHITZ_RADIUS = 1e-2  # each of this length
-# a certificate's status by phase-2 mode, where the optimum is attained
-_STATUS = {"last_layer_gd": "exact", "last_layer_sgd": "expectation", "lazy_full": "estimated"}
 
 
 class FeatureRankError(RuntimeError):
@@ -181,10 +171,11 @@ class TrainLog:
     them; a copy of the perturbed parameters at tau and the batch
     statistics frozen there (None when tau == total_steps); and, with
     bounds on, the certificate's `constants` and `violations`
-    (_Certificate).  best_loss, final_loss and phase_seconds are kept as
-    records are emitted: the least and the last recorded loss (loss_initial
-    before the first), and the seconds of phase 1 (the wall time of record
-    tau, 0.0 at tau 0) and of phase 2 (from there to the last record)."""
+    (bounds.Certificate).  best_loss, final_loss and phase_seconds are kept
+    as records are emitted: the least and the last recorded loss
+    (loss_initial before the first), and the seconds of phase 1 (the wall
+    time of record tau, 0.0 at tau 0) and of phase 2 (from there to the
+    last record)."""
 
     records: list = field(default_factory=list)
     tau: int = 0
@@ -366,96 +357,17 @@ class _Run:
 
 @dataclass
 class _AtTau:
-    """What phase 2 starts from: the perturbed params (updated in place), the pass at tau
-    and its residual, [h, 1] and its rank, the head z, dpred, the frozen stats and lazy L."""
+    """What phase 2 starts from: the perturbed params, updated in place (the
+    head through its head_block() view), the pass at tau and its residual,
+    [h, 1] and its rank, dpred and lazy L; the frozen stats are in the log."""
 
     params: Params
     trace: ForwardTrace
     residual: np.ndarray
     aug: np.ndarray
     feature_rank: int
-    z: np.ndarray
     dpred: np.ndarray
-    frozen: list | None
     lipschitz: float | None
-
-
-class _Certificate:
-    """A run's certificate, made at tau with bounds on: loss*, the head's R^2
-    or the lazy phase's running Rbar (the max linearized distance over the
-    kernels so far, an upper bound when `bordered`), head SGD's step-size
-    sums and the status: `exact` for head GD, `expectation` for head SGD,
-    whose ceiling bounds the expected suboptimality, `estimated` for the
-    lazy phase, whose L is an empirical lower bound, and `vacuous` where R^2
-    or Rbar is inf.  violations counts the steps above an exact ceiling."""
-
-    def __init__(self, run, at_tau):
-        cfg, kind, y = run.cfg, run.kind, run.y
-        self.cfg, self.log, self.kind, self.y = cfg, run.log, kind, y
-        self.lazy = cfg.phase2_mode == "lazy_full"
-        self.bordered = kind.name == "squared"
-        if self.lazy:
-            self.loss_star = loss_infimum(kind, y)
-            self.basis = _centering_basis(y.shape[1])
-            self.lipschitz, self.r_bar = at_tau.lipschitz, 0.0
-        else:
-            opt = solve_last_layer_optimum(kind, at_tau.aug[:, :-1], y,
-                                           run.log.params_at_tau.head_block())
-            self.r_squared, self.loss_star = opt.r_squared, opt.loss_star
-            # sums of the ceiling's schedule eta_k = scale / sqrt(k - tau + 1)
-            self.eta_sum = cfg.sgd_rate_scale
-            self.eta_sq_sum = cfg.sgd_rate_scale * cfg.sgd_rate_scale
-        self.violations = 0 if cfg.phase2_mode == "last_layer_gd" and self.attained else None
-
-    @property
-    def attained(self) -> bool:
-        return math.isfinite(self.r_bar if self.lazy else self.r_squared)
-
-    def observe(self, snap, trace, t):
-        """Fold the distance at the kernel `snap` of step t's pass into Rbar;
-        RankDeficientError naming the step unless its rank is n * m_y."""
-        try:
-            distance = _linearized_distance(snap, trace.output, self.y, self.kind, self.basis)
-        except RankDeficientError as exc:
-            raise RankDeficientError(f"step {t} (phase 2): {exc}") from None
-        self.r_bar = max(self.r_bar, distance)
-
-    def check(self, rec, best_loss):
-        """Set rec's ceiling and suboptimality if the optimum is attained:
-        head GD's at rec.loss, the others' at `best_loss`, the running
-        minimum from tau on; count a step above an exact ceiling."""
-        if not self.attained:
-            return
-        cfg, t, reached = self.cfg, rec.t, best_loss
-        if cfg.phase2_mode == "last_layer_gd":
-            ceiling, reached = gd_bound(self.r_squared, self.log.l_h, t, cfg.tau), rec.loss
-        elif cfg.phase2_mode == "last_layer_sgd":
-            eta = cfg.sgd_rate_scale / math.sqrt(t - cfg.tau + 1)
-            self.eta_sum += eta
-            self.eta_sq_sum += eta * eta
-            ceiling = sgd_bound(self.r_squared, self.log.max_sq_grad_phase2, self.eta_sum,
-                                self.eta_sq_sum)
-        else:
-            ceiling = lazy_bound(self.lipschitz, self.r_bar, self.log.loss_at_tau,
-                                 self.loss_star, cfg.lazy_eta_bar, t, cfg.tau)
-        rec.bound, rec.suboptimality = ceiling, reached - self.loss_star
-        exceeded = rec.suboptimality > ceiling + SLACK_REL * (1.0 + ceiling)
-        if exceeded and self.violations is not None:
-            self.violations += 1
-
-    @property
-    def constants(self) -> dict:
-        """The constants and the status, as summary.json reports them."""
-        if self.lazy:
-            out = {"l_estimate": self.lipschitz, "diagnostic": True,
-                   "r_bar": self.r_bar if self.attained else None,
-                   "r_bar_kind": "upper_bound" if self.bordered else "exact"}
-        else:
-            out = {"g_squared": self.log.max_sq_grad_phase2,
-                   "r_squared": self.r_squared if self.attained else None}
-        out["loss_star"] = self.loss_star
-        out["certificate"] = _STATUS[self.cfg.phase2_mode] if self.attained else "vacuous"
-        return out
 
 
 def _phase_one(run, params0):
@@ -524,8 +436,9 @@ def _phase_one(run, params0):
 def _at_tau(run, params):
     """The hand-off at tau from the perturbed `params`: statistics frozen
     from their pass, the pass under them, whose [h, 1] must have full row
-    rank (else FeatureRankError), the loss of [h, 1] z and its gradient,
-    and lazy L (lazy_lipschitz, else estimated); fills the log at tau."""
+    rank (else FeatureRankError), the loss of [h, 1] params.head_block()
+    and its gradient, and lazy L (lazy_lipschitz, else estimated); fills
+    the log at tau."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
     tau, n = cfg.tau, x.shape[0]
     # the passes at tau write into the workspace too: the statistics are
@@ -545,23 +458,24 @@ def _at_tau(run, params):
     log.l_h = compute_L_H(kind, trace.hidden)
     # the loss at tau is that of [h, 1] z, as at every head step (the pass's
     # h W + b can differ in the last bit), whose gradient head GD takes next
-    z = params.head_block().copy()
-    loss, dpred = _loss(kind, _finite(aug @ z, "predictions", tau, 2), y)
+    loss, dpred = _loss(kind, _finite(aug @ params.head_block(), "predictions", tau, 2), y)
     log.loss_at_tau = _finite(loss, "loss", tau, 2)
     lipschitz = cfg.lazy_lipschitz
     if cfg.phase2_mode == "lazy_full" and lipschitz is None:
         lipschitz = max(estimate_lipschitz(spec, params, x, y, kind, frozen, seed=cfg.seed), 1e-12)
-    return _AtTau(params, trace, residual, aug, feature_rank, z, dpred, frozen, lipschitz)
+    return _AtTau(params, trace, residual, aug, feature_rank, dpred, lipschitz)
 
 
 def _head_phase(run, at_tau, cert):
     """Phase 2 on the head alone over the features fixed at tau: GD at step
     1/L_H, or with-replacement minibatches at sgd_rate_scale / sqrt(t - tau),
-    each step scoring [h, 1] z; a monitored step ranks the kernel of the
-    tau pass at the current head.  Returns the final Params."""
+    each step moving the head z = params.head_block(), a view into
+    params.flat, in place and scoring [h, 1] z; a monitored step ranks the
+    kernel of the tau pass at the current head.  Returns the final Params."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
     emit, monitored, t0, tau, n = run.emit, run.monitored, run.t0, cfg.tau, x.shape[0]
-    params, trace, aug, z, dpred = at_tau.params, at_tau.trace, at_tau.aug, at_tau.z, at_tau.dpred
+    params, trace, aug, dpred = at_tau.params, at_tau.trace, at_tau.aug, at_tau.dpred
+    z = params.head_block()
     head_gd = cfg.phase2_mode == "last_layer_gd"
     l_h, scale, b = log.l_h, cfg.sgd_rate_scale, min(cfg.sgd_minibatch, n)
     rng = np.random.default_rng(run.seeds[1])
@@ -586,12 +500,10 @@ def _head_phase(run, at_tau, cert):
         if monitored(t - tau):
             # only the head moved, so the tau pass is the features' pass
             rec.feature_rank = at_tau.feature_rank
-            params.set_head_block(z)
             rec.ntk_rank = _snapshot(spec, params, trace, t, 2, work=work).rank
         if cert is not None:
-            cert.check(rec, best_loss)
+            cert.check(rec, best_loss, log.max_sq_grad_phase2)
         emit(rec)
-    params.set_head_block(z)
     log.t_star, log.loss_at_t_star = best_t, best_loss
     return params
 
@@ -604,8 +516,8 @@ def _lazy_phase(run, at_tau, cert):
     final Params."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
     emit, monitored, t0, tau = run.emit, run.monitored, run.t0, cfg.tau
-    params, trace, frozen, lipschitz = at_tau.params, at_tau.trace, at_tau.frozen, at_tau.lipschitz
-    eta_bar, total = cfg.lazy_eta_bar, cfg.total_steps
+    params, trace, lipschitz = at_tau.params, at_tau.trace, at_tau.lipschitz
+    frozen, eta_bar, total = log.frozen_stats, cfg.lazy_eta_bar, cfg.total_steps
     # one pass per parameter point gives its kernel, loss, gradient and
     # distance; a rank test's factorization also certifies the rank at the
     # reference threshold, which is taken now, before the first candidate's
@@ -616,7 +528,7 @@ def _lazy_phase(run, at_tau, cert):
     threshold = reference.tolerance
     g = backprop(spec, params, trace, _mean_gradient(kind, at_tau.residual), work=work)
     if cert is not None:
-        cert.observe(reference, trace, tau)
+        cert.observe(reference, trace.output, tau)
     # candidates are written into a second buffer, swapped in on acceptance
     cand = params.copy()
     best_loss, best_t = log.loss_at_tau, tau
@@ -643,7 +555,7 @@ def _lazy_phase(run, at_tau, cert):
         if t < total:
             g = backprop(spec, params, trace, _mean_gradient(kind, residual), work=work)
         if cert is not None:
-            cert.observe(snap, trace, t)
+            cert.observe(snap, trace.output, t)
         if cur < best_loss:
             best_loss, best_t = cur, t
         rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
@@ -652,7 +564,7 @@ def _lazy_phase(run, at_tau, cert):
         if monitored(t - tau):
             rec.feature_rank = numerical_rank(append_ones(trace.hidden))
         if cert is not None:
-            cert.check(rec, best_loss)
+            cert.check(rec, best_loss, log.max_sq_grad_phase2)
         emit(rec)
     log.t_star, log.loss_at_t_star = best_t, best_loss
     return params
@@ -681,7 +593,8 @@ def run_two_phase(spec: NetworkSpec, params0: Params, dataset, base: BaseAlgoCon
     step's counted at the reference threshold its rank test used.  With
     `bounds`, each phase-2 record gets its ceiling and suboptimality (None
     if the optimum is not attained) before it is emitted, and log.constants
-    and log.violations report the certificate (_Certificate).
+    and log.violations report the certificate (bounds.Certificate).  Phase 2
+    steps the perturbed Params in place, the head through head_block().
 
     Sink: each record goes to `record_sink` if one is given, else to
     log.records, so a run with a sink keeps no per-step state;
@@ -696,7 +609,8 @@ def run_two_phase(spec: NetworkSpec, params0: Params, dataset, base: BaseAlgoCon
         log.t_star, log.loss_at_t_star = cfg.tau, log.loss_at_tau
         return params, log
     at_tau = _at_tau(run, params)
-    cert = _Certificate(run, at_tau) if bounds else None
+    cert = Certificate(cfg, kind, run.y, at_tau.aug, log.params_at_tau.head_block(), log.l_h,
+                       log.loss_at_tau, at_tau.lipschitz) if bounds else None
     phase_two = _lazy_phase if cfg.phase2_mode == "lazy_full" else _head_phase
     params = phase_two(run, at_tau, cert)
     if cert is not None:

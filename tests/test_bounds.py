@@ -8,9 +8,11 @@ import pytest
 
 from conftest import features_at_tau, jacobian, masked_flat, outputs
 
+import twophase.bounds as bounds
 import twophase.trainer as trainer
 from twophase.bounds import (
     SLACK_REL,
+    Certificate,
     estimate_R_bar,
     gd_bound,
     lazy_bound,
@@ -18,11 +20,17 @@ from twophase.bounds import (
     solve_last_layer_optimum,
 )
 from twophase.data import synth_gen
-from twophase.linalg import RankDeficientError, min_norm_solve
+from twophase.linalg import RankDeficientError, append_ones, min_norm_solve
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad, loss_value
 from twophase.network import NetworkSpec, forward_hidden, init_params
 from twophase.ntk import compute_ntk
-from twophase.trainer import BaseAlgoConfig, TwoPhaseConfig, run_two_phase
+from twophase.trainer import (
+    BaseAlgoConfig,
+    StepRecord,
+    TwoPhaseConfig,
+    compute_L_H,
+    run_two_phase,
+)
 
 
 class TestLastLayerOptimum:
@@ -172,10 +180,14 @@ class TestCrossEntropyOptimum:
                                      np.full((3, 2), 0.7), np.zeros((6, 2)))
 
     def test_anchor_shape_is_validated(self, rng):
-        # [h, 1] has 6 columns and Y 2, so the anchor must be 6 x 2 (or flat)
+        # [h, 1] has 6 columns and Y 2, so the anchor must be 6 x 2; the flat
+        # head is not read as one
         with pytest.raises(ValueError, match=r"anchor has shape \(5, 2\), expected \(6, 2\)"):
             solve_last_layer_optimum(SQUARED, rng.standard_normal((3, 5)),
                                      rng.standard_normal((3, 2)), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match=r"anchor has shape \(12,\), expected \(6, 2\)"):
+            solve_last_layer_optimum(SQUARED, rng.standard_normal((3, 5)),
+                                     rng.standard_normal((3, 2)), np.zeros(12))
 
     @pytest.mark.parametrize("targets", ["soft", "one_hot"])
     def test_rank_deficient_features_raise(self, rng, monkeypatch, targets):
@@ -343,7 +355,7 @@ def _interpolating_setup(seed=0):
     h = forward_hidden(spec, params, ds.x).hidden
     aug = np.hstack([h, np.ones((4, 1))])
     z = min_norm_solve(aug, ds.y, np.zeros((7, 2)))
-    params.set_head_block(z)
+    params.head_block()[...] = z
     return ds, spec, params
 
 
@@ -528,13 +540,13 @@ class TestCheckBounds:
         """A bounds-on lazy run and the per-step linearized distances its
         Rbar is the running max of (tau first)."""
         distances = []
-        real = trainer._linearized_distance
+        real = bounds._linearized_distance
 
         def spy(*args):
             distances.append(real(*args))
             return distances[-1]
 
-        monkeypatch.setattr(trainer, "_linearized_distance", spy)
+        monkeypatch.setattr(bounds, "_linearized_distance", spy)
         ds = synth_gen(6, 4, 1, 0.03, "regression", seed=7)
         spec = NetworkSpec((4, 8, 8), 1, sharpness=10.0)
         base = BaseAlgoConfig(variant="gd", minibatch=6, seed=7)
@@ -599,3 +611,107 @@ class TestCheckBounds:
             assert rec.bound == lazy_bound(lipschitz, r_bar, log.loss_at_tau, 0.0,
                                            eta_bar, rec.t, log.tau)
             assert rec.suboptimality == gap
+
+
+class TestCertificate:
+    """A Certificate built directly from the constants at tau of a small
+    squared-loss head problem, fed records by hand."""
+
+    TAU = 3
+
+    def _make(self, rng, mode, kind=SQUARED, y=None):
+        """(certificate, the head optimum it rests on or None, L_H)."""
+        h = rng.standard_normal((4, 6))
+        aug = append_ones(h)
+        y = rng.standard_normal((4, 2)) if y is None else y
+        head = rng.standard_normal((7, 2))
+        cfg = TwoPhaseConfig(tau=self.TAU, total_steps=13, phase2_mode=mode,
+                             sgd_rate_scale=0.05, lazy_eta_bar=0.3)
+        l_h = compute_L_H(kind, h)
+        loss_tau = loss_value(kind, aug @ head, y)
+        cert = Certificate(cfg, kind, y, aug, head, l_h, loss_tau, 50.0)
+        opt = None if mode == "lazy_full" else solve_last_layer_optimum(kind, h, y, head)
+        return cert, opt, l_h
+
+    @staticmethod
+    def _record(t, loss):
+        return StepRecord(t=t, phase=2, loss=loss, grad_norm=0.0)
+
+    def test_exact_ceiling_is_gd_bound(self, rng):
+        cert, opt, l_h = self._make(rng, "last_layer_gd")
+        for t in (4, 5, 9, 13):
+            ceiling = gd_bound(opt.r_squared, l_h, t, self.TAU)
+            rec = self._record(t, opt.loss_star + 0.5 * ceiling)
+            cert.check(rec, opt.loss_star, 0.25)  # head GD's gap is at rec.loss
+            assert rec.bound == ceiling
+            assert rec.suboptimality == rec.loss - opt.loss_star
+        assert cert.violations == 0
+
+    def test_record_above_the_exact_ceiling_counts_one_violation(self, rng):
+        cert, opt, l_h = self._make(rng, "last_layer_gd")
+        ceiling = gd_bound(opt.r_squared, l_h, 5, self.TAU)
+        above = self._record(5, opt.loss_star + 2.0 * ceiling + 1.0)
+        cert.check(above, above.loss, 0.25)
+        assert cert.violations == 1
+        below = self._record(6, opt.loss_star)
+        cert.check(below, below.loss, 0.25)
+        assert cert.violations == 1
+
+    def test_expectation_counts_none_and_sums_the_schedule(self, rng):
+        # the ceiling at step t takes the sums of eta_k = 0.05 / sqrt(k - tau + 1)
+        # over k = tau..t and the G^2 it is handed, at the running minimum
+        cert, opt, _ = self._make(rng, "last_layer_sgd")
+        eta = 0.05 / np.sqrt(np.arange(1, 12))
+        sums, sq_sums = np.cumsum(eta), np.cumsum(eta * eta)
+        for t, g_squared in zip(range(4, 14), np.linspace(0.5, 2.0, 10)):
+            rec = self._record(t, opt.loss_star + 1e3)
+            cert.check(rec, opt.loss_star + 1e3, g_squared)
+            assert rec.bound == sgd_bound(opt.r_squared, g_squared, sums[t - self.TAU],
+                                          sq_sums[t - self.TAU])
+            assert rec.suboptimality > rec.bound
+        assert cert.violations is None
+        assert cert.constants["g_squared"] == 2.0
+
+    def test_one_hot_cross_entropy_is_vacuous(self, rng):
+        # no finite head attains the infimum: no ceiling, nothing counted
+        one_hot = np.eye(2)[[0, 1, 1, 0]]
+        cert, opt, _ = self._make(rng, "last_layer_gd", kind=CROSS_ENTROPY, y=one_hot)
+        assert opt.r_squared == np.inf and not cert.attained
+        rec = self._record(4, 5.0)
+        cert.check(rec, rec.loss, 0.25)
+        assert rec.bound is None and rec.suboptimality is None
+        assert cert.violations is None
+        assert cert.constants == {"g_squared": 0.25, "r_squared": None, "loss_star": 0.0,
+                                  "certificate": "vacuous"}
+
+    @pytest.mark.parametrize("mode, status, keys", [
+        ("last_layer_gd", "exact", {"g_squared", "r_squared"}),
+        ("last_layer_sgd", "expectation", {"g_squared", "r_squared"}),
+        ("lazy_full", "estimated", {"l_estimate", "diagnostic", "r_bar", "r_bar_kind"}),
+    ])
+    def test_constants_by_status(self, rng, mode, status, keys):
+        cert, _, _ = self._make(rng, mode)
+        rec = self._record(4, 1.0)
+        cert.check(rec, rec.loss, 0.25)
+        constants = cert.constants
+        assert set(constants) == keys | {"loss_star", "certificate"}
+        assert constants["certificate"] == status
+        assert constants["loss_star"] == pytest.approx(0.0, abs=1e-12)
+        if mode == "lazy_full":
+            assert constants["l_estimate"] == 50.0 and constants["diagnostic"] is True
+            assert constants["r_bar_kind"] == "upper_bound"
+        else:
+            assert constants["g_squared"] == 0.25
+
+    def test_lazy_r_bar_is_the_running_max_of_observed_distances(self, rng):
+        cert, _, _ = self._make(rng, "lazy_full")
+        y, distances = cert.y, []
+        for t in (3, 4, 5):
+            jac = rng.standard_normal((8, 20))
+            snap, f = compute_ntk(jac @ jac.T), rng.standard_normal((4, 2))
+            cert.observe(snap, f, t)
+            distances.append(estimate_R_bar(snap, f, y, SQUARED))
+        assert cert.constants["r_bar"] == max(distances)
+        low = compute_ntk(np.ones((8, 8)))  # rank 1 < 8 rows
+        with pytest.raises(RankDeficientError, match=r"^step 6 \(phase 2\)"):
+            cert.observe(low, np.zeros((4, 2)), 6)

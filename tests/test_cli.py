@@ -339,7 +339,7 @@ class TestTrain:
     def test_head_ceiling_violations_are_counted_and_reported(self, tmp_path, capsys,
                                                                monkeypatch):
         # a ceiling of 0 is exceeded by every step still above the optimum
-        monkeypatch.setattr(trainer, "gd_bound", lambda r_squared, l_h, t, tau: 0.0)
+        monkeypatch.setattr(bounds, "gd_bound", lambda r_squared, l_h, t, tau: 0.0)
         logs = []
         train_once = cli._train_once
 

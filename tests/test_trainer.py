@@ -12,6 +12,7 @@ import pytest
 from conftest import features_at_tau
 
 import twophase
+import twophase.bounds as bounds
 import twophase.network as network
 import twophase.ntk as ntk
 import twophase.trainer as trainer
@@ -604,13 +605,13 @@ class TestRunTwoPhase:
         # one linearized distance per kernel of tau and every step when the
         # ceilings are on, and none when they are off
         calls = []
-        distance = trainer._linearized_distance
+        distance = twophase.bounds._linearized_distance
 
         def counting(*args):
             calls.append(1)
             return distance(*args)
 
-        monkeypatch.setattr(trainer, "_linearized_distance", counting)
+        monkeypatch.setattr(twophase.bounds, "_linearized_distance", counting)
         ds, spec, p0 = _toy_problem(seed=19)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
@@ -908,7 +909,7 @@ class TestCertificate:
     def test_exact_ceiling_counts_each_exceedance(self, monkeypatch):
         # a zero ceiling: every step whose suboptimality clears the slack
         # is one violation
-        monkeypatch.setattr(trainer, "gd_bound", lambda *args: 0.0)
+        monkeypatch.setattr(bounds, "gd_bound", lambda *args: 0.0)
         _, log = _certified_run("last_layer_gd")
         phase2 = log.phase2_records()
         exceeded = sum(r.suboptimality > SLACK_REL for r in phase2)
@@ -917,7 +918,7 @@ class TestCertificate:
 
     def test_expectation_ceiling_counts_no_exceedance(self, monkeypatch):
         # one run above a ceiling on the expected suboptimality is no violation
-        monkeypatch.setattr(trainer, "sgd_bound", lambda *args: 0.0)
+        monkeypatch.setattr(bounds, "sgd_bound", lambda *args: 0.0)
         _, log = _certified_run("last_layer_sgd")
         assert any(r.suboptimality > SLACK_REL for r in log.phase2_records())
         assert log.violations is None
@@ -925,7 +926,7 @@ class TestCertificate:
     def test_unattained_optimum_is_vacuous_and_counts_nothing(self, monkeypatch):
         # one-hot cross-entropy on full-rank features: R^2 is inf, so no step
         # gets a ceiling, even one that would be exceeded
-        monkeypatch.setattr(trainer, "gd_bound", lambda *args: 0.0)
+        monkeypatch.setattr(bounds, "gd_bound", lambda *args: 0.0)
         _, log = _certified_run("last_layer_gd", kind=CROSS_ENTROPY, target="one_hot")
         assert log.constants["certificate"] == "vacuous"
         assert log.constants["r_squared"] is None
