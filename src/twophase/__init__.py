@@ -2,7 +2,7 @@
 
 The package splits into small numpy modules:
 
-* linalg        -- numerical rank and min-norm solves, one SVD each
+* linalg        -- the one rank rule (certified_rank) and min-norm solves
 * network       -- softplus/BN forward maps and exact backpropagation
 * losses        -- convex loss criteria with Lipschitz gradients
 * data          -- distinguishable synthetic datasets and CSV ingestion
@@ -25,9 +25,10 @@ from .expressivity import (
     check_distinguishability,
     check_expressivity,
     construct_witness,
+    expressivity_trials,
     probabilistic_expressivity,
 )
-from .linalg import min_norm_solve, numerical_rank
+from .linalg import certified_rank, min_norm_solve, numerical_rank
 from .losses import CROSS_ENTROPY, SQUARED, LossKind, loss_grad, loss_value
 from .network import (
     NetworkSpec,

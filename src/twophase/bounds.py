@@ -71,7 +71,8 @@ def loss_infimum(kind: LossKind, y) -> float:
 
 def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOptimum:
     """Nearest head minimizer of the frozen-feature problem and its distance,
-    in closed form from one SVD of [h, 1].
+    in closed form: the rank of [h, 1] from linalg.certified_rank, and one
+    SVD of [h, 1] where a solve needs its pseudo-inverse.
 
     [h, 1] must have full row rank, else RankDeficientError: only then does
     a zero cross-entropy target imply that the infimum is unattained.
@@ -172,12 +173,14 @@ def estimate_R_bar(snap, predictions, y, kind: LossKind) -> float:
     y = check_targets(kind, y)
     if snap.rows != y.size:
         raise ValueError(f"kernel has {snap.rows} rows, targets need {y.size}")
-    return _linearized_distance(snap, predictions, y, kind, _centering_basis(y.shape[1]))
+    basis = None if kind.name == "squared" else _centering_basis(y.shape[1])
+    return _linearized_distance(snap, predictions, y, kind, basis)
 
 
 def _linearized_distance(snap, predictions, y, kind: LossKind, basis) -> float:
     """estimate_R_bar on checked targets y and a snapshot of matching size,
-    with basis = _centering_basis(m_y); tests only the snapshot's rank."""
+    with basis = _centering_basis(m_y) (None under squared loss, which
+    does not read it); tests only the snapshot's rank."""
     if snap.rank < snap.rows:
         raise RankDeficientError(
             f"kernel has numerical rank {snap.rank} < {snap.rows} rows; the "
@@ -234,7 +237,7 @@ class Certificate:
         self.bordered = kind.name == "squared"
         if self.lazy:
             self.loss_star = loss_infimum(kind, y)
-            self.basis = _centering_basis(y.shape[1])
+            self.basis = None if self.bordered else _centering_basis(y.shape[1])
             self.lipschitz, self.r_bar = lipschitz, 0.0
         else:
             opt = solve_last_layer_optimum(kind, aug[:, :-1], y, head)

@@ -33,7 +33,7 @@ from .expressivity import (
     check_distinguishability,
     check_expressivity,
     construct_witness,
-    probabilistic_expressivity,
+    expressivity_trials,
 )
 from .linalg import DecompositionError, RankDeficientError
 from .losses import loss_by_name
@@ -311,6 +311,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         report["expressivity"] = {
             "passed": False,
             "fraction": 0.0,
+            "proved": None,
+            "counted": None,
             "note": (
                 f"m_H + 1 = {spec.feature_dim + 1} < n = {dataset.n}: the "
                 "augmented feature matrix cannot reach row rank n for any "
@@ -318,16 +320,20 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
             ),
         }
     else:
-        frac = probabilistic_expressivity(spec, dataset.x, vcfg["trials"],
-                                          vcfg["init_scale"], seed=cfg["seed"])
+        trials = expressivity_trials(spec, dataset.x, vcfg["trials"], vcfg["init_scale"],
+                                     seed=cfg["seed"])
+        frac = sum(rep.passed for rep in trials) / vcfg["trials"]
+        proved = sum(rep.proved for rep in trials)
         report["expressivity"] = {
             "passed": frac > 0.0,
             "fraction": frac,
             "trials": vcfg["trials"],
+            "proved": proved,
+            "counted": vcfg["trials"] - proved,
             "note": None,
         }
 
-    skipped = {"attempted": False, "passed": None, "rank": None}
+    skipped = {"attempted": False, "passed": None, "rank": None, "proved": None}
     if vcfg["witness"] == "off":
         report["witness"] = {**skipped, "note": "witness construction is off"}
     else:
@@ -337,11 +343,11 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
             report["witness"] = {**skipped, "note": str(exc)}
         except WitnessConstructionError as exc:
             report["witness"] = {"attempted": True, "passed": False,
-                                 "rank": None, "note": str(exc)}
+                                 "rank": None, "proved": None, "note": str(exc)}
         else:
             wrep = check_expressivity(spec, witness, dataset.x)
             report["witness"] = {"attempted": True, "passed": wrep.passed,
-                                 "rank": wrep.rank, "note": None}
+                                 "rank": wrep.rank, "proved": wrep.proved, "note": None}
 
     checks = [report["distinguishability"]["passed"], report["expressivity"]["passed"]]
     if report["witness"]["attempted"]:

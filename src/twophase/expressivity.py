@@ -7,8 +7,13 @@ Three entry points:
   parameters, which certifies that the last-layer problem can interpolate.
 * construct_witness -- explicit hidden parameters that make [h, 1] full row
   rank for any distinguishable dataset, built so the leading n x n feature
-  block is strictly diagonally dominant.  probabilistic_expressivity replays
-  the same rank check over random Gaussian parameter draws.
+  block is strictly diagonally dominant.  expressivity_trials replays the
+  same rank check over random Gaussian parameter draws, and
+  probabilistic_expressivity gives the fraction that pass.
+
+Every rank here is linalg.certified_rank's, the package's one rank rule: a
+full rank proved by one Cholesky factorization of the Gram of [h, 1], or
+counted from an SVD when that factorization fails; each report says which.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import append_ones, as_matrix, numerical_rank
+from .linalg import append_ones, as_matrix, certified_rank
 from .network import NetworkSpec, Params, forward_hidden, params_zero, random_params
 
 __all__ = [
@@ -27,6 +32,7 @@ __all__ = [
     "check_distinguishability",
     "check_expressivity",
     "construct_witness",
+    "expressivity_trials",
     "probabilistic_expressivity",
 ]
 
@@ -51,6 +57,7 @@ class ExpressivityReport:
     rank: int
     n: int
     passed: bool
+    proved: bool  # the rank was proved by a factorization, not counted from an SVD
 
 
 def check_distinguishability(x) -> DistinguishabilityReport:
@@ -74,12 +81,13 @@ def check_distinguishability(x) -> DistinguishabilityReport:
 
 
 def check_expressivity(spec: NetworkSpec, params: Params, x) -> ExpressivityReport:
-    """Rank of [h, 1] against n, at numerical_rank's threshold; full row rank
-    makes interpolation possible."""
+    """Rank of [h, 1] against n, by certified_rank; full row rank makes
+    interpolation possible."""
     a = append_ones(forward_hidden(spec, params, x).hidden)
     n = a.shape[0]
-    rank = numerical_rank(a)
-    return ExpressivityReport(rank=rank, n=n, passed=rank == n)
+    verdict = certified_rank(a)
+    return ExpressivityReport(rank=verdict.rank, n=n, passed=verdict.rank == n,
+                              proved=verdict.proved)
 
 
 def dominance_margins(h: np.ndarray, n: int) -> np.ndarray:
@@ -167,7 +175,7 @@ def construct_witness(spec: NetworkSpec, x) -> Params:
         margins = dominance_margins(h, n)
         # dominance alone can hold at a scale where the whole block is
         # denormal-small; insist the rank certificate survives float64 too
-        if np.all(margins > 0.0) and numerical_rank(append_ones(h)) == n:
+        if np.all(margins > 0.0) and certified_rank(append_ones(h)).rank == n:
             return params
         best_margin = max(best_margin, float(margins.min()))
         alpha *= 2.0
@@ -178,6 +186,17 @@ def construct_witness(spec: NetworkSpec, x) -> Params:
     )
 
 
+def expressivity_trials(spec: NetworkSpec, x, trials: int, init_scale: float = 1.0,
+                        seed: int = 0) -> list:
+    """check_expressivity at each of `trials` random Gaussian parameter
+    draws, one ExpressivityReport per draw."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [check_expressivity(spec, random_params(spec, np.random.default_rng(child),
+                                                   scale=init_scale), x)
+            for child in np.random.SeedSequence(seed).spawn(trials)]
+
+
 def probabilistic_expressivity(
     spec: NetworkSpec,
     x,
@@ -185,18 +204,12 @@ def probabilistic_expressivity(
     init_scale: float = 1.0,
     seed: int = 0,
 ) -> float:
-    """Fraction of random Gaussian parameter draws with full-row-rank [h, 1].
+    """Fraction of random Gaussian parameter draws with full-row-rank [h, 1]
+    (expressivity_trials).
 
     Full rank holds with probability one whenever any single parameter
     choice achieves it, so a fraction below 1.0 on a qualifying
     architecture points at a tolerance or conditioning problem.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(trials)
-    passed = 0
-    for child in children:
-        params = random_params(spec, np.random.default_rng(child), scale=init_scale)
-        if check_expressivity(spec, params, x).passed:
-            passed += 1
-    return passed / trials
+    reports = expressivity_trials(spec, x, trials, init_scale, seed)
+    return sum(rep.passed for rep in reports) / trials

@@ -24,10 +24,13 @@ trace of network.forward_hidden, so they run no pass of their own.
 K is symmetric positive semidefinite and shares its rank with J.  Training
 phases that must not lose kernel rank compare each step against the snapshot
 taken right after perturbation, reusing the reference snapshot's threshold so
-the comparison cannot flap.  compute_ntk certifies full rank by one Cholesky
-factorization of K shifted down by CHOLESKY_SHIFT times the threshold, and
-falls back to the spectrum (eigvalsh) only when that fails; a snapshot
-computes its spectrum, and the stock threshold it defines, on first use.  As
+the comparison cannot flap.  Every rank here comes from the package's one
+rank rule, linalg.certified_rank: compute_ntk certifies full rank by one
+Cholesky factorization of K shifted down by a multiple of the threshold,
+and eigvalsh counts the rank only when that fails; a snapshot computes its
+spectrum, and the stock threshold it defines, on first use, and a reference
+snapshot's threshold is settled by a bound that needs no spectrum, so a
+run whose factorizations all succeed computes none.  As
 J (nu o w) = f(w), the same K gives Rbar (bounds.estimate_R_bar), so no
 Jacobian is kept: bordered by the residual r, that one factorization gives
 the rank and sqrt(r^T (K - shift)^-1 r), an upper bound on the distance
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DecompositionError
+from .linalg import Rank, certified_rank
 from .network import ForwardTrace, NetworkSpec, Params, Workspace, _softplus_deriv, backprop
 
 __all__ = [
@@ -51,53 +54,72 @@ __all__ = [
 
 DEFAULT_MAX_JACOBIAN_ENTRIES = 50_000_000  # compute_jacobian's cap on n m_y d
 EPS = np.finfo(np.float64).eps
-# compute_ntk factors K - CHOLESKY_SHIFT * m * I to prove every eigenvalue > m
-CHOLESKY_SHIFT = 4.0
+# relative margin of NtkSnapshot.tolerance_bound over the exact tolerance
+BOUND_SLACK = 1e-6
 
 
 class NtkSnapshot:
-    """A tangent kernel K with its numerical rank.
+    """A tangent kernel K with its rank verdict, linalg.certified_rank of K.
 
     `rank` counts the eigenvalues of K above `tolerance`, the stock
     rows * eps * largest eigenvalue.  Every eigenvalue is proven to exceed
     `certified` (None when nothing was proven), so rank_at answers any
     threshold up to it without a spectrum.  The spectrum (descending,
-    clipped at 0) and the tolerance are computed on first use.  `rhs` and
+    clipped at 0) and the tolerance are the verdict's, computed on first
+    use; a reference snapshot keeps its own kernel, which they are taken
+    from.  `rhs` and
     `rhs_norm` are those of compute_ntk's bordered factorization, None
     without one.
     """
 
-    def __init__(self, kernel: np.ndarray, rank: int, certified: float | None = None):
-        self.kernel = kernel
-        self.rows = kernel.shape[0]
-        self.rank = rank
-        self.certified = certified
-        self.rhs = self.rhs_norm = None
-        self._tolerance = None
-        self._spectrum = None
+    def __init__(self, kernel: np.ndarray, verdict: Rank, rhs=None):
+        self.kernel, self.rows, self.verdict = kernel, kernel.shape[0], verdict
+        self.rank = verdict.rank
+        self.certified = verdict.level if verdict.proved else None
+        self.rhs_norm = verdict.rhs_norm
+        self.rhs = None if self.rhs_norm is None else rhs
+        self._bound = None
 
     @property
     def kernel_spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            try:
-                spectrum = np.linalg.eigvalsh(self.kernel)
-            except np.linalg.LinAlgError as exc:
-                raise DecompositionError(
-                    f"spectrum of {self.rows} x {self.rows} kernel failed: {exc}") from exc
-            self._spectrum = np.maximum(spectrum, 0.0)[::-1]
-        return self._spectrum
+        return self.verdict.spectrum
 
     @property
     def tolerance(self) -> float:
-        if self._tolerance is None:
-            top = float(self.kernel_spectrum[0]) if self.rows else 0.0
-            self._tolerance = self.rows * EPS * top
-        return self._tolerance
+        return self.verdict.tolerance
 
-    def rank_at(self, tol: float) -> int:
-        if self.certified is not None and tol <= self.certified:
+    @property
+    def tolerance_bound(self) -> float:
+        """An upper bound on `tolerance` with no spectrum:
+        rows * eps * min(trace K, ||K||_inf), each at least the largest
+        eigenvalue, raised by BOUND_SLACK for the rounding of the sums and
+        of eigvalsh."""
+        if self._bound is None:
+            k = self.kernel
+            top = min(float(np.trace(k)), float(np.abs(k).sum(axis=1).max()))
+            self._bound = self.rows * EPS * top * (1.0 + BOUND_SLACK)
+        return self._bound
+
+    def rank_at(self, tol) -> int:
+        """The rank at threshold `tol`, a float or a reference NtkSnapshot
+        standing for its tolerance: rows with no spectrum when the
+        certificate covers tol, else the eigenvalues counted above
+        max(tol, this kernel's own tolerance), so a kernel whose rounding
+        noise lies above tol is not judged by that noise."""
+        if self.certified is not None and _at_most(tol, self.certified):
             return self.rows
-        return int(np.count_nonzero(self.kernel_spectrum > tol))
+        if isinstance(tol, NtkSnapshot):
+            tol = tol.tolerance
+        return self.verdict.count_above(max(tol, self.tolerance))
+
+
+def _at_most(tol, level: float) -> bool:
+    """Whether the threshold `tol` (as in rank_at) is at most `level`; a
+    reference's tolerance is computed only when its bound does not settle
+    it."""
+    if isinstance(tol, NtkSnapshot):
+        return tol.tolerance_bound <= level or tol.tolerance <= level
+    return tol <= level
 
 
 def compute_jacobian(spec: NetworkSpec, params: Params, trace: ForwardTrace) -> np.ndarray:
@@ -215,77 +237,53 @@ def _kernel_arrays(spec: NetworkSpec, n: int) -> tuple:
             [(np.empty((n, m)), np.empty((spec.output_dim, n, m))) for m in spec.widths[1:]])
 
 
-def compute_ntk(kernel, floor: float = 0.0, rhs=None, work=None) -> NtkSnapshot:
-    """Snapshot of the tangent kernel K (compute_kernel) with its rank.
+def compute_ntk(kernel, floor=0.0, rhs=None, work=None) -> NtkSnapshot:
+    """Snapshot of the tangent kernel K (compute_kernel) with its rank, by
+    linalg.certified_rank of K as a Gram matrix: one Cholesky factorization
+    of K - c m I, c = linalg.CHOLESKY_SHIFT = 4, m = max(floor,
+    rows * eps * trace K), whose success proves every eigenvalue of K above
+    m, and so the rank rows with no spectrum (the proof is certified_rank's);
+    eigvalsh counts the rank only when it fails.
 
     The rank counts eigenvalues of K above the stock threshold
     rows * eps * largest eigenvalue.  `floor` is a further threshold the
-    caller will ask rank_at about, such as the reference tolerance of
-    assert_rank_preserved.
-
-    With m = max(floor, rows * eps * trace K), which covers both
-    thresholds since trace K >= the largest eigenvalue, one Cholesky
-    factorization of K - c m I, c = CHOLESKY_SHIFT = 4, proves every
-    eigenvalue of K above m, and the rank is rows with no spectrum.  Why c = 4
-    suffices: the computed factor R has R^T R = K - c m I + E with
-    |E_ij| <= gamma ||R e_i|| ||R e_j||, gamma = gamma_{rows+1} ~
-    (rows + 1) eps / 2 (Higham, "Accuracy and Stability of Numerical
-    Algorithms", Thm 10.3), so ||E||_2 <= gamma trace(K) (1 + O(rows eps))
-    <= m; rounding the shifted diagonal adds at most eps/2 (trace K + c m),
-    about m/2 or less.  A success therefore leaves lambda_min(K) >=
-    4m - 1.5m > m, with margin
-    for eigvalsh's own rounding, so the certified rank is the count eigvalsh
-    gives.  When the factorization fails, eigvalsh counts the rank.
+    caller will ask rank_at about: a float, or the reference NtkSnapshot
+    whose tolerance it is, as in assert_rank_preserved.  A reference's
+    tolerance needs its spectrum, so its tolerance_bound is tried first: when
+    that bound is at most this kernel's own rows * eps * trace K, the level
+    is the kernel's own, as it would be at the exact tolerance, and the
+    reference's spectrum is taken only otherwise.
 
     A right-hand side `rhs` r (one entry per row) borders the factored
-    matrix: [[K - c m I, r], [r^T, rho]], rho the largest float, so the last
-    pivot cannot fail and the leading block certifies the rank as above
-    (Golub and Van Loan, "Matrix Computations", 4.2).  The factor's last
-    row is then z = L^-1 r, L the leading block's factor, and on success
-    the snapshot keeps r as `rhs` and ||z|| = sqrt(r^T (K - c m I)^-1 r) as
-    `rhs_norm`, an upper bound on sqrt(r^T K^-1 r) since K - c m I < K.
-    The factored matrix is written into the spare array of a
-    network.Workspace `work` that compute_kernel has used, if given, and is
-    allocated otherwise.
+    matrix, and on success the snapshot keeps r as `rhs` and
+    sqrt(r^T (K - c m I)^-1 r) as `rhs_norm`, an upper bound on
+    sqrt(r^T K^-1 r) since K - c m I < K.  The factored matrix is written
+    into the spare array of a network.Workspace `work` that compute_kernel
+    has used, if given, and is allocated otherwise.
     """
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or not np.all(np.isfinite(k)):
         raise ValueError("kernel must be a finite square 2-D array")
     rows = k.shape[0]
-    size = rows
     if rhs is not None:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (rows,) or not np.all(np.isfinite(rhs)):
             raise ValueError(f"rhs must be a finite vector of {rows} entries")
-        size += 1
-    level = max(floor, rows * EPS * float(np.trace(k)))
-    if work is None or work.kernel_arrays is None:
-        shifted = np.empty((size, size))
-    else:
-        shifted = work.kernel_arrays[2][: size * size].reshape(size, size)
-    shifted[:rows, :rows] = k
-    shifted.reshape(-1)[: rows * (size + 1) : size + 1] -= CHOLESKY_SHIFT * level
-    if rhs is not None:
-        shifted[rows, :rows] = shifted[:rows, rows] = rhs
-        shifted[rows, rows] = np.finfo(np.float64).max
-    try:
-        factor = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        snap = NtkSnapshot(k, 0)
-        snap.rank = snap.rank_at(snap.tolerance)
-        return snap
-    snap = NtkSnapshot(k, rows, certified=level)
-    if rhs is not None:
-        snap.rhs, snap.rhs_norm = rhs, float(np.linalg.norm(factor[rows, :rows]))
-    return snap
+    if isinstance(floor, NtkSnapshot):
+        floor = (0.0 if floor.tolerance_bound <= rows * EPS * float(np.trace(k))
+                 else floor.tolerance)
+    out = None if work is None or work.kernel_arrays is None else work.kernel_arrays[2]
+    return NtkSnapshot(k, certified_rank(k, floor, gram=True, rhs=rhs, out=out), rhs)
 
 
 def assert_rank_preserved(reference: NtkSnapshot, current: NtkSnapshot) -> bool:
     """True iff the current kernel rank, measured at the reference snapshot's
-    threshold, has not dropped below the reference rank."""
+    threshold (rank_at: or at the current kernel's own, when its
+    factorization failed and that is larger), has not dropped below the
+    reference rank."""
     if reference.rows != current.rows:
         raise ValueError(
             f"snapshot dimensions differ: {reference.rows} vs {current.rows} rows; "
             "same dataset and architecture required"
         )
-    return current.rank_at(reference.tolerance) >= reference.rank
+    return current.rank_at(reference) >= reference.rank

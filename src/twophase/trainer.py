@@ -18,7 +18,12 @@ run_two_phase checks its inputs once (_Run), then runs four phases:
                   the reference at tau is rejected and the rate halved.
 
 Every pass, backprop and kernel writes into the run's one network.Workspace,
-so no array of a pass's or a kernel's size is allocated per step.  With
+so no array of a pass's or a kernel's size is allocated per step.  Every
+rank (the features' at tau and when monitored, a kernel's) comes from
+linalg.certified_rank, the package's one rank rule: one Cholesky
+factorization proves a full rank, and a spectrum is computed only when a
+factorization fails, so a run whose factorizations all succeed computes no
+SVD or eigenvalues.  With
 bounds on, a bounds.Certificate, made from the constants at tau, sets each
 phase-2 record's ceiling and suboptimality before the record is emitted.
 """
@@ -247,7 +252,8 @@ def _finite(value, what: str, t, phase):
 
 
 def _snapshot(spec, params, trace, t, phase, floor=0.0, rhs=None, work=None):
-    """compute_ntk, bordered by `rhs` if given, of the tangent kernel at
+    """compute_ntk at `floor` (a threshold, or a reference snapshot whose
+    tolerance is one), bordered by `rhs` if given, of the tangent kernel at
     `trace`, a forward pass of `params`, written into `work` if given;
     FloatingPointError naming step t and the phase if the kernel is not
     finite."""
@@ -511,21 +517,24 @@ def _head_phase(run, at_tau, cert):
 def _lazy_phase(run, at_tau, cert):
     """Phase 2 on every parameter at the uniform rate 2 eta_bar / L: each
     candidate is scored, then its kernel's rank is tested at the threshold
-    of the reference kernel at tau, and a rejected one halves eta_bar, up
-    to LAZY_MAX_RETRIES times (then RankPreservationError).  Returns the
-    final Params."""
+    of the reference kernel at tau (a kernel whose factorization fails is
+    counted at that threshold or its own stock one, whichever is larger),
+    and a rejected one halves eta_bar, up to LAZY_MAX_RETRIES times (then
+    RankPreservationError).  Returns the final Params."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
     emit, monitored, t0, tau = run.emit, run.monitored, run.t0, cfg.tau
     params, trace, lipschitz = at_tau.params, at_tau.trace, at_tau.lipschitz
     frozen, eta_bar, total = log.frozen_stats, cfg.lazy_eta_bar, cfg.total_steps
     # one pass per parameter point gives its kernel, loss, gradient and
     # distance; a rank test's factorization also certifies the rank at the
-    # reference threshold, which is taken now, before the first candidate's
-    # kernel overwrites the reference's in the workspace
+    # reference threshold.  The reference keeps a copy of its kernel, which
+    # candidates overwrite in the workspace: the threshold's spectrum is
+    # taken from it only if its bound does not settle a candidate's level
+    # or a candidate's factorization fails
     bordered = cert is not None and cert.bordered
-    reference = _snapshot(spec, params, trace, tau, 2,
-                          rhs=at_tau.residual.reshape(-1) if bordered else None, work=work)
-    threshold = reference.tolerance
+    kernel = _finite(compute_kernel(spec, params, trace, work=work), "kernel", tau, 2)
+    reference = compute_ntk(kernel.copy(), rhs=at_tau.residual.reshape(-1) if bordered else None,
+                            work=work)
     g = backprop(spec, params, trace, _mean_gradient(kind, at_tau.residual), work=work)
     if cert is not None:
         cert.observe(reference, trace.output, tau)
@@ -538,7 +547,7 @@ def _lazy_phase(run, at_tau, cert):
         for _ in range(LAZY_MAX_RETRIES + 1):
             np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
             trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen, work=work)
-            snap = _snapshot(spec, cand, trace, t, 2, threshold,
+            snap = _snapshot(spec, cand, trace, t, 2, reference,
                              rhs=residual.reshape(-1) if bordered else None, work=work)
             if assert_rank_preserved(reference, snap):
                 break
@@ -559,7 +568,7 @@ def _lazy_phase(run, at_tau, cert):
         if cur < best_loss:
             best_loss, best_t = cur, t
         rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
-                         ntk_rank=snap.rank_at(threshold), rank_event=event,
+                         ntk_rank=snap.rank_at(reference), rank_event=event,
                          wall_time=time.perf_counter() - t0)
         if monitored(t - tau):
             rec.feature_rank = numerical_rank(append_ones(trace.hidden))

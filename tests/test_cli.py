@@ -191,6 +191,33 @@ class TestVerify:
         assert report["expressivity"]["fraction"] == 1.0
         assert "PASS" in capsys.readouterr().out
 
+    def test_report_says_which_ranks_were_proved(self, tmp_path, monkeypatch):
+        # each trial's full rank is proved by a factorization or counted from
+        # an SVD, and the witness's likewise; a trial whose factorization is
+        # made to fail is counted
+        cholesky, calls = np.linalg.cholesky, []
+
+        def failing_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_third)
+        path = write_config(
+            tmp_path,
+            data={"n": 8, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.05},
+            network={"hidden_widths": [4, 9], "sharpness": 1.0},
+            verify={"trials": 10},
+        )
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "verify.json").read_text())
+        expressivity = report["expressivity"]
+        assert (expressivity["fraction"], expressivity["proved"], expressivity["counted"]) == (
+            1.0, 9, 1)
+        assert report["witness"]["proved"] is True and report["witness"]["rank"] == 8
+
     def test_dimension_bound_fails_with_explanation(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -202,6 +229,7 @@ class TestVerify:
         report = json.loads((out / "verify.json").read_text())
         assert not report["expressivity"]["passed"]
         assert "dimension bound" in report["expressivity"]["note"]
+        assert report["expressivity"]["proved"] is None and report["expressivity"]["counted"] is None
 
     def test_duplicate_rows_fail_citing_pair(self, tmp_path):
         csv = tmp_path / "dup.csv"
@@ -245,7 +273,7 @@ class TestVerify:
         report = json.loads((out / "verify.json").read_text())
         assert report["passed"]
         assert report["witness"] == {"attempted": False, "passed": None, "rank": None,
-                                     "note": "witness construction is off"}
+                                     "proved": None, "note": "witness construction is off"}
 
     def test_witness_programming_errors_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -538,7 +566,9 @@ class TestTrain:
             bounds=bounds, monitor_every=0,
             two_phase={"phase2_mode": "lazy_full", "lazy_eta_bar": 0.3}))
         code = cli.main(["train", "--config", path, "--out", str(tmp_path / "x")])
-        assert floors[0] == 0.0 and all(floor > 0.0 for floor in floors[1:])
+        # after tau the floor is the reference snapshot, standing for its
+        # tolerance
+        assert floors[0] == 0.0 and all(floor.tolerance > 0.0 for floor in floors[1:])
         if bounds:
             assert code == 3
             assert "step 20 (phase 2): kernel has numerical rank 23 < 24 rows" in (
@@ -797,7 +827,7 @@ class TestUnusablePaths:
         # made is the config's error, found before training or verifying
         ran = []
         for name in ("run_two_phase", "check_distinguishability",
-                     "probabilistic_expressivity", "save_csv"):
+                     "expressivity_trials", "save_csv"):
             def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
                 ran.append(_name)
                 return _real(*args, **kwargs)

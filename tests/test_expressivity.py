@@ -77,20 +77,24 @@ class TestCheckExpressivity:
             assert np.linalg.det(aug @ aug.T) > 0.0
 
     def test_one_decomposition_per_check(self, rng, monkeypatch):
-        # the threshold comes from the same SVD that counts the rank
-        calls = []
-        svd = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        # one Cholesky factorization proves a full rank with no SVD; when it
+        # fails, one SVD counts the rank and sets its own threshold
+        counts = {"svd": 0, "cholesky": 0}
+        for name in counts:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
         spec = NetworkSpec((3, 8), 1, sharpness=5.0)
         p = random_params(spec, rng, 1.0)
         x = rng.standard_normal((6, 3))
-        assert check_expressivity(spec, p, x).passed
-        assert len(calls) == 1
+        rep = check_expressivity(spec, p, x)
+        assert rep.passed and rep.proved
+        assert counts == {"svd": 0, "cholesky": 1}
+        x[5] = x[0]  # a repeated sample repeats its feature row
+        rep = check_expressivity(spec, p, x)
+        assert rep.rank == 5 and not rep.passed and not rep.proved
+        assert counts == {"svd": 1, "cholesky": 2}
 
     def test_no_determinant(self, rng, monkeypatch):
         # the rank alone decides `passed`; no det([h, 1] [h, 1]^T) is taken

@@ -1,4 +1,5 @@
-"""Rank and min-norm solve against brute-force oracles."""
+"""Rank and min-norm solve against brute-force oracles, and the certified
+rank against the SVD count it replaces."""
 
 import itertools
 
@@ -6,11 +7,15 @@ import numpy as np
 import pytest
 
 from twophase.linalg import (
+    DecompositionError,
     RankDeficientError,
     as_matrix,
+    certified_rank,
     min_norm_solve,
     numerical_rank,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 def oracle_rank_by_gram(m, scale_tol=1e-10):
@@ -67,13 +72,18 @@ class TestNumericalRank:
             as_matrix([[np.inf, 0.0]])
 
     def test_decomposition_failure_is_distinct_error(self, monkeypatch):
-        # a failed factorization must never surface as rank 0
+        # a failed spectrum must never surface as rank 0; a full rank the
+        # Cholesky factorization proves takes no SVD, and a deficient one,
+        # whose factorization fails, is counted by the SVD
         def refuse(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
         monkeypatch.setattr(np.linalg, "svd", refuse)
         from twophase.linalg import DecompositionError
+        assert numerical_rank(np.eye(3)) == 3
         with pytest.raises(DecompositionError, match="SVD"):
-            numerical_rank(np.eye(3))
+            numerical_rank(np.ones((3, 3)))
+        with pytest.raises(DecompositionError, match="SVD"):
+            numerical_rank(np.ones((2, 4)))
         with pytest.raises(DecompositionError, match="SVD"):
             min_norm_solve(np.eye(3), np.ones((3, 1)), np.zeros((3, 1)))
 
@@ -157,3 +167,87 @@ class TestMinNormSolve:
         assert len(calls) == 1
         np.testing.assert_allclose(z, anchor + np.linalg.pinv(m) @ (b - m @ anchor),
                                    rtol=1e-12, atol=1e-12)
+
+
+def _prescribed(rng, shape, ratio, rank=None):
+    """A matrix of `shape` with singular values spaced geometrically from 1
+    down to `ratio`, all past the first `rank` set to zero, at a random
+    scale between 1e-40 and 1e40."""
+    k = min(shape)
+    u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+    s = np.geomspace(1.0, ratio, k)
+    s[k if rank is None else rank:] = 0.0
+    return (u * s) @ v.T * 10.0 ** rng.uniform(-40.0, 40.0)
+
+
+def _svd_count(m):
+    # the stock count of singular values above max(rows, cols) eps sigma_max
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > max(m.shape) * EPS * s[0]))
+
+
+class TestCertifiedRank:
+    """A proved rank must be the count the SVD gives, and an unproved one is
+    that count; only a well-conditioned full rank can be proved."""
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 9), (9, 5), (24, 30)],
+                             ids=["square", "wide", "tall", "wide_24"])
+    @pytest.mark.parametrize("exponent", range(2, 17))
+    def test_agrees_with_the_svd_count(self, shape, exponent):
+        rng = np.random.default_rng(100 * exponent + shape[0])
+        for trial in range(4):
+            rank = None if trial < 2 else int(rng.integers(1, min(shape)))
+            m = _prescribed(rng, shape, 10.0 ** -exponent, rank)
+            verdict = certified_rank(m)
+            assert verdict.rank == _svd_count(m)
+            if verdict.proved:
+                assert verdict.rank == verdict.size == min(shape) and rank is None
+                assert verdict.level > 0.0
+            # a well-conditioned full rank is always proved, an
+            # ill-conditioned or deficient one never
+            if not 5 <= exponent <= 8:
+                assert verdict.proved == (rank is None and exponent <= 4)
+
+    @pytest.mark.parametrize("exponent", range(2, 17))
+    def test_kernel_agrees_with_the_eigvalsh_count(self, exponent):
+        rng = np.random.default_rng(exponent)
+        for trial in range(4):
+            rank = None if trial < 2 else int(rng.integers(1, 12))
+            j = _prescribed(rng, (12, 20), 10.0 ** (-exponent / 2), rank)
+            k = j @ j.T
+            verdict = certified_rank(k, gram=True)
+            values = np.linalg.eigvalsh(k)
+            assert verdict.rank == int(np.count_nonzero(values > 12 * EPS * values[-1]))
+            if verdict.proved:
+                assert verdict.rank == 12 and rank is None
+                assert values[0] > verdict.level >= 12 * EPS * np.trace(k)
+
+    def test_a_floor_raises_the_level_not_the_count(self, rng):
+        m = _prescribed(rng, (5, 9), 1e-2)
+        gram = m @ m.T
+        proved = certified_rank(m, floor=1e-3 * np.linalg.eigvalsh(gram)[0])
+        assert proved.proved and proved.rank == 5
+        counted = certified_rank(m, floor=np.trace(gram))
+        assert not counted.proved and counted.rank == _svd_count(m) == 5
+
+    def test_failed_spectrum_is_an_error_not_rank_zero(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for shape in ((6, 6), (5, 9), (9, 5)):
+            with pytest.raises(DecompositionError, match="SVD failed"):
+                certified_rank(_prescribed(rng, shape, 1e-3, rank=2))
+            with pytest.raises(DecompositionError, match="SVD failed"):
+                certified_rank(_prescribed(rng, shape, 1e-16))
+        with pytest.raises(DecompositionError, match="spectrum of 4 x 4 kernel failed"):
+            certified_rank(np.ones((4, 4)), gram=True)
+
+    def test_underflowing_and_zero_grams_are_counted(self):
+        zero = certified_rank(np.zeros((3, 4)))
+        assert not zero.proved and zero.rank == 0
+        tiny = np.eye(3, 4) * 1e-160  # its Gram is subnormal
+        verdict = certified_rank(tiny)
+        assert not verdict.proved and verdict.rank == _svd_count(tiny) == 3

@@ -480,9 +480,10 @@ class TestRunTwoPhase:
 
     def test_lazy_run_decomposes_each_kernel_once(self, monkeypatch):
         # one Cholesky factorization per kernel certifies its rank at the
-        # reference threshold as well; only that threshold, at tau, takes a
-        # spectrum, and Rbar reads the rank of the snapshot compute_ntk made
-        counts, snaps = {"eigvalsh": 0, "cholesky": 0}, []
+        # reference threshold as well, which its bound settles with no
+        # spectrum; one more proves the features' rank at tau, and Rbar
+        # reads the rank of the snapshot compute_ntk made
+        counts, snaps = {"eigvalsh": 0, "cholesky": 0, "svd": 0}, []
         compute_ntk = trainer.compute_ntk
         for name in counts:
             def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
@@ -502,13 +503,14 @@ class TestRunTwoPhase:
         _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
         assert np.isfinite(log.constants["r_bar"])
         assert len(snaps) == 11
-        assert counts["eigvalsh"] <= 1 and counts["cholesky"] == len(snaps)
+        assert counts == {"eigvalsh": 0, "cholesky": len(snaps) + 1, "svd": 0}
 
     def test_lazy_step_factors_once_and_solves_nothing(self, monkeypatch):
         # squared loss with bounds on: the residual borders the Cholesky
         # factorization of the rank test, which then gives the step's
-        # distance too, so a lazy step makes one factorization and no solve
-        counts = {"cholesky": 0, "solve": 0}
+        # distance too, so a lazy step makes one factorization, no solve and
+        # no spectrum
+        counts = {"cholesky": 0, "solve": 0, "svd": 0, "eigvalsh": 0}
         for name in counts:
             def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 counts[_name] += 1
@@ -519,15 +521,44 @@ class TestRunTwoPhase:
         def sink(rec):
             if rec.phase == 2:
                 per_step.append(dict(counts))
-                counts.update(cholesky=0, solve=0)
+                counts.update(cholesky=0, solve=0, svd=0, eigvalsh=0)
 
         ds, spec, p0 = _toy_problem(seed=19)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
         run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True, record_sink=sink)
-        # the first step's count includes the reference kernel's at tau
-        assert per_step == [{"cholesky": 2, "solve": 0}] + [{"cholesky": 1, "solve": 0}] * 9
+        # the first step's count includes those of the features' rank and
+        # the reference kernel at tau
+        step = {"cholesky": 1, "solve": 0, "svd": 0, "eigvalsh": 0}
+        assert per_step == [dict(step, cholesky=3)] + [step] * 9
+
+    @pytest.mark.parametrize("mode", ["lazy_full", "last_layer_gd"])
+    def test_run_whose_factorizations_succeed_takes_no_spectrum(self, monkeypatch, mode):
+        # every rank verdict, monitored ones and the features' at tau
+        # included, is proved by a factorization; the lazy reference
+        # threshold is settled by its bound, and squared loss builds no
+        # centering basis, so neither run calls an SVD or eigvalsh
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectrum was computed")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        if mode == "lazy_full":
+            ds, spec, p0 = _toy_problem(seed=19)
+            kind, base = SQUARED, BaseAlgoConfig(variant="gd", minibatch=10)
+            cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode=mode,
+                                 lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        else:  # one-hot cross-entropy, as head_gd_ce, with its rank-only optimum
+            ds = synth_gen(16, 4, 3, 0.03, "one_hot", seed=19)
+            spec = NetworkSpec((4, 8, 18), 3, sharpness=10.0)
+            p0, kind = init_params(spec, seed=19), CROSS_ENTROPY
+            base = BaseAlgoConfig(variant="sgd_momentum", minibatch=8, seed=19)
+            cfg = TwoPhaseConfig(tau=12, total_steps=20, phase2_mode=mode, seed=19)
+        _, log = run_two_phase(spec, p0, ds, base, cfg, kind, monitor_every=2, bounds=True)
+        ranks = [r for r in log.records if r.feature_rank is not None]
+        assert len(ranks) == (6 if mode == "lazy_full" else 10)
+        assert all(r.ntk_rank == ds.y.size for r in ranks)
 
     @pytest.mark.parametrize("lipschitz, workspaces", [(50.0, 1), (None, 2)])
     def test_one_workspace_per_lazy_run(self, monkeypatch, lipschitz, workspaces):
@@ -587,18 +618,61 @@ class TestRunTwoPhase:
                           record_sink=seen.append)
         assert seen[-1].t == 5
 
-    def test_lazy_record_reads_the_rank_its_verdict_used(self):
-        # step 5's first candidate fails the rank test and the halved one
-        # passes it; the record reads the rank at the reference threshold
-        # that verdict used, not at the kernel's own stock tolerance (19)
+    def test_lazy_record_reads_the_rank_its_verdict_used(self, monkeypatch):
+        # step 5's first two candidates fail their factorizations and are
+        # counted at max(the reference threshold, their own stock
+        # tolerance): 17 and 19, where the reference threshold alone would
+        # count the rounding noise between the two and give 19 and 20; the
+        # third is proved full rank, and the record reads the rank that
+        # verdict used
+        compute_ntk, ranks = trainer.compute_ntk, []
+
+        def keeping(kernel, floor=0.0, rhs=None, work=None):
+            snap = compute_ntk(kernel, floor, rhs, work)
+            if not isinstance(floor, float):
+                ranks.append((snap.certified is not None, snap.rank, snap.rank_at(floor),
+                              snap.verdict.count_above(floor.tolerance)))
+            return snap
+
+        monkeypatch.setattr(trainer, "compute_ntk", keeping)
         ds, spec, p0 = _toy_problem(seed=2, bn=True)
         cfg = TwoPhaseConfig(tau=3, total_steps=5, phase2_mode="lazy_full",
                              lazy_eta_bar=0.5, seed=2)
         _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
                                cfg, SQUARED)
         step = log.records[-1]
-        assert step.t == 5 and step.rank_event == "rank_drop_halved_eta_bar_to_2.500e-01"
+        assert step.t == 5 and step.rank_event == "rank_drop_halved_eta_bar_to_1.250e-01"
+        assert [t for t, _ in log.rank_events] == [5, 5]
+        assert ranks[1:] == [(False, 17, 17, 19), (False, 19, 19, 20), (True, 20, 20, 20)]
         assert step.ntk_rank == 20
+
+    def test_candidate_verdict_survives_a_last_bit_flip(self, monkeypatch):
+        # the frozen-BN toy diverges from step 5, whose first candidate's
+        # kernel peaks near 1.2e9: its factorization fails, and its
+        # eigenvalues are counted above its own rounding noise, not at the
+        # reference threshold inside it.  So flipping the last bit of every
+        # kernel the rank test sees, the reference at tau's included, leaves
+        # every verdict and the failure as they were
+        compute_ntk = trainer.compute_ntk
+
+        def outcome(flip):
+            def flipping(kernel, floor=0.0, rhs=None, work=None):
+                if flip:
+                    kernel[...] = (kernel.view(np.int64) ^ 1).view(np.float64)
+                return compute_ntk(kernel, floor, rhs, work)
+
+            monkeypatch.setattr(trainer, "compute_ntk", flipping)
+            ds, spec, p0 = _toy_problem(seed=2, bn=True)
+            cfg = TwoPhaseConfig(tau=3, total_steps=23, phase2_mode="lazy_full",
+                                 lazy_eta_bar=0.5, seed=2)
+            seen = []
+            with pytest.raises((RankPreservationError, RankDeficientError)) as failure:
+                run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+                              SQUARED, bounds=True, record_sink=seen.append)
+            return ([(r.t, r.ntk_rank, r.rank_event) for r in seen],
+                    type(failure.value), str(failure.value))
+
+        assert outcome(flip=True) == outcome(flip=False)
 
     @pytest.mark.parametrize("bounds", [True, False])
     def test_lazy_r_bar_only_with_bounds(self, monkeypatch, bounds):
