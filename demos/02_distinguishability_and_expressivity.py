@@ -19,7 +19,7 @@ from twophase import (
     NetworkSpec,
     check_distinguishability,
     check_expressivity,
-    probabilistic_expressivity,
+    expressivity_trials,
     random_params,
     synth_gen,
 )
@@ -41,8 +41,9 @@ print(f"passed={rep.passed}, margin={rep.margin:.2e}, pair={rep.violating_pair}"
 # %% [markdown]
 # The rank check evaluates the features at concrete parameters.  A single
 # random draw almost surely succeeds when the architecture qualifies
-# (last hidden width at least n); the probabilistic verifier repeats the
-# draw to expose tolerance problems.
+# (last hidden width at least n); `expressivity_trials` repeats the draw, one
+# report per draw, and the fraction that pass (what `verify` reports)
+# exposes tolerance problems.
 
 # %%
 spec = NetworkSpec(widths=(4, 4, 13), output_dim=1, sharpness=1.0)
@@ -50,7 +51,8 @@ params = random_params(spec, np.random.default_rng(0), scale=1.0)
 rep = check_expressivity(spec, params, ds.x)
 print(f"rank {rep.rank} of n={rep.n}, passed={rep.passed}")
 
-frac = probabilistic_expressivity(spec, ds.x, trials=25, init_scale=1.0, seed=3)
+reports = expressivity_trials(spec, ds.x, trials=25, init_scale=1.0, seed=3)
+frac = sum(r.passed for r in reports) / len(reports)
 print(f"pass fraction over 25 draws: {frac:.2f}")
 
 # %% [markdown]
@@ -60,5 +62,6 @@ print(f"pass fraction over 25 draws: {frac:.2f}")
 
 # %%
 tiny = NetworkSpec(widths=(4, 4, 6), output_dim=1, sharpness=1.0)
-frac = probabilistic_expressivity(tiny, ds.x, trials=10, seed=3)
+reports = expressivity_trials(tiny, ds.x, trials=10, seed=3)
+frac = sum(r.passed for r in reports) / len(reports)
 print(f"m_H + 1 = 7 < n = 12 -> pass fraction {frac:.2f}")

@@ -9,7 +9,8 @@
 # `compute_kernel` sums K layer by layer without forming J, over the trace
 # of one `forward_hidden` pass, and `compute_ntk` certifies full rank by one
 # Cholesky factorization, taking the spectrum only when it is asked for or
-# the factorization fails.
+# the factorization fails.  Its verdict is a `linalg.Rank`, the type every
+# rank check in the package returns.
 
 # %%
 import numpy as np
@@ -39,13 +40,13 @@ def kernel_at(p):
 
 params = init_params(spec, seed=0)
 snap = compute_ntk(kernel_at(params))
-print(f"at init: kernel {snap.rows} x {snap.rows}, rank {snap.rank} "
+print(f"at init: kernel {snap.size} x {snap.size}, rank {snap.rank} "
       f"(full would be {ds.n * ds.output_dim})")
-print("top of spectrum:", np.round(snap.kernel_spectrum[:4], 3))
+print("top of spectrum:", np.round(snap.spectrum[:4], 3))
 
 # %% [markdown]
-# Now run the two phases.  The trainer snapshots the state at tau; the
-# reference threshold from that snapshot is reused for every later
+# Now run the two phases.  The trainer ranks the kernel at tau; the
+# reference threshold from that verdict is reused for every later
 # comparison so the rank cannot flap on the tolerance boundary.  Head GD is
 # deterministic, so a run cut at step t ends at the parameters of step t.
 

@@ -13,20 +13,13 @@ The package splits into small numpy modules:
 * cli           -- verify / train / sweep / gen-data commands
 """
 
-from .bounds import (
-    estimate_R_bar,
-    gd_bound,
-    lazy_bound,
-    sgd_bound,
-    solve_last_layer_optimum,
-)
+from .bounds import gd_bound, lazy_bound, sgd_bound, solve_last_layer_optimum
 from .data import Dataset, load_csv, save_csv, synth_gen
 from .expressivity import (
     check_distinguishability,
     check_expressivity,
     construct_witness,
     expressivity_trials,
-    probabilistic_expressivity,
 )
 from .linalg import certified_rank, min_norm_solve, numerical_rank
 from .losses import CROSS_ENTROPY, SQUARED, LossKind, loss_grad, loss_value
@@ -42,13 +35,7 @@ from .network import (
     random_params,
     softplus,
 )
-from .ntk import (
-    NtkSnapshot,
-    assert_rank_preserved,
-    compute_jacobian,
-    compute_kernel,
-    compute_ntk,
-)
+from .ntk import assert_rank_preserved, compute_jacobian, compute_kernel, compute_ntk
 from .trainer import (
     BaseAlgoConfig,
     TrainLog,

@@ -47,7 +47,6 @@ __all__ = [
     "gd_bound",
     "sgd_bound",
     "lazy_bound",
-    "estimate_R_bar",
 ]
 
 
@@ -145,49 +144,38 @@ def lazy_bound(l_estimate: float, r_bar: float, loss_tau: float, loss_star: floa
     return math.sqrt(inner) / math.sqrt(t - tau + 1.0)
 
 
-def estimate_R_bar(snap, predictions, y, kind: LossKind) -> float:
+def _linearized_distance(snap, predictions, y, kind: LossKind, basis) -> float:
     """Distance at one step from nu o w to the nearest minimizer of the
-    Jacobian-linearized problem, from that step's ntk.NtkSnapshot (kernel
-    K = J J^T, rows sample-major) and its predictions f(w); Rbar is the max
-    of this over tau and every phase-2 step, which a Certificate keeps as
-    it goes.
+    Jacobian-linearized problem, from the verdict `snap` that
+    ntk.compute_ntk made of that step's kernel K = J J^T (rows
+    sample-major), its predictions f(w) and the checked targets y, n x m_y;
+    Rbar is the max of this over tau and every phase-2 step, which a
+    Certificate keeps as it goes.
 
     Since J (nu o w) = f(w), the nearest minimizer lies J^+ r away, r the
     residual of the constraints at nu o w, and ||J^+ r||^2 = r^T K^{-1} r.
-    K must have full rank n m_y, as the snapshot measured it (eigenvalues
+    K must have full rank n m_y, as the verdict measured it (eigenvalues
     above rows * eps * the largest), else RankDeficientError.  Squared loss
-    has r = vec(f - Y) (the sign does not matter).  A snapshot that
+    has r = vec(f - Y) (the sign does not matter).  A verdict that
     compute_ntk factored bordered by that r (its `rhs`) gives the distance
     from the factorization that certified its rank: its `rhs_norm`,
     sqrt(r^T (K - c m I)^{-1} r), an upper bound, and so is Rbar, which the
-    lazy ceiling grows with; any other snapshot takes one exact solve of K,
-    as does cross-entropy.  Soft cross-entropy
-    targets are met up to one constant per sample, so each sample's outputs
-    are projected by an orthonormal basis B of the directions orthogonal to
-    the ones vector: r = B vec(log Y - f),
-    solved against B K B^T.  A zero cross-entropy target gives inf (not
-    attained), and a single output gives 0.  This checks Y and the kernel's
-    shape, then calls _linearized_distance, which tests the rank and which
-    Certificate calls directly with the run's checked Y.
+    lazy ceiling grows with; any other verdict takes one exact solve of K,
+    as does cross-entropy.  Soft cross-entropy targets are met up to one
+    constant per sample, so each sample's outputs are projected by the
+    orthonormal basis = _centering_basis(m_y) of the directions orthogonal
+    to the ones vector: r = basis vec(log Y - f), solved against
+    basis K basis^T (squared loss does not read it, and takes None).  A
+    zero cross-entropy target gives inf (not attained), and a single output
+    gives 0.
     """
-    y = check_targets(kind, y)
-    if snap.rows != y.size:
-        raise ValueError(f"kernel has {snap.rows} rows, targets need {y.size}")
-    basis = None if kind.name == "squared" else _centering_basis(y.shape[1])
-    return _linearized_distance(snap, predictions, y, kind, basis)
-
-
-def _linearized_distance(snap, predictions, y, kind: LossKind, basis) -> float:
-    """estimate_R_bar on checked targets y and a snapshot of matching size,
-    with basis = _centering_basis(m_y) (None under squared loss, which
-    does not read it); tests only the snapshot's rank."""
-    if snap.rank < snap.rows:
+    if snap.rank < snap.size:
         raise RankDeficientError(
-            f"kernel has numerical rank {snap.rank} < {snap.rows} rows; the "
+            f"kernel has numerical rank {snap.rank} < {snap.size} rows; the "
             "nearest linearized minimizer is not determined"
         )
     n, m_y = y.shape
-    k = snap.kernel
+    k = snap.matrix
     if kind.name == "squared":
         resid = (predictions - y).reshape(-1)
         if snap.rhs is not None and np.array_equal(snap.rhs, resid):

@@ -8,8 +8,8 @@ Three entry points:
 * construct_witness -- explicit hidden parameters that make [h, 1] full row
   rank for any distinguishable dataset, built so the leading n x n feature
   block is strictly diagonally dominant.  expressivity_trials replays the
-  same rank check over random Gaussian parameter draws, and
-  probabilistic_expressivity gives the fraction that pass.
+  same rank check over random Gaussian parameter draws; the fraction that
+  pass is the probabilistic check (the CLI's verify reports it).
 
 Every rank here is linalg.certified_rank's, the package's one rank rule: a
 full rank proved by one Cholesky factorization of the Gram of [h, 1], or
@@ -33,7 +33,6 @@ __all__ = [
     "check_expressivity",
     "construct_witness",
     "expressivity_trials",
-    "probabilistic_expressivity",
 ]
 
 
@@ -144,7 +143,7 @@ def construct_witness(spec: NetworkSpec, x) -> Params:
     if any(spec.bn_flags):
         raise ValueError(
             "witness construction applies only without batch normalization; "
-            "use probabilistic_expressivity for BN architectures"
+            "use expressivity_trials for BN architectures"
         )
     margin = 1.0
     if n >= 2:
@@ -189,27 +188,12 @@ def construct_witness(spec: NetworkSpec, x) -> Params:
 def expressivity_trials(spec: NetworkSpec, x, trials: int, init_scale: float = 1.0,
                         seed: int = 0) -> list:
     """check_expressivity at each of `trials` random Gaussian parameter
-    draws, one ExpressivityReport per draw."""
+    draws, one ExpressivityReport per draw.  Full rank holds with
+    probability one whenever any single parameter choice achieves it, so a
+    passing fraction below 1 on a qualifying architecture points at a
+    tolerance or conditioning problem."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return [check_expressivity(spec, random_params(spec, np.random.default_rng(child),
                                                    scale=init_scale), x)
             for child in np.random.SeedSequence(seed).spawn(trials)]
-
-
-def probabilistic_expressivity(
-    spec: NetworkSpec,
-    x,
-    trials: int,
-    init_scale: float = 1.0,
-    seed: int = 0,
-) -> float:
-    """Fraction of random Gaussian parameter draws with full-row-rank [h, 1]
-    (expressivity_trials).
-
-    Full rank holds with probability one whenever any single parameter
-    choice achieves it, so a fraction below 1.0 on a qualifying
-    architecture points at a tolerance or conditioning problem.
-    """
-    reports = expressivity_trials(spec, x, trials, init_scale, seed)
-    return sum(rep.passed for rep in reports) / trials

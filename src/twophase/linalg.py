@@ -33,6 +33,8 @@ EPS = np.finfo(np.float64).eps
 MIN_TRACE = np.finfo(np.float64).tiny / EPS
 # certified_rank factors the Gram shifted down by CHOLESKY_SHIFT times its level
 CHOLESKY_SHIFT = 4.0
+# relative margin of Rank.tolerance_bound over the exact tolerance
+BOUND_SLACK = 1e-6
 
 
 class DecompositionError(RuntimeError):
@@ -73,21 +75,23 @@ class Rank:
     """A verdict of certified_rank on `matrix` (`gram`: a kernel, itself a
     Gram matrix): `rank`, the `level` its factorization was tried at, and
     whether that factorization `proved` the rank, which is then full,
-    `size` = min(rows, cols).  `rhs_norm` is that of a bordered
-    factorization, None without one.
+    `size` = min(rows, cols).  A bordered success keeps its right-hand side
+    as `rhs` and ||L^-1 rhs|| as `rhs_norm`; both are None otherwise.
 
     The rank counts `spectrum` above `tolerance`, the stock threshold
     max(rows, cols) * eps * its largest value; the spectrum is a matrix's
     singular values, or a kernel's eigenvalues clipped at 0, descending, and
     is computed on first use: only when the factorization failed, or a
-    caller asks.
+    caller asks.  tolerance_bound and rank_at are a kernel's only: a
+    matrix's level is on its Gram's scale, sigma^2, and its spectrum on
+    sigma's, so they raise ValueError for a matrix verdict.
     """
 
     def __init__(self, matrix: np.ndarray, gram: bool, level: float):
         self.matrix, self.gram, self.level = matrix, gram, level
         self.size = min(matrix.shape)
-        self.rank, self.proved, self.rhs_norm = 0, False, None
-        self._spectrum = self._tolerance = None
+        self.rank, self.proved, self.rhs, self.rhs_norm = 0, False, None, None
+        self._spectrum = self._tolerance = self._bound = None
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -110,9 +114,52 @@ class Rank:
             self._tolerance = max(self.matrix.shape) * EPS * top
         return self._tolerance
 
+    @property
+    def tolerance_bound(self) -> float:
+        """An upper bound on a kernel's `tolerance` with no spectrum:
+        rows * eps * min(trace K, ||K||_inf), each at least the largest
+        eigenvalue, raised by BOUND_SLACK for the rounding of the sums and
+        of eigvalsh."""
+        _kernel_only(self)
+        if self._bound is None:
+            k = self.matrix
+            top = min(float(np.trace(k)), float(np.abs(k).sum(axis=1).max()))
+            self._bound = self.size * EPS * top * (1.0 + BOUND_SLACK)
+        return self._bound
+
     def count_above(self, tol: float) -> int:
         """How many values of the spectrum exceed tol."""
         return int(np.count_nonzero(self.spectrum > tol))
+
+    def rank_at(self, tol) -> int:
+        """A kernel's rank at threshold `tol`, a float or a reference kernel
+        verdict standing for its tolerance: `size` with no spectrum when the
+        proof covers tol (every eigenvalue exceeds `level`), else the
+        eigenvalues counted above max(tol, this kernel's own tolerance), so
+        a kernel whose rounding noise lies above tol is not judged by that
+        noise."""
+        _kernel_only(self, tol)
+        if self.proved and _at_most(tol, self.level):
+            return self.size
+        if isinstance(tol, Rank):
+            tol = tol.tolerance
+        return self.count_above(max(tol, self.tolerance))
+
+
+def _kernel_only(*verdicts):
+    if any(isinstance(v, Rank) and not v.gram for v in verdicts):
+        raise ValueError("rank_at and tolerance_bound take kernel verdicts only: a "
+                         "matrix verdict's level is on its Gram's scale, sigma^2, and its "
+                         "spectrum on sigma's")
+
+
+def _at_most(tol, level: float) -> bool:
+    """Whether the threshold `tol` (as in Rank.rank_at) is at most `level`; a
+    reference's tolerance is computed only when its bound does not settle
+    it."""
+    if isinstance(tol, Rank):
+        return tol.tolerance_bound <= level or tol.tolerance <= level
+    return tol <= level
 
 
 def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None) -> Rank:
@@ -154,11 +201,11 @@ def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None
     kernel) borders the factored matrix: [[K - 4 m I, r], [r^T, rho]], rho
     the largest float, so the last pivot cannot fail and the leading block
     certifies the rank as above (Golub and Van Loan, "Matrix Computations",
-    4.2); on success `rhs_norm` is ||L^-1 r|| = sqrt(r^T (K - 4 m I)^-1 r),
-    L the leading block's factor.  A kernel's factored matrix is written
-    into the flat array `out` if given ((s + 1)^2 entries or more), else
-    allocated.  Raises DecompositionError if a spectrum fails; a failure is
-    never reported as rank 0.
+    4.2); on success the verdict keeps r as `rhs` and ||L^-1 r|| =
+    sqrt(r^T (K - 4 m I)^-1 r), L the leading block's factor, as `rhs_norm`.
+    A kernel's factored matrix is written into the flat array `out` if given
+    ((s + 1)^2 entries or more), else allocated.  Raises DecompositionError
+    if a spectrum fails; a failure is never reported as rank 0.
     """
     if gram:
         g = m
@@ -187,7 +234,7 @@ def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None
         else:
             verdict.rank, verdict.proved = size, True
             if rhs is not None:
-                verdict.rhs_norm = float(np.linalg.norm(factor[size, :size]))
+                verdict.rhs, verdict.rhs_norm = rhs, float(np.linalg.norm(factor[size, :size]))
             return verdict
     verdict.rank = verdict.count_above(verdict.tolerance)
     return verdict

@@ -22,19 +22,20 @@ the per-row reference the layer-wise sum is checked against.  Both take the
 trace of network.forward_hidden, so they run no pass of their own.
 
 K is symmetric positive semidefinite and shares its rank with J.  Training
-phases that must not lose kernel rank compare each step against the snapshot
-taken right after perturbation, reusing the reference snapshot's threshold so
-the comparison cannot flap.  Every rank here comes from the package's one
-rank rule, linalg.certified_rank: compute_ntk certifies full rank by one
-Cholesky factorization of K shifted down by a multiple of the threshold,
-and eigvalsh counts the rank only when that fails; a snapshot computes its
-spectrum, and the stock threshold it defines, on first use, and a reference
-snapshot's threshold is settled by a bound that needs no spectrum, so a
-run whose factorizations all succeed computes none.  As
-J (nu o w) = f(w), the same K gives Rbar (bounds.estimate_R_bar), so no
-Jacobian is kept: bordered by the residual r, that one factorization gives
-the rank and sqrt(r^T (K - shift)^-1 r), an upper bound on the distance
-||J^+ r|| that Rbar is the max of, with no second solve of K.
+phases that must not lose kernel rank compare each step against the kernel
+taken right after perturbation, reusing that reference's threshold so the
+comparison cannot flap.  Every rank here comes from the package's one rank
+rule, linalg.certified_rank, and compute_ntk returns its verdict, a
+linalg.Rank: full rank is certified by one Cholesky factorization of K
+shifted down by a multiple of the threshold, and eigvalsh counts the rank
+only when that fails; a verdict computes its spectrum, and the stock
+threshold it defines, on first use, and a reference's threshold is settled
+by a bound that needs no spectrum, so a run whose factorizations all
+succeed computes none.  As J (nu o w) = f(w), the same K gives Rbar
+(bounds.Certificate), so no Jacobian is kept: bordered by the residual r,
+that one factorization gives the rank and sqrt(r^T (K - shift)^-1 r), an
+upper bound on the distance ||J^+ r|| that Rbar is the max of, with no
+second solve of K.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .linalg import Rank, certified_rank
 from .network import ForwardTrace, NetworkSpec, Params, Workspace, _softplus_deriv, backprop
 
 __all__ = [
-    "NtkSnapshot",
     "compute_jacobian",
     "compute_kernel",
     "compute_ntk",
@@ -54,72 +54,6 @@ __all__ = [
 
 DEFAULT_MAX_JACOBIAN_ENTRIES = 50_000_000  # compute_jacobian's cap on n m_y d
 EPS = np.finfo(np.float64).eps
-# relative margin of NtkSnapshot.tolerance_bound over the exact tolerance
-BOUND_SLACK = 1e-6
-
-
-class NtkSnapshot:
-    """A tangent kernel K with its rank verdict, linalg.certified_rank of K.
-
-    `rank` counts the eigenvalues of K above `tolerance`, the stock
-    rows * eps * largest eigenvalue.  Every eigenvalue is proven to exceed
-    `certified` (None when nothing was proven), so rank_at answers any
-    threshold up to it without a spectrum.  The spectrum (descending,
-    clipped at 0) and the tolerance are the verdict's, computed on first
-    use; a reference snapshot keeps its own kernel, which they are taken
-    from.  `rhs` and
-    `rhs_norm` are those of compute_ntk's bordered factorization, None
-    without one.
-    """
-
-    def __init__(self, kernel: np.ndarray, verdict: Rank, rhs=None):
-        self.kernel, self.rows, self.verdict = kernel, kernel.shape[0], verdict
-        self.rank = verdict.rank
-        self.certified = verdict.level if verdict.proved else None
-        self.rhs_norm = verdict.rhs_norm
-        self.rhs = None if self.rhs_norm is None else rhs
-        self._bound = None
-
-    @property
-    def kernel_spectrum(self) -> np.ndarray:
-        return self.verdict.spectrum
-
-    @property
-    def tolerance(self) -> float:
-        return self.verdict.tolerance
-
-    @property
-    def tolerance_bound(self) -> float:
-        """An upper bound on `tolerance` with no spectrum:
-        rows * eps * min(trace K, ||K||_inf), each at least the largest
-        eigenvalue, raised by BOUND_SLACK for the rounding of the sums and
-        of eigvalsh."""
-        if self._bound is None:
-            k = self.kernel
-            top = min(float(np.trace(k)), float(np.abs(k).sum(axis=1).max()))
-            self._bound = self.rows * EPS * top * (1.0 + BOUND_SLACK)
-        return self._bound
-
-    def rank_at(self, tol) -> int:
-        """The rank at threshold `tol`, a float or a reference NtkSnapshot
-        standing for its tolerance: rows with no spectrum when the
-        certificate covers tol, else the eigenvalues counted above
-        max(tol, this kernel's own tolerance), so a kernel whose rounding
-        noise lies above tol is not judged by that noise."""
-        if self.certified is not None and _at_most(tol, self.certified):
-            return self.rows
-        if isinstance(tol, NtkSnapshot):
-            tol = tol.tolerance
-        return self.verdict.count_above(max(tol, self.tolerance))
-
-
-def _at_most(tol, level: float) -> bool:
-    """Whether the threshold `tol` (as in rank_at) is at most `level`; a
-    reference's tolerance is computed only when its bound does not settle
-    it."""
-    if isinstance(tol, NtkSnapshot):
-        return tol.tolerance_bound <= level or tol.tolerance <= level
-    return tol <= level
 
 
 def compute_jacobian(spec: NetworkSpec, params: Params, trace: ForwardTrace) -> np.ndarray:
@@ -237,8 +171,8 @@ def _kernel_arrays(spec: NetworkSpec, n: int) -> tuple:
             [(np.empty((n, m)), np.empty((spec.output_dim, n, m))) for m in spec.widths[1:]])
 
 
-def compute_ntk(kernel, floor=0.0, rhs=None, work=None) -> NtkSnapshot:
-    """Snapshot of the tangent kernel K (compute_kernel) with its rank, by
+def compute_ntk(kernel, floor=0.0, rhs=None, work=None) -> Rank:
+    """The rank verdict of the tangent kernel K (compute_kernel),
     linalg.certified_rank of K as a Gram matrix: one Cholesky factorization
     of K - c m I, c = linalg.CHOLESKY_SHIFT = 4, m = max(floor,
     rows * eps * trace K), whose success proves every eigenvalue of K above
@@ -247,7 +181,7 @@ def compute_ntk(kernel, floor=0.0, rhs=None, work=None) -> NtkSnapshot:
 
     The rank counts eigenvalues of K above the stock threshold
     rows * eps * largest eigenvalue.  `floor` is a further threshold the
-    caller will ask rank_at about: a float, or the reference NtkSnapshot
+    caller will ask rank_at about: a float, or the reference kernel's Rank
     whose tolerance it is, as in assert_rank_preserved.  A reference's
     tolerance needs its spectrum, so its tolerance_bound is tried first: when
     that bound is at most this kernel's own rows * eps * trace K, the level
@@ -255,7 +189,7 @@ def compute_ntk(kernel, floor=0.0, rhs=None, work=None) -> NtkSnapshot:
     reference's spectrum is taken only otherwise.
 
     A right-hand side `rhs` r (one entry per row) borders the factored
-    matrix, and on success the snapshot keeps r as `rhs` and
+    matrix, and on success the verdict keeps r as `rhs` and
     sqrt(r^T (K - c m I)^-1 r) as `rhs_norm`, an upper bound on
     sqrt(r^T K^-1 r) since K - c m I < K.  The factored matrix is written
     into the spare array of a network.Workspace `work` that compute_kernel
@@ -269,21 +203,21 @@ def compute_ntk(kernel, floor=0.0, rhs=None, work=None) -> NtkSnapshot:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (rows,) or not np.all(np.isfinite(rhs)):
             raise ValueError(f"rhs must be a finite vector of {rows} entries")
-    if isinstance(floor, NtkSnapshot):
+    if isinstance(floor, Rank):
         floor = (0.0 if floor.tolerance_bound <= rows * EPS * float(np.trace(k))
                  else floor.tolerance)
     out = None if work is None or work.kernel_arrays is None else work.kernel_arrays[2]
-    return NtkSnapshot(k, certified_rank(k, floor, gram=True, rhs=rhs, out=out), rhs)
+    return certified_rank(k, floor, gram=True, rhs=rhs, out=out)
 
 
-def assert_rank_preserved(reference: NtkSnapshot, current: NtkSnapshot) -> bool:
-    """True iff the current kernel rank, measured at the reference snapshot's
+def assert_rank_preserved(reference: Rank, current: Rank) -> bool:
+    """True iff the current kernel rank, measured at the reference kernel's
     threshold (rank_at: or at the current kernel's own, when its
     factorization failed and that is larger), has not dropped below the
     reference rank."""
-    if reference.rows != current.rows:
+    if reference.size != current.size:
         raise ValueError(
-            f"snapshot dimensions differ: {reference.rows} vs {current.rows} rows; "
+            f"kernel dimensions differ: {reference.size} vs {current.size} rows; "
             "same dataset and architecture required"
         )
     return current.rank_at(reference) >= reference.rank

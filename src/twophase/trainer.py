@@ -252,11 +252,11 @@ def _finite(value, what: str, t, phase):
 
 
 def _snapshot(spec, params, trace, t, phase, floor=0.0, rhs=None, work=None):
-    """compute_ntk at `floor` (a threshold, or a reference snapshot whose
-    tolerance is one), bordered by `rhs` if given, of the tangent kernel at
-    `trace`, a forward pass of `params`, written into `work` if given;
-    FloatingPointError naming step t and the phase if the kernel is not
-    finite."""
+    """compute_ntk at `floor` (a threshold, or a reference kernel's Rank
+    whose tolerance is one), bordered by `rhs` if given, of the tangent
+    kernel at `trace`, a forward pass of `params`, written into `work` if
+    given; FloatingPointError naming step t and the phase if the kernel is
+    not finite."""
     kernel = _finite(compute_kernel(spec, params, trace, work=work), "kernel", t, phase)
     return compute_ntk(kernel, floor=floor, rhs=rhs, work=work)
 

@@ -21,19 +21,14 @@ from conftest import (
     random_small_config,
 )
 
-from twophase.bounds import (
-    SLACK_REL,
-    estimate_R_bar,
-    gd_bound,
-    sgd_bound,
-    solve_last_layer_optimum,
-)
+import twophase.bounds as bounds
+from twophase.bounds import SLACK_REL, gd_bound, sgd_bound, solve_last_layer_optimum
 from twophase.data import synth_gen
 from twophase.expressivity import (
     check_expressivity,
     construct_witness,
     dominance_margins,
-    probabilistic_expressivity,
+    expressivity_trials,
 )
 from twophase.linalg import min_norm_solve, numerical_rank
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
@@ -149,8 +144,9 @@ def test_criterion_3_probabilistic_expressivity():
         for widths in ((m_x, m_x, 9), (m_x, m_x, m_x, 9)):
             spec = NetworkSpec(widths, 1, sharpness=1.0)
             assert min(widths[1:-1]) >= min(m_x, n) and widths[-1] >= n
-            frac = probabilistic_expressivity(spec, ds.x, trials=10,
-                                              init_scale=1.0, seed=1000 + seed)
+            trials = expressivity_trials(spec, ds.x, trials=10, init_scale=1.0,
+                                         seed=1000 + seed)
+            frac = sum(rep.passed for rep in trials) / 10  # as `verify` reports it
             passed += int(round(frac * 10))
             total += 10
     report(3, f"feature rank full in {passed}/{total} random draws",
@@ -333,7 +329,9 @@ def test_criterion_9_oracle_equivalence():
     for k in range(3):
         p = init_params(spec, seed=k)
         traj.append((p, jacobian(spec, p, ds.x)))
-    got = max(estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, p, ds.x), ds.y, SQUARED)
+    basis = bounds._centering_basis(ds.y.shape[1])
+    got = max(bounds._linearized_distance(compute_ntk(jac @ jac.T), outputs(spec, p, ds.x),
+                                          ds.y, SQUARED, basis)
               for p, jac in traj)
     worst = 0.0
     for p, jac in traj:

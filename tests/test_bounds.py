@@ -13,7 +13,6 @@ import twophase.trainer as trainer
 from twophase.bounds import (
     SLACK_REL,
     Certificate,
-    estimate_R_bar,
     gd_bound,
     lazy_bound,
     sgd_bound,
@@ -31,6 +30,11 @@ from twophase.trainer import (
     compute_L_H,
     run_two_phase,
 )
+
+
+def _distance(snap, f, y, kind):
+    # the linearized distance at one kernel, as Certificate.observe takes it
+    return bounds._linearized_distance(snap, f, y, kind, bounds._centering_basis(y.shape[1]))
 
 
 class TestLastLayerOptimum:
@@ -279,7 +283,7 @@ class TestOneDecomposition:
         lazy_y = ds.y if kind is SQUARED else _soft_targets(rng, *ds.y.shape)
         monkeypatch.setattr(np, "kron", refuse)
         solve_last_layer_optimum(kind, h, y, anchor)
-        estimate_R_bar(snap, f, lazy_y, kind)
+        _distance(snap, f, lazy_y, kind)
 
 
 class TestBoundFormulas:
@@ -367,14 +371,13 @@ class TestEstimateRBar:
         ds, spec, params = _interpolating_setup()
         jac = jacobian(spec, params, ds.x)
         f = outputs(spec, params, ds.x)
-        assert estimate_R_bar(compute_ntk(jac @ jac.T), f, ds.y, SQUARED) <= 1e-8
+        assert _distance(compute_ntk(jac @ jac.T), f, ds.y, SQUARED) <= 1e-8
 
     def test_singleton_matches_direct_solve(self, rng):
         ds, spec, params = _interpolating_setup(seed=1)
         params.weights[-1][:] = params.weights[-1] + rng.standard_normal(params.weights[-1].shape)
         jac = jacobian(spec, params, ds.x)
-        got = estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, params, ds.x), ds.y,
-                             SQUARED)
+        got = _distance(compute_ntk(jac @ jac.T), outputs(spec, params, ds.x), ds.y, SQUARED)
         anchor = masked_flat(params).reshape(-1, 1)
         omega = min_norm_solve(jac, ds.y.reshape(-1, 1), anchor)
         assert got == pytest.approx(float(np.linalg.norm(anchor - omega)), rel=1e-12)
@@ -386,8 +389,7 @@ class TestEstimateRBar:
             p = params.copy()
             p.weights[-1][:] = p.weights[-1] + 0.3 * rng.standard_normal(p.weights[-1].shape)
             traj.append((p, jacobian(spec, p, ds.x)))
-        got = max(estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, p, ds.x), ds.y,
-                                 SQUARED)
+        got = max(_distance(compute_ntk(jac @ jac.T), outputs(spec, p, ds.x), ds.y, SQUARED)
                   for p, jac in traj)
         worst = 0.0
         for p, jac in traj:
@@ -405,8 +407,8 @@ class TestEstimateRBar:
         jac = jacobian(spec, params, ds.x)
         y = np.abs(ds.y) + 0.5
         y /= y.sum(axis=1, keepdims=True)
-        got = estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, params, ds.x), y,
-                             CROSS_ENTROPY)
+        got = _distance(compute_ntk(jac @ jac.T), outputs(spec, params, ds.x), y,
+                        CROSS_ENTROPY)
         n, m_y = y.shape
         anchor = masked_flat(params).reshape(-1, 1)
         pinv = np.linalg.pinv(jac)
@@ -423,13 +425,13 @@ class TestEstimateRBar:
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
         f = outputs(spec, params, ds.x)
-        assert estimate_R_bar(compute_ntk(jac @ jac.T), f, y, CROSS_ENTROPY) == np.inf
+        assert _distance(compute_ntk(jac @ jac.T), f, y, CROSS_ENTROPY) == np.inf
         assert not calls
 
     def test_cross_entropy_single_output_is_zero(self):
         # one output: softmax is 1 = y at every w, so w itself is a minimizer
-        got = estimate_R_bar(compute_ntk(np.eye(4)), np.arange(4.0).reshape(4, 1),
-                             np.ones((4, 1)), CROSS_ENTROPY)
+        got = _distance(compute_ntk(np.eye(4)), np.arange(4.0).reshape(4, 1),
+                        np.ones((4, 1)), CROSS_ENTROPY)
         assert got == 0.0
 
     @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY], ids=lambda k: k.name)
@@ -443,15 +445,8 @@ class TestEstimateRBar:
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
         with pytest.raises(RankDeficientError, match="rank 6 < 8"):
-            estimate_R_bar(compute_ntk(jac @ jac.T), outputs(spec, params, x), y, kind)
+            _distance(compute_ntk(jac @ jac.T), outputs(spec, params, x), y, kind)
         assert not calls
-
-    def test_kernel_must_match_the_targets(self):
-        ds, spec, params = _interpolating_setup()
-        jac = jacobian(spec, params, ds.x[:3])
-        snap = compute_ntk(jac @ jac.T)
-        with pytest.raises(ValueError, match="kernel has 6 rows, targets need 8"):
-            estimate_R_bar(snap, outputs(spec, params, ds.x), ds.y, SQUARED)
 
 
 class TestCheckBounds:
@@ -593,7 +588,7 @@ class TestCheckBounds:
         tolerance = rows * eps * np.linalg.eigvalsh(bordered[0][0])[-1]
         shifted, exact = [], []
         for i, (k, floor, r) in enumerate(bordered):
-            # after tau the floor is the reference snapshot, standing for
+            # after tau the floor is the reference verdict, standing for
             # its tolerance
             floor = floor.tolerance if i else floor
             assert floor == (tolerance if i else 0.0)
@@ -716,7 +711,7 @@ class TestCertificate:
             jac = rng.standard_normal((8, 20))
             snap, f = compute_ntk(jac @ jac.T), rng.standard_normal((4, 2))
             cert.observe(snap, f, t)
-            distances.append(estimate_R_bar(snap, f, y, SQUARED))
+            distances.append(_distance(snap, f, y, SQUARED))
         assert cert.constants["r_bar"] == max(distances)
         low = compute_ntk(np.ones((8, 8)))  # rank 1 < 8 rows
         with pytest.raises(RankDeficientError, match=r"^step 6 \(phase 2\)"):

@@ -549,7 +549,7 @@ class TestTrain:
             self, tmp_path, monkeypatch, capsys, bounds):
         # the kernel at tau reports rank 23 of 24: Rbar is undefined, which
         # fails a bounds-on run and leaves a bounds-off run alone.  With no
-        # phase-1 monitoring the tau snapshot is the first, and the only one
+        # phase-1 monitoring the tau verdict is the first, and the only one
         # without the reference floor
         real = trainer.compute_ntk
         floors = []
@@ -566,7 +566,7 @@ class TestTrain:
             bounds=bounds, monitor_every=0,
             two_phase={"phase2_mode": "lazy_full", "lazy_eta_bar": 0.3}))
         code = cli.main(["train", "--config", path, "--out", str(tmp_path / "x")])
-        # after tau the floor is the reference snapshot, standing for its
+        # after tau the floor is the reference verdict, standing for its
         # tolerance
         assert floors[0] == 0.0 and all(floor.tolerance > 0.0 for floor in floors[1:])
         if bounds:

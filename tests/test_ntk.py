@@ -28,7 +28,7 @@ class TestComputeNtk:
     def test_identity_jacobian(self):
         j = np.eye(5)
         snap = compute_ntk(j @ j.T)
-        np.testing.assert_allclose(snap.kernel, np.eye(5), atol=1e-14)
+        np.testing.assert_allclose(snap.matrix, np.eye(5), atol=1e-14)
         assert snap.rank == 5
 
     def test_repeated_row_drops_rank(self, rng):
@@ -41,15 +41,15 @@ class TestComputeNtk:
         j = rng.standard_normal((5, 9))
         a = compute_ntk(j @ j.T)
         b = compute_ntk(-j @ -j.T)
-        np.testing.assert_allclose(a.kernel, b.kernel, atol=1e-12)
+        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
         assert a.rank == b.rank
 
     def test_kernel_symmetric_psd(self, rng):
         j = rng.standard_normal((6, 11))
         snap = compute_ntk(j @ j.T)
-        k = snap.kernel
+        k = snap.matrix
         assert np.max(np.abs(k - k.T)) <= 1e-10 * max(1.0, np.abs(k).max())
-        assert snap.kernel_spectrum.min() >= -1e-8 * np.abs(k).max()
+        assert snap.spectrum.min() >= -1e-8 * np.abs(k).max()
 
     def test_rank_paths_agree(self, rng):
         for _ in range(50):
@@ -150,11 +150,21 @@ class TestCholeskyRank:
         assert counts["failed"] == 2
 
     def test_rank_at_the_certified_level_needs_no_spectrum(self, rng, monkeypatch):
-        counts = _count_factorizations(monkeypatch)
+        # a kernel verdict answers rank_at as eigvalsh counts above
+        # max(tol, its stock tolerance): up to its proved level with no
+        # spectrum, above it from one spectrum
         j = rng.standard_normal((5, 8))
-        snap = compute_ntk(j @ j.T, floor=1e-9)
-        assert snap.rank_at(1e-9) == snap.rank == 5
+        k = j @ j.T
+        values = np.linalg.eigvalsh(k)
+        stock = 5 * np.finfo(float).eps * values[-1]
+        counts = _count_factorizations(monkeypatch)
+        snap = compute_ntk(k, floor=1e-9)
+        assert snap.proved and snap.level == 1e-9 and snap.rank == 5
+        for tol in (0.0, 0.5e-9, 1e-9):
+            assert snap.rank_at(tol) == np.count_nonzero(values > max(tol, stock)) == 5
         assert counts["eigvalsh"] == 0
+        for tol in (2e-9, *(values[:-1] + values[1:]) / 2, 1e6):
+            assert snap.rank_at(tol) == np.count_nonzero(values > max(tol, stock))
         assert snap.rank_at(1e6) == 0 and counts["eigvalsh"] == 1
 
     def test_zero_kernel_has_rank_zero(self):
@@ -179,8 +189,8 @@ class TestBorderedFactor:
         counts = _count_factorizations(monkeypatch)
         snap = compute_ntk(k, floor=floor, rhs=r)
         assert counts == {"cholesky": 1, "eigvalsh": 0, "failed": 0}
-        assert snap.rank == 6 and snap.certified >= floor
-        shifted = k - 4.0 * snap.certified * np.eye(6)
+        assert snap.rank == 6 and snap.proved and snap.level >= floor
+        shifted = k - 4.0 * snap.level * np.eye(6)
         assert snap.rhs_norm == pytest.approx(np.sqrt(r @ np.linalg.solve(shifted, r)),
                                               rel=1e-12)
         assert snap.rhs_norm >= np.sqrt(r @ np.linalg.pinv(k) @ r)
@@ -196,8 +206,10 @@ class TestBorderedFactor:
         for k, floor in cases:
             plain = compute_ntk(k, floor=floor)
             bordered = compute_ntk(k, floor=floor, rhs=rng.standard_normal(6))
-            assert (bordered.rank, bordered.certified) == (plain.rank, plain.certified)
-            assert (bordered.rhs_norm is None) == (plain.certified is None)
+            assert (bordered.rank, bordered.proved, bordered.level) == (
+                plain.rank, plain.proved, plain.level)
+            assert (bordered.rhs_norm is None) == (not plain.proved)
+            assert (bordered.rhs is None) == (not plain.proved)
             assert plain.rhs is None and plain.rhs_norm is None
 
     @pytest.mark.parametrize("bad", [np.ones(5), np.array([1.0, np.nan, 0, 0, 0, 0])],
@@ -243,9 +255,9 @@ class TestComputeKernel:
             # leaving the kernel alone
             r = rng.standard_normal(want.shape[0])
             snap, fresh = compute_ntk(second, rhs=r, work=work), compute_ntk(want, rhs=r)
-            assert (snap.rank, snap.certified, snap.rhs_norm) == (
-                fresh.rank, fresh.certified, fresh.rhs_norm)
-            np.testing.assert_array_equal(snap.kernel, want)
+            assert (snap.rank, snap.proved, snap.level, snap.rhs_norm) == (
+                fresh.rank, fresh.proved, fresh.level, fresh.rhs_norm)
+            np.testing.assert_array_equal(snap.matrix, want)
 
     def test_forms_no_jacobian_unless_bn_couples_the_rows(self, rng, monkeypatch):
         calls = []

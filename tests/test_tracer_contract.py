@@ -2,15 +2,14 @@
 the work it names.
 
 The tracer wraps `solve_last_layer_optimum` and reads `LastLayerOptimum.steps`
-from its result, and times each `estimate_R_bar` call; the benchmark's own
-smoke test runs with bounds off, so these run bounds-on trains under the
-tracer.  A lazy run computes its per-step distances with the unchecked
-`bounds._linearized_distance`, which the tracer does not wrap, so the
-tracer's `estimate_R_bar` count is 0 whether bounds are on or off.  It also
-counts `network.forward_hidden` calls, one per full-batch pass of a
-momentum-SGD step, `network.backprop` calls, one per phase-1 step, and the
-`ntk` calls of a lazy run: one `compute_kernel` per kernel and no
-`compute_jacobian`.
+from its result; the benchmark's own smoke test runs with bounds off, so
+these run bounds-on trains under the tracer.  A lazy run reads each per-step
+distance from the rank verdict of its kernel, so the rank work shows as one
+`linalg.certified_rank` call per kernel plus one for the features' rank at
+tau, whether bounds are on or off.  It also counts `network.forward_hidden`
+calls, one per full-batch pass of a momentum-SGD step, `network.backprop`
+calls, one per phase-1 step, and the `ntk` calls of a lazy run: one
+`compute_kernel` per kernel and no `compute_jacobian`.
 """
 
 import json
@@ -71,22 +70,22 @@ def _lazy_config(bounds):
 
 def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
     # Rbar is the running max over tau and every phase-2 step, each distance
-    # read from the step's bordered factorization, which the tracer does not
-    # see; each of those kernels
-    # (plus one per rejected candidate) is summed layer by layer without a
-    # Jacobian
+    # read from the step's bordered factorization, one certified_rank per
+    # kernel; each of those kernels (plus one per rejected candidate) is
+    # summed layer by layer without a Jacobian
     result = _traced_train(tmp_path, _lazy_config(bounds=True))
-    assert _calls(result, "bounds.estimate_R_bar") == 0
     kernels = 40 - 20 + 1 + result["observed"]["rejected_steps"]
+    assert _calls(result, "linalg.certified_rank") == kernels + 1
     assert _calls(result, "ntk.compute_kernel") == _calls(result, "ntk.compute_ntk") == kernels
     assert _calls(result, "ntk.compute_jacobian") == 0
 
 
 def test_tracer_sees_no_r_bar_solve_with_bounds_off(tmp_path):
-    # without ceilings a lazy run computes no Rbar; the kernels stay
+    # without ceilings a lazy run computes no Rbar; the kernels and their
+    # rank verdicts stay
     result = _traced_train(tmp_path, _lazy_config(bounds=False))
-    assert _calls(result, "bounds.estimate_R_bar") == 0
     kernels = 40 - 20 + 1 + result["observed"]["rejected_steps"]
+    assert _calls(result, "linalg.certified_rank") == kernels + 1
     assert _calls(result, "ntk.compute_kernel") == kernels
 
 

@@ -482,7 +482,7 @@ class TestRunTwoPhase:
         # one Cholesky factorization per kernel certifies its rank at the
         # reference threshold as well, which its bound settles with no
         # spectrum; one more proves the features' rank at tau, and Rbar
-        # reads the rank of the snapshot compute_ntk made
+        # reads the rank of the verdict compute_ntk made
         counts, snaps = {"eigvalsh": 0, "cholesky": 0, "svd": 0}, []
         compute_ntk = trainer.compute_ntk
         for name in counts:
@@ -630,8 +630,8 @@ class TestRunTwoPhase:
         def keeping(kernel, floor=0.0, rhs=None, work=None):
             snap = compute_ntk(kernel, floor, rhs, work)
             if not isinstance(floor, float):
-                ranks.append((snap.certified is not None, snap.rank, snap.rank_at(floor),
-                              snap.verdict.count_above(floor.tolerance)))
+                ranks.append((snap.proved, snap.rank, snap.rank_at(floor),
+                              snap.count_above(floor.tolerance)))
             return snap
 
         monkeypatch.setattr(trainer, "compute_ntk", keeping)
