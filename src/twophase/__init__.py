@@ -7,7 +7,7 @@ The package splits into small numpy modules:
 * losses        -- convex loss criteria with Lipschitz gradients
 * data          -- distinguishable synthetic datasets and CSV ingestion
 * expressivity  -- distinguishability, feature-rank checks, witness weights
-* ntk           -- tangent-kernel assembly and rank preservation
+* ntk           -- tangent-kernel assembly and its rank verdict
 * trainer       -- the two-phase algorithm itself
 * bounds        -- rate bounds and the distance constants they need
 * cli           -- verify / train / sweep / gen-data commands
@@ -35,7 +35,7 @@ from .network import (
     random_params,
     softplus,
 )
-from .ntk import assert_rank_preserved, compute_jacobian, compute_kernel, compute_ntk
+from .ntk import compute_jacobian, compute_kernel, compute_ntk
 from .trainer import (
     BaseAlgoConfig,
     TrainLog,

@@ -79,12 +79,14 @@ class Rank:
     as `rhs` and ||L^-1 rhs|| as `rhs_norm`; both are None otherwise.
 
     The rank counts `spectrum` above `tolerance`, the stock threshold
-    max(rows, cols) * eps * its largest value; the spectrum is a matrix's
-    singular values, or a kernel's eigenvalues clipped at 0, descending, and
-    is computed on first use: only when the factorization failed, or a
-    caller asks.  tolerance_bound and rank_at are a kernel's only: a
-    matrix's level is on its Gram's scale, sigma^2, and its spectrum on
-    sigma's, so they raise ValueError for a matrix verdict.
+    max(rows, cols) * eps * its largest value (a kernel that ntk.compute_ntk
+    judges against a reference verdict: above the larger of the two
+    tolerances); the spectrum is a matrix's singular values, or a kernel's
+    eigenvalues clipped at 0, descending, and is computed on first use:
+    only when the factorization failed, or a caller asks.  tolerance_bound
+    is a kernel's only: a matrix's level is on its Gram's scale, sigma^2,
+    and its spectrum on sigma's, so it raises ValueError for a matrix
+    verdict.
     """
 
     def __init__(self, matrix: np.ndarray, gram: bool, level: float):
@@ -120,7 +122,10 @@ class Rank:
         rows * eps * min(trace K, ||K||_inf), each at least the largest
         eigenvalue, raised by BOUND_SLACK for the rounding of the sums and
         of eigvalsh."""
-        _kernel_only(self)
+        if not self.gram:
+            raise ValueError("tolerance_bound takes kernel verdicts only: a matrix "
+                             "verdict's level is on its Gram's scale, sigma^2, and its "
+                             "spectrum on sigma's")
         if self._bound is None:
             k = self.matrix
             top = min(float(np.trace(k)), float(np.abs(k).sum(axis=1).max()))
@@ -130,36 +135,6 @@ class Rank:
     def count_above(self, tol: float) -> int:
         """How many values of the spectrum exceed tol."""
         return int(np.count_nonzero(self.spectrum > tol))
-
-    def rank_at(self, tol) -> int:
-        """A kernel's rank at threshold `tol`, a float or a reference kernel
-        verdict standing for its tolerance: `size` with no spectrum when the
-        proof covers tol (every eigenvalue exceeds `level`), else the
-        eigenvalues counted above max(tol, this kernel's own tolerance), so
-        a kernel whose rounding noise lies above tol is not judged by that
-        noise."""
-        _kernel_only(self, tol)
-        if self.proved and _at_most(tol, self.level):
-            return self.size
-        if isinstance(tol, Rank):
-            tol = tol.tolerance
-        return self.count_above(max(tol, self.tolerance))
-
-
-def _kernel_only(*verdicts):
-    if any(isinstance(v, Rank) and not v.gram for v in verdicts):
-        raise ValueError("rank_at and tolerance_bound take kernel verdicts only: a "
-                         "matrix verdict's level is on its Gram's scale, sigma^2, and its "
-                         "spectrum on sigma's")
-
-
-def _at_most(tol, level: float) -> bool:
-    """Whether the threshold `tol` (as in Rank.rank_at) is at most `level`; a
-    reference's tolerance is computed only when its bound does not settle
-    it."""
-    if isinstance(tol, Rank):
-        return tol.tolerance_bound <= level or tol.tolerance <= level
-    return tol <= level
 
 
 def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None) -> Rank:
@@ -196,13 +171,14 @@ def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None
     finite) is counted without a factorization.  A failed factorization, or
     rank below s, proves nothing; the spectrum then counts the rank.
 
-    `floor` (on G's scale) raises the level to a threshold the caller will
-    also ask about.  A right-hand side `rhs` r (one entry per row of a
-    kernel) borders the factored matrix: [[K - 4 m I, r], [r^T, rho]], rho
-    the largest float, so the last pivot cannot fail and the leading block
-    certifies the rank as above (Golub and Van Loan, "Matrix Computations",
-    4.2); on success the verdict keeps r as `rhs` and ||L^-1 r|| =
-    sqrt(r^T (K - 4 m I)^-1 r), L the leading block's factor, as `rhs_norm`.
+    `floor` (on G's scale) raises the level to a threshold the caller
+    judges the verdict at, as ntk.compute_ntk does a reference's tolerance.
+    A right-hand side `rhs` r (one entry per row of a kernel) borders the
+    factored matrix: [[K - 4 m I, r], [r^T, rho]], rho the largest float,
+    so the last pivot cannot fail and the leading block certifies the rank
+    as above (Golub and Van Loan, "Matrix Computations", 4.2); on success
+    the verdict keeps r as `rhs` and ||L^-1 r|| = sqrt(r^T (K - 4 m I)^-1 r),
+    L the leading block's factor, as `rhs_norm`.
     A kernel's factored matrix is written into the flat array `out` if given
     ((s + 1)^2 entries or more), else allocated.  Raises DecompositionError
     if a spectrum fails; a failure is never reported as rank 0.

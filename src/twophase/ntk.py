@@ -1,4 +1,4 @@
-"""Tangent-kernel assembly and the rank-preservation monitor.
+"""Tangent-kernel assembly and its rank verdict, alone or against a reference.
 
 The Jacobian J stacks output gradients sample-major: row (i * m_y + k) is
 the derivative of output coordinate k at sample i with respect to the flat
@@ -21,14 +21,15 @@ backward pass per row over the same forward trace; in every mode that J is
 the per-row reference the layer-wise sum is checked against.  Both take the
 trace of network.forward_hidden, so they run no pass of their own.
 
-K is symmetric positive semidefinite and shares its rank with J.  Training
-phases that must not lose kernel rank compare each step against the kernel
-taken right after perturbation, reusing that reference's threshold so the
-comparison cannot flap.  Every rank here comes from the package's one rank
-rule, linalg.certified_rank, and compute_ntk returns its verdict, a
-linalg.Rank: full rank is certified by one Cholesky factorization of K
-shifted down by a multiple of the threshold, and eigvalsh counts the rank
-only when that fails; a verdict computes its spectrum, and the stock
+K is symmetric positive semidefinite and shares its rank with J.  Every rank
+here comes from the package's one rank rule, linalg.certified_rank, and
+compute_ntk returns its verdict, a linalg.Rank: full rank is certified by
+one Cholesky factorization of K shifted down by a multiple of the
+threshold, and eigvalsh counts the rank only when that fails.  A phase that
+must not lose kernel rank judges each step's kernel against the verdict of
+the kernel taken right after perturbation, at that reference's threshold so
+the comparison cannot flap: the step keeps the rank iff its verdict's rank
+is at least the reference's.  A verdict computes its spectrum, and the stock
 threshold it defines, on first use, and a reference's threshold is settled
 by a bound that needs no spectrum, so a run whose factorizations all
 succeed computes none.  As J (nu o w) = f(w), the same K gives Rbar
@@ -49,7 +50,6 @@ __all__ = [
     "compute_jacobian",
     "compute_kernel",
     "compute_ntk",
-    "assert_rank_preserved",
 ]
 
 DEFAULT_MAX_JACOBIAN_ENTRIES = 50_000_000  # compute_jacobian's cap on n m_y d
@@ -171,22 +171,26 @@ def _kernel_arrays(spec: NetworkSpec, n: int) -> tuple:
             [(np.empty((n, m)), np.empty((spec.output_dim, n, m))) for m in spec.widths[1:]])
 
 
-def compute_ntk(kernel, floor=0.0, rhs=None, work=None) -> Rank:
+def compute_ntk(kernel, reference=None, rhs=None, work=None) -> Rank:
     """The rank verdict of the tangent kernel K (compute_kernel),
     linalg.certified_rank of K as a Gram matrix: one Cholesky factorization
-    of K - c m I, c = linalg.CHOLESKY_SHIFT = 4, m = max(floor,
-    rows * eps * trace K), whose success proves every eigenvalue of K above
-    m, and so the rank rows with no spectrum (the proof is certified_rank's);
-    eigvalsh counts the rank only when it fails.
+    of K - c m I, c = linalg.CHOLESKY_SHIFT = 4, m = rows * eps * trace K,
+    whose success proves every eigenvalue of K above m, and so the rank rows
+    with no spectrum (the proof is certified_rank's); eigvalsh counts the
+    eigenvalues above the stock threshold rows * eps * largest eigenvalue
+    only when it fails.
 
-    The rank counts eigenvalues of K above the stock threshold
-    rows * eps * largest eigenvalue.  `floor` is a further threshold the
-    caller will ask rank_at about: a float, or the reference kernel's Rank
-    whose tolerance it is, as in assert_rank_preserved.  A reference's
-    tolerance needs its spectrum, so its tolerance_bound is tried first: when
-    that bound is at most this kernel's own rows * eps * trace K, the level
-    is the kernel's own, as it would be at the exact tolerance, and the
-    reference's spectrum is taken only otherwise.
+    Given the `reference` verdict (a kernel's Rank of the same size), K is
+    judged at the reference's threshold, its tolerance, so that K keeps the
+    reference's rank iff the verdict's rank >= reference.rank: the level m
+    is raised to that threshold, so a success means full rank there, and a
+    failure counts the eigenvalues above the larger of the reference's
+    tolerance and K's own, so a kernel whose rounding noise lies above the
+    reference's threshold is not judged by that noise.  A reference's
+    tolerance needs its spectrum, so its tolerance_bound is tried first:
+    when that bound is at most K's own rows * eps * trace K, the level is
+    K's own, as it would be at the exact tolerance, and the reference's
+    spectrum is taken only otherwise or when the factorization fails.
 
     A right-hand side `rhs` r (one entry per row) borders the factored
     matrix, and on success the verdict keeps r as `rhs` and
@@ -199,25 +203,18 @@ def compute_ntk(kernel, floor=0.0, rhs=None, work=None) -> Rank:
     if k.ndim != 2 or k.shape[0] != k.shape[1] or not np.all(np.isfinite(k)):
         raise ValueError("kernel must be a finite square 2-D array")
     rows = k.shape[0]
+    if reference is not None and reference.size != rows:
+        raise ValueError(f"kernel dimensions differ: {reference.size} vs {rows} rows; "
+                         "same dataset and architecture required")
     if rhs is not None:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (rows,) or not np.all(np.isfinite(rhs)):
             raise ValueError(f"rhs must be a finite vector of {rows} entries")
-    if isinstance(floor, Rank):
-        floor = (0.0 if floor.tolerance_bound <= rows * EPS * float(np.trace(k))
-                 else floor.tolerance)
+    floor = 0.0
+    if reference is not None and reference.tolerance_bound > rows * EPS * float(np.trace(k)):
+        floor = reference.tolerance
     out = None if work is None or work.kernel_arrays is None else work.kernel_arrays[2]
-    return certified_rank(k, floor, gram=True, rhs=rhs, out=out)
-
-
-def assert_rank_preserved(reference: Rank, current: Rank) -> bool:
-    """True iff the current kernel rank, measured at the reference kernel's
-    threshold (rank_at: or at the current kernel's own, when its
-    factorization failed and that is larger), has not dropped below the
-    reference rank."""
-    if reference.size != current.size:
-        raise ValueError(
-            f"kernel dimensions differ: {reference.size} vs {current.size} rows; "
-            "same dataset and architecture required"
-        )
-    return current.rank_at(reference) >= reference.rank
+    verdict = certified_rank(k, floor, gram=True, rhs=rhs, out=out)
+    if reference is not None and not verdict.proved:
+        verdict.rank = verdict.count_above(max(reference.tolerance, verdict.tolerance))
+    return verdict

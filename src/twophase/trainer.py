@@ -50,7 +50,7 @@ from .network import (
     forward_hidden,
     forward_output,
 )
-from .ntk import assert_rank_preserved, compute_kernel, compute_ntk
+from .ntk import compute_kernel, compute_ntk
 
 __all__ = [
     "BaseAlgoConfig",
@@ -251,14 +251,13 @@ def _finite(value, what: str, t, phase):
     )
 
 
-def _snapshot(spec, params, trace, t, phase, floor=0.0, rhs=None, work=None):
-    """compute_ntk at `floor` (a threshold, or a reference kernel's Rank
-    whose tolerance is one), bordered by `rhs` if given, of the tangent
-    kernel at `trace`, a forward pass of `params`, written into `work` if
-    given; FloatingPointError naming step t and the phase if the kernel is
-    not finite."""
+def _snapshot(spec, params, trace, t, phase, reference=None, rhs=None, work=None):
+    """compute_ntk, against the `reference` verdict if given and bordered by
+    `rhs` if given, of the tangent kernel at `trace`, a forward pass of
+    `params`, written into `work` if given; FloatingPointError naming step t
+    and the phase if the kernel is not finite."""
     kernel = _finite(compute_kernel(spec, params, trace, work=work), "kernel", t, phase)
-    return compute_ntk(kernel, floor=floor, rhs=rhs, work=work)
+    return compute_ntk(kernel, reference, rhs=rhs, work=work)
 
 
 def _checked_data(spec, kind, x, y):
@@ -516,10 +515,10 @@ def _head_phase(run, at_tau, cert):
 
 def _lazy_phase(run, at_tau, cert):
     """Phase 2 on every parameter at the uniform rate 2 eta_bar / L: each
-    candidate is scored, then its kernel's rank is tested at the threshold
-    of the reference kernel at tau (a kernel whose factorization fails is
-    counted at that threshold or its own stock one, whichever is larger),
-    and a rejected one halves eta_bar, up to LAZY_MAX_RETRIES times (then
+    candidate is scored, then its kernel's verdict is made against the
+    reference verdict at tau (ntk.compute_ntk), and the candidate is
+    accepted iff that verdict's rank is at least the reference's; a
+    rejected one halves eta_bar, up to LAZY_MAX_RETRIES times (then
     RankPreservationError).  Returns the final Params."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
     emit, monitored, t0, tau = run.emit, run.monitored, run.t0, cfg.tau
@@ -549,7 +548,7 @@ def _lazy_phase(run, at_tau, cert):
             trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen, work=work)
             snap = _snapshot(spec, cand, trace, t, 2, reference,
                              rhs=residual.reshape(-1) if bordered else None, work=work)
-            if assert_rank_preserved(reference, snap):
+            if snap.rank >= reference.rank:
                 break
             eta_bar /= 2.0
             event = f"rank_drop_halved_eta_bar_to_{eta_bar:.3e}"
@@ -568,7 +567,7 @@ def _lazy_phase(run, at_tau, cert):
         if cur < best_loss:
             best_loss, best_t = cur, t
         rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
-                         ntk_rank=snap.rank_at(reference), rank_event=event,
+                         ntk_rank=snap.rank, rank_event=event,
                          wall_time=time.perf_counter() - t0)
         if monitored(t - tau):
             rec.feature_rank = numerical_rank(append_ones(trace.hidden))
@@ -599,7 +598,7 @@ def run_two_phase(spec: NetworkSpec, params0: Params, dataset, base: BaseAlgoCon
     Records: exactly cfg.total_steps, one per update, wall_time counted from
     the start of phase 1.  Every `monitor_every` steps of a phase (0: never)
     a record also carries the feature rank and the kernel rank, a lazy
-    step's counted at the reference threshold its rank test used.  With
+    step's that of the verdict its rank test accepted.  With
     `bounds`, each phase-2 record gets its ceiling and suboptimality (None
     if the optimum is not attained) before it is emitted, and log.constants
     and log.violations report the certificate (bounds.Certificate).  Phase 2

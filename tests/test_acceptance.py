@@ -40,7 +40,7 @@ from twophase.network import (
     init_params,
     softplus,
 )
-from twophase.ntk import assert_rank_preserved, compute_jacobian, compute_ntk
+from twophase.ntk import compute_jacobian, compute_ntk
 from twophase.trainer import BaseAlgoConfig, TwoPhaseConfig, run_two_phase
 
 
@@ -220,7 +220,7 @@ def test_criterion_6_ntk_structure():
                                    TwoPhaseConfig(tau=20, total_steps=t, seed=seed),
                                    SQUARED)
             jac = jacobian(spec, p_t, ds.x, log.frozen_stats)
-            preserved_ok &= assert_rank_preserved(ref, compute_ntk(jac @ jac.T))
+            preserved_ok &= compute_ntk(jac @ jac.T, reference=ref).rank >= ref.rank
     ok = full_rank_ok and preserved_ok
     report(6, f"kernel rank full at tau: {full_rank_ok}; preserved along "
               f"head-only phase: {preserved_ok}", ok)

@@ -570,10 +570,10 @@ class TestCheckBounds:
         bordered = []
         real = trainer.compute_ntk
 
-        def keeping(kernel, floor=0.0, rhs=None, work=None):
+        def keeping(kernel, reference=None, rhs=None, work=None):
             if rhs is not None:
-                bordered.append((kernel.copy(), floor, rhs.copy()))
-            return real(kernel, floor, rhs, work)
+                bordered.append((kernel.copy(), reference, rhs.copy()))
+            return real(kernel, reference, rhs, work)
 
         monkeypatch.setattr(trainer, "compute_ntk", keeping)
         ds = synth_gen(10, 4, 2, 0.03, "regression", seed=11)
@@ -587,10 +587,11 @@ class TestCheckBounds:
         rows, eps = ds.y.size, np.finfo(np.float64).eps
         tolerance = rows * eps * np.linalg.eigvalsh(bordered[0][0])[-1]
         shifted, exact = [], []
-        for i, (k, floor, r) in enumerate(bordered):
-            # after tau the floor is the reference verdict, standing for
-            # its tolerance
-            floor = floor.tolerance if i else floor
+        for i, (k, reference, r) in enumerate(bordered):
+            # after tau each verdict is made against the reference, whose
+            # tolerance is the floor
+            assert (reference is None) == (i == 0)
+            floor = reference.tolerance if i else 0.0
             assert floor == (tolerance if i else 0.0)
             level = max(floor, rows * eps * np.trace(k))
             shifted.append(np.sqrt(r @ np.linalg.solve(k - 4.0 * level * np.eye(rows), r)))

@@ -550,15 +550,15 @@ class TestTrain:
         # the kernel at tau reports rank 23 of 24: Rbar is undefined, which
         # fails a bounds-on run and leaves a bounds-off run alone.  With no
         # phase-1 monitoring the tau verdict is the first, and the only one
-        # without the reference floor
+        # made without a reference
         real = trainer.compute_ntk
-        floors = []
+        references = []
 
-        def short_at_tau(kernel, floor=0.0, rhs=None, work=None):
-            snap = real(kernel, floor, rhs, work)
-            if not floors:
+        def short_at_tau(kernel, reference=None, rhs=None, work=None):
+            snap = real(kernel, reference, rhs, work)
+            if not references:
                 snap.rank -= 1
-            floors.append(floor)
+            references.append(reference)
             return snap
 
         monkeypatch.setattr(trainer, "compute_ntk", short_at_tau)
@@ -566,9 +566,9 @@ class TestTrain:
             bounds=bounds, monitor_every=0,
             two_phase={"phase2_mode": "lazy_full", "lazy_eta_bar": 0.3}))
         code = cli.main(["train", "--config", path, "--out", str(tmp_path / "x")])
-        # after tau the floor is the reference verdict, standing for its
+        # after tau each verdict is made against the reference, at its
         # tolerance
-        assert floors[0] == 0.0 and all(floor.tolerance > 0.0 for floor in floors[1:])
+        assert references[0] is None and all(ref.tolerance > 0.0 for ref in references[1:])
         if bounds:
             assert code == 3
             assert "step 20 (phase 2): kernel has numerical rank 23 < 24 rows" in (

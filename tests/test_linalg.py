@@ -245,26 +245,21 @@ class TestCertifiedRank:
         with pytest.raises(DecompositionError, match="spectrum of 4 x 4 kernel failed"):
             certified_rank(np.ones((4, 4)), gram=True)
 
-    def test_rank_at_compares_kernel_verdicts_only(self, rng):
+    def test_tolerance_bound_takes_kernel_verdicts_only(self, rng):
         # a matrix verdict's level is on its Gram's scale, sigma^2, and its
-        # spectrum on sigma's, so rank_at and tolerance_bound refuse it,
-        # proved or counted, on either side of the comparison; its rank is
-        # the SVD count
+        # spectrum on sigma's, so tolerance_bound refuses it, proved or
+        # counted; its rank is the SVD count, and a kernel's bound is at
+        # least its tolerance
         full = _prescribed(rng, (5, 9), 1e-2)
         deficient = _prescribed(rng, (5, 9), 1e-2, rank=3)
-        kernel = certified_rank(full @ full.T, gram=True)
-        assert kernel.proved
         for m in (full, deficient):
             verdict = certified_rank(m)
             assert verdict.rank == _svd_count(m)
-            for ask in (lambda: verdict.rank_at(0.0), lambda: verdict.rank_at(kernel),
-                        lambda: verdict.tolerance_bound, lambda: kernel.rank_at(verdict)):
-                with pytest.raises(ValueError, match="kernel verdicts only"):
-                    ask()
-        counted = certified_rank(deficient @ deficient.T, gram=True)
-        assert not counted.proved
-        with pytest.raises(ValueError, match="kernel verdicts only"):
-            counted.rank_at(certified_rank(full))
+            with pytest.raises(ValueError, match="kernel verdicts only"):
+                verdict.tolerance_bound
+            kernel = certified_rank(m @ m.T, gram=True)
+            assert kernel.proved == (m is full)
+            assert kernel.tolerance_bound >= kernel.tolerance
 
     def test_underflowing_and_zero_grams_are_counted(self):
         zero = certified_rank(np.zeros((3, 4)))

@@ -1,4 +1,4 @@
-"""Jacobian assembly, kernel spectra, and the rank-preservation predicate."""
+"""Jacobian assembly, kernel spectra, and kernel verdicts against a reference."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,8 @@ from twophase.network import (
     params_zero,
     random_params,
 )
+from twophase.linalg import certified_rank
 from twophase.ntk import (
-    assert_rank_preserved,
     compute_jacobian,
     compute_kernel,
     compute_ntk,
@@ -88,6 +88,19 @@ def _large_threshold_reference(j):
     return ref
 
 
+def _reference_at(tol, size):
+    # a kernel verdict of `size` rows whose stock threshold
+    # size * eps * lambda_max is tol (0: the zero kernel's), its spectrum
+    # already taken
+    values = np.zeros(size)
+    if tol:
+        values[:] = 1.0
+        values[0] = tol / (size * np.finfo(float).eps)
+    ref = compute_ntk(np.diag(values))
+    assert ref.tolerance == pytest.approx(tol, rel=1e-12)
+    return ref
+
+
 def _count_factorizations(monkeypatch):
     # calls of each, and how many Cholesky factorizations raised
     counts = {"cholesky": 0, "eigvalsh": 0, "failed": 0}
@@ -124,48 +137,58 @@ class TestCholeskyRank:
         assert snap.rank == _eigvalsh_rank(j @ j.T, snap.tolerance) == 5
 
     def test_kernel_scaled_below_the_reference_tolerance(self, rng):
-        # test_reference_tolerance_shared's case, certified at the floor
+        # test_reference_tolerance_shared's case, judged at the reference's
+        # threshold: full at its own, counted below full at the reference's
         j = rng.standard_normal((4, 9))
         ref = _large_threshold_reference(j)
         k = (1e-4 * j) @ (1e-4 * j).T
-        cur = compute_ntk(k, floor=ref.tolerance)
-        assert cur.rank == _eigvalsh_rank(k, cur.tolerance) == 4
-        assert cur.rank_at(ref.tolerance) == _eigvalsh_rank(k, ref.tolerance) < 4
-        assert not assert_rank_preserved(ref, cur)
+        cur = compute_ntk(k, reference=ref)
+        assert not cur.proved and cur.level == ref.tolerance
+        assert cur.count_above(cur.tolerance) == _eigvalsh_rank(k, cur.tolerance) == 4
+        assert cur.rank == _eigvalsh_rank(k, ref.tolerance) < 4
+        assert cur.rank < ref.rank
 
     def test_spectrum_only_when_the_factorization_fails(self, rng, monkeypatch):
+        ref = _reference_at(1e-6, 6)
         counts = _count_factorizations(monkeypatch)
         j = rng.standard_normal((6, 11))
         repeated = j.copy()
         repeated[5] = repeated[0]
-        cases = [(j @ j.T, 0.0), (repeated @ repeated.T, 0.0),
-                 (1e-4 * j @ (1e-4 * j).T, 1e-6), (j @ j.T, 1e-6)]
-        for k, floor in cases:
+        cases = [(j @ j.T, None), (repeated @ repeated.T, None),
+                 (1e-4 * j @ (1e-4 * j).T, ref), (j @ j.T, ref)]
+        for k, reference in cases:
             before = dict(counts)
-            snap = compute_ntk(k, floor=floor)
-            snap.rank_at(floor)
+            compute_ntk(k, reference=reference)
             failed = counts["failed"] - before["failed"]
             assert counts["cholesky"] - before["cholesky"] == 1
             assert counts["eigvalsh"] - before["eigvalsh"] == failed
         assert counts["failed"] == 2
 
-    def test_rank_at_the_certified_level_needs_no_spectrum(self, rng, monkeypatch):
-        # a kernel verdict answers rank_at as eigvalsh counts above
-        # max(tol, its stock tolerance): up to its proved level with no
-        # spectrum, above it from one spectrum
+    def test_a_reference_verdict_is_the_count_at_its_threshold(self, rng, monkeypatch):
+        # a kernel verdict made against a reference is the eigvalsh count
+        # above max(the reference's tolerance, its own): proved full rank
+        # with no spectrum of its own up to its certified level, counted
+        # from one spectrum above it
         j = rng.standard_normal((5, 8))
         k = j @ j.T
         values = np.linalg.eigvalsh(k)
         stock = 5 * np.finfo(float).eps * values[-1]
+        below = [_reference_at(tol, 5) for tol in (0.0, 0.5e-9, 1e-9, 2e-9)]
+        above = [_reference_at(tol, 5) for tol in (*(values[:-1] + values[1:]) / 2, 1e6)]
         counts = _count_factorizations(monkeypatch)
-        snap = compute_ntk(k, floor=1e-9)
-        assert snap.proved and snap.level == 1e-9 and snap.rank == 5
-        for tol in (0.0, 0.5e-9, 1e-9):
-            assert snap.rank_at(tol) == np.count_nonzero(values > max(tol, stock)) == 5
+        snap = compute_ntk(k, reference=below[2])
+        assert snap.proved and snap.level == below[2].tolerance and snap.rank == 5
+        for ref in below:
+            snap = compute_ntk(k, reference=ref)
+            assert snap.proved and snap.level >= ref.tolerance
+            assert snap.rank == np.count_nonzero(values > max(ref.tolerance, stock)) == 5
         assert counts["eigvalsh"] == 0
-        for tol in (2e-9, *(values[:-1] + values[1:]) / 2, 1e6):
-            assert snap.rank_at(tol) == np.count_nonzero(values > max(tol, stock))
-        assert snap.rank_at(1e6) == 0 and counts["eigvalsh"] == 1
+        for i, ref in enumerate(above, 1):
+            snap = compute_ntk(k, reference=ref)
+            assert not snap.proved and counts["eigvalsh"] == i
+            threshold = max(ref.tolerance, stock)
+            assert snap.rank == snap.count_above(threshold) == np.count_nonzero(values > threshold)
+        assert snap.rank == 0 and counts["eigvalsh"] == len(above)
 
     def test_zero_kernel_has_rank_zero(self):
         assert compute_ntk(np.zeros((3, 3))).rank == 0
@@ -182,14 +205,15 @@ class TestBorderedFactor:
     [[K - 4 m I, r], [r^T, rho]] certifies the rank and gives
     ||L^-1 r|| = sqrt(r^T (K - 4 m I)^-1 r)."""
 
-    @pytest.mark.parametrize("floor", [0.0, 1e-3, 0.2])
-    def test_rhs_norm_is_the_shifted_solve(self, rng, monkeypatch, floor):
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3, 0.2])
+    def test_rhs_norm_is_the_shifted_solve(self, rng, monkeypatch, threshold):
         j = rng.standard_normal((6, 11))
         k, r = j @ j.T, rng.standard_normal(6)
+        ref = _reference_at(threshold, 6)
         counts = _count_factorizations(monkeypatch)
-        snap = compute_ntk(k, floor=floor, rhs=r)
+        snap = compute_ntk(k, reference=ref, rhs=r)
         assert counts == {"cholesky": 1, "eigvalsh": 0, "failed": 0}
-        assert snap.rank == 6 and snap.proved and snap.level >= floor
+        assert snap.rank == 6 and snap.proved and snap.level >= ref.tolerance
         shifted = k - 4.0 * snap.level * np.eye(6)
         assert snap.rhs_norm == pytest.approx(np.sqrt(r @ np.linalg.solve(shifted, r)),
                                               rel=1e-12)
@@ -201,11 +225,12 @@ class TestBorderedFactor:
         j = rng.standard_normal((6, 11))
         repeated = j.copy()
         repeated[5] = repeated[0]
-        cases = [(j @ j.T, 0.0), (repeated @ repeated.T, 0.0),
-                 (1e-4 * j @ (1e-4 * j).T, 1e-6), (j @ j.T, 1e-6)]
-        for k, floor in cases:
-            plain = compute_ntk(k, floor=floor)
-            bordered = compute_ntk(k, floor=floor, rhs=rng.standard_normal(6))
+        ref = _reference_at(1e-6, 6)
+        cases = [(j @ j.T, None), (repeated @ repeated.T, None),
+                 (1e-4 * j @ (1e-4 * j).T, ref), (j @ j.T, ref)]
+        for k, reference in cases:
+            plain = compute_ntk(k, reference=reference)
+            bordered = compute_ntk(k, reference=reference, rhs=rng.standard_normal(6))
             assert (bordered.rank, bordered.proved, bordered.level) == (
                 plain.rank, plain.proved, plain.level)
             assert (bordered.rhs_norm is None) == (not plain.proved)
@@ -386,24 +411,26 @@ class TestComputeJacobian:
 
 
 class TestRankPreserved:
+    """A kernel keeps the reference's rank iff its verdict made against that
+    reference has rank >= reference.rank."""
+
     def test_reflexive(self, rng):
         j = rng.standard_normal((4, 9))
         snap = compute_ntk(j @ j.T)
-        assert assert_rank_preserved(snap, snap)
+        assert compute_ntk(snap.matrix, reference=snap).rank >= snap.rank
 
     def test_rank_drop_detected(self, rng):
         j = rng.standard_normal((4, 9))
         ref = compute_ntk(j @ j.T)
         j2 = j.copy()
         j2[3] = j2[0]
-        assert not assert_rank_preserved(ref, compute_ntk(j2 @ j2.T))
+        assert compute_ntk(j2 @ j2.T, reference=ref).rank < ref.rank
 
     def test_dimension_mismatch_errors(self, rng):
         ja, jb = rng.standard_normal((4, 9)), rng.standard_normal((5, 9))
         a = compute_ntk(ja @ ja.T)
-        b = compute_ntk(jb @ jb.T)
         with pytest.raises(ValueError, match="dimensions differ"):
-            assert_rank_preserved(a, b)
+            compute_ntk(jb @ jb.T, reference=a)
 
     def test_reference_tolerance_shared(self, rng):
         j = rng.standard_normal((4, 9))
@@ -411,4 +438,16 @@ class TestRankPreserved:
         cur = compute_ntk((1e-4 * j) @ (1e-4 * j).T)  # scaled down, same mathematical rank
         # at the reference's absolute threshold the scaled kernel loses rank
         assert cur.rank == 4
-        assert not assert_rank_preserved(ref, cur)
+        assert compute_ntk(cur.matrix, reference=ref).rank < ref.rank
+
+    def test_reference_must_be_a_kernel_verdict(self, rng):
+        # a matrix verdict's level is on its Gram's scale and its spectrum
+        # on the singular values', so it is no kernel's reference, proved
+        # or counted
+        full = rng.standard_normal((4, 9))
+        deficient = full.copy()
+        deficient[3] = deficient[0]
+        kernel = full @ full.T
+        for m in (full, deficient):
+            with pytest.raises(ValueError, match="kernel verdicts only"):
+                compute_ntk(kernel, reference=certified_rank(m))

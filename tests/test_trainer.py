@@ -1,5 +1,6 @@
 """The two-phase loop: masking, perturbation, schedules, and guarantees."""
 
+import json
 import math
 import os
 import sys
@@ -13,13 +14,14 @@ from conftest import features_at_tau
 
 import twophase
 import twophase.bounds as bounds
+import twophase.cli as cli
 import twophase.network as network
 import twophase.ntk as ntk
 import twophase.trainer as trainer
 from twophase.bounds import SLACK_REL
 from twophase.cli import DEFAULT_CONFIG
 from twophase.data import synth_gen
-from twophase.linalg import RankDeficientError, append_ones, numerical_rank
+from twophase.linalg import RankDeficientError, append_ones, certified_rank, numerical_rank
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
@@ -581,9 +583,18 @@ class TestRunTwoPhase:
         assert len(made) == workspaces
 
     def test_lazy_retry_cap_names_step_and_phase(self, monkeypatch):
-        # every candidate fails the rank test, so the first phase-2 step
-        # halves its rate LAZY_MAX_RETRIES times and gives up
-        monkeypatch.setattr(trainer, "assert_rank_preserved", lambda reference, current: False)
+        # every candidate's verdict is one below the reference's rank, so
+        # the first phase-2 step halves its rate LAZY_MAX_RETRIES times and
+        # gives up
+        compute_ntk = trainer.compute_ntk
+
+        def short(kernel, reference=None, rhs=None, work=None):
+            snap = compute_ntk(kernel, reference, rhs, work)
+            if reference is not None:
+                snap.rank = reference.rank - 1
+            return snap
+
+        monkeypatch.setattr(trainer, "compute_ntk", short)
         ds, spec, p0 = _toy_problem(seed=19)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
@@ -595,15 +606,18 @@ class TestRunTwoPhase:
         assert [r.t for r in seen] == [1, 2, 3]
 
     def test_lazy_kernel_below_full_rank_names_step_and_phase(self, monkeypatch):
-        # a kernel that certifies the rank test at the reference threshold
-        # but ranks below full at its own: Rbar is undefined at that step
+        # a step's kernel below full rank that passes the rank test: Rbar is
+        # undefined at that step.  An accepted verdict has at least the
+        # reference's full rank, so the spy lowers the reference's rank with
+        # the candidate's
         compute_ntk, calls = trainer.compute_ntk, []
 
-        def short_at_third_step(kernel, floor=0.0, rhs=None, work=None):
-            snap = compute_ntk(kernel, floor, rhs, work)
+        def short_at_third_step(kernel, reference=None, rhs=None, work=None):
+            snap = compute_ntk(kernel, reference, rhs, work)
             calls.append(1)
             if len(calls) == 4:  # tau, then steps 4, 5 and 6
                 snap.rank -= 1
+                reference.rank -= 1
             return snap
 
         monkeypatch.setattr(trainer, "compute_ntk", short_at_third_step)
@@ -623,15 +637,16 @@ class TestRunTwoPhase:
         # counted at max(the reference threshold, their own stock
         # tolerance): 17 and 19, where the reference threshold alone would
         # count the rounding noise between the two and give 19 and 20; the
-        # third is proved full rank, and the record reads the rank that
-        # verdict used
+        # third is proved full rank, and the record reads that verdict's
+        # rank
         compute_ntk, ranks = trainer.compute_ntk, []
 
-        def keeping(kernel, floor=0.0, rhs=None, work=None):
-            snap = compute_ntk(kernel, floor, rhs, work)
-            if not isinstance(floor, float):
-                ranks.append((snap.proved, snap.rank, snap.rank_at(floor),
-                              snap.count_above(floor.tolerance)))
+        def keeping(kernel, reference=None, rhs=None, work=None):
+            snap = compute_ntk(kernel, reference, rhs, work)
+            if reference is not None:
+                ranks.append((snap.proved, snap.rank,
+                              snap.count_above(max(reference.tolerance, snap.tolerance)),
+                              snap.count_above(reference.tolerance)))
             return snap
 
         monkeypatch.setattr(trainer, "compute_ntk", keeping)
@@ -656,10 +671,10 @@ class TestRunTwoPhase:
         compute_ntk = trainer.compute_ntk
 
         def outcome(flip):
-            def flipping(kernel, floor=0.0, rhs=None, work=None):
+            def flipping(kernel, reference=None, rhs=None, work=None):
                 if flip:
                     kernel[...] = (kernel.view(np.int64) ^ 1).view(np.float64)
-                return compute_ntk(kernel, floor, rhs, work)
+                return compute_ntk(kernel, reference, rhs, work)
 
             monkeypatch.setattr(trainer, "compute_ntk", flipping)
             ds, spec, p0 = _toy_problem(seed=2, bn=True)
@@ -840,9 +855,9 @@ class TestPhaseOneWorkspace:
         kernels = []
         compute_ntk = trainer.compute_ntk
 
-        def keeping(kernel, floor=0.0, rhs=None, work=None):
+        def keeping(kernel, reference=None, rhs=None, work=None):
             kernels.append(kernel.copy())
-            return compute_ntk(kernel, floor, rhs, work)
+            return compute_ntk(kernel, reference, rhs, work)
 
         monkeypatch.setattr(trainer, "compute_ntk", keeping)
         n, tau = 20, 11
@@ -1025,8 +1040,9 @@ def _reference_lazy_phase(spec, ds, kind, log, cfg):
     """The lazy phase from the perturbed parameters log.params_at_tau, at
     the rate of cfg.lazy_lipschitz or else of estimate_lipschitz there,
     written out independently of the trainer: allocating passes and
-    backprops, each candidate's kernel ranked at the tolerance of the
-    reference kernel at tau, and eta_bar halved on every rejection.
+    backprops, each candidate's kernel factored at the tolerance of the
+    reference kernel at tau and, if that fails, counted above the larger of
+    that tolerance and its own, and eta_bar halved on every rejection.
     Returns (loss, grad_norm, ntk_rank, rank_event) per step and the rank
     events."""
     x, y, frozen = ds.x, ds.y, log.frozen_stats
@@ -1048,14 +1064,16 @@ def _reference_lazy_phase(spec, ds, kind, log, cfg):
         while True:
             cand = params_from_flat(spec, params.flat - (2.0 * eta_bar / lipschitz) * g)
             trace, loss, cand_g = evaluate(cand)
-            snap = ntk.compute_ntk(ntk.compute_kernel(spec, cand, trace),
-                                   floor=reference.tolerance)
-            if ntk.assert_rank_preserved(reference, snap):
+            snap = certified_rank(ntk.compute_kernel(spec, cand, trace), reference.tolerance,
+                                  gram=True)
+            rank = (snap.rank if snap.proved
+                    else snap.count_above(max(reference.tolerance, snap.tolerance)))
+            if rank >= reference.rank:
                 break
             eta_bar /= 2.0
             event = f"rank_drop_halved_eta_bar_to_{eta_bar:.3e}"
             events.append((t, event))
-        records.append((loss, math.sqrt(float((g * g).sum())), snap.rank, event))
+        records.append((loss, math.sqrt(float((g * g).sum())), rank, event))
         params, g = cand, cand_g
     return records, events
 
@@ -1082,9 +1100,9 @@ class TestLazyPhase:
         # (and so its loss) from its pass before its kernel is built
         snapshot, seen = trainer._snapshot, []
 
-        def checking(spec, params, trace, t, phase, floor=0.0, **kwargs):
+        def checking(spec, params, trace, t, phase, reference=None, **kwargs):
             seen.append((t, trace.output is not None))
-            return snapshot(spec, params, trace, t, phase, floor, **kwargs)
+            return snapshot(spec, params, trace, t, phase, reference, **kwargs)
 
         monkeypatch.setattr(trainer, "_snapshot", checking)
         ds, spec, p0 = _toy_problem(seed=2)
@@ -1095,3 +1113,70 @@ class TestLazyPhase:
         candidates = [ok for t, ok in seen if t > cfg.tau]
         assert len(candidates) == 20 + len(log.rank_events)
         assert all(candidates)
+
+    def test_a_kernel_below_the_reference_threshold_is_counted_there(self, monkeypatch):
+        # step 4's first candidate kernel, scaled by 1e-12, has its own
+        # stock threshold far below the reference's: its factorization at
+        # the reference's threshold fails, and its rank is the eigvalsh
+        # count above the reference's tolerance, not above its own (full),
+        # so the step is rejected and retried at half the rate
+        compute_ntk, verdicts = trainer.compute_ntk, []
+
+        def scaling(kernel, reference=None, rhs=None, work=None):
+            if reference is not None and not verdicts:
+                kernel *= 1e-12
+            snap = compute_ntk(kernel, reference, rhs, work)
+            if reference is not None:
+                above = int(np.count_nonzero(np.linalg.eigvalsh(kernel) > reference.tolerance))
+                own = snap.count_above(snap.tolerance)
+                verdicts.append((snap.proved, snap.rank, own, above))
+            return snap
+
+        monkeypatch.setattr(trainer, "compute_ntk", scaling)
+        ds, spec, p0 = _toy_problem(seed=19)
+        cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
+                             lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
+        _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+                               SQUARED)
+        proved, rank, own, above = verdicts[0]
+        assert not proved and own == 20 and rank == above < 20
+        assert log.rank_events == [(4, "rank_drop_halved_eta_bar_to_2.500e-02")]
+        assert all(proved and rank == 20 for proved, rank, _, _ in verdicts[1:])
+        assert [r.ntk_rank for r in log.phase2_records()] == [20] * 10
+
+    def test_each_verdict_is_the_count_at_the_reference_threshold(self, tmp_path, monkeypatch):
+        # the squared-loss lazy config of the CI entry-point checks, at seed
+        # 7: candidates whose factorizations fail are counted above
+        # max(the reference's tolerance, their own), eigvalsh's count, and
+        # some are rejected; a proved verdict is full rank, and each record
+        # reads the rank of the verdict its step accepted
+        compute_ntk, verdicts, eps = trainer.compute_ntk, [], np.finfo(np.float64).eps
+
+        def checking(kernel, reference=None, rhs=None, work=None):
+            snap = compute_ntk(kernel, reference, rhs, work)
+            if reference is not None:
+                values = np.linalg.eigvalsh(kernel)
+                top = max(np.linalg.eigvalsh(reference.matrix)[-1], values[-1], 0.0)
+                count = int(np.count_nonzero(values > kernel.shape[0] * eps * top))
+                verdicts.append((snap.proved, snap.rank, snap.size if snap.proved else count,
+                                 reference.rank))
+            return snap
+
+        monkeypatch.setattr(trainer, "compute_ntk", checking)
+        config = tmp_path / "lazy.json"
+        config.write_text(json.dumps({
+            "loss": "squared", "bounds": True,
+            "data": {"n": 12, "m_x": 4, "m_y": 2, "kind": "regression"},
+            "network": {"sharpness": 10.0}, "base": {"variant": "gd", "minibatch": 12},
+            "two_phase": {"tau": 20, "total_steps": 40, "phase2_mode": "lazy_full",
+                          "lazy_eta_bar": 0.3}}))
+        out = tmp_path / "lazy"
+        assert cli.main(["train", "--config", str(config), "--seed", "7",
+                         "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "run.log.jsonl").read_text().splitlines()]
+        events = json.loads((out / "summary.json").read_text())["rank_events"]
+        assert not all(proved for proved, *_ in verdicts)
+        assert all(rank == want for _, rank, want, _ in verdicts)
+        accepted = [rank for _, rank, _, reference in verdicts if rank >= reference]
+        assert len(verdicts) - len(accepted) == len(events) > 0
+        assert [r["ntk_rank"] for r in records if r["phase"] == 2] == accepted
