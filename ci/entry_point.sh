@@ -42,6 +42,12 @@ python -c "import json, sys; e = json.load(open('lazy7/summary.json'))['rank_eve
 echo '{"loss": "squared", "bounds": true, "monitor_every": 5, "data": {"n": 12, "m_x": 4, "m_y": 2, "kind": "regression"}, "network": {"sharpness": 10.0}, "base": {"variant": "gd", "minibatch": 12}, "two_phase": {"tau": 20, "total_steps": 40, "phase2_mode": "last_layer_gd"}}' > head.json
 twophase train --config head.json --out head
 python -c "import json, sys; s = json.load(open('head/summary.json')); r = [json.loads(l) for l in open('head/run.log.jsonl')]; p2 = [x for x in r if x['phase'] == 2]; sys.exit(0 if s['constants']['certificate'] == 'exact' and s['violations'] == 0 and len(p2) == 20 and all(x['bound'] is not None for x in p2) else 1)"
+# t* and the loss there, kept as each record is emitted, are the
+# earliest argmin and the min of the loss over tau and the phase-2
+# records; the lazy run's loss rises after its minimum
+for out in head lazy7; do
+  python -c "import json, sys; s = json.load(open('$out/summary.json')); r = [json.loads(l) for l in open('$out/run.log.jsonl')]; c = [(s['loss_at_tau'], s['tau'])] + [(x['loss'], x['t']) for x in r if x['phase'] == 2]; sys.exit(0 if (s['loss_at_t_star'], s['t_star']) == min(c) else 1)"
+done
 # squared-loss head SGD with bounds on: its ceiling bounds the
 # expected suboptimality, so the certificate is `expectation` and
 # one run's exceedances are not counted

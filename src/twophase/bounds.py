@@ -242,7 +242,8 @@ class Certificate:
     def observe(self, snap, predictions, t):
         """Fold the distance at the kernel `snap` of step t's pass, whose
         outputs are `predictions`, into Rbar; RankDeficientError naming the
-        step unless its rank is n * m_y."""
+        step unless its rank is n * m_y, which after tau an accepted verdict
+        has if the reference has: its rank >= reference.rank."""
         try:
             distance = _linearized_distance(snap, predictions, self.y, self.kind, self.basis)
         except RankDeficientError as exc:

@@ -23,9 +23,11 @@ rank (the features' at tau and when monitored, a kernel's) comes from
 linalg.certified_rank, the package's one rank rule: one Cholesky
 factorization proves a full rank, and a spectrum is computed only when a
 factorization fails, so a run whose factorizations all succeed computes no
-SVD or eigenvalues.  With
-bounds on, a bounds.Certificate, made from the constants at tau, sets each
-phase-2 record's ceiling and suboptimality before the record is emitted.
+SVD or eigenvalues.
+
+The phases only take steps: _Run.emit, the one path of a finished record,
+stamps it, keeps the log's running numbers (TrainLog) and, with bounds on,
+has the bounds.Certificate made at tau set its ceiling, then sinks it.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ class TwoPhaseConfig:
 
 @dataclass
 class StepRecord:
-    """One update; wall_time is the seconds from the start of phase 1."""
+    """One update; wall_time, the seconds from the start of phase 1, is
+    stamped when the record is emitted."""
 
     t: int
     phase: int
@@ -176,11 +179,12 @@ class TrainLog:
     them; a copy of the perturbed parameters at tau and the batch
     statistics frozen there (None when tau == total_steps); and, with
     bounds on, the certificate's `constants` and `violations`
-    (bounds.Certificate).  best_loss, final_loss and phase_seconds are kept
-    as records are emitted: the least and the last recorded loss
-    (loss_initial before the first), and the seconds of phase 1 (the wall
-    time of record tau, 0.0 at tau 0) and of phase 2 (from there to the
-    last record)."""
+    (bounds.Certificate).  Kept as records are emitted: best_loss and
+    final_loss, the least and the last recorded loss (loss_initial before
+    the first); phase_seconds, phase 1's (the wall time of record tau, 0.0
+    at tau 0) and phase 2's (to the last record); from tau, t_star and
+    loss_at_t_star, the earliest argmin and the min of the loss, and G^2,
+    max_sq_grad_phase2, the largest squared phase-2 gradient norm."""
 
     records: list = field(default_factory=list)
     tau: int = 0
@@ -321,7 +325,7 @@ def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None, seed: int = 
 class _Run:
     """What every phase reads: the checked data, spec, kind and configs, the
     run's one Workspace, its TrainLog, the seeds of the kick and of head
-    SGD, t0 (the start of phase 1), `emit` and `monitored`."""
+    SGD, the Certificate (None without bounds), `emit` and `monitored`."""
 
     def __init__(self, spec, dataset, base, cfg, kind, monitor_every, record_sink):
         if spec.depth < 2:
@@ -334,27 +338,32 @@ class _Run:
         if base.variant == "sgd_momentum" and base.minibatch > n:
             raise ValueError(f"minibatch {base.minibatch} exceeds dataset size {n}")
         self.spec, self.kind, self.base, self.cfg = spec, kind, base, cfg
-        self.monitor_every, self.sink = monitor_every, record_sink
+        self.monitor_every, self.cert = monitor_every, None
         self.log = TrainLog(tau=cfg.tau, total_steps=cfg.total_steps, phase2_mode=cfg.phase2_mode)
+        self.sink = self.log.records.append if record_sink is None else record_sink
         self.seeds = np.random.SeedSequence(cfg.seed).spawn(2)
         self.work = Workspace(spec, n)
         self.t0 = time.perf_counter()
 
-    def emit(self, record):
-        # the summary numbers go with each record, which then goes to the
-        # sink or, without one, to the log, so a streamed run keeps none
+    def emit(self, record, gsq=None):
+        """Stamp `record`, keep the running numbers (`gsq`: a phase-2
+        record's squared gradient norm) and its ceiling, then sink it."""
         log = self.log
+        record.wall_time = time.perf_counter() - self.t0
         if record.t == 1 or record.loss < log.best_loss:
             log.best_loss = record.loss
         log.final_loss = record.loss
         seconds = log.phase_seconds
         if record.phase == 1:
             seconds["1"] = record.wall_time
-        seconds["2"] = record.wall_time - seconds["1"]
-        if self.sink is None:
-            log.records.append(record)
         else:
-            self.sink(record)
+            log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
+            if record.loss < log.loss_at_t_star:
+                log.t_star, log.loss_at_t_star = record.t, record.loss
+            if self.cert is not None:
+                self.cert.check(record, log.loss_at_t_star, log.max_sq_grad_phase2)
+        seconds["2"] = record.wall_time - seconds["1"]
+        self.sink(record)
 
     def monitored(self, t_done):
         return self.monitor_every > 0 and t_done % self.monitor_every == 0
@@ -383,7 +392,7 @@ def _phase_one(run, params0):
     data-order pass.  Training-mode batch norm couples the rows, so there a
     momentum-SGD minibatch gets a pass of its own."""
     spec, x, y, kind, base, work = run.spec, run.x, run.y, run.kind, run.base, run.work
-    emit, monitored, t0, tau, n = run.emit, run.monitored, run.t0, run.cfg.tau, x.shape[0]
+    emit, monitored, tau, n = run.emit, run.monitored, run.cfg.tau, x.shape[0]
     params = params0.copy()
     w = params.flat
     full_batch = base.variant == "gd"
@@ -427,8 +436,7 @@ def _phase_one(run, params0):
         if not t:
             run.log.loss_initial = run.log.best_loss = run.log.final_loss = loss
             continue
-        rec = StepRecord(t=t, phase=1, loss=loss, grad_norm=gnorm,
-                         wall_time=time.perf_counter() - t0)
+        rec = StepRecord(t=t, phase=1, loss=loss, grad_norm=gnorm)
         if monitored(t):
             # rank and kernel of the pass in data order
             full = _rows(trace, inverse)
@@ -465,26 +473,27 @@ def _at_tau(run, params):
     # h W + b can differ in the last bit), whose gradient head GD takes next
     loss, dpred = _loss(kind, _finite(aug @ params.head_block(), "predictions", tau, 2), y)
     log.loss_at_tau = _finite(loss, "loss", tau, 2)
+    log.t_star, log.loss_at_t_star = tau, log.loss_at_tau
     lipschitz = cfg.lazy_lipschitz
     if cfg.phase2_mode == "lazy_full" and lipschitz is None:
         lipschitz = max(estimate_lipschitz(spec, params, x, y, kind, frozen, seed=cfg.seed), 1e-12)
     return _AtTau(params, trace, residual, aug, feature_rank, dpred, lipschitz)
 
 
-def _head_phase(run, at_tau, cert):
+def _head_phase(run, at_tau):
     """Phase 2 on the head alone over the features fixed at tau: GD at step
     1/L_H, or with-replacement minibatches at sgd_rate_scale / sqrt(t - tau),
     each step moving the head z = params.head_block(), a view into
     params.flat, in place and scoring [h, 1] z; a monitored step ranks the
-    kernel of the tau pass at the current head.  Returns the final Params."""
+    kernel of the tau pass at the current head.  Each record, with its
+    squared gradient norm, goes to run.emit.  Returns the final Params."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
-    emit, monitored, t0, tau, n = run.emit, run.monitored, run.t0, cfg.tau, x.shape[0]
+    emit, monitored, tau, n = run.emit, run.monitored, cfg.tau, x.shape[0]
     params, trace, aug, dpred = at_tau.params, at_tau.trace, at_tau.aug, at_tau.dpred
     z = params.head_block()
     head_gd = cfg.phase2_mode == "last_layer_gd"
     l_h, scale, b = log.l_h, cfg.sgd_rate_scale, min(cfg.sgd_minibatch, n)
     rng = np.random.default_rng(run.seeds[1])
-    best_loss, best_t = log.loss_at_tau, tau
     for t in range(tau + 1, cfg.total_steps + 1):
         if head_gd:
             g = aug.T @ dpred
@@ -494,34 +503,28 @@ def _head_phase(run, at_tau, cert):
             g = aug[idx].T @ _loss(kind, aug[idx] @ z, y[idx])[1]
             z -= (scale / math.sqrt(t - tau)) * g
         gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
-        log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
         pred = _finite(aug @ z, "predictions", t, 2)
         cur, dpred = _loss(kind, pred, y)
         cur = _finite(cur, "loss", t, 2)
-        if cur < best_loss:
-            best_loss, best_t = cur, t
-        rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
-                         wall_time=time.perf_counter() - t0)
+        rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq))
         if monitored(t - tau):
             # only the head moved, so the tau pass is the features' pass
             rec.feature_rank = at_tau.feature_rank
             rec.ntk_rank = _snapshot(spec, params, trace, t, 2, work=work).rank
-        if cert is not None:
-            cert.check(rec, best_loss, log.max_sq_grad_phase2)
-        emit(rec)
-    log.t_star, log.loss_at_t_star = best_t, best_loss
+        emit(rec, gsq)
     return params
 
 
-def _lazy_phase(run, at_tau, cert):
+def _lazy_phase(run, at_tau):
     """Phase 2 on every parameter at the uniform rate 2 eta_bar / L: each
     candidate is scored, then its kernel's verdict is made against the
     reference verdict at tau (ntk.compute_ntk), and the candidate is
     accepted iff that verdict's rank is at least the reference's; a
     rejected one halves eta_bar, up to LAZY_MAX_RETRIES times (then
-    RankPreservationError).  Returns the final Params."""
+    RankPreservationError); run.cert observes the reference and each
+    accepted kernel before its record is built.  Returns the final Params."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
-    emit, monitored, t0, tau = run.emit, run.monitored, run.t0, cfg.tau
+    emit, monitored, cert, tau = run.emit, run.monitored, run.cert, cfg.tau
     params, trace, lipschitz = at_tau.params, at_tau.trace, at_tau.lipschitz
     frozen, eta_bar, total = log.frozen_stats, cfg.lazy_eta_bar, cfg.total_steps
     # one pass per parameter point gives its kernel, loss, gradient and
@@ -539,7 +542,6 @@ def _lazy_phase(run, at_tau, cert):
         cert.observe(reference, trace.output, tau)
     # candidates are written into a second buffer, swapped in on acceptance
     cand = params.copy()
-    best_loss, best_t = log.loss_at_tau, tau
     for t in range(tau + 1, total + 1):
         gsq = _finite(float((g * g).sum()), "gradient norm", t, 2)
         event = None
@@ -559,22 +561,15 @@ def _lazy_phase(run, at_tau, cert):
                 f"after {LAZY_MAX_RETRIES} rate halvings"
             )
         params, cand = cand, params
-        log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
         if t < total:
             g = backprop(spec, params, trace, _mean_gradient(kind, residual), work=work)
         if cert is not None:
             cert.observe(snap, trace.output, t)
-        if cur < best_loss:
-            best_loss, best_t = cur, t
         rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
-                         ntk_rank=snap.rank, rank_event=event,
-                         wall_time=time.perf_counter() - t0)
+                         ntk_rank=snap.rank, rank_event=event)
         if monitored(t - tau):
             rec.feature_rank = numerical_rank(append_ones(trace.hidden))
-        if cert is not None:
-            cert.check(rec, best_loss, log.max_sq_grad_phase2)
-        emit(rec)
-    log.t_star, log.loss_at_t_star = best_t, best_loss
+        emit(rec, gsq)
     return params
 
 
@@ -591,22 +586,23 @@ def run_two_phase(spec: NetworkSpec, params0: Params, dataset, base: BaseAlgoCon
     FeatureRankError if [h, 1] after the kick is not full row rank;
     naming the step and phase, RankPreservationError if lazy rate halving
     cannot restore the kernel rank within the retry cap, RankDeficientError
-    if, with bounds on, a lazy kernel is below full rank n * m_y, and
+    if, with bounds on, the lazy kernel at tau is below full rank n * m_y, and
     FloatingPointError once predictions, the loss, the gradient norm or a
     tangent kernel are not finite (overflow warnings are silenced).
 
-    Records: exactly cfg.total_steps, one per update, wall_time counted from
-    the start of phase 1.  Every `monitor_every` steps of a phase (0: never)
-    a record also carries the feature rank and the kernel rank, a lazy
-    step's that of the verdict its rank test accepted.  With
-    `bounds`, each phase-2 record gets its ceiling and suboptimality (None
-    if the optimum is not attained) before it is emitted, and log.constants
-    and log.violations report the certificate (bounds.Certificate).  Phase 2
-    steps the perturbed Params in place, the head through head_block().
+    Records: exactly cfg.total_steps, one per update, each stamped with its
+    wall_time from the start of phase 1 as it is emitted.  Every
+    `monitor_every` steps of a phase (0: never) a record also carries the
+    feature rank and the kernel rank, a lazy step's that of the verdict its
+    rank test accepted.  With `bounds`, each phase-2 record gets its ceiling
+    and suboptimality (None if the optimum is not attained) as it is
+    emitted, before the sink sees it, and log.constants and log.violations
+    report the certificate (bounds.Certificate).  Phase 2 steps the
+    perturbed Params in place, the head through head_block().
 
     Sink: each record goes to `record_sink` if one is given, else to
-    log.records, so a run with a sink keeps no per-step state;
-    log.best_loss, log.final_loss and log.phase_seconds are kept either way.
+    log.records, so a run with a sink keeps no per-step state; the log's
+    running numbers (TrainLog) and certificate are kept either way.
     """
     run = _Run(spec, dataset, base, cfg, kind, monitor_every, record_sink)
     params = perturb(_phase_one(run, params0), cfg.noise_scale, run.seeds[0])
@@ -617,10 +613,11 @@ def run_two_phase(spec: NetworkSpec, params0: Params, dataset, base: BaseAlgoCon
         log.t_star, log.loss_at_t_star = cfg.tau, log.loss_at_tau
         return params, log
     at_tau = _at_tau(run, params)
-    cert = Certificate(cfg, kind, run.y, at_tau.aug, log.params_at_tau.head_block(), log.l_h,
-                       log.loss_at_tau, at_tau.lipschitz) if bounds else None
+    if bounds:
+        run.cert = Certificate(cfg, kind, run.y, at_tau.aug, log.params_at_tau.head_block(),
+                               log.l_h, log.loss_at_tau, at_tau.lipschitz)
     phase_two = _lazy_phase if cfg.phase2_mode == "lazy_full" else _head_phase
-    params = phase_two(run, at_tau, cert)
-    if cert is not None:
-        log.constants, log.violations = cert.constants, cert.violations
+    params = phase_two(run, at_tau)
+    if bounds:
+        log.constants, log.violations = run.cert.constants, run.cert.violations
     return params, log

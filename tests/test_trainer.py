@@ -193,6 +193,24 @@ def _toy_problem(seed=0, n=10, m_x=4, m_y=2, m_h=12, sharpness=10.0, bn=False):
     return ds, spec, init_params(spec, seed=seed)
 
 
+_MODES = ["last_layer_gd", "last_layer_sgd", "lazy_full"]
+
+# the squared-loss lazy config of the CI entry-point checks (lazy.json)
+_CI_LAZY = {
+    "loss": "squared", "bounds": True,
+    "data": {"n": 12, "m_x": 4, "m_y": 2, "kind": "regression"},
+    "network": {"sharpness": 10.0}, "base": {"variant": "gd", "minibatch": 12},
+    "two_phase": {"tau": 20, "total_steps": 40, "phase2_mode": "lazy_full",
+                  "lazy_eta_bar": 0.3}}
+
+
+def _ci_lazy_run(seed, bounds=True, record_sink=None):
+    """(final Params, TrainLog) of _CI_LAZY at `seed`, as `train` runs it."""
+    cfg = cli._merge(DEFAULT_CONFIG, dict(_CI_LAZY, seed=seed, bounds=bounds))
+    ds = cli._build_dataset(cfg)
+    return cli._train_once(cfg, ds, cli._build_spec(cfg, ds), record_sink=record_sink)
+
+
 def _count_forward_passes(monkeypatch):
     # the trainer's passes, the only ones a run makes: backprop and the
     # kernel take a pass's trace
@@ -377,17 +395,40 @@ class TestRunTwoPhase:
         assert not log.records
         assert seen[2000] - seen[200] < 64 * 1024
 
-    def test_t_star_tracks_running_argmin(self):
-        ds, spec, p0 = _toy_problem(seed=13)
-        base = BaseAlgoConfig(variant="gd", minibatch=10)
-        cfg = TwoPhaseConfig(tau=5, total_steps=60, phase2_mode="last_layer_sgd",
-                             sgd_minibatch=4, seed=13)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+    @pytest.mark.parametrize("bounds", [False, True], ids=["bounds_off", "bounds_on"])
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_t_star_tracks_running_argmin(self, mode, bounds):
+        # t* is the earliest argmin of the loss over tau and the phase-2
+        # records and G^2 the largest squared phase-2 gradient norm, kept as
+        # the records are emitted, so a run whose records go to a sink keeps
+        # the same numbers.  The lazy run is the CI lazy config at seed 7,
+        # whose loss rises after its minimum
+        def run(sink=None):
+            if mode == "lazy_full":
+                return _ci_lazy_run(7, bounds, sink)[1]
+            ds, spec, p0 = _toy_problem(seed=13)
+            cfg = TwoPhaseConfig(tau=5, total_steps=60, phase2_mode=mode, sgd_minibatch=4,
+                                 seed=13)
+            return run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
+                                 cfg, SQUARED, bounds=bounds, record_sink=sink)[1]
+
+        log, seen = run(), []
         phase2 = {r.t: r.loss for r in log.phase2_records()}
         phase2[log.tau] = log.loss_at_tau
         best_t = min(phase2, key=lambda t: (phase2[t], t))
         assert log.t_star == best_t
         assert log.loss_at_t_star == phase2[best_t]
+        assert log.max_sq_grad_phase2 == pytest.approx(
+            max(r.grad_norm ** 2 for r in log.phase2_records()), rel=1e-12)
+        if mode == "lazy_full":
+            assert log.t_star < log.total_steps and log.final_loss > log.loss_at_t_star
+            assert log.rank_events
+        streamed = run(seen.append)
+        assert len(seen) == log.total_steps and not streamed.records
+        numbers = ("best_loss", "final_loss", "t_star", "loss_at_t_star",
+                   "max_sq_grad_phase2", "constants", "violations")
+        assert ([getattr(streamed, name) for name in numbers]
+                == [getattr(log, name) for name in numbers])
 
     @pytest.mark.parametrize("mode", ["gd_phase1", "sgd_phase1", "sgd_phase1_bn", "lazy_full"])
     def test_one_full_batch_forward_per_step(self, monkeypatch, mode):
@@ -606,31 +647,28 @@ class TestRunTwoPhase:
         assert [r.t for r in seen] == [1, 2, 3]
 
     def test_lazy_kernel_below_full_rank_names_step_and_phase(self, monkeypatch):
-        # a step's kernel below full rank that passes the rank test: Rbar is
-        # undefined at that step.  An accepted verdict has at least the
-        # reference's full rank, so the spy lowers the reference's rank with
-        # the candidate's
-        compute_ntk, calls = trainer.compute_ntk, []
+        # a reference kernel below full rank: Rbar is undefined from tau on.
+        # An accepted verdict has at least the reference's rank, so only the
+        # reference can fail, and the spy lowers its rank alone
+        compute_ntk = trainer.compute_ntk
 
-        def short_at_third_step(kernel, reference=None, rhs=None, work=None):
+        def short_reference(kernel, reference=None, rhs=None, work=None):
             snap = compute_ntk(kernel, reference, rhs, work)
-            calls.append(1)
-            if len(calls) == 4:  # tau, then steps 4, 5 and 6
+            if reference is None:
                 snap.rank -= 1
-                reference.rank -= 1
             return snap
 
-        monkeypatch.setattr(trainer, "compute_ntk", short_at_third_step)
+        monkeypatch.setattr(trainer, "compute_ntk", short_reference)
         ds, spec, p0 = _toy_problem(seed=19)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
         seen = []
         with pytest.raises(RankDeficientError,
-                           match=r"^step 6 \(phase 2\): kernel has numerical rank 19 < 20"):
+                           match=r"^step 3 \(phase 2\): kernel has numerical rank 19 < 20"):
             run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True,
                           record_sink=seen.append)
-        assert seen[-1].t == 5
+        assert [r.t for r in seen] == [1, 2, 3]
 
     def test_lazy_record_reads_the_rank_its_verdict_used(self, monkeypatch):
         # step 5's first two candidates fail their factorizations and are
@@ -955,9 +993,6 @@ class TestLipschitzEstimate:
             estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, frozen_stats=[None] * 3)
 
 
-_MODES = ["last_layer_gd", "last_layer_sgd", "lazy_full"]
-
-
 def _certified_run(mode, seed=19, kind=SQUARED, target="regression", bounds=True):
     """A short run in `mode` on the toy problem, with a fixed lazy L."""
     ds, spec, p0 = _toy_problem(seed=seed)
@@ -1164,12 +1199,7 @@ class TestLazyPhase:
 
         monkeypatch.setattr(trainer, "compute_ntk", checking)
         config = tmp_path / "lazy.json"
-        config.write_text(json.dumps({
-            "loss": "squared", "bounds": True,
-            "data": {"n": 12, "m_x": 4, "m_y": 2, "kind": "regression"},
-            "network": {"sharpness": 10.0}, "base": {"variant": "gd", "minibatch": 12},
-            "two_phase": {"tau": 20, "total_steps": 40, "phase2_mode": "lazy_full",
-                          "lazy_eta_bar": 0.3}}))
+        config.write_text(json.dumps(_CI_LAZY))
         out = tmp_path / "lazy"
         assert cli.main(["train", "--config", str(config), "--seed", "7",
                          "--out", str(out)]) == 0
