@@ -48,7 +48,7 @@ print(f"passed={rep.passed}, margin={rep.margin:.2e}, pair={rep.violating_pair}"
 # %%
 spec = NetworkSpec(widths=(4, 4, 13), output_dim=1, sharpness=1.0)
 params = random_params(spec, np.random.default_rng(0), scale=1.0)
-rep = check_expressivity(spec, params, ds.x)
+rep = check_expressivity(params, ds.x)
 print(f"rank {rep.rank} of n={rep.n}, passed={rep.passed}")
 
 reports = expressivity_trials(spec, ds.x, trials=25, init_scale=1.0, seed=3)

@@ -23,10 +23,10 @@ ds = synth_gen(n=8, m_x=3, m_y=1, c_min=0.05, kind="regression", seed=3)
 spec = NetworkSpec(widths=(3, 3, 8), output_dim=1, sharpness=100.0)
 witness = construct_witness(spec, ds.x)
 
-h = forward_hidden(spec, witness, ds.x).hidden
+h = forward_hidden(witness, ds.x).hidden
 margins = dominance_margins(h, ds.n)
 print("per-row dominance margins:", np.round(margins, 3))
-print("rank check:", check_expressivity(spec, witness, ds.x))
+print("rank check:", check_expressivity(witness, ds.x))
 
 # %% [markdown]
 # The first layers of the narrow witness are an identity chain with a large
@@ -42,7 +42,7 @@ witness_wide = construct_witness(spec_wide, ds_wide.x)
 col = witness_wide.weights[0][:, 0]
 print("first-layer column 0 is a scaled input:",
       np.allclose(col / np.linalg.norm(col), ds_wide.x[0]))
-print("rank check:", check_expressivity(spec_wide, witness_wide, ds_wide.x).passed)
+print("rank check:", check_expressivity(witness_wide, ds_wide.x).passed)
 
 # %% [markdown]
 # Dominance needs the scale to clear the dataset's margin.  Watching the
@@ -54,5 +54,5 @@ from twophase.expressivity import _narrow_witness  # noqa: E402  (demo introspec
 c = 0.05
 for alpha in (1.0, 4.0, 16.0, 64.0):
     params = _narrow_witness(spec, ds.x, alpha, c)
-    m = dominance_margins(forward_hidden(spec, params, ds.x).hidden, ds.n)
+    m = dominance_margins(forward_hidden(params, ds.x).hidden, ds.n)
     print(f"scale {alpha:6.1f}: min margin {m.min():+.4f}")

@@ -40,7 +40,7 @@ base = BaseAlgoConfig(variant="gd", learning_rate=0.05, minibatch=16,
 cfg = TwoPhaseConfig(tau=300, total_steps=1300, noise_scale=1e-3,
                      phase2_mode="last_layer_gd", seed=0)
 
-params, log = run_two_phase(spec, init_params(spec, 0), ds, base, cfg, SQUARED,
+params, log = run_two_phase(init_params(spec, 0), ds, base, cfg, SQUARED,
                             bounds=True)
 print(f"loss: initial {log.loss_initial:.4f} -> at tau {log.loss_at_tau:.6f} "
       f"-> final {log.final_loss:.3e}")
@@ -57,7 +57,7 @@ print(f"certificate {c['certificate']}: loss* = {c['loss_star']:.2e}, "
       f"R^2 = {c['r_squared']:.4f}, L_H = {log.l_h:.2f}")
 # the features at tau: the pass of the perturbed parameters under the
 # batch statistics frozen there
-h_tau = forward_hidden(spec, log.params_at_tau, ds.x, log.frozen_stats).hidden
+h_tau = forward_hidden(log.params_at_tau, ds.x, log.frozen_stats).hidden
 opt = solve_last_layer_optimum(SQUARED, h_tau, ds.y, log.params_at_tau.head_block())
 phase2 = log.phase2_records()
 assert all(rec.bound == gd_bound(opt.r_squared, log.l_h, rec.t, log.tau) for rec in phase2)

@@ -34,7 +34,7 @@ spec = NetworkSpec(widths=(4, 8, 10), output_dim=2, sharpness=10.0)
 
 def kernel_at(p):
     """K at the pass of p on the dataset."""
-    return compute_kernel(spec, p, forward_hidden(spec, p, ds.x))
+    return compute_kernel(p, forward_hidden(p, ds.x))
 
 
 params = init_params(spec, seed=0)
@@ -53,14 +53,14 @@ print("top of spectrum:", np.round(snap.spectrum[:4], 3))
 # %%
 base = BaseAlgoConfig(variant="gd", minibatch=8, seed=0)
 cfg = TwoPhaseConfig(tau=30, total_steps=180, phase2_mode="last_layer_gd", seed=0)
-_, log = run_two_phase(spec, params, ds, base, cfg, SQUARED)
+_, log = run_two_phase(params, ds, base, cfg, SQUARED)
 
 p_tau = log.params_at_tau
 reference = compute_ntk(kernel_at(p_tau))
 print(f"reference at tau: rank {reference.rank}")
 
 for t in range(cfg.tau + 25, cfg.total_steps + 1, 25):
-    p_t, _ = run_two_phase(spec, params, ds, base,
+    p_t, _ = run_two_phase(params, ds, base,
                            TwoPhaseConfig(tau=cfg.tau, total_steps=t, seed=0), SQUARED)
     current = compute_ntk(kernel_at(p_t), reference=reference)
     print(f"step {t:>4}: rank {current.rank}, "
@@ -76,6 +76,6 @@ for t in range(cfg.tau + 25, cfg.total_steps + 1, 25):
 # %%
 cfg_lazy = TwoPhaseConfig(tau=30, total_steps=60, phase2_mode="lazy_full",
                           lazy_eta_bar=0.4, seed=0)
-_, log_lazy = run_two_phase(spec, params, ds, base, cfg_lazy, SQUARED)
+_, log_lazy = run_two_phase(params, ds, base, cfg_lazy, SQUARED)
 ranks = sorted({r.ntk_rank for r in log_lazy.phase2_records()})
 print(f"lazy phase kernel ranks seen: {ranks}, rate halvings: {log_lazy.rank_events}")

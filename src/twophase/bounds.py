@@ -25,8 +25,9 @@ constant per sample, which is exact for soft targets.  A cross-entropy target
 with a zero entry (one-hot) has an infimum, the mean entropy, that no finite
 point attains, so the distance is inf and a bound built on it is vacuous.
 Nothing here iterates.  The lazy bound uses an empirical Lipschitz estimate,
-which is a lower bound on the true constant, so ceilings built from it are
-diagnostics rather than certificates.
+a lower bound on the true constant, and the configured eta_bar even after a
+rank event has halved the rate, so ceilings built from it are diagnostics
+rather than certificates.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ class Certificate:
     kernels so far, an upper bound when `bordered`), head SGD's step-size
     sums, the running G^2 and the status: `exact` for head GD, `expectation`
     for head SGD, whose ceiling bounds the expected suboptimality,
-    `estimated` for the lazy phase, whose L is an empirical lower bound, and
+    `estimated` for the lazy phase, whose L is an empirical lower bound and
+    eta_bar the configured one, not a halved rate, and
     `vacuous` where R^2 or Rbar is inf.  violations counts the steps above
     an exact ceiling.  It takes the run's TwoPhaseConfig, its checked
     targets y of `kind`, and at tau [h, 1], the head, L_H, the loss and the

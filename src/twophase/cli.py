@@ -345,7 +345,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
             report["witness"] = {"attempted": True, "passed": False,
                                  "rank": None, "proved": None, "note": str(exc)}
         else:
-            wrep = check_expressivity(spec, witness, dataset.x)
+            wrep = check_expressivity(witness, dataset.x)
             report["witness"] = {"attempted": True, "passed": wrep.passed,
                                  "rank": wrep.rank, "proved": wrep.proved, "note": None}
 
@@ -371,7 +371,7 @@ def _train_once(cfg: dict, dataset: Dataset, spec: NetworkSpec, record_sink=None
     kind = loss_by_name(cfg["loss"])
     params0 = init_params(spec, seed=cfg["seed"])
     return run_two_phase(
-        spec, params0, dataset, base, two_phase, kind,
+        params0, dataset, base, two_phase, kind,
         monitor_every=cfg["monitor_every"],
         record_sink=record_sink,
         bounds=cfg["bounds"],

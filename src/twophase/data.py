@@ -173,7 +173,7 @@ def synth_gen(n: int, m_x: int, m_y: int, c_min: float, kind: str = "regression"
     if kind == "regression":
         teacher = NetworkSpec((m_x, max(8, 2 * m_x)), m_y, sharpness=1.0)
         t_params = random_params(teacher, np.random.default_rng(seed + 1), scale=1.0)
-        y = forward_output(t_params, forward_hidden(teacher, t_params, x))
+        y = forward_output(t_params, forward_hidden(t_params, x))
         return Dataset(x, y, kind, provenance)
     labels = rng.integers(0, m_y, size=n)
     y = one_hot(labels, m_y)

@@ -79,10 +79,10 @@ def check_distinguishability(x) -> DistinguishabilityReport:
     )
 
 
-def check_expressivity(spec: NetworkSpec, params: Params, x) -> ExpressivityReport:
+def check_expressivity(params: Params, x) -> ExpressivityReport:
     """Rank of [h, 1] against n, by certified_rank; full row rank makes
     interpolation possible."""
-    a = append_ones(forward_hidden(spec, params, x).hidden)
+    a = append_ones(forward_hidden(params, x).hidden)
     n = a.shape[0]
     verdict = certified_rank(a)
     return ExpressivityReport(rank=verdict.rank, n=n, passed=verdict.rank == n,
@@ -170,7 +170,7 @@ def construct_witness(spec: NetworkSpec, x) -> Params:
     best_margin = -np.inf
     for _ in range(WITNESS_MAX_DOUBLINGS + 1):
         params = build(spec, x, alpha, margin)
-        h = forward_hidden(spec, params, x).hidden
+        h = forward_hidden(params, x).hidden
         margins = dominance_margins(h, n)
         # dominance alone can hold at a scale where the whole block is
         # denormal-small; insist the rank certificate survives float64 too
@@ -194,6 +194,6 @@ def expressivity_trials(spec: NetworkSpec, x, trials: int, init_scale: float = 1
     tolerance or conditioning problem."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [check_expressivity(spec, random_params(spec, np.random.default_rng(child),
-                                                   scale=init_scale), x)
+    return [check_expressivity(random_params(spec, np.random.default_rng(child),
+                                             scale=init_scale), x)
             for child in np.random.SeedSequence(seed).spawn(trials)]

@@ -18,6 +18,8 @@ it, so writing a view writes the vector, rebinding a view is an error, and
 `Params.to_flat()` returns a copy.  `backprop` returns gradients in the same
 layout.
 
+A `Params` carries the architecture, `params.spec`, that every pass,
+backprop and kernel of it reads, so none takes a NetworkSpec beside it.
 `forward_hidden` is the one function that runs a pass: `forward_output`,
 `backprop` and ntk's kernel and Jacobian take the `ForwardTrace` it returns,
 which carries the inputs and any frozen statistics of the pass.
@@ -147,7 +149,8 @@ def _layer_views(spec: NetworkSpec, flat: np.ndarray) -> tuple:
 
 
 class Params:
-    """All parameters of one network, held in a single float64 buffer.
+    """All parameters of one network, held in a single float64 buffer, and
+    `spec`, the architecture every function given them reads.
 
     `flat` is that buffer, in the layout of the module docstring.  weights[l]
     is W_{l+1} (m_l x m_{l+1}) and biases[l] its 1 x m_{l+1} bias row; the
@@ -336,24 +339,17 @@ class Workspace:
         return views
 
 
-def _validate_forward_shapes(spec: NetworkSpec, params: Params, x: np.ndarray,
-                             frozen_stats=None) -> None:
+def _validate_forward_shapes(params: Params, x: np.ndarray, frozen_stats=None) -> None:
+    spec = params.spec
     if frozen_stats is not None and len(frozen_stats) != spec.depth:
         raise ValueError("frozen_stats must have one entry per hidden layer")
     if x.shape[1] != spec.input_dim:
         raise ValueError(
             f"input has {x.shape[1]} columns, layer 1 expects {spec.input_dim}"
         )
-    dims = list(spec.widths) + [spec.output_dim]
-    for l in range(1, len(dims)):
-        w = params.weights[l - 1]
-        if w.shape != (dims[l - 1], dims[l]):
-            raise ValueError(
-                f"layer {l} weight has shape {w.shape}, expected {(dims[l - 1], dims[l])}"
-            )
 
 
-def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None,
+def forward_hidden(params: Params, x, frozen_stats=None,
                    work: Workspace | None = None) -> ForwardTrace:
     """Run the hidden stack on a batch; returns the full trace.
 
@@ -365,9 +361,10 @@ def forward_hidden(spec: NetworkSpec, params: Params, x, frozen_stats=None,
     matrix with m_0 columns and frozen_stats, if given, hold one entry per
     hidden layer, and without one both are checked.
     """
+    spec = params.spec
     if work is None:
         x = as_matrix(x, "X")
-        _validate_forward_shapes(spec, params, x, frozen_stats)
+        _validate_forward_shapes(params, x, frozen_stats)
         work = Workspace(spec, x.shape[0])
     affine, bn_cache, post = [], [], []
     h = x
@@ -422,7 +419,7 @@ def _bn_backward(dz_bn, cache, gamma, eps, frozen: bool):
     return dz, dgamma, dbeta
 
 
-def backprop(spec: NetworkSpec, params: Params, trace: ForwardTrace, upstream,
+def backprop(params: Params, trace: ForwardTrace, upstream,
              work: Workspace | None = None) -> np.ndarray:
     """Gradient of <upstream, f(X)> with respect to the flat parameter
     vector, at the pass `trace` of `params` on X.
@@ -433,7 +430,7 @@ def backprop(spec: NetworkSpec, params: Params, trace: ForwardTrace, upstream,
     the Workspace `work`, or a new one without it; given one, upstream must
     be a finite float64 n x m_y matrix, and without one it is checked.
     """
-    n = trace.inputs.shape[0]
+    spec, n = params.spec, trace.inputs.shape[0]
     if work is None:
         upstream = as_matrix(upstream, "upstream")
         if upstream.shape != (n, spec.output_dim):

@@ -56,7 +56,7 @@ DEFAULT_MAX_JACOBIAN_ENTRIES = 50_000_000  # compute_jacobian's cap on n m_y d
 EPS = np.finfo(np.float64).eps
 
 
-def compute_jacobian(spec: NetworkSpec, params: Params, trace: ForwardTrace) -> np.ndarray:
+def compute_jacobian(params: Params, trace: ForwardTrace) -> np.ndarray:
     """Full output Jacobian at the pass `trace` of `params`, shape
     (n * m_y) x d.
 
@@ -68,6 +68,7 @@ def compute_jacobian(spec: NetworkSpec, params: Params, trace: ForwardTrace) -> 
     per-row reference for its layer-wise sum.  Raises MemoryError when J
     would hold more than DEFAULT_MAX_JACOBIAN_ENTRIES entries.
     """
+    spec = params.spec
     n, m_y = trace.inputs.shape[0], spec.output_dim
     d = spec.param_count()
     rows = n * m_y
@@ -82,12 +83,12 @@ def compute_jacobian(spec: NetworkSpec, params: Params, trace: ForwardTrace) -> 
     for i in range(n):
         for k in range(m_y):
             upstream[i, k] = 1.0
-            jac[i * m_y + k] = backprop(spec, params, trace, upstream, work=work)
+            jac[i * m_y + k] = backprop(params, trace, upstream, work=work)
             upstream[i, k] = 0.0
     return jac
 
 
-def compute_kernel(spec: NetworkSpec, params: Params, trace: ForwardTrace,
+def compute_kernel(params: Params, trace: ForwardTrace,
                    work: Workspace | None = None) -> np.ndarray:
     """Tangent kernel K = J J^T at the pass `trace` of `params`,
     (n * m_y) x (n * m_y), rows as in compute_jacobian.
@@ -107,6 +108,7 @@ def compute_kernel(spec: NetworkSpec, params: Params, trace: ForwardTrace,
     written into the network.Workspace `work` for all n rows, or a new one
     without it; the next kernel given it overwrites this one.
     """
+    spec = params.spec
     n, m_y = trace.inputs.shape[0], spec.output_dim
     rows = n * m_y
     if work is None:
@@ -115,7 +117,7 @@ def compute_kernel(spec: NetworkSpec, params: Params, trace: ForwardTrace,
         work.kernel_arrays = _kernel_arrays(spec, n)
     gram, block, spare, layers = work.kernel_arrays
     if any(spec.bn_flags) and trace.frozen_stats is None:
-        jac = compute_jacobian(spec, params, trace)
+        jac = compute_jacobian(params, trace)
         return np.matmul(jac, jac.T, out=block)
     total = spare[: rows * rows].reshape(rows, rows)
     blocks = total.reshape(m_y, n, m_y, n)

@@ -43,7 +43,6 @@ from .linalg import append_ones, as_matrix, numerical_rank
 from .losses import LossKind, _loss, _mean_gradient, _mean_loss, _terms, check_targets
 from .network import (
     ForwardTrace,
-    NetworkSpec,
     Params,
     Workspace,
     _validate_forward_shapes,
@@ -255,12 +254,12 @@ def _finite(value, what: str, t, phase):
     )
 
 
-def _snapshot(spec, params, trace, t, phase, reference=None, rhs=None, work=None):
+def _snapshot(params, trace, t, phase, reference=None, rhs=None, work=None):
     """compute_ntk, against the `reference` verdict if given and bordered by
     `rhs` if given, of the tangent kernel at `trace`, a forward pass of
     `params`, written into `work` if given; FloatingPointError naming step t
     and the phase if the kernel is not finite."""
-    kernel = _finite(compute_kernel(spec, params, trace, work=work), "kernel", t, phase)
+    kernel = _finite(compute_kernel(params, trace, work=work), "kernel", t, phase)
     return compute_ntk(kernel, reference, rhs=rhs, work=work)
 
 
@@ -275,15 +274,14 @@ def _checked_data(spec, kind, x, y):
     return x, y
 
 
-def _evaluate(spec, params, x, y, kind, t, phase, frozen_stats=None, work=None,
-              order=slice(None)):
+def _evaluate(params, x, y, kind, t, phase, frozen_stats=None, work=None, order=slice(None)):
     """(trace, loss, residual) at `params`: one forward pass on x, into
     `work` if given, with trace.output set; the mean loss over the rows in
     `order` of the pass; and the residual rows, of which backprop of
     _mean_gradient over the trace gives a gradient.  x and y must be checked
     (_checked_data).  Predictions and loss are checked finite; t and phase
     only label the error."""
-    trace = forward_hidden(spec, params, x, frozen_stats, work=work)
+    trace = forward_hidden(params, x, frozen_stats, work=work)
     f = _finite(forward_output(params, trace), "predictions", t, phase)
     terms, residual = _terms(kind, f, y)
     return trace, _finite(_mean_loss(kind, terms[order]), "loss", t, phase), residual
@@ -298,19 +296,20 @@ def _rows(trace, rows) -> ForwardTrace:
                         [h[rows] for h in trace.post], output=trace.output[rows])
 
 
-def estimate_lipschitz(spec, params, x, y, kind, frozen_stats=None, seed: int = 0) -> float:
+def estimate_lipschitz(params, x, y, kind, frozen_stats=None, seed: int = 0) -> float:
     """Empirical lower bound on the gradient Lipschitz constant near `params`:
     max over LIPSCHITZ_PROBES random directions d, each of length
     LIPSCHITZ_RADIUS, of ||grad(w + d) - grad(w)|| / ||d||, every gradient
     written into one Workspace."""
+    spec = params.spec
     x, y = _checked_data(spec, kind, x, y)
-    _validate_forward_shapes(spec, params, x, frozen_stats)  # the passes below trust them
+    _validate_forward_shapes(params, x, frozen_stats)  # the passes below trust them
     rng = np.random.default_rng(seed)
     work = Workspace(spec, x.shape[0])
 
     def gradient(point):
-        trace, _, res = _evaluate(spec, point, x, y, kind, None, None, frozen_stats, work=work)
-        return backprop(spec, point, trace, _mean_gradient(kind, res), work=work)
+        trace, _, res = _evaluate(point, x, y, kind, None, None, frozen_stats, work=work)
+        return backprop(point, trace, _mean_gradient(kind, res), work=work)
 
     g0 = gradient(params).copy()
     best = 0.0
@@ -408,11 +407,11 @@ def _phase_one(run, params0):
         if t:
             if own_pass:
                 idx = order[pos : pos + size]
-                batch, _, rows = _evaluate(spec, params, x[idx], y[idx], kind, t, 1, work=work)
+                batch, _, rows = _evaluate(params, x[idx], y[idx], kind, t, 1, work=work)
             else:
                 batch, rows = _rows(trace, slice(pos, pos + size)), residual[pos : pos + size]
             pos += size
-            g = backprop(spec, params, batch, _mean_gradient(kind, rows), work=work)
+            g = backprop(params, batch, _mean_gradient(kind, rows), work=work)
             if base.weight_decay:
                 g += base.weight_decay * w
             gnorm = _finite(math.sqrt(g @ g), "gradient norm", t, 1)
@@ -431,7 +430,7 @@ def _phase_one(run, params0):
                 if not own_pass:
                     inverse = np.argsort(order)
                     xs, ys = x[order], y[order]
-        trace, loss, residual = _evaluate(spec, params, xs, ys, kind, t, 1, work=work,
+        trace, loss, residual = _evaluate(params, xs, ys, kind, t, 1, work=work,
                                           order=inverse)
         if not t:
             run.log.loss_initial = run.log.best_loss = run.log.final_loss = loss
@@ -441,7 +440,7 @@ def _phase_one(run, params0):
             # rank and kernel of the pass in data order
             full = _rows(trace, inverse)
             rec.feature_rank = numerical_rank(append_ones(full.hidden))
-            rec.ntk_rank = _snapshot(spec, params, full, t, 1, work=work).rank
+            rec.ntk_rank = _snapshot(params, full, t, 1, work=work).rank
         emit(rec)
     return params
 
@@ -457,9 +456,9 @@ def _at_tau(run, params):
     # the passes at tau write into the workspace too: the statistics are
     # copies, head steps write only its kernel arrays, and lazy candidates
     # overwrite the pass only after the reference at tau is done with it
-    frozen = (batch_statistics(forward_hidden(spec, params, x, work=work))
+    frozen = (batch_statistics(forward_hidden(params, x, work=work))
               if any(spec.bn_flags) else None)
-    trace, _, residual = _evaluate(spec, params, x, y, kind, tau, 2, frozen, work=work)
+    trace, _, residual = _evaluate(params, x, y, kind, tau, 2, frozen, work=work)
     aug = append_ones(trace.hidden)
     feature_rank = numerical_rank(aug)
     if feature_rank < n:
@@ -476,7 +475,7 @@ def _at_tau(run, params):
     log.t_star, log.loss_at_t_star = tau, log.loss_at_tau
     lipschitz = cfg.lazy_lipschitz
     if cfg.phase2_mode == "lazy_full" and lipschitz is None:
-        lipschitz = max(estimate_lipschitz(spec, params, x, y, kind, frozen, seed=cfg.seed), 1e-12)
+        lipschitz = max(estimate_lipschitz(params, x, y, kind, frozen, seed=cfg.seed), 1e-12)
     return _AtTau(params, trace, residual, aug, feature_rank, dpred, lipschitz)
 
 
@@ -487,7 +486,7 @@ def _head_phase(run, at_tau):
     params.flat, in place and scoring [h, 1] z; a monitored step ranks the
     kernel of the tau pass at the current head.  Each record, with its
     squared gradient norm, goes to run.emit.  Returns the final Params."""
-    spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
+    x, y, kind, cfg, work, log = run.x, run.y, run.kind, run.cfg, run.work, run.log
     emit, monitored, tau, n = run.emit, run.monitored, cfg.tau, x.shape[0]
     params, trace, aug, dpred = at_tau.params, at_tau.trace, at_tau.aug, at_tau.dpred
     z = params.head_block()
@@ -510,7 +509,7 @@ def _head_phase(run, at_tau):
         if monitored(t - tau):
             # only the head moved, so the tau pass is the features' pass
             rec.feature_rank = at_tau.feature_rank
-            rec.ntk_rank = _snapshot(spec, params, trace, t, 2, work=work).rank
+            rec.ntk_rank = _snapshot(params, trace, t, 2, work=work).rank
         emit(rec, gsq)
     return params
 
@@ -523,7 +522,7 @@ def _lazy_phase(run, at_tau):
     rejected one halves eta_bar, up to LAZY_MAX_RETRIES times (then
     RankPreservationError); run.cert observes the reference and each
     accepted kernel before its record is built.  Returns the final Params."""
-    spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
+    x, y, kind, cfg, work, log = run.x, run.y, run.kind, run.cfg, run.work, run.log
     emit, monitored, cert, tau = run.emit, run.monitored, run.cert, cfg.tau
     params, trace, lipschitz = at_tau.params, at_tau.trace, at_tau.lipschitz
     frozen, eta_bar, total = log.frozen_stats, cfg.lazy_eta_bar, cfg.total_steps
@@ -534,10 +533,10 @@ def _lazy_phase(run, at_tau):
     # taken from it only if its bound does not settle a candidate's level
     # or a candidate's factorization fails
     bordered = cert is not None and cert.bordered
-    kernel = _finite(compute_kernel(spec, params, trace, work=work), "kernel", tau, 2)
+    kernel = _finite(compute_kernel(params, trace, work=work), "kernel", tau, 2)
     reference = compute_ntk(kernel.copy(), rhs=at_tau.residual.reshape(-1) if bordered else None,
                             work=work)
-    g = backprop(spec, params, trace, _mean_gradient(kind, at_tau.residual), work=work)
+    g = backprop(params, trace, _mean_gradient(kind, at_tau.residual), work=work)
     if cert is not None:
         cert.observe(reference, trace.output, tau)
     # candidates are written into a second buffer, swapped in on acceptance
@@ -547,8 +546,8 @@ def _lazy_phase(run, at_tau):
         event = None
         for _ in range(LAZY_MAX_RETRIES + 1):
             np.subtract(params.flat, (2.0 * eta_bar / lipschitz) * g, out=cand.flat)
-            trace, cur, residual = _evaluate(spec, cand, x, y, kind, t, 2, frozen, work=work)
-            snap = _snapshot(spec, cand, trace, t, 2, reference,
+            trace, cur, residual = _evaluate(cand, x, y, kind, t, 2, frozen, work=work)
+            snap = _snapshot(cand, trace, t, 2, reference,
                              rhs=residual.reshape(-1) if bordered else None, work=work)
             if snap.rank >= reference.rank:
                 break
@@ -562,7 +561,7 @@ def _lazy_phase(run, at_tau):
             )
         params, cand = cand, params
         if t < total:
-            g = backprop(spec, params, trace, _mean_gradient(kind, residual), work=work)
+            g = backprop(params, trace, _mean_gradient(kind, residual), work=work)
         if cert is not None:
             cert.observe(snap, trace.output, t)
         rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
@@ -574,13 +573,13 @@ def _lazy_phase(run, at_tau):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_two_phase(spec: NetworkSpec, params0: Params, dataset, base: BaseAlgoConfig,
-                  cfg: TwoPhaseConfig, kind: LossKind, monitor_every: int = 0,
-                  record_sink=None, bounds: bool = False):
+def run_two_phase(params0: Params, dataset, base: BaseAlgoConfig, cfg: TwoPhaseConfig,
+                  kind: LossKind, monitor_every: int = 0, record_sink=None,
+                  bounds: bool = False):
     """Run both phases end to end; returns (final Params, TrainLog).
 
-    Errors: ValueError before the first record unless the spec has two or
-    more hidden layers, monitor_every >= 0, X is finite, Y holds valid
+    Errors: ValueError before the first record unless params0.spec has two
+    or more hidden layers, monitor_every >= 0, X is finite, Y holds valid
     targets of `kind`, one row of m_y per sample, a momentum-SGD minibatch
     fits in n, and cfg.noise_scale is one scale or one per hidden layer.
     FeatureRankError if [h, 1] after the kick is not full row rank;
@@ -604,12 +603,11 @@ def run_two_phase(spec: NetworkSpec, params0: Params, dataset, base: BaseAlgoCon
     log.records, so a run with a sink keeps no per-step state; the log's
     running numbers (TrainLog) and certificate are kept either way.
     """
-    run = _Run(spec, dataset, base, cfg, kind, monitor_every, record_sink)
+    run = _Run(params0.spec, dataset, base, cfg, kind, monitor_every, record_sink)
     params = perturb(_phase_one(run, params0), cfg.noise_scale, run.seeds[0])
     log = run.log
     if cfg.tau == cfg.total_steps:
-        log.loss_at_tau = _evaluate(spec, params, run.x, run.y, kind, cfg.tau, 2,
-                                    work=run.work)[1]
+        log.loss_at_tau = _evaluate(params, run.x, run.y, kind, cfg.tau, 2, work=run.work)[1]
         log.t_star, log.loss_at_t_star = cfg.tau, log.loss_at_tau
         return params, log
     at_tau = _at_tau(run, params)

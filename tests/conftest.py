@@ -23,17 +23,17 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b)) / scale)
 
 
-def outputs(spec, params, x, frozen_stats=None):
+def outputs(params, x, frozen_stats=None):
     """f(X): the head outputs of the pass of params on x."""
-    return forward_output(params, forward_hidden(spec, params, x, frozen_stats))
+    return forward_output(params, forward_hidden(params, x, frozen_stats))
 
 
-def jacobian(spec, params, x, frozen_stats=None):
+def jacobian(params, x, frozen_stats=None):
     """J: the output Jacobian at the pass of params on x."""
-    return compute_jacobian(spec, params, forward_hidden(spec, params, x, frozen_stats))
+    return compute_jacobian(params, forward_hidden(params, x, frozen_stats))
 
 
-def fd_loss_grad(spec, params, x, y, kind, frozen_stats=None, step=1e-5):
+def fd_loss_grad(params, x, y, kind, frozen_stats=None, step=1e-5):
     """Central finite differences of the scalar loss over the flat parameters."""
     w = params.to_flat()
     out = np.empty_like(w)
@@ -42,25 +42,25 @@ def fd_loss_grad(spec, params, x, y, kind, frozen_stats=None, step=1e-5):
         wp[j] += step
         wm = w.copy()
         wm[j] -= step
-        fp = outputs(spec, params_from_flat(spec, wp), x, frozen_stats)
-        fm = outputs(spec, params_from_flat(spec, wm), x, frozen_stats)
+        fp = outputs(params_from_flat(params.spec, wp), x, frozen_stats)
+        fm = outputs(params_from_flat(params.spec, wm), x, frozen_stats)
         out[j] = (loss_value(kind, fp, y) - loss_value(kind, fm, y)) / (2 * step)
     return out
 
 
-def fd_jacobian(spec, params, x, frozen_stats=None, step=1e-5):
+def fd_jacobian(params, x, frozen_stats=None, step=1e-5):
     """Central finite differences of vec(f(X)^T) over the flat parameters."""
     w = params.to_flat()
     n = np.asarray(x).shape[0]
-    rows = n * spec.output_dim
+    rows = n * params.spec.output_dim
     out = np.empty((rows, w.size))
     for j in range(w.size):
         wp = w.copy()
         wp[j] += step
         wm = w.copy()
         wm[j] -= step
-        fp = outputs(spec, params_from_flat(spec, wp), x, frozen_stats)
-        fm = outputs(spec, params_from_flat(spec, wm), x, frozen_stats)
+        fp = outputs(params_from_flat(params.spec, wp), x, frozen_stats)
+        fm = outputs(params_from_flat(params.spec, wm), x, frozen_stats)
         out[:, j] = ((fp - fm) / (2 * step)).reshape(-1)
     return out
 
@@ -78,10 +78,10 @@ def unit_rows(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def features_at_tau(spec, x, log):
+def features_at_tau(x, log):
     """h at tau, the features the head phase ran on: the pass of
     log.params_at_tau under the batch statistics frozen there."""
-    return forward_hidden(spec, log.params_at_tau, x, log.frozen_stats).hidden
+    return forward_hidden(log.params_at_tau, x, log.frozen_stats).hidden
 
 
 def random_small_config(rng, allow_bn=True):

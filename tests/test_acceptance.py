@@ -71,9 +71,9 @@ def test_criterion_1_head_gd_rate_exactness():
                 base = BaseAlgoConfig(variant="gd", minibatch=n, seed=rep)
                 cfg = TwoPhaseConfig(tau=tau, total_steps=tau + 300,
                                      phase2_mode="last_layer_gd", seed=rep)
-                _, log = run_two_phase(spec, init_params(spec, rep), ds, base, cfg, SQUARED,
+                _, log = run_two_phase(init_params(spec, rep), ds, base, cfg, SQUARED,
                                        bounds=True)
-                opt = solve_last_layer_optimum(SQUARED, features_at_tau(spec, ds.x, log),
+                opt = solve_last_layer_optimum(SQUARED, features_at_tau(ds.x, log),
                                                ds.y, log.params_at_tau.head_block())
                 for r in log.phase2_records():
                     assert r.bound == gd_bound(opt.r_squared, log.l_h, r.t, tau)
@@ -107,8 +107,8 @@ def test_criterion_2_sgd_monte_carlo():
         cfg = TwoPhaseConfig(tau=tau, total_steps=tau + horizon,
                              phase2_mode="last_layer_sgd", sgd_rate_scale=0.01,
                              sgd_minibatch=8, seed=seed)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
-        opt = solve_last_layer_optimum(SQUARED, features_at_tau(spec, ds.x, log), ds.y,
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED)
+        opt = solve_last_layer_optimum(SQUARED, features_at_tau(ds.x, log), ds.y,
                                        log.params_at_tau.head_block())
         assert opt.loss_star <= 1e-12
         r2s.append(opt.r_squared)
@@ -174,9 +174,9 @@ def test_criterion_4_witness_construction():
             widths = (m_x,) + (max(n, m_x),) * (depth - 1) + (n,)
         spec = NetworkSpec(widths, 1, sharpness=100.0)
         params = construct_witness(spec, ds.x)
-        h = forward_hidden(spec, params, ds.x).hidden
+        h = forward_hidden(params, ds.x).hidden
         dominant = bool(np.all(dominance_margins(h, n) > 0.0))
-        ranked = check_expressivity(spec, params, ds.x).passed
+        ranked = check_expressivity(params, ds.x).passed
         successes += int(dominant and ranked)
     report(4, f"witness certified on {successes}/50 datasets", successes == 50)
 
@@ -189,11 +189,11 @@ def test_criterion_5_gradient_correctness():
     for _ in range(50):
         spec, params, x = random_small_config(rng, allow_bn=True)
         y = rng.standard_normal((x.shape[0], spec.output_dim))
-        trace = forward_hidden(spec, params, x)
-        g = backprop(spec, params, trace, loss_grad(SQUARED, forward_output(params, trace), y))
-        worst_grad = max(worst_grad, max_rel_err(g, fd_loss_grad(spec, params, x, y, SQUARED)))
-        jac = compute_jacobian(spec, params, trace)
-        worst_jac = max(worst_jac, max_rel_err(jac, fd_jacobian(spec, params, x)))
+        trace = forward_hidden(params, x)
+        g = backprop(params, trace, loss_grad(SQUARED, forward_output(params, trace), y))
+        worst_grad = max(worst_grad, max_rel_err(g, fd_loss_grad(params, x, y, SQUARED)))
+        jac = compute_jacobian(params, trace)
+        worst_jac = max(worst_jac, max_rel_err(jac, fd_jacobian(params, x)))
     ok = worst_grad < 1e-5 and worst_jac < 1e-5
     report(5, f"max rel err: gradient {worst_grad:.2e}, jacobian {worst_jac:.2e}", ok)
 
@@ -209,17 +209,17 @@ def test_criterion_6_ntk_structure():
         base = BaseAlgoConfig(variant="gd", minibatch=n, seed=seed)
         cfg = TwoPhaseConfig(tau=20, total_steps=170, phase2_mode="last_layer_gd",
                              seed=seed)
-        _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED)
+        _, log = run_two_phase(init_params(spec, seed), ds, base, cfg, SQUARED)
         p_tau = log.params_at_tau
-        jac = jacobian(spec, p_tau, ds.x, log.frozen_stats)
+        jac = jacobian(p_tau, ds.x, log.frozen_stats)
         ref = compute_ntk(jac @ jac.T)
         full_rank_ok &= ref.rank == n * m_y
         # head GD is deterministic: a run cut at step t ends at step t's params
         for t in range(20 + 25, 171, 25):
-            p_t, _ = run_two_phase(spec, init_params(spec, seed), ds, base,
+            p_t, _ = run_two_phase(init_params(spec, seed), ds, base,
                                    TwoPhaseConfig(tau=20, total_steps=t, seed=seed),
                                    SQUARED)
-            jac = jacobian(spec, p_t, ds.x, log.frozen_stats)
+            jac = jacobian(p_t, ds.x, log.frozen_stats)
             preserved_ok &= compute_ntk(jac @ jac.T, reference=ref).rank >= ref.rank
     ok = full_rank_ok and preserved_ok
     report(6, f"kernel rank full at tau: {full_rank_ok}; preserved along "
@@ -256,11 +256,11 @@ def test_criterion_8_two_phase_versus_base():
         base = BaseAlgoConfig(variant="sgd_momentum", learning_rate=0.01,
                               momentum=0.9, minibatch=64, weight_decay=1e-5,
                               seed=seed)
-        _, log_b = run_two_phase(spec, p0, ds, base,
+        _, log_b = run_two_phase(p0, ds, base,
                                  TwoPhaseConfig(tau=horizon, total_steps=horizon,
                                                 noise_scale=1e-3, seed=seed),
                                  CROSS_ENTROPY)
-        _, log_a = run_two_phase(spec, p0, ds, base,
+        _, log_a = run_two_phase(p0, ds, base,
                                  TwoPhaseConfig(tau=tau, total_steps=horizon,
                                                 noise_scale=1e-3,
                                                 phase2_mode="last_layer_gd", seed=seed),
@@ -328,9 +328,9 @@ def test_criterion_9_oracle_equivalence():
     traj = []
     for k in range(3):
         p = init_params(spec, seed=k)
-        traj.append((p, jacobian(spec, p, ds.x)))
+        traj.append((p, jacobian(p, ds.x)))
     basis = bounds._centering_basis(ds.y.shape[1])
-    got = max(bounds._linearized_distance(compute_ntk(jac @ jac.T), outputs(spec, p, ds.x),
+    got = max(bounds._linearized_distance(compute_ntk(jac @ jac.T), outputs(p, ds.x),
                                           ds.y, SQUARED, basis)
               for p, jac in traj)
     worst = 0.0

@@ -278,8 +278,8 @@ class TestOneDecomposition:
 
         kind, h, y, anchor = self._problem(rng, targets)
         ds, spec, params = _interpolating_setup(seed=3)
-        jac = jacobian(spec, params, ds.x)
-        snap, f = compute_ntk(jac @ jac.T), outputs(spec, params, ds.x)
+        jac = jacobian(params, ds.x)
+        snap, f = compute_ntk(jac @ jac.T), outputs(params, ds.x)
         lazy_y = ds.y if kind is SQUARED else _soft_targets(rng, *ds.y.shape)
         monkeypatch.setattr(np, "kron", refuse)
         solve_last_layer_optimum(kind, h, y, anchor)
@@ -359,7 +359,7 @@ def _interpolating_setup(seed=0):
     ds = synth_gen(4, 3, 2, 0.05, "regression", seed=seed)
     spec = NetworkSpec((3, 6, 6), 2, sharpness=10.0)
     params = init_params(spec, seed=seed)
-    h = forward_hidden(spec, params, ds.x).hidden
+    h = forward_hidden(params, ds.x).hidden
     aug = np.hstack([h, np.ones((4, 1))])
     z = min_norm_solve(aug, ds.y, np.zeros((7, 2)))
     params.head_block()[...] = z
@@ -369,15 +369,15 @@ def _interpolating_setup(seed=0):
 class TestEstimateRBar:
     def test_feasible_anchor_gives_zero(self):
         ds, spec, params = _interpolating_setup()
-        jac = jacobian(spec, params, ds.x)
-        f = outputs(spec, params, ds.x)
+        jac = jacobian(params, ds.x)
+        f = outputs(params, ds.x)
         assert _distance(compute_ntk(jac @ jac.T), f, ds.y, SQUARED) <= 1e-8
 
     def test_singleton_matches_direct_solve(self, rng):
         ds, spec, params = _interpolating_setup(seed=1)
         params.weights[-1][:] = params.weights[-1] + rng.standard_normal(params.weights[-1].shape)
-        jac = jacobian(spec, params, ds.x)
-        got = _distance(compute_ntk(jac @ jac.T), outputs(spec, params, ds.x), ds.y, SQUARED)
+        jac = jacobian(params, ds.x)
+        got = _distance(compute_ntk(jac @ jac.T), outputs(params, ds.x), ds.y, SQUARED)
         anchor = masked_flat(params).reshape(-1, 1)
         omega = min_norm_solve(jac, ds.y.reshape(-1, 1), anchor)
         assert got == pytest.approx(float(np.linalg.norm(anchor - omega)), rel=1e-12)
@@ -388,8 +388,8 @@ class TestEstimateRBar:
         for _ in range(3):
             p = params.copy()
             p.weights[-1][:] = p.weights[-1] + 0.3 * rng.standard_normal(p.weights[-1].shape)
-            traj.append((p, jacobian(spec, p, ds.x)))
-        got = max(_distance(compute_ntk(jac @ jac.T), outputs(spec, p, ds.x), ds.y, SQUARED)
+            traj.append((p, jacobian(p, ds.x)))
+        got = max(_distance(compute_ntk(jac @ jac.T), outputs(p, ds.x), ds.y, SQUARED)
                   for p, jac in traj)
         worst = 0.0
         for p, jac in traj:
@@ -404,10 +404,10 @@ class TestEstimateRBar:
         # with J w = vec(log Y) + a per-sample constant, and descent from the
         # anchor converges to the one nearest it
         ds, spec, params = _interpolating_setup(seed=3)
-        jac = jacobian(spec, params, ds.x)
+        jac = jacobian(params, ds.x)
         y = np.abs(ds.y) + 0.5
         y /= y.sum(axis=1, keepdims=True)
-        got = _distance(compute_ntk(jac @ jac.T), outputs(spec, params, ds.x), y,
+        got = _distance(compute_ntk(jac @ jac.T), outputs(params, ds.x), y,
                         CROSS_ENTROPY)
         n, m_y = y.shape
         anchor = masked_flat(params).reshape(-1, 1)
@@ -421,10 +421,10 @@ class TestEstimateRBar:
 
     def test_cross_entropy_zero_target_is_infinite(self, monkeypatch):
         ds, spec, params = _interpolating_setup(seed=3)
-        jac = jacobian(spec, params, ds.x)
+        jac = jacobian(params, ds.x)
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
-        f = outputs(spec, params, ds.x)
+        f = outputs(params, ds.x)
         assert _distance(compute_ntk(jac @ jac.T), f, y, CROSS_ENTROPY) == np.inf
         assert not calls
 
@@ -441,11 +441,11 @@ class TestEstimateRBar:
         ds, spec, params = _interpolating_setup(seed=3)
         x = ds.x.copy()
         x[3] = x[0]
-        jac = jacobian(spec, params, x)
+        jac = jacobian(params, x)
         y = np.eye(2)[[0, 1, 1, 0]]
         calls = _count_loss_grad(monkeypatch)
         with pytest.raises(RankDeficientError, match="rank 6 < 8"):
-            _distance(compute_ntk(jac @ jac.T), outputs(spec, params, x), y, kind)
+            _distance(compute_ntk(jac @ jac.T), outputs(params, x), y, kind)
         assert not calls
 
 
@@ -471,9 +471,9 @@ class TestCheckBounds:
         base = BaseAlgoConfig(variant="gd", minibatch=10, seed=seed)
         cfg = TwoPhaseConfig(tau=10, total_steps=110, phase2_mode=mode, sgd_minibatch=4,
                              seed=seed)
-        _, log = run_two_phase(spec, init_params(spec, seed), ds, base, cfg, SQUARED,
+        _, log = run_two_phase(init_params(spec, seed), ds, base, cfg, SQUARED,
                                bounds=True)
-        opt = solve_last_layer_optimum(SQUARED, features_at_tau(spec, ds.x, log), ds.y,
+        opt = solve_last_layer_optimum(SQUARED, features_at_tau(ds.x, log), ds.y,
                                        log.params_at_tau.head_block())
         return opt, log, gsq
 
@@ -501,8 +501,8 @@ class TestCheckBounds:
         p0.biases[-1][:] = 0.0
         base = BaseAlgoConfig(variant="gd", minibatch=6, seed=4)
         cfg = TwoPhaseConfig(tau=0, total_steps=50, phase2_mode="last_layer_gd", seed=4)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
-        opt = solve_last_layer_optimum(SQUARED, features_at_tau(spec, ds.x, log), ds.y,
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED)
+        opt = solve_last_layer_optimum(SQUARED, features_at_tau(ds.x, log), ds.y,
                                        log.params_at_tau.head_block())
         assert opt.r_squared <= 1e-18
         for rec in log.phase2_records():
@@ -550,7 +550,7 @@ class TestCheckBounds:
         base = BaseAlgoConfig(variant="gd", minibatch=6, seed=7)
         cfg = TwoPhaseConfig(tau=4, total_steps=14, phase2_mode="lazy_full",
                              lazy_eta_bar=0.3, seed=7)
-        _, log = run_two_phase(spec, init_params(spec, 7), ds, base, cfg, SQUARED,
+        _, log = run_two_phase(init_params(spec, 7), ds, base, cfg, SQUARED,
                                monitor_every=2, bounds=True)
         return log, distances
 
@@ -581,7 +581,7 @@ class TestCheckBounds:
         base = BaseAlgoConfig(variant="gd", minibatch=10, seed=11)
         cfg = TwoPhaseConfig(tau=4, total_steps=14, phase2_mode="lazy_full",
                              lazy_eta_bar=0.3, seed=11)
-        _, log = run_two_phase(spec, init_params(spec, 11), ds, base, cfg, SQUARED,
+        _, log = run_two_phase(init_params(spec, 11), ds, base, cfg, SQUARED,
                                monitor_every=3, bounds=True)
         assert len(bordered) == 11 + len(log.rank_events)
         rows, eps = ds.y.size, np.finfo(np.float64).eps

@@ -15,6 +15,7 @@ from conftest import jacobian, masked_flat, outputs
 
 import twophase.bounds as bounds
 import twophase.cli as cli
+import twophase.expressivity as expressivity
 import twophase.losses as losses
 import twophase.trainer as trainer
 from twophase.data import load_csv, save_csv, synth_gen
@@ -136,11 +137,16 @@ class TestConfig:
         ("train", {"monitor_every": -1}, [], "monitor_every"),
         ("train", {}, ["--monitor-every", "-3"], "monitor_every"),
         ("train", {"network": {"hidden_widths": []}}, [], "'network.hidden_widths'"),
-    ], ids=["witness", "monitor_every", "monitor_every_flag", "hidden_widths"])
+        ("train", {"network": {"bn": [True]}}, [], "network.bn lists 1 flags for 2"),
+        ("train", {"network": {"depth": 0}}, [], "network.depth"),
+        ("train", {"data": {"source": "csv"}}, [], "data.path"),
+        ("train", {"data": {"source": "sql"}}, [], "data.source 'sql'"),
+    ], ids=["witness", "monitor_every", "monitor_every_flag", "hidden_widths", "bn_flags",
+            "depth", "csv_path", "source"])
     def test_value_out_of_range_is_a_config_error(self, tmp_path, capsys, command, sections,
                                                   flags, key):
-        # each used to run: the witness on, monitoring off, or widths from
-        # the depth and feature_width_factor
+        # the first four each used to run: the witness on, monitoring off,
+        # or widths from the depth and feature_width_factor
         path = write_config(tmp_path, **small_train_sections(**sections))
         out = tmp_path / "o"
         assert cli.main([command, "--config", path, "--out", str(out), *flags]) == 1
@@ -245,7 +251,7 @@ class TestVerify:
         assert report["distinguishability"]["violating_pair"] == [0, 1]
         assert "distinguishability" in report["distinguishability"]["note"]
 
-    def test_witness_precondition_note_is_the_construction_error(self, tmp_path):
+    def test_witness_precondition_note_is_the_construction_error(self, tmp_path, monkeypatch):
         path = write_config(
             tmp_path,
             data={"n": 8, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.05},
@@ -257,6 +263,14 @@ class TestVerify:
         witness = json.loads((out / "verify.json").read_text())["witness"]
         assert not witness["attempted"] and witness["passed"] is None
         assert "batch normalization" in witness["note"]
+        # a construction that never reaches dominance is attempted and fails
+        monkeypatch.setattr(expressivity, "dominance_margins", lambda h, n: -np.ones(n))
+        path = write_config(tmp_path, data={"n": 16}, network={"hidden_widths": [8, 18]},
+                            base={"minibatch": 8}, two_phase={"total_steps": 40})
+        assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+        witness = json.loads((out / "verify.json").read_text())["witness"]
+        assert witness.pop("note").startswith("no numerically certified diagonal dominance")
+        assert witness == {"attempted": True, "passed": False, "rank": None, "proved": None}
 
     def test_witness_off_skips_the_construction(self, tmp_path, monkeypatch):
         def unexpected(*args, **kwargs):
@@ -526,7 +540,7 @@ class TestTrain:
             cut = json.loads(json.dumps(cfg))
             cut["two_phase"]["total_steps"] = t
             params, _ = cli._train_once(cut, ds, spec)
-            jac = jacobian(spec, params, ds.x)
+            jac = jacobian(params, ds.x)
             distances.append(self._linearized_distance(jac, params, ds.y, loss))
             # squared loss: the distance the bordered rank certificate gives,
             # sqrt(r^T (K - 4 m I)^-1 r), m the certificate's level (at tau
@@ -535,7 +549,7 @@ class TestTrain:
             if t == 20:
                 tolerance = rows * eps * np.linalg.eigvalsh(k)[-1]
             level = max(tolerance if t > 20 else 0.0, rows * eps * np.trace(k))
-            r = (outputs(spec, params, ds.x) - ds.y).reshape(-1)
+            r = (outputs(params, ds.x) - ds.y).reshape(-1)
             shifted.append(float(np.sqrt(r @ np.linalg.solve(k - 4.0 * level * np.eye(rows), r))))
         assert int(np.argmax(distances)) % 2 == 1
         if loss == "squared":
@@ -820,11 +834,13 @@ class TestSweep:
 
 class TestUnusablePaths:
     @pytest.mark.parametrize("command", ["verify", "train", "sweep", "gen-data"])
-    @pytest.mark.parametrize("case", ["config_is_a_directory", "out_is_a_file",
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "config_is_not_json",
+                                      "config_is_an_array", "out_is_a_file",
                                       "out_under_a_file"])
     def test_exit_one_before_any_work(self, tmp_path, capsys, monkeypatch, command, case):
-        # a config that cannot be read or an output directory that cannot be
-        # made is the config's error, found before training or verifying
+        # a config that cannot be read or loaded, or an output directory that
+        # cannot be made, is the config's error, found before training or
+        # verifying
         ran = []
         for name in ("run_two_phase", "check_distinguishability",
                      "expressivity_trials", "save_csv"):
@@ -839,14 +855,20 @@ class TestUnusablePaths:
         config = write_config(tmp_path, **sections)
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
+        why = ""
         if case == "config_is_a_directory":
             config, out, named = str(tmp_path), str(tmp_path / "out"), str(tmp_path)
+        elif case.startswith("config_is"):
+            bad = tmp_path / "bad.json"
+            bad.write_text("{'seed': 0}\n" if case == "config_is_not_json" else "[1, 2]\n")
+            config, out, named = str(bad), str(tmp_path / "out"), str(bad)
+            why = "not valid JSON" if case == "config_is_not_json" else "must be a JSON object"
         else:
             out = str(taken if case == "out_is_a_file" else taken / "sub")
             named = out
         assert cli.main([command, "--config", config, "--out", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and named in err
+        assert err.startswith("config error:") and named in err and why in err
         assert ran == []
         assert taken.read_text() == "not a directory\n"
 

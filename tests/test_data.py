@@ -55,6 +55,12 @@ class TestSynthGen:
         monkeypatch.setattr(data, "_sphere_points", drawing)
         with pytest.raises(ValueError, match=f"holds at most {most} points at margin {c_min}"):
             synth_gen(n, m_x, 1, c_min, "regression", seed=0)
+        # so are arguments outside the sampler's domain
+        for args, match in (((n, m_x, 1, 1.0, "regression"), r"c_min must lie in \(0, 1\)"),
+                            ((n, 0, 1, c_min, "regression"), "must all be >= 1"),
+                            ((n, m_x, 1, c_min, "ordinal"), "unknown target kind 'ordinal'")):
+            with pytest.raises(ValueError, match=match):
+                synth_gen(*args, seed=0)
 
     def test_packing_limit_admits_known_packings(self):
         # the cross-polytope: 2 m_x points at right angles
@@ -108,11 +114,16 @@ class TestSynthGen:
 class TestCsv:
     def test_parse_class_index(self, tmp_path):
         p = tmp_path / "toy.csv"
-        p.write_text("1,0,1\n0,1,0\n")
+        p.write_text("1,0,1\n\n0,1,0\n")  # a blank line is skipped
         ds = load_csv(p, m_x=2, kind="class_index")
         np.testing.assert_array_equal(ds.x, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(ds.labels, [1, 0])
         np.testing.assert_array_equal(ds.y, [[0.0, 1.0], [1.0, 0.0]])
+        for text, match in (("1,0,1,0\n", "exactly one target column"),
+                            ("1,0,0.5\n", "must be integers")):
+            p.write_text(text)
+            with pytest.raises(ValueError, match=match):
+                load_csv(p, m_x=2, kind="class_index")
 
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -124,6 +135,9 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("1,2,3\n4,x,6\n")
         with pytest.raises(ValueError, match="bad.csv:2"):
+            load_csv(p, m_x=2)
+        p.write_text("1,2,3\n4,5\n")  # no target cell
+        with pytest.raises(ValueError, match="bad.csv:2: expected 2 feature columns"):
             load_csv(p, m_x=2)
 
     def test_nonfinite_rejected(self, tmp_path):
@@ -146,6 +160,9 @@ class TestCsv:
         back = load_csv(p, m_x=3, kind=kind, m_y=2 if kind != "regression" else None)
         np.testing.assert_allclose(back.x, ds.x, atol=1e-12)
         np.testing.assert_allclose(back.y, ds.y, atol=1e-12)
+        if kind != "class_index":
+            with pytest.raises(ValueError, match="expected 3 target columns, found 2"):
+                load_csv(p, m_x=3, kind=kind, m_y=3)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):

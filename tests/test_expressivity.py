@@ -56,7 +56,7 @@ class TestCheckExpressivity:
     def test_dimension_bound_forces_failure(self, rng):
         spec = NetworkSpec((3, 2), 1)  # m_H + 1 = 3 < n = 4
         p = random_params(spec, rng, 1.0)
-        rep = check_expressivity(spec, p, rng.standard_normal((4, 3)))
+        rep = check_expressivity(p, rng.standard_normal((4, 3)))
         assert not rep.passed and rep.rank <= 3
 
     def test_duplicate_inputs_fail_without_bn(self, rng):
@@ -64,16 +64,16 @@ class TestCheckExpressivity:
         p = random_params(spec, rng, 1.0)
         x = rng.standard_normal((4, 3))
         x[1] = x[0]
-        rep = check_expressivity(spec, p, x)
+        rep = check_expressivity(p, x)
         assert not rep.passed
 
     def test_pass_implies_gram_above_zero(self, rng):
         spec = NetworkSpec((4, 8), 1, sharpness=2.0)
         p = random_params(spec, rng, 1.0)
         x = unit_rows(rng.standard_normal((5, 4)))
-        rep = check_expressivity(spec, p, x)
+        rep = check_expressivity(p, x)
         if rep.passed:
-            aug = np.hstack([forward_hidden(spec, p, x).hidden, np.ones((5, 1))])
+            aug = np.hstack([forward_hidden(p, x).hidden, np.ones((5, 1))])
             assert np.linalg.det(aug @ aug.T) > 0.0
 
     def test_one_decomposition_per_check(self, rng, monkeypatch):
@@ -88,11 +88,11 @@ class TestCheckExpressivity:
         spec = NetworkSpec((3, 8), 1, sharpness=5.0)
         p = random_params(spec, rng, 1.0)
         x = rng.standard_normal((6, 3))
-        rep = check_expressivity(spec, p, x)
+        rep = check_expressivity(p, x)
         assert rep.passed and rep.proved
         assert counts == {"svd": 0, "cholesky": 1}
         x[5] = x[0]  # a repeated sample repeats its feature row
-        rep = check_expressivity(spec, p, x)
+        rep = check_expressivity(p, x)
         assert rep.rank == 5 and not rep.passed and not rep.proved
         assert counts == {"svd": 1, "cholesky": 2}
 
@@ -104,7 +104,7 @@ class TestCheckExpressivity:
         monkeypatch.setattr(np.linalg, "det", refuse)
         monkeypatch.setattr(np.linalg, "slogdet", refuse)
         spec = NetworkSpec((3, 8), 1, sharpness=5.0)
-        rep = check_expressivity(spec, random_params(spec, rng, 1.0),
+        rep = check_expressivity(random_params(spec, rng, 1.0),
                                  rng.standard_normal((6, 3)))
         assert rep.passed and rep.rank == 6
 
@@ -114,24 +114,24 @@ class TestWitness:
         spec = NetworkSpec((2, 2, 2), 1, sharpness=100.0)
         x = np.eye(2)
         w = construct_witness(spec, x)
-        h = forward_hidden(spec, w, x).hidden
+        h = forward_hidden(w, x).hidden
         assert np.all(dominance_margins(h, 2) > 0.0)
-        assert check_expressivity(spec, w, x).passed
+        assert check_expressivity(w, x).passed
 
     def test_single_sample(self):
         spec = NetworkSpec((3, 3, 3), 1, sharpness=100.0)
         x = np.array([[0.6, 0.8, 0.0]])
         w = construct_witness(spec, x)
-        assert check_expressivity(spec, w, x).passed
+        assert check_expressivity(w, x).passed
 
     def test_narrow_case_passes_rank_check(self):
         # first widths match the input dim, only the last hidden layer is wide
         ds = synth_gen(6, 3, 1, 0.05, "regression", seed=21)
         spec = NetworkSpec((3, 3, 3, 6), 1, sharpness=100.0)
         w = construct_witness(spec, ds.x)
-        h = forward_hidden(spec, w, ds.x).hidden
+        h = forward_hidden(w, ds.x).hidden
         assert np.all(dominance_margins(h, 6) > 0.0)
-        assert check_expressivity(spec, w, ds.x).passed
+        assert check_expressivity(w, ds.x).passed
 
     def test_wide_case_uses_input_copies_in_first_layer(self):
         ds = synth_gen(4, 6, 1, 0.05, "regression", seed=22)
@@ -142,7 +142,7 @@ class TestWitness:
         scale = col0 @ ds.x[0]
         assert scale > 0
         np.testing.assert_allclose(col0, scale * ds.x[0], atol=1e-9)
-        assert check_expressivity(spec, w, ds.x).passed
+        assert check_expressivity(w, ds.x).passed
 
     def test_bn_architecture_rejected(self):
         spec = NetworkSpec((3, 3, 6), 1, bn_flags=(True, False))
@@ -194,7 +194,7 @@ class TestProbabilistic:
         children = np.random.SeedSequence(7).spawn(50)
         for child in children[:10]:
             p = random_params(spec, np.random.default_rng(child), scale=1.0)
-            h = forward_hidden(spec, p, x).hidden
+            h = forward_hidden(p, x).hidden
             aug = np.hstack([h, np.ones((4, 1))])
             assert np.linalg.det(aug @ aug.T) > 0.0
 

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import fd_loss_grad, max_rel_err, random_small_config
 
+from twophase import bounds, cli, data, expressivity, linalg, losses, network, ntk, trainer
+from twophase.expressivity import check_expressivity
 from twophase.losses import SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
@@ -25,6 +27,7 @@ from twophase.network import (
     softplus_deriv,
 )
 from twophase.ntk import compute_jacobian, compute_kernel
+from twophase.trainer import estimate_lipschitz, run_two_phase
 
 
 class TestSoftplus:
@@ -128,7 +131,7 @@ class TestBatchNorm:
 class TestForward:
     def test_zero_parameters_constant_features(self):
         spec = NetworkSpec((3, 4), 1, sharpness=50.0)
-        h = forward_hidden(spec, params_zero(spec), np.ones((5, 3))).hidden
+        h = forward_hidden(params_zero(spec), np.ones((5, 3))).hidden
         np.testing.assert_allclose(h, np.log(2.0) / 50.0, atol=1e-15)
 
     def test_identity_chain_is_iterated_softplus(self):
@@ -140,7 +143,7 @@ class TestForward:
         p.biases[0][:] = alpha
         p.weights[1][:] = np.eye(3)
         x = np.array([[0.2, -0.4, 1.1]])
-        h = forward_hidden(spec, p, x).hidden
+        h = forward_hidden(p, x).hidden
         want = softplus(softplus(x + alpha, 10.0), 10.0)
         np.testing.assert_allclose(h, want, atol=1e-14)
 
@@ -149,37 +152,37 @@ class TestForward:
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((6, 4))
         perm = rng.permutation(6)
-        h = forward_hidden(spec, p, x).hidden
-        hp = forward_hidden(spec, p, x[perm]).hidden
+        h = forward_hidden(p, x).hidden
+        hp = forward_hidden(p, x[perm]).hidden
         np.testing.assert_array_equal(hp, h[perm])
 
     def test_bn_couples_rows_across_batch(self, rng):
         spec = NetworkSpec((3, 4), 1, sharpness=10.0, bn_flags=(True,))
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((5, 3))
-        h = forward_hidden(spec, p, x).hidden
+        h = forward_hidden(p, x).hidden
         x2 = x.copy()
         x2[0] += 1.0
-        h2 = forward_hidden(spec, p, x2).hidden
+        h2 = forward_hidden(p, x2).hidden
         assert not np.allclose(h2[1:], h[1:])  # other rows move through the stats
 
     def test_frozen_stats_decouple_rows(self, rng):
         spec = NetworkSpec((3, 4), 1, sharpness=10.0, bn_flags=(True,))
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((5, 3))
-        stats = batch_statistics(forward_hidden(spec, p, x))
-        h = forward_hidden(spec, p, x, frozen_stats=stats).hidden
+        stats = batch_statistics(forward_hidden(p, x))
+        h = forward_hidden(p, x, frozen_stats=stats).hidden
         x2 = x.copy()
         x2[0] += 1.0
-        h2 = forward_hidden(spec, p, x2, frozen_stats=stats).hidden
+        h2 = forward_hidden(p, x2, frozen_stats=stats).hidden
         np.testing.assert_array_equal(h2[1:], h[1:])
 
     def test_trace_reproducible_bit_exact(self, rng):
         spec = NetworkSpec((3, 4, 2), 2, sharpness=30.0, bn_flags=(True, False))
         p = random_params(spec, rng, 0.6)
         x = rng.standard_normal((4, 3))
-        t1 = forward_hidden(spec, p, x)
-        t2 = forward_hidden(spec, p, x)
+        t1 = forward_hidden(p, x)
+        t2 = forward_hidden(p, x)
         for a, b in zip(t1.post, t2.post):
             np.testing.assert_array_equal(a, b)
 
@@ -187,13 +190,13 @@ class TestForward:
         spec = NetworkSpec((3, 4), 1)
         p = random_params(spec, rng, 1.0)
         with pytest.raises(ValueError, match="layer 1"):
-            forward_hidden(spec, p, np.zeros((2, 5)))
+            forward_hidden(p, np.zeros((2, 5)))
 
     def test_non_finite_input_rejected(self, rng):
         spec = NetworkSpec((3, 4), 1)
         p = random_params(spec, rng, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            forward_hidden(spec, p, np.array([[0.0, np.nan, 1.0]]))
+            forward_hidden(p, np.array([[0.0, np.nan, 1.0]]))
 
 
 class TestForwardOutput:
@@ -202,14 +205,14 @@ class TestForwardOutput:
         p = random_params(spec, rng, 0.8)
         p.weights[-1][:] = 0.0
         p.biases[-1][:] = np.array([[2.5, -1.0]])
-        f = forward_output(p, forward_hidden(spec, p, rng.standard_normal((6, 3))))
+        f = forward_output(p, forward_hidden(p, rng.standard_normal((6, 3))))
         np.testing.assert_allclose(f, np.tile([2.5, -1.0], (6, 1)), atol=1e-15)
 
     def test_head_vectorization_identity(self, rng):
         # f(x)^T equals (I kron [h, 1]) applied to the flat head block
         spec = NetworkSpec((3, 5), 3, sharpness=10.0)
         p = random_params(spec, rng, 0.9)
-        trace = forward_hidden(spec, p, rng.standard_normal((4, 3)))
+        trace = forward_hidden(p, rng.standard_normal((4, 3)))
         h, f = trace.hidden, forward_output(p, trace)
         head_flat = np.vstack([p.weights[-1], p.biases[-1]]).ravel(order="F")
         for i in range(4):
@@ -220,7 +223,7 @@ class TestForwardOutput:
     def test_matches_triple_loop_matmul_oracle(self, rng):
         spec = NetworkSpec((2, 3), 2, sharpness=5.0)
         p = random_params(spec, rng, 1.0)
-        trace = forward_hidden(spec, p, rng.standard_normal((3, 2)))
+        trace = forward_hidden(p, rng.standard_normal((3, 2)))
         h, f = trace.hidden, forward_output(p, trace)
         for i in range(3):
             for k in range(2):
@@ -241,7 +244,7 @@ class TestForwardOutput:
         mix.weights[-1][:] = lam * p.weights[-1] + (1 - lam) * q.weights[-1]
         mix.biases[-1][:] = lam * p.biases[-1] + (1 - lam) * q.biases[-1]
         # the head does not enter the pass, so one trace serves all three
-        trace = forward_hidden(spec, p, x)
+        trace = forward_hidden(p, x)
         f_mix = forward_output(mix, trace)
         f_lin = lam * forward_output(p, trace) + (1 - lam) * forward_output(q, trace)
         assert max_rel_err(f_mix, f_lin) < 1e-12
@@ -312,7 +315,7 @@ class TestBackprop:
     def test_zero_upstream_gives_zero(self, rng):
         spec = NetworkSpec((3, 4), 2)
         p = random_params(spec, rng, 1.0)
-        g = backprop(spec, p, forward_hidden(spec, p, rng.standard_normal((4, 3))),
+        g = backprop(p, forward_hidden(p, rng.standard_normal((4, 3))),
                      np.zeros((4, 2)))
         np.testing.assert_array_equal(g, np.zeros(spec.param_count()))
 
@@ -321,8 +324,8 @@ class TestBackprop:
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((6, 3))
         up = rng.standard_normal((6, 2))
-        trace = forward_hidden(spec, p, x)
-        h, g = trace.hidden, backprop(spec, p, trace, up)
+        trace = forward_hidden(p, x)
+        h, g = trace.hidden, backprop(p, trace, up)
         head = spec.head_param_count()
         want = np.vstack([h.T @ up, up.sum(axis=0, keepdims=True)]).ravel(order="F")
         np.testing.assert_allclose(g[-head:], want, atol=1e-12)
@@ -332,9 +335,9 @@ class TestBackprop:
         p = random_params(spec, rng, 0.7)
         x = rng.standard_normal((5, 4))
         y = rng.standard_normal((5, 2))
-        trace = forward_hidden(spec, p, x)
-        g = backprop(spec, p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
-        fd = fd_loss_grad(spec, p, x, y, SQUARED)
+        trace = forward_hidden(p, x)
+        g = backprop(p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
+        fd = fd_loss_grad(p, x, y, SQUARED)
         assert max_rel_err(g, fd) < 1e-5
 
     def test_gradient_with_frozen_stats_vs_finite_differences(self, rng):
@@ -342,10 +345,10 @@ class TestBackprop:
         p = random_params(spec, rng, 0.7)
         x = rng.standard_normal((5, 3))
         y = rng.standard_normal((5, 1))
-        stats = batch_statistics(forward_hidden(spec, p, x))
-        trace = forward_hidden(spec, p, x, frozen_stats=stats)
-        g = backprop(spec, p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
-        fd = fd_loss_grad(spec, p, x, y, SQUARED, frozen_stats=stats)
+        stats = batch_statistics(forward_hidden(p, x))
+        trace = forward_hidden(p, x, frozen_stats=stats)
+        g = backprop(p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
+        fd = fd_loss_grad(p, x, y, SQUARED, frozen_stats=stats)
         assert max_rel_err(g, fd) < 1e-5
 
     def test_many_random_configurations(self):
@@ -353,28 +356,41 @@ class TestBackprop:
         for _ in range(12):
             spec, p, x = random_small_config(rng)
             y = rng.standard_normal((x.shape[0], spec.output_dim))
-            trace = forward_hidden(spec, p, x)
-            g = backprop(spec, p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
-            fd = fd_loss_grad(spec, p, x, y, SQUARED)
+            trace = forward_hidden(p, x)
+            g = backprop(p, trace, loss_grad(SQUARED, forward_output(p, trace), y))
+            fd = fd_loss_grad(p, x, y, SQUARED)
             assert max_rel_err(g, fd) < 1e-5
 
     def test_upstream_shape_checked(self, rng):
         spec = NetworkSpec((3, 4), 2)
         p = random_params(spec, rng, 1.0)
         with pytest.raises(ValueError, match="upstream"):
-            backprop(spec, p, forward_hidden(spec, p, rng.standard_normal((4, 3))),
+            backprop(p, forward_hidden(p, rng.standard_normal((4, 3))),
                      np.zeros((4, 3)))
 
 
 class TestTraceFirst:
     def test_pass_consumers_take_the_trace_of_forward_hidden(self):
         # forward_hidden is the one function that runs a pass; the others
-        # read the inputs and any frozen statistics from its trace
-        for fn, names in ((forward_output, ["params", "trace"]),
-                          (backprop, ["spec", "params", "trace", "upstream", "work"]),
-                          (compute_kernel, ["spec", "params", "trace", "work"]),
-                          (compute_jacobian, ["spec", "params", "trace"])):
+        # read the inputs and any frozen statistics from its trace, and
+        # every one reads the architecture from params.spec
+        for fn, names in (
+                (forward_hidden, ["params", "x", "frozen_stats", "work"]),
+                (forward_output, ["params", "trace"]),
+                (backprop, ["params", "trace", "upstream", "work"]),
+                (compute_kernel, ["params", "trace", "work"]),
+                (compute_jacobian, ["params", "trace"]),
+                (check_expressivity, ["params", "x"]),
+                (estimate_lipschitz, ["params", "x", "y", "kind", "frozen_stats", "seed"]),
+                (run_two_phase, ["params0", "dataset", "base", "cfg", "kind", "monitor_every",
+                                 "record_sink", "bounds"])):
             assert list(inspect.signature(fn).parameters) == names, fn.__name__
+        for module in (bounds, cli, data, expressivity, linalg, losses, network, ntk, trainer):
+            for name in module.__all__:
+                obj = getattr(module, name)
+                if inspect.isfunction(obj):
+                    params = set(inspect.signature(obj).parameters)
+                    assert not ("spec" in params and params & {"params", "params0"}), name
 
     def test_frozen_statistics_come_from_the_trace(self, rng):
         # a gradient at a frozen-statistics pass differentiates through no
@@ -383,10 +399,10 @@ class TestTraceFirst:
         p = random_params(spec, rng, 0.7)
         x = rng.standard_normal((5, 3))
         up = rng.standard_normal((5, 2))
-        training = forward_hidden(spec, p, x)
-        frozen = forward_hidden(spec, p, x, batch_statistics(training))
+        training = forward_hidden(p, x)
+        frozen = forward_hidden(p, x, batch_statistics(training))
         assert frozen.frozen_stats is not None and training.frozen_stats is None
-        g_frozen, g_training = backprop(spec, p, frozen, up), backprop(spec, p, training, up)
+        g_frozen, g_training = backprop(p, frozen, up), backprop(p, training, up)
         head = spec.head_param_count()
         np.testing.assert_array_equal(g_frozen[-head:], g_training[-head:])
         assert not np.allclose(g_frozen[:-head], g_training[:-head])
@@ -400,23 +416,23 @@ class TestWorkspace:
         rng = np.random.default_rng(2718)
         for _ in range(12):
             spec, p, x = random_small_config(rng)
-            stats = batch_statistics(forward_hidden(spec, p, x)) if frozen else None
+            stats = batch_statistics(forward_hidden(p, x)) if frozen else None
             up = rng.standard_normal((x.shape[0], spec.output_dim))
             work = Workspace(spec, x.shape[0] + 3)
             for _ in range(2):
-                want = forward_hidden(spec, p, x, stats)
-                got = forward_hidden(spec, p, x, stats, work=work)
+                want = forward_hidden(p, x, stats)
+                got = forward_hidden(p, x, stats, work=work)
                 for a, b in zip(got.affine + got.post, want.affine + want.post):
                     assert np.array_equal(a, b)
-                g = backprop(spec, p, got, up, work=work)
+                g = backprop(p, got, up, work=work)
                 assert g is work.grad
-                assert np.array_equal(g, backprop(spec, p, want, up))
+                assert np.array_equal(g, backprop(p, want, up))
 
     def test_trace_and_gradient_live_in_the_workspace(self, rng):
         spec = NetworkSpec((3, 4, 5), 2, sharpness=10.0)
         p = random_params(spec, rng, 0.8)
         work = Workspace(spec, 6)
-        trace = forward_hidden(spec, p, rng.standard_normal((6, 3)), work=work)
+        trace = forward_hidden(p, rng.standard_normal((6, 3)), work=work)
         assert all(np.shares_memory(a, b) for a, b in zip(trace.post, work.post))
         assert all(np.shares_memory(a, b) for a, b in zip(trace.affine, work.affine))
 
@@ -429,9 +445,9 @@ class TestWithoutAWorkspace:
         for _ in range(12):
             spec, p, x = random_small_config(rng)
             up = rng.standard_normal((x.shape[0], spec.output_dim))
-            first, second = forward_hidden(spec, p, x), forward_hidden(spec, p, x)
-            g1, g2 = backprop(spec, p, first, up), backprop(spec, p, second, up)
-            k1, k2 = compute_kernel(spec, p, first), compute_kernel(spec, p, second)
+            first, second = forward_hidden(p, x), forward_hidden(p, x)
+            g1, g2 = backprop(p, first, up), backprop(p, second, up)
+            k1, k2 = compute_kernel(p, first), compute_kernel(p, second)
             traced = first.affine + first.post
             for a in traced:
                 for b in second.affine + second.post + [g1, g2, k1, k2]:

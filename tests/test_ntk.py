@@ -251,9 +251,9 @@ class TestComputeKernel:
         rng = np.random.default_rng({"none": 31, "frozen": 32, "training": 33}[bn])
         for _ in range(20):
             spec, p, x = random_small_config(rng, allow_bn=bn != "none")
-            stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
-            trace = forward_hidden(spec, p, x, stats)
-            jac, kernel = compute_jacobian(spec, p, trace), compute_kernel(spec, p, trace)
+            stats = batch_statistics(forward_hidden(p, x)) if bn == "frozen" else None
+            trace = forward_hidden(p, x, stats)
+            jac, kernel = compute_jacobian(p, trace), compute_kernel(p, trace)
             assert max_rel_err(kernel, jac @ jac.T) <= 1e-12
             np.testing.assert_array_equal(kernel, kernel.T)
 
@@ -265,16 +265,16 @@ class TestComputeKernel:
         rng = np.random.default_rng(41)
         for _ in range(10):
             spec, p, x = random_small_config(rng, allow_bn=bn != "none")
-            stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
-            trace = forward_hidden(spec, p, x, stats)
+            stats = batch_statistics(forward_hidden(p, x)) if bn == "frozen" else None
+            trace = forward_hidden(p, x, stats)
             work = Workspace(spec, x.shape[0])
-            first = compute_kernel(spec, p, trace, work=work)
-            np.testing.assert_array_equal(first, compute_kernel(spec, p, trace))
+            first = compute_kernel(p, trace, work=work)
+            np.testing.assert_array_equal(first, compute_kernel(p, trace))
             q = random_params(spec, rng, 0.5)
-            second = compute_kernel(spec, q, forward_hidden(spec, q, x, stats, work=work),
+            second = compute_kernel(q, forward_hidden(q, x, stats, work=work),
                                     work=work)
             assert second is first
-            want = compute_kernel(spec, q, forward_hidden(spec, q, x, stats))
+            want = compute_kernel(q, forward_hidden(q, x, stats))
             np.testing.assert_array_equal(second, want)
             # compute_ntk borders and factors in the workspace's spare array,
             # leaving the kernel alone
@@ -296,10 +296,10 @@ class TestComputeKernel:
         spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, True))
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))
-        trace = forward_hidden(spec, p, x)
-        compute_kernel(spec, p, forward_hidden(spec, p, x, batch_statistics(trace)))
+        trace = forward_hidden(p, x)
+        compute_kernel(p, forward_hidden(p, x, batch_statistics(trace)))
         assert not calls
-        compute_kernel(spec, p, trace)
+        compute_kernel(p, trace)
         assert len(calls) == 1
 
 
@@ -308,8 +308,8 @@ class TestComputeJacobian:
         spec = NetworkSpec((3, 4, 6), 2, sharpness=10.0)
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))
-        trace = forward_hidden(spec, p, x)
-        jac, h = compute_jacobian(spec, p, trace), trace.hidden
+        trace = forward_hidden(p, x)
+        jac, h = compute_jacobian(p, trace), trace.hidden
         head = spec.head_param_count()
         for i in range(4):
             want = np.kron(np.eye(2), np.append(h[i], 1.0))
@@ -320,7 +320,7 @@ class TestComputeJacobian:
         spec = NetworkSpec((3, 4, 5), 2, sharpness=10.0)
         p = params_zero(spec)
         x = np.random.default_rng(3).standard_normal((3, 3))
-        jac = compute_jacobian(spec, p, forward_hidden(spec, p, x))
+        jac = compute_jacobian(p, forward_hidden(p, x))
         head = spec.head_param_count()
         np.testing.assert_array_equal(jac[:, :-head], 0.0)
         h_const = np.log(2.0) / 10.0
@@ -332,16 +332,16 @@ class TestComputeJacobian:
         spec = NetworkSpec((3, 4, 4), 2, sharpness=10.0, bn_flags=(True, False))
         p = random_params(spec, rng, 0.7)
         x = rng.standard_normal((4, 3))
-        jac = compute_jacobian(spec, p, forward_hidden(spec, p, x))
-        fd = fd_jacobian(spec, p, x)
+        jac = compute_jacobian(p, forward_hidden(p, x))
+        fd = fd_jacobian(p, x)
         assert max_rel_err(jac, fd) < 1e-5
 
     def test_random_configurations_vs_fd(self):
         rng = np.random.default_rng(99)
         for _ in range(8):
             spec, p, x = random_small_config(rng)
-            jac = compute_jacobian(spec, p, forward_hidden(spec, p, x))
-            fd = fd_jacobian(spec, p, x)
+            jac = compute_jacobian(p, forward_hidden(p, x))
+            fd = fd_jacobian(p, x)
             assert max_rel_err(jac, fd) < 1e-5
 
     def test_size_cap(self, rng, monkeypatch):
@@ -349,15 +349,15 @@ class TestComputeJacobian:
         p = random_params(spec, rng, 1.0)
         monkeypatch.setattr(ntk, "DEFAULT_MAX_JACOBIAN_ENTRIES", 10)
         with pytest.raises(MemoryError, match=r"Jacobian would hold 8 x \d+ entries \(> 10\)"):
-            compute_jacobian(spec, p, forward_hidden(spec, p, rng.standard_normal((4, 3))))
+            compute_jacobian(p, forward_hidden(p, rng.standard_normal((4, 3))))
 
     def test_frozen_statistics_vs_fd(self):
         rng = np.random.default_rng(7)
         for _ in range(8):
             spec, p, x = random_small_config(rng, allow_bn=True)
-            frozen = batch_statistics(forward_hidden(spec, p, x))
-            jac = compute_jacobian(spec, p, forward_hidden(spec, p, x, frozen))
-            fd = fd_jacobian(spec, p, x, frozen)
+            frozen = batch_statistics(forward_hidden(p, x))
+            jac = compute_jacobian(p, forward_hidden(p, x, frozen))
+            fd = fd_jacobian(p, x, frozen)
             assert max_rel_err(jac, fd) < 1e-5
 
     @pytest.mark.parametrize("bn", [False, True], ids=["no_bn", "frozen_bn"])
@@ -367,9 +367,9 @@ class TestComputeJacobian:
         rng = np.random.default_rng(13)
         for _ in range(20):
             spec, p, x = random_small_config(rng, allow_bn=bn)
-            frozen = batch_statistics(forward_hidden(spec, p, x)) if bn else None
-            trace = forward_hidden(spec, p, x, frozen)
-            jac, f = compute_jacobian(spec, p, trace), forward_output(p, trace)
+            frozen = batch_statistics(forward_hidden(p, x)) if bn else None
+            trace = forward_hidden(p, x, frozen)
+            jac, f = compute_jacobian(p, trace), forward_output(p, trace)
             assert max_rel_err(jac @ masked_flat(p), f.reshape(-1)) < 1e-14
 
     @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
@@ -379,14 +379,14 @@ class TestComputeJacobian:
         rng = np.random.default_rng(577)
         for _ in range(12):
             spec, p, x = random_small_config(rng, allow_bn=bn != "none")
-            stats = batch_statistics(forward_hidden(spec, p, x)) if bn == "frozen" else None
-            trace = forward_hidden(spec, p, x, stats)
-            jac = compute_jacobian(spec, p, trace)
+            stats = batch_statistics(forward_hidden(p, x)) if bn == "frozen" else None
+            trace = forward_hidden(p, x, stats)
+            jac = compute_jacobian(p, trace)
             n, m_y = x.shape[0], spec.output_dim
             for r in range(n * m_y):
                 up = np.zeros((n, m_y))
                 up[divmod(r, m_y)] = 1.0
-                assert np.array_equal(jac[r], backprop(spec, p, trace, up))
+                assert np.array_equal(jac[r], backprop(p, trace, up))
 
     @pytest.mark.parametrize("bn, frozen", [
         (False, False), (False, True), (True, True), (True, False),
@@ -404,10 +404,10 @@ class TestComputeJacobian:
         spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, bn))
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))
-        stats = batch_statistics(forward_hidden(spec, p, x)) if frozen else None
-        jac = compute_jacobian(spec, p, forward_hidden(spec, p, x, stats))
+        stats = batch_statistics(forward_hidden(p, x)) if frozen else None
+        jac = compute_jacobian(p, forward_hidden(p, x, stats))
         assert len(calls) == 8
-        assert max_rel_err(jac, fd_jacobian(spec, p, x, stats)) < 1e-5
+        assert max_rel_err(jac, fd_jacobian(p, x, stats)) < 1e-5
 
 
 class TestRankPreserved:

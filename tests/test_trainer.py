@@ -180,7 +180,7 @@ class TestConfigs:
         ds, spec, p0 = _toy_problem(seed=3)
         seen = []
         with pytest.raises(ValueError, match="monitor_every must be >= 0"):
-            run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd"),
+            run_two_phase(p0, ds, BaseAlgoConfig(variant="gd"),
                           TwoPhaseConfig(tau=2, total_steps=4), SQUARED, monitor_every=-3,
                           record_sink=seen.append)
         assert not seen
@@ -229,7 +229,7 @@ class TestRunTwoPhase:
         ds, spec, p0 = _toy_problem()
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=7, total_steps=20, seed=0)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED)
         assert len(log.records) == 20
         assert [r.phase for r in log.records] == [1] * 7 + [2] * 13
         assert [r.t for r in log.records] == list(range(1, 21))
@@ -238,7 +238,7 @@ class TestRunTwoPhase:
         ds, spec, p0 = _toy_problem(seed=3)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=0, total_steps=120, phase2_mode="last_layer_gd", seed=3)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED)
         losses = [log.loss_at_tau] + [r.loss for r in log.records]
         assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(losses, losses[1:]))
 
@@ -247,16 +247,16 @@ class TestRunTwoPhase:
         lr, wd, T = 0.02, 1e-4, 15
         base = BaseAlgoConfig(variant="gd", learning_rate=lr, weight_decay=wd, minibatch=10)
         cfg = TwoPhaseConfig(tau=T, total_steps=T, noise_scale=0.01, seed=11)
-        params, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        params, log = run_two_phase(p0, ds, base, cfg, SQUARED)
         # oracle: plain full-batch descent, then one hidden-layer perturbation
         from twophase.losses import loss_value
         from twophase.network import forward_hidden
         w = p0.to_flat()
         for _ in range(T):
             cur = params_from_flat(spec, w)
-            trace = forward_hidden(spec, cur, ds.x)
+            trace = forward_hidden(cur, ds.x)
             f = trace.hidden @ cur.weights[-1] + cur.biases[-1]
-            g = backprop(spec, cur, trace, loss_grad(SQUARED, f, ds.y))
+            g = backprop(cur, trace, loss_grad(SQUARED, f, ds.y))
             g = g + wd * w
             w = w - lr * g
         seeds = np.random.SeedSequence(11).spawn(2)
@@ -271,7 +271,7 @@ class TestRunTwoPhase:
         for mode in ("last_layer_gd", "last_layer_sgd"):
             cfg = TwoPhaseConfig(tau=6, total_steps=40, phase2_mode=mode, seed=5,
                                  sgd_minibatch=5)
-            params, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+            params, log = run_two_phase(p0, ds, base, cfg, SQUARED)
             hidden = spec.hidden_param_count()
             np.testing.assert_array_equal(
                 params.to_flat()[:hidden], log.params_at_tau.flat[:hidden]
@@ -281,8 +281,8 @@ class TestRunTwoPhase:
         ds, spec, p0 = _toy_problem(seed=6, bn=True)
         base = BaseAlgoConfig(variant="sgd_momentum", minibatch=4, seed=2)
         cfg = TwoPhaseConfig(tau=9, total_steps=30, phase2_mode="last_layer_sgd", seed=2)
-        _, log1 = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
-        _, log2 = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        _, log1 = run_two_phase(p0, ds, base, cfg, SQUARED)
+        _, log2 = run_two_phase(p0, ds, base, cfg, SQUARED)
         for a, b in zip(log1.records, log2.records):
             assert (a.t, a.phase, a.loss, a.grad_norm) == (b.t, b.phase, b.loss, b.grad_norm)
 
@@ -292,7 +292,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=8)
         cfg = TwoPhaseConfig(tau=0, total_steps=5, seed=7)
         with pytest.raises(FeatureRankError, match="widen the last hidden layer"):
-            run_two_phase(spec, init_params(spec, 7), ds, base, cfg, SQUARED)
+            run_two_phase(init_params(spec, 7), ds, base, cfg, SQUARED)
 
     def test_depth_one_rejected(self):
         ds = synth_gen(4, 3, 1, 0.03, "regression", seed=8)
@@ -300,14 +300,14 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=4)
         cfg = TwoPhaseConfig(tau=0, total_steps=3)
         with pytest.raises(ValueError, match="two hidden layers"):
-            run_two_phase(spec, init_params(spec, 0), ds, base, cfg, SQUARED)
+            run_two_phase(init_params(spec, 0), ds, base, cfg, SQUARED)
 
     def test_minibatch_larger_than_dataset_rejected(self):
         ds, spec, p0 = _toy_problem()
         base = BaseAlgoConfig(variant="sgd_momentum", minibatch=64)
         cfg = TwoPhaseConfig(tau=0, total_steps=3)
         with pytest.raises(ValueError, match="minibatch"):
-            run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+            run_two_phase(p0, ds, base, cfg, SQUARED)
 
     def test_head_gd_schedule_and_convergence_to_interpolation(self):
         # well-conditioned features via BN: the convex head problem drains
@@ -319,14 +319,14 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", learning_rate=0.05, minibatch=n,
                               weight_decay=0.0, seed=0)
         cfg = TwoPhaseConfig(tau=500, total_steps=5500, phase2_mode="last_layer_gd", seed=0)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED, bounds=True)
         # descent at step 1/L_H: the loss never rises (beyond rounding)
         losses = [log.loss_at_tau] + [rec.loss for rec in log.phase2_records()]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert log.final_loss <= 1e-6
         # suboptimality stays under the descent ceiling at every step
         from twophase.bounds import SLACK_REL, gd_bound, solve_last_layer_optimum
-        opt = solve_last_layer_optimum(SQUARED, features_at_tau(spec, ds.x, log), ds.y,
+        opt = solve_last_layer_optimum(SQUARED, features_at_tau(ds.x, log), ds.y,
                                        log.params_at_tau.head_block())
         for rec in log.phase2_records():
             assert rec.bound == gd_bound(opt.r_squared, log.l_h, rec.t, log.tau)
@@ -339,8 +339,8 @@ class TestRunTwoPhase:
         ds, spec, p0 = _toy_problem(seed=9)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=0, total_steps=1, seed=9)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
-        aug = np.hstack([features_at_tau(spec, ds.x, log), np.ones((ds.n, 1))])
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED)
+        aug = np.hstack([features_at_tau(ds.x, log), np.ones((ds.n, 1))])
         z = log.params_at_tau.head_block()
         full = aug.T @ loss_grad(SQUARED, aug @ z, ds.y)
         rng = np.random.default_rng(0)
@@ -359,7 +359,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=6)
         cfg = TwoPhaseConfig(tau=5, total_steps=20, phase2_mode="lazy_full",
                              lazy_eta_bar=0.3, seed=1)
-        params, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED,
+        params, log = run_two_phase(p0, ds, base, cfg, SQUARED,
                                     monitor_every=5)
         for rec in log.phase2_records():
             assert rec.ntk_rank is not None
@@ -370,7 +370,7 @@ class TestRunTwoPhase:
         seen = []
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=4, total_steps=11, seed=12)
-        run_two_phase(spec, p0, ds, base, cfg, SQUARED, record_sink=seen.append)
+        run_two_phase(p0, ds, base, cfg, SQUARED, record_sink=seen.append)
         assert [r.t for r in seen] == list(range(1, 12))
 
     def test_run_with_a_sink_keeps_nothing_per_step(self):
@@ -387,7 +387,7 @@ class TestRunTwoPhase:
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
+            _, log = run_two_phase(p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
                                    cfg, SQUARED, record_sink=sink)
         finally:
             if not tracing:
@@ -409,7 +409,7 @@ class TestRunTwoPhase:
             ds, spec, p0 = _toy_problem(seed=13)
             cfg = TwoPhaseConfig(tau=5, total_steps=60, phase2_mode=mode, sgd_minibatch=4,
                                  seed=13)
-            return run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
+            return run_two_phase(p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
                                  cfg, SQUARED, bounds=bounds, record_sink=sink)[1]
 
         log, seen = run(), []
@@ -451,7 +451,7 @@ class TestRunTwoPhase:
             else:
                 cfg = TwoPhaseConfig(tau=steps, total_steps=steps, seed=15)
             calls.clear()
-            run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+            run_two_phase(p0, ds, base, cfg, SQUARED)
             counts.append(len(calls))
         assert counts[1] - counts[0] == 10 * per_step
 
@@ -465,7 +465,7 @@ class TestRunTwoPhase:
         ds, spec, p0 = _toy_problem(seed=17)
         base = BaseAlgoConfig(variant=variant, minibatch=4, seed=17)
         cfg = TwoPhaseConfig(tau=6, total_steps=12, seed=17)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, monitor_every=1)
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED, monitor_every=1)
         assert all(r.ntk_rank is not None for r in log.records)
         assert len(calls) == 6 + 2
 
@@ -479,25 +479,25 @@ class TestRunTwoPhase:
         params = init_params(spec, seed=21)
 
         def fresh_gradient(idx):
-            fresh = forward_hidden(spec, params, ds.x[idx])
+            fresh = forward_hidden(params, ds.x[idx])
             up = loss_grad(CROSS_ENTROPY, forward_output(params, fresh), ds.y[idx])
-            return backprop(spec, params, fresh, up)
+            return backprop(params, fresh, up)
 
-        full = forward_hidden(spec, params, ds.x)
+        full = forward_hidden(params, ds.x)
         forward_output(params, full)
         for idx in (rng.permutation(128)[:64], rng.permutation(128)[:64], np.arange(64, 128)):
             sliced = trainer._rows(full, idx)
             up = loss_grad(CROSS_ENTROPY, sliced.output, ds.y[idx])
-            assert np.array_equal(backprop(spec, params, sliced, up), fresh_gradient(idx))
+            assert np.array_equal(backprop(params, sliced, up), fresh_gradient(idx))
         order = rng.permutation(128)
         work = Workspace(spec, 128)
-        epoch = forward_hidden(spec, params, ds.x[order], work=work)
+        epoch = forward_hidden(params, ds.x[order], work=work)
         forward_output(params, epoch)
         _, residual = trainer._terms(CROSS_ENTROPY, epoch.output, ds.y[order])
         for rows in (slice(0, 64), slice(64, 128), slice(40, 88)):
             sliced = trainer._rows(epoch, rows)
             assert np.shares_memory(sliced.post[-1], work.post[-1])
-            got = backprop(spec, params, sliced,
+            got = backprop(params, sliced,
                            trainer._mean_gradient(CROSS_ENTROPY, residual[rows]))
             assert np.array_equal(got, fresh_gradient(order[rows]))
 
@@ -517,7 +517,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="sgd_momentum", minibatch=4)
         cfg = TwoPhaseConfig(tau=3, total_steps=6, seed=18)
         with pytest.raises(ValueError, match=match):
-            run_two_phase(spec, init_params(spec, seed=18), ds, base, cfg, CROSS_ENTROPY,
+            run_two_phase(init_params(spec, seed=18), ds, base, cfg, CROSS_ENTROPY,
                           record_sink=seen.append)
         assert not seen
 
@@ -543,7 +543,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED, bounds=True)
         assert np.isfinite(log.constants["r_bar"])
         assert len(snaps) == 11
         assert counts == {"eigvalsh": 0, "cholesky": len(snaps) + 1, "svd": 0}
@@ -570,7 +570,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
-        run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True, record_sink=sink)
+        run_two_phase(p0, ds, base, cfg, SQUARED, bounds=True, record_sink=sink)
         # the first step's count includes those of the features' rank and
         # the reference kernel at tau
         step = {"cholesky": 1, "solve": 0, "svd": 0, "eigvalsh": 0}
@@ -598,7 +598,7 @@ class TestRunTwoPhase:
             p0, kind = init_params(spec, seed=19), CROSS_ENTROPY
             base = BaseAlgoConfig(variant="sgd_momentum", minibatch=8, seed=19)
             cfg = TwoPhaseConfig(tau=12, total_steps=20, phase2_mode=mode, seed=19)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, kind, monitor_every=2, bounds=True)
+        _, log = run_two_phase(p0, ds, base, cfg, kind, monitor_every=2, bounds=True)
         ranks = [r for r in log.records if r.feature_rank is not None]
         assert len(ranks) == (6 if mode == "lazy_full" else 10)
         assert all(r.ntk_rank == ds.y.size for r in ranks)
@@ -620,7 +620,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=lipschitz, seed=19)
-        run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
+        run_two_phase(p0, ds, base, cfg, SQUARED, bounds=True)
         assert len(made) == workspaces
 
     def test_lazy_retry_cap_names_step_and_phase(self, monkeypatch):
@@ -643,7 +643,7 @@ class TestRunTwoPhase:
         seen = []
         with pytest.raises(RankPreservationError,
                            match=r"^step 4 \(phase 2\): .*after 10 rate halvings"):
-            run_two_phase(spec, p0, ds, base, cfg, SQUARED, record_sink=seen.append)
+            run_two_phase(p0, ds, base, cfg, SQUARED, record_sink=seen.append)
         assert [r.t for r in seen] == [1, 2, 3]
 
     def test_lazy_kernel_below_full_rank_names_step_and_phase(self, monkeypatch):
@@ -666,7 +666,7 @@ class TestRunTwoPhase:
         seen = []
         with pytest.raises(RankDeficientError,
                            match=r"^step 3 \(phase 2\): kernel has numerical rank 19 < 20"):
-            run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True,
+            run_two_phase(p0, ds, base, cfg, SQUARED, bounds=True,
                           record_sink=seen.append)
         assert [r.t for r in seen] == [1, 2, 3]
 
@@ -691,7 +691,7 @@ class TestRunTwoPhase:
         ds, spec, p0 = _toy_problem(seed=2, bn=True)
         cfg = TwoPhaseConfig(tau=3, total_steps=5, phase2_mode="lazy_full",
                              lazy_eta_bar=0.5, seed=2)
-        _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
+        _, log = run_two_phase(p0, ds, BaseAlgoConfig(variant="gd", minibatch=10),
                                cfg, SQUARED)
         step = log.records[-1]
         assert step.t == 5 and step.rank_event == "rank_drop_halved_eta_bar_to_1.250e-01"
@@ -720,7 +720,7 @@ class TestRunTwoPhase:
                                  lazy_eta_bar=0.5, seed=2)
             seen = []
             with pytest.raises((RankPreservationError, RankDeficientError)) as failure:
-                run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+                run_two_phase(p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
                               SQUARED, bounds=True, record_sink=seen.append)
             return ([(r.t, r.ntk_rank, r.rank_event) for r in seen],
                     type(failure.value), str(failure.value))
@@ -743,7 +743,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=bounds)
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED, bounds=bounds)
         assert len(calls) == (13 - 3 + 1 if bounds else 0)
         assert (log.constants.get("r_bar") is not None) == bounds
         assert all((rec.bound is not None) == bounds for rec in log.phase2_records())
@@ -765,7 +765,7 @@ class TestRunTwoPhase:
         monkeypatch.setattr(trainer.Params, "__init__", counting)
         base = BaseAlgoConfig(variant="sgd_momentum", minibatch=8, seed=23)
         cfg = TwoPhaseConfig(tau=30, total_steps=50, phase2_mode="last_layer_gd", seed=23)
-        run_two_phase(spec, p0, ds, base, cfg, CROSS_ENTROPY)
+        run_two_phase(p0, ds, base, cfg, CROSS_ENTROPY)
         assert len(built) <= 3
 
     @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd", "lazy_full"])
@@ -775,7 +775,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode=mode, sgd_minibatch=4,
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
-        _, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED, bounds=True)
+        _, log = run_two_phase(p0, ds, base, cfg, SQUARED, bounds=True)
         assert all(rec.bound is not None for rec in log.phase2_records())
         for rec in log.records:
             for value in (rec.loss, rec.grad_norm, rec.bound, rec.suboptimality):
@@ -788,7 +788,7 @@ class TestRunTwoPhase:
                              sgd_rate_scale=1e6, seed=16)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"step \d+ \(phase 2\)"):
-                run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+                run_two_phase(p0, ds, base, cfg, SQUARED)
 
 
     def test_divergent_lazy_step_names_step_and_phase(self):
@@ -798,7 +798,7 @@ class TestRunTwoPhase:
         cfg = TwoPhaseConfig(tau=2, total_steps=6, phase2_mode="lazy_full",
                              lazy_lipschitz=1e-300, seed=16)
         with pytest.raises(FloatingPointError, match=r"step 3 \(phase 2\)"):
-            run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+            run_two_phase(p0, ds, base, cfg, SQUARED)
 
     def test_noise_scales_of_the_wrong_length_rejected_before_the_first_record(self):
         # one scale per hidden layer: the toy has two, and perturb would
@@ -807,7 +807,7 @@ class TestRunTwoPhase:
         cfg = TwoPhaseConfig(tau=5, total_steps=8, noise_scale=(1e-3,) * 3, seed=3)
         seen = []
         with pytest.raises(ValueError, match="expected 2 noise scales, got 3"):
-            run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+            run_two_phase(p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
                           SQUARED, record_sink=seen.append)
         assert not seen
 
@@ -824,7 +824,7 @@ def _reference_loss(kind, f, y, gradient=True):
     return float(-(y * log_p).sum() / n), ((np.exp(log_p) - y) / n if gradient else None)
 
 
-def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
+def _data_order_phase_one(params0, ds, base, tau, kind, monitor_every):
     """Phase 1 with every full-batch pass in data order, allocating: a
     momentum-SGD minibatch gathers its rows of the last pass by index, or
     under training-mode BN makes a fresh pass over them, and evaluates its
@@ -837,14 +837,14 @@ def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
     full_batch = base.variant == "gd"
 
     def forward(rows):
-        trace = forward_hidden(spec, params, rows)
+        trace = forward_hidden(params, rows)
         trace.output = trace.hidden @ params.weights[-1] + params.biases[-1]
         return trace
 
     def full_pass(gradient):
         trace = forward(x)
         loss, up = _reference_loss(kind, trace.output, y, gradient)
-        return trace, loss, (backprop(spec, params, trace, up) if gradient else None)
+        return trace, loss, (backprop(params, trace, up) if gradient else None)
 
     trace, initial, g = full_pass(full_batch and tau > 0)
     rng = np.random.default_rng(base.seed)
@@ -858,8 +858,8 @@ def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
                 order, pos = rng.permutation(n), 0
                 idx = order[: base.minibatch]
             pos += base.minibatch
-            batch = forward(x[idx]) if any(spec.bn_flags) else trainer._rows(trace, idx)
-            g = backprop(spec, params, batch, _reference_loss(kind, batch.output, y[idx])[1])
+            batch = forward(x[idx]) if any(params.spec.bn_flags) else trainer._rows(trace, idx)
+            g = backprop(params, batch, _reference_loss(kind, batch.output, y[idx])[1])
         if base.weight_decay:
             g += base.weight_decay * w
         gnorm = float(np.linalg.norm(g))
@@ -872,7 +872,7 @@ def _data_order_phase_one(spec, params0, ds, base, tau, kind, monitor_every):
         trace, loss, g = full_pass(full_batch and t < tau)
         ranks = (None, None)
         if monitor_every and t % monitor_every == 0:
-            kernels.append(ntk.compute_kernel(spec, params, trace))
+            kernels.append(ntk.compute_kernel(params, trace))
             ranks = (numerical_rank(append_ones(trace.hidden)),
                      ntk.compute_ntk(kernels[-1]).rank)
         records.append((loss, gnorm, *ranks))
@@ -907,9 +907,9 @@ class TestPhaseOneWorkspace:
         base = BaseAlgoConfig(variant=variant, learning_rate=0.05, minibatch=8,
                               weight_decay=1e-3, seed=5)
         cfg = TwoPhaseConfig(tau=tau, total_steps=tau, seed=5)
-        params, log = run_two_phase(spec, p0, ds, base, cfg, kind, monitor_every=monitor_every)
+        params, log = run_two_phase(p0, ds, base, cfg, kind, monitor_every=monitor_every)
         initial, want, want_kernels, reference = _data_order_phase_one(
-            spec, p0, ds, base, tau, kind, monitor_every)
+            p0, ds, base, tau, kind, monitor_every)
         assert log.loss_initial == initial
         assert [(r.loss, r.grad_norm, r.feature_rank, r.ntk_rank) for r in log.records] == want
         assert len(kernels) == len(want_kernels) == (tau // monitor_every if monitor_every else 0)
@@ -939,7 +939,7 @@ class TestPhaseOneWorkspace:
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            run_two_phase(spec, init_params(spec, seed=0), ds, base, cfg, CROSS_ENTROPY,
+            run_two_phase(init_params(spec, seed=0), ds, base, cfg, CROSS_ENTROPY,
                           record_sink=sink)
         finally:
             if not tracing:
@@ -970,7 +970,7 @@ class TestPhaseOneWorkspace:
         base = BaseAlgoConfig(variant="sgd_momentum", minibatch=64, seed=3)
         cfg = TwoPhaseConfig(tau=200, total_steps=200, seed=3)
         try:
-            run_two_phase(spec, init_params(spec, seed=3), ds, base, cfg, CROSS_ENTROPY,
+            run_two_phase(init_params(spec, seed=3), ds, base, cfg, CROSS_ENTROPY,
                           record_sink=sink)
         finally:
             sys.setprofile(previous)
@@ -981,8 +981,8 @@ class TestPhaseOneWorkspace:
 class TestLipschitzEstimate:
     def test_positive_and_deterministic(self):
         ds, spec, p0 = _toy_problem(seed=14)
-        a = estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, seed=3)
-        b = estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, seed=3)
+        a = estimate_lipschitz(p0, ds.x, ds.y, SQUARED, seed=3)
+        b = estimate_lipschitz(p0, ds.x, ds.y, SQUARED, seed=3)
         assert a == b > 0.0
 
     def test_frozen_stats_of_the_wrong_length_rejected(self):
@@ -990,7 +990,7 @@ class TestLipschitzEstimate:
         # statistics are checked on entry
         ds, spec, p0 = _toy_problem(seed=14)
         with pytest.raises(ValueError, match="one entry per hidden layer"):
-            estimate_lipschitz(spec, p0, ds.x, ds.y, SQUARED, frozen_stats=[None] * 3)
+            estimate_lipschitz(p0, ds.x, ds.y, SQUARED, frozen_stats=[None] * 3)
 
 
 def _certified_run(mode, seed=19, kind=SQUARED, target="regression", bounds=True):
@@ -1001,7 +1001,7 @@ def _certified_run(mode, seed=19, kind=SQUARED, target="regression", bounds=True
     base = BaseAlgoConfig(variant="gd", minibatch=10)
     cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode=mode, lazy_eta_bar=0.05,
                          lazy_lipschitz=50.0, sgd_rate_scale=0.05, sgd_minibatch=4, seed=seed)
-    return run_two_phase(spec, p0, ds, base, cfg, kind, bounds=bounds)
+    return run_two_phase(p0, ds, base, cfg, kind, bounds=bounds)
 
 
 class TestCertificate:
@@ -1063,9 +1063,9 @@ class TestCertificate:
         ds, spec, p0 = _toy_problem(seed=8)
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         short = TwoPhaseConfig(tau=6, total_steps=6, seed=8)
-        kicked, _ = run_two_phase(spec, p0, ds, base, short, SQUARED)
+        kicked, _ = run_two_phase(p0, ds, base, short, SQUARED)
         cfg = TwoPhaseConfig(tau=6, total_steps=30, phase2_mode="last_layer_gd", seed=8)
-        final, log = run_two_phase(spec, p0, ds, base, cfg, SQUARED)
+        final, log = run_two_phase(p0, ds, base, cfg, SQUARED)
         np.testing.assert_array_equal(log.params_at_tau.flat, kicked.flat)
         assert not np.array_equal(final.head_block(), kicked.head_block())
         assert not np.shares_memory(final.flat, log.params_at_tau.flat)
@@ -1082,24 +1082,24 @@ def _reference_lazy_phase(spec, ds, kind, log, cfg):
     events."""
     x, y, frozen = ds.x, ds.y, log.frozen_stats
     lipschitz = cfg.lazy_lipschitz or max(
-        estimate_lipschitz(spec, log.params_at_tau, x, y, kind, frozen, seed=cfg.seed), 1e-12)
+        estimate_lipschitz(log.params_at_tau, x, y, kind, frozen, seed=cfg.seed), 1e-12)
 
     def evaluate(params):
-        trace = forward_hidden(spec, params, x, frozen)
+        trace = forward_hidden(params, x, frozen)
         trace.output = trace.hidden @ params.weights[-1] + params.biases[-1]
         loss, up = _reference_loss(kind, trace.output, y)
-        return trace, loss, backprop(spec, params, trace, up)
+        return trace, loss, backprop(params, trace, up)
 
     params = log.params_at_tau
     trace, _, g = evaluate(params)
-    reference = ntk.compute_ntk(ntk.compute_kernel(spec, params, trace))
+    reference = ntk.compute_ntk(ntk.compute_kernel(params, trace))
     eta_bar, records, events = cfg.lazy_eta_bar, [], []
     for t in range(cfg.tau + 1, cfg.total_steps + 1):
         event = None
         while True:
             cand = params_from_flat(spec, params.flat - (2.0 * eta_bar / lipschitz) * g)
             trace, loss, cand_g = evaluate(cand)
-            snap = certified_rank(ntk.compute_kernel(spec, cand, trace), reference.tolerance,
+            snap = certified_rank(ntk.compute_kernel(cand, trace), reference.tolerance,
                                   gram=True)
             rank = (snap.rank if snap.proved
                     else snap.count_above(max(reference.tolerance, snap.tolerance)))
@@ -1122,7 +1122,7 @@ class TestLazyPhase:
         ds, spec, p0 = _toy_problem(seed=seed, bn=bn)
         cfg = TwoPhaseConfig(tau=3, total_steps=23, phase2_mode="lazy_full", lazy_eta_bar=0.5,
                              seed=seed)
-        _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+        _, log = run_two_phase(p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
                                SQUARED)
         want, events = _reference_lazy_phase(spec, ds, SQUARED, log, cfg)
         assert log.rank_events == events and bool(events) == rejects
@@ -1135,15 +1135,15 @@ class TestLazyPhase:
         # (and so its loss) from its pass before its kernel is built
         snapshot, seen = trainer._snapshot, []
 
-        def checking(spec, params, trace, t, phase, reference=None, **kwargs):
+        def checking(params, trace, t, phase, reference=None, **kwargs):
             seen.append((t, trace.output is not None))
-            return snapshot(spec, params, trace, t, phase, reference, **kwargs)
+            return snapshot(params, trace, t, phase, reference, **kwargs)
 
         monkeypatch.setattr(trainer, "_snapshot", checking)
         ds, spec, p0 = _toy_problem(seed=2)
         cfg = TwoPhaseConfig(tau=3, total_steps=23, phase2_mode="lazy_full", lazy_eta_bar=0.5,
                              seed=2)
-        _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+        _, log = run_two_phase(p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
                                SQUARED)
         candidates = [ok for t, ok in seen if t > cfg.tau]
         assert len(candidates) == 20 + len(log.rank_events)
@@ -1171,7 +1171,7 @@ class TestLazyPhase:
         ds, spec, p0 = _toy_problem(seed=19)
         cfg = TwoPhaseConfig(tau=3, total_steps=13, phase2_mode="lazy_full",
                              lazy_eta_bar=0.05, lazy_lipschitz=50.0, seed=19)
-        _, log = run_two_phase(spec, p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
+        _, log = run_two_phase(p0, ds, BaseAlgoConfig(variant="gd", minibatch=10), cfg,
                                SQUARED)
         proved, rank, own, above = verdicts[0]
         assert not proved and own == 20 and rank == above < 20
