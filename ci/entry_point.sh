@@ -20,6 +20,9 @@ grep -q '^config error:' err.txt
 # backprop and the tangent kernel take the trace of the one pass
 # forward_hidden runs, and read the architecture from the Params
 python -c "import numpy as np; from twophase import NetworkSpec, backprop, compute_kernel, compute_ntk, forward_hidden, init_params; spec = NetworkSpec((3, 4, 5), 2); p = init_params(spec, 0); x = np.linspace(-1.0, 1.0, 18).reshape(6, 3); up = np.ones((6, 2)); trace = forward_hidden(p, x); g = backprop(p, trace, up); assert g.shape == (spec.param_count(),) and np.isfinite(g).all(); assert compute_ntk(compute_kernel(p, trace)).rank == 12"
+# no config: the reference protocol, 500 steps of the library's defaults
+twophase train --out protocol
+test "$(wc -l < protocol/run.log.jsonl)" -eq 500
 echo '{"data": {"n": 16}, "network": {"hidden_widths": [8, 18]}, "base": {"minibatch": 8}, "two_phase": {"total_steps": 40}}' > tiny.json
 twophase train --config tiny.json --out train
 test "$(wc -l < train/run.log.jsonl)" -eq 40

@@ -1,14 +1,16 @@
 """Command-line front end: verify | train | sweep | gen-data.
 
 Configuration is a single JSON file of nested sections; every omitted key
-falls back to the protocol defaults (momentum SGD at rate 0.01, momentum
-0.9, minibatch 64, weight decay 1e-5, tau fraction 0.6, noise scale 0.001,
-sharpness 100, last hidden width ceil(1.1 n)), so an empty config file runs
-the reference protocol at desk scale.  Per-step training records stream to
-`run.log.jsonl` as line-delimited JSON, each written once and complete (with
-`bounds` on, its ceiling and suboptimality included), so interrupted runs
-stay analyzable; `train` keeps no record it has written, and summary.json
-takes its best and final loss and its seconds per phase from the run's log.
+falls back to the protocol defaults, which are those of BaseAlgoConfig,
+TwoPhaseConfig and NetworkSpec (momentum SGD at rate 0.01, momentum 0.9,
+minibatch 64, weight decay 1e-5, noise scale 0.001, sharpness 100) plus the
+CLI's own (tau fraction 0.6, 500 steps, depth 2, last hidden width
+ceil(1.1 n)), so an empty config file runs the reference protocol at desk
+scale.  Per-step training records stream to `run.log.jsonl` as
+line-delimited JSON, each written once and complete (with `bounds` on, its
+ceiling and suboptimality included), so interrupted runs stay analyzable;
+`train` keeps no record it has written, and summary.json takes its best and
+final loss and its seconds per phase from the run's log.
 
 Exit codes: 0 success, 1 configuration or usage error (an unreadable config
 file or an output directory that cannot be made included), 2 verification
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -64,6 +67,14 @@ NUMERIC_ERRORS = (FeatureRankError, RankPreservationError, DecompositionError,
 CONFIG_ERRORS = (ConfigError, ValueError, FileNotFoundError)
 
 
+def _defaults(cls, *skip) -> dict:
+    """The defaulted fields of dataclass `cls`, less those named in `skip`."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and f.name not in skip}
+
+
+# the protocol's hyperparameters are the library's defaults; the literals
+# are the keys only the CLI reads
 DEFAULT_CONFIG = {
     "seed": 0,
     "monitor_every": 0,
@@ -73,27 +84,15 @@ DEFAULT_CONFIG = {
         "hidden_widths": None,
         "depth": 2,
         "feature_width_factor": 1.1,
-        "sharpness": 100.0,
         "bn": False,
-        "bn_epsilon": 1e-5,
+        **_defaults(NetworkSpec, "bn_flags"),
     },
-    "base": {
-        "variant": "sgd_momentum",
-        "learning_rate": 0.01,
-        "momentum": 0.9,
-        "minibatch": 64,
-        "weight_decay": 1e-5,
-    },
+    "base": _defaults(BaseAlgoConfig, "seed"),
     "two_phase": {
         "tau_fraction": 0.6,
         "tau": None,
         "total_steps": 500,
-        "noise_scale": 0.001,
-        "phase2_mode": "last_layer_gd",
-        "sgd_rate_scale": 0.01,
-        "sgd_minibatch": 64,
-        "lazy_eta_bar": 0.5,
-        "lazy_lipschitz": None,
+        **_defaults(TwoPhaseConfig, "seed"),
     },
     "data": {
         "source": "synthetic",
@@ -231,22 +230,12 @@ def _build_spec(cfg: dict, dataset: Dataset) -> NetworkSpec:
 
 def _build_train_cfgs(cfg: dict, dataset: Dataset, spec: NetworkSpec):
     base = BaseAlgoConfig(seed=cfg["seed"], **cfg["base"])
-    tp = cfg["two_phase"]
-    kwargs = dict(
-        noise_scale=tp["noise_scale"],
-        phase2_mode=tp["phase2_mode"],
-        sgd_rate_scale=tp["sgd_rate_scale"],
-        sgd_minibatch=tp["sgd_minibatch"],
-        lazy_eta_bar=tp["lazy_eta_bar"],
-        lazy_lipschitz=tp["lazy_lipschitz"],
-        seed=cfg["seed"],
-    )
-    if tp["tau"] is not None:
-        two_phase = TwoPhaseConfig(tau=int(tp["tau"]),
-                                   total_steps=int(tp["total_steps"]), **kwargs)
+    tp = dict(cfg["two_phase"], seed=cfg["seed"])
+    fraction, tau, steps = tp.pop("tau_fraction"), tp.pop("tau"), tp.pop("total_steps")
+    if tau is not None:
+        two_phase = TwoPhaseConfig(tau=tau, total_steps=steps, **tp)
     else:
-        two_phase = TwoPhaseConfig.from_fraction(tp["tau_fraction"],
-                                                 int(tp["total_steps"]), **kwargs)
+        two_phase = TwoPhaseConfig.from_fraction(fraction, steps, **tp)
     # run_two_phase checks depth and minibatch on entry, but finds a last
     # hidden layer too narrow for rank([h, 1]) = n only at tau
     if spec.feature_dim + 1 < dataset.n:

@@ -9,7 +9,7 @@ condition the distinguishability check certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ BLOCK_ENTRIES = 1 << 20  # cap on a block of candidates' entries times (m_x + po
 
 @dataclass
 class Dataset:
-    """Inputs X (n x m_x), targets Y (n x m_y), and how Y was produced.
+    """Inputs X (n x m_x), targets Y (n x m_y), and the kind of the targets.
 
     For kind "class_index" the integer labels are kept alongside the
     one-hot expansion stored in Y.
@@ -34,7 +34,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     kind: str = "regression"
-    provenance: dict = field(default_factory=dict)
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -168,18 +167,16 @@ def synth_gen(n: int, m_x: int, m_y: int, c_min: float, kind: str = "regression"
                          f"margin {c_min}, fewer than n = {n}; reduce n or c_min, or raise m_x")
     rng = np.random.default_rng(seed)
     x = _sphere_points(n, m_x, c_min, rng)
-    provenance = {"source": "synthetic", "n": n, "m_x": m_x, "m_y": m_y,
-                  "c_min": c_min, "kind": kind, "seed": seed}
     if kind == "regression":
         teacher = NetworkSpec((m_x, max(8, 2 * m_x)), m_y, sharpness=1.0)
         t_params = random_params(teacher, np.random.default_rng(seed + 1), scale=1.0)
         y = forward_output(t_params, forward_hidden(t_params, x))
-        return Dataset(x, y, kind, provenance)
+        return Dataset(x, y, kind)
     labels = rng.integers(0, m_y, size=n)
     y = one_hot(labels, m_y)
     if kind == "class_index":
-        return Dataset(x, y, kind, provenance, labels=labels)
-    return Dataset(x, y, kind, provenance)
+        return Dataset(x, y, kind, labels=labels)
+    return Dataset(x, y, kind)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -226,7 +223,6 @@ def load_csv(path, m_x: int, kind: str = "regression", m_y: int | None = None) -
     arr = np.asarray(rows)
     x = arr[:, :m_x]
     rest = arr[:, m_x:]
-    provenance = {"source": "csv", "path": str(path), "kind": kind}
     if kind == "class_index":
         if rest.shape[1] != 1:
             raise ValueError(f"{path}: class_index expects exactly one target column")
@@ -235,7 +231,7 @@ def load_csv(path, m_x: int, kind: str = "regression", m_y: int | None = None) -
             raise ValueError(f"{path}: class labels must be integers")
         labels = labels.astype(np.int64)
         classes = m_y if m_y is not None else int(labels.max()) + 1
-        return Dataset(x, one_hot(labels, classes), kind, provenance, labels=labels)
+        return Dataset(x, one_hot(labels, classes), kind, labels=labels)
     if m_y is not None and rest.shape[1] != m_y:
         raise ValueError(f"{path}: expected {m_y} target columns, found {rest.shape[1]}")
-    return Dataset(x, rest, kind, provenance)
+    return Dataset(x, rest, kind)

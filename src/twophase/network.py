@@ -275,15 +275,15 @@ def _softplus_deriv(z, sharpness, out):
 
 
 def batchnorm_forward(z_batch, gamma, beta, eps):
-    """Normalize a batch per unit: gamma * (z - mu) / sqrt(var + eps) + beta,
+    """Normalize a batch per unit: gamma * ((z - mu) / sqrt(var + eps)) + beta,
     mu and var the batch mean and population variance of `z_batch` (over
-    axis 0).  forward_hidden normalizes with frozen statistics itself."""
+    axis 0), evaluated as a training-mode forward_hidden pass does."""
     z = np.asarray(z_batch, dtype=np.float64)
     if z.size == 0:
         raise ValueError("batch normalization needs a nonempty batch")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return gamma * (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + eps) + beta
+    return gamma * ((z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + eps)) + beta
 
 
 # ---------------------------------------------------------------------------

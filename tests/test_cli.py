@@ -64,22 +64,27 @@ class TestConfig:
         assert cfg["network"]["sharpness"] == 100.0
         assert cfg["base"]["momentum"] == 0.9
 
-    @pytest.mark.parametrize("section, cls, keys", [
+    @pytest.mark.parametrize("section, cls, keys, cli_only", [
         ("base", BaseAlgoConfig,
-         {"variant", "learning_rate", "momentum", "minibatch", "weight_decay"}),
+         {"variant", "learning_rate", "momentum", "minibatch", "weight_decay"}, set()),
         ("two_phase", TwoPhaseConfig,
          {"noise_scale", "phase2_mode", "sgd_rate_scale", "sgd_minibatch", "lazy_eta_bar",
-          "lazy_lipschitz"}),
-        ("network", NetworkSpec, {"sharpness", "bn_epsilon"}),
+          "lazy_lipschitz"}, {"tau_fraction", "tau", "total_steps"}),
+        ("network", NetworkSpec, {"sharpness", "bn_epsilon"},
+         {"hidden_widths", "depth", "feature_width_factor", "bn"}),
     ], ids=["base", "two_phase", "network"])
-    def test_protocol_defaults_agree_with_the_library(self, section, cls, keys):
-        # the CLI's defaults and the library's are one decision held in two
-        # modules: a key both name has the same default in each
+    def test_protocol_defaults_agree_with_the_library(self, section, cls, keys, cli_only):
+        # a section is the dataclass's defaulted fields at their defaults
+        # (less seed, a top-level key, and bn_flags, built from network.bn)
+        # plus the keys only the CLI reads; `keys` names the fields, so a
+        # new dataclass default becomes a config key only on purpose
         library = {f.name: f.default for f in dataclasses.fields(cls)
-                   if f.default is not dataclasses.MISSING}
+                   if f.default is not dataclasses.MISSING
+                   and f.name not in ("seed", "bn_flags")}
         defaults = cli.DEFAULT_CONFIG[section]
-        assert library.keys() & defaults.keys() == keys
-        assert {key: defaults[key] for key in keys} == {key: library[key] for key in keys}
+        assert library.keys() == keys
+        assert defaults.keys() == keys | cli_only
+        assert {key: defaults[key] for key in keys} == library
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, learning_rate=0.1)
@@ -352,6 +357,13 @@ class TestTrain:
         split = walls[tau - 1] if tau else 0.0
         assert summary["phase_seconds"] == {"1": round(split, 3),
                                             "2": round(walls[-1] - split, 3)}
+
+    def test_no_config_runs_the_reference_protocol(self, tmp_path):
+        out = tmp_path / "t"
+        assert cli.main(["train", "--out", str(out)]) == 0
+        assert len((out / "run.log.jsonl").read_text().splitlines()) == 500
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["tau"], summary["phase2_mode"]) == (300, "last_layer_gd")
 
     def test_json_line_matches_json_dumps(self):
         obj = {"t": 3, "loss": 0.1 + 0.2, "rank_event": None, "b": [1, -0.0, "x\u00e9"],

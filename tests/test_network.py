@@ -123,6 +123,16 @@ class TestBatchNorm:
         assert out.mean() == pytest.approx(0.3, abs=1e-10)
         assert out.var() == pytest.approx(1.7**2, rel=1e-9)
 
+    def test_matches_a_training_mode_pass(self):
+        # one formula: the same bits as the BN output of forward_hidden
+        spec = NetworkSpec((3, 5), 2, bn_flags=(True,))
+        rng = np.random.default_rng(1)
+        params = random_params(spec, rng)
+        trace = forward_hidden(params, rng.standard_normal((7, 3)))
+        got = batchnorm_forward(trace.affine[0], params.bn_scale[0], params.bn_shift[0],
+                                spec.bn_epsilon)
+        assert np.array_equal(got, trace.bn_cache[0][3])
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             batchnorm_forward(np.array([]), 1.0, 0.0, 1e-5)
