@@ -17,6 +17,9 @@ code=0
 timeout 10 twophase gen-data --config packed.json --out packed 2> err.txt || code=$?
 test "$code" -eq 1
 grep -q '^config error:' err.txt
+test ! -e packed
+# `import twophase` loads no submodule: each name loads on first use
+python -c "import sys, twophase; sys.exit(any(m.startswith('twophase.') for m in sys.modules))"
 # backprop and the tangent kernel take the trace of the one pass
 # forward_hidden runs, and read the architecture from the Params
 python -c "import numpy as np; from twophase import NetworkSpec, backprop, compute_kernel, compute_ntk, forward_hidden, init_params; spec = NetworkSpec((3, 4, 5), 2); p = init_params(spec, 0); x = np.linspace(-1.0, 1.0, 18).reshape(6, 3); up = np.ones((6, 2)); trace = forward_hidden(p, x); g = backprop(p, trace, up); assert g.shape == (spec.param_count(),) and np.isfinite(g).all(); assert compute_ntk(compute_kernel(p, trace)).rank == 12"
@@ -78,6 +81,15 @@ python -c "import json, sys; sys.exit(0 if json.load(open('verify/verify.json'))
 # rank proved by a factorization or counted from an SVD, and the
 # witness's likewise
 python -c "import json, sys; v = json.load(open('verify/verify.json')); e, w = v['expressivity'], v['witness']; sys.exit(0 if e['proved'] + e['counted'] == e['trials'] == 20 and isinstance(w['proved'], bool) else 1)"
+# verify and gen-data load only what they run, never the trainer
+for cmd in verify gen-data; do
+  python -X importtime -m twophase.cli "$cmd" --config tiny.json --out "imports_$cmd" > /dev/null 2> imports.txt
+  grep -q 'twophase\.data$' imports.txt
+  if grep -q 'twophase\.trainer$' imports.txt; then
+    echo "$cmd imported twophase.trainer" >&2
+    exit 1
+  fi
+done
 # a 2-seed sweep of one cell: one cell with both seeds' losses
 python -c "import json; c = json.load(open('tiny.json')); c['sweep'] = {'seeds': [0, 1], 'tau_fractions': [0.5], 'noise_scales': [0.001]}; json.dump(c, open('tiny_sweep.json', 'w'))"
 twophase sweep --config tiny_sweep.json --out sweep

@@ -12,6 +12,10 @@ ceiling and suboptimality included), so interrupted runs stay analyzable;
 `train` keeps no record it has written, and summary.json takes its best and
 final loss and its seconds per phase from the run's log.
 
+Each command imports what it runs as it starts, before any data is built:
+`verify` and `gen-data` never load the trainer (nor its losses, bounds and
+ntk), and `train` and `sweep` never load the expressivity checks.
+
 Exit codes: 0 success, 1 configuration or usage error (an unreadable config
 file or an output directory that cannot be made included), 2 verification
 failure, 3 runtime numeric failure.
@@ -31,23 +35,9 @@ import time
 import numpy as np
 
 from .data import Dataset, load_csv, save_csv, synth_gen
-from .expressivity import (
-    WitnessConstructionError,
-    check_distinguishability,
-    check_expressivity,
-    construct_witness,
-    expressivity_trials,
-)
 from .linalg import DecompositionError, RankDeficientError
-from .losses import loss_by_name
 from .network import NetworkSpec, init_params
-from .trainer import (
-    BaseAlgoConfig,
-    FeatureRankError,
-    RankPreservationError,
-    TwoPhaseConfig,
-    run_two_phase,
-)
+from .protocol import BaseAlgoConfig, FeatureRankError, RankPreservationError, TwoPhaseConfig
 
 __all__ = ["main", "console_main", "load_config", "DEFAULT_CONFIG"]
 
@@ -276,6 +266,14 @@ def _write_text_summary(path, summary: dict) -> None:
 
 
 def cmd_verify(cfg: dict, out_dir: str) -> int:
+    from .expressivity import (
+        WitnessConstructionError,
+        check_distinguishability,
+        check_expressivity,
+        construct_witness,
+        expressivity_trials,
+    )
+
     dataset = _build_dataset(cfg)
     spec = _build_spec(cfg, dataset)
     vcfg = cfg["verify"]
@@ -356,6 +354,9 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
 
 def _train_once(cfg: dict, dataset: Dataset, spec: NetworkSpec, record_sink=None):
+    from .losses import loss_by_name
+    from .trainer import run_two_phase
+
     base, two_phase = _build_train_cfgs(cfg, dataset, spec)
     kind = loss_by_name(cfg["loss"])
     params0 = init_params(spec, seed=cfg["seed"])
@@ -368,6 +369,8 @@ def _train_once(cfg: dict, dataset: Dataset, spec: NetworkSpec, record_sink=None
 
 
 def cmd_train(cfg: dict, out_dir: str) -> int:
+    from . import trainer  # noqa: F401  (what _train_once runs, loaded before any data)
+
     dataset = _build_dataset(cfg)
     spec = _build_spec(cfg, dataset)
     _make_out_dir(out_dir)
@@ -448,6 +451,8 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     confined to some runs is recorded in its cell; a config error in every
     run is the config's error (ConfigError), as is an empty grid list, which
     load_config rejects."""
+    from . import trainer  # noqa: F401  (what _train_once runs, loaded before any data)
+
     grid = cfg["sweep"]
     cells_spec = [(t, d) for t in grid["tau_fractions"] for d in grid["noise_scales"]]
     _make_out_dir(out_dir)
@@ -472,8 +477,8 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_gen_data(cfg: dict, out_dir: str) -> int:
-    _make_out_dir(out_dir)
     dataset = _build_dataset(cfg)
+    _make_out_dir(out_dir)
     path = os.path.join(out_dir, "dataset.csv")
     save_csv(dataset, path)
     print(f"wrote {dataset.n} x {dataset.input_dim} dataset "

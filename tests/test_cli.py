@@ -185,6 +185,16 @@ class TestGenData:
         ds = load_csv(out / "dataset.csv", m_x=3, kind="class_index")
         assert ds.n == 10 and ds.y.shape[1] == 2
 
+    @pytest.mark.parametrize("command", ["gen-data", "verify", "train"])
+    def test_refused_dataset_leaves_no_out_dir(self, tmp_path, capsys, command):
+        # a margin the circle cannot hold at n points is refused before
+        # any draw, and before --out is made
+        path = write_config(tmp_path, data={"n": 128, "m_x": 2, "c_min": 0.5})
+        out = tmp_path / "packed"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_qualifying_setup_passes(self, tmp_path, capsys):
@@ -280,7 +290,7 @@ class TestVerify:
     def test_witness_off_skips_the_construction(self, tmp_path, monkeypatch):
         def unexpected(*args, **kwargs):
             raise AssertionError("the witness was constructed")
-        monkeypatch.setattr(cli, "construct_witness", unexpected)
+        monkeypatch.setattr(expressivity, "construct_witness", unexpected)
         path = write_config(
             tmp_path,
             data={"n": 8, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.05},
@@ -297,7 +307,7 @@ class TestVerify:
     def test_witness_programming_errors_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("broken call")
-        monkeypatch.setattr(cli, "construct_witness", broken)
+        monkeypatch.setattr(expressivity, "construct_witness", broken)
         path = write_config(
             tmp_path,
             data={"n": 8, "m_x": 4, "m_y": 2, "kind": "regression", "c_min": 0.05},
@@ -336,7 +346,7 @@ class TestTrain:
         # train keeps no record it has written: best and final loss are those
         # of run.log.jsonl, and the seconds per phase split at record tau's
         # wall time (0.0 at tau 0) and end at the last record's
-        walls, run = [], cli.run_two_phase
+        walls, run = [], trainer.run_two_phase
 
         def timed(*args, record_sink, **kwargs):
             def sink(rec):
@@ -344,7 +354,7 @@ class TestTrain:
                 record_sink(rec)
             return run(*args, record_sink=sink, **kwargs)
 
-        monkeypatch.setattr(cli, "run_two_phase", timed)
+        monkeypatch.setattr(trainer, "run_two_phase", timed)
         path = write_config(tmp_path, **small_train_sections(two_phase={"tau": tau}))
         out = tmp_path / "t"
         assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
@@ -703,7 +713,7 @@ class TestTrain:
     def test_numeric_failure_maps_to_exit_three(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise FeatureRankError("forced rank loss")
-        monkeypatch.setattr(cli, "run_two_phase", boom)
+        monkeypatch.setattr(trainer, "run_two_phase", boom)
         path = write_config(tmp_path, **small_train_sections())
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "x")]) == 3
 
@@ -816,14 +826,14 @@ class TestSweep:
                              "seeds": [0, 1]}
         sections["two_phase"]["total_steps"] = 20
         path = write_config(tmp_path, **sections)
-        logs, real_run, real_once = [], cli.run_two_phase, cli._train_once
+        logs, real_run, real_once = [], trainer.run_two_phase, cli._train_once
 
         def keeping(*args, **kwargs):
             params, log = real_run(*args, **kwargs)
             logs.append(log)
             return params, log
 
-        monkeypatch.setattr(cli, "run_two_phase", keeping)
+        monkeypatch.setattr(trainer, "run_two_phase", keeping)
         assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
         assert len(logs) == 2 and all(log.records == [] for log in logs)
         monkeypatch.setattr(cli, "_train_once", lambda cfg, dataset, spec, record_sink=None:
@@ -854,12 +864,13 @@ class TestUnusablePaths:
         # cannot be made, is the config's error, found before training or
         # verifying
         ran = []
-        for name in ("run_two_phase", "check_distinguishability",
-                     "expressivity_trials", "save_csv"):
-            def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+        for module, name in ((trainer, "run_two_phase"),
+                             (expressivity, "check_distinguishability"),
+                             (expressivity, "expressivity_trials"), (cli, "save_csv")):
+            def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
                 ran.append(_name)
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(cli, name, spy)
+            monkeypatch.setattr(module, name, spy)
         sections = small_train_sections()
         sections["two_phase"]["total_steps"] = 10
         sections["sweep"] = {"tau_fractions": [0.5], "noise_scales": [0.001], "seeds": [0]}
