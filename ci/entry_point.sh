@@ -75,6 +75,18 @@ code=0
 twophase train --config retry.json --out retry 2> err.txt || code=$?
 test "$code" -eq 3
 grep -q '^numeric failure: step 6 (phase 2):' err.txt
+# at learning rate 10 phase 1 collapses the features of a layer wide
+# enough for them (m_H + 1 = 19 >= n = 16): a numeric failure at tau that
+# points at phase 1, not at the width
+python -c "import json; c = json.load(open('tiny.json')); c['base']['learning_rate'] = 10; json.dump(c, open('tiny_lr10.json', 'w'))"
+code=0
+twophase train --config tiny_lr10.json --out lr10 2> err.txt || code=$?
+test "$code" -eq 3
+grep -q '^numeric failure: step 24 (phase 2):' err.txt
+if grep -q 'widen' err.txt; then
+  echo "a collapse at tau advised widening a wide enough layer" >&2
+  exit 1
+fi
 twophase verify --config tiny.json --out verify
 python -c "import json, sys; sys.exit(0 if json.load(open('verify/verify.json'))['passed'] is True else 1)"
 # verify.json says how each rank was reached: every trial's full

@@ -137,7 +137,8 @@ class Rank:
         return int(np.count_nonzero(self.spectrum > tol))
 
 
-def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None) -> Rank:
+def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None, *,
+                   _reference: Rank | None = None) -> Rank:
     """The rank of `m` under the package's one rank rule: the count of its
     spectrum above the stock threshold (Rank), proved by one Cholesky
     factorization when the rank is full, and counted from a spectrum only
@@ -172,7 +173,9 @@ def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None
     rank below s, proves nothing; the spectrum then counts the rank.
 
     `floor` (on G's scale) raises the level to a threshold the caller
-    judges the verdict at, as ntk.compute_ntk does a reference's tolerance.
+    judges the verdict at, as ntk.compute_ntk does a reference's tolerance;
+    given that reference verdict as `_reference` (compute_ntk's alone), a
+    failure is counted once, above the larger of the two tolerances.
     A right-hand side `rhs` r (one entry per row of a kernel) borders the
     factored matrix: [[K - 4 m I, r], [r^T, rho]], rho the largest float,
     so the last pivot cannot fail and the leading block certifies the rank
@@ -212,7 +215,10 @@ def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None
             if rhs is not None:
                 verdict.rhs, verdict.rhs_norm = rhs, float(np.linalg.norm(factor[size, :size]))
             return verdict
-    verdict.rank = verdict.count_above(verdict.tolerance)
+    tolerance = verdict.tolerance
+    if _reference is not None:
+        tolerance = max(_reference.tolerance, tolerance)
+    verdict.rank = verdict.count_above(tolerance)
     return verdict
 
 

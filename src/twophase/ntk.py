@@ -186,7 +186,7 @@ def compute_ntk(kernel, reference=None, rhs=None, work=None) -> Rank:
     judged at the reference's threshold, its tolerance, so that K keeps the
     reference's rank iff the verdict's rank >= reference.rank: the level m
     is raised to that threshold, so a success means full rank there, and a
-    failure counts the eigenvalues above the larger of the reference's
+    failure counts the eigenvalues once, above the larger of the reference's
     tolerance and K's own, so a kernel whose rounding noise lies above the
     reference's threshold is not judged by that noise.  A reference's
     tolerance needs its spectrum, so its tolerance_bound is tried first:
@@ -216,7 +216,4 @@ def compute_ntk(kernel, reference=None, rhs=None, work=None) -> Rank:
     if reference is not None and reference.tolerance_bound > rows * EPS * float(np.trace(k)):
         floor = reference.tolerance
     out = None if work is None or work.kernel_arrays is None else work.kernel_arrays[2]
-    verdict = certified_rank(k, floor, gram=True, rhs=rhs, out=out)
-    if reference is not None and not verdict.proved:
-        verdict.rank = verdict.count_above(max(reference.tolerance, verdict.tolerance))
-    return verdict
+    return certified_rank(k, floor, gram=True, rhs=rhs, out=out, _reference=reference)

@@ -27,12 +27,15 @@ PHASE2_MODES = ("last_layer_gd", "last_layer_sgd", "lazy_full")
 
 
 class FeatureRankError(RuntimeError):
-    """Features lost row rank right after perturbation.
+    """Features [h, 1] lost row rank right after perturbation, at step tau
+    (phase 2), which the message names.
 
     This has probability zero over the Gaussian draw when the expressivity
-    condition holds, so seeing it means the architecture is too small
-    (m_H + 1 < n), the rank tolerance is off, or the noise collapsed into a
-    degenerate regime; try a wider last hidden layer or another seed.
+    condition holds, so seeing it means one of two things.  The last hidden
+    layer is too narrow (m_H + 1 < n): widen it.  Or phase 1 collapsed the
+    features, so that the kick cannot separate them: a diverging or
+    over-sharp run saturates its softplus units until rows coincide; try a
+    smaller learning rate or another seed.  The message says which holds.
     """
 
 

@@ -8,6 +8,9 @@ run_two_phase checks its inputs once (_Run), then runs four phases:
                   the head untouched; batch-norm statistics frozen for the
                   rest of the run, so the head problem is convex; and the
                   pass at tau, whose features [h, 1] must have full row rank.
+                  Phase 2 holds that pass only where it reads it: lazy_full,
+                  and a head mode that monitors; an unmonitored head phase
+                  holds only [h, 1] and the head.
 * _head_phase  -- last_layer_gd: head GD at step 1/L_H, L_H the smoothness
                   constant of the frozen-feature head problem, so the loss
                   is non-increasing; last_layer_sgd: unbiased minibatch head
@@ -242,7 +245,8 @@ def estimate_lipschitz(params, x, y, kind, frozen_stats=None, seed: int = 0) -> 
 
 class _Run:
     """What every phase reads: the checked data, spec, kind and configs, the
-    run's one Workspace, its TrainLog, the seeds of the kick and of head
+    run's one Workspace (None from tau on where phase 2 reads no pass:
+    _at_tau), its TrainLog, the seeds of the kick and of head
     SGD, the Certificate (None without bounds), `emit` and `monitored`."""
 
     def __init__(self, spec, dataset, base, cfg, kind, monitor_every, record_sink):
@@ -290,12 +294,14 @@ class _Run:
 @dataclass
 class _AtTau:
     """What phase 2 starts from: the perturbed params, updated in place (the
-    head through its head_block() view), the pass at tau and its residual,
-    [h, 1] and its rank, dpred and lazy L; the frozen stats are in the log."""
+    head through its head_block() view), the pass at tau and its residual
+    (None where phase 2 does not read them: a head mode with monitoring
+    off), [h, 1] and its rank, dpred and lazy L; the frozen stats are in
+    the log."""
 
     params: Params
-    trace: ForwardTrace
-    residual: np.ndarray
+    trace: ForwardTrace | None
+    residual: np.ndarray | None
     aug: np.ndarray
     feature_rank: int
     dpred: np.ndarray
@@ -367,26 +373,39 @@ def _phase_one(run, params0):
 def _at_tau(run, params):
     """The hand-off at tau from the perturbed `params`: statistics frozen
     from their pass, the pass under them, whose [h, 1] must have full row
-    rank (else FeatureRankError), the loss of [h, 1] params.head_block()
-    and its gradient, and lazy L (lazy_lipschitz, else estimated); fills
-    the log at tau."""
+    rank (else FeatureRankError naming step tau), L_H, the loss of [h, 1]
+    params.head_block() and its gradient, and lazy L (lazy_lipschitz, else
+    estimated); fills the log at tau.  The pass (its trace and residual)
+    and run.work are kept only where phase 2 reads them: lazy_full, for
+    the reference kernel and the first gradient, and a head mode with
+    monitor_every > 0, whose monitored steps rank the kernel of this pass.
+    Otherwise all three are dropped before [h, 1] is made and ranked, so
+    the head phase holds only [h, 1] and the head; L_H is taken from the h
+    of [h, 1], bit for bit the pass's."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
-    tau, n = cfg.tau, x.shape[0]
+    tau, n, m_h = cfg.tau, x.shape[0], spec.widths[-1]
     # the passes at tau write into the workspace too: the statistics are
     # copies, head steps write only its kernel arrays, and lazy candidates
     # overwrite the pass only after the reference at tau is done with it
     frozen = (batch_statistics(forward_hidden(params, x, work=work))
               if any(spec.bn_flags) else None)
     trace, _, residual = _evaluate(params, x, y, kind, tau, 2, frozen, work=work)
-    aug = append_ones(trace.hidden)
+    h = trace.hidden
+    if cfg.phase2_mode != "lazy_full" and not run.monitor_every:
+        trace = residual = work = run.work = None  # phase 2 reads no pass
+    # [h, 1] is made, and h let go, before the rank check's Gram and
+    # factorization, which then reuse the pass's memory
+    aug = append_ones(h)
+    del h
     feature_rank = numerical_rank(aug)
     if feature_rank < n:
-        raise FeatureRankError(
-            f"features after perturbation have rank {feature_rank} < n = {n}; "
-            "widen the last hidden layer (need m_H + 1 >= n) or change the seed"
-        )
+        advice = (f"widen the last hidden layer (m_H + 1 = {m_h + 1} < n)" if m_h + 1 < n else
+                  f"m_H + 1 = {m_h + 1} >= n, so phase 1 collapsed them: "
+                  "try a smaller learning rate or another seed")
+        raise FeatureRankError(f"step {tau} (phase 2): features [h, 1] after perturbation "
+                               f"have rank {feature_rank} < n = {n}; {advice}")
     log.frozen_stats, log.params_at_tau = frozen, params.copy()
-    log.l_h = compute_L_H(kind, trace.hidden)
+    log.l_h = compute_L_H(kind, aug[:, :-1])
     # the loss at tau is that of [h, 1] z, as at every head step (the pass's
     # h W + b can differ in the last bit), whose gradient head GD takes next
     loss, dpred = _loss(kind, _finite(aug @ params.head_block(), "predictions", tau, 2), y)
@@ -501,8 +520,8 @@ def run_two_phase(params0: Params, dataset, base: BaseAlgoConfig, cfg: TwoPhaseC
     or more hidden layers, monitor_every >= 0, X is finite, Y holds valid
     targets of `kind`, one row of m_y per sample, a momentum-SGD minibatch
     fits in n, and cfg.noise_scale is one scale or one per hidden layer.
-    FeatureRankError if [h, 1] after the kick is not full row rank;
-    naming the step and phase, RankPreservationError if lazy rate halving
+    Naming the step and phase: FeatureRankError if [h, 1] after the kick
+    is not full row rank, RankPreservationError if lazy rate halving
     cannot restore the kernel rank within the retry cap, RankDeficientError
     if, with bounds on, the lazy kernel at tau is below full rank n * m_y, and
     FloatingPointError once predictions, the loss, the gradient norm or a

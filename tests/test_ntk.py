@@ -16,7 +16,7 @@ from twophase.network import (
     params_zero,
     random_params,
 )
-from twophase.linalg import certified_rank
+from twophase.linalg import Rank, certified_rank
 from twophase.ntk import (
     compute_jacobian,
     compute_kernel,
@@ -189,6 +189,34 @@ class TestCholeskyRank:
             threshold = max(ref.tolerance, stock)
             assert snap.rank == snap.count_above(threshold) == np.count_nonzero(values > threshold)
         assert snap.rank == 0 and counts["eigvalsh"] == len(above)
+
+    def test_a_failed_verdict_is_counted_once(self, rng, monkeypatch):
+        # a verdict whose factorization fails counts its spectrum once, at
+        # the threshold it is judged at: max(the reference's tolerance, its
+        # own) against a reference, its own without; a proved one counts none
+        thresholds = []
+        count_above = Rank.count_above
+
+        def spy(verdict, tol):
+            thresholds.append(tol)
+            return count_above(verdict, tol)
+
+        j = rng.standard_normal((4, 9))
+        ref = _large_threshold_reference(j)
+        repeated = j.copy()
+        repeated[3] = repeated[0]
+        monkeypatch.setattr(Rank, "count_above", spy)
+        cases = [((1e-4 * j) @ (1e-4 * j).T, ref), (repeated @ repeated.T, ref),
+                 (repeated @ repeated.T, None), (j @ j.T, None)]
+        for k, reference in cases:
+            del thresholds[:]
+            snap = compute_ntk(k, reference=reference)
+            if snap.proved:
+                assert thresholds == []
+                continue
+            own = snap.tolerance
+            assert thresholds == [own if reference is None else max(reference.tolerance, own)]
+            assert snap.rank == _eigvalsh_rank(k, thresholds[0])
 
     def test_zero_kernel_has_rank_zero(self):
         assert compute_ntk(np.zeros((3, 3))).rank == 0

@@ -294,6 +294,22 @@ class TestRunTwoPhase:
         with pytest.raises(FeatureRankError, match="widen the last hidden layer"):
             run_two_phase(init_params(spec, 7), ds, base, cfg, SQUARED)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_feature_collapse_names_step_tau_and_phase_one(self, seed):
+        # at learning rate 10 phase 1 saturates the features of a layer wide
+        # enough (m_H + 1 = 19 >= n = 16): the error names step tau and
+        # points at phase 1, not at the width
+        ds = synth_gen(16, 8, 4, 0.01, "one_hot", seed=seed)
+        spec = NetworkSpec((8, 8, 18), 4)
+        base = BaseAlgoConfig(learning_rate=10.0, minibatch=8, seed=seed)
+        cfg = TwoPhaseConfig(tau=24, total_steps=40, seed=seed)
+        with pytest.raises(FeatureRankError) as info:
+            run_two_phase(init_params(spec, seed), ds, base, cfg, CROSS_ENTROPY)
+        message = str(info.value)
+        assert message.startswith("step 24 (phase 2): ")
+        assert "m_H + 1 = 19 >= n" in message and "smaller learning rate" in message
+        assert "widen" not in message
+
     def test_depth_one_rejected(self):
         ds = synth_gen(4, 3, 1, 0.03, "regression", seed=8)
         spec = NetworkSpec((3, 6), 1)
@@ -945,6 +961,30 @@ class TestPhaseOneWorkspace:
             if not tracing:
                 tracemalloc.stop()
         assert seen["peak"] - seen["start"] < 128 * 141 * 8
+
+    @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd"])
+    def test_unmonitored_head_phase_drops_the_pass_at_tau(self, mode):
+        # a head_gd_ce-shaped run with monitoring off: phase 2 reads no pass,
+        # so traced memory at the first phase-2 record is below that at
+        # record tau by at least one n x m_H float64 array
+        ds = synth_gen(128, 8, 4, 0.01, "one_hot", seed=0)
+        spec = NetworkSpec((8, 8, 141), 4, sharpness=10.0)
+        tau, seen = 60, {}
+
+        def sink(rec):
+            if rec.t in (tau, tau + 1):
+                seen[rec.t] = tracemalloc.get_traced_memory()[0]
+
+        cfg = TwoPhaseConfig(tau=tau, total_steps=100, phase2_mode=mode)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            run_two_phase(init_params(spec, seed=0), ds, BaseAlgoConfig(minibatch=64), cfg,
+                          CROSS_ENTROPY, monitor_every=0, record_sink=sink)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert seen[tau] - seen[tau + 1] >= 128 * 141 * 8
 
     def test_step_makes_a_bounded_number_of_python_calls(self):
         # a head_gd_ce-shaped momentum-SGD run: the workspace's views are
