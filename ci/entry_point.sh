@@ -30,6 +30,9 @@ echo '{"data": {"n": 16}, "network": {"hidden_widths": [8, 18]}, "base": {"minib
 twophase train --config tiny.json --out train
 test "$(wc -l < train/run.log.jsonl)" -eq 40
 test -s train/summary.json
+# the summary line reaches a pipe, where stdout is block-buffered: an exit
+# path that dropped buffered output would fail here (pipefail)
+twophase train --config tiny.json --out piped | grep -q '^final loss'
 # the summary's losses come from the run, which keeps no record:
 # they must match the streamed log
 python -c "import json, sys; s = json.load(open('train/summary.json')); r = [json.loads(l)['loss'] for l in open('train/run.log.jsonl')]; sys.exit(0 if s['best_loss'] == min(r) and s['final_loss'] == r[-1] else 1)"
@@ -83,6 +86,10 @@ code=0
 twophase train --config tiny_lr10.json --out lr10 2> err.txt || code=$?
 test "$code" -eq 3
 grep -q '^numeric failure: step 24 (phase 2):' err.txt
+# phase 1's loss rose (3.91x) with all 18 last-layer units inactive on every
+# sample: the message gives both and advises a smaller learning rate
+grep -q '3.91x its initial loss, and 18 of 18 last-layer units are inactive' err.txt
+grep -q 'the loss rose in phase 1: try a smaller learning rate' err.txt
 if grep -q 'widen' err.txt; then
   echo "a collapse at tau advised widening a wide enough layer" >&2
   exit 1

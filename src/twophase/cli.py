@@ -18,7 +18,11 @@ ntk), and `train` and `sweep` never load the expressivity checks.
 
 Exit codes: 0 success, 1 configuration or usage error (an unreadable config
 file or an output directory that cannot be made included), 2 verification
-failure, 3 runtime numeric failure.
+failure, 3 runtime numeric failure.  The `twophase` script and
+`python -m twophase.cli` (console_main) freeze the heap (gc.freeze) once
+main() has returned, so the interpreter's shutdown collections have nothing
+to traverse; the exit code, the atexit handlers and the flush of stdout and
+stderr are unchanged.  main() itself never freezes.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -529,7 +534,11 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # the shutdown collections would traverse every object only for the
+    # process's end to free them: frozen, they traverse none (about 13 ms)
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

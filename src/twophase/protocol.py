@@ -34,8 +34,11 @@ class FeatureRankError(RuntimeError):
     condition holds, so seeing it means one of two things.  The last hidden
     layer is too narrow (m_H + 1 < n): widen it.  Or phase 1 collapsed the
     features, so that the kick cannot separate them: a diverging or
-    over-sharp run saturates its softplus units until rows coincide; try a
-    smaller learning rate or another seed.  The message says which holds.
+    over-sharp run saturates its softplus units until rows coincide.  The
+    message says which holds, with phase 1's loss ratio (last over first)
+    and the count of last-layer units inactive on every sample, and advises
+    a smaller learning rate when the loss rose, else another seed or a
+    smaller sharpness.
     """
 
 

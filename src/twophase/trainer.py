@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import Certificate
-from .linalg import append_ones, as_matrix, numerical_rank
+from .linalg import EPS, append_ones, as_matrix, numerical_rank
 from .losses import LossKind, _loss, _mean_gradient, _mean_loss, _terms, check_targets
 from .network import (
     ForwardTrace,
@@ -383,7 +383,7 @@ def _at_tau(run, params):
     the head phase holds only [h, 1] and the head; L_H is taken from the h
     of [h, 1], bit for bit the pass's."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
-    tau, n, m_h = cfg.tau, x.shape[0], spec.widths[-1]
+    tau, n = cfg.tau, x.shape[0]
     # the passes at tau write into the workspace too: the statistics are
     # copies, head steps write only its kernel arrays, and lazy candidates
     # overwrite the pass only after the reference at tau is done with it
@@ -399,11 +399,7 @@ def _at_tau(run, params):
     del h
     feature_rank = numerical_rank(aug)
     if feature_rank < n:
-        advice = (f"widen the last hidden layer (m_H + 1 = {m_h + 1} < n)" if m_h + 1 < n else
-                  f"m_H + 1 = {m_h + 1} >= n, so phase 1 collapsed them: "
-                  "try a smaller learning rate or another seed")
-        raise FeatureRankError(f"step {tau} (phase 2): features [h, 1] after perturbation "
-                               f"have rank {feature_rank} < n = {n}; {advice}")
+        raise _feature_rank_error(run, aug, feature_rank)
     log.frozen_stats, log.params_at_tau = frozen, params.copy()
     log.l_h = compute_L_H(kind, aug[:, :-1])
     # the loss at tau is that of [h, 1] z, as at every head step (the pass's
@@ -415,6 +411,32 @@ def _at_tau(run, params):
     if cfg.phase2_mode == "lazy_full" and lipschitz is None:
         lipschitz = max(estimate_lipschitz(params, x, y, kind, frozen, seed=cfg.seed), 1e-12)
     return _AtTau(params, trace, residual, aug, feature_rank, dpred, lipschitz)
+
+
+def _feature_rank_error(run, aug, feature_rank) -> FeatureRankError:
+    """The error for features [h, 1] at tau of row rank `feature_rank` < n,
+    built from what the run saw: the width test m_H + 1 >= n, phase 1's
+    loss ratio (last over first) and the last-layer units inactive on every
+    sample, those with s h < eps, which bounds their softplus derivative
+    logistic(s z) <= s h.  It advises widening only when m_H + 1 < n, and a
+    smaller learning rate when the loss rose."""
+    spec, log, n = run.spec, run.log, aug.shape[0]
+    m_h = spec.widths[-1]
+    first, last = log.loss_initial, log.final_loss
+    ratio = last / first if first > 0 else (math.inf if last > 0 else 1.0)
+    inactive = int(np.count_nonzero(np.all(spec.sharpness * aug[:, :-1] < EPS, axis=0)))
+    if m_h + 1 < n:
+        advice = f"widen the last hidden layer (m_H + 1 = {m_h + 1} < n)"
+    elif ratio > 1.0:
+        advice = (f"m_H + 1 = {m_h + 1} >= n, and the loss rose in phase 1: "
+                  "try a smaller learning rate")
+    else:
+        advice = (f"m_H + 1 = {m_h + 1} >= n, so phase 1 collapsed them: "
+                  "try another seed or a smaller sharpness")
+    return FeatureRankError(
+        f"step {log.tau} (phase 2): features [h, 1] after perturbation have rank "
+        f"{feature_rank} < n = {n}; phase 1 ended at {ratio:.3g}x its initial loss, "
+        f"and {inactive} of {m_h} last-layer units are inactive on every sample; {advice}")
 
 
 def _head_phase(run, at_tau):

@@ -898,13 +898,27 @@ class TestUnusablePaths:
 
 class TestConsoleMain:
     def test_exits_with_the_code_main_returns(self, tmp_path, monkeypatch):
-        # console_main is the installed `twophase` script's entry point
+        # console_main is the installed `twophase` script's entry point: it
+        # freezes the heap once main has returned, and SystemExit then
+        # carries the code; a recorder stands in for gc.freeze, so this
+        # process's heap is never frozen
+        events, real_main = [], cli.main
+
+        def main():
+            code = real_main()
+            events.append(("returned", code))
+            return code
+
+        monkeypatch.setattr(cli, "main", main)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: events.append(("freeze",)))
         good = write_config(tmp_path, "good.json", data={"n": 8})
         bad = write_config(tmp_path, "bad.json", nonsense=1)
         for path, code in ((good, 0), (bad, 1)):
             monkeypatch.setattr(sys, "argv", ["twophase", "gen-data", "--config", path,
                                               "--out", str(tmp_path / "g")])
+            events.clear()
             with pytest.raises(SystemExit) as exited:
                 cli.console_main()
+            assert events == [("returned", code), ("freeze",)]
             assert exited.value.code == code
         assert (tmp_path / "g" / "dataset.csv").exists()

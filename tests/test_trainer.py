@@ -310,6 +310,39 @@ class TestRunTwoPhase:
         assert "m_H + 1 = 19 >= n" in message and "smaller learning rate" in message
         assert "widen" not in message
 
+    def test_feature_collapse_after_a_loss_rise_gives_the_ratio(self):
+        # CI tiny.json at learning rate 10: phase 1 ends at 3.91x its
+        # initial loss with every last-layer unit off on every sample
+        ds = synth_gen(16, 8, 4, 0.01, "one_hot", seed=0)
+        spec = NetworkSpec((8, 8, 18), 4)
+        base = BaseAlgoConfig(learning_rate=10.0, minibatch=8, seed=0)
+        cfg = TwoPhaseConfig(tau=24, total_steps=40, seed=0)
+        with pytest.raises(FeatureRankError) as info:
+            run_two_phase(init_params(spec, 0), ds, base, cfg, CROSS_ENTROPY)
+        message = str(info.value)
+        assert "phase 1 ended at 3.91x its initial loss" in message
+        assert "18 of 18 last-layer units are inactive on every sample" in message
+        assert "the loss rose in phase 1: try a smaller learning rate" in message
+
+    def test_feature_collapse_without_a_loss_rise_counts_inactive_units(self):
+        # no phase 1 (tau 0) and 10 of 18 last-layer units pushed far below
+        # zero, which the kick cannot revive: the rank falls short with the
+        # loss unchanged, so the advice is neither the width nor the rate
+        ds = synth_gen(16, 8, 4, 0.01, "one_hot", seed=0)
+        spec = NetworkSpec((8, 8, 18), 4)
+        params = init_params(spec, 0)
+        params.biases[-2][:, :10] = -1e3
+        base = BaseAlgoConfig(learning_rate=0.01, minibatch=8)
+        cfg = TwoPhaseConfig(tau=0, total_steps=5)
+        with pytest.raises(FeatureRankError) as info:
+            run_two_phase(params, ds, base, cfg, CROSS_ENTROPY)
+        message = str(info.value)
+        assert message.startswith("step 0 (phase 2): ")
+        assert "phase 1 ended at 1x its initial loss" in message
+        assert "10 of 18 last-layer units are inactive on every sample" in message
+        assert "another seed or a smaller sharpness" in message
+        assert "widen" not in message and "learning rate" not in message
+
     def test_depth_one_rejected(self):
         ds = synth_gen(4, 3, 1, 0.03, "regression", seed=8)
         spec = NetworkSpec((3, 6), 1)
