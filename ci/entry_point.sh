@@ -30,6 +30,12 @@ echo '{"data": {"n": 16}, "network": {"hidden_widths": [8, 18]}, "base": {"minib
 twophase train --config tiny.json --out train
 test "$(wc -l < train/run.log.jsonl)" -eq 40
 test -s train/summary.json
+# training-mode batch norm with every phase-1 step monitored: each kernel
+# is the layer-wise sum with the batch statistics held as constants, so
+# the 24 phase-1 records carry the full rank n * m_y = 64, within seconds
+python -c "import json; c = json.load(open('tiny.json')); c['network']['bn'] = True; c['monitor_every'] = 1; json.dump(c, open('tiny_bn.json', 'w'))"
+timeout 30 twophase train --config tiny_bn.json --out bn
+python -c "import json, sys; r = [json.loads(l) for l in open('bn/run.log.jsonl')]; p1 = [x['ntk_rank'] for x in r if x['phase'] == 1]; sys.exit(0 if p1 == [64] * 24 else 1)"
 # the summary line reaches a pipe, where stdout is block-buffered: an exit
 # path that dropped buffered output would fail here (pipefail)
 twophase train --config tiny.json --out piped | grep -q '^final loss'
@@ -90,6 +96,8 @@ grep -q '^numeric failure: step 24 (phase 2):' err.txt
 # sample: the message gives both and advises a smaller learning rate
 grep -q '3.91x its initial loss, and 18 of 18 last-layer units are inactive' err.txt
 grep -q 'the loss rose in phase 1: try a smaller learning rate' err.txt
+# and names the first step above the initial loss, step 1 of 24
+grep -q 'try a smaller learning rate (the loss first exceeded its initial value at step 1)' err.txt
 if grep -q 'widen' err.txt; then
   echo "a collapse at tau advised widening a wide enough layer" >&2
   exit 1

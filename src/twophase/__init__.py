@@ -32,7 +32,7 @@ _EXPORTS = {
     "network": ("NetworkSpec", "Params", "backprop", "batchnorm_forward", "forward_hidden",
                 "forward_output", "init_params", "params_from_flat", "random_params",
                 "softplus"),
-    "ntk": ("compute_jacobian", "compute_kernel", "compute_ntk"),
+    "ntk": ("compute_kernel", "compute_ntk"),
     "protocol": ("BaseAlgoConfig", "TwoPhaseConfig"),
     "trainer": ("TrainLog", "compute_L_H", "perturb", "run_two_phase"),
 }

@@ -25,9 +25,9 @@ constant per sample, which is exact for soft targets.  A cross-entropy target
 with a zero entry (one-hot) has an infimum, the mean entropy, that no finite
 point attains, so the distance is inf and a bound built on it is vacuous.
 Nothing here iterates.  The lazy bound uses an empirical Lipschitz estimate,
-a lower bound on the true constant, and the configured eta_bar even after a
-rank event has halved the rate, so ceilings built from it are diagnostics
-rather than certificates.
+a lower bound on the true constant, so ceilings built from it are diagnostics
+rather than certificates; its eta_bar is the rate the step was taken at,
+after any halving a rank event made.
 """
 
 from __future__ import annotations
@@ -212,12 +212,11 @@ class Certificate:
     kernels so far, an upper bound when `bordered`), head SGD's step-size
     sums, the running G^2 and the status: `exact` for head GD, `expectation`
     for head SGD, whose ceiling bounds the expected suboptimality,
-    `estimated` for the lazy phase, whose L is an empirical lower bound and
-    eta_bar the configured one, not a halved rate, and
-    `vacuous` where R^2 or Rbar is inf.  violations counts the steps above
-    an exact ceiling.  It takes the run's TwoPhaseConfig, its checked
-    targets y of `kind`, and at tau [h, 1], the head, L_H, the loss and the
-    lazy phase's L."""
+    `estimated` for the lazy phase, whose L is an empirical lower bound (its
+    eta_bar is the rate of the last step observed), and `vacuous` where R^2
+    or Rbar is inf.  violations counts the steps above an exact ceiling.  It
+    takes the run's TwoPhaseConfig, its checked targets y of `kind`, and at
+    tau [h, 1], the head, L_H, the loss and the lazy phase's L."""
 
     def __init__(self, cfg, kind: LossKind, y, aug, head, l_h: float, loss_tau: float,
                  lipschitz: float | None):
@@ -228,7 +227,7 @@ class Certificate:
         if self.lazy:
             self.loss_star = loss_infimum(kind, y)
             self.basis = None if self.bordered else _centering_basis(y.shape[1])
-            self.lipschitz, self.r_bar = lipschitz, 0.0
+            self.lipschitz, self.r_bar, self.eta_bar = lipschitz, 0.0, cfg.lazy_eta_bar
         else:
             opt = solve_last_layer_optimum(kind, aug[:, :-1], y, head)
             self.r_squared, self.loss_star = opt.r_squared, opt.loss_star
@@ -241,16 +240,18 @@ class Certificate:
     def attained(self) -> bool:
         return math.isfinite(self.r_bar if self.lazy else self.r_squared)
 
-    def observe(self, snap, predictions, t):
+    def observe(self, snap, predictions, t, eta_bar):
         """Fold the distance at the kernel `snap` of step t's pass, whose
-        outputs are `predictions`, into Rbar; RankDeficientError naming the
-        step unless its rank is n * m_y, which after tau an accepted verdict
-        has if the reference has: its rank >= reference.rank."""
+        outputs are `predictions`, into Rbar, and keep `eta_bar`, the rate
+        the step was taken at, for the lazy ceilings that follow;
+        RankDeficientError naming the step unless its rank is n * m_y,
+        which after tau an accepted verdict has if the reference has: its
+        rank >= reference.rank."""
         try:
             distance = _linearized_distance(snap, predictions, self.y, self.kind, self.basis)
         except RankDeficientError as exc:
             raise RankDeficientError(f"step {t} (phase 2): {exc}") from None
-        self.r_bar = max(self.r_bar, distance)
+        self.r_bar, self.eta_bar = max(self.r_bar, distance), eta_bar
 
     def check(self, rec, best_loss, g_squared):
         """Take g_squared, the largest squared phase-2 gradient norm so far,
@@ -270,7 +271,7 @@ class Certificate:
             ceiling = sgd_bound(self.r_squared, g_squared, self.eta_sum, self.eta_sq_sum)
         else:
             ceiling = lazy_bound(self.lipschitz, self.r_bar, self.loss_tau, self.loss_star,
-                                 cfg.lazy_eta_bar, t, cfg.tau)
+                                 self.eta_bar, t, cfg.tau)
         rec.bound, rec.suboptimality = ceiling, reached - self.loss_star
         exceeded = rec.suboptimality > ceiling + SLACK_REL * (1.0 + ceiling)
         if exceeded and self.violations is not None:

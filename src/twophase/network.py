@@ -21,7 +21,7 @@ layout.
 A `Params` carries the architecture, `params.spec`, that every pass,
 backprop and kernel of it reads, so none takes a NetworkSpec beside it.
 `forward_hidden` is the one function that runs a pass: `forward_output`,
-`backprop` and ntk's kernel and Jacobian take the `ForwardTrace` it returns,
+`backprop` and ntk's kernel take the `ForwardTrace` it returns,
 which carries the inputs and any frozen statistics of the pass.
 `forward_hidden` and `backprop` write their per-layer arrays into a
 `Workspace`: the caller's, or a new one for a call that brings none.  A

@@ -2,10 +2,11 @@
 
 The Jacobian J stacks output gradients sample-major: row (i * m_y + k) is
 the derivative of output coordinate k at sample i with respect to the flat
-parameter vector.  When rows are independent (no batch normalization, or BN
-with frozen statistics, as in all of phase 2) one forward and one batched
-backward pass give the per-sample deltas D_l[i, k] = d f_ik / d z_l of every
-hidden layer.  Layer l's block of row (i, k) is then D_l[i, k] (x) A_{l-1,i},
+parameter vector.  Each row of a pass whose batch statistics are constants
+(no batch normalization, or BN with frozen statistics, as in all of phase 2)
+depends on its own sample alone, so one forward and one batched backward
+pass give the per-sample deltas D_l[i, k] = d f_ik / d z_l of every hidden
+layer.  Layer l's block of row (i, k) is then D_l[i, k] (x) A_{l-1,i},
 A_{l-1} = [h_{l-1}, 1], in the column-major [W; b] layout, and the head
 block is I_{m_y} (x) [h_i, 1].  So the kernel K = J J^T is summed layer by
 layer without forming J (the structured product of Novak et al. 2022, "Fast
@@ -15,11 +16,12 @@ Finite Width Neural Tangent Kernel"):
 
 plus (D o z_hat)(D o z_hat)^T + D D^T for the scale and shift of a BN layer,
 D there being the delta at the BN output.  That is rows^2 * sum_l m_l flops
-where J J^T takes rows^2 * d.  Training-mode BN couples the rows through the
-batch statistics, so there K = J J^T of compute_jacobian, which runs one
-backward pass per row over the same forward trace; in every mode that J is
-the per-row reference the layer-wise sum is checked against.  Both take the
-trace of network.forward_hidden, so they run no pass of their own.
+where J J^T takes rows^2 * d.  A pass under training-mode BN has its batch
+statistics in its trace, and the sum reads them as constants too: its
+kernel is, bit for bit, that of the same pass with those statistics frozen
+(network.batch_statistics), the kernel the lazy phase ranks from tau on.
+The sum takes the trace of network.forward_hidden, so it runs no pass of
+its own.
 
 K is symmetric positive semidefinite and shares its rank with J.  Every rank
 here comes from the package's one rank rule, linalg.certified_rank, and
@@ -44,69 +46,36 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Rank, certified_rank
-from .network import ForwardTrace, NetworkSpec, Params, Workspace, _softplus_deriv, backprop
+from .network import ForwardTrace, NetworkSpec, Params, Workspace, _softplus_deriv
 
 __all__ = [
-    "compute_jacobian",
     "compute_kernel",
     "compute_ntk",
 ]
 
-DEFAULT_MAX_JACOBIAN_ENTRIES = 50_000_000  # compute_jacobian's cap on n m_y d
 EPS = np.finfo(np.float64).eps
-
-
-def compute_jacobian(params: Params, trace: ForwardTrace) -> np.ndarray:
-    """Full output Jacobian at the pass `trace` of `params`, shape
-    (n * m_y) x d.
-
-    One backward pass per (sample, output) row over the trace, so
-    training-mode BN has its batch statistics differentiated exactly; in a
-    trace built with frozen statistics they are constants.  The passes
-    share one Workspace, each row copied out of its gradient.
-    compute_kernel needs J only under training-mode BN; otherwise J is the
-    per-row reference for its layer-wise sum.  Raises MemoryError when J
-    would hold more than DEFAULT_MAX_JACOBIAN_ENTRIES entries.
-    """
-    spec = params.spec
-    n, m_y = trace.inputs.shape[0], spec.output_dim
-    d = spec.param_count()
-    rows = n * m_y
-    if rows * d > DEFAULT_MAX_JACOBIAN_ENTRIES:
-        raise MemoryError(
-            f"Jacobian would hold {rows} x {d} entries "
-            f"(> {DEFAULT_MAX_JACOBIAN_ENTRIES}); use fewer samples or a smaller network"
-        )
-    jac = np.zeros((rows, d))
-    upstream = np.zeros((n, m_y))
-    work = Workspace(spec, n)
-    for i in range(n):
-        for k in range(m_y):
-            upstream[i, k] = 1.0
-            jac[i * m_y + k] = backprop(params, trace, upstream, work=work)
-            upstream[i, k] = 0.0
-    return jac
 
 
 def compute_kernel(params: Params, trace: ForwardTrace,
                    work: Workspace | None = None) -> np.ndarray:
     """Tangent kernel K = J J^T at the pass `trace` of `params`,
-    (n * m_y) x (n * m_y), rows as in compute_jacobian.
+    (n * m_y) x (n * m_y), rows sample-major as in the module docstring.
 
-    Without BN, or in a trace built with frozen statistics, K is the
-    layer-wise sum of the module docstring, and J is never formed.  The
+    K is the layer-wise sum of the module docstring, and J is never formed.
+    Every BN layer's statistics, frozen or the batch's own in a
+    training-mode trace, are held as constants, so a training-mode pass
+    has the kernel of the same pass under its statistics frozen.  The
     deltas dout and dz (m_y x n x m_l: output k, sample i) of each hidden
     layer, last first, are the derivatives of f_ik with respect to the
     layer's softplus input and its affine pre-activation (dout itself
     without BN): the recursion starts from W_head^T broadcast over samples,
-    scales by the softplus derivative and, under frozen BN, by
+    scales by the softplus derivative and, under BN, by
     gamma / sqrt(var + eps).  The sum runs in output-major (k, i) order, so
     each Hadamard product with the n x n gram matrix runs over contiguous
-    rows of n, and is put in sample-major order once at the end.
-    Training-mode BN takes J J^T of
-    compute_jacobian over the same trace.  K and the sum's arrays are
-    written into the network.Workspace `work` for all n rows, or a new one
-    without it; the next kernel given it overwrites this one.
+    rows of n, and is put in sample-major order once at the end.  K and
+    the sum's arrays are written into the network.Workspace `work` for all
+    n rows, or a new one without it; the next kernel given it overwrites
+    this one.
     """
     spec = params.spec
     n, m_y = trace.inputs.shape[0], spec.output_dim
@@ -116,9 +85,6 @@ def compute_kernel(params: Params, trace: ForwardTrace,
     if work.kernel_arrays is None:
         work.kernel_arrays = _kernel_arrays(spec, n)
     gram, block, spare, layers = work.kernel_arrays
-    if any(spec.bn_flags) and trace.frozen_stats is None:
-        jac = compute_jacobian(params, trace)
-        return np.matmul(jac, jac.T, out=block)
     total = spare[: rows * rows].reshape(rows, rows)
     blocks = total.reshape(m_y, n, m_y, n)
     blocks.fill(0.0)

@@ -38,7 +38,8 @@ class FeatureRankError(RuntimeError):
     message says which holds, with phase 1's loss ratio (last over first)
     and the count of last-layer units inactive on every sample, and advises
     a smaller learning rate when the loss rose, else another seed or a
-    smaller sharpness.
+    smaller sharpness; it ends with the first phase-1 step whose loss
+    exceeded the initial loss, if one did.
     """
 
 

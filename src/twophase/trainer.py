@@ -247,7 +247,8 @@ class _Run:
     """What every phase reads: the checked data, spec, kind and configs, the
     run's one Workspace (None from tau on where phase 2 reads no pass:
     _at_tau), its TrainLog, the seeds of the kick and of head
-    SGD, the Certificate (None without bounds), `emit` and `monitored`."""
+    SGD, the Certificate (None without bounds), `emit`, `monitored` and
+    `first_rise`, the first phase-1 step above the initial loss or None."""
 
     def __init__(self, spec, dataset, base, cfg, kind, monitor_every, record_sink):
         if spec.depth < 2:
@@ -260,7 +261,7 @@ class _Run:
         if base.variant == "sgd_momentum" and base.minibatch > n:
             raise ValueError(f"minibatch {base.minibatch} exceeds dataset size {n}")
         self.spec, self.kind, self.base, self.cfg = spec, kind, base, cfg
-        self.monitor_every, self.cert = monitor_every, None
+        self.monitor_every, self.cert, self.first_rise = monitor_every, None, None
         self.log = TrainLog(tau=cfg.tau, total_steps=cfg.total_steps, phase2_mode=cfg.phase2_mode)
         self.sink = self.log.records.append if record_sink is None else record_sink
         self.seeds = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -278,6 +279,8 @@ class _Run:
         seconds = log.phase_seconds
         if record.phase == 1:
             seconds["1"] = record.wall_time
+            if record.loss > log.loss_initial and self.first_rise is None:
+                self.first_rise = record.t
         else:
             log.max_sq_grad_phase2 = max(log.max_sq_grad_phase2, gsq)
             if record.loss < log.loss_at_t_star:
@@ -419,7 +422,7 @@ def _feature_rank_error(run, aug, feature_rank) -> FeatureRankError:
     loss ratio (last over first) and the last-layer units inactive on every
     sample, those with s h < eps, which bounds their softplus derivative
     logistic(s z) <= s h.  It advises widening only when m_H + 1 < n, and a
-    smaller learning rate when the loss rose."""
+    smaller learning rate when the loss rose, then names run.first_rise."""
     spec, log, n = run.spec, run.log, aug.shape[0]
     m_h = spec.widths[-1]
     first, last = log.loss_initial, log.final_loss
@@ -433,6 +436,8 @@ def _feature_rank_error(run, aug, feature_rank) -> FeatureRankError:
     else:
         advice = (f"m_H + 1 = {m_h + 1} >= n, so phase 1 collapsed them: "
                   "try another seed or a smaller sharpness")
+    if run.first_rise is not None:
+        advice += f" (the loss first exceeded its initial value at step {run.first_rise})"
     return FeatureRankError(
         f"step {log.tau} (phase 2): features [h, 1] after perturbation have rank "
         f"{feature_rank} < n = {n}; phase 1 ended at {ratio:.3g}x its initial loss, "
@@ -481,7 +486,8 @@ def _lazy_phase(run, at_tau):
     accepted iff that verdict's rank is at least the reference's; a
     rejected one halves eta_bar, up to LAZY_MAX_RETRIES times (then
     RankPreservationError); run.cert observes the reference and each
-    accepted kernel before its record is built.  Returns the final Params."""
+    accepted kernel, with its eta_bar, before its record is built.  Returns
+    the final Params."""
     x, y, kind, cfg, work, log = run.x, run.y, run.kind, run.cfg, run.work, run.log
     emit, monitored, cert, tau = run.emit, run.monitored, run.cert, cfg.tau
     params, trace, lipschitz = at_tau.params, at_tau.trace, at_tau.lipschitz
@@ -498,7 +504,7 @@ def _lazy_phase(run, at_tau):
                             work=work)
     g = backprop(params, trace, _mean_gradient(kind, at_tau.residual), work=work)
     if cert is not None:
-        cert.observe(reference, trace.output, tau)
+        cert.observe(reference, trace.output, tau, eta_bar)
     # candidates are written into a second buffer, swapped in on acceptance
     cand = params.copy()
     for t in range(tau + 1, total + 1):
@@ -523,7 +529,7 @@ def _lazy_phase(run, at_tau):
         if t < total:
             g = backprop(params, trace, _mean_gradient(kind, residual), work=work)
         if cert is not None:
-            cert.observe(snap, trace.output, t)
+            cert.observe(snap, trace.output, t, eta_bar)
         rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
                          ntk_rank=snap.rank, rank_event=event)
         if monitored(t - tau):
@@ -553,11 +559,13 @@ def run_two_phase(params0: Params, dataset, base: BaseAlgoConfig, cfg: TwoPhaseC
     wall_time from the start of phase 1 as it is emitted.  Every
     `monitor_every` steps of a phase (0: never) a record also carries the
     feature rank and the kernel rank, a lazy step's that of the verdict its
-    rank test accepted.  With `bounds`, each phase-2 record gets its ceiling
-    and suboptimality (None if the optimum is not attained) as it is
-    emitted, before the sink sees it, and log.constants and log.violations
-    report the certificate (bounds.Certificate).  Phase 2 steps the
-    perturbed Params in place, the head through head_block().
+    rank test accepted; a phase-1 kernel under training-mode BN holds the
+    batch statistics constant, as the lazy phase's frozen ones are.  With
+    `bounds`, each phase-2 record gets its ceiling and suboptimality (None
+    if the optimum is not attained) as it is emitted, before the sink sees
+    it, and log.constants and log.violations report the certificate
+    (bounds.Certificate).  Phase 2 steps the perturbed Params in place,
+    the head through head_block().
 
     Sink: each record goes to `record_sink` if one is given, else to
     log.records, so a run with a sink keeps no per-step state; the log's

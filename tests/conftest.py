@@ -1,5 +1,5 @@
-"""Shared oracles for the test suite: finite differences, error metrics and
-the state at tau a run's TrainLog keeps."""
+"""Shared oracles for the test suite: the per-row Jacobian, finite
+differences, error metrics and the state at tau a run's TrainLog keeps."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,13 @@ import pytest
 from twophase.losses import loss_value
 from twophase.network import (
     NetworkSpec,
+    Workspace,
+    backprop,
     forward_hidden,
     forward_output,
     params_from_flat,
     random_params,
 )
-from twophase.ntk import compute_jacobian
 
 
 def max_rel_err(a, b):
@@ -21,6 +22,26 @@ def max_rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def compute_jacobian(params, trace):
+    """Full output Jacobian at the pass `trace` of `params`, shape
+    (n * m_y) x d, rows sample-major as in twophase.ntk: one backward pass
+    per (sample, output) row over the trace, so training-mode BN has its
+    batch statistics differentiated exactly, and in a trace built with
+    frozen statistics they are constants.  The passes share one Workspace,
+    each row copied out of its gradient.  The per-row oracle that
+    ntk.compute_kernel's layer-wise sum is checked against."""
+    n, m_y = trace.inputs.shape[0], params.spec.output_dim
+    jac = np.zeros((n * m_y, params.spec.param_count()))
+    upstream = np.zeros((n, m_y))
+    work = Workspace(params.spec, n)
+    for i in range(n):
+        for k in range(m_y):
+            upstream[i, k] = 1.0
+            jac[i * m_y + k] = backprop(params, trace, upstream, work=work)
+            upstream[i, k] = 0.0
+    return jac
 
 
 def outputs(params, x, frozen_stats=None):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    compute_jacobian,
     fd_jacobian,
     fd_loss_grad,
     features_at_tau,
@@ -40,7 +41,7 @@ from twophase.network import (
     init_params,
     softplus,
 )
-from twophase.ntk import compute_jacobian, compute_ntk
+from twophase.ntk import compute_ntk
 from twophase.trainer import BaseAlgoConfig, TwoPhaseConfig, run_two_phase
 
 

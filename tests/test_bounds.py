@@ -608,7 +608,10 @@ class TestCheckBounds:
         assert [rec.t for rec in phase2] == list(range(5, 15))
         r_bars = np.maximum.accumulate(distances)[1:]
         assert len(r_bars) == len(phase2) and r_bars[-1] == log.constants["r_bar"]
-        lipschitz, eta_bar = log.constants["l_estimate"], 0.3  # the configured eta_bar
+        # no rank event halved the rate, so every step was taken at the
+        # configured eta_bar
+        assert not log.rank_events
+        lipschitz, eta_bar = log.constants["l_estimate"], 0.3
         for rec, gap, r_bar in zip(phase2, self._running_min_gaps(log, 0.0), r_bars):
             assert rec.bound == lazy_bound(lipschitz, r_bar, log.loss_at_tau, 0.0,
                                            eta_bar, rec.t, log.tau)
@@ -711,9 +714,9 @@ class TestCertificate:
         for t in (3, 4, 5):
             jac = rng.standard_normal((8, 20))
             snap, f = compute_ntk(jac @ jac.T), rng.standard_normal((4, 2))
-            cert.observe(snap, f, t)
+            cert.observe(snap, f, t, 0.3)
             distances.append(_distance(snap, f, y, SQUARED))
         assert cert.constants["r_bar"] == max(distances)
         low = compute_ntk(np.ones((8, 8)))  # rank 1 < 8 rows
         with pytest.raises(RankDeficientError, match=r"^step 6 \(phase 2\)"):
-            cert.observe(low, np.zeros((4, 2)), 6)
+            cert.observe(low, np.zeros((4, 2)), 6, 0.3)

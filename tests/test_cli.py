@@ -612,6 +612,28 @@ class TestTrain:
         else:
             assert code == 0
 
+    def test_lazy_ceiling_rests_on_the_rate_taken(self, tmp_path):
+        # the CI lazy config at seed 7 halves eta_bar on rank events; the
+        # last ceiling is the lazy bound at the halved rate the last step
+        # was taken at, not at the configured 0.3
+        path = write_config(
+            tmp_path, loss="squared", bounds=True,
+            data={"n": 12, "m_x": 4, "m_y": 2, "kind": "regression"},
+            network={"sharpness": 10.0}, base={"variant": "gd", "minibatch": 12},
+            two_phase={"tau": 20, "total_steps": 40, "phase2_mode": "lazy_full",
+                       "lazy_eta_bar": 0.3})
+        out = tmp_path / "lazy7"
+        assert cli.main(["train", "--config", path, "--seed", "7", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        last = json.loads((out / "run.log.jsonl").read_text().splitlines()[-1])
+        halvings = len(summary["rank_events"])
+        eta_bar = 0.3 / 2.0 ** halvings
+        assert halvings and summary["rank_events"][-1][1].endswith(f"{eta_bar:.3e}")
+        constants = summary["constants"]
+        assert last["bound"] == bounds.lazy_bound(
+            constants["l_estimate"], constants["r_bar"], summary["loss_at_tau"],
+            constants["loss_star"], eta_bar, 40, 20)
+
     @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd", "lazy_full"])
     def test_killed_run_leaves_bounds_on_every_record(self, tmp_path, monkeypatch, mode):
         # a numeric failure at tau + 5: each record written before it already

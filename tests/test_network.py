@@ -26,7 +26,7 @@ from twophase.network import (
     softplus,
     softplus_deriv,
 )
-from twophase.ntk import compute_jacobian, compute_kernel
+from twophase.ntk import compute_kernel
 from twophase.trainer import estimate_lipschitz, run_two_phase
 
 
@@ -389,7 +389,6 @@ class TestTraceFirst:
                 (forward_output, ["params", "trace"]),
                 (backprop, ["params", "trace", "upstream", "work"]),
                 (compute_kernel, ["params", "trace", "work"]),
-                (compute_jacobian, ["params", "trace"]),
                 (check_expressivity, ["params", "x"]),
                 (estimate_lipschitz, ["params", "x", "y", "kind", "frozen_stats", "seed"]),
                 (run_two_phase, ["params0", "dataset", "base", "cfg", "kind", "monitor_every",

@@ -1,11 +1,21 @@
-"""Jacobian assembly, kernel spectra, and kernel verdicts against a reference."""
+"""Kernel assembly against the per-row Jacobian oracle, kernel spectra, and
+kernel verdicts against a reference."""
+
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import fd_jacobian, masked_flat, max_rel_err, random_small_config
+import conftest
+from conftest import (
+    compute_jacobian,
+    fd_jacobian,
+    masked_flat,
+    max_rel_err,
+    random_small_config,
+)
 
-import twophase.ntk as ntk
+import twophase.network as network
 from twophase.network import (
     NetworkSpec,
     Workspace,
@@ -17,11 +27,7 @@ from twophase.network import (
     random_params,
 )
 from twophase.linalg import Rank, certified_rank
-from twophase.ntk import (
-    compute_jacobian,
-    compute_kernel,
-    compute_ntk,
-)
+from twophase.ntk import compute_kernel, compute_ntk
 
 
 class TestComputeNtk:
@@ -276,14 +282,27 @@ class TestBorderedFactor:
 class TestComputeKernel:
     @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
     def test_equals_j_j_transpose(self, bn):
+        # a training-mode pass has the kernel of the same pass under its
+        # batch statistics frozen, so its J is the frozen pass's
         rng = np.random.default_rng({"none": 31, "frozen": 32, "training": 33}[bn])
         for _ in range(20):
             spec, p, x = random_small_config(rng, allow_bn=bn != "none")
-            stats = batch_statistics(forward_hidden(p, x)) if bn == "frozen" else None
-            trace = forward_hidden(p, x, stats)
-            jac, kernel = compute_jacobian(p, trace), compute_kernel(p, trace)
+            stats = batch_statistics(forward_hidden(p, x)) if bn != "none" else None
+            trace = forward_hidden(p, x, stats if bn == "frozen" else None)
+            jac = compute_jacobian(p, forward_hidden(p, x, stats))
+            kernel = compute_kernel(p, trace)
             assert max_rel_err(kernel, jac @ jac.T) <= 1e-12
             np.testing.assert_array_equal(kernel, kernel.T)
+
+    def test_training_pass_has_the_frozen_statistics_kernel(self):
+        # the layer-wise sum holds a training-mode pass's batch statistics
+        # as constants: bit for bit the kernel of the pass under them frozen
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            spec, p, x = random_small_config(rng, allow_bn=True)
+            trace = forward_hidden(p, x)
+            frozen = forward_hidden(p, x, batch_statistics(trace))
+            assert np.array_equal(compute_kernel(p, trace), compute_kernel(p, frozen))
 
     @pytest.mark.parametrize("bn", ["none", "frozen", "training"])
     def test_workspace_kernel_bit_identical(self, bn):
@@ -312,23 +331,29 @@ class TestComputeKernel:
                 fresh.rank, fresh.proved, fresh.level, fresh.rhs_norm)
             np.testing.assert_array_equal(snap.matrix, want)
 
-    def test_forms_no_jacobian_unless_bn_couples_the_rows(self, rng, monkeypatch):
-        calls = []
-        real = ntk.compute_jacobian
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ntk, "compute_jacobian", counting)
-        spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, True))
+    @pytest.mark.parametrize("bn, frozen", [(False, False), (True, True), (True, False)],
+                             ids=["no_bn", "frozen_bn", "training_bn"])
+    def test_makes_no_backward_pass(self, rng, bn, frozen):
+        # one forward trace and the layer-wise sum: no backprop call, under
+        # any binding, in any BN mode
+        spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, bn))
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))
         trace = forward_hidden(p, x)
-        compute_kernel(p, forward_hidden(p, x, batch_statistics(trace)))
+        if frozen:
+            trace = forward_hidden(p, x, batch_statistics(trace))
+        code, calls = network.backprop.__code__, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(1)
+
+        sys.setprofile(profile)
+        try:
+            compute_kernel(p, trace)
+        finally:
+            sys.setprofile(None)
         assert not calls
-        compute_kernel(p, trace)
-        assert len(calls) == 1
 
 
 class TestComputeJacobian:
@@ -371,13 +396,6 @@ class TestComputeJacobian:
             jac = compute_jacobian(p, forward_hidden(p, x))
             fd = fd_jacobian(p, x)
             assert max_rel_err(jac, fd) < 1e-5
-
-    def test_size_cap(self, rng, monkeypatch):
-        spec = NetworkSpec((3, 4), 2)
-        p = random_params(spec, rng, 1.0)
-        monkeypatch.setattr(ntk, "DEFAULT_MAX_JACOBIAN_ENTRIES", 10)
-        with pytest.raises(MemoryError, match=r"Jacobian would hold 8 x \d+ entries \(> 10\)"):
-            compute_jacobian(p, forward_hidden(p, rng.standard_normal((4, 3))))
 
     def test_frozen_statistics_vs_fd(self):
         rng = np.random.default_rng(7)
@@ -422,13 +440,13 @@ class TestComputeJacobian:
     def test_backward_passes_per_jacobian(self, rng, monkeypatch, bn, frozen):
         # one backward pass per (sample, output) row in every mode: n * m_y = 8
         calls = []
-        real = ntk.backprop
+        real = conftest.backprop
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ntk, "backprop", counting)
+        monkeypatch.setattr(conftest, "backprop", counting)
         spec = NetworkSpec((3, 5, 4), 2, sharpness=10.0, bn_flags=(False, bn))
         p = random_params(spec, rng, 0.8)
         x = rng.standard_normal((4, 3))

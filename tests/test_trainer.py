@@ -312,7 +312,8 @@ class TestRunTwoPhase:
 
     def test_feature_collapse_after_a_loss_rise_gives_the_ratio(self):
         # CI tiny.json at learning rate 10: phase 1 ends at 3.91x its
-        # initial loss with every last-layer unit off on every sample
+        # initial loss with every last-layer unit off on every sample, and
+        # is above its initial loss from step 1, 23 steps before tau
         ds = synth_gen(16, 8, 4, 0.01, "one_hot", seed=0)
         spec = NetworkSpec((8, 8, 18), 4)
         base = BaseAlgoConfig(learning_rate=10.0, minibatch=8, seed=0)
@@ -322,7 +323,8 @@ class TestRunTwoPhase:
         message = str(info.value)
         assert "phase 1 ended at 3.91x its initial loss" in message
         assert "18 of 18 last-layer units are inactive on every sample" in message
-        assert "the loss rose in phase 1: try a smaller learning rate" in message
+        assert message.endswith("the loss rose in phase 1: try a smaller learning rate "
+                                 "(the loss first exceeded its initial value at step 1)")
 
     def test_feature_collapse_without_a_loss_rise_counts_inactive_units(self):
         # no phase 1 (tau 0) and 10 of 18 last-layer units pushed far below
@@ -342,6 +344,7 @@ class TestRunTwoPhase:
         assert "10 of 18 last-layer units are inactive on every sample" in message
         assert "another seed or a smaller sharpness" in message
         assert "widen" not in message and "learning rate" not in message
+        assert "first exceeded" not in message
 
     def test_depth_one_rejected(self):
         ds = synth_gen(4, 3, 1, 0.03, "regression", seed=8)
