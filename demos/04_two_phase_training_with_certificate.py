@@ -30,6 +30,7 @@ from twophase import (
     solve_last_layer_optimum,
     synth_gen,
 )
+from twophase.linalg import append_ones, certified_rank
 from twophase.losses import SQUARED
 
 ds = synth_gen(n=16, m_x=8, m_y=2, c_min=0.05, kind="regression", seed=5)
@@ -56,9 +57,10 @@ c = log.constants
 print(f"certificate {c['certificate']}: loss* = {c['loss_star']:.2e}, "
       f"R^2 = {c['r_squared']:.4f}, L_H = {log.l_h:.2f}")
 # the features at tau: the pass of the perturbed parameters under the
-# batch statistics frozen there
+# batch statistics frozen there; the solve reads the rank verdict of [h, 1]
 h_tau = forward_hidden(log.params_at_tau, ds.x, log.frozen_stats).hidden
-opt = solve_last_layer_optimum(SQUARED, h_tau, ds.y, log.params_at_tau.head_block())
+opt = solve_last_layer_optimum(SQUARED, certified_rank(append_ones(h_tau)), ds.y,
+                               log.params_at_tau.head_block())
 phase2 = log.phase2_records()
 assert all(rec.bound == gd_bound(opt.r_squared, log.l_h, rec.t, log.tau) for rec in phase2)
 print(f"violations over {len(phase2)} steps: {log.violations}")

@@ -11,8 +11,9 @@ one step, which Certificate.check calls on each phase-2 record:
                                 / (2 eta_bar (1 - eta_bar))) / sqrt(t - tau + 1)
 
 R^2 is the squared distance from the post-perturbation head to the nearest
-head minimizer of the frozen-feature problem, one closed-form solve on [h, 1],
-which must have full row rank, else RankDeficientError.  Rbar is the max over
+head minimizer of the frozen-feature problem, one closed-form solve from the
+thin SVD of the linalg.certified_rank verdict of [h, 1] made at tau, which
+must have full row rank, else RankDeficientError.  Rbar is the max over
 tau and every phase-2 step up to t of the distance from nu o w to the nearest
 minimizer of the Jacobian-linearized problem; because J (nu o w) = f(w), that
 distance comes from the step's kernel K = J J^T and predictions alone, so a
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankDeficientError, append_ones, min_norm_solve, numerical_rank
+from .linalg import RankDeficientError, min_norm_solve
 from .losses import LossKind, check_targets, loss_value
 
 __all__ = [
@@ -69,10 +70,10 @@ def loss_infimum(kind: LossKind, y) -> float:
     return float(-total / y.shape[0]) + 0.0  # + 0.0: one-hot gives 0.0, not -0.0
 
 
-def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOptimum:
+def solve_last_layer_optimum(kind: LossKind, features, y, anchor_last) -> LastLayerOptimum:
     """Nearest head minimizer of the frozen-feature problem and its distance,
-    in closed form: the rank of [h, 1] from linalg.certified_rank, and one
-    SVD of [h, 1] where a solve needs its pseudo-inverse.
+    in closed form from `features`, the linalg.certified_rank verdict of
+    [h, 1]: its rank, and its thin SVD where a solve needs the pseudo-inverse.
 
     [h, 1] must have full row rank, else RankDeficientError: only then does
     a zero cross-entropy target imply that the infimum is unattained.
@@ -87,27 +88,25 @@ def solve_last_layer_optimum(kind: LossKind, h, y, anchor_last) -> LastLayerOpti
     entry gives r_squared = inf and head = None: the infimum (the mean
     entropy, 0 for one-hot) is not attained.
     """
-    h = np.asarray(h, dtype=np.float64)
+    a = features.matrix
     y = check_targets(kind, y)
-    a = append_ones(h)
     n, m_y = y.shape
     anchor = np.asarray(anchor_last, dtype=np.float64)
     if anchor.shape != (a.shape[1], m_y):
         raise ValueError(f"anchor has shape {anchor.shape}, expected {(a.shape[1], m_y)}")
     if kind.name == "squared":
-        z = min_norm_solve(a, y, anchor)
+        z = min_norm_solve(features, y, anchor)
         loss_star = loss_value(kind, a @ z, y)
     else:
         loss_star = loss_infimum(kind, y)
         if m_y > 1 and np.all(y > 0.0):
             log_y = np.log(y)
             g = log_y - a @ anchor
-            z = min_norm_solve(a, log_y - g.mean(axis=1, keepdims=True), anchor)
+            z = min_norm_solve(features, log_y - g.mean(axis=1, keepdims=True), anchor)
         else:
-            rank = numerical_rank(a)
-            if rank < n:
+            if features.rank < n:
                 raise RankDeficientError(
-                    f"M has numerical rank {rank} < {n} rows; the nearest "
+                    f"M has numerical rank {features.rank} < {n} rows; the nearest "
                     "cross-entropy minimizer is not determined"
                 )
             if m_y > 1:
@@ -216,9 +215,9 @@ class Certificate:
     eta_bar is the rate of the last step observed), and `vacuous` where R^2
     or Rbar is inf.  violations counts the steps above an exact ceiling.  It
     takes the run's TwoPhaseConfig, its checked targets y of `kind`, and at
-    tau [h, 1], the head, L_H, the loss and the lazy phase's L."""
+    tau the verdict of [h, 1], the head, L_H, the loss and the lazy phase's L."""
 
-    def __init__(self, cfg, kind: LossKind, y, aug, head, l_h: float, loss_tau: float,
+    def __init__(self, cfg, kind: LossKind, y, features, head, l_h: float, loss_tau: float,
                  lipschitz: float | None):
         self.cfg, self.kind, self.y = cfg, kind, y
         self.l_h, self.loss_tau, self.g_squared = l_h, loss_tau, 0.0
@@ -229,7 +228,7 @@ class Certificate:
             self.basis = None if self.bordered else _centering_basis(y.shape[1])
             self.lipschitz, self.r_bar, self.eta_bar = lipschitz, 0.0, cfg.lazy_eta_bar
         else:
-            opt = solve_last_layer_optimum(kind, aug[:, :-1], y, head)
+            opt = solve_last_layer_optimum(kind, features, y, head)
             self.r_squared, self.loss_star = opt.r_squared, opt.loss_star
             # sums of the ceiling's schedule eta_k = scale / sqrt(k - tau + 1)
             self.eta_sum = cfg.sgd_rate_scale

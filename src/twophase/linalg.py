@@ -4,8 +4,8 @@ applied to.
 
 Every rank verdict in the package comes from certified_rank: one Cholesky
 factorization of a Gram matrix shifted down by a multiple of a rounding
-level proves full rank, and a spectrum (an SVD, or eigvalsh for a kernel) is
-computed only when that factorization fails, to count the rank.
+level proves full rank, and a spectrum (a kernel's eigvalsh, else the Sigma
+of the cached thin SVD min_norm_solve reads) counts it if that fails.
 
 Everything here operates on plain float64 ndarrays.  Inputs are validated
 once at the boundary (`as_matrix`) so downstream code can assume finite,
@@ -64,13 +64,6 @@ def append_ones(h: np.ndarray) -> np.ndarray:
     return np.hstack([h, np.ones((h.shape[0], 1))])
 
 
-def _svd(m: np.ndarray, **kwargs):
-    try:
-        return np.linalg.svd(m, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD failed on {m.shape} matrix: {exc}") from exc
-
-
 class Rank:
     """A verdict of certified_rank on `matrix` (`gram`: a kernel, itself a
     Gram matrix): `rank`, the `level` its factorization was tried at, and
@@ -81,9 +74,10 @@ class Rank:
     The rank counts `spectrum` above `tolerance`, the stock threshold
     max(rows, cols) * eps * its largest value (a kernel that ntk.compute_ntk
     judges against a reference verdict: above the larger of the two
-    tolerances); the spectrum is a matrix's singular values, or a kernel's
-    eigenvalues clipped at 0, descending, and is computed on first use:
-    only when the factorization failed, or a caller asks.  tolerance_bound
+    tolerances); the spectrum is a kernel's eigenvalues clipped at 0, or a
+    matrix's singular values, the Sigma of `svd` = (U, Sigma, V^T), its thin
+    SVD, descending, and is computed once, on first use: only when the
+    factorization failed, or a caller (min_norm_solve) asks.  tolerance_bound
     is a kernel's only: a matrix's level is on its Gram's scale, sigma^2,
     and its spectrum on sigma's, so it raises ValueError for a matrix
     verdict.
@@ -93,20 +87,29 @@ class Rank:
         self.matrix, self.gram, self.level = matrix, gram, level
         self.size = min(matrix.shape)
         self.rank, self.proved, self.rhs, self.rhs_norm = 0, False, None, None
-        self._spectrum = self._tolerance = self._bound = None
+        self._spectrum = self._svd = self._tolerance = self._bound = None
+
+    @property
+    def svd(self):
+        if self._svd is None:
+            try:
+                self._svd = np.linalg.svd(self.matrix, full_matrices=False)
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionError(
+                    f"SVD failed on {self.matrix.shape} matrix: {exc}") from exc
+        return self._svd
 
     @property
     def spectrum(self) -> np.ndarray:
+        if not self.gram:
+            return self.svd[1]
         if self._spectrum is None:
-            if self.gram:
-                try:
-                    values = np.linalg.eigvalsh(self.matrix)
-                except np.linalg.LinAlgError as exc:
-                    raise DecompositionError(
-                        f"spectrum of {self.size} x {self.size} kernel failed: {exc}") from exc
-                self._spectrum = np.maximum(values, 0.0)[::-1]
-            else:
-                self._spectrum = _svd(self.matrix, compute_uv=False)
+            try:
+                values = np.linalg.eigvalsh(self.matrix)
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionError(
+                    f"spectrum of {self.size} x {self.size} kernel failed: {exc}") from exc
+            self._spectrum = np.maximum(values, 0.0)[::-1]
         return self._spectrum
 
     @property
@@ -229,14 +232,14 @@ def numerical_rank(m) -> int:
     return certified_rank(m).rank
 
 
-def min_norm_solve(m, b, anchor) -> np.ndarray:
+def min_norm_solve(verdict: Rank, b, anchor) -> np.ndarray:
     """Solve M Z = B for the Z nearest `anchor` in Frobenius norm.
 
-    Requires M to have full row rank by certified_rank, else
-    RankDeficientError; the minimizer is then anchor + pinv(M) (B - M anchor),
-    from one thin SVD M = U S V^T, pinv(M) = V S^-1 U^T.
+    Requires M, the matrix of the certified_rank `verdict`, to have full
+    row rank by it, else RankDeficientError; the minimizer is then
+    anchor + pinv(M) (B - M anchor), from the verdict's thin SVD U S V^T.
     """
-    m = as_matrix(m, "M")
+    m = verdict.matrix
     b = as_matrix(b, "B")
     anchor = as_matrix(anchor, "anchor")
     if b.shape[0] != m.shape[0]:
@@ -245,11 +248,10 @@ def min_norm_solve(m, b, anchor) -> np.ndarray:
         raise ValueError(
             f"anchor has shape {anchor.shape}, expected {(m.shape[1], b.shape[1])}"
         )
-    rank = certified_rank(m).rank
-    if rank < m.shape[0]:
+    if verdict.rank < m.shape[0]:
         raise RankDeficientError(
-            f"M has numerical rank {rank} < {m.shape[0]} rows; "
+            f"M has numerical rank {verdict.rank} < {m.shape[0]} rows; "
             "the constraint M Z = B may be infeasible"
         )
-    u, s, vt = _svd(m, full_matrices=False)
+    u, s, vt = verdict.svd
     return anchor + vt.T @ ((u.T @ (b - m @ anchor)) / s[:, None])

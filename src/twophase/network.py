@@ -120,9 +120,6 @@ class NetworkSpec:
     def hidden_param_count(self) -> int:
         return sum(self.layer_param_sizes()[:-1])
 
-    def head_param_count(self) -> int:
-        return (self.feature_dim + 1) * self.output_dim
-
     def param_count(self) -> int:
         return sum(self.layer_param_sizes())
 

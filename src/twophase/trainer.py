@@ -10,7 +10,7 @@ run_two_phase checks its inputs once (_Run), then runs four phases:
                   pass at tau, whose features [h, 1] must have full row rank.
                   Phase 2 holds that pass only where it reads it: lazy_full,
                   and a head mode that monitors; an unmonitored head phase
-                  holds only [h, 1] and the head.
+                  holds only the rank verdict of [h, 1] and the head.
 * _head_phase  -- last_layer_gd: head GD at step 1/L_H, L_H the smoothness
                   constant of the frozen-feature head problem, so the loss
                   is non-increasing; last_layer_sgd: unbiased minibatch head
@@ -26,7 +26,7 @@ rank (the features' at tau and when monitored, a kernel's) comes from
 linalg.certified_rank, the package's one rank rule: one Cholesky
 factorization proves a full rank, and a spectrum is computed only when a
 factorization fails, so a run whose factorizations all succeed computes no
-SVD or eigenvalues.
+eigenvalues and no SVD but the head solve's, of the verdict kept at tau.
 
 The phases only take steps: _Run.emit, the one path of a finished record,
 stamps it, keeps the log's running numbers (TrainLog) and, with bounds on,
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import Certificate
-from .linalg import EPS, append_ones, as_matrix, numerical_rank
+from .linalg import EPS, Rank, append_ones, as_matrix, certified_rank, numerical_rank
 from .losses import LossKind, _loss, _mean_gradient, _mean_loss, _terms, check_targets
 from .network import (
     ForwardTrace,
@@ -299,14 +299,13 @@ class _AtTau:
     """What phase 2 starts from: the perturbed params, updated in place (the
     head through its head_block() view), the pass at tau and its residual
     (None where phase 2 does not read them: a head mode with monitoring
-    off), [h, 1] and its rank, dpred and lazy L; the frozen stats are in
-    the log."""
+    off), `features`, the certified_rank verdict of [h, 1] (its matrix),
+    dpred and lazy L; the frozen stats are in the log."""
 
     params: Params
     trace: ForwardTrace | None
     residual: np.ndarray | None
-    aug: np.ndarray
-    feature_rank: int
+    features: Rank
     dpred: np.ndarray
     lipschitz: float | None
 
@@ -383,8 +382,8 @@ def _at_tau(run, params):
     the reference kernel and the first gradient, and a head mode with
     monitor_every > 0, whose monitored steps rank the kernel of this pass.
     Otherwise all three are dropped before [h, 1] is made and ranked, so
-    the head phase holds only [h, 1] and the head; L_H is taken from the h
-    of [h, 1], bit for bit the pass's."""
+    the head phase holds only the verdict of [h, 1] and the head; L_H is
+    taken from the h of [h, 1], bit for bit the pass's."""
     spec, x, y, kind, cfg, work, log = run.spec, run.x, run.y, run.kind, run.cfg, run.work, run.log
     tau, n = cfg.tau, x.shape[0]
     # the passes at tau write into the workspace too: the statistics are
@@ -400,9 +399,9 @@ def _at_tau(run, params):
     # factorization, which then reuse the pass's memory
     aug = append_ones(h)
     del h
-    feature_rank = numerical_rank(aug)
-    if feature_rank < n:
-        raise _feature_rank_error(run, aug, feature_rank)
+    features = certified_rank(aug)
+    if features.rank < n:
+        raise _feature_rank_error(run, aug, features.rank)
     log.frozen_stats, log.params_at_tau = frozen, params.copy()
     log.l_h = compute_L_H(kind, aug[:, :-1])
     # the loss at tau is that of [h, 1] z, as at every head step (the pass's
@@ -413,7 +412,7 @@ def _at_tau(run, params):
     lipschitz = cfg.lazy_lipschitz
     if cfg.phase2_mode == "lazy_full" and lipschitz is None:
         lipschitz = max(estimate_lipschitz(params, x, y, kind, frozen, seed=cfg.seed), 1e-12)
-    return _AtTau(params, trace, residual, aug, feature_rank, dpred, lipschitz)
+    return _AtTau(params, trace, residual, features, dpred, lipschitz)
 
 
 def _feature_rank_error(run, aug, feature_rank) -> FeatureRankError:
@@ -453,7 +452,7 @@ def _head_phase(run, at_tau):
     squared gradient norm, goes to run.emit.  Returns the final Params."""
     x, y, kind, cfg, work, log = run.x, run.y, run.kind, run.cfg, run.work, run.log
     emit, monitored, tau, n = run.emit, run.monitored, cfg.tau, x.shape[0]
-    params, trace, aug, dpred = at_tau.params, at_tau.trace, at_tau.aug, at_tau.dpred
+    params, trace, aug, dpred = at_tau.params, at_tau.trace, at_tau.features.matrix, at_tau.dpred
     z = params.head_block()
     head_gd = cfg.phase2_mode == "last_layer_gd"
     l_h, scale, b = log.l_h, cfg.sgd_rate_scale, min(cfg.sgd_minibatch, n)
@@ -473,7 +472,7 @@ def _head_phase(run, at_tau):
         rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq))
         if monitored(t - tau):
             # only the head moved, so the tau pass is the features' pass
-            rec.feature_rank = at_tau.feature_rank
+            rec.feature_rank = at_tau.features.rank
             rec.ntk_rank = _snapshot(params, trace, t, 2, work=work).rank
         emit(rec, gsq)
     return params
@@ -580,7 +579,7 @@ def run_two_phase(params0: Params, dataset, base: BaseAlgoConfig, cfg: TwoPhaseC
         return params, log
     at_tau = _at_tau(run, params)
     if bounds:
-        run.cert = Certificate(cfg, kind, run.y, at_tau.aug, log.params_at_tau.head_block(),
+        run.cert = Certificate(cfg, kind, run.y, at_tau.features, log.params_at_tau.head_block(),
                                log.l_h, log.loss_at_tau, at_tau.lipschitz)
     phase_two = _lazy_phase if cfg.phase2_mode == "lazy_full" else _head_phase
     params = phase_two(run, at_tau)

@@ -4,6 +4,7 @@ differences, error metrics and the state at tau a run's TrainLog keeps."""
 import numpy as np
 import pytest
 
+from twophase.linalg import append_ones, certified_rank
 from twophase.losses import loss_value
 from twophase.network import (
     NetworkSpec,
@@ -99,10 +100,17 @@ def unit_rows(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def features_verdict(h):
+    """The certified_rank verdict of [h, 1], which the head-optimum solve
+    takes."""
+    return certified_rank(append_ones(h))
+
+
 def features_at_tau(x, log):
-    """h at tau, the features the head phase ran on: the pass of
-    log.params_at_tau under the batch statistics frozen there."""
-    return forward_hidden(log.params_at_tau, x, log.frozen_stats).hidden
+    """The verdict of [h, 1] at tau, the features the head phase ran on: h
+    of the pass of log.params_at_tau under the batch statistics frozen
+    there."""
+    return features_verdict(forward_hidden(log.params_at_tau, x, log.frozen_stats).hidden)
 
 
 def random_small_config(rng, allow_bn=True):

@@ -15,6 +15,7 @@ from conftest import (
     fd_jacobian,
     fd_loss_grad,
     features_at_tau,
+    features_verdict,
     jacobian,
     masked_flat,
     max_rel_err,
@@ -31,7 +32,7 @@ from twophase.expressivity import (
     dominance_margins,
     expressivity_trials,
 )
-from twophase.linalg import min_norm_solve, numerical_rank
+from twophase.linalg import certified_rank, min_norm_solve, numerical_rank
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
@@ -285,7 +286,7 @@ def test_criterion_9_oracle_equivalence():
     m = rng.standard_normal((2, 3))
     b = rng.standard_normal((2, 1))
     anchor = rng.standard_normal((3, 1))
-    z = min_norm_solve(m, b, anchor)
+    z = min_norm_solve(certified_rank(m), b, anchor)
     _, _, vt = np.linalg.svd(m)
     null = vt[2].reshape(3, 1)
     particular = np.linalg.pinv(m) @ b
@@ -304,7 +305,7 @@ def test_criterion_9_oracle_equivalence():
     h = rng.standard_normal((n, m_h))
     y = rng.standard_normal((n, 1))
     anchor2 = rng.standard_normal((m_h + 1, 1))
-    opt = solve_last_layer_optimum(SQUARED, h, y, anchor2)
+    opt = solve_last_layer_optimum(SQUARED, features_verdict(h), y, anchor2)
     aug = np.hstack([h, np.ones((n, 1))])
     _, _, vt2 = np.linalg.svd(aug)
     null2 = vt2[n:].T

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import features_at_tau, jacobian, masked_flat, outputs
+from conftest import features_at_tau, features_verdict, jacobian, masked_flat, outputs
 
 import twophase.bounds as bounds
 import twophase.trainer as trainer
@@ -19,7 +19,7 @@ from twophase.bounds import (
     solve_last_layer_optimum,
 )
 from twophase.data import synth_gen
-from twophase.linalg import RankDeficientError, append_ones, min_norm_solve
+from twophase.linalg import RankDeficientError, certified_rank, min_norm_solve
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad, loss_value
 from twophase.network import NetworkSpec, forward_hidden, init_params
 from twophase.ntk import compute_ntk
@@ -41,7 +41,7 @@ class TestLastLayerOptimum:
     def test_square_invertible_interpolates_exactly(self, rng):
         h = rng.standard_normal((5, 4))  # [h, 1] is square 5x5
         y = rng.standard_normal((5, 2))
-        opt = solve_last_layer_optimum(SQUARED, h, y, np.zeros((5, 2)))
+        opt = solve_last_layer_optimum(SQUARED, features_verdict(h), y, np.zeros((5, 2)))
         assert opt.loss_star <= 1e-20
         gap = np.hstack([h, np.ones((5, 1))]) @ opt.head - y
         assert np.linalg.norm(gap) <= 1e-10 * (1 + np.linalg.norm(y))
@@ -49,14 +49,15 @@ class TestLastLayerOptimum:
     def test_optimal_anchor_gives_zero_distance(self, rng):
         h = rng.standard_normal((4, 6))
         aug = np.hstack([h, np.ones((4, 1))])
-        z_star = min_norm_solve(aug, rng.standard_normal((4, 2)), np.zeros((7, 2)))
-        opt = solve_last_layer_optimum(SQUARED, h, aug @ z_star, z_star)
+        z_star = min_norm_solve(certified_rank(aug), rng.standard_normal((4, 2)), np.zeros((7, 2)))
+        opt = solve_last_layer_optimum(SQUARED, features_verdict(h), aug @ z_star, z_star)
         assert opt.r_squared <= 1e-16
 
     def test_residual_invariant(self, rng):
         h = rng.standard_normal((6, 8))
         y = rng.standard_normal((6, 3))
-        opt = solve_last_layer_optimum(SQUARED, h, y, rng.standard_normal((9, 3)))
+        opt = solve_last_layer_optimum(SQUARED, features_verdict(h), y,
+                                       rng.standard_normal((9, 3)))
         gap = np.hstack([h, np.ones((6, 1))]) @ opt.head - y
         assert np.linalg.norm(gap) <= 1e-8 * (1 + np.linalg.norm(y))
 
@@ -66,7 +67,7 @@ class TestLastLayerOptimum:
         h = rng.standard_normal((n, m_h))
         y = rng.standard_normal((n, 1))
         anchor = rng.standard_normal((m_h + 1, 1))
-        opt = solve_last_layer_optimum(SQUARED, h, y, anchor)
+        opt = solve_last_layer_optimum(SQUARED, features_verdict(h), y, anchor)
         aug = np.hstack([h, np.ones((n, 1))])
         _, _, vt = np.linalg.svd(aug)
         null = vt[n:].T  # (m_h + 1) x 2
@@ -93,7 +94,8 @@ class TestLastLayerOptimum:
         h = rng.standard_normal((n, m_h))
         y = np.abs(rng.standard_normal((n, m_y))) + 0.2
         y /= y.sum(axis=1, keepdims=True)
-        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)))
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, features_verdict(h), y,
+                                       np.zeros((m_h + 1, m_y)))
         assert opt.steps == 0
         entropy = float(-(y * np.log(y)).sum() / n)
         assert opt.loss_star == pytest.approx(entropy, abs=1e-6)
@@ -144,7 +146,7 @@ class TestCrossEntropyOptimum:
         h = rng.standard_normal((n, m_h))
         y = np.eye(m_y)[rng.integers(0, m_y, n)]
         calls = _count_loss_grad(monkeypatch)
-        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y,
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, features_verdict(h), y,
                                        rng.standard_normal((m_h + 1, m_y)))
         assert opt.r_squared == np.inf
         assert opt.loss_star == 0.0 and not np.signbit(opt.loss_star)
@@ -159,7 +161,7 @@ class TestCrossEntropyOptimum:
         anchor = rng.standard_normal((m_h + 1, m_y))
         want = _descent_reference(h, y, anchor)
         calls = _count_loss_grad(monkeypatch)
-        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, anchor)
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, features_verdict(h), y, anchor)
         assert not calls and opt.steps == 0
         assert np.linalg.norm(opt.head - want) <= 1e-7 * np.linalg.norm(want)
         assert opt.r_squared == pytest.approx(float(((want - anchor) ** 2).sum()),
@@ -173,24 +175,24 @@ class TestCrossEntropyOptimum:
     def test_single_output_is_already_optimal(self, rng):
         # one output: softmax is 1 = y for every head, so the anchor is a minimizer
         anchor = rng.standard_normal((6, 1))
-        opt = solve_last_layer_optimum(CROSS_ENTROPY, rng.standard_normal((4, 5)),
-                                       np.ones((4, 1)), anchor)
+        features = features_verdict(rng.standard_normal((4, 5)))
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, features, np.ones((4, 1)), anchor)
         assert opt.r_squared == 0.0 and opt.loss_star == 0.0 and opt.steps == 0
         np.testing.assert_array_equal(opt.head, anchor)
 
     def test_targets_are_validated(self, rng):
         with pytest.raises(ValueError, match="sums to"):
-            solve_last_layer_optimum(CROSS_ENTROPY, rng.standard_normal((3, 5)),
+            solve_last_layer_optimum(CROSS_ENTROPY, features_verdict(rng.standard_normal((3, 5))),
                                      np.full((3, 2), 0.7), np.zeros((6, 2)))
 
     def test_anchor_shape_is_validated(self, rng):
         # [h, 1] has 6 columns and Y 2, so the anchor must be 6 x 2; the flat
         # head is not read as one
         with pytest.raises(ValueError, match=r"anchor has shape \(5, 2\), expected \(6, 2\)"):
-            solve_last_layer_optimum(SQUARED, rng.standard_normal((3, 5)),
+            solve_last_layer_optimum(SQUARED, features_verdict(rng.standard_normal((3, 5))),
                                      rng.standard_normal((3, 2)), np.zeros((5, 2)))
         with pytest.raises(ValueError, match=r"anchor has shape \(12,\), expected \(6, 2\)"):
-            solve_last_layer_optimum(SQUARED, rng.standard_normal((3, 5)),
+            solve_last_layer_optimum(SQUARED, features_verdict(rng.standard_normal((3, 5))),
                                      rng.standard_normal((3, 2)), np.zeros(12))
 
     @pytest.mark.parametrize("targets", ["soft", "one_hot"])
@@ -203,7 +205,8 @@ class TestCrossEntropyOptimum:
             np.eye(m_y)[rng.integers(0, m_y, n)]
         calls = _count_loss_grad(monkeypatch)
         with pytest.raises(RankDeficientError, match="rank 5 < 9"):
-            solve_last_layer_optimum(CROSS_ENTROPY, h, y, np.zeros((m_h + 1, m_y)))
+            solve_last_layer_optimum(CROSS_ENTROPY, features_verdict(h), y,
+                                     np.zeros((m_h + 1, m_y)))
         assert not calls
 
     @pytest.mark.parametrize("m_y", [2, 4, 10])
@@ -221,7 +224,7 @@ class TestCrossEntropyOptimum:
         rhs = (np.log(y) @ basis.T).reshape(-1, 1)
         step, *_ = np.linalg.lstsq(lifted, rhs - lifted @ anchor.reshape(-1, 1), rcond=None)
         want = anchor + step.reshape(anchor.shape)
-        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y, anchor)
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, features_verdict(h), y, anchor)
         assert np.linalg.norm(opt.head - want) <= 1e-10 * np.linalg.norm(want)
         assert opt.r_squared == pytest.approx(float(((want - anchor) ** 2).sum()),
                                               rel=1e-10)
@@ -232,7 +235,7 @@ class TestCrossEntropyOptimum:
         n, m_h, m_y = 5, 9, 3
         h = rng.standard_normal((n, m_h))
         y = _soft_targets(rng, n, m_y)
-        opt = solve_last_layer_optimum(CROSS_ENTROPY, h, y,
+        opt = solve_last_layer_optimum(CROSS_ENTROPY, features_verdict(h), y,
                                        rng.standard_normal((m_h + 1, m_y)))
         gap = np.hstack([h, np.ones((n, 1))]) @ opt.head - np.log(y)
         assert np.abs(gap).max() > 1e-3  # the per-sample constants are free
@@ -255,7 +258,8 @@ class TestOneDecomposition:
         else:
             y = _soft_targets(rng, n, m_y)
         kind = SQUARED if targets == "squared" else CROSS_ENTROPY
-        return kind, rng.standard_normal((n, m_h)), y, rng.standard_normal((m_h + 1, m_y))
+        return (kind, features_verdict(rng.standard_normal((n, m_h))), y,
+                rng.standard_normal((m_h + 1, m_y)))
 
     @pytest.mark.parametrize("targets", ["squared", "soft", "one_hot", "single"])
     def test_one_svd_per_solve(self, rng, monkeypatch, targets):
@@ -276,13 +280,13 @@ class TestOneDecomposition:
         def refuse(*args, **kwargs):
             raise AssertionError("bounds called np.kron")
 
-        kind, h, y, anchor = self._problem(rng, targets)
+        kind, features, y, anchor = self._problem(rng, targets)
         ds, spec, params = _interpolating_setup(seed=3)
         jac = jacobian(params, ds.x)
         snap, f = compute_ntk(jac @ jac.T), outputs(params, ds.x)
         lazy_y = ds.y if kind is SQUARED else _soft_targets(rng, *ds.y.shape)
         monkeypatch.setattr(np, "kron", refuse)
-        solve_last_layer_optimum(kind, h, y, anchor)
+        solve_last_layer_optimum(kind, features, y, anchor)
         _distance(snap, f, lazy_y, kind)
 
 
@@ -361,7 +365,7 @@ def _interpolating_setup(seed=0):
     params = init_params(spec, seed=seed)
     h = forward_hidden(params, ds.x).hidden
     aug = np.hstack([h, np.ones((4, 1))])
-    z = min_norm_solve(aug, ds.y, np.zeros((7, 2)))
+    z = min_norm_solve(certified_rank(aug), ds.y, np.zeros((7, 2)))
     params.head_block()[...] = z
     return ds, spec, params
 
@@ -379,7 +383,7 @@ class TestEstimateRBar:
         jac = jacobian(params, ds.x)
         got = _distance(compute_ntk(jac @ jac.T), outputs(params, ds.x), ds.y, SQUARED)
         anchor = masked_flat(params).reshape(-1, 1)
-        omega = min_norm_solve(jac, ds.y.reshape(-1, 1), anchor)
+        omega = min_norm_solve(certified_rank(jac), ds.y.reshape(-1, 1), anchor)
         assert got == pytest.approx(float(np.linalg.norm(anchor - omega)), rel=1e-12)
 
     def test_three_step_trajectory_matches_recomputation_oracle(self, rng):
@@ -627,15 +631,16 @@ class TestCertificate:
     def _make(self, rng, mode, kind=SQUARED, y=None):
         """(certificate, the head optimum it rests on or None, L_H)."""
         h = rng.standard_normal((4, 6))
-        aug = append_ones(h)
+        features = features_verdict(h)
+        aug = features.matrix
         y = rng.standard_normal((4, 2)) if y is None else y
         head = rng.standard_normal((7, 2))
         cfg = TwoPhaseConfig(tau=self.TAU, total_steps=13, phase2_mode=mode,
                              sgd_rate_scale=0.05, lazy_eta_bar=0.3)
         l_h = compute_L_H(kind, h)
         loss_tau = loss_value(kind, aug @ head, y)
-        cert = Certificate(cfg, kind, y, aug, head, l_h, loss_tau, 50.0)
-        opt = None if mode == "lazy_full" else solve_last_layer_optimum(kind, h, y, head)
+        cert = Certificate(cfg, kind, y, features, head, l_h, loss_tau, 50.0)
+        opt = None if mode == "lazy_full" else solve_last_layer_optimum(kind, features, y, head)
         return cert, opt, l_h
 
     @staticmethod

@@ -85,7 +85,7 @@ class TestNumericalRank:
         with pytest.raises(DecompositionError, match="SVD"):
             numerical_rank(np.ones((2, 4)))
         with pytest.raises(DecompositionError, match="SVD"):
-            min_norm_solve(np.eye(3), np.ones((3, 1)), np.zeros((3, 1)))
+            min_norm_solve(certified_rank(np.eye(3)), np.ones((3, 1)), np.zeros((3, 1)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -96,20 +96,20 @@ class TestMinNormSolve:
     def test_square_invertible_returns_b(self, rng):
         b = rng.standard_normal((4, 2))
         anchor = rng.standard_normal((4, 2))
-        z = min_norm_solve(np.eye(4), b, anchor)
+        z = min_norm_solve(certified_rank(np.eye(4)), b, anchor)
         np.testing.assert_allclose(z, b, atol=1e-12)
 
     def test_feasible_anchor_returned_unchanged(self, rng):
         m = rng.standard_normal((3, 5))
         anchor = rng.standard_normal((5, 2))
-        z = min_norm_solve(m, m @ anchor, anchor)
+        z = min_norm_solve(certified_rank(m), m @ anchor, anchor)
         np.testing.assert_allclose(z, anchor, atol=1e-10)
 
     def test_grid_oracle_one_dim_null_space(self, rng):
         m = rng.standard_normal((2, 3))
         b = rng.standard_normal((2, 1))
         anchor = np.zeros((3, 1))
-        z = min_norm_solve(m, b, anchor)
+        z = min_norm_solve(certified_rank(m), b, anchor)
         # null space of a 2x3 full-row-rank matrix is one-dimensional
         _, _, vt = np.linalg.svd(m)
         null = vt[2].reshape(3, 1)
@@ -124,7 +124,7 @@ class TestMinNormSolve:
             m = rng.standard_normal((3, 6))
             b = rng.standard_normal((3, 2))
             anchor = rng.standard_normal((6, 2))
-            z = min_norm_solve(m, b, anchor)
+            z = min_norm_solve(certified_rank(m), b, anchor)
             assert np.linalg.norm(m @ z - b) <= 1e-8 * (1 + np.linalg.norm(b))
             # no random feasible point may be closer to the anchor
             _, _, vt = np.linalg.svd(m)
@@ -137,17 +137,18 @@ class TestMinNormSolve:
     def test_rank_deficient_raises_with_rank(self):
         m = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         with pytest.raises(RankDeficientError, match="rank 1"):
-            min_norm_solve(m, np.ones((3, 1)), np.zeros((2, 1)))
+            min_norm_solve(certified_rank(m), np.ones((3, 1)), np.zeros((2, 1)))
 
     def test_shape_validation(self, rng):
         m = rng.standard_normal((2, 3))
         with pytest.raises(ValueError, match="anchor"):
-            min_norm_solve(m, rng.standard_normal((2, 1)), np.zeros((4, 1)))
+            min_norm_solve(certified_rank(m), rng.standard_normal((2, 1)), np.zeros((4, 1)))
         with pytest.raises(ValueError, match="rows"):
-            min_norm_solve(m, rng.standard_normal((3, 1)), np.zeros((3, 1)))
+            min_norm_solve(certified_rank(m), rng.standard_normal((3, 1)), np.zeros((3, 1)))
 
-    def test_one_svd_and_no_lstsq(self, rng, monkeypatch):
-        # the rank test and the pseudo-inverse come from the same thin SVD
+    @staticmethod
+    def _count_svds(monkeypatch):
+        # the keyword arguments of each np.linalg.svd call; lstsq is refused
         calls = []
         svd = np.linalg.svd
 
@@ -160,11 +161,33 @@ class TestMinNormSolve:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        return calls
+
+    def test_one_svd_and_no_lstsq(self, rng, monkeypatch):
+        # the factorization proves the rank, and the pseudo-inverse comes
+        # from one thin SVD
+        calls = self._count_svds(monkeypatch)
         m = rng.standard_normal((4, 7))
         b = rng.standard_normal((4, 3))
         anchor = rng.standard_normal((7, 3))
-        z = min_norm_solve(m, b, anchor)
+        z = min_norm_solve(certified_rank(m), b, anchor)
         assert len(calls) == 1
+        np.testing.assert_allclose(z, anchor + np.linalg.pinv(m) @ (b - m @ anchor),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_counted_verdict_takes_one_svd(self, rng, monkeypatch):
+        # at condition 1e10 the factorization fails and the rank is counted
+        # from the verdict's thin SVD, whose Sigma is the spectrum; the
+        # solve reads that same SVD
+        calls = self._count_svds(monkeypatch)
+        m = np.hstack([np.diag(np.geomspace(1.0, 1e-10, 4)), np.zeros((4, 3))])
+        b = rng.standard_normal((4, 3))
+        anchor = rng.standard_normal((7, 3))
+        verdict = certified_rank(m)
+        assert verdict.rank == 4 and not verdict.proved
+        z = min_norm_solve(verdict, b, anchor)
+        assert calls == [{"full_matrices": False}]
+        assert verdict.spectrum is verdict.svd[1]
         np.testing.assert_allclose(z, anchor + np.linalg.pinv(m) @ (b - m @ anchor),
                                    rtol=1e-12, atol=1e-12)
 

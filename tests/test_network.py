@@ -336,7 +336,7 @@ class TestBackprop:
         up = rng.standard_normal((6, 2))
         trace = forward_hidden(p, x)
         h, g = trace.hidden, backprop(p, trace, up)
-        head = spec.head_param_count()
+        head = spec.layer_param_sizes()[-1]
         want = np.vstack([h.T @ up, up.sum(axis=0, keepdims=True)]).ravel(order="F")
         np.testing.assert_allclose(g[-head:], want, atol=1e-12)
 
@@ -412,7 +412,7 @@ class TestTraceFirst:
         frozen = forward_hidden(p, x, batch_statistics(training))
         assert frozen.frozen_stats is not None and training.frozen_stats is None
         g_frozen, g_training = backprop(p, frozen, up), backprop(p, training, up)
-        head = spec.head_param_count()
+        head = spec.layer_param_sizes()[-1]
         np.testing.assert_array_equal(g_frozen[-head:], g_training[-head:])
         assert not np.allclose(g_frozen[:-head], g_training[:-head])
 

@@ -363,7 +363,7 @@ class TestComputeJacobian:
         x = rng.standard_normal((4, 3))
         trace = forward_hidden(p, x)
         jac, h = compute_jacobian(p, trace), trace.hidden
-        head = spec.head_param_count()
+        head = spec.layer_param_sizes()[-1]
         for i in range(4):
             want = np.kron(np.eye(2), np.append(h[i], 1.0))
             np.testing.assert_allclose(jac[i * 2 : (i + 1) * 2, -head:], want, atol=1e-12)
@@ -374,7 +374,7 @@ class TestComputeJacobian:
         p = params_zero(spec)
         x = np.random.default_rng(3).standard_normal((3, 3))
         jac = compute_jacobian(p, forward_hidden(p, x))
-        head = spec.head_param_count()
+        head = spec.layer_param_sizes()[-1]
         np.testing.assert_array_equal(jac[:, :-head], 0.0)
         h_const = np.log(2.0) / 10.0
         want_row = np.kron(np.eye(2), np.append(np.full(5, h_const), 1.0))

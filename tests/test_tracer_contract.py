@@ -7,9 +7,10 @@ these run bounds-on trains under the tracer.  A lazy run reads each per-step
 distance from the rank verdict of its kernel, so the rank work shows as one
 `linalg.certified_rank` call per kernel plus one for the features' rank at
 tau, whether bounds are on or off.  It also counts `network.forward_hidden`
-calls, one per full-batch pass of a momentum-SGD step, `network.backprop`
-calls, one per phase-1 step, and the `ntk` calls of a lazy run: one
-`compute_kernel` per kernel and no `compute_jacobian`.
+calls, one per full-batch pass of a momentum-SGD step; `network.backprop`
+calls, one per gradient (each phase-1 step's, and in a lazy run each lazy
+step's and each Lipschitz probe's), none per kernel row; and a lazy run's
+`ntk.compute_kernel` calls, one per kernel.
 """
 
 import json
@@ -17,6 +18,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+from twophase.trainer import LIPSCHITZ_PROBES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -72,12 +75,14 @@ def test_tracer_counts_one_r_bar_solve_per_lazy_step(tmp_path):
     # Rbar is the running max over tau and every phase-2 step, each distance
     # read from the step's bordered factorization, one certified_rank per
     # kernel; each of those kernels (plus one per rejected candidate) is
-    # summed layer by layer without a Jacobian
+    # summed layer by layer without a Jacobian, so backprop runs once per
+    # gradient: 20 phase-1 steps, tau and 19 lazy steps, and estimate_lipschitz's
+    # base point and probes; a per-row Jacobian would add n * m_y per kernel
     result = _traced_train(tmp_path, _lazy_config(bounds=True))
     kernels = 40 - 20 + 1 + result["observed"]["rejected_steps"]
     assert _calls(result, "linalg.certified_rank") == kernels + 1
     assert _calls(result, "ntk.compute_kernel") == _calls(result, "ntk.compute_ntk") == kernels
-    assert _calls(result, "ntk.compute_jacobian") == 0
+    assert _calls(result, "network.backprop") == 40 + 1 + LIPSCHITZ_PROBES
 
 
 def test_tracer_sees_no_r_bar_solve_with_bounds_off(tmp_path):

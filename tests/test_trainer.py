@@ -392,7 +392,7 @@ class TestRunTwoPhase:
         base = BaseAlgoConfig(variant="gd", minibatch=10)
         cfg = TwoPhaseConfig(tau=0, total_steps=1, seed=9)
         _, log = run_two_phase(p0, ds, base, cfg, SQUARED)
-        aug = np.hstack([features_at_tau(ds.x, log), np.ones((ds.n, 1))])
+        aug = features_at_tau(ds.x, log).matrix
         z = log.params_at_tau.head_block()
         full = aug.T @ loss_grad(SQUARED, aug @ z, ds.y)
         rng = np.random.default_rng(0)
@@ -599,6 +599,49 @@ class TestRunTwoPhase:
         assert np.isfinite(log.constants["r_bar"])
         assert len(snaps) == 11
         assert counts == {"eigvalsh": 0, "cholesky": len(snaps) + 1, "svd": 0}
+
+    @pytest.mark.parametrize("config, svds", [
+        # CI head.json: [h, 1] is 12 x 15, its rank counted, not proved
+        ({"loss": "squared", "monitor_every": 5,
+          "data": {"n": 12, "m_x": 4, "m_y": 2, "kind": "regression"},
+          "network": {"sharpness": 10.0}, "base": {"variant": "gd", "minibatch": 12},
+          "two_phase": {"tau": 20, "total_steps": 40, "phase2_mode": "last_layer_gd"}}, 1),
+        # certify_ce's train, shortened: one-hot targets need only the rank
+        ({"loss": "cross_entropy",
+          "data": {"n": 32, "m_x": 8, "m_y": 4, "c_min": 0.01, "kind": "one_hot"},
+          "network": {"hidden_widths": [8, 36], "sharpness": 10.0},
+          "base": {"variant": "gd", "learning_rate": 0.01, "weight_decay": 1e-05},
+          "two_phase": {"total_steps": 100, "tau_fraction": 0.6, "noise_scale": 0.001,
+                        "phase2_mode": "last_layer_sgd", "sgd_minibatch": 8}}, 0),
+    ], ids=["head_json", "certify_ce"])
+    def test_features_at_tau_are_decomposed_once(self, monkeypatch, config, svds):
+        # from the pass at tau to the certificate: one Gram and one Cholesky
+        # factorization of [h, 1] rank it, and the head solve reads that
+        # verdict, whose thin SVD a counted rank has already taken
+        counts, live = {"cholesky": 0, "svd": 0}, [False]
+        for name in counts:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counts[_name] += live[0]
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        at_tau, certificate = trainer._at_tau, trainer.Certificate
+
+        def spied_at_tau(*args):
+            live[0] = True
+            return at_tau(*args)
+
+        def spied_certificate(*args):
+            cert = certificate(*args)
+            live[0] = False
+            return cert
+
+        monkeypatch.setattr(trainer, "_at_tau", spied_at_tau)
+        monkeypatch.setattr(trainer, "Certificate", spied_certificate)
+        cfg = cli._merge(DEFAULT_CONFIG, dict(config, seed=0, bounds=True))
+        ds = cli._build_dataset(cfg)
+        _, log = cli._train_once(cfg, ds, cli._build_spec(cfg, ds), record_sink=lambda rec: None)
+        assert log.constants["certificate"] == ("exact" if svds else "vacuous")
+        assert counts == {"cholesky": 1, "svd": svds}
 
     def test_lazy_step_factors_once_and_solves_nothing(self, monkeypatch):
         # squared loss with bounds on: the residual borders the Cholesky
