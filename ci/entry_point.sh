@@ -21,8 +21,9 @@ test ! -e packed
 # `import twophase` loads no submodule: each name loads on first use
 python -c "import sys, twophase; sys.exit(any(m.startswith('twophase.') for m in sys.modules))"
 # backprop and the tangent kernel take the trace of the one pass
-# forward_hidden runs, and read the architecture from the Params
-python -c "import numpy as np; from twophase import NetworkSpec, backprop, compute_kernel, compute_ntk, forward_hidden, init_params; spec = NetworkSpec((3, 4, 5), 2); p = init_params(spec, 0); x = np.linspace(-1.0, 1.0, 18).reshape(6, 3); up = np.ones((6, 2)); trace = forward_hidden(p, x); g = backprop(p, trace, up); assert g.shape == (spec.param_count(),) and np.isfinite(g).all(); assert compute_ntk(compute_kernel(p, trace)).rank == 12"
+# forward_hidden runs, and read the architecture from the Params; the
+# chain run again on one shared Workspace gives the same gradient and rank
+python -c "import numpy as np; from twophase import NetworkSpec, backprop, compute_kernel, compute_ntk, forward_hidden, init_params; from twophase.network import Workspace; spec = NetworkSpec((3, 4, 5), 2); p = init_params(spec, 0); x = np.linspace(-1.0, 1.0, 18).reshape(6, 3); up = np.ones((6, 2)); trace = forward_hidden(p, x); g = backprop(p, trace, up); assert g.shape == (spec.param_count(),) and np.isfinite(g).all(); assert compute_ntk(compute_kernel(p, trace)).rank == 12; w = Workspace(spec, 6); trace = forward_hidden(p, x, work=w); assert np.array_equal(backprop(p, trace, up, work=w), g); assert compute_ntk(compute_kernel(p, trace, work=w), work=w).rank == 12"
 # no config: the reference protocol, 500 steps of the library's defaults
 twophase train --out protocol
 test "$(wc -l < protocol/run.log.jsonl)" -eq 500

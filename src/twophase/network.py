@@ -23,12 +23,12 @@ backprop and kernel of it reads, so none takes a NetworkSpec beside it.
 `forward_hidden` is the one function that runs a pass: `forward_output`,
 `backprop` and ntk's kernel take the `ForwardTrace` it returns,
 which carries the inputs and any frozen statistics of the pass.
-`forward_hidden` and `backprop` write their per-layer arrays into a
-`Workspace`: the caller's, or a new one for a call that brings none.  A
-workspace binds its views once, so a training loop that passes one to every
-step allocates no array of the pass's size per step, and a call given one
-trusts that its caller checked x and upstream (run_two_phase checks X and Y
-once on entry); calls without one check them.  `softplus` and
+`forward_hidden`, `backprop` and ntk's kernel write their per-layer arrays
+into a `Workspace`: the caller's, or a new one for a call that brings none.
+A workspace binds its views once, so a loop that passes one to every step
+allocates no array of the pass's size per step but batch norm's, and a call
+given one trusts that its caller checked x and upstream (run_two_phase
+checks X and Y once on entry); calls without one check them.  `softplus` and
 `softplus_deriv` check their arguments and return new values; the passes and
 `ntk` call their unchecked kernels, which write into arrays the caller owns.
 """
@@ -305,35 +305,34 @@ class ForwardTrace:
 
 
 class Workspace:
-    """The arrays forward_hidden and backprop write into, for passes of at
-    most `rows` rows: per hidden layer the affine and post arrays,
-    softplus's max(z, 0) scratch and the deltas d/dh and d/dz; and one
-    gradient vector `grad`, with `grad_views` its (weights, biases,
-    bn_scale, bn_shift) views as in Params.  A pass over fewer rows writes
-    the leading rows, which `views` slices once per row count.
-    `kernel_arrays` holds the arrays of ntk.compute_kernel, for a pass over
-    all rows, which it allocates on first use.  A call given no workspace
-    makes its own.  The next pass, backprop or kernel given the workspace
-    overwrites the trace, gradient or kernel the last one returned.
+    """The arrays forward_hidden, backprop and ntk.compute_kernel write
+    into, for passes of at most `rows` rows: per hidden layer affine, post
+    and the deltas dh and dz, and one gradient `grad` with `grad_views` its
+    (weights, biases, bn_scale, bn_shift) views as in Params.  A pass over
+    fewer rows writes the leading rows, which `views` slices once per row
+    count.  dz has no reader outside the call that wrote it: a pass takes
+    it as scratch for the bias rows and max(z, 0), backprop as d/dz and the
+    kernel as each layer's softplus derivative; no trace holds it.
+    `kernel_arrays` holds compute_kernel's other arrays, for the row count
+    of its last pass.  A call given no workspace makes its own; the next
+    one given it overwrites the trace, gradient or kernel the last returned.
     """
 
     def __init__(self, spec: NetworkSpec, rows: int):
-        self.affine, self.post, self.scratch, self.dh, self.dz = (
-            [np.empty((rows, m)) for m in spec.widths[1:]] for _ in range(5))
+        self.rows = rows
+        self.affine, self.post, self.dh, self.dz = (
+            [np.empty((rows, m)) for m in spec.widths[1:]] for _ in range(4))
         self.grad = np.empty(spec.param_count())
         self.grad_views = _layer_views(spec, self.grad)
         self._views = {}
-        self.kernel_arrays = None  # ntk.compute_kernel's, made on first use
+        self.kernel_arrays = None  # ntk.compute_kernel's, made for its pass's rows
 
     def views(self, rows: int) -> tuple:
-        """Per hidden layer the leading `rows` rows of the (affine, post,
-        scratch) arrays, and per hidden layer those of the (dh, dz) arrays."""
-        views = self._views.get(rows)
-        if views is None:
-            views = self._views[rows] = tuple(
-                [tuple(a[:rows] for a in layer) for layer in zip(*group)]
-                for group in ((self.affine, self.post, self.scratch), (self.dh, self.dz)))
-        return views
+        """Per hidden layer the leading `rows` rows of (affine, post, dh, dz)."""
+        if rows not in self._views:
+            self._views[rows] = tuple(tuple(a[:rows] for a in layer) for layer in
+                                      zip(self.affine, self.post, self.dh, self.dz))
+        return self._views[rows]
 
 
 def _validate_forward_shapes(params: Params, x: np.ndarray, frozen_stats=None) -> None:
@@ -365,9 +364,10 @@ def forward_hidden(params: Params, x, frozen_stats=None,
         work = Workspace(spec, x.shape[0])
     affine, bn_cache, post = [], [], []
     h = x
-    for l, (z, out, scratch) in enumerate(work.views(x.shape[0])[0]):
+    for l, (z, out, _, scratch) in enumerate(work.views(x.shape[0])):
         z = np.matmul(h, params.weights[l], out=z)
-        z += params.biases[l]
+        np.copyto(scratch, params.biases[l])  # NumPy buffers a broadcast +=
+        z += scratch
         affine.append(z)
         sig_in = z
         if spec.bn_flags[l]:
@@ -394,10 +394,7 @@ def forward_output(params: Params, trace: ForwardTrace):
 
 def batch_statistics(trace: ForwardTrace) -> list:
     """Extract per-layer (mean, var) pairs from a training-mode trace."""
-    stats = []
-    for cache in trace.bn_cache:
-        stats.append(None if cache is None else (cache[0].copy(), cache[1].copy()))
-    return stats
+    return [None if c is None else (c[0].copy(), c[1].copy()) for c in trace.bn_cache]
 
 
 def _bn_backward(dz_bn, cache, gamma, eps, frozen: bool):
@@ -435,7 +432,7 @@ def backprop(params: Params, trace: ForwardTrace, upstream,
                 f"upstream has shape {upstream.shape}, expected {(n, spec.output_dim)}"
             )
         work = Workspace(spec, n)
-    deltas = work.views(n)[1]
+    layers = work.views(n)
     frozen = trace.frozen_stats is not None
 
     # every entry of the gradient vector is written once, through its
@@ -443,11 +440,11 @@ def backprop(params: Params, trace: ForwardTrace, upstream,
     g_weights, g_biases, g_scale, g_shift = work.grad_views
     g_weights[-1][:] = trace.post[-1].T @ upstream
     g_biases[-1][:] = upstream.sum(axis=0)
-    dh = np.matmul(upstream, params.weights[-1].T, out=deltas[-1][0])
-    for l in reversed(range(len(deltas))):
+    dh = np.matmul(upstream, params.weights[-1].T, out=layers[-1][2])
+    for l in reversed(range(len(layers))):
         cache = trace.bn_cache[l]
         sig_in = trace.affine[l] if cache is None else cache[3]
-        dz = _softplus_deriv(sig_in, spec.sharpness, deltas[l][1])
+        dz = _softplus_deriv(sig_in, spec.sharpness, layers[l][3])
         np.multiply(dh, dz, out=dz)
         if cache is not None:
             dz, g_scale[l][:], g_shift[l][:] = _bn_backward(
@@ -457,5 +454,5 @@ def backprop(params: Params, trace: ForwardTrace, upstream,
         g_weights[l][:] = h_prev.T @ dz
         g_biases[l][:] = dz.sum(axis=0)
         if l > 0:
-            dh = np.matmul(dz, params.weights[l].T, out=deltas[l - 1][0])
+            dh = np.matmul(dz, params.weights[l].T, out=layers[l - 1][2])
     return work.grad

@@ -73,18 +73,20 @@ def compute_kernel(params: Params, trace: ForwardTrace,
     gamma / sqrt(var + eps).  The sum runs in output-major (k, i) order, so
     each Hadamard product with the n x n gram matrix runs over contiguous
     rows of n, and is put in sample-major order once at the end.  K and
-    the sum's arrays are written into the network.Workspace `work` for all
-    n rows, or a new one without it; the next kernel given it overwrites
-    this one.
+    the sum's arrays go into the network.Workspace `work` (ValueError if it
+    has fewer than n rows), or a new one: the softplus derivatives into
+    its dz, the rest into its kernel_arrays.
     """
     spec = params.spec
     n, m_y = trace.inputs.shape[0], spec.output_dim
     rows = n * m_y
     if work is None:
         work = Workspace(spec, n)
-    if work.kernel_arrays is None:
+    if n > work.rows:
+        raise ValueError(f"workspace holds {work.rows} rows, the pass {n}")
+    if work.kernel_arrays is None or work.kernel_arrays[0].shape[0] != n:
         work.kernel_arrays = _kernel_arrays(spec, n)
-    gram, block, spare, layers = work.kernel_arrays
+    gram, block, spare, douts = work.kernel_arrays
     total = spare[: rows * rows].reshape(rows, rows)
     blocks = total.reshape(m_y, n, m_y, n)
     blocks.fill(0.0)
@@ -96,13 +98,11 @@ def compute_kernel(params: Params, trace: ForwardTrace,
     delta = params.weights[-1].T[:, None, :]  # broadcast over the samples
     for l in range(spec.depth - 1, -1, -1):
         cache = trace.bn_cache[l]
-        deriv, dout = layers[l]
         deriv = _softplus_deriv(trace.affine[l] if cache is None else cache[3],
-                                spec.sharpness, deriv)
-        dout = np.multiply(delta, deriv, out=dout)
-        dz = dout
-        if cache is not None:
-            dz = dout * params.bn_scale[l] * (1.0 / np.sqrt(cache[1] + spec.bn_epsilon))
+                                spec.sharpness, work.dz[l][:n])
+        dout = np.multiply(delta, deriv, out=douts[l])
+        dz = dout if cache is None else (
+            dout * params.bn_scale[l] * (1.0 / np.sqrt(cache[1] + spec.bn_epsilon)))
         h_prev = trace.inputs if l == 0 else trace.post[l - 1]
         gram = np.matmul(h_prev, h_prev.T, out=gram)
         gram += 1.0
@@ -116,7 +116,7 @@ def compute_kernel(params: Params, trace: ForwardTrace,
             shift = dout.reshape(rows, -1)
             total += scale @ scale.T + shift @ shift.T
         if l > 0:  # d/dh of layer l - 1, into its dout, which scales it in place
-            delta = layers[l - 1][1]
+            delta = douts[l - 1]
             np.matmul(d, params.weights[l].T, out=delta.reshape(rows, -1))
     # the last block is spent: K goes there in sample-major order, block by
     # block, each a copy of contiguous rows
@@ -128,15 +128,14 @@ def compute_kernel(params: Params, trace: ForwardTrace,
 
 
 def _kernel_arrays(spec: NetworkSpec, n: int) -> tuple:
-    """The arrays compute_kernel writes into for a pass over n rows, m_y
+    """compute_kernel's arrays but the workspace's dz, for n rows, m_y
     outputs: the n x n gram matrix, a (n m_y) x (n m_y) array for a layer's
     block, which ends as the kernel returned, a flat spare array of
     (n m_y + 1)^2 entries, which holds the output-major sum and then
-    compute_ntk's bordered matrix, and per hidden layer the softplus
-    derivative (n x m_l) and the delta dout (m_y x n x m_l)."""
+    compute_ntk's bordered matrix, and per hidden layer dout (m_y x n x m_l)."""
     rows = n * spec.output_dim
     return (np.empty((n, n)), np.empty((rows, rows)), np.empty((rows + 1) ** 2),
-            [(np.empty((n, m)), np.empty((spec.output_dim, n, m))) for m in spec.widths[1:]])
+            [np.empty((spec.output_dim, n, m)) for m in spec.widths[1:]])
 
 
 def compute_ntk(kernel, reference=None, rhs=None, work=None) -> Rank:

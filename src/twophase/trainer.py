@@ -21,9 +21,13 @@ run_two_phase checks its inputs once (_Run), then runs four phases:
                   the reference at tau is rejected and the rate halved.
 
 Every pass, backprop and kernel writes into the run's one network.Workspace,
-so no array of a pass's or a kernel's size is allocated per step.  Every
-rank (the features' at tau and when monitored, a kernel's) comes from
-linalg.certified_rank, the package's one rank rule: one Cholesky
+so a step allocates no n x m_l array of a pass and no array of the kernel sum,
+but batch norm's, a monitored step's [h, 1] and data-order pass, and NumPy's
+ufunc buffers (8192 entries at most).  A kernel's rank test still allocates a
+rows^2 boolean per finiteness check (_snapshot's, compute_ntk's), the Cholesky
+factor of the matrix it factors ((rows + 1)^2 when bordered) and NumPy's copy
+of it.  Every rank (the features' at tau and when monitored, a kernel's) comes
+from linalg.certified_rank, the package's one rank rule: one Cholesky
 factorization proves a full rank, and a spectrum is computed only when a
 factorization fails, so a run whose factorizations all succeed computes no
 eigenvalues and no SVD but the head solve's, of the verdict kept at tau.

@@ -25,6 +25,7 @@ from twophase.network import (
     forward_output,
     params_zero,
     random_params,
+    softplus_deriv,
 )
 from twophase.linalg import Rank, certified_rank
 from twophase.ntk import compute_kernel, compute_ntk
@@ -330,6 +331,53 @@ class TestComputeKernel:
             assert (snap.rank, snap.proved, snap.level, snap.rhs_norm) == (
                 fresh.rank, fresh.proved, fresh.level, fresh.rhs_norm)
             np.testing.assert_array_equal(snap.matrix, want)
+
+    @pytest.mark.parametrize("bn", ["none", "training", "frozen"])
+    def test_interleaved_calls_share_one_workspace(self, bn):
+        # dz is a pass's scratch, backprop's d/dz and the kernel's
+        # softplus derivative: on one workspace a pass, its kernel and its
+        # gradient, then a leading-rows minibatch pass, its gradient and its
+        # kernel each equal the same call on a fresh workspace, and no call
+        # after a pass changes its trace
+        rng = np.random.default_rng({"none": 51, "training": 52, "frozen": 53}[bn])
+        for widths in ((3, 5, 4), (4, 6, 3, 5)):
+            spec = NetworkSpec(widths, 2, sharpness=10.0,
+                               bn_flags=(bn != "none",) * (len(widths) - 1))
+            p = random_params(spec, rng, 0.8)
+            x, up = rng.standard_normal((6, widths[0])), rng.standard_normal((6, 2))
+            stats = batch_statistics(forward_hidden(p, x)) if bn == "frozen" else None
+            calls = {"kernel": lambda t, w: compute_kernel(p, t, work=w),
+                     "gradient": lambda t, w: backprop(p, t, up[: t.inputs.shape[0]], work=w)}
+            work = Workspace(spec, 6)
+            for rows, order in ((6, ("kernel", "gradient")), (4, ("gradient", "kernel"))):
+                trace = forward_hidden(p, x[:rows], stats, work=work)
+                fresh = forward_hidden(p, x[:rows], stats)
+                for name in order:
+                    assert np.array_equal(calls[name](trace, work), calls[name](fresh, None)), name
+                for a, b in zip(trace.affine + trace.post, fresh.affine + fresh.post):
+                    assert np.array_equal(a, b)
+
+    def test_softplus_derivative_is_written_into_the_workspace_dz(self, rng):
+        # four n x m_l arrays per hidden layer in a workspace and none among
+        # the kernel's own: each layer's derivative goes into its dz
+        spec = NetworkSpec((3, 4, 5), 2, sharpness=10.0)
+        p = random_params(spec, rng, 0.8)
+        work = Workspace(spec, 8)
+        trace = forward_hidden(p, rng.standard_normal((6, 3)), work=work)
+        compute_kernel(p, trace, work=work)
+        assert not hasattr(work, "scratch")
+        for z, dz in zip(trace.affine, work.dz):
+            assert np.array_equal(dz[:6], softplus_deriv(z, spec.sharpness))
+        gram, block, spare, douts = work.kernel_arrays
+        assert [a.shape for a in (gram, block, spare, *douts)] == [
+            (6, 6), (12, 12), (13 * 13,), (2, 6, 4), (2, 6, 5)]
+
+    def test_workspace_with_fewer_rows_than_the_pass_is_refused(self, rng):
+        spec = NetworkSpec((3, 4, 5), 2, sharpness=10.0)
+        p = random_params(spec, rng, 0.8)
+        trace = forward_hidden(p, rng.standard_normal((6, 3)))
+        with pytest.raises(ValueError, match="workspace holds 5 rows, the pass 6"):
+            compute_kernel(p, trace, work=Workspace(spec, 5))
 
     @pytest.mark.parametrize("bn, frozen", [(False, False), (True, True), (True, False)],
                              ids=["no_bn", "frozen_bn", "training_bn"])

@@ -1041,6 +1041,36 @@ class TestPhaseOneWorkspace:
                 tracemalloc.stop()
         assert seen["peak"] - seen["start"] < 128 * 141 * 8
 
+    def test_lazy_sq_step_allocates_less_than_one_pass_sized_array(self):
+        # a lazy_sq-shaped phase-1 GD step on the run's workspace: after one
+        # warm-up, its pass, loss terms, backprop and update raise the traced
+        # peak by less than one n x max(m_l) float64 array, so none of the
+        # bias add, softplus and backprop makes one of its own
+        ds = synth_gen(64, 8, 2, 0.01, "regression", seed=1)
+        spec = NetworkSpec((8, 8, 71), 2, sharpness=10.0)
+        cfg = TwoPhaseConfig(tau=100, total_steps=200, phase2_mode="lazy_full")
+        run = trainer._Run(spec, ds, BaseAlgoConfig(variant="gd"), cfg, SQUARED, 0, None)
+        params = init_params(spec, seed=1)
+
+        def step():
+            trace = forward_hidden(params, run.x, work=run.work)
+            _, residual = trainer._terms(SQUARED, forward_output(params, trace), run.y)
+            params.flat -= 0.01 * backprop(params, trace, trainer._mean_gradient(SQUARED, residual),
+                                           work=run.work)
+
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            step()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - start < 64 * 71 * 8
+
     @pytest.mark.parametrize("mode", ["last_layer_gd", "last_layer_sgd"])
     def test_unmonitored_head_phase_drops_the_pass_at_tau(self, mode):
         # a head_gd_ce-shaped run with monitoring off: phase 2 reads no pass,
