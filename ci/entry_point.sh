@@ -127,3 +127,17 @@ code=0
 twophase train --config tiny.json --out gen/dataset.csv 2> err.txt || code=$?
 test "$code" -eq 1
 grep -q '^config error:' err.txt
+# a command line argparse refuses is a usage error: exit 1, as a config
+# error, with argparse's usage line (its own code, 2, is a failed check's)
+code=0
+twophase train --bogus 2> err.txt || code=$?
+test "$code" -eq 1
+grep -q '^usage:' err.txt
+# a data.path that cannot be read, here a directory, is a config error
+# naming that path
+mkdir -p data_dir
+echo '{"data": {"source": "csv", "path": "data_dir"}}' > dir_data.json
+code=0
+twophase train --config dir_data.json --out dir_data 2> err.txt || code=$?
+test "$code" -eq 1
+grep -q '^config error: data.path data_dir:' err.txt

@@ -27,11 +27,10 @@ _EXPORTS = {
     "data": ("Dataset", "load_csv", "save_csv", "synth_gen"),
     "expressivity": ("check_distinguishability", "check_expressivity",
                      "construct_witness", "expressivity_trials"),
-    "linalg": ("certified_rank", "min_norm_solve", "numerical_rank"),
+    "linalg": ("certified_rank", "min_norm_solve"),
     "losses": ("CROSS_ENTROPY", "SQUARED", "LossKind", "loss_grad", "loss_value"),
     "network": ("NetworkSpec", "Params", "backprop", "batchnorm_forward", "forward_hidden",
-                "forward_output", "init_params", "params_from_flat", "random_params",
-                "softplus"),
+                "forward_output", "init_params", "random_params", "softplus"),
     "ntk": ("compute_kernel", "compute_ntk"),
     "protocol": ("BaseAlgoConfig", "TwoPhaseConfig"),
     "trainer": ("TrainLog", "compute_L_H", "perturb", "run_two_phase"),

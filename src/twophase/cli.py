@@ -16,13 +16,14 @@ Each command imports what it runs as it starts, before any data is built:
 `verify` and `gen-data` never load the trainer (nor its losses, bounds and
 ntk), and `train` and `sweep` never load the expressivity checks.
 
-Exit codes: 0 success, 1 configuration or usage error (an unreadable config
-file or an output directory that cannot be made included), 2 verification
-failure, 3 runtime numeric failure.  The `twophase` script and
-`python -m twophase.cli` (console_main) freeze the heap (gc.freeze) once
-main() has returned, so the interpreter's shutdown collections have nothing
-to traverse; the exit code, the atexit handlers and the flush of stdout and
-stderr are unchanged.  main() itself never freezes.
+Exit codes: 0 success (and after --help), 1 configuration or usage error
+(a command line argparse refuses, an unreadable config or data file, or an
+output directory that cannot be made), 2 verification failure, 3 runtime
+numeric failure.  The `twophase` script and `python -m twophase.cli`
+(console_main) freeze the heap (gc.freeze) once main() has returned, so the
+interpreter's shutdown collections have nothing to traverse; the exit code,
+the atexit handlers and the flush of stdout and stderr are unchanged.
+main() itself never freezes.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class ConfigError(ValueError):
 # error families main() reports as exit codes; a sweep records them per cell
 NUMERIC_ERRORS = (FeatureRankError, RankPreservationError, DecompositionError,
                   RankDeficientError, MemoryError, FloatingPointError)
-CONFIG_ERRORS = (ConfigError, ValueError, FileNotFoundError)
+CONFIG_ERRORS = (ConfigError, ValueError)
 
 
 def _defaults(cls, *skip) -> dict:
@@ -190,8 +191,12 @@ def _build_dataset(cfg: dict) -> Dataset:
     if d["source"] == "csv":
         if not d["path"]:
             raise ConfigError("data.source is 'csv' but data.path is empty")
-        return load_csv(d["path"], d["m_x"], d["kind"],
-                        d["m_y"] if d["kind"] != "regression" else None)
+        try:
+            return load_csv(d["path"], d["m_x"], d["kind"],
+                            d["m_y"] if d["kind"] != "regression" else None)
+        except OSError as exc:
+            raise ConfigError(f"data.path {d['path']}: cannot read data "
+                              f"({exc.strerror})") from None
     raise ConfigError(f"unknown data.source {d['source']!r}")
 
 
@@ -507,17 +512,15 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--out", type=str, default="runs", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--monitor-every", type=int, default=None,
-                       help="rank sampling cadence in steps (0: never); a phase-2 "
-                            "record's ceiling is there at any cadence")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
 
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.monitor_every is not None:
-            cfg["monitor_every"] = args.monitor_every
         handler = {
             "verify": cmd_verify,
             "train": cmd_train,

@@ -23,7 +23,6 @@ __all__ = [
     "as_matrix",
     "append_ones",
     "certified_rank",
-    "numerical_rank",
     "min_norm_solve",
 ]
 
@@ -223,13 +222,6 @@ def certified_rank(m, floor: float = 0.0, gram: bool = False, rhs=None, out=None
         tolerance = max(_reference.tolerance, tolerance)
     verdict.rank = verdict.count_above(tolerance)
     return verdict
-
-
-def numerical_rank(m) -> int:
-    """certified_rank(m).rank: the number of singular values strictly above
-    max(rows, cols) * eps * sigma_max, the stock library threshold, proved
-    without an SVD when it is full."""
-    return certified_rank(m).rank
 
 
 def min_norm_solve(verdict: Rank, b, anchor) -> np.ndarray:

@@ -54,10 +54,14 @@ __all__ = [
     "backprop",
     "batch_statistics",
     "params_zero",
-    "params_from_flat",
     "random_params",
     "init_params",
 ]
+
+
+def _check_positive(name: str, value) -> None:
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be a positive finite number")
 
 
 @dataclass
@@ -81,10 +85,8 @@ class NetworkSpec:
             raise ValueError("widths must list the input dim and at least one hidden layer")
         if any(w < 1 for w in self.widths) or self.output_dim < 1:
             raise ValueError("all widths must be >= 1")
-        if not 0.0 < self.sharpness < np.inf:
-            raise ValueError("sharpness must be a positive finite number")
-        if not 0.0 < self.bn_epsilon < np.inf:
-            raise ValueError("bn_epsilon must be a positive finite number")
+        _check_positive("sharpness", self.sharpness)
+        _check_positive("bn_epsilon", self.bn_epsilon)
         if not self.bn_flags:
             self.bn_flags = (False,) * self.depth
         else:
@@ -149,7 +151,8 @@ class Params:
     """All parameters of one network, held in a single float64 buffer, and
     `spec`, the architecture every function given them reads.
 
-    `flat` is that buffer, in the layout of the module docstring.  weights[l]
+    `flat` is that buffer, in the layout of the module docstring: a float64
+    vector given is wrapped, not copied, and none gives zeros.  weights[l]
     is W_{l+1} (m_l x m_{l+1}) and biases[l] its 1 x m_{l+1} bias row; the
     last entries are the head.  bn_scale/bn_shift have one entry per hidden
     layer, None where batch normalization is off.
@@ -172,10 +175,6 @@ class Params:
         self._head = flat[spec.hidden_param_count():].reshape(
             spec.feature_dim + 1, spec.output_dim, order="F")
 
-    @property
-    def depth(self) -> int:
-        return self.spec.depth
-
     def copy(self) -> "Params":
         return Params(self.spec, self.flat.copy())
 
@@ -195,14 +194,6 @@ def params_zero(spec: NetworkSpec) -> Params:
         if gamma is not None:
             gamma[:] = 1.0
     return p
-
-
-def params_from_flat(spec: NetworkSpec, flat: np.ndarray) -> Params:
-    """Params over `flat`, the layout Params.to_flat returns.
-
-    A float64 vector is wrapped, not copied, so the result aliases it.
-    """
-    return Params(spec, np.asarray(flat, dtype=np.float64).ravel())
 
 
 def random_params(spec: NetworkSpec, rng, scale: float = 1.0) -> Params:
@@ -234,8 +225,7 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> Params:
 def softplus(z, sharpness: float):
     """ln(1 + exp(s z)) / s via the overflow-free split max(z,0) + ln(1+e^{-s|z|})/s;
     a float for a 0-d input."""
-    if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
+    _check_positive("sharpness", sharpness)
     z = np.asarray(z, dtype=np.float64)
     out = _softplus(z, sharpness, np.empty_like(z), np.empty_like(z))
     return out if out.ndim else float(out)
@@ -256,6 +246,7 @@ def _softplus(z, sharpness, out, scratch):
 def softplus_deriv(z, sharpness: float):
     """Logistic(s z), the exact derivative of the stabilized softplus; a
     float for a 0-d input."""
+    _check_positive("sharpness", sharpness)
     z = np.asarray(z, dtype=np.float64)
     out = _softplus_deriv(z, sharpness, np.empty_like(z))
     return out if out.ndim else float(out)
@@ -278,8 +269,7 @@ def batchnorm_forward(z_batch, gamma, beta, eps):
     z = np.asarray(z_batch, dtype=np.float64)
     if z.size == 0:
         raise ValueError("batch normalization needs a nonempty batch")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_positive("eps", eps)
     return gamma * ((z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + eps)) + beta
 
 

@@ -45,15 +45,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Rank, certified_rank
+from .linalg import EPS, Rank, certified_rank
 from .network import ForwardTrace, NetworkSpec, Params, Workspace, _softplus_deriv
 
 __all__ = [
     "compute_kernel",
     "compute_ntk",
 ]
-
-EPS = np.finfo(np.float64).eps
 
 
 def compute_kernel(params: Params, trace: ForwardTrace,

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import Certificate
-from .linalg import EPS, Rank, append_ones, as_matrix, certified_rank, numerical_rank
+from .linalg import EPS, Rank, append_ones, as_matrix, certified_rank
 from .losses import LossKind, _loss, _mean_gradient, _mean_loss, _terms, check_targets
 from .network import (
     ForwardTrace,
@@ -148,10 +148,10 @@ class TrainLog:
 def perturb(params: Params, sigma, seed) -> Params:
     """Add independent N(0, sigma_h^2) noise to every hidden-layer parameter
     (weights, biases, BN scale/shift); the head block is returned bit-identical."""
-    scales = _noise_scales(sigma, params.depth)
+    scales = _noise_scales(sigma, params.spec.depth)
     rng = np.random.default_rng(seed)
     out = params.copy()
-    for l in range(params.depth):
+    for l in range(params.spec.depth):
         s = scales[l]
         out.weights[l][:] += s * rng.standard_normal(out.weights[l].shape)
         out.biases[l][:] += s * rng.standard_normal(out.biases[l].shape)
@@ -370,7 +370,7 @@ def _phase_one(run, params0):
         if monitored(t):
             # rank and kernel of the pass in data order
             full = _rows(trace, inverse)
-            rec.feature_rank = numerical_rank(append_ones(full.hidden))
+            rec.feature_rank = certified_rank(append_ones(full.hidden)).rank
             rec.ntk_rank = _snapshot(params, full, t, 1, work=work).rank
         emit(rec)
     return params
@@ -536,7 +536,7 @@ def _lazy_phase(run, at_tau):
         rec = StepRecord(t=t, phase=2, loss=cur, grad_norm=math.sqrt(gsq),
                          ntk_rank=snap.rank, rank_event=event)
         if monitored(t - tau):
-            rec.feature_rank = numerical_rank(append_ones(trace.hidden))
+            rec.feature_rank = certified_rank(append_ones(trace.hidden)).rank
         emit(rec, gsq)
     return params
 

@@ -8,11 +8,11 @@ from twophase.linalg import append_ones, certified_rank
 from twophase.losses import loss_value
 from twophase.network import (
     NetworkSpec,
+    Params,
     Workspace,
     backprop,
     forward_hidden,
     forward_output,
-    params_from_flat,
     random_params,
 )
 
@@ -64,8 +64,8 @@ def fd_loss_grad(params, x, y, kind, frozen_stats=None, step=1e-5):
         wp[j] += step
         wm = w.copy()
         wm[j] -= step
-        fp = outputs(params_from_flat(params.spec, wp), x, frozen_stats)
-        fm = outputs(params_from_flat(params.spec, wm), x, frozen_stats)
+        fp = outputs(Params(params.spec, wp), x, frozen_stats)
+        fm = outputs(Params(params.spec, wm), x, frozen_stats)
         out[j] = (loss_value(kind, fp, y) - loss_value(kind, fm, y)) / (2 * step)
     return out
 
@@ -81,8 +81,8 @@ def fd_jacobian(params, x, frozen_stats=None, step=1e-5):
         wp[j] += step
         wm = w.copy()
         wm[j] -= step
-        fp = outputs(params_from_flat(params.spec, wp), x, frozen_stats)
-        fm = outputs(params_from_flat(params.spec, wm), x, frozen_stats)
+        fp = outputs(Params(params.spec, wp), x, frozen_stats)
+        fm = outputs(Params(params.spec, wm), x, frozen_stats)
         out[:, j] = ((fp - fm) / (2 * step)).reshape(-1)
     return out
 

@@ -32,7 +32,7 @@ from twophase.expressivity import (
     dominance_margins,
     expressivity_trials,
 )
-from twophase.linalg import certified_rank, min_norm_solve, numerical_rank
+from twophase.linalg import certified_rank, min_norm_solve
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,

@@ -137,24 +137,23 @@ class TestConfig:
         assert "config error:" in captured.err and key in captured.err
         assert "Traceback" not in captured.out + captured.err
 
-    @pytest.mark.parametrize("command,sections,flags,key", [
-        ("verify", {"verify": {"witness": "none"}}, [], "'verify.witness'"),
-        ("train", {"monitor_every": -1}, [], "monitor_every"),
-        ("train", {}, ["--monitor-every", "-3"], "monitor_every"),
-        ("train", {"network": {"hidden_widths": []}}, [], "'network.hidden_widths'"),
-        ("train", {"network": {"bn": [True]}}, [], "network.bn lists 1 flags for 2"),
-        ("train", {"network": {"depth": 0}}, [], "network.depth"),
-        ("train", {"data": {"source": "csv"}}, [], "data.path"),
-        ("train", {"data": {"source": "sql"}}, [], "data.source 'sql'"),
-    ], ids=["witness", "monitor_every", "monitor_every_flag", "hidden_widths", "bn_flags",
-            "depth", "csv_path", "source"])
+    @pytest.mark.parametrize("command,sections,key", [
+        ("verify", {"verify": {"witness": "none"}}, "'verify.witness'"),
+        ("train", {"monitor_every": -1}, "monitor_every"),
+        ("train", {"network": {"hidden_widths": []}}, "'network.hidden_widths'"),
+        ("train", {"network": {"bn": [True]}}, "network.bn lists 1 flags for 2"),
+        ("train", {"network": {"depth": 0}}, "network.depth"),
+        ("train", {"data": {"source": "csv"}}, "data.path"),
+        ("train", {"data": {"source": "sql"}}, "data.source 'sql'"),
+    ], ids=["witness", "monitor_every", "hidden_widths", "bn_flags", "depth", "csv_path",
+            "source"])
     def test_value_out_of_range_is_a_config_error(self, tmp_path, capsys, command, sections,
-                                                  flags, key):
-        # the first four each used to run: the witness on, monitoring off,
+                                                  key):
+        # the first three each used to run: the witness on, monitoring off,
         # or widths from the depth and feature_width_factor
         path = write_config(tmp_path, **small_train_sections(**sections))
         out = tmp_path / "o"
-        assert cli.main([command, "--config", path, "--out", str(out), *flags]) == 1
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not (out / "verify.json").exists()
@@ -879,12 +878,13 @@ class TestSweep:
 class TestUnusablePaths:
     @pytest.mark.parametrize("command", ["verify", "train", "sweep", "gen-data"])
     @pytest.mark.parametrize("case", ["config_is_a_directory", "config_is_not_json",
-                                      "config_is_an_array", "out_is_a_file",
+                                      "config_is_an_array", "data_is_a_directory",
+                                      "data_is_missing", "out_is_a_file",
                                       "out_under_a_file"])
     def test_exit_one_before_any_work(self, tmp_path, capsys, monkeypatch, command, case):
-        # a config that cannot be read or loaded, or an output directory that
-        # cannot be made, is the config's error, found before training or
-        # verifying
+        # a config or data.path that cannot be read or loaded, or an output
+        # directory that cannot be made, is the config's error, found before
+        # training or verifying
         ran = []
         for module, name in ((trainer, "run_two_phase"),
                              (expressivity, "check_distinguishability"),
@@ -908,6 +908,14 @@ class TestUnusablePaths:
             bad.write_text("{'seed': 0}\n" if case == "config_is_not_json" else "[1, 2]\n")
             config, out, named = str(bad), str(tmp_path / "out"), str(bad)
             why = "not valid JSON" if case == "config_is_not_json" else "must be a JSON object"
+        elif case.startswith("data_is"):
+            named = str(tmp_path / ("data" if case == "data_is_a_directory" else "missing.csv"))
+            if case == "data_is_a_directory":
+                os.mkdir(named)
+            sections["data"] = {"source": "csv", "path": named}
+            config, out = write_config(tmp_path, **sections), str(tmp_path / "out")
+            why = f"data.path {named}: cannot read data (" + (
+                "Is a directory" if case == "data_is_a_directory" else "No such file")
         else:
             out = str(taken if case == "out_is_a_file" else taken / "sub")
             named = out
@@ -916,6 +924,28 @@ class TestUnusablePaths:
         assert err.startswith("config error:") and named in err and why in err
         assert ran == []
         assert taken.read_text() == "not a directory\n"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--bogus"],
+        [],
+        ["train", "--seed", "x"],
+        # the config is never read: parsing fails first
+        ["train", "--config", "missing.json", "--monitor-every", "5"],
+    ], ids=["unknown_option", "no_command", "seed_not_an_int", "monitor_every_flag"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # argparse's own code for these is 2, which is a failed verification's
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: twophase") and "error:" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: twophase") and captured.err == ""
 
 
 class TestConsoleMain:
@@ -935,8 +965,9 @@ class TestConsoleMain:
         monkeypatch.setattr(cli.gc, "freeze", lambda: events.append(("freeze",)))
         good = write_config(tmp_path, "good.json", data={"n": 8})
         bad = write_config(tmp_path, "bad.json", nonsense=1)
-        for path, code in ((good, 0), (bad, 1)):
-            monkeypatch.setattr(sys, "argv", ["twophase", "gen-data", "--config", path,
+        for flag, path, code in (("--config", good, 0), ("--config", bad, 1),
+                                 ("--bogus", good, 1)):
+            monkeypatch.setattr(sys, "argv", ["twophase", "gen-data", flag, path,
                                               "--out", str(tmp_path / "g")])
             events.clear()
             with pytest.raises(SystemExit) as exited:

@@ -53,7 +53,7 @@ def test_every_public_name_resolves(tmp_path):
 import twophase
 import twophase.protocol as protocol
 import twophase.trainer as trainer
-assert len(twophase.__all__) == len(set(twophase.__all__)) == 38
+assert len(twophase.__all__) == len(set(twophase.__all__)) == 36
 for name in twophase.__all__:
     exec(f"from twophase import {name}")
     assert name in dir(twophase)

@@ -12,7 +12,6 @@ from twophase.linalg import (
     as_matrix,
     certified_rank,
     min_norm_solve,
-    numerical_rank,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -35,16 +34,16 @@ def oracle_rank_by_gram(m, scale_tol=1e-10):
 
 class TestNumericalRank:
     def test_identity(self):
-        assert numerical_rank(np.eye(3)) == 3
+        assert certified_rank(np.eye(3)).rank == 3
 
     def test_duplicated_row(self):
         m = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-        assert numerical_rank(m) == 1
+        assert certified_rank(m).rank == 1
 
     def test_random_full_rank_matches_gram_oracle(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((8, 5))
-        assert numerical_rank(m) == 5
+        assert certified_rank(m).rank == 5
         assert oracle_rank_by_gram(m) == 5
 
     def test_rank_deficient_matches_gram_oracle(self):
@@ -52,22 +51,22 @@ class TestNumericalRank:
         base = rng.standard_normal((8, 3))
         mix = rng.standard_normal((3, 5))
         m = base @ mix  # rank 3 by construction
-        assert numerical_rank(m) == 3
+        assert certified_rank(m).rank == 3
         assert oracle_rank_by_gram(m) == 3
 
     def test_invariance_row_permutation_and_scaling(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = rng.standard_normal((6, 4))
-            r = numerical_rank(m)
+            r = certified_rank(m).rank
             perm = rng.permutation(6)
-            assert numerical_rank(m[perm]) == r
+            assert certified_rank(m[perm]).rank == r
             scale = float(rng.uniform(0.1, 50.0)) * float(rng.choice([-1.0, 1.0]))
-            assert numerical_rank(scale * m) == r
+            assert certified_rank(scale * m).rank == r
 
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(ValueError, match="non-finite"):
-            numerical_rank([[1.0, np.nan], [0.0, 1.0]])
+            certified_rank([[1.0, np.nan], [0.0, 1.0]]).rank
         with pytest.raises(ValueError, match="non-finite"):
             as_matrix([[np.inf, 0.0]])
 
@@ -79,17 +78,17 @@ class TestNumericalRank:
             raise np.linalg.LinAlgError("SVD did not converge")
         monkeypatch.setattr(np.linalg, "svd", refuse)
         from twophase.linalg import DecompositionError
-        assert numerical_rank(np.eye(3)) == 3
+        assert certified_rank(np.eye(3)).rank == 3
         with pytest.raises(DecompositionError, match="SVD"):
-            numerical_rank(np.ones((3, 3)))
+            certified_rank(np.ones((3, 3))).rank
         with pytest.raises(DecompositionError, match="SVD"):
-            numerical_rank(np.ones((2, 4)))
+            certified_rank(np.ones((2, 4))).rank
         with pytest.raises(DecompositionError, match="SVD"):
             min_norm_solve(certified_rank(np.eye(3)), np.ones((3, 1)), np.zeros((3, 1)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            numerical_rank(np.zeros((0, 3)))
+            certified_rank(np.zeros((0, 3))).rank
 
 
 class TestMinNormSolve:

@@ -12,6 +12,7 @@ from twophase.expressivity import check_expressivity
 from twophase.losses import SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
+    Params,
     Workspace,
     _softplus,
     _softplus_deriv,
@@ -20,7 +21,6 @@ from twophase.network import (
     batchnorm_forward,
     forward_hidden,
     forward_output,
-    params_from_flat,
     params_zero,
     random_params,
     softplus,
@@ -102,7 +102,7 @@ class TestSoftplusOut:
 
 class TestBatchNorm:
     def test_symmetric_batch(self):
-        out = batchnorm_forward([1.0, 2.0, 3.0], 1.0, 0.0, 0.0)
+        out = batchnorm_forward([1.0, 2.0, 3.0], 1.0, 0.0, 1e-12)
         np.testing.assert_allclose(out, [-1.224745, 0.0, 1.224745], atol=1e-6)
 
     def test_zero_variance_shift_only(self):
@@ -136,6 +136,21 @@ class TestBatchNorm:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             batchnorm_forward(np.array([]), 1.0, 0.0, 1e-5)
+
+
+class TestPrimitiveParameters:
+    # the public primitives take only what NetworkSpec takes: a positive
+    # finite sharpness and BN epsilon (eps 0 gives NaN on a constant column)
+    @pytest.mark.parametrize("sharpness", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("fn", [softplus, softplus_deriv], ids=["value", "deriv"])
+    def test_sharpness_must_be_positive_and_finite(self, fn, sharpness):
+        with pytest.raises(ValueError, match="^sharpness must be a positive finite number$"):
+            fn(0.0, sharpness)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, np.inf, np.nan])
+    def test_bn_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="^eps must be a positive finite number$"):
+            batchnorm_forward([5.0, 5.0, 5.0], 1.0, 0.0, eps)
 
 
 class TestForward:
@@ -266,7 +281,7 @@ class TestFlatLayout:
         p = random_params(spec, rng, 1.0)
         flat = p.to_flat()
         assert flat.size == spec.param_count()
-        q = params_from_flat(spec, flat)
+        q = Params(spec, flat)
         np.testing.assert_array_equal(q.to_flat(), flat)
         for a, b in zip(p.weights, q.weights):
             np.testing.assert_array_equal(a, b)
@@ -285,7 +300,7 @@ class TestParamsBuffer:
     def test_view_writes_land_at_layer_offsets(self, rng):
         spec = self.SPEC
         buf = np.zeros(spec.param_count())
-        p = params_from_flat(spec, buf)
+        p = Params(spec, buf)
         offsets = np.concatenate([[0], np.cumsum(spec.layer_param_sizes())])
         want = np.zeros_like(buf)
         for l in range(spec.depth + 1):

@@ -21,16 +21,16 @@ import twophase.trainer as trainer
 from twophase.bounds import SLACK_REL
 from twophase.cli import DEFAULT_CONFIG
 from twophase.data import synth_gen
-from twophase.linalg import RankDeficientError, append_ones, certified_rank, numerical_rank
+from twophase.linalg import RankDeficientError, append_ones, certified_rank
 from twophase.losses import CROSS_ENTROPY, SQUARED, loss_grad
 from twophase.network import (
     NetworkSpec,
+    Params,
     Workspace,
     backprop,
     forward_hidden,
     forward_output,
     init_params,
-    params_from_flat,
     random_params,
 )
 from twophase.trainer import (
@@ -253,14 +253,14 @@ class TestRunTwoPhase:
         from twophase.network import forward_hidden
         w = p0.to_flat()
         for _ in range(T):
-            cur = params_from_flat(spec, w)
+            cur = Params(spec, w)
             trace = forward_hidden(cur, ds.x)
             f = trace.hidden @ cur.weights[-1] + cur.biases[-1]
             g = backprop(cur, trace, loss_grad(SQUARED, f, ds.y))
             g = g + wd * w
             w = w - lr * g
         seeds = np.random.SeedSequence(11).spawn(2)
-        oracle = perturb(params_from_flat(spec, w), 0.01, seeds[0])
+        oracle = perturb(Params(spec, w), 0.01, seeds[0])
         np.testing.assert_array_equal(params.to_flat(), oracle.to_flat())
         assert len(log.phase2_records()) == 0
         assert log.t_star == T
@@ -968,7 +968,7 @@ def _data_order_phase_one(params0, ds, base, tau, kind, monitor_every):
         ranks = (None, None)
         if monitor_every and t % monitor_every == 0:
             kernels.append(ntk.compute_kernel(params, trace))
-            ranks = (numerical_rank(append_ones(trace.hidden)),
+            ranks = (certified_rank(append_ones(trace.hidden)).rank,
                      ntk.compute_ntk(kernels[-1]).rank)
         records.append((loss, gnorm, *ranks))
     return initial, records, kernels, params
@@ -1246,7 +1246,7 @@ def _reference_lazy_phase(spec, ds, kind, log, cfg):
     for t in range(cfg.tau + 1, cfg.total_steps + 1):
         event = None
         while True:
-            cand = params_from_flat(spec, params.flat - (2.0 * eta_bar / lipschitz) * g)
+            cand = Params(spec, params.flat - (2.0 * eta_bar / lipschitz) * g)
             trace, loss, cand_g = evaluate(cand)
             snap = certified_rank(ntk.compute_kernel(cand, trace), reference.tolerance,
                                   gram=True)
